@@ -21,6 +21,7 @@ from .covering import (
     CoveringProfile,
     ForcingContext,
     IntegralResult,
+    child_time,
     condensation_integral,
     lattice_grid,
     profile_at,
@@ -271,9 +272,10 @@ def _forcing_values(ctx: ForcingContext) -> dict[str, np.ndarray]:
             child_all = 0
             child_early = 0
             for e in graph.out_edges(v):
-                c = ctx.count_at(e.dst, t - e.log_ratio)
+                shifted = child_time(t, e)
+                c = ctx.count_at(e.dst, shifted)
                 child_all += c
-                if t - e.log_ratio < 0:
+                if shifted < 0:
                     child_early += c
             defect = child_all - ctx.count_at(v, t)
             vals[idx] = math.exp(-s0 * t) * (child_early - defect)
@@ -291,8 +293,9 @@ def _renewal_residual(ctx: ForcingContext, forcing: dict[str, np.ndarray]) -> fl
             lhs = ctx.normalized_count(v, t)
             conv = 0.0
             for e in graph.out_edges(v):
-                if t - e.log_ratio >= 0:
-                    conv += e.ratio**s0 * ctx.normalized_count(e.dst, t - e.log_ratio)
+                shifted = child_time(t, e)
+                if shifted >= 0:
+                    conv += e.ratio**s0 * ctx.normalized_count(e.dst, shifted)
             worst = max(worst, abs(lhs - conv - forcing[v][idx]))
     return worst
 
@@ -317,7 +320,6 @@ def cross_check(
     *,
     grid_origin=None,
     tight: bool | None = None,
-    jobs: int | None = None,
     n_periods: int | None = None,
     dense_t_max: float = 10.0,
     dense_step: float = 0.05,
@@ -340,7 +342,7 @@ def cross_check(
         k_max = n_periods if n_periods is not None else (max(report.n_values) if report.n_values else 10)
         points = [y + k * tau for y in report.y_grid for k in range(k_max + 1)]
         ctx = ForcingContext(
-            graph, spectral, points, grid_origin=grid_origin, tight=tight, jobs=jobs
+            graph, spectral, points, grid_origin=grid_origin, tight=tight
         )
         forcing = _forcing_values(ctx)
         lookup = {t: i for i, t in enumerate(ctx.t_grid)}
@@ -372,7 +374,7 @@ def cross_check(
     steps = int(round(dense_t_max / dense_step))
     points = np.linspace(0.0, dense_t_max, steps + 1)
     ctx = ForcingContext(
-        graph, spectral, points, grid_origin=grid_origin, tight=tight, jobs=jobs
+        graph, spectral, points, grid_origin=grid_origin, tight=tight
     )
     forcing = _forcing_values(ctx)
     integrals = np.array(
@@ -446,7 +448,6 @@ def analyze(
     large_n_max: int = 10,
     grid_origin=None,
     tight: bool | None = None,
-    jobs: int | None = None,
     eps: float = 1e-9,
     with_cross_check: bool = True,
 ) -> AnalysisResult:
@@ -473,7 +474,6 @@ def analyze(
         spectral=spectral,
         grid_origin=grid_origin,
         tight=tight,
-        jobs=jobs,
     )
     report = estimate_limit(prof, regime)
     cross = None
@@ -484,7 +484,6 @@ def analyze(
             report,
             grid_origin=grid_origin,
             tight=tight,
-            jobs=jobs,
         )
     return AnalysisResult(
         vertex_order=graph.vertex_order,

@@ -239,7 +239,6 @@ def cmd_profile(args) -> int:
         spectral=sd,
         grid_origin=_parse_origin(args.grid_origin),
         tight=args.tight,
-        jobs=args.jobs,
         include_condensation=not args.no_condensation,
     )
     header, rows = _profile_rows(prof)
@@ -450,7 +449,6 @@ def _run_analysis(args) -> asymptotics.AnalysisResult:
         dense_samples=args.samples,
         grid_origin=_parse_origin(args.grid_origin),
         tight=args.tight,
-        jobs=args.jobs,
         with_cross_check=not args.no_cross_check,
     )
 
@@ -552,7 +550,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="exact rotated-box cell test (default: on for dimension <= 2)",
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:

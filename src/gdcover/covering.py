@@ -12,23 +12,24 @@ subtrees (images of seed boxes along paths stopped at resolution) and
 condensation shapes copied along every shorter path.  Anything finer than
 the stopping cutoff already sits inside a covering box, so generation
 terminates.
+
+One kernel does all counting.  A vertex's stopping tree is walked once,
+level by level as numpy arrays, down to the finest radius a caller needs;
+every coarser radius selects its leaves and interior nodes from the same
+arrays.  Cells come out as int64 index rows and are deduplicated with a
+1-d ``np.unique`` over linearized ids.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ValidationError
 from .geometry import Box, OrientedBox, PointShape, SegmentShape, Similarity
-from .graph import PATH_CAP, MWGraph, Path, walk_prefix_tree
+from .graph import PATH_CAP, MWGraph, Path
 from .spectral import SpectralData, solve_s0
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "condensation_covering",
     "IntegralResult",
     "condensation_integral",
+    "child_time",
     "ForcingContext",
     "measure_forcing",
     "l_star",
@@ -77,10 +79,6 @@ def interval_cell_range(a: float, b: float, r: float, origin: float = 0.0) -> tu
     return lo, max(lo, hi)
 
 
-def _point_cells_array(pts: np.ndarray, r: float, origin: np.ndarray) -> np.ndarray:
-    return np.floor((pts - origin) / r + ETA).astype(np.int64)
-
-
 def _origin_vector(grid_origin, dim: int) -> np.ndarray:
     if grid_origin is None:
         return np.zeros(dim)
@@ -92,105 +90,535 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
     return arr
 
 
-# -- per-shape cell enumeration ---------------------------------------------
+# -- array cell enumeration --------------------------------------------------
+#
+# Cells are (n, d) int64 index rows.  Float expressions repeat the operation
+# order of the scalar definitions (Similarity.compose and apply,
+# OrientedBox.image_of, interval_cell_range).  Small matrix products go
+# through np.matmul with the operand layout of the scalar call, because BLAS
+# may fuse multiply-adds where a written-out formula would round twice.  So
+# coordinates and cells agree bit for bit with shape-by-shape enumeration.
+
+_CHUNK = 1 << 20  # candidate cells expanded at once; bounds transient memory
 
 
-def _box_cells(box: Box, r: float, origin: np.ndarray, out: set, cap: int) -> None:
-    ranges = [
-        interval_cell_range(a, b, r, o)
-        for a, b, o in zip(box.lo, box.hi, origin)
-    ]
-    n = 1
-    for lo, hi in ranges:
-        n *= hi - lo + 1
-    if n > cap or len(out) + n > cap:
+def _floor_cells(pts: np.ndarray, r: float, origin: np.ndarray) -> np.ndarray:
+    return np.floor((pts - origin) / r + ETA).astype(np.int64)
+
+
+def _interval_cells(a: np.ndarray, b: np.ndarray, r: float, origin: np.ndarray):
+    """Array form of :func:`interval_cell_range`, elementwise."""
+    lo = np.floor((np.minimum(a, b) - origin) / r + ETA).astype(np.int64)
+    hi = np.ceil((np.maximum(a, b) - origin) / r - ETA).astype(np.int64) - 1
+    return lo, np.maximum(lo, hi)
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d array by sort and compare, several times faster
+    than the hashing ``np.unique`` of numpy >= 2.3 on millions of ids."""
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _distinct_small(values: np.ndarray):
+    """Distinct small nonnegative ints and each value's index among them."""
+    present = np.flatnonzero(np.bincount(values))
+    slot = np.zeros(present[-1] + 1, dtype=np.int64)
+    slot[present] = np.arange(present.size)
+    return present, slot[values]
+
+
+def _row_prod(a: np.ndarray) -> np.ndarray:
+    """Product across the (few) columns of a 2-d array."""
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        out *= a[:, k]
+    return out
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows of an int64 index array, via one 1-d unique on linear ids."""
+    if rows.shape[0] <= 1:
+        return rows
+    cols = rows.T
+    lo = [int(c.min()) for c in cols]
+    span = [int(c.max()) - l + 1 for c, l in zip(cols, lo)]
+    if math.prod(span) >= 1 << 62:
+        return np.unique(rows, axis=0)
+    ids = cols[0] - lo[0]
+    for c, l, n in zip(cols[1:], lo[1:], span[1:]):
+        ids = ids * n + (c - l)
+    ids = _sorted_unique(ids)
+    out = np.empty((ids.size, len(span)), dtype=np.int64)
+    for k in range(len(span) - 1, -1, -1):
+        out[:, k] = ids % span[k] + lo[k]
+        ids //= span[k]
+    return out
+
+
+class _CellUnion:
+    """Distinct cells accumulated chunk by chunk under a cap."""
+
+    def __init__(self, dim: int, cap: int) -> None:
+        self.cap = cap
+        self.parts = [np.empty((0, dim), dtype=np.int64)]
+        self.fresh = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        if rows.shape[0]:
+            self.parts.append(rows)
+            self.fresh += rows.shape[0]
+            if self.fresh > _CHUNK:
+                self.rows()
+
+    def rows(self) -> np.ndarray:
+        if len(self.parts) > 1:
+            self.parts = [_unique_rows(np.concatenate(self.parts))]
+            self.fresh = 0
+        if self.parts[0].shape[0] > self.cap:
+            raise ResourceLimitError(f"cell union exceeds cap {self.cap}")
+        return self.parts[0]
+
+
+def _chunks(sizes: np.ndarray):
+    """Slices of consecutive shapes holding about _CHUNK candidate cells each."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < sizes.size:
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _CHUNK, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
+def _expand(lo: np.ndarray, cnt: np.ndarray):
+    """Every index row of each index box, last axis fastest, with its box."""
+    n = _row_prod(cnt)
+    owner = np.repeat(np.arange(n.size), n)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    rows = np.empty((owner.size, lo.shape[1]), dtype=np.int64)
+    for k in range(lo.shape[1] - 1, -1, -1):
+        c = cnt[owner, k]
+        rows[:, k] = lo[owner, k] + local % c
+        local //= c
+    return rows, owner
+
+
+def _check_candidates(cnt: np.ndarray, cap: int) -> None:
+    if cnt.size and _row_prod(cnt.astype(float)).max() > cap:
         raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
-    out.update(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
 
 
-def _segment_cells(
-    a, b, r: float, origin: np.ndarray, out: set, cap: int
-) -> None:
-    p = np.asarray(a, dtype=float)
-    q = np.asarray(b, dtype=float)
-    delta = q - p
-    if not delta.any():
-        out.add(tuple(_point_cells_array(p, r, origin).tolist()))
-        return
-    # parameter values where the segment crosses a grid plane, per axis
-    ts = [np.array([0.0, 1.0])]
-    for j in range(p.size):
-        if delta[j] == 0.0:
-            continue
-        lo, hi = (p[j], q[j]) if p[j] < q[j] else (q[j], p[j])
-        m0 = math.floor((lo - origin[j]) / r) + 1
-        m1 = math.ceil((hi - origin[j]) / r) - 1
-        if m1 < m0:
-            continue
-        if m1 - m0 + 1 > cap:
-            raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
-        planes = origin[j] + np.arange(m0, m1 + 1) * r
-        ts.append((planes - p[j]) / delta[j])
-    t = np.concatenate(ts)
-    t = np.unique(np.clip(t, 0.0, 1.0))
-    mids = p + (0.5 * (t[:-1] + t[1:]))[:, None] * delta
-    samples = np.vstack([p[None, :], q[None, :], mids])
-    cells = _point_cells_array(samples, r, origin)
-    if len(out) + cells.shape[0] > cap:
+def _box_cells(lo, hi, r, origin, acc: _CellUnion, cap: int) -> None:
+    ilo, ihi = _interval_cells(lo, hi, r, origin)
+    cnt = ihi - ilo + 1
+    _check_candidates(cnt, cap)
+    for sel in _chunks(_row_prod(cnt)):
+        acc.add(_expand(ilo[sel], cnt[sel])[0])
+
+
+def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int) -> None:
+    """Cells of the points where each segment crosses a grid plane.
+
+    Per segment: the parameters of its plane crossings plus 0 and 1, clipped
+    and deduplicated, with the endpoints and the midpoint of every gap
+    between consecutive parameters as sample points.
+    """
+    delta = b - a
+    flat = ~delta.any(axis=1)
+    acc.add(_floor_cells(a[flat], r, origin))
+    a, b, delta = a[~flat], b[~flat], delta[~flat]
+    m0 = np.floor((np.minimum(a, b) - origin) / r) + 1
+    m1 = np.ceil((np.maximum(a, b) - origin) / r) - 1
+    cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
+    if cnt.size and cnt.max() > cap:
         raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
-    out.update(map(tuple, cells.tolist()))
+    m0 = m0.astype(np.int64)
+    for sel in _chunks(cnt.sum(axis=1) + 2):
+        p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
+        n = p.shape[0]
+        segs = [np.arange(n), np.arange(n)]
+        ts = [np.zeros(n), np.ones(n)]
+        for j in range(p.shape[1]):
+            owner = np.repeat(np.arange(n), c[:, j])
+            step = np.arange(owner.size) - np.repeat(np.cumsum(c[:, j]) - c[:, j], c[:, j])
+            planes = origin[j] + (first[owner, j] + step) * r
+            segs.append(owner)
+            ts.append((planes - p[owner, j]) / dp[owner, j])
+        seg = np.concatenate(segs)
+        t = np.clip(np.concatenate(ts), 0.0, 1.0)
+        order = np.lexsort((t, seg))
+        seg, t = seg[order], t[order]
+        keep = np.ones(seg.size, dtype=bool)
+        keep[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+        seg, t = seg[keep], t[keep]
+        gap = seg[1:] == seg[:-1]
+        s = seg[:-1][gap]
+        mids = p[s] + (0.5 * (t[:-1][gap] + t[1:][gap]))[:, None] * dp[s]
+        acc.add(_floor_cells(np.concatenate([p, q, mids]), r, origin))
 
 
-def _obb_cells_tight(
-    obb: OrientedBox, r: float, origin: np.ndarray, out: set, cap: int
-) -> None:
-    """2-d separating-axis test of each candidate cell against the box."""
-    bb = obb.bounding_box()
-    ranges = [
-        interval_cell_range(a, b, r, o)
-        for a, b, o in zip(bb.lo, bb.hi, origin)
-    ]
-    center = np.array(obb.center)
-    half = np.array(obb.half_axes)
-    axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    for row in half:
-        norm = math.hypot(*row)
-        if norm > 0:
-            axes.append(row / norm)
-    tol = ETA * r
-    cand = 0
-    for i in range(ranges[0][0], ranges[0][1] + 1):
-        for j in range(ranges[1][0], ranges[1][1] + 1):
-            cand += 1
-            if cand > cap or len(out) >= cap:
-                raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
-            c_cell = origin + (np.array([i, j]) + 0.5) * r
-            sep = False
-            for ax in axes:
-                d = abs(float((center - c_cell) @ ax))
-                ext_cell = 0.5 * r * (abs(ax[0]) + abs(ax[1]))
-                ext_obb = float(np.abs(half @ ax).sum())
-                if d >= ext_cell + ext_obb - tol:
-                    sep = True
-                    break
-            if not sep:
-                out.add((i, j))
+def _obb_bounds(center: np.ndarray, half: np.ndarray):
+    """Bounding boxes of oriented boxes, as OrientedBox.bounding_box."""
+    ext = np.abs(half[:, 0, :])
+    for k in range(1, half.shape[1]):
+        ext = ext + np.abs(half[:, k, :])
+    return center - ext, center + ext, ext
 
 
-def _shape_cells(shape, r: float, origin: np.ndarray, tight: bool, out: set, cap: int) -> None:
-    if isinstance(shape, PointShape):
-        out.add(tuple(_point_cells_array(np.array(shape.point), r, origin).tolist()))
-    elif isinstance(shape, SegmentShape):
-        _segment_cells(shape.a, shape.b, r, origin, out, cap)
-    elif isinstance(shape, OrientedBox):
-        if shape.is_axis_aligned() or not tight:
-            _box_cells(shape.bounding_box(), r, origin, out, cap)
+def _sat_axes(half: np.ndarray, r: float, exact: bool):
+    """Unit box axes of 2-d boxes and the projected extent of box plus cell.
+
+    ``exact`` repeats the scalar test's arithmetic (``math.hypot`` and
+    numpy's matrix products); otherwise plain elementwise numpy, which can
+    differ from it in the last bits.
+    """
+    if exact:
+        norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
+        norms = norms.reshape(half.shape[:2])
+    else:
+        norms = np.hypot(half[..., 0], half[..., 1])
+    live = norms > 0
+    units = half / np.where(live, norms, 1.0)[..., None]
+    reach = []
+    for k in range(2):
+        u = units[:, k, :]
+        if exact:
+            proj = np.abs(np.matmul(half, u[:, :, None])[:, :, 0])
         else:
-            _obb_cells_tight(shape, r, origin, out, cap)
-    elif isinstance(shape, Box):
-        _box_cells(shape, r, origin, out, cap)
-    else:  # pragma: no cover
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
+            proj = np.abs(half[:, :, 0] * u[:, None, 0] + half[:, :, 1] * u[:, None, 1])
+        cell = 0.5 * r * (np.abs(u[:, 0]) + np.abs(u[:, 1]))
+        reach.append(cell + (proj[:, 0] + proj[:, 1]) - ETA * r)
+    return live, units, reach
+
+
+def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int) -> None:
+    """2-d separating-axis test of each candidate cell against each box.
+
+    A cell is separated from a box along an axis when the distance of their
+    centres projected on it reaches the sum of their projected half
+    extents, less a 1e-9 r tolerance.  The two grid axes test exactly in
+    elementwise arithmetic.  The two box axes are first tested in fast
+    arithmetic; a candidate whose margin there is within 1e-12 of the
+    scale is retested with the scalar test's exact arithmetic.
+    """
+    lo, hi, ext = _obb_bounds(center, half)
+    ilo, ihi = _interval_cells(lo, hi, r, origin)
+    cnt = ihi - ilo + 1
+    _check_candidates(cnt, cap)
+    live, units, reach = _sat_axes(half, r, exact=False)
+    size = r + np.abs(half).sum(axis=(1, 2))
+    for sel in _chunks(_row_prod(cnt)):
+        rows, owner = _expand(ilo[sel], cnt[sel])
+        owner = owner + sel.start
+        diff = center[owner] - (origin + (rows + 0.5) * r)
+        grid = _grid_axes_hit(diff, ext[owner], r)
+        hit = grid.copy()
+        unsure = np.zeros_like(grid)
+        margin = 1e-12 * (size[owner] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
+        for k in range(2):
+            u = units[owner, k, :]
+            gap = np.abs(diff[:, 0] * u[:, 0] + diff[:, 1] * u[:, 1]) - reach[k][owner]
+            on = live[owner, k]
+            hit &= ~on | (gap < 0)
+            unsure |= on & (np.abs(gap) <= margin)
+        redo = np.flatnonzero(grid & unsure)
+        if redo.size:
+            hit[redo] = _sat_exact(diff[redo], half[owner[redo]], r)
+        acc.add(rows[hit])
+
+
+def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r: float) -> np.ndarray:
+    hit = np.abs(diff) < 0.5 * r + ext - ETA * r
+    return hit[:, 0] & hit[:, 1]
+
+
+def _sat_exact(diff: np.ndarray, half: np.ndarray, r: float) -> np.ndarray:
+    """Box-axis part of the separating-axis test, in the scalar arithmetic."""
+    live, units, reach = _sat_axes(half, r, exact=True)
+    hit = np.ones(diff.shape[0], dtype=bool)
+    for k in range(2):
+        d = np.abs(np.matmul(diff[:, None, :], units[:, k, :, None])[:, 0, 0])
+        hit &= ~live[:, k] | (d < reach[k])
+    return hit
+
+
+def _is_axis_aligned(half: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """OrientedBox.is_axis_aligned for each box."""
+    return ((np.abs(half) > tol).sum(axis=2) <= 1).all(axis=1)
+
+
+@dataclass(frozen=True)
+class _Shapes:
+    """Covering elements as arrays, grouped by how their cells are found."""
+
+    dim: int
+    points: np.ndarray  # (n, d)
+    seg_a: np.ndarray  # (n, d) segment endpoints
+    seg_b: np.ndarray
+    obb_c: np.ndarray  # (n, d) oriented box centres
+    obb_h: np.ndarray  # (n, d, d) half axes, one row per box axis
+
+    @classmethod
+    def gather(cls, dim, points=(), segments=(), obbs=()) -> "_Shapes":
+        def stack(parts, *shape):
+            parts = [np.asarray(p, dtype=float).reshape(-1, *shape) for p in parts]
+            return np.concatenate(parts) if parts else np.empty((0, *shape))
+
+        return cls(
+            dim,
+            stack(points, dim),
+            stack([s[0] for s in segments], dim),
+            stack([s[1] for s in segments], dim),
+            stack([o[0] for o in obbs], dim),
+            stack([o[1] for o in obbs], dim, dim),
+        )
+
+    @classmethod
+    def of_elements(cls, elements) -> "_Shapes":
+        points, segments, obbs = [], [], []
+        dim = 0
+        for e in elements:
+            s = e.shape
+            if isinstance(s, PointShape):
+                points.append(s.point)
+                dim = len(s.point)
+            elif isinstance(s, SegmentShape):
+                segments.append((s.a, s.b))
+                dim = len(s.a)
+            elif isinstance(s, OrientedBox):
+                obbs.append((s.center, s.half_axes))
+                dim = s.dim
+            else:
+                raise TypeError(f"unsupported shape {type(s).__name__}")
+        return cls.gather(dim, points, segments, obbs)
+
+    def cells(self, r: float, origin: np.ndarray, tight: bool, cap: int) -> np.ndarray:
+        """Distinct cells met by the union of the shapes, as index rows."""
+        acc = _CellUnion(self.dim, cap)
+        acc.add(_floor_cells(self.points, r, origin))
+        _segment_cells(self.seg_a, self.seg_b, r, origin, acc, cap)
+        plain = _is_axis_aligned(self.obb_h) | (not tight)
+        lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
+        _box_cells(lo, hi, r, origin, acc, cap)
+        if not plain.all():
+            _obb_cells_tight(self.obb_c[~plain], self.obb_h[~plain], r, origin, acc, cap)
+        return acc.rows()
+
+
+# -- the multi-resolution walk -----------------------------------------------
+
+
+class _Walk:
+    """Stopping tree of one vertex down to radius ``r_min``, stored as arrays.
+
+    Built level by level; node k holds its ratio, isometry (an index into
+    ``isos``), translation, terminal vertex, the stopping size
+    ``ratio * diam(terminal)`` and ``above``, the smallest size among its
+    proper ancestors (infinite at the root).  The radius-r walk, for any
+    r >= r_min, visits exactly the nodes with ``above > r``: those with
+    ``size <= r`` are its leaves (cylinders), the others its interior nodes
+    (condensation copies).  Maps compose as Similarity.compose does, so
+    every node's map equals the one the depth-first walk would build.
+    """
+
+    def __init__(self, graph: MWGraph, vertex: str, r_min: float, cap: int = PATH_CAP) -> None:
+        if vertex not in graph.vertices:
+            raise ValidationError(f"unknown vertex {vertex!r}")
+        self.graph = graph
+        self.vertex = vertex
+        self.r_min = r_min
+        order = graph.vertex_order
+        dim = graph.dimension
+        self.diam = np.array([graph.seed_box(v).diameter for v in order])
+        self.edge_ids = tuple(graph.edges)
+        slot = {eid: k for k, eid in enumerate(self.edge_ids)}
+        out = [[(slot[e.id], e) for e in graph.out_edges(v)] for v in order]
+        dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
+        self.isos = [np.eye(dim)]
+        self._iso_slot = {self.isos[0].tobytes(): 0}
+        self._steps: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+
+        level = {
+            "parent": np.array([-1]),
+            "edge": np.array([-1]),
+            "ratio": np.array([1.0]),
+            "iso": np.array([0]),
+            "trans": np.zeros((1, dim)),
+            "term": np.array([order.index(vertex)]),
+            "above": np.array([np.inf]),
+        }
+        level["size"] = level["ratio"] * self.diam[level["term"]]
+        levels = [level]
+        start, total = 0, 1
+        if total > cap:
+            raise ResourceLimitError(f"walk enumeration exceeded the cap of {cap} nodes")
+        while True:
+            grow = np.flatnonzero(level["size"] > r_min)
+            blocks = [
+                (sel, k, e)
+                for v, edges in enumerate(out)
+                for sel in [grow[level["term"][grow] == v]]
+                if sel.size
+                for k, e in edges
+            ]
+            n_new = sum(sel.size for sel, _k, _e in blocks)
+            if not n_new:
+                break
+            if total + n_new > cap:
+                raise ResourceLimitError(f"walk enumeration exceeded the cap of {cap} nodes")
+            parts = [self._children(level, start, sel, k, e, dst[e.id]) for sel, k, e in blocks]
+            level = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+            levels.append(level)
+            start, total = total, total + n_new
+        for key in levels[0]:
+            setattr(self, key, np.concatenate([lv[key] for lv in levels]))
+        self.n = total
+        self._perm = [self._signed_permutation(q) for q in self.isos]
+        self._iso_stack = np.array(self.isos)
+        # nodes by terminal vertex, and each node's rank among them
+        self._at = [np.flatnonzero(self.term == v) for v in range(len(order))]
+        self._rank = np.empty(total, dtype=np.int64)
+        for nodes in self._at:
+            self._rank[nodes] = np.arange(nodes.size)
+        self._images: dict[tuple, np.ndarray] = {}
+        self._kids = None
+
+    def _children(self, level, start, sel, k, edge, dst) -> dict:
+        ratio = level["ratio"][sel]
+        uniq, inv = _distinct_small(level["iso"][sel])
+        steps = [self._step(int(i), k, edge) for i in uniq]
+        qb = np.array([s[1] for s in steps])[inv]
+        child = {
+            "parent": start + sel,
+            "edge": np.full(sel.size, k),
+            "ratio": ratio * edge.ratio,
+            "iso": np.array([s[0] for s in steps])[inv],
+            "trans": ratio[:, None] * qb + level["trans"][sel],
+            "term": np.full(sel.size, dst),
+            "above": np.minimum(level["above"][sel], level["size"][sel]),
+        }
+        child["size"] = child["ratio"] * self.diam[dst]
+        return child
+
+    def _step(self, iso: int, k: int, edge) -> tuple[int, np.ndarray]:
+        """Isometry of parent-iso-then-edge, and the parent's Q applied to b_e."""
+        hit = self._steps.get((iso, k))
+        if hit is None:
+            q = self.isos[iso] @ edge.map.isometry
+            slot = self._iso_slot.setdefault(q.tobytes(), len(self.isos))
+            if slot == len(self.isos):
+                self.isos.append(q)
+            hit = (slot, self.isos[iso] @ edge.map.translation)
+            self._steps[(iso, k)] = hit
+        return hit
+
+    @staticmethod
+    def _signed_permutation(q: np.ndarray):
+        """(column, sign) per row when q is exactly a signed permutation."""
+        if not (np.isin(q, (-1.0, 0.0, 1.0)).all() and ((q != 0).sum(axis=1) == 1).all()):
+            return None
+        col = np.abs(q).argmax(axis=1)
+        return col, q[np.arange(q.shape[0]), col]
+
+    # -- images of fixed shapes under every selected node's map ----------
+
+    def _apply(self, nodes: np.ndarray, pt) -> np.ndarray:
+        """``Similarity.apply(pt)`` per node: ``((ratio * pt) @ Q.T) + b``."""
+        x = self.ratio[nodes][:, None] * np.asarray(pt, dtype=float)
+        iso = self.iso[nodes]
+        out = np.empty_like(x)
+        for k in _distinct_small(iso)[0] if iso.size else ():
+            m = iso == k
+            perm = self._perm[k]
+            if perm is not None:  # products with 0 and +-1 are exact
+                out[m] = x[m][:, perm[0]] * perm[1]
+            else:
+                out[m] = np.matmul(x[m][:, None, :], self.isos[k].T)[:, 0, :]
+        return out + self.trans[nodes]
+
+    def _image(self, v: int, pt, nodes: np.ndarray) -> np.ndarray:
+        """``_apply`` for nodes ending at vertex v; computed once for every
+        such node, then shared by all radii."""
+        key = (v, tuple(pt))
+        full = self._images.get(key)
+        if full is None:
+            full = self._images[key] = self._apply(self._at[v], pt)
+        return full[self._rank[nodes]]
+
+    def _box_image(self, v: int, box: Box, nodes: np.ndarray):
+        """``OrientedBox.image_of`` per node: centres and half axes."""
+        centre = self._image(v, box.center, nodes)
+        q = self._iso_stack[self.iso[nodes]]
+        ratio = self.ratio[nodes][:, None]
+        half = np.empty((nodes.size, box.dim, box.dim))
+        for k, w in enumerate(box.widths):
+            half[:, k, :] = ratio * (q[:, :, k] * (w / 2))
+        return centre, half
+
+    def _select(self, r: float):
+        visited = self.above > r
+        leaf = visited & (self.size <= r)
+        return leaf, visited & ~leaf
+
+    def shapes(self, r: float, include_condensation: bool = True) -> _Shapes:
+        """Covering elements of the radius-r walk as arrays."""
+        graph = self.graph
+        leaf, inner = self._select(r)
+        points, segments, obbs = [], [], []
+        for v, name in enumerate(graph.vertex_order):
+            at_v = self._at[v]
+            nodes = at_v[leaf[at_v]]
+            if nodes.size:
+                obbs.append(self._box_image(v, graph.seed_box(name), nodes))
+            if not (include_condensation and graph.condensation[name]):
+                continue
+            nodes = at_v[inner[at_v]]
+            for prim in graph.condensation[name]:
+                if prim.kind == "point":
+                    points.append(self._image(v, prim.points[0], nodes))
+                elif prim.kind == "segment":
+                    segments.append(tuple(self._image(v, p, nodes) for p in prim.points))
+                else:
+                    obbs.append(self._box_image(v, prim.as_box(), nodes))
+        return _Shapes.gather(graph.dimension, points, segments, obbs)
+
+    def n_elements(self, r: float, include_condensation: bool = True) -> int:
+        leaf, inner = self._select(r)
+        n = int(leaf.sum())
+        if include_condensation:
+            per_vertex = np.array([len(self.graph.condensation[v]) for v in self.graph.vertex_order])
+            n += int(per_vertex[self.term[inner]].sum())
+        return n
+
+    def elements(self, r: float, include_condensation: bool = True) -> tuple:
+        """Covering elements of the radius-r walk in depth-first path order."""
+        graph = self.graph
+        if self._kids is None:
+            kids = np.argsort(self.parent[1:], kind="stable") + 1
+            bounds = np.searchsorted(self.parent[kids], np.arange(self.n + 1))
+            self._kids = (kids, bounds)
+        kids, bounds = self._kids
+        out = []
+        stack = [(0, Path(self.vertex))]
+        while stack:
+            k, path = stack.pop()
+            sim = Similarity(self.ratio[k], self.isos[self.iso[k]], self.trans[k])
+            terminal = graph.vertex_order[self.term[k]]
+            if self.size[k] <= r:
+                shape = OrientedBox.image_of(sim, graph.seed_box(terminal))
+                out.append(SetElement("cylinder", shape, path))
+                continue
+            if include_condensation:
+                for prim in graph.condensation[terminal]:
+                    out.append(SetElement("condensation", prim.image(sim), path))
+            for c in kids[bounds[k]:bounds[k + 1]][::-1]:
+                stack.append((int(c), path.child(self.edge_ids[self.edge[c]])))
+        return tuple(out)
 
 
 # -- geometry sets -----------------------------------------------------------
@@ -205,17 +633,40 @@ class SetElement:
     path: Path
 
 
-@dataclass(frozen=True)
 class GeometrySet:
-    """Resolution-r covering of one vertex's attractor."""
+    """Resolution-r covering of one vertex's attractor.
 
-    vertex: str
-    resolution: float
-    elements: tuple[SetElement, ...]
+    ``generate`` returns a view over the vertex's array walk; ``elements``
+    is materialized, in depth-first path order, only when it is read.  A
+    set can also be built from an explicit tuple of elements.
+    """
+
+    def __init__(
+        self,
+        vertex: str,
+        resolution: float,
+        elements: tuple[SetElement, ...] | None = None,
+        *,
+        walk: _Walk | None = None,
+        include_condensation: bool = True,
+    ) -> None:
+        self.vertex = vertex
+        self.resolution = resolution
+        self._elements = None if walk is not None else tuple(elements or ())
+        self._walk = walk
+        self._include_condensation = include_condensation
+
+    @property
+    def elements(self) -> tuple[SetElement, ...]:
+        if self._elements is None:
+            self._elements = self._walk.elements(self.resolution, self._include_condensation)
+        return self._elements
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        if self._elements is None:
+            return self._walk.n_elements(self.resolution, self._include_condensation)
+        return len(self._elements)
 
     def cylinders(self) -> tuple[SetElement, ...]:
         return tuple(e for e in self.elements if e.kind == "cylinder")
@@ -223,52 +674,10 @@ class GeometrySet:
     def condensation_images(self) -> tuple[SetElement, ...]:
         return tuple(e for e in self.elements if e.kind == "condensation")
 
-
-def _graph_fingerprint(graph: MWGraph) -> str:
-    payload = {
-        "dimension": graph.dimension,
-        "vertices": {v: [graph.seed_box(v).lo, graph.seed_box(v).hi] for v in graph.vertex_order},
-        "edges": [
-            [
-                e.id,
-                e.src,
-                e.dst,
-                repr(e.ratio),
-                [[repr(x) for x in row] for row in e.map.isometry.tolist()],
-                [repr(x) for x in e.map.translation.tolist()],
-            ]
-            for e in sorted(graph.edges.values(), key=lambda e: e.id)
-        ],
-        "condensation": {
-            v: [[p.kind, p.points] for p in prims]
-            for v, prims in graph.condensation.items()
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _sims_in_order(graph: MWGraph, start: str, edge_tuples) -> list[Similarity]:
-    memo: dict[tuple, Similarity] = {(): Similarity.identity(graph.dimension)}
-
-    def sim_for(prefix: tuple) -> Similarity:
-        hit = memo.get(prefix)
-        if hit is None:
-            hit = sim_for(prefix[:-1]).compose(graph.edge(prefix[-1]).map)
-            memo[prefix] = hit
-        return hit
-
-    return [sim_for(t) for t in edge_tuples]
-
-
-def _cache_path(graph: MWGraph, vertex: str, r: float, extra: str) -> str | None:
-    root = os.environ.get("GDCOVER_CACHE")
-    if not root:
-        return None
-    key = hashlib.sha256(
-        f"{_graph_fingerprint(graph)}|{vertex}|{r!r}|{extra}".encode()
-    ).hexdigest()
-    return os.path.join(root, f"antichain-{key}.pkl")
+    def _shapes(self) -> _Shapes:
+        if self._elements is None:
+            return self._walk.shapes(self.resolution, self._include_condensation)
+        return _Shapes.of_elements(self._elements)
 
 
 def generate(
@@ -276,7 +685,6 @@ def generate(
     vertex: str,
     r: float,
     include_condensation: bool = True,
-    condensation_depth_ratio: float | None = None,
     cap: int = PATH_CAP,
 ) -> GeometrySet:
     """Covering elements for one vertex at resolution r.
@@ -284,58 +692,12 @@ def generate(
     Cylinder boxes come from paths stopped the first time the image of the
     terminal seed box has diameter at most r.  Condensation shapes are
     copied along every shorter path (the stopped path's own shapes and all
-    finer ones sit inside its cylinder box).  ``condensation_depth_ratio``
-    overrides the contraction cutoff used for the condensation copies.
+    finer ones sit inside its cylinder box).
     """
     if r <= 0:
         raise ValueError("resolution must be positive")
-    cache_file = _cache_path(
-        graph, vertex, r, f"{include_condensation}|{condensation_depth_ratio!r}"
-    )
-    if cache_file and os.path.exists(cache_file):
-        with open(cache_file, "rb") as fh:
-            records = pickle.load(fh)
-        sims = _sims_in_order(graph, vertex, [tuple(eids) for _, eids, _ in records])
-        elements = []
-        for (kind, eids, prim_idx), sim in zip(records, sims):
-            path = Path(vertex, tuple(eids))
-            terminal = graph.path_terminal(path)
-            if kind == "cylinder":
-                shape = OrientedBox.image_of(sim, graph.seed_box(terminal))
-            else:
-                shape = graph.condensation[terminal][prim_idx].image(sim)
-            elements.append(SetElement(kind, shape, path))
-        return GeometrySet(vertex, r, tuple(elements))
-
-    def stop(ratio: float, v: str) -> bool:
-        return ratio * graph.seed_box(v).diameter <= r
-
-    elements: list[SetElement] = []
-    records: list[tuple[str, tuple[str, ...], int]] = []
-    for kind, path, sim, ratio, terminal in walk_prefix_tree(graph, vertex, stop, cap=cap):
-        if kind == "leaf":
-            elements.append(
-                SetElement("cylinder", OrientedBox.image_of(sim, graph.seed_box(terminal)), path)
-            )
-            records.append(("cylinder", path.edges, -1))
-        if not include_condensation:
-            continue
-        wants_copy = (
-            kind == "interior"
-            if condensation_depth_ratio is None
-            else ratio > condensation_depth_ratio
-        )
-        if wants_copy:
-            for k, prim in enumerate(graph.condensation[terminal]):
-                elements.append(SetElement("condensation", prim.image(sim), path))
-                records.append(("condensation", path.edges, k))
-    if cache_file:
-        os.makedirs(os.path.dirname(cache_file) or ".", exist_ok=True)
-        tmp = cache_file + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(records, fh)
-        os.replace(tmp, cache_file)
-    return GeometrySet(vertex, r, tuple(elements))
+    walk = _Walk(graph, vertex, r, cap)
+    return GeometrySet(vertex, r, walk=walk, include_condensation=include_condensation)
 
 
 # -- counting ----------------------------------------------------------------
@@ -349,12 +711,17 @@ def _effective_tight(tight: bool | None, dim: int) -> bool:
     return bool(tight)
 
 
-def _chunk_cells(args) -> set:
-    shapes, r, origin, tight, cap = args
-    out: set = set()
-    for shape in shapes:
-        _shape_cells(shape, r, origin, tight, out, cap)
-    return out
+def _set_cells(gset: GeometrySet, r, grid_origin, tight, cap) -> np.ndarray | None:
+    """Index rows of the cells met by a set; None for an empty set."""
+    if r is None:
+        r = gset.resolution
+    if not gset.n_elements:
+        return None
+    if r < gset.resolution * (1 - 1e-12):
+        raise ValueError("counting below the generation resolution is not meaningful")
+    shapes = gset._shapes()
+    origin = _origin_vector(grid_origin, shapes.dim)
+    return shapes.cells(r, origin, _effective_tight(tight, shapes.dim), cap)
 
 
 def cell_union(
@@ -363,49 +730,11 @@ def cell_union(
     *,
     grid_origin=None,
     tight: bool | None = None,
-    jobs: int | None = None,
     cap: int = CELL_CAP,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    if r is None:
-        r = gset.resolution
-    if gset.elements and r < gset.resolution * (1 - 1e-12):
-        raise ValueError("counting below the generation resolution is not meaningful")
-    if not gset.elements:
-        return set()
-    dim = 0
-    for e in gset.elements:
-        shape = e.shape
-        if isinstance(shape, PointShape):
-            dim = len(shape.point)
-        elif isinstance(shape, SegmentShape):
-            dim = len(shape.a)
-        else:
-            dim = shape.dim
-        break
-    origin = _origin_vector(grid_origin, dim)
-    eff_tight = _effective_tight(tight, dim)
-    shapes = [e.shape for e in gset.elements]
-    if jobs and jobs > 1 and len(shapes) > 4 * jobs:
-        chunks = np.array_split(np.arange(len(shapes)), 4 * jobs)
-        work = [
-            ([shapes[i] for i in chunk], r, origin, eff_tight, cap)
-            for chunk in chunks
-            if chunk.size
-        ]
-        cells: set = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_chunk_cells, work):
-                cells |= part
-                if len(cells) > cap:
-                    raise ResourceLimitError(f"cell union exceeds cap {cap}")
-        return cells
-    cells = set()
-    for shape in shapes:
-        _shape_cells(shape, r, origin, eff_tight, cells, cap)
-        if len(cells) > cap:
-            raise ResourceLimitError(f"cell union exceeds cap {cap}")
-    return cells
+    rows = _set_cells(gset, r, grid_origin, tight, cap)
+    return set() if rows is None else set(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -418,13 +747,22 @@ class CountResult:
         return self.per_vertex[self.vertex_order.index(vertex)]
 
 
+def _count_rows(order, rows: list, cap: int) -> CountResult:
+    """Per-vertex counts and the deduplicated total from per-vertex cells."""
+    per = tuple(0 if c is None else c.shape[0] for c in rows)
+    live = [c for c in rows if c is not None and c.shape[0]]
+    total = _unique_rows(np.concatenate(live)).shape[0] if len(live) > 1 else sum(per)
+    if total > cap:
+        raise ResourceLimitError(f"cell union exceeds cap {cap}")
+    return CountResult(tuple(order), per, total)
+
+
 def count(
     sets,
     r: float | None = None,
     grid_origin=None,
     *,
     tight: bool | None = None,
-    jobs: int | None = None,
     cap: int = CELL_CAP,
 ) -> CountResult:
     """Per-vertex and total cell counts for one or several covering sets.
@@ -434,18 +772,8 @@ def count(
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
-    order = tuple(sets)
-    per = []
-    union: set = set()
-    for v in order:
-        cells = cell_union(
-            sets[v], r, grid_origin=grid_origin, tight=tight, jobs=jobs, cap=cap
-        )
-        per.append(len(cells))
-        union |= cells
-        if len(union) > cap:
-            raise ResourceLimitError(f"cell union exceeds cap {cap}")
-    return CountResult(order, tuple(per), len(union))
+    rows = [_set_cells(sets[v], r, grid_origin, tight, cap) for v in sets]
+    return _count_rows(sets, rows, cap)
 
 
 # -- profiles ----------------------------------------------------------------
@@ -495,7 +823,6 @@ def profile_at(
     spectral: SpectralData | None = None,
     grid_origin=None,
     tight: bool | None = None,
-    jobs: int | None = None,
     include_condensation: bool = True,
     cap: int = PATH_CAP,
 ) -> CoveringProfile:
@@ -503,10 +830,12 @@ def profile_at(
 
     ``t_points`` holds floats, or ``(t, n, y)`` triples in lattice mode
     where ``t = n * tau + y`` records the decomposition used downstream.
+    One walk per vertex, sized for the largest t, serves every sample.
     """
     if spectral is None:
         spectral = solve_s0(graph)
     origin = _origin_vector(grid_origin, graph.dimension)
+    eff_tight = _effective_tight(tight, graph.dimension)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -514,14 +843,18 @@ def profile_at(
         else:
             normalized.append((float(item), None, None))
     normalized.sort(key=lambda x: x[0])
+    walks = {}
+    if normalized:
+        r_min = math.exp(-normalized[-1][0])
+        walks = {v: _Walk(graph, v, r_min, cap) for v in graph.vertex_order}
     samples = []
     for t, n, y in normalized:
         r = math.exp(-t)
-        sets = {
-            v: generate(graph, v, r, include_condensation=include_condensation, cap=cap)
+        rows = [
+            walks[v].shapes(r, include_condensation).cells(r, origin, eff_tight, CELL_CAP)
             for v in graph.vertex_order
-        }
-        res = count(sets, r, grid_origin=origin, tight=tight, jobs=jobs)
+        ]
+        res = _count_rows(graph.vertex_order, rows, CELL_CAP)
         scale = math.exp(-spectral.s0 * t)
         samples.append(
             ProfileSample(
@@ -562,7 +895,6 @@ def profile(
     spectral: SpectralData | None = None,
     grid_origin=None,
     tight: bool | None = None,
-    jobs: int | None = None,
     include_condensation: bool = True,
     cap: int = PATH_CAP,
 ) -> CoveringProfile:
@@ -597,7 +929,6 @@ def profile(
         spectral=spectral,
         grid_origin=grid_origin,
         tight=tight,
-        jobs=jobs,
         include_condensation=include_condensation,
         cap=cap,
     )
@@ -613,9 +944,10 @@ def condensation_covering(primitive, r: float, grid_origin=None) -> int:
     if primitive.kind == "point":
         return 1
     if primitive.kind == "segment":
-        out: set = set()
-        _segment_cells(primitive.points[0], primitive.points[1], r, origin, out, CELL_CAP)
-        return len(out)
+        acc = _CellUnion(dim, CELL_CAP)
+        a, b = (np.array([p]) for p in primitive.points)
+        _segment_cells(a, b, r, origin, acc, CELL_CAP)
+        return acc.rows().shape[0]
     if primitive.kind == "box":
         total = 1
         for a, b, o in zip(primitive.points[0], primitive.points[1], origin):
@@ -762,13 +1094,25 @@ def condensation_integral(
 # -- count-derived forcing for the renewal cross-check -----------------------
 
 
+def child_time(t: float, edge) -> float:
+    """Argument ``t - log(1/ratio)`` of an edge's child term in the forcing.
+
+    A shift within 1e-9 of zero is snapped to 0: a lattice period computed
+    apart from the edge's own log-ratio can leave a residue like -1e-16,
+    which would otherwise count the child term as not yet started.
+    """
+    s = t - edge.log_ratio
+    return 0.0 if abs(s) < ETA else s
+
+
 class ForcingContext:
     """Cached covering counts supporting shifted-argument evaluations.
 
     Holds N(t) = cell count of the vertex attractor at radius e^(-t) for
     every t on the sample grid and at every child-shifted argument
     t - log(1/ratio), including negative ones (the grid is simply coarser
-    than the attractor there; counts stay honest).
+    than the attractor there; counts stay honest).  Each vertex is walked
+    once, down to the radius of the largest grid t.
     """
 
     def __init__(
@@ -779,7 +1123,6 @@ class ForcingContext:
         *,
         grid_origin=None,
         tight: bool | None = None,
-        jobs: int | None = None,
         cap: int = PATH_CAP,
     ) -> None:
         self.graph = graph
@@ -791,25 +1134,23 @@ class ForcingContext:
             raise ValueError("t grid must be nonnegative")
         self.grid_origin = grid_origin
         self.tight = tight
-        self.jobs = jobs
         self.cap = cap
         self._counts: dict[tuple[str, float], int] = {}
+        self._walks: dict[str, _Walk] = {}
 
     def count_at(self, vertex: str, t: float) -> int:
         key = (vertex, float(t))
         hit = self._counts.get(key)
         if hit is None:
             r = math.exp(-t)
-            gset = generate(self.graph, vertex, r, cap=self.cap)
-            cells = cell_union(
-                gset,
-                r,
-                grid_origin=self.grid_origin,
-                tight=self.tight,
-                jobs=self.jobs,
-            )
-            hit = len(cells)
-            self._counts[key] = hit
+            walk = self._walks.get(vertex)
+            if walk is None or walk.r_min > r:
+                r_min = min(r, math.exp(-self.t_grid[-1]))
+                walk = self._walks[vertex] = _Walk(self.graph, vertex, r_min, self.cap)
+            dim = self.graph.dimension
+            origin = _origin_vector(self.grid_origin, dim)
+            cells = walk.shapes(r).cells(r, origin, _effective_tight(self.tight, dim), CELL_CAP)
+            hit = self._counts[key] = cells.shape[0]
         return hit
 
     def normalized_count(self, vertex: str, t: float) -> float:
@@ -835,7 +1176,7 @@ def _l_star_values(ctx: ForcingContext, vertex: str) -> np.ndarray:
     for idx, t in enumerate(ctx.t_grid):
         child_sum = 0
         for e in graph.out_edges(vertex):
-            child_sum += ctx.count_at(e.dst, t - e.log_ratio)
+            child_sum += ctx.count_at(e.dst, child_time(t, e))
         vals[idx] = child_sum - ctx.count_at(vertex, t)
     return vals
 
@@ -871,8 +1212,9 @@ def corrected_forcing(ctx: ForcingContext, vertex: str):
     for idx, t in enumerate(ctx.t_grid):
         early = 0
         for e in graph.out_edges(vertex):
-            if t - e.log_ratio < 0:
-                early += ctx.count_at(e.dst, t - e.log_ratio)
+            shifted = child_time(t, e)
+            if shifted < 0:
+                early += ctx.count_at(e.dst, shifted)
         vals[idx] = math.exp(-s0 * t) * (early - star[idx])
     return StepFunction.from_samples(ctx.t_grid, vals)
 
@@ -880,17 +1222,19 @@ def corrected_forcing(ctx: ForcingContext, vertex: str):
 # -- boundary diagnostic ------------------------------------------------------
 
 
-def _cell_boundary_distance(cell_lo: np.ndarray, cell_hi: np.ndarray, u: Box) -> float:
-    """Distance from a cell to the boundary of an axis-aligned box."""
+def _cell_boundary_distances(cell_lo: np.ndarray, r: float, u: Box) -> np.ndarray:
+    """Distance from each cell to the boundary of an axis-aligned box."""
     ulo = np.array(u.lo)
     uhi = np.array(u.hi)
-    if np.all(cell_lo >= ulo) and np.all(cell_hi <= uhi):
-        # inside: distance to the nearest face
-        return float(min(np.min(cell_lo - ulo), np.min(uhi - cell_hi)))
+    cell_hi = cell_lo + r
+    inside = (cell_lo >= ulo).all(axis=1) & (cell_hi <= uhi).all(axis=1)
+    # inside: distance to the nearest face; a straddling cell is at 0
+    dist = np.minimum((cell_lo - ulo).min(axis=1), (uhi - cell_hi).min(axis=1))
+    dist[~inside] = 0.0
     gap = np.maximum(ulo - cell_hi, 0.0) + np.maximum(cell_lo - uhi, 0.0)
-    if gap.any():
-        return float(math.hypot(*gap))
-    return 0.0  # straddles the boundary
+    outside = ~inside & gap.any(axis=1)
+    dist[outside] = [math.hypot(*g) for g in gap[outside].tolist()]
+    return dist
 
 
 @dataclass(frozen=True)
@@ -929,23 +1273,19 @@ def boundary_diagnostic(
         spectral = solve_s0(graph)
     ts = np.array(sorted(float(t) for t in t_grid))
     origin = _origin_vector(grid_origin, graph.dimension)
+    eff_tight = _effective_tight(tight, graph.dimension)
     u = graph.open_sets[vertex]
+    walk = _Walk(graph, vertex, math.exp(-ts[-1]), cap) if ts.size else None
     out = []
     for t in ts:
         r = math.exp(-t)
-        gset = generate(graph, vertex, r, cap=cap)
-        cells = cell_union(gset, r, grid_origin=origin, tight=tight)
-        near = 0
-        for cell in cells:
-            idx = np.array(cell, dtype=float)
-            cell_lo = origin + idx * r
-            cell_hi = cell_lo + r
-            # strictly within r: the neighbor of an endpoint cell sits at
-            # distance exactly r and must not count, else every face
-            # contributes twice and the two-cell bound for a clean interval
-            # attractor fails
-            if _cell_boundary_distance(cell_lo, cell_hi, u) <= r * (1 - ETA):
-                near += 1
+        rows = walk.shapes(r).cells(r, origin, eff_tight, CELL_CAP)
+        # strictly within r: the neighbor of an endpoint cell sits at
+        # distance exactly r and must not count, else every face
+        # contributes twice and the two-cell bound for a clean interval
+        # attractor fails
+        dist = _cell_boundary_distances(origin + rows * r, r, u)
+        near = int((dist <= r * (1 - ETA)).sum())
         out.append(BoundarySample(float(t), near, near * math.exp(-spectral.s0 * t)))
     integrand = np.array([s.integrand for s in out])
     partial = float(_trapezoid(integrand, ts)) if ts.size > 1 else 0.0

@@ -148,6 +148,15 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(cantor_segment, res.spectral, res.report)
 
+    def test_sierpinski_zero_shift_is_not_early(self, bundled):
+        # tau - log 2 = -1.1e-16 at y = 0: unsnapped, the child terms count
+        # as not yet started and the prediction doubles to 2.0
+        res = analyze(bundled["sierpinski"], n_min=2, n_max=6, y_samples=4)
+        cross = res.cross
+        assert cross.kind == "periodic" and cross.y_grid[0] == 0.0
+        assert cross.predicted[0][0] == pytest.approx(cross.measured[0][0], rel=1e-9)
+        assert cross.max_rel_discrepancy <= 0.05
+
 
 class TestAnalyze:
     def test_two_vertex_total_is_vertex_sum(self, two_vertex):

@@ -159,11 +159,6 @@ class TestCount:
         with pytest.raises(ResourceLimitError):
             cell_union(gs, 1e-3, cap=4)
 
-    def test_parallel_jobs_agree(self):
-        g = sierpinski_graph()
-        gs = generate(g, "X", 0.02)
-        assert cell_union(gs, 0.02, jobs=2) == cell_union(gs, 0.02)
-
 
 class TestCountOracles:
     def test_cantor_counts_match_endpoint_sampling(self, cantor):
