@@ -152,29 +152,9 @@ def cmd_dim(args) -> int:
 
 def cmd_lattice(args) -> int:
     graph = _load(args)
-    if args.mode == "auto":
-        result = lattice.classify_graph(graph, eps=args.eps)
-    else:
-        pairs = lattice.cycle_log_ratios(graph)
-        values = [val for _c, val in pairs]
-        if args.mode == "exact":
-            if not all(e.ratio_rational is not None for e in graph.edges.values()):
-                raise ValidationError(
-                    "exact mode needs ratio_rational on every edge"
-                )
-            exact = [graph.path_ratio_rational(c) for c, _v in pairs]
-            result = lattice.classify(values, exact_ratios=exact, eps=args.eps)
-        else:
-            result = lattice.classify(values, eps=args.eps)
-    doc = {
-        "kind": result.kind,
-        "mode": result.mode,
-        "tau": result.tau,
-        "generators": list(result.generators),
-        "note": result.note,
-    }
+    result = lattice.classify_graph(graph, eps=args.eps, mode=args.mode)
     if args.json or args.output:
-        _emit_json(doc, args.output)
+        _emit_json(_lattice_doc(result), args.output)
     elif result.is_lattice:
         print(f"lattice, tau = {result.tau:.12g} ({result.mode} mode)")
     else:

@@ -7,8 +7,10 @@ carry condensation shapes that get copied into every cylinder when the
 attractor is expanded.
 
 Finite edge walks are the combinatorial backbone of everything else:
-cylinder covers come from ratio-stopped antichains, lattice classification
-from simple cycles, and the stationary measure from weighted random walks.
+cylinder covers come from ratio-stopped antichains and the stationary
+measure from weighted random walks.  Simple-cycle enumeration, whose output
+grows exponentially with the graph, has no runtime caller: the lattice
+classifier works from a spanning tree instead.
 """
 from __future__ import annotations
 

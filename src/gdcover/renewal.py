@@ -554,7 +554,9 @@ class RenewalLimit:
     For ``kind == "constant"`` the ``values`` array has one entry per
     component.  For ``kind == "periodic"`` the rows of ``values`` follow
     ``y_grid`` inside one period of length ``tau`` and the limit of
-    ``f_j(y + n tau)`` as n grows is ``values[m, j]`` at ``y = y_grid[m]``.
+    ``f_j(y - phi_j + n tau)`` as n grows is ``values[m, j]`` at
+    ``y = y_grid[m]``, with ``phi`` the lattice's vertex phases (zero when
+    it carries none).
     """
 
     kind: str
@@ -592,10 +594,13 @@ def limit_value(
 
     Dense systems converge to the constant row ``integral(L) @ A`` where
     ``A`` is the rank-one matrix built from the Perron data of the mass
-    matrix.  Lattice systems with step ``tau`` converge along each residue
-    ``y`` to ``tau * sum_k L(y + k tau) @ A``, reported on a uniform grid
-    over one period.  Every atom of the matrix must sit on the lattice for
-    the periodic formula to apply.
+    matrix.  Lattice systems with step ``tau`` and vertex phases ``phi``
+    (``lattice.phases``; zero when the argument has none) converge along
+    each residue ``y``: ``f_j(y - phi_j + n tau)`` tends to
+    ``tau * sum_l A[l, j] * sum_k L_l(((y - phi_l) mod tau) + k tau)``,
+    reported on a uniform grid over one period.  Every atom of entry
+    ``(i, j)`` must sit on ``phi_i - phi_j + tau Z`` for the periodic
+    formula to apply.
     """
     if len(forcing) != m.n:
         raise ValueError("forcing length must match matrix size")
@@ -610,25 +615,33 @@ def limit_value(
         return RenewalLimit(kind="constant", values=integrals @ a)
     if tau is None or tau <= 0:
         raise ValueError("lattice result lacks a positive step")
-    locs = m.all_locations()
-    if locs.size:
-        offsets = np.abs(locs - np.round(locs / tau) * tau)
-        worst = float(offsets.max())
-        if worst > LATTICE_ALIGN_TOL:
-            raise NumericalError(
-                f"lattice step {tau} inconsistent with atom locations "
-                f"(offset {worst:.3e})"
-            )
+    phases = getattr(lattice, "phases", None)
+    phi = np.zeros(m.n) if phases is None else np.asarray(phases, dtype=float)
+    if phi.shape != (m.n,):
+        raise ValueError("lattice phases must give one value per component")
+    worst = 0.0
+    for i in range(m.n):
+        for j in range(m.n):
+            locs = m.entry(i, j).locations - (phi[i] - phi[j])
+            if locs.size:
+                offsets = np.abs(locs - np.round(locs / tau) * tau)
+                worst = max(worst, float(offsets.max()))
+    if worst > LATTICE_ALIGN_TOL:
+        raise NumericalError(
+            f"lattice step {tau} inconsistent with atom locations "
+            f"(offset {worst:.3e})"
+        )
     y = np.arange(samples_per_period) * (tau / samples_per_period)
     rows = np.zeros((samples_per_period, m.n))
     for idx, y0 in enumerate(y):
         sums = np.zeros(m.n)
         for l, f in enumerate(forcing):
+            start = (y0 - phi[l]) % tau
             end = f.support_end
             k = 0
             acc = 0.0
             while True:
-                t = y0 + k * tau
+                t = start + k * tau
                 if t > end:
                     break
                 acc += f(t)

@@ -6,6 +6,7 @@ checked against code that shares no logic with the implementation.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,6 +97,24 @@ def half_half_segment_graph() -> MWGraph:
         ],
         condensation={"X": (Primitive.segment((0.25,), (0.75,)),)},
         separation="SCOSC",
+    )
+
+
+def phase_graph() -> MWGraph:
+    """Lattice tau = ln2 whose single edges sit off the lattice.
+
+    Cycles ``loop`` (1/2) and ``hop back`` (1/3 * 3/8 = 1/8) give tau = ln2,
+    but ``hop`` alone has log-ratio ln3, so Q carries the phase ln(3/2).
+    """
+    return MWGraph(
+        dimension=1,
+        vertices={"P": Box((0.0,), (1.0,)), "Q": Box((2.0,), (3.0,))},
+        edges=[
+            Edge("loop", "P", "P", line_map(0.5, 0.5), Fraction(1, 2)),
+            Edge("hop", "P", "Q", line_map(1.0 / 3.0, -2.0 / 3.0), Fraction(1, 3)),
+            Edge("back", "Q", "P", line_map(0.375, 2.0), Fraction(3, 8)),
+        ],
+        condensation={"P": (Primitive.point((0.4,)),)},
     )
 
 

@@ -1,0 +1,74 @@
+"""Simple-cycle reference classifier for the cycle log-ratio group.
+
+This is the straightforward path the package's spanning-tree generators
+replace: enumerate every simple cycle, take its log-ratio as a generator,
+and decide commensurability over prime exponent vectors found by trial
+division.  It shares no generator or factoring logic with
+``gdcover.lattice`` and is kept only as a differential oracle; its cost
+grows with the number of simple cycles, which is exponential in the graph.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from gdcover.graph import MWGraph, simple_cycles
+from gdcover.lattice import DEFAULT_EPS, classify
+
+
+def _factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _exponent_vector(q: Fraction) -> dict[int, int]:
+    """Prime exponents of a positive rational (negatives for the denominator)."""
+    vec = _factor(q.numerator)
+    for p, e in _factor(q.denominator).items():
+        vec[p] = vec.get(p, 0) - e
+    return {p: e for p, e in vec.items() if e != 0}
+
+
+def classify_exact(inverse_ratios: list[Fraction]) -> tuple[str, float | None]:
+    """``(kind, tau)`` for generators ``log(q)`` with rational ``q > 1``."""
+    vecs = [_exponent_vector(q) for q in inverse_ratios]
+    primes = sorted({p for v in vecs for p in v})
+    rows = [tuple(v.get(p, 0) for p in primes) for v in vecs]
+    g0 = math.gcd(*rows[0])
+    prim = tuple(x // g0 for x in rows[0])
+    multiples = []
+    for row in rows:
+        k = next(x // y for x, y in zip(row, prim) if y != 0)
+        if any(x != k * y for x, y in zip(row, prim)):
+            return "dense", None
+        multiples.append(k)
+    base = Fraction(1)
+    for p, e in zip(primes, prim):
+        base *= Fraction(p) ** e
+    if base < 1:
+        base = 1 / base
+        multiples = [-k for k in multiples]
+    return "lattice", math.gcd(*multiples) * math.log(base)
+
+
+def classify_graph(
+    graph: MWGraph, eps: float = DEFAULT_EPS, mode: str = "auto"
+) -> tuple[str, str, float | None]:
+    """``(kind, mode, tau)`` from every simple cycle of ``graph``."""
+    cycles = simple_cycles(graph)
+    if not cycles:
+        raise ValueError("graph has no cycle; classification is undefined")
+    rational = all(e.ratio_rational is not None for e in graph.edges.values())
+    if rational and mode != "floating":
+        kind, tau = classify_exact([1 / graph.path_ratio_rational(c) for c in cycles])
+        return kind, "exact", tau
+    res = classify([-math.log(graph.path_ratio(c)) for c in cycles], eps=eps)
+    return res.kind, res.mode, res.tau

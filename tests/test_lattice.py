@@ -5,10 +5,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LN2, LN3, cantor_graph, two_ratio_graph, two_vertex_graph
+import lattice_oracle
+from helpers import (
+    LN2,
+    LN3,
+    cantor_graph,
+    line_map,
+    phase_graph,
+    two_ratio_graph,
+    two_vertex_graph,
+)
 
-from gdcover.graph import enumerate_paths
+from gdcover.errors import ValidationError
+from gdcover.geometry import Box
+from gdcover.graph import Edge, MWGraph, enumerate_paths
 from gdcover.lattice import classify, classify_graph, cycle_log_ratios
+
+RATIOS = tuple(
+    Fraction(*q) for q in ((1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (2, 9), (3, 8))
+)
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 6 vertices, self-loops and parallel edges allowed, often not
+    strongly connected, every edge with a rational ratio from RATIOS."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    triples = draw(
+        st.lists(
+            st.tuples(vertex, vertex, st.sampled_from(RATIOS)), min_size=0, max_size=11
+        )
+    )
+    edges = [
+        Edge(f"e{k}", f"v{a}", f"v{b}", line_map(float(q), 0.0), q)
+        for k, (a, b, q) in enumerate(triples)
+    ]
+    vertices = {f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)}
+    return MWGraph(dimension=1, vertices=vertices, edges=edges)
+
+
+PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def rational_generators(draw):
+    """Rationals above one over PRIMES: multiples of one exponent vector
+    (a lattice, often with perfect-power bases) or independent vectors."""
+    exps = st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4)
+    if draw(st.booleans()):
+        v = draw(exps.filter(any))
+        ks = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5))
+        rows = [[k * e for e in v] for k in ks]
+    else:
+        rows = draw(st.lists(exps.filter(any), min_size=1, max_size=5))
+    out = []
+    for row in rows:
+        q = Fraction(1)
+        for p, e in zip(PRIMES, row):
+            q *= Fraction(p) ** e
+        out.append(q if q > 1 else 1 / q)
+    return out
 
 
 class TestCycleLogRatios:
@@ -53,6 +110,12 @@ class TestClassifyExact:
             )
             assert a.kind == "dense"
             assert b.is_lattice and b.tau == pytest.approx(LN2, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qs=rational_generators())
+    def test_coprime_base_matches_prime_factoring(self, qs):
+        res = classify([math.log(q) for q in qs], exact_ratios=[1 / q for q in qs])
+        assert (res.kind, res.tau) == lattice_oracle.classify_exact(qs)
 
     def test_non_trivial_commensurability(self):
         # 4/9 and 8/27 are both powers of 2/3
@@ -122,6 +185,52 @@ class TestLatticeInvariants:
             assert max(off) > 1e-6, name
 
 
+class TestAgainstSimpleCycles:
+    @settings(max_examples=150, deadline=None)
+    @given(g=random_graphs())
+    def test_spanning_tree_matches_simple_cycles(self, g):
+        kinds = set()
+        for mode in ("auto", "floating"):
+            try:
+                want = lattice_oracle.classify_graph(g, mode=mode)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    classify_graph(g, mode=mode)
+                continue
+            got = classify_graph(g, mode=mode)
+            assert (got.kind, got.mode) == want[:2]
+            if want[2] is None:
+                assert got.tau is None and got.phases is None
+            elif got.mode == "exact":
+                assert got.tau == want[2]
+            else:
+                assert got.tau == pytest.approx(want[2], abs=1e-12)
+            kinds.add(got.kind)
+        # the floating verdict agrees with the exact certificate
+        assert len(kinds) <= 1
+
+    def test_bundled_corpus_matches_simple_cycles(self, bundled):
+        for name, g in bundled.items():
+            res = classify_graph(g)
+            assert (res.kind, res.mode, res.tau) == lattice_oracle.classify_graph(g), name
+
+
+class TestPhases:
+    def test_off_lattice_edge_gives_a_vertex_phase(self):
+        res = classify_graph(phase_graph())
+        assert res.is_lattice and res.mode == "exact"
+        assert res.tau == pytest.approx(LN2, rel=1e-15)
+        assert res.phases[0] == 0.0
+        assert res.phases[1] == pytest.approx(math.log(1.5), abs=1e-12)
+
+    def test_aligned_system_has_zero_phases(self, two_vertex):
+        # hop has log-ratio ln4, a multiple of tau = ln2: snapped to 0
+        assert classify_graph(two_vertex).phases == (0.0, 0.0)
+
+    def test_dense_system_has_no_phases(self, two_ratio):
+        assert classify_graph(two_ratio).phases is None
+
+
 class TestClassifyGraph:
     def test_bundled_kinds(self, bundled):
         expected = {
@@ -147,6 +256,8 @@ class TestClassifyGraph:
     def test_unmarked_ratios_fall_back_to_floating(self):
         g = cantor_graph()  # built without ratio_rational annotations
         assert classify_graph(g).mode == "floating"
+        with pytest.raises(ValidationError):
+            classify_graph(g, mode="exact")
 
     def test_simple_cycles_agree_with_all_closed_walks(self, bundled):
         # the generating set built from every closed walk of length up to

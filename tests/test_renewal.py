@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import LN2, LN3, two_vertex_graph
+from helpers import LN2, LN3, phase_graph, two_vertex_graph
 
 from gdcover.errors import NumericalError, ResourceLimitError, ValidationError
 from gdcover.lattice import classify_graph
@@ -387,6 +387,23 @@ class TestRenewalSolve:
             t = n_late * lim.tau + y
             for j in range(2):
                 assert fs[j](t) == pytest.approx(lim.values[row, j], rel=1e-6)
+
+    def test_phased_system_settles_onto_shifted_periodic_limit(self):
+        # hop has log-ratio ln3, off the lattice ln2 Z; Q lags by ln(3/2)
+        g = phase_graph()
+        m = transfer_measure(g, solve_s0(g).s0)
+        forcing = [StepFunction.indicator(0.0, 1.0) for _ in range(2)]
+        lat = classify_graph(g)
+        with pytest.raises(NumericalError):
+            # the same step without the phases: atoms of hop and back miss ln2 Z
+            limit_value(m, forcing, lattice=type("L", (), {"is_lattice": True, "tau": lat.tau})())
+        lim = limit_value(m, forcing, lattice=lat, samples_per_period=16)
+        fs = renewal_solve(m, forcing, 40.0)
+        for row, y in enumerate(lim.y_grid):
+            for j, phase in enumerate(lat.phases):
+                n = int((38.0 - y + phase) / lat.tau)
+                t = y - phase + n * lat.tau
+                assert fs[j](t) == pytest.approx(lim.values[row, j], abs=1e-9)
 
     def test_lattice_limit_rejects_off_grid_atoms(self):
         m = scalar_measure((LN3, 0.6), (1.0, 0.4))
