@@ -295,10 +295,7 @@ def cmd_renewal(args) -> int:
     # endpoint itself would report a spurious mismatch
     ts = np.linspace(0.0, horizon, args.samples, endpoint=False)
     residual = 0.0
-    conv = []
-    for j in range(m.n):
-        parts = [fs[l].convolve_measure(m.entry(l, j)) for l in range(m.n)]
-        conv.append(renewal.add_steps(parts))
+    conv = renewal.vector_convolve(fs, m)
     for j in range(m.n):
         lhs = np.array([fs[j](t) for t in ts])
         rhs = np.array([conv[j](t) + forcing[j](t) for t in ts])

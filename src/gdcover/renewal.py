@@ -43,32 +43,53 @@ MASS_TOL = 1e-9
 LATTICE_ALIGN_TOL = 1e-9
 
 
+def _anchors(x: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the values a left-to-right anchored merge keeps.
+
+    ``x`` is sorted and nonempty.  Walking left to right, a value is kept
+    (and becomes the anchor) when it lies more than ``tol`` above the
+    current anchor; otherwise it merges into that anchor.  A value more
+    than ``tol`` above its predecessor therefore always starts a cluster.
+    A cluster spanning at most ``tol`` keeps only its head; only wider
+    clusters, rare in practice, need the sequential walk.
+    """
+    keep = np.empty(x.size, dtype=bool)
+    keep[0] = True
+    np.greater(x[1:] - x[:-1], tol, out=keep[1:])
+    heads = np.flatnonzero(keep)
+    if heads.size == x.size:
+        return keep
+    tails = np.append(heads[1:], x.size) - 1
+    for c in np.flatnonzero(x[tails] - x[heads] > tol).tolist():
+        anchor = x[heads[c]]
+        for k in range(heads[c] + 1, tails[c] + 1):
+            if x[k] - anchor > tol:
+                keep[k] = True
+                anchor = x[k]
+    return keep
+
+
 def _merge_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort and merge atoms closer than the merge tolerance.
 
     The merged atom keeps the location of the first member of its group,
-    which preserves exact grid alignment in lattice systems.
+    which preserves exact grid alignment in lattice systems.  Its weight
+    is the group's weights summed in location order, one at a time.
     """
     if locations.size == 0:
         return locations, weights
     order = np.argsort(locations, kind="stable")
     locations = locations[order]
     weights = weights[order]
-    out_loc: list[float] = []
-    out_w: list[float] = []
-    anchor = locations[0]
-    acc = 0.0
-    for loc, w in zip(locations, weights):
-        if loc - anchor <= ATOM_MERGE_TOL:
-            acc += w
-        else:
-            out_loc.append(anchor)
-            out_w.append(acc)
-            anchor = loc
-            acc = w
-    out_loc.append(anchor)
-    out_w.append(acc)
-    return np.array(out_loc), np.array(out_w)
+    heads = np.flatnonzero(_anchors(locations, ATOM_MERGE_TOL))
+    if heads.size == locations.size:
+        return locations, weights
+    sizes = np.diff(np.append(heads, locations.size))
+    acc = weights[heads]
+    for p in range(1, int(sizes.max())):
+        grow = sizes > p
+        acc[grow] += weights[heads[grow] + p]
+    return locations[heads], acc
 
 
 class AtomicMeasure:
@@ -280,8 +301,18 @@ class StepFunction:
         self.values = vals
 
     @classmethod
+    def _wrap(cls, bp: np.ndarray, vals: np.ndarray) -> "StepFunction":
+        """Adopt float arrays already known to be valid, without copying."""
+        bp.setflags(write=False)
+        vals.setflags(write=False)
+        f = object.__new__(cls)
+        f.breakpoints = bp
+        f.values = vals
+        return f
+
+    @classmethod
     def zero(cls) -> "StepFunction":
-        return cls([], [])
+        return cls._wrap(np.empty(0), np.empty(0))
 
     @classmethod
     def indicator(cls, a: float, b: float, height: float = 1.0) -> "StepFunction":
@@ -327,7 +358,11 @@ class StepFunction:
     def shifted_scaled(self, shift: float, weight: float) -> "StepFunction":
         if weight == 0 or self.is_zero:
             return StepFunction.zero()
-        return StepFunction(self.breakpoints + shift, self.values * weight)
+        bp = self.breakpoints + shift
+        # a shift can round neighbouring breakpoints onto each other
+        if (bp[1:] <= bp[:-1]).any():
+            raise ValueError("breakpoints must be strictly increasing")
+        return StepFunction._wrap(bp, self.values * weight)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add_steps([self, other])
@@ -341,15 +376,16 @@ class StepFunction:
         """Restrict to ``(-inf, t_max)``: beyond ``t_max`` the value is zero."""
         if self.breakpoints.size == 0:
             return self
-        keep = self.breakpoints < t_max
-        bp = self.breakpoints[keep]
-        vals = self.values[keep]
-        if bp.size == 0:
+        # the breakpoints below t_max are a prefix
+        k = int(np.count_nonzero(self.breakpoints < t_max))
+        if k == 0:
             return StepFunction.zero()
+        bp = self.breakpoints[:k]
+        vals = self.values[:k]
         if vals[-1] != 0.0:
             bp = np.append(bp, t_max)
             vals = np.append(vals, 0.0)
-        return StepFunction(bp, vals)
+        return StepFunction._wrap(bp, vals)
 
     def integral(self) -> float:
         """Lebesgue integral; infinite when the final value is nonzero."""
@@ -389,32 +425,25 @@ def add_steps(
     if len(fns) == 1:
         return fns[0]
     bp = np.sort(np.concatenate([f.breakpoints for f in fns]))
-    if merge_tol > 0 and bp.size > 1:
-        keep = np.empty(bp.size, dtype=bool)
-        keep[0] = True
-        anchor = bp[0]
-        for k in range(1, bp.size):
-            if bp[k] - anchor > merge_tol:
-                keep[k] = True
-                anchor = bp[k]
-            else:
-                keep[k] = False
-        bp = bp[keep]
+    if merge_tol > 0:
+        bp = bp[_anchors(bp, merge_tol)]
     # evaluate past the merge window: a dropped near-duplicate breakpoint
     # sits at most merge_tol above its anchor, and reading a summand below
     # its own jump would silently shed that jump's mass
     eval_pts = bp + merge_tol if merge_tol > 0 else bp
+    # summands are added one after another, in the order given, so the sum
+    # at each point is rounded the same way whatever the vectorization;
+    # a summand adds nothing before its first breakpoint
     total = np.zeros(bp.size)
     for f in fns:
-        total += f(eval_pts)
+        start = int(np.searchsorted(eval_pts, f.breakpoints[0]))
+        idx = np.searchsorted(f.breakpoints, eval_pts[start:], side="right") - 1
+        total[start:] += f.values[idx]
     # collapse runs of equal values to keep representations small
-    if bp.size > 1:
-        change = np.empty(bp.size, dtype=bool)
-        change[0] = True
-        change[1:] = total[1:] != total[:-1]
-        bp = bp[change]
-        total = total[change]
-    return StepFunction(bp, total)
+    change = np.empty(bp.size, dtype=bool)
+    change[0] = True
+    np.not_equal(total[1:], total[:-1], out=change[1:])
+    return StepFunction._wrap(bp[change], total[change])
 
 
 def vector_convolve(
@@ -424,15 +453,16 @@ def vector_convolve(
     n = m.n
     if len(fs) != n:
         raise ValueError("vector length must match matrix size")
-    out = []
-    for j in range(n):
-        parts = []
-        for l in range(n):
-            g = fs[l].convolve_measure(m.entry(l, j), merge_tol=merge_tol)
-            if g.breakpoints.size:
-                parts.append(g)
-        out.append(add_steps(parts, merge_tol=merge_tol))
-    return out
+    # only nonzero products contribute; rows in increasing l keep each
+    # column's parts in the summation order of sum_l f_l * M[l][j]
+    parts: list[list[StepFunction]] = [[] for _ in range(n)]
+    for f, row in zip(fs, m.entries):
+        if f.is_zero:
+            continue
+        for j, mu in enumerate(row):
+            if mu.locations.size:
+                parts[j].append(f.convolve_measure(mu, merge_tol=merge_tol))
+    return [add_steps(p, merge_tol=merge_tol) for p in parts]
 
 
 @dataclass(frozen=True)

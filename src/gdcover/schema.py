@@ -11,6 +11,7 @@ always emits matrices.  Ratios may carry an exact form "ratio_rational":
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -44,13 +45,22 @@ def _fail(msg: str) -> ValidationError:
     return ValidationError(f"system file: {msg}")
 
 
+def _finite(x: float, what: str) -> None:
+    # Python's json reads Infinity and NaN as floats
+    if not math.isfinite(x):
+        raise _fail(f"{what} must be finite, got {x}")
+
+
 def _vector(value, d: int, what: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != d:
         raise _fail(f"{what} must be a list of {d} numbers")
     try:
-        return tuple(float(x) for x in value)
+        out = tuple(float(x) for x in value)
     except (TypeError, ValueError):
         raise _fail(f"{what} must contain numbers") from None
+    for x in out:
+        _finite(x, what)
+    return out
 
 
 def _box(value, d: int, what: str) -> Box:
@@ -82,6 +92,7 @@ def _edge_map(spec: dict, d: int, what: str) -> Similarity:
     ratio = spec.get("ratio")
     if not isinstance(ratio, (int, float)):
         raise _fail(f"{what}.ratio must be a number")
+    _finite(float(ratio), f"{what}.ratio")
     has_matrix = "isometry" in spec
     has_angle = "angle" in spec
     if has_matrix and has_angle:
@@ -89,7 +100,7 @@ def _edge_map(spec: dict, d: int, what: str) -> Similarity:
     if has_angle:
         if d != 2:
             raise _fail(f"{what}: angle shorthand only makes sense in dimension 2")
-        q = rotation_2d(float(spec["angle"]))
+        q = rotation_2d(_vector([spec["angle"]], 1, f"{what}.angle")[0])
     elif has_matrix:
         rows = spec["isometry"]
         if not isinstance(rows, list) or len(rows) != d:

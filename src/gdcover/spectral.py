@@ -29,6 +29,11 @@ __all__ = [
 POWER_REL_TOL = 1e-14
 POWER_MAX_ITER = 100_000
 S0_TOL = 1e-12
+# a bisection step may stop iterating once the Collatz-Wielandt bracket
+# clears radius 1 by this much; it is far above the rounding of the bracket
+# and the width of a converged one, so the side it reports is the side of
+# the converged estimate
+SIDE_MARGIN = 1e-12
 
 
 def build_matrix(graph: MWGraph, s: float) -> np.ndarray:
@@ -89,16 +94,47 @@ def _power_perron(
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = b @ x
-        quot = y / x
-        lo, hi = float(quot.min()), float(quot.max())
+    for _, (lo, hi, x) in zip(range(max_iter), _brackets(b)):
         if hi - lo <= rel_tol * hi:
             return (lo + hi) / 2 - 1.0, x / x.sum()
-        x = y / y.sum()
     lam, vec = _dense_perron(b)
     return lam - 1.0, vec
+
+
+def _brackets(b: np.ndarray):
+    """Power iteration on ``b`` from the uniform vector.
+
+    Yields ``(lo, hi, x)`` per step: the iterate ``x`` and the min and max
+    of ``(b x)_i / x_i``, which bracket the Perron root of ``b``.
+    """
+    x = np.full(b.shape[0], 1.0 / b.shape[0])
+    while True:
+        y = b @ x
+        quot = y / x
+        yield float(quot.min()), float(quot.max()), x
+        x = y / y.sum()
+
+
+def _radius_at_least_one(a: np.ndarray) -> bool:
+    """``spectral_radius(a) >= 1.0`` for a nonnegative float matrix.
+
+    Runs the same iteration as :func:`spectral_radius` but answers as soon
+    as the bracket of ``a + I`` lies beyond ``2 +- SIDE_MARGIN``; inside the
+    margin it iterates to the same converged estimate (or dense fallback)
+    and compares that, so the answer never differs.
+    """
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0]) >= 1.0
+    b = a + np.eye(n)
+    for _, (lo, hi, _x) in zip(range(POWER_MAX_ITER), _brackets(b)):
+        if hi - lo <= POWER_REL_TOL * hi:
+            return (lo + hi) / 2 - 1.0 >= 1.0
+        if lo > 2.0 + SIDE_MARGIN:
+            return True
+        if hi < 2.0 - SIDE_MARGIN:
+            return False
+    return _dense_perron(b)[0] - 1.0 >= 1.0
 
 
 def spectral_radius(
@@ -177,7 +213,9 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
     The radius is strictly decreasing in ``s``, so the unique root of
     ``radius(s) = 1`` is bracketed by doubling from ``s = 1`` and then
     bisected until the bracket is exhausted at double precision; the
-    returned value satisfies ``|radius(s0) - 1| <= tol``.
+    returned value satisfies ``|radius(s0) - 1| <= tol``.  Each step only
+    needs the side of 1 the radius lies on, which power iteration usually
+    settles long before it converges.
     """
     if not strongly_connected(graph):
         raise NumericalError("graph is not strongly connected")
@@ -194,7 +232,7 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
         s0 = 0.0
     else:
         lo, hi = 0.0, 1.0
-        while radius(hi) >= 1.0:
+        while _radius_at_least_one(build_matrix(graph, hi)):
             lo, hi = hi, 2.0 * hi
             if hi > 1e6:
                 raise NumericalError("failed to bracket the dimension")
@@ -202,7 +240,7 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if radius(mid) >= 1.0:
+            if _radius_at_least_one(build_matrix(graph, mid)):
                 lo = mid
             else:
                 hi = mid

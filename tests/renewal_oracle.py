@@ -1,0 +1,255 @@
+"""Loop-based reference for the renewal series and the ``s0`` bisection.
+
+This is the straightforward path that ``gdcover.renewal`` and
+``gdcover.spectral`` replace with array-native fast paths: the atom merge
+and the breakpoint merge walk every value in a Python loop,
+``vector_convolve`` convolves all n^2 matrix entries, every step function
+goes through the validating constructor, and every bisection step runs
+power iteration to full convergence.  It is kept only as a differential
+oracle; the package's results must equal it bit for bit.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+
+from gdcover.errors import NumericalError
+from gdcover.graph import MWGraph, strongly_connected
+from gdcover.renewal import (
+    ATOM_CAP,
+    ATOM_MERGE_TOL,
+    StepFunction,
+    _require_renewal_preconditions,
+)
+from gdcover.spectral import (
+    POWER_MAX_ITER,
+    POWER_REL_TOL,
+    S0_TOL,
+    SpectralData,
+    _dense_perron,
+    build_matrix,
+    build_moment_matrix,
+    is_irreducible,
+)
+
+
+def merge_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort and merge atoms closer than the merge tolerance, one at a time."""
+    if locations.size == 0:
+        return locations, weights
+    order = np.argsort(locations, kind="stable")
+    locations = locations[order]
+    weights = weights[order]
+    out_loc: list[float] = []
+    out_w: list[float] = []
+    anchor = locations[0]
+    acc = 0.0
+    for loc, w in zip(locations, weights):
+        if loc - anchor <= ATOM_MERGE_TOL:
+            acc += w
+        else:
+            out_loc.append(anchor)
+            out_w.append(acc)
+            anchor = loc
+            acc = w
+    out_loc.append(anchor)
+    out_w.append(acc)
+    return np.array(out_loc), np.array(out_w)
+
+
+def shifted_scaled(f: StepFunction, shift: float, weight: float) -> StepFunction:
+    if weight == 0 or f.is_zero:
+        return StepFunction.zero()
+    return StepFunction(f.breakpoints + shift, f.values * weight)
+
+
+def clipped(f: StepFunction, t_max: float) -> StepFunction:
+    if f.breakpoints.size == 0:
+        return f
+    keep = f.breakpoints < t_max
+    bp = f.breakpoints[keep]
+    vals = f.values[keep]
+    if bp.size == 0:
+        return StepFunction.zero()
+    if vals[-1] != 0.0:
+        bp = np.append(bp, t_max)
+        vals = np.append(vals, 0.0)
+    return StepFunction(bp, vals)
+
+
+def convolve_measure(f: StepFunction, mu, merge_tol: float = ATOM_MERGE_TOL) -> StepFunction:
+    if f.is_zero or mu.is_zero:
+        return StepFunction.zero()
+    return add_steps(
+        [shifted_scaled(f, loc, w) for loc, w in zip(mu.locations, mu.weights)],
+        merge_tol=merge_tol,
+    )
+
+
+def add_steps(fns, merge_tol: float = ATOM_MERGE_TOL) -> StepFunction:
+    """Pointwise sum with the breakpoint merge walked one breakpoint at a time."""
+    fns = [f for f in fns if f.breakpoints.size]
+    if not fns:
+        return StepFunction.zero()
+    if len(fns) == 1:
+        return fns[0]
+    bp = np.sort(np.concatenate([f.breakpoints for f in fns]))
+    if merge_tol > 0 and bp.size > 1:
+        keep = np.empty(bp.size, dtype=bool)
+        keep[0] = True
+        anchor = bp[0]
+        for k in range(1, bp.size):
+            if bp[k] - anchor > merge_tol:
+                keep[k] = True
+                anchor = bp[k]
+            else:
+                keep[k] = False
+        bp = bp[keep]
+    eval_pts = bp + merge_tol if merge_tol > 0 else bp
+    total = np.zeros(bp.size)
+    for f in fns:
+        total += f(eval_pts)
+    if bp.size > 1:
+        change = np.empty(bp.size, dtype=bool)
+        change[0] = True
+        change[1:] = total[1:] != total[:-1]
+        bp = bp[change]
+        total = total[change]
+    return StepFunction(bp, total)
+
+
+def vector_convolve(fs, m, merge_tol: float = ATOM_MERGE_TOL) -> list[StepFunction]:
+    """All n^2 entries convolved, zero or not."""
+    n = m.n
+    if len(fs) != n:
+        raise ValueError("vector length must match matrix size")
+    out = []
+    for j in range(n):
+        parts = []
+        for l in range(n):
+            g = convolve_measure(fs[l], m.entry(l, j), merge_tol=merge_tol)
+            if g.breakpoints.size:
+                parts.append(g)
+        out.append(add_steps(parts, merge_tol=merge_tol))
+    return out
+
+
+def renewal_solve(m, forcing, horizon: float, truncation: int | None = None,
+                  atom_cap: int = ATOM_CAP) -> list[StepFunction]:
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if len(forcing) != m.n:
+        raise ValueError("forcing length must match matrix size")
+    lam = _require_renewal_preconditions(m, forcing)
+    k_exact = int(math.ceil(horizon / lam))
+    k_max = k_exact if truncation is None else int(truncation)
+    if k_max < k_exact:
+        warnings.warn(
+            f"truncation {k_max} below the exactness threshold {k_exact}; "
+            "the tail still reaches the window",
+            stacklevel=2,
+        )
+    total = [clipped(f, horizon) for f in forcing]
+    term = total
+    for k in range(1, k_max + 1):
+        if k * lam > horizon:
+            break
+        term = [clipped(g, horizon) for g in vector_convolve(term, m)]
+        if all(g.is_zero for g in term):
+            break
+        total = [add_steps([a, b]) for a, b in zip(total, term)]
+    return total
+
+
+def power_perron(a: np.ndarray, rel_tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0]), np.ones(1)
+    b = a + np.eye(n)
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        y = b @ x
+        quot = y / x
+        lo, hi = float(quot.min()), float(quot.max())
+        if hi - lo <= rel_tol * hi:
+            return (lo + hi) / 2 - 1.0, x / x.sum()
+        x = y / y.sum()
+    lam, vec = _dense_perron(b)
+    return lam - 1.0, vec
+
+
+def spectral_radius(a, *, want_vectors: bool = False, rel_tol: float = POWER_REL_TOL,
+                    max_iter: int = POWER_MAX_ITER):
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if (a < 0).any():
+        raise ValueError("matrix must be nonnegative")
+    if want_vectors and not is_irreducible(a):
+        raise NumericalError(
+            "Perron vectors need an irreducible matrix (graph not strongly connected)"
+        )
+    rho, right = power_perron(a, rel_tol, max_iter)
+    if not want_vectors:
+        return rho
+    rho_t, left = power_perron(a.T, rel_tol, max_iter)
+    if abs(rho - rho_t) > 10 * rel_tol * max(abs(rho), 1.0) + 1e-13:
+        raise NumericalError(
+            f"left/right radius estimates disagree: {rho} vs {rho_t}"
+        )
+    return rho, right, left
+
+
+def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
+    """Bisection where every decision runs power iteration to convergence."""
+    if not strongly_connected(graph):
+        raise NumericalError("graph is not strongly connected")
+
+    def radius(s: float) -> float:
+        return spectral_radius(build_matrix(graph, s))
+
+    r0 = radius(0.0)
+    if r0 < 1.0 - 1e-12:
+        raise NumericalError(
+            f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
+        )
+    if abs(r0 - 1.0) <= tol:
+        s0 = 0.0
+    else:
+        lo, hi = 0.0, 1.0
+        while radius(hi) >= 1.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > 1e6:
+                raise NumericalError("failed to bracket the dimension")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if radius(mid) >= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        s0 = 0.5 * (lo + hi)
+    resid = abs(radius(s0) - 1.0)
+    if resid > tol:
+        raise NumericalError(f"dimension residual {resid:.3e} exceeds {tol:.3e}")
+
+    a0 = build_matrix(graph, s0)
+    _rho, u, v = spectral_radius(a0, want_vectors=True)
+    v = v / v.sum()
+    u = u / float(v @ u)
+    moments = build_moment_matrix(graph, s0)
+    denom = float(v @ moments @ u)
+    if denom <= 0:
+        raise NumericalError("nonpositive mean renewal step")
+    limit = np.outer(v, u) / denom
+    return SpectralData(
+        s0=s0,
+        u=u,
+        v=v,
+        moment_matrix=moments,
+        limit_matrix=limit,
+        vertex_order=graph.vertex_order,
+    )

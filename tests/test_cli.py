@@ -52,6 +52,21 @@ class TestValidate:
         assert main(["validate", str(p)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_non_finite_box_rejected(self, tmp_path, capsys):
+        # Python's json reads the bare token Infinity as a float
+        p = tmp_path / "inf.json"
+        p.write_text(
+            '{"dimension": 1, "vertices": [{"id": "X", "box": {"min": [0.0], '
+            '"max": [Infinity]}}], "edges": [{"id": "a", "from": "X", "to": "X", '
+            '"ratio": 0.5, "translation": [0.0]}]}',
+            encoding="utf-8",
+        )
+        assert main(["validate", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "PASS" not in captured.out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err

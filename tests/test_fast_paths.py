@@ -1,0 +1,233 @@
+"""Differential tests: the renewal series and the ``s0`` bisection against
+``renewal_oracle``, bit for bit.
+
+The oracle merges breakpoints and atoms one value at a time, convolves all
+n^2 matrix entries and runs every bisection step to full convergence.  The
+package must reproduce its breakpoints, values, ``s0`` and Perron data
+exactly, not merely to a tolerance.
+"""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import renewal_oracle as oracle
+from conftest import BUNDLED_NAMES
+from helpers import line_map, phase_graph
+
+from gdcover import renewal, spectral
+from gdcover.geometry import Box
+from gdcover.graph import Edge, MWGraph
+from gdcover.renewal import AtomicMeasure, MatrixMeasure, StepFunction
+
+# the ratio sets of the benchmark's graph_family members, with the two
+# self-loops at vertex 0 that fix each verdict
+DENSE_RATIOS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(2, 7))
+LATTICE_RATIOS = (Fraction(1, 4), Fraction(1, 8))
+DENSE_LOOPS = (Fraction(1, 3), Fraction(1, 4))
+LATTICE_LOOPS = (Fraction(1, 4), Fraction(1, 8))
+
+# the spacing of the breakpoint chains below: two steps exceed the merge
+# tolerance, one does not, so chains need the sequential anchor walk
+CHAIN_STEP = 0.6e-12
+
+
+def assert_same_steps(got, want):
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.breakpoints.tobytes() == w.breakpoints.tobytes(), k
+        assert g.values.tobytes() == w.values.tobytes(), k
+
+
+def assert_same_spectral(got, want):
+    assert got.s0.hex() == want.s0.hex()
+    for name in ("u", "v", "moment_matrix", "limit_matrix"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.vertex_order == want.vertex_order
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(fn, ref, *args):
+    # breakpoints closer than an ulp of a shift collide, and both paths
+    # raise the same error then
+    got, got_err = outcome(fn, *args)
+    want, want_err = outcome(ref, *args)
+    assert got_err == want_err
+    if want_err is None:
+        assert_same_steps(got, want)
+
+
+def assert_same_solve(m, forcing, horizon):
+    assert_same_outcome(renewal.renewal_solve, oracle.renewal_solve, m, forcing, horizon)
+
+
+def check_graph(graph, horizon):
+    sd = spectral.solve_s0(graph)
+    assert_same_spectral(sd, oracle.solve_s0(graph))
+    m = renewal.transfer_measure(graph, sd.s0)
+    forcing = [StepFunction.indicator(0.0, 1.0) for _ in range(m.n)]
+    assert_same_solve(m, forcing, horizon)
+
+
+# -- strategies -------------------------------------------------------------------
+
+
+@st.composite
+def step_functions(draw, points, min_size=0):
+    """A step function on breakpoints drawn from ``points``; sometimes zero."""
+    bps = sorted(set(draw(st.lists(points, min_size=min_size, max_size=5))))
+    if not bps:
+        return StepFunction.zero()
+    value = st.one_of(st.floats(0.1, 2.0), st.just(0.0), st.floats(-2.0, 2.0))
+    vals = draw(st.lists(value, min_size=len(bps), max_size=len(bps)))
+    return StepFunction(bps, vals)
+
+
+def clustered_points():
+    """Breakpoints on a few bases plus chains spaced CHAIN_STEP apart."""
+    return st.builds(
+        lambda base, k: base + k * CHAIN_STEP,
+        st.sampled_from((0.0, 0.5, 1.0, math.log(2.0), 3.0)),
+        st.integers(0, 6),
+    )
+
+
+@st.composite
+def atomic_systems(draw):
+    """An irreducible matrix of atomic measures with mass radius 1, a forcing
+    vector and a horizon.  Lattice draws put every atom on k * tau, so sums
+    along different paths meet within a few ulps and merge."""
+    n = draw(st.integers(1, 3))
+    lattice = draw(st.booleans())
+    tau = draw(st.floats(0.4, 1.1))
+    support = {(i, (i + 1) % n) for i in range(n)}
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    support |= set(draw(st.lists(cells, max_size=n)))
+    if lattice:
+        location = st.integers(1, 3).map(lambda k: k * tau)
+    else:
+        location = st.floats(0.7, 2.0)
+    atoms = {
+        cell: draw(
+            st.lists(st.tuples(location, st.floats(0.1, 1.0)), min_size=1, max_size=2)
+        )
+        for cell in sorted(support)
+    }
+    mass = np.zeros((n, n))
+    for (i, j), pairs in atoms.items():
+        mass[i, j] = sum(w for _, w in pairs)
+    rho = max(abs(np.linalg.eigvals(mass)))
+    entries = [
+        [AtomicMeasure.from_atoms([(x, w / rho) for x, w in atoms.get((i, j), [])])
+         for j in range(n)]
+        for i in range(n)
+    ]
+    points = st.one_of(
+        st.floats(0.0, 3.0), st.integers(0, 4).map(lambda k: k * tau), clustered_points()
+    )
+    forcing = [draw(step_functions(points, min_size=1)) for _ in range(n)]
+    horizon = draw(st.floats(3.0, 9.0))
+    return MatrixMeasure(entries), forcing, horizon
+
+
+@st.composite
+def connected_graphs(draw, ratio_sets=None):
+    """A strongly connected 1-d graph: a Hamiltonian cycle plus extra edges.
+
+    With ``ratio_sets`` the graph copies the benchmark's graph_family
+    members: out-degree 3 and two self-loops at vertex 0 with rational
+    ratios; otherwise ratios are arbitrary floats."""
+    if ratio_sets is None:
+        n = draw(st.integers(1, 4))
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = [(k, (k + 1) % n) for k in range(n)] + draw(st.lists(cells, max_size=4))
+        ratio = st.floats(0.15, 0.55)
+        ratios = [(draw(ratio), None) for _ in pairs]
+    else:
+        ratio_set, loops = ratio_sets
+        n = draw(st.integers(2, 7))
+        pairs = [(0, 0), (0, 0), (0, 1)]
+        for k in range(1, n):
+            others = [v for v in range(n) if v != (k + 1) % n]
+            pairs += [(k, (k + 1) % n)] + [(k, draw(st.sampled_from(others))) for _ in range(2)]
+        qs = list(loops) + [draw(st.sampled_from(ratio_set)) for _ in pairs[2:]]
+        ratios = [(float(q), q) for q in qs]
+    edges = [
+        Edge(f"e{k}", f"v{a}", f"v{b}", line_map(r, 2.0 * a), q)
+        for k, ((a, b), (r, q)) in enumerate(zip(pairs, ratios))
+    ]
+    vertices = {f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)}
+    return MWGraph(dimension=1, vertices=vertices, edges=edges)
+
+
+# -- merges -----------------------------------------------------------------------
+
+
+class TestMergeAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fns=st.lists(step_functions(clustered_points()), min_size=0, max_size=5),
+        merge_tol=st.sampled_from((1e-12, 0.0, 2.5e-12)),
+    )
+    def test_add_steps(self, fns, merge_tol):
+        assert_same_steps(
+            [renewal.add_steps(fns, merge_tol=merge_tol)],
+            [oracle.add_steps(fns, merge_tol=merge_tol)],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(clustered_points(), st.floats(1e-3, 1.0)), min_size=1, max_size=12
+        )
+    )
+    def test_merge_atoms(self, atoms):
+        loc = np.array([a for a, _ in atoms])
+        w = np.array([b for _, b in atoms])
+        got = renewal._merge_atoms(loc, w)
+        want = oracle.merge_atoms(loc, w)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+# -- the renewal series -----------------------------------------------------------
+
+
+class TestRenewalAgainstOracle:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(system=atomic_systems())
+    def test_random_atomic_matrices(self, system):
+        m, forcing, horizon = system
+        assert_same_solve(m, forcing, horizon)
+        assert_same_outcome(renewal.vector_convolve, oracle.vector_convolve, forcing, m)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=connected_graphs())
+    def test_random_connected_graphs(self, graph):
+        check_graph(graph, horizon=4.0)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        graph=st.sampled_from(
+            ((DENSE_RATIOS, DENSE_LOOPS), (LATTICE_RATIOS, LATTICE_LOOPS))
+        ).flatmap(connected_graphs)
+    )
+    def test_graph_family_ratio_sets(self, graph):
+        check_graph(graph, horizon=15.0)
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_bundled_systems(self, bundled, name):
+        check_graph(bundled[name], horizon=8.0)
+
+    def test_phase_system(self):
+        check_graph(phase_graph(), horizon=15.0)

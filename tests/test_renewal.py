@@ -32,6 +32,10 @@ def scalar_measure(*atoms) -> MatrixMeasure:
 MIX = ((LN2, 0.5), (LN3, 0.5))
 MIX_LIMIT = LN2 / ((LN2 + LN3) / 2)
 
+# a chain wider than the 1e-12 merge tolerance: 0.6e-12 merges into 0, 1.2e-12
+# is a new anchor, and 1.8e-12 merges into it
+CHAIN = (0.0, 0.6e-12, 1.2e-12, 1.8e-12)
+
 
 class TestAtomicMeasure:
     def test_dirac_and_moments(self):
@@ -46,6 +50,11 @@ class TestAtomicMeasure:
         mu = AtomicMeasure.from_atoms([(a, 0.25), (b, 0.75)])
         assert mu.n_atoms == 1
         assert mu.total_mass() == 1.0
+
+    def test_wide_chain_merges_onto_sequential_anchors(self):
+        mu = AtomicMeasure.from_atoms([(x, 1.0) for x in CHAIN])
+        assert mu.locations.tolist() == [0.0, 1.2e-12]
+        assert mu.weights.tolist() == [2.0, 2.0]
 
     def test_distinct_atoms_stay_separate(self):
         mu = AtomicMeasure.from_atoms([(1.0, 0.5), (1.0 + 1e-6, 0.5)])
@@ -243,6 +252,12 @@ class TestAddSteps:
         assert h.integral() == pytest.approx(
             (3.0 - a) + (3.0 - b), rel=1e-9
         )
+
+    def test_wide_chain_keeps_sequential_anchors(self):
+        h = add_steps([StepFunction([x], [1.0]) for x in reversed(CHAIN)])
+        assert h.breakpoints.tolist() == [0.0, 1.2e-12]
+        # each anchor is read 1e-12 past itself: 0 and 0.6e-12 have jumped there
+        assert h.values.tolist() == [2.0, 4.0]
 
     def test_equal_value_runs_collapse(self):
         f = StepFunction([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])

@@ -173,6 +173,40 @@ class TestParse:
         g = parse_system(doc)
         assert g.open_sets["X"].lo == (0.0,)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "where",
+        ["box", "ratio", "translation", "condensation", "isometry", "open_set"],
+    )
+    def test_non_finite_numbers_rejected(self, where, bad):
+        doc = minimal_doc()
+        if where == "box":
+            doc["vertices"][0]["box"]["max"] = [bad]
+        elif where == "ratio":
+            doc["edges"][0]["ratio"] = bad
+        elif where == "translation":
+            doc["edges"][1]["translation"] = [bad]
+        elif where == "condensation":
+            doc["condensation"] = {"X": [{"kind": "segment", "a": [0.1], "b": [bad]}]}
+        elif where == "isometry":
+            doc["edges"][0]["isometry"] = [[bad]]
+        else:
+            doc["open_sets"] = {"X": {"min": [bad], "max": [1.0]}}
+        with pytest.raises(ValidationError, match="finite"):
+            parse_system(doc)
+
+    def test_non_finite_angle_rejected(self):
+        doc = {
+            "dimension": 2,
+            "vertices": [{"id": "X", "box": {"min": [0, 0], "max": [1, 1]}}],
+            "edges": [
+                {"id": "a", "from": "X", "to": "X", "ratio": 0.5, "angle": math.inf,
+                 "translation": [0, 0]}
+            ],
+        }
+        with pytest.raises(ValidationError, match="finite"):
+            parse_system(doc)
+
     def test_wrong_dimension_vector_rejected(self):
         doc = minimal_doc()
         doc["edges"][0]["translation"] = [0.0, 0.0]

@@ -18,6 +18,7 @@ from gdcover.covering import profile
 from gdcover.errors import NumericalError
 from gdcover.graph import Edge, MWGraph
 from gdcover.geometry import Box
+from gdcover import spectral
 from gdcover.spectral import (
     build_matrix,
     build_moment_matrix,
@@ -61,6 +62,17 @@ class TestSpectralRadius:
             (1 + math.sqrt(3)) / 4, rel=1e-12
         )
 
+    @pytest.mark.parametrize("max_iter", [1, 0, -1])
+    def test_dense_fallback_when_the_bracket_stalls(self, max_iter):
+        # one power step cannot converge here, so the dense eigensolver answers
+        a = np.array([[0.5, 0.25], [0.5, 0.0]])
+        rho, u, v = spectral_radius(a, want_vectors=True, max_iter=max_iter)
+        assert rho == pytest.approx((1 + math.sqrt(3)) / 4, rel=1e-12)
+        assert np.all(u > 0) and np.all(v > 0)
+        assert u.sum() == pytest.approx(1.0) and v.sum() == pytest.approx(1.0)
+        assert np.allclose(a @ u, rho * u, atol=1e-12)
+        assert np.allclose(v @ a, rho * v, atol=1e-12)
+
     def test_perron_triple_requires_irreducible(self):
         reducible = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert not is_irreducible(reducible)
@@ -73,6 +85,36 @@ class TestSpectralRadius:
         assert np.all(u > 0) and np.all(v > 0)
         assert np.allclose(a @ u, rho * u, atol=1e-12)
         assert np.allclose(v @ a, rho * v, atol=1e-12)
+
+
+class TestRadiusSide:
+    """The bisection's early side decision against the full iteration."""
+
+    # columns sum to one, so the radius is exactly 1; the uniform start
+    # vector is not the Perron vector, so the bracket narrows onto 1 slowly
+    UNIT = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.3], [0.0, 0.25, 0.7]])
+
+    def test_radius_exactly_one_iterates_to_the_full_estimate(self):
+        assert spectral._radius_at_least_one(self.UNIT) == (
+            spectral_radius(self.UNIT) >= 1.0
+        )
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 - 1e-13, 1 + 1e-13, 1 + 1e-9, 0.5, 2.0])
+    def test_side_matches_full_iteration(self, scale):
+        a = self.UNIT * scale
+        assert spectral._radius_at_least_one(a) == (spectral_radius(a) >= 1.0)
+
+    def test_dense_fallback_decides_like_spectral_radius(self, monkeypatch):
+        monkeypatch.setattr(spectral, "POWER_MAX_ITER", 1)
+        for scale in (1 - 1e-13, 1.0, 1 + 1e-13):
+            a = self.UNIT * scale
+            assert spectral._radius_at_least_one(a) == (
+                spectral_radius(a, max_iter=1) >= 1.0
+            ), scale
+
+    def test_scalar(self):
+        assert spectral._radius_at_least_one(np.array([[1.0]]))
+        assert not spectral._radius_at_least_one(np.array([[np.nextafter(1.0, 0.0)]]))
 
 
 class TestSolveS0:
