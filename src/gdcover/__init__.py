@@ -28,12 +28,9 @@ from .covering import (
     cell_union,
     condensation_covering,
     condensation_integral,
-    corrected_forcing,
     count,
     generate,
-    l_star,
     lattice_grid,
-    measure_forcing,
     profile,
     profile_at,
 )

@@ -21,10 +21,11 @@ from .covering import (
     CoveringProfile,
     ForcingContext,
     IntegralResult,
-    child_time,
     condensation_integral,
+    forcing_values,
     lattice_grid,
     profile_at,
+    renewal_residual,
 )
 from .errors import InconclusiveRegimeError, ValidationError
 from .graph import MWGraph, common_prefix, sample_path, validate
@@ -54,6 +55,9 @@ REGIMES = (
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DENSE_MIN_SPAN = 2 * math.log(10.0)
+# dense-mode cross-check mesh: forcing sampled at 0, 0.05, ..., 10
+DENSE_FORCING_T_MAX = 10.0
+DENSE_FORCING_STEP = 0.05
 LATTICE_MIN_PERIODS = 4
 
 
@@ -261,45 +265,6 @@ def estimate_limit(profile: CoveringProfile, regime) -> AsymptoticReport:
 # -- renewal cross-check ------------------------------------------------------
 
 
-def _forcing_values(ctx: ForcingContext) -> dict[str, np.ndarray]:
-    """Corrected forcing L_i at every grid point, from honest counts."""
-    graph = ctx.graph
-    s0 = ctx.spectral.s0
-    out = {}
-    for v in graph.vertex_order:
-        vals = np.zeros(ctx.t_grid.size)
-        for idx, t in enumerate(ctx.t_grid):
-            child_all = 0
-            child_early = 0
-            for e in graph.out_edges(v):
-                shifted = child_time(t, e)
-                c = ctx.count_at(e.dst, shifted)
-                child_all += c
-                if shifted < 0:
-                    child_early += c
-            defect = child_all - ctx.count_at(v, t)
-            vals[idx] = math.exp(-s0 * t) * (child_early - defect)
-        out[v] = vals
-    return out
-
-
-def _renewal_residual(ctx: ForcingContext, forcing: dict[str, np.ndarray]) -> float:
-    """Max deviation from f = f*M + L with every term measured directly."""
-    graph = ctx.graph
-    s0 = ctx.spectral.s0
-    worst = 0.0
-    for v in graph.vertex_order:
-        for idx, t in enumerate(ctx.t_grid):
-            lhs = ctx.normalized_count(v, t)
-            conv = 0.0
-            for e in graph.out_edges(v):
-                shifted = child_time(t, e)
-                if shifted >= 0:
-                    conv += e.ratio**s0 * ctx.normalized_count(e.dst, shifted)
-            worst = max(worst, abs(lhs - conv - forcing[v][idx]))
-    return worst
-
-
 @dataclass(frozen=True)
 class CrossCheckResult:
     kind: str
@@ -320,77 +285,54 @@ def cross_check(
     *,
     grid_origin=None,
     tight: bool | None = None,
-    n_periods: int | None = None,
-    dense_t_max: float = 10.0,
-    dense_step: float = 0.05,
 ) -> CrossCheckResult:
     """Compare measured limit estimates against the renewal prediction.
 
     The forcing terms are measured from covering counts on a grid matched
-    to the report (offsets y + k*tau in lattice mode, a uniform mesh in
-    dense mode), pushed through the rank-one limit matrix of the Perron
-    data.  Also reports the worst renewal-identity residual of the measured
-    data, which vanishes up to rounding by construction.
+    to the report (offsets y + k*tau for k up to the report's last period
+    in lattice mode, a uniform mesh in dense mode), pushed through the
+    rank-one limit matrix of the Perron data.  Also reports the worst
+    renewal-identity residual of the measured data, which vanishes up to
+    rounding by construction.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
-    a = spectral.limit_matrix
+    tau = y_grid = None
     if report.kind == "periodic":
-        tau = report.tau
-        if tau is None or report.y_grid is None:
+        tau, y_grid = report.tau, report.y_grid
+        if tau is None or y_grid is None or not report.n_values:
             raise ValueError("periodic report lacks its sampling grid")
-        k_max = n_periods if n_periods is not None else (max(report.n_values) if report.n_values else 10)
-        points = [y + k * tau for y in report.y_grid for k in range(k_max + 1)]
-        ctx = ForcingContext(
-            graph, spectral, points, grid_origin=grid_origin, tight=tight
-        )
-        forcing = _forcing_values(ctx)
+        k_max = max(report.n_values)
+        points = [y + k * tau for y in y_grid for k in range(k_max + 1)]
+    else:
+        steps = int(round(DENSE_FORCING_T_MAX / DENSE_FORCING_STEP))
+        points = np.linspace(0.0, DENSE_FORCING_T_MAX, steps + 1)
+    ctx = ForcingContext(graph, spectral, points, grid_origin=grid_origin, tight=tight)
+    forcing = forcing_values(ctx)
+    a = spectral.limit_matrix
+    if tau is None:
+        integrals = np.array([_trapezoid(row, ctx.t_grid) for row in forcing])
+        predicted = integrals @ a
+    else:
         lookup = {t: i for i, t in enumerate(ctx.t_grid)}
-        predicted = np.zeros((report.y_grid.size, len(graph.vertex_order)))
-        for row, y in enumerate(report.y_grid):
+        predicted = np.zeros((y_grid.size, len(graph.vertex_order)))
+        for row, y in enumerate(y_grid):
             sums = np.array(
-                [
-                    sum(
-                        forcing[v][lookup[y + k * tau]]
-                        for k in range(k_max + 1)
-                    )
-                    for v in graph.vertex_order
-                ]
+                [sum(f[lookup[y + k * tau]] for k in range(k_max + 1)) for f in forcing]
             )
             predicted[row] = tau * (sums @ a)
-        measured = np.asarray(report.estimates)
-        rel = np.abs(predicted - measured) / np.maximum(np.abs(measured), 1e-300)
-        return CrossCheckResult(
-            kind="periodic",
-            vertex_order=graph.vertex_order,
-            predicted=predicted,
-            measured=measured,
-            rel_discrepancy=rel,
-            max_rel_discrepancy=float(rel.max()),
-            residual_max=_renewal_residual(ctx, forcing),
-            y_grid=report.y_grid,
-            tau=tau,
-        )
-    steps = int(round(dense_t_max / dense_step))
-    points = np.linspace(0.0, dense_t_max, steps + 1)
-    ctx = ForcingContext(
-        graph, spectral, points, grid_origin=grid_origin, tight=tight
-    )
-    forcing = _forcing_values(ctx)
-    integrals = np.array(
-        [_trapezoid(forcing[v], ctx.t_grid) for v in graph.vertex_order]
-    )
-    predicted = integrals @ a
     measured = np.asarray(report.estimates)
     rel = np.abs(predicted - measured) / np.maximum(np.abs(measured), 1e-300)
     return CrossCheckResult(
-        kind="constant",
+        kind="constant" if tau is None else "periodic",
         vertex_order=graph.vertex_order,
         predicted=predicted,
         measured=measured,
         rel_discrepancy=rel,
         max_rel_discrepancy=float(rel.max()),
-        residual_max=_renewal_residual(ctx, forcing),
+        residual_max=renewal_residual(ctx, forcing),
+        y_grid=y_grid,
+        tau=tau,
     )
 
 

@@ -226,7 +226,22 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _parse_reduced(doc: dict):
+def _finite_number(x) -> bool:
+    # Python's json reads Infinity and NaN as floats
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _pairs(items, what: str) -> tuple[list[float], list[float]]:
+    """Split ``[[a, b], ...]`` into its first and second numbers."""
+    if not isinstance(items, list):
+        raise ValidationError(f"{what} must be a list of [number, number] pairs")
+    for p in items:
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p))):
+            raise ValidationError(f"{what}: every pair must be two finite numbers, got {p!r}")
+    return [float(p[0]) for p in items], [float(p[1]) for p in items]
+
+
+def _parse_reduced(doc: dict, horizon: float | None = None):
     """Renewal-only input: matrix atoms and forcing pieces given directly.
 
     Expected shape::
@@ -236,37 +251,48 @@ def _parse_reduced(doc: dict):
          "tau": 0.693,                              # optional lattice step
          "horizon": 30.0, "truncation": 40,
          "samples_per_period": 64}
+
+    Forcing breakpoints must be at least ``renewal.ATOM_MERGE_TOL`` apart:
+    closer ones can be rounded onto each other when the solver shifts them.
+    ``horizon`` overrides the file's horizon.  Returns ``(M, L, horizon)``.
     """
     if not isinstance(doc, dict) or "M" not in doc or "L" not in doc:
         raise ValidationError("renewal input needs top-level keys M and L")
     m_rows = doc["M"]
-    n = len(m_rows)
-    if n == 0 or any(len(row) != n for row in m_rows):
+    n = len(m_rows) if isinstance(m_rows, list) else 0
+    if n == 0 or any(not isinstance(row, list) or len(row) != n for row in m_rows):
         raise ValidationError("M must be a nonempty square array of atom lists")
     entries = []
-    for row in m_rows:
+    for i, row in enumerate(m_rows):
         out_row = []
-        for cell in row:
+        for j, cell in enumerate(row):
             if cell:
-                locs = [float(p[0]) for p in cell]
-                ws = [float(p[1]) for p in cell]
+                locs, ws = _pairs(cell, f"M[{i}][{j}]")
                 out_row.append(renewal.AtomicMeasure(locs, ws))
             else:
                 out_row.append(renewal.AtomicMeasure.zero())
         entries.append(out_row)
     m = renewal.MatrixMeasure(entries)
     l_rows = doc["L"]
-    if len(l_rows) != n:
+    if not isinstance(l_rows, list) or len(l_rows) != n:
         raise ValidationError("L must have one step list per matrix row")
     forcing = []
-    for pieces in l_rows:
+    for i, pieces in enumerate(l_rows):
         if pieces:
-            bps = [float(p[0]) for p in pieces]
-            vals = [float(p[1]) for p in pieces]
+            bps, vals = _pairs(pieces, f"L[{i}]")
+            if any(b - a < renewal.ATOM_MERGE_TOL for a, b in zip(bps, bps[1:])):
+                raise ValidationError(
+                    f"L[{i}]: breakpoints must increase by at least "
+                    f"{renewal.ATOM_MERGE_TOL:g}, got {bps}"
+                )
             forcing.append(renewal.StepFunction(bps, vals))
         else:
             forcing.append(renewal.StepFunction.zero())
-    return m, forcing
+    if horizon is None:
+        horizon = doc.get("horizon", 30.0)
+    if not _finite_number(horizon) or horizon <= 0:
+        raise ValidationError(f"horizon must be a positive finite number, got {horizon!r}")
+    return m, forcing, float(horizon)
 
 
 def cmd_renewal(args) -> int:
@@ -277,8 +303,7 @@ def cmd_renewal(args) -> int:
         raise ValidationError(f"cannot read renewal input {args.file}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"renewal input is not valid JSON: {exc}") from exc
-    m, forcing = _parse_reduced(doc)
-    horizon = args.horizon if args.horizon is not None else float(doc.get("horizon", 30.0))
+    m, forcing, horizon = _parse_reduced(doc, args.horizon)
     truncation = args.truncation
     if truncation is None and "truncation" in doc:
         truncation = int(doc["truncation"])

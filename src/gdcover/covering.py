@@ -49,10 +49,8 @@ __all__ = [
     "condensation_integral",
     "child_time",
     "ForcingContext",
-    "measure_forcing",
-    "l_star",
-    "corrected_forcing",
-    "f_star",
+    "forcing_values",
+    "renewal_residual",
     "BoundaryDiagnostic",
     "boundary_diagnostic",
 ]
@@ -812,9 +810,6 @@ class CoveringProfile:
     def total_ratios(self) -> np.ndarray:
         return np.array([s.ratio_total for s in self.samples])
 
-    def count_matrix(self) -> np.ndarray:
-        return np.array([s.counts for s in self.samples])
-
 
 def profile_at(
     graph: MWGraph,
@@ -1049,10 +1044,6 @@ class IntegralResult:
     exponent: float
     exact: bool = True
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "Finite"
-
 
 def condensation_integral(
     graph: MWGraph, vertex: str, spectral: SpectralData | None = None
@@ -1157,66 +1148,47 @@ class ForcingContext:
         return self.count_at(vertex, t) * math.exp(-self.spectral.s0 * t)
 
 
-def measure_forcing(
-    graph: MWGraph,
-    spectral: SpectralData | None = None,
-    t_grid=None,
-    **kwargs,
-) -> ForcingContext:
-    if spectral is None:
-        spectral = solve_s0(graph)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 10.0, 101)
-    return ForcingContext(graph, spectral, t_grid, **kwargs)
-
-
-def _l_star_values(ctx: ForcingContext, vertex: str) -> np.ndarray:
-    graph = ctx.graph
-    vals = np.zeros(ctx.t_grid.size)
-    for idx, t in enumerate(ctx.t_grid):
-        child_sum = 0
-        for e in graph.out_edges(vertex):
-            child_sum += ctx.count_at(e.dst, child_time(t, e))
-        vals[idx] = child_sum - ctx.count_at(vertex, t)
-    return vals
-
-
-def l_star(ctx: ForcingContext, vertex: str):
-    """Step-function estimate of the child-sum count defect on the grid."""
-    from .renewal import StepFunction
-
-    return StepFunction.from_samples(ctx.t_grid, _l_star_values(ctx, vertex))
-
-
-def f_star(ctx: ForcingContext, vertex: str):
-    """Normalized count e^(-s0 t) N(t) sampled on the grid."""
-    from .renewal import StepFunction
-
-    vals = np.array([ctx.normalized_count(vertex, t) for t in ctx.t_grid])
-    return StepFunction.from_samples(ctx.t_grid, vals)
-
-
-def corrected_forcing(ctx: ForcingContext, vertex: str):
-    """Forcing term that closes the renewal identity for measured counts.
+def forcing_values(ctx: ForcingContext) -> np.ndarray:
+    """Corrected forcing L_i on the grid, one row per vertex in ``vertex_order``.
 
     f(t) = sum over edges of ratio^s0 f_child(t - log(1/ratio)) + L(t)
-    holds exactly on the grid when L collects the count defect together
-    with the child terms whose shifted argument is still negative.
+    holds exactly on the grid when L collects the count defect (child
+    counts minus the vertex count) together with the child terms whose
+    shifted argument is still negative.
     """
-    from .renewal import StepFunction
-
     graph = ctx.graph
     s0 = ctx.spectral.s0
-    star = _l_star_values(ctx, vertex)
-    vals = np.zeros(ctx.t_grid.size)
-    for idx, t in enumerate(ctx.t_grid):
-        early = 0
-        for e in graph.out_edges(vertex):
-            shifted = child_time(t, e)
-            if shifted < 0:
-                early += ctx.count_at(e.dst, shifted)
-        vals[idx] = math.exp(-s0 * t) * (early - star[idx])
-    return StepFunction.from_samples(ctx.t_grid, vals)
+    out = np.zeros((len(graph.vertex_order), ctx.t_grid.size))
+    for row, v in enumerate(graph.vertex_order):
+        for idx, t in enumerate(ctx.t_grid):
+            child_all = 0
+            child_early = 0
+            for e in graph.out_edges(v):
+                shifted = child_time(t, e)
+                c = ctx.count_at(e.dst, shifted)
+                child_all += c
+                if shifted < 0:
+                    child_early += c
+            defect = child_all - ctx.count_at(v, t)
+            out[row, idx] = math.exp(-s0 * t) * (child_early - defect)
+    return out
+
+
+def renewal_residual(ctx: ForcingContext, forcing: np.ndarray) -> float:
+    """Max deviation from f = f*M + L with every term measured directly."""
+    graph = ctx.graph
+    s0 = ctx.spectral.s0
+    worst = 0.0
+    for row, v in enumerate(graph.vertex_order):
+        for idx, t in enumerate(ctx.t_grid):
+            lhs = ctx.normalized_count(v, t)
+            conv = 0.0
+            for e in graph.out_edges(v):
+                shifted = child_time(t, e)
+                if shifted >= 0:
+                    conv += e.ratio**s0 * ctx.normalized_count(e.dst, shifted)
+            worst = max(worst, abs(lhs - conv - forcing[row, idx]))
+    return worst
 
 
 # -- boundary diagnostic ------------------------------------------------------

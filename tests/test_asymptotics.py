@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -147,6 +148,14 @@ class TestCrossCheck:
         res = analyze(cantor_segment, large_n_min=3, large_n_max=8)
         with pytest.raises(ValueError):
             cross_check(cantor_segment, res.spectral, res.report)
+
+    @pytest.mark.parametrize("field", ["tau", "n_values"])
+    def test_periodic_report_without_its_grid_rejected(self, field):
+        g = cantor_graph()
+        res = analyze(g, n_min=4, n_max=7, y_samples=2, with_cross_check=False)
+        report = dataclasses.replace(res.report, **{field: None})
+        with pytest.raises(ValueError, match="sampling grid"):
+            cross_check(g, res.spectral, report)
 
     def test_sierpinski_zero_shift_is_not_early(self, bundled):
         # tau - log 2 = -1.1e-16 at y = 0: unsnapped, the child terms count

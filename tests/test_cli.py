@@ -206,6 +206,35 @@ class TestRenewal:
         assert main(["renewal", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # forcing breakpoints out of order
+            ('{"M": [[[[1.0, 1.0]]]], "L": [[[1.0, 1.0], [0.5, 2.0]]]}', "must increase"),
+            ('{"M": [[[[NaN, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]]}', "two finite numbers"),
+            ('{"M": [[[[1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]]}', "two finite numbers"),
+            # 0 and 1e-17 collide once the solver shifts them by 1.0
+            (
+                '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1e-17, 2.0], [1.0, 0.0]]],'
+                ' "horizon": 5.0}',
+                "must increase",
+            ),
+            (
+                '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "horizon": Infinity}',
+                "horizon",
+            ),
+        ],
+        ids=["unordered_breakpoints", "nan_location", "one_number_pair", "colliding_breakpoints",
+             "infinite_horizon"],
+    )
+    def test_malformed_reduced_file_rejected(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.json"
+        p.write_text(text, encoding="utf-8")
+        assert main(["renewal", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_cantor_json(self, corpus_files, capsys):

@@ -12,17 +12,16 @@ from gdcover.covering import (
     cell_union,
     condensation_covering,
     condensation_integral,
-    corrected_forcing,
+    child_time,
     count,
-    f_star,
+    forcing_values,
     generate,
     interval_cell_range,
-    l_star,
     lattice_grid,
-    measure_forcing,
     point_cell,
     profile,
     profile_at,
+    renewal_residual,
 )
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Primitive
@@ -409,59 +408,80 @@ class TestProfile:
             profile(cantor, 0.1, 0.2, 3, period=LN3)
 
 
+def count_defect(ctx: ForcingContext, vertex: str, t: float) -> int:
+    """Child-sum count defect sum_e N_dst(t - log(1/ratio)) - N_vertex(t)."""
+    graph = ctx.graph
+    child = sum(ctx.count_at(e.dst, child_time(t, e)) for e in graph.out_edges(vertex))
+    return child - ctx.count_at(vertex, t)
+
+
+def early_count(ctx: ForcingContext, vertex: str, t: float) -> int:
+    """Child counts whose shifted argument is still negative."""
+    shifted = [(e, child_time(t, e)) for e in ctx.graph.out_edges(vertex)]
+    return sum(ctx.count_at(e.dst, u) for e, u in shifted if u < 0)
+
+
 class TestForcing:
     def test_lattice_defect_vanishes_on_aligned_grid(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [n * LN3 for n in range(1, 8)]
         ctx = ForcingContext(cantor, sd, grid)
-        star = l_star(ctx, "X")
-        for t in grid:
-            assert star(t) == 0.0
+        forcing = forcing_values(ctx)
+        assert forcing.shape == (1, len(grid))
+        for idx, t in enumerate(ctx.t_grid):
+            assert count_defect(ctx, "X", t) == 0
+            assert forcing[0, idx] == 0.0
 
     def test_defect_matches_sampled_counts_at_generic_t(self, cantor, spectral_cache):
-        ctx = ForcingContext(cantor, spectral_cache["cantor"], np.linspace(0.2, 4.8, 12))
-        star = l_star(ctx, "X")
-        for t in ctx.t_grid:
+        sd = spectral_cache["cantor"]
+        ctx = ForcingContext(cantor, sd, np.linspace(0.2, 4.8, 12))
+        forcing = forcing_values(ctx)
+        for idx, t in enumerate(ctx.t_grid):
             child = 2 * cantor_count(t - LN3) if t >= LN3 else 2 * 1
-            assert star(t) == child - cantor_count(t), t
-
-    def test_step_estimates_vanish_before_grid(self, cantor, spectral_cache):
-        ctx = measure_forcing(cantor, spectral_cache["cantor"], [1.0, 2.0])
-        assert l_star(ctx, "X")(0.5) == 0.0
-        assert f_star(ctx, "X")(0.5) == 0.0
+            defect = child - cantor_count(t)
+            assert count_defect(ctx, "X", t) == defect, t
+            early = 0 if t >= LN3 else 2
+            assert forcing[0, idx] == math.exp(-sd.s0 * t) * (early - defect), t
 
     def test_point_condensation_defect_on_aligned_grid(self, cantor_point):
         # child copies and the gap point each claim their own cell when the
         # scale divides the map translations, so the defect is exactly -1
         sd = solve_s0(cantor_point)
         grid = [n * LN3 for n in range(1, 8)]
-        star = l_star(ForcingContext(cantor_point, sd, grid), "X")
-        assert [star(t) for t in grid] == [-1.0] * 7
+        ctx = ForcingContext(cantor_point, sd, grid)
+        forcing = forcing_values(ctx)
+        assert [count_defect(ctx, "X", t) for t in ctx.t_grid] == [-1] * 7
+        assert forcing[0].tolist() == [math.exp(-sd.s0 * t) for t in ctx.t_grid]
 
     def test_point_condensation_defect_range(self, cantor_point):
         # generic scales: misalignment of the x/3 + 2/3 copy can cost one
         # more cell, widening the aligned range by one on each side at most
         sd = solve_s0(cantor_point)
         ctx = ForcingContext(cantor_point, sd, np.linspace(0.3, 5.7, 16))
-        vals = np.array([l_star(ctx, "X")(t) for t in ctx.t_grid])
-        assert np.all(vals >= -2.0) and np.all(vals <= 0.0)
+        forcing = forcing_values(ctx)
+        for idx, t in enumerate(ctx.t_grid):
+            defect = count_defect(ctx, "X", t)
+            assert -2 <= defect <= 0, t
+            early = early_count(ctx, "X", t)
+            assert forcing[0, idx] == math.exp(-sd.s0 * t) * (early - defect), t
 
     def test_corrected_forcing_closes_renewal_identity(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [k * LN3 / 2 for k in range(9)]
         ctx = ForcingContext(cantor, sd, grid)
-        fs = f_star(ctx, "X")
-        lc = corrected_forcing(ctx, "X")
+        forcing = forcing_values(ctx)
+        fs = [ctx.normalized_count("X", t) for t in ctx.t_grid]
         w = 2 * (1.0 / 3.0) ** sd.s0  # both edges together carry unit mass
-        for k, t in enumerate(grid):
+        for k, t in enumerate(ctx.t_grid):
             # the shift is exactly two grid steps; index instead of
             # subtracting, else one ulp of slop falls off the breakpoint
-            child = fs(grid[k - 2]) if k >= 2 else 0.0
-            assert fs(t) == pytest.approx(w * child + lc(t), abs=1e-12), t
+            child = fs[k - 2] if k >= 2 else 0.0
+            assert fs[k] == pytest.approx(w * child + forcing[0, k], abs=1e-12), t
+        assert renewal_residual(ctx, forcing) <= 1e-12
 
     def test_corrected_forcing_at_zero_is_the_full_count(self, cantor, spectral_cache):
         ctx = ForcingContext(cantor, spectral_cache["cantor"], [0.0, LN3])
-        assert corrected_forcing(ctx, "X")(0.0) == pytest.approx(1.0)
+        assert forcing_values(ctx)[0, 0] == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self, cantor, spectral_cache):
         with pytest.raises(ValueError):

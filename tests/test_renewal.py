@@ -229,6 +229,11 @@ class TestStepFunction:
         assert f(3.0) == 0.0
         assert f.integral() == pytest.approx(6.0)
 
+    def test_from_samples_vanishes_before_first_sample(self):
+        f = StepFunction.from_samples(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
+        assert f(0.5) == 0.0
+        assert f(1.0) == 3.0
+
 
 class TestAddSteps:
     def test_sum_of_indicators(self):
