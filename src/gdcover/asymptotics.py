@@ -21,6 +21,7 @@ from .covering import (
     CoveringProfile,
     ForcingContext,
     IntegralResult,
+    _CountTable,
     condensation_integral,
     forcing_values,
     lattice_grid,
@@ -177,7 +178,11 @@ def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
     )
 
 
-def _estimate_lattice(profile: CoveringProfile, regime: str) -> AsymptoticReport:
+def _estimate_lattice(
+    profile: CoveringProfile, regime: str, tau: float | None = None
+) -> AsymptoticReport:
+    """Per-offset estimates; ``tau`` is the lattice step, recovered from the
+    samples when not given."""
     by_y: dict[float, list] = {}
     for s in profile.samples:
         if s.y is None or s.n is None:
@@ -188,8 +193,7 @@ def _estimate_lattice(profile: CoveringProfile, regime: str) -> AsymptoticReport
         raise ValidationError(
             f"profile covers {len(n_all)} periods; need at least {LATTICE_MIN_PERIODS}"
         )
-    tau = None
-    for s in profile.samples:
+    for s in profile.samples if tau is None else ():
         for s2 in profile.samples:
             if s2.y == s.y and s2.n == s.n + 1:
                 tau = s2.t - s.t
@@ -258,7 +262,11 @@ def estimate_limit(profile: CoveringProfile, regime) -> AsymptoticReport:
     if name == "LargeCondensation":
         return _estimate_divergent(profile, name)
     if name.endswith("Lattice"):
-        return _estimate_lattice(profile, name)
+        # the lattice's own step: t2 - t1 of two samples a period apart can
+        # be an ulp off it, and the cross-check grid y + k*tau would then
+        # miss the profile's t values
+        tau = regime.lattice.tau if isinstance(regime, RegimeResult) else None
+        return _estimate_lattice(profile, name, tau)
     return _estimate_dense(profile, name)
 
 
@@ -285,6 +293,7 @@ def cross_check(
     *,
     grid_origin=None,
     tight: bool | None = None,
+    _table: _CountTable | None = None,
 ) -> CrossCheckResult:
     """Compare measured limit estimates against the renewal prediction.
 
@@ -293,7 +302,9 @@ def cross_check(
     in lattice mode, a uniform mesh in dense mode), pushed through the
     rank-one limit matrix of the Perron data.  Also reports the worst
     renewal-identity residual of the measured data, which vanishes up to
-    rounding by construction.
+    rounding by construction.  ``_table`` is the count table of an
+    enclosing analysis, built from the same arguments; the profile's
+    counts in it are not counted again.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
@@ -307,7 +318,9 @@ def cross_check(
     else:
         steps = int(round(DENSE_FORCING_T_MAX / DENSE_FORCING_STEP))
         points = np.linspace(0.0, DENSE_FORCING_T_MAX, steps + 1)
-    ctx = ForcingContext(graph, spectral, points, grid_origin=grid_origin, tight=tight)
+    ctx = ForcingContext(
+        graph, spectral, points, grid_origin=grid_origin, tight=tight, _table=_table
+    )
     forcing = forcing_values(ctx)
     a = spectral.limit_matrix
     if tau is None:
@@ -410,12 +423,15 @@ def analyze(
         large_n_min=large_n_min,
         large_n_max=large_n_max,
     )
+    # one walk per vertex and one count table serve the profile and the forcing
+    table = _CountTable(graph, grid_origin, tight)
     prof = profile_at(
         graph,
         points,
         spectral=spectral,
         grid_origin=grid_origin,
         tight=tight,
+        _table=table,
     )
     report = estimate_limit(prof, regime)
     cross = None
@@ -426,6 +442,7 @@ def analyze(
             report,
             grid_origin=grid_origin,
             tight=tight,
+            _table=table,
         )
     return AnalysisResult(
         vertex_order=graph.vertex_order,

@@ -295,6 +295,11 @@ def _parse_reduced(doc: dict, horizon: float | None = None):
     return m, forcing, float(horizon)
 
 
+def _check_int_at_least(value, low: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def cmd_renewal(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -305,22 +310,35 @@ def cmd_renewal(args) -> int:
         raise ValidationError(f"renewal input is not valid JSON: {exc}") from exc
     m, forcing, horizon = _parse_reduced(doc, args.horizon)
     truncation = args.truncation
-    if truncation is None and "truncation" in doc:
-        truncation = int(doc["truncation"])
+    if truncation is None:
+        truncation = doc.get("truncation")
+    if truncation is not None:
+        _check_int_at_least(truncation, 0, "truncation")
     spp = args.samples_per_period
     if spp is None:
-        spp = int(doc.get("samples_per_period", 64))
+        spp = doc.get("samples_per_period", 64)
+    _check_int_at_least(spp, 1, "samples_per_period")
     tau = args.tau if args.tau is not None else doc.get("tau")
+    if tau is not None and not (_finite_number(tau) and tau > 0):
+        raise ValidationError(f"tau must be a positive finite number, got {tau!r}")
     dri = renewal.check_dri(forcing)
-    fs = renewal.renewal_solve(m, forcing, horizon, truncation=truncation)
-    lat = SimpleNamespace(is_lattice=True, tau=float(tau)) if tau else None
+    try:
+        fs = renewal.renewal_solve(m, forcing, horizon, truncation=truncation)
+        conv = renewal.vector_convolve(fs, m)
+    except ValueError as exc:
+        # a shift by an atom location can round two forcing breakpoints
+        # onto each other once their gap is below an ulp of the shifted value
+        raise ValidationError(
+            f"renewal input: {exc} after a shift by an atom location; "
+            "space the forcing breakpoints wider or shorten the horizon"
+        ) from None
+    lat = None if tau is None else SimpleNamespace(is_lattice=True, tau=float(tau))
     lim = renewal.limit_value(m, forcing, lattice=lat, samples_per_period=spp)
     # residual of the fixed-point equation, sampled strictly inside the
     # horizon: the solution is clipped to zero at t >= horizon, so the
     # endpoint itself would report a spurious mismatch
     ts = np.linspace(0.0, horizon, args.samples, endpoint=False)
     residual = 0.0
-    conv = renewal.vector_convolve(fs, m)
     for j in range(m.n):
         lhs = np.array([fs[j](t) for t in ts])
         rhs = np.array([conv[j](t) + forcing[j](t) for t in ts])

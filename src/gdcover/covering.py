@@ -96,15 +96,27 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # through np.matmul with the operand layout of the scalar call, because BLAS
 # may fuse multiply-adds where a written-out formula would round twice.  So
 # coordinates and cells agree bit for bit with shape-by-shape enumeration.
+#
+# The radius ``r`` is one float for every shape, or an (n, 1) column giving
+# each shape row its own radius.  The arithmetic is elementwise either way,
+# so a row counted among many radii gets the cells of a call at its radius
+# alone.  Such rows carry a ``tag``, the index of their radius, which leads
+# each cell row into the union: a (tag, cell) row is distinct per radius.
 
 _CHUNK = 1 << 20  # candidate cells expanded at once; bounds transient memory
 
 
-def _floor_cells(pts: np.ndarray, r: float, origin: np.ndarray) -> np.ndarray:
+def _take(x, idx):
+    """Rows ``idx`` of a per-row radius column or tag array; one radius for
+    every row, or no tag (None), passes through."""
+    return x if x is None or np.ndim(x) == 0 else x[idx]
+
+
+def _floor_cells(pts: np.ndarray, r, origin: np.ndarray) -> np.ndarray:
     return np.floor((pts - origin) / r + ETA).astype(np.int64)
 
 
-def _interval_cells(a: np.ndarray, b: np.ndarray, r: float, origin: np.ndarray):
+def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
     """Array form of :func:`interval_cell_range`, elementwise."""
     lo = np.floor((np.minimum(a, b) - origin) / r + ETA).astype(np.int64)
     hi = np.ceil((np.maximum(a, b) - origin) / r - ETA).astype(np.int64) - 1
@@ -157,16 +169,27 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CellUnion:
-    """Distinct cells accumulated chunk by chunk under a cap."""
+def _tag_counts(rows: np.ndarray, n_radii: int) -> np.ndarray:
+    """Cells per radius of (tag, cell) rows."""
+    return np.bincount(rows[:, 0], minlength=n_radii)
 
-    def __init__(self, dim: int, cap: int) -> None:
+
+class _CellUnion:
+    """Distinct cells accumulated chunk by chunk under a cap.
+
+    A tagged union holds (tag, cell) rows and applies the cap per radius.
+    """
+
+    def __init__(self, dim: int, cap: int, tagged: bool = False) -> None:
         self.cap = cap
-        self.parts = [np.empty((0, dim), dtype=np.int64)]
+        self.tagged = tagged
+        self.parts = [np.empty((0, dim + tagged), dtype=np.int64)]
         self.fresh = 0
 
-    def add(self, rows: np.ndarray) -> None:
+    def add(self, rows: np.ndarray, tag: np.ndarray | None = None) -> None:
         if rows.shape[0]:
+            if tag is not None:
+                rows = np.column_stack((tag, rows))
             self.parts.append(rows)
             self.fresh += rows.shape[0]
             if self.fresh > _CHUNK:
@@ -176,9 +199,11 @@ class _CellUnion:
         if len(self.parts) > 1:
             self.parts = [_unique_rows(np.concatenate(self.parts))]
             self.fresh = 0
-        if self.parts[0].shape[0] > self.cap:
+        out = self.parts[0]
+        most = _tag_counts(out, 0).max(initial=0) if self.tagged else out.shape[0]
+        if most > self.cap:
             raise ResourceLimitError(f"cell union exceeds cap {self.cap}")
-        return self.parts[0]
+        return out
 
 
 def _chunks(sizes: np.ndarray):
@@ -211,15 +236,16 @@ def _check_candidates(cnt: np.ndarray, cap: int) -> None:
         raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
 
 
-def _box_cells(lo, hi, r, origin, acc: _CellUnion, cap: int) -> None:
+def _box_cells(lo, hi, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
     ilo, ihi = _interval_cells(lo, hi, r, origin)
     cnt = ihi - ilo + 1
     _check_candidates(cnt, cap)
     for sel in _chunks(_row_prod(cnt)):
-        acc.add(_expand(ilo[sel], cnt[sel])[0])
+        rows, owner = _expand(ilo[sel], cnt[sel])
+        acc.add(rows, _take(_take(tag, sel), owner))
 
 
-def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int) -> None:
+def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
     """Cells of the points where each segment crosses a grid plane.
 
     Per segment: the parameters of its plane crossings plus 0 and 1, clipped
@@ -228,8 +254,9 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int) -> None:
     """
     delta = b - a
     flat = ~delta.any(axis=1)
-    acc.add(_floor_cells(a[flat], r, origin))
-    a, b, delta = a[~flat], b[~flat], delta[~flat]
+    acc.add(_floor_cells(a[flat], _take(r, flat), origin), _take(tag, flat))
+    live = ~flat
+    a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
     m0 = np.floor((np.minimum(a, b) - origin) / r) + 1
     m1 = np.ceil((np.maximum(a, b) - origin) / r) - 1
     cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
@@ -238,13 +265,14 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int) -> None:
     m0 = m0.astype(np.int64)
     for sel in _chunks(cnt.sum(axis=1) + 2):
         p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
+        rs, tags = _take(r, sel), _take(tag, sel)
         n = p.shape[0]
         segs = [np.arange(n), np.arange(n)]
         ts = [np.zeros(n), np.ones(n)]
         for j in range(p.shape[1]):
             owner = np.repeat(np.arange(n), c[:, j])
             step = np.arange(owner.size) - np.repeat(np.cumsum(c[:, j]) - c[:, j], c[:, j])
-            planes = origin[j] + (first[owner, j] + step) * r
+            planes = origin[j] + (first[owner, j] + step) * _take(rs, (owner, 0))
             segs.append(owner)
             ts.append((planes - p[owner, j]) / dp[owner, j])
         seg = np.concatenate(segs)
@@ -257,7 +285,10 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int) -> None:
         gap = seg[1:] == seg[:-1]
         s = seg[:-1][gap]
         mids = p[s] + (0.5 * (t[:-1][gap] + t[1:][gap]))[:, None] * dp[s]
-        acc.add(_floor_cells(np.concatenate([p, q, mids]), r, origin))
+        # the sample points p, q, mids lie on segments 0..n-1, 0..n-1, s
+        owner = None if tags is None else np.r_[0:n, 0:n, s]
+        pts = np.concatenate([p, q, mids])
+        acc.add(_floor_cells(pts, _take(rs, owner), origin), _take(tags, owner))
 
 
 def _obb_bounds(center: np.ndarray, half: np.ndarray):
@@ -268,8 +299,10 @@ def _obb_bounds(center: np.ndarray, half: np.ndarray):
     return center - ext, center + ext, ext
 
 
-def _sat_axes(half: np.ndarray, r: float, exact: bool):
+def _sat_axes(half: np.ndarray, r, exact: bool):
     """Unit box axes of 2-d boxes and the projected extent of box plus cell.
+
+    ``r`` is one radius, or a flat array with one radius per box.
 
     ``exact`` repeats the scalar test's arithmetic (``math.hypot`` and
     numpy's matrix products); otherwise plain elementwise numpy, which can
@@ -294,7 +327,7 @@ def _sat_axes(half: np.ndarray, r: float, exact: bool):
     return live, units, reach
 
 
-def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int) -> None:
+def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
     """2-d separating-axis test of each candidate cell against each box.
 
     A cell is separated from a box along an axis when the distance of their
@@ -308,13 +341,15 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int) -> None
     ilo, ihi = _interval_cells(lo, hi, r, origin)
     cnt = ihi - ilo + 1
     _check_candidates(cnt, cap)
-    live, units, reach = _sat_axes(half, r, exact=False)
-    size = r + np.abs(half).sum(axis=(1, 2))
+    flat_r = _take(r, (slice(None), 0))
+    live, units, reach = _sat_axes(half, flat_r, exact=False)
+    size = flat_r + np.abs(half).sum(axis=(1, 2))
     for sel in _chunks(_row_prod(cnt)):
         rows, owner = _expand(ilo[sel], cnt[sel])
         owner = owner + sel.start
-        diff = center[owner] - (origin + (rows + 0.5) * r)
-        grid = _grid_axes_hit(diff, ext[owner], r)
+        r_own = _take(r, owner)
+        diff = center[owner] - (origin + (rows + 0.5) * r_own)
+        grid = _grid_axes_hit(diff, ext[owner], r_own)
         hit = grid.copy()
         unsure = np.zeros_like(grid)
         margin = 1e-12 * (size[owner] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
@@ -326,16 +361,16 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int) -> None
             unsure |= on & (np.abs(gap) <= margin)
         redo = np.flatnonzero(grid & unsure)
         if redo.size:
-            hit[redo] = _sat_exact(diff[redo], half[owner[redo]], r)
-        acc.add(rows[hit])
+            hit[redo] = _sat_exact(diff[redo], half[owner[redo]], _take(flat_r, owner[redo]))
+        acc.add(rows[hit], _take(_take(tag, owner), hit))
 
 
-def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r: float) -> np.ndarray:
+def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r) -> np.ndarray:
     hit = np.abs(diff) < 0.5 * r + ext - ETA * r
     return hit[:, 0] & hit[:, 1]
 
 
-def _sat_exact(diff: np.ndarray, half: np.ndarray, r: float) -> np.ndarray:
+def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
     """Box-axis part of the separating-axis test, in the scalar arithmetic."""
     live, units, reach = _sat_axes(half, r, exact=True)
     hit = np.ones(diff.shape[0], dtype=bool)
@@ -352,7 +387,11 @@ def _is_axis_aligned(half: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Shapes:
-    """Covering elements as arrays, grouped by how their cells are found."""
+    """Covering elements as arrays, grouped by how their cells are found.
+
+    Elements selected for several radii at once carry tags: the index of
+    each point's, segment's and box's radius among the sorted radii.
+    """
 
     dim: int
     points: np.ndarray  # (n, d)
@@ -360,12 +399,20 @@ class _Shapes:
     seg_b: np.ndarray
     obb_c: np.ndarray  # (n, d) oriented box centres
     obb_h: np.ndarray  # (n, d, d) half axes, one row per box axis
+    point_tag: np.ndarray | None = None
+    seg_tag: np.ndarray | None = None
+    obb_tag: np.ndarray | None = None
 
     @classmethod
-    def gather(cls, dim, points=(), segments=(), obbs=()) -> "_Shapes":
+    def gather(cls, dim, points=(), segments=(), obbs=(), tags=None) -> "_Shapes":
+        """Stack the parts; ``tags`` holds three lists of tag arrays that run
+        parallel to ``points``, ``segments`` and ``obbs``."""
         def stack(parts, *shape):
             parts = [np.asarray(p, dtype=float).reshape(-1, *shape) for p in parts]
             return np.concatenate(parts) if parts else np.empty((0, *shape))
+
+        def stack_tags(parts):
+            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
         return cls(
             dim,
@@ -374,6 +421,7 @@ class _Shapes:
             stack([s[1] for s in segments], dim),
             stack([o[0] for o in obbs], dim),
             stack([o[1] for o in obbs], dim, dim),
+            *(() if tags is None else map(stack_tags, tags)),
         )
 
     @classmethod
@@ -395,20 +443,45 @@ class _Shapes:
                 raise TypeError(f"unsupported shape {type(s).__name__}")
         return cls.gather(dim, points, segments, obbs)
 
-    def cells(self, r: float, origin: np.ndarray, tight: bool, cap: int) -> np.ndarray:
-        """Distinct cells met by the union of the shapes, as index rows."""
-        acc = _CellUnion(self.dim, cap)
-        acc.add(_floor_cells(self.points, r, origin))
-        _segment_cells(self.seg_a, self.seg_b, r, origin, acc, cap)
+    def cells(self, r, origin: np.ndarray, tight: bool, cap: int) -> np.ndarray:
+        """Distinct cells met by the union of the shapes, as index rows.
+
+        Tagged shapes take the sorted radii they were selected for; each of
+        their rows then leads with its tag, and the cap holds per radius.
+        """
+        tagged = self.point_tag is not None
+        acc = _CellUnion(self.dim, cap, tagged)
+
+        def radius(tag):  # one radius per row as a column, or the one radius
+            return r[tag][:, None] if tagged else r
+
+        acc.add(_floor_cells(self.points, radius(self.point_tag), origin), self.point_tag)
+        _segment_cells(
+            self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, cap, self.seg_tag
+        )
         plain = _is_axis_aligned(self.obb_h) | (not tight)
         lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
-        _box_cells(lo, hi, r, origin, acc, cap)
+        r_obb, tag = radius(self.obb_tag), self.obb_tag
+        _box_cells(lo, hi, _take(r_obb, plain), origin, acc, cap, _take(tag, plain))
         if not plain.all():
-            _obb_cells_tight(self.obb_c[~plain], self.obb_h[~plain], r, origin, acc, cap)
+            bent = ~plain
+            _obb_cells_tight(
+                self.obb_c[bent], self.obb_h[bent], _take(r_obb, bent), origin, acc, cap,
+                _take(tag, bent),
+            )
         return acc.rows()
 
 
 # -- the multi-resolution walk -----------------------------------------------
+
+
+def _range_sums(lo: np.ndarray, hi: np.ndarray, weights, n: int) -> np.ndarray:
+    """For each index below n, the summed weights of the ranges [lo, hi)
+    holding it."""
+    live = hi > lo
+    w = np.broadcast_to(weights, lo.shape)[live]
+    edges = np.bincount(lo[live], w, n + 1) - np.bincount(hi[live], w, n + 1)
+    return np.cumsum(edges)[:n]
 
 
 class _Walk:
@@ -476,6 +549,10 @@ class _Walk:
         for key in levels[0]:
             setattr(self, key, np.concatenate([lv[key] for lv in levels]))
         self.n = total
+        # node ids end each level; a child's above is at most its parent's,
+        # so the levels some radius r visits (max above > r) are a prefix
+        self._level_end = np.cumsum([lv["term"].size for lv in levels])
+        self._level_above = np.array([lv["above"].max() for lv in levels])
         self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
         # nodes by terminal vertex, and each node's rank among them
@@ -558,32 +635,70 @@ class _Walk:
             half[:, k, :] = ratio * (q[:, :, k] * (w / 2))
         return centre, half
 
-    def _select(self, r: float):
-        visited = self.above > r
-        leaf = visited & (self.size <= r)
-        return leaf, visited & ~leaf
+    def _select(self, r):
+        """Leaves and interior nodes of the radius-r walk, as masks.
 
-    def shapes(self, r: float, include_condensation: bool = True) -> _Shapes:
-        """Covering elements of the radius-r walk as arrays."""
+        For an ascending array of radii, per vertex ``(nodes, lo, hi)``
+        ranges of radius indices instead, over the nodes ending there on the
+        levels the smallest radius visits: a node is a leaf for
+        ``radii[lo:hi]`` (size <= r < above), and interior, carrying
+        condensation, for ``radii[:min(lo, hi)]`` (r below size and above).
+        """
+        if np.ndim(r) == 0:
+            visited = self.above > r
+            leaf = visited & (self.size <= r)
+            return leaf, visited & ~leaf
+        stop = self._level_end[np.count_nonzero(self._level_above > r[0]) - 1]
+        leaf, inner = [], []
+        for at in self._at:
+            nodes = at[: np.searchsorted(at, stop)]
+            lo = np.searchsorted(r, self.size[nodes])
+            hi = np.searchsorted(r, self.above[nodes])
+            leaf.append((nodes, lo, hi))
+            inner.append((nodes, np.zeros_like(lo), np.minimum(lo, hi)))
+        return leaf, inner
+
+    def _pick(self, v: int, sel):
+        """Nodes ending at vertex v chosen by a ``_select`` mask, with no
+        tags; or every (node, radius index) pair of its ``_select`` ranges."""
+        if isinstance(sel, np.ndarray):
+            at = self._at[v]
+            return at[sel[at]], None
+        nodes, lo, hi = sel[v]
+        n = np.maximum(hi - lo, 0)
+        pairs = np.repeat(nodes, n)
+        return pairs, np.arange(pairs.size) - np.repeat(np.cumsum(n) - n - lo, n)
+
+    def shapes(self, r, include_condensation: bool = True) -> _Shapes:
+        """Covering elements of the radius-r walk as arrays.
+
+        For an ascending array of radii, the elements of every radius
+        together, each tagged with the index of its radius.
+        """
         graph = self.graph
         leaf, inner = self._select(r)
         points, segments, obbs = [], [], []
+        tags = ([], [], [])
         for v, name in enumerate(graph.vertex_order):
-            at_v = self._at[v]
-            nodes = at_v[leaf[at_v]]
+            nodes, tag = self._pick(v, leaf)
             if nodes.size:
                 obbs.append(self._box_image(v, graph.seed_box(name), nodes))
+                tags[2].append(tag)
             if not (include_condensation and graph.condensation[name]):
                 continue
-            nodes = at_v[inner[at_v]]
+            nodes, tag = self._pick(v, inner)
             for prim in graph.condensation[name]:
                 if prim.kind == "point":
                     points.append(self._image(v, prim.points[0], nodes))
+                    tags[0].append(tag)
                 elif prim.kind == "segment":
                     segments.append(tuple(self._image(v, p, nodes) for p in prim.points))
+                    tags[1].append(tag)
                 else:
                     obbs.append(self._box_image(v, prim.as_box(), nodes))
-        return _Shapes.gather(graph.dimension, points, segments, obbs)
+                    tags[2].append(tag)
+        tags = None if np.ndim(r) == 0 else tags
+        return _Shapes.gather(graph.dimension, points, segments, obbs, tags)
 
     def n_elements(self, r: float, include_condensation: bool = True) -> int:
         leaf, inner = self._select(r)
@@ -592,6 +707,24 @@ class _Walk:
             per_vertex = np.array([len(self.graph.condensation[v]) for v in self.graph.vertex_order])
             n += int(per_vertex[self.term[inner]].sum())
         return n
+
+    def work(self, radii: np.ndarray, include_condensation: bool = True) -> np.ndarray:
+        """Estimated candidate cells of each radius of an ascending array:
+        one per element, plus the grid planes each condensation image
+        crosses (its ratio times the primitive's L1 extent, over r)."""
+        leaf, inner = self._select(radii)
+        g = len(radii)
+        out = np.zeros(g)
+        for v, name in enumerate(self.graph.vertex_order):
+            _nodes, lo, hi = leaf[v]
+            out += _range_sums(lo, hi, 1.0, g)
+            prims = self.graph.condensation[name] if include_condensation else ()
+            if prims:
+                nodes, lo, hi = inner[v]
+                extent = sum(np.abs(np.subtract(p.points[-1], p.points[0])).sum() for p in prims)
+                out += _range_sums(lo, hi, float(len(prims)), g)
+                out += _range_sums(lo, hi, self.ratio[nodes] * extent, g) / radii
+        return out
 
     def elements(self, r: float, include_condensation: bool = True) -> tuple:
         """Covering elements of the radius-r walk in depth-first path order."""
@@ -745,14 +878,121 @@ class CountResult:
         return self.per_vertex[self.vertex_order.index(vertex)]
 
 
-def _count_rows(order, rows: list, cap: int) -> CountResult:
-    """Per-vertex counts and the deduplicated total from per-vertex cells."""
-    per = tuple(0 if c is None else c.shape[0] for c in rows)
+def _count_rows(order, rows: list, cap: int, n_radii: int | None = None):
+    """Per-vertex counts and the deduplicated total from per-vertex cells.
+
+    For (tag, cell) rows of ``n_radii`` radii, a list of one result per
+    radius.
+    """
     live = [c for c in rows if c is not None and c.shape[0]]
-    total = _unique_rows(np.concatenate(live)).shape[0] if len(live) > 1 else sum(per)
-    if total > cap:
+    if n_radii is None:
+        per = tuple(0 if c is None else c.shape[0] for c in rows)
+        total = _unique_rows(np.concatenate(live)).shape[0] if len(live) > 1 else sum(per)
+        if total > cap:
+            raise ResourceLimitError(f"cell union exceeds cap {cap}")
+        return CountResult(tuple(order), per, total)
+    per = np.array([_tag_counts(c, n_radii) for c in rows])
+    if len(live) > 1:
+        totals = _tag_counts(_unique_rows(np.concatenate(live)), n_radii)
+    else:
+        totals = per.sum(axis=0)
+    if totals.max(initial=0) > cap:
         raise ResourceLimitError(f"cell union exceeds cap {cap}")
-    return CountResult(tuple(order), per, total)
+    return [
+        CountResult(tuple(order), tuple(col), total)
+        for col, total in zip(per.T.tolist(), totals.tolist())
+    ]
+
+
+# work (estimated candidate cells, ``_Walk.work``) of the radii that share
+# one array pass; a radius with more is counted alone on the one-radius path,
+# so peak memory stays that of one radius
+_GROUP_WORK = 4096
+
+
+def _groups(work) -> list[tuple[int, int]]:
+    """Consecutive index ranges whose work sums to at most ``_GROUP_WORK``,
+    greedily; a radius with more work gets a range of its own."""
+    out = []
+    start = total = 0
+    for k, n in enumerate(work):
+        if k > start and total + n > _GROUP_WORK:
+            out.append((start, k))
+            start, total = k, 0
+        total += n
+    if len(work):
+        out.append((start, len(work)))
+    return out
+
+
+def _distinct_radii(ts: list):
+    """The distinct radii e^(-t) ascending, and each t's index among them
+    (t values an ulp apart can share a radius)."""
+    return np.unique(np.array([math.exp(-t) for t in ts], dtype=float), return_inverse=True)
+
+
+class _CountTable:
+    """Covering counts N_v(t) on one grid, shared by the profile and the
+    forcing of one analysis.
+
+    Holds one walk per vertex, rebuilt deeper only when a finer radius is
+    asked for, and one ``{(vertex, t): count}`` dict.  Radii are counted in
+    groups (``_groups``), each in one array pass per vertex.
+    """
+
+    def __init__(self, graph: MWGraph, grid_origin=None, tight=None,
+                 include_condensation: bool = True, cap: int = PATH_CAP) -> None:
+        self.graph = graph
+        self.origin = _origin_vector(grid_origin, graph.dimension)
+        self.tight = _effective_tight(tight, graph.dimension)
+        self.include_condensation = include_condensation
+        self.cap = cap
+        self.counts: dict[tuple[str, float], int] = {}
+        self.walks: dict[str, _Walk] = {}
+
+    def walk(self, vertex: str, r_min: float) -> _Walk:
+        walk = self.walks.get(vertex)
+        if walk is None or walk.r_min > r_min:
+            walk = self.walks[vertex] = _Walk(self.graph, vertex, r_min, self.cap)
+        return walk
+
+    def _passes(self, vertices, radii: np.ndarray, r_min: float = math.inf):
+        """Cells of ``vertices`` at an ascending array of distinct radii, one
+        radius group at a time: yields the group's index range ``a, b`` and
+        one cell array per vertex, tagged when the group has several radii."""
+        if not radii.size:
+            return
+        walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
+        incl = self.include_condensation
+        for a, b in _groups(sum(w.work(radii, incl) for w in walks)):
+            r = radii[a] if b - a == 1 else radii[a:b]
+            cells = [w.shapes(r, incl).cells(r, self.origin, self.tight, CELL_CAP) for w in walks]
+            yield a, b, cells
+
+    def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
+        """Count one vertex at every t not yet in the table; its walk reaches
+        at least down to ``r_min``."""
+        todo = list({float(t) for t in ts if (vertex, float(t)) not in self.counts})
+        radii, which = _distinct_radii(todo)
+        counts = np.zeros(radii.size, dtype=np.int64)
+        for a, b, (cells,) in self._passes([vertex], radii, r_min):
+            counts[a:b] = cells.shape[0] if b - a == 1 else _tag_counts(cells, b - a)
+        self.counts.update(((vertex, t), c) for t, c in zip(todo, counts[which].tolist()))
+
+    def totals(self, ts) -> dict[float, CountResult]:
+        """Per-vertex counts and the total over all vertices at each t,
+        deduplicated across vertices; the per-vertex counts enter the table."""
+        order = self.graph.vertex_order
+        ts = list(set(ts))
+        radii, which = _distinct_radii(ts)
+        results: list = [None] * radii.size
+        for a, b, cells in self._passes(order, radii):
+            res = _count_rows(order, cells, CELL_CAP, None if b - a == 1 else b - a)
+            results[a:b] = [res] if b - a == 1 else res
+        out = {t: results[k] for t, k in zip(ts, which.tolist())}
+        for t, res in out.items():
+            self.counts.update(((v, t), c) for v, c in zip(order, res.per_vertex))
+        return out
 
 
 def count(
@@ -820,17 +1060,21 @@ def profile_at(
     tight: bool | None = None,
     include_condensation: bool = True,
     cap: int = PATH_CAP,
+    _table: _CountTable | None = None,
 ) -> CoveringProfile:
     """Covering profile at explicit t samples.
 
     ``t_points`` holds floats, or ``(t, n, y)`` triples in lattice mode
     where ``t = n * tau + y`` records the decomposition used downstream.
-    One walk per vertex, sized for the largest t, serves every sample.
+    One walk per vertex, sized for the largest t, serves every sample, and
+    the samples are counted a group of radii at a time.  ``_table`` is the
+    count table of an enclosing analysis, built from the same arguments; it
+    keeps the per-vertex counts for the cross-check.
     """
     if spectral is None:
         spectral = solve_s0(graph)
-    origin = _origin_vector(grid_origin, graph.dimension)
-    eff_tight = _effective_tight(tight, graph.dimension)
+    if _table is None:
+        _table = _CountTable(graph, grid_origin, tight, include_condensation, cap)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -838,18 +1082,11 @@ def profile_at(
         else:
             normalized.append((float(item), None, None))
     normalized.sort(key=lambda x: x[0])
-    walks = {}
-    if normalized:
-        r_min = math.exp(-normalized[-1][0])
-        walks = {v: _Walk(graph, v, r_min, cap) for v in graph.vertex_order}
+    counted = _table.totals([t for t, _n, _y in normalized])
     samples = []
     for t, n, y in normalized:
         r = math.exp(-t)
-        rows = [
-            walks[v].shapes(r, include_condensation).cells(r, origin, eff_tight, CELL_CAP)
-            for v in graph.vertex_order
-        ]
-        res = _count_rows(graph.vertex_order, rows, CELL_CAP)
+        res = counted[t]
         scale = math.exp(-spectral.s0 * t)
         samples.append(
             ProfileSample(
@@ -866,7 +1103,7 @@ def profile_at(
     return CoveringProfile(
         vertex_order=graph.vertex_order,
         s0=spectral.s0,
-        grid_origin=tuple(origin.tolist()),
+        grid_origin=tuple(_table.origin.tolist()),
         samples=tuple(samples),
     )
 
@@ -1103,7 +1340,9 @@ class ForcingContext:
     every t on the sample grid and at every child-shifted argument
     t - log(1/ratio), including negative ones (the grid is simply coarser
     than the attractor there; counts stay honest).  Each vertex is walked
-    once, down to the radius of the largest grid t.
+    once, down to the radius of the largest grid t.  ``_table`` is the
+    count table of an enclosing analysis, built from the same arguments,
+    whose counts are reused.
     """
 
     def __init__(
@@ -1115,6 +1354,7 @@ class ForcingContext:
         grid_origin=None,
         tight: bool | None = None,
         cap: int = PATH_CAP,
+        _table: _CountTable | None = None,
     ) -> None:
         self.graph = graph
         self.spectral = spectral
@@ -1123,26 +1363,17 @@ class ForcingContext:
             raise ValueError("empty t grid")
         if self.t_grid[0] < 0:
             raise ValueError("t grid must be nonnegative")
-        self.grid_origin = grid_origin
-        self.tight = tight
-        self.cap = cap
-        self._counts: dict[tuple[str, float], int] = {}
-        self._walks: dict[str, _Walk] = {}
+        self._table = _table if _table is not None else _CountTable(graph, grid_origin, tight, cap=cap)
+
+    def _fill(self, vertex: str, ts) -> None:
+        """Count one vertex at every t of ``ts`` not yet known, in radius groups."""
+        self._table.fill(vertex, ts, math.exp(-self.t_grid[-1]))
 
     def count_at(self, vertex: str, t: float) -> int:
         key = (vertex, float(t))
-        hit = self._counts.get(key)
-        if hit is None:
-            r = math.exp(-t)
-            walk = self._walks.get(vertex)
-            if walk is None or walk.r_min > r:
-                r_min = min(r, math.exp(-self.t_grid[-1]))
-                walk = self._walks[vertex] = _Walk(self.graph, vertex, r_min, self.cap)
-            dim = self.graph.dimension
-            origin = _origin_vector(self.grid_origin, dim)
-            cells = walk.shapes(r).cells(r, origin, _effective_tight(self.tight, dim), CELL_CAP)
-            hit = self._counts[key] = cells.shape[0]
-        return hit
+        if key not in self._table.counts:
+            self._fill(vertex, [t])
+        return self._table.counts[key]
 
     def normalized_count(self, vertex: str, t: float) -> float:
         return self.count_at(vertex, t) * math.exp(-self.spectral.s0 * t)
@@ -1158,6 +1389,12 @@ def forcing_values(ctx: ForcingContext) -> np.ndarray:
     """
     graph = ctx.graph
     s0 = ctx.spectral.s0
+    need: dict[str, list] = {v: list(ctx.t_grid) for v in graph.vertex_order}
+    for v in graph.vertex_order:
+        for e in graph.out_edges(v):
+            need[e.dst].extend(child_time(t, e) for t in ctx.t_grid)
+    for v, ts in need.items():
+        ctx._fill(v, ts)
     out = np.zeros((len(graph.vertex_order), ctx.t_grid.size))
     for row, v in enumerate(graph.vertex_order):
         for idx, t in enumerate(ctx.t_grid):

@@ -223,9 +223,28 @@ class TestRenewal:
                 '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "horizon": Infinity}',
                 "horizon",
             ),
+            # a NaN step used to hang the periodic limit
+            ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "tau": NaN}', "tau"),
+            ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "tau": -1.0}', "tau"),
+            ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "truncation": "x"}',
+             "truncation"),
+            ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "truncation": -1}',
+             "truncation"),
+            (
+                '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]],'
+                ' "samples_per_period": 0}',
+                "samples_per_period",
+            ),
+            # gaps of 1e-12 pass the parse, but 10000 + 1e-12 rounds to 10000
+            (
+                '{"M": [[[[10000.0, 1.0]]]], "L": [[[0.0, 1.0], [1e-12, 2.0], [1.0, 0.0]]],'
+                ' "horizon": 20001.0}',
+                "strictly increasing",
+            ),
         ],
         ids=["unordered_breakpoints", "nan_location", "one_number_pair", "colliding_breakpoints",
-             "infinite_horizon"],
+             "infinite_horizon", "nan_tau", "negative_tau", "string_truncation",
+             "negative_truncation", "zero_samples_per_period", "large_shift_collision"],
     )
     def test_malformed_reduced_file_rejected(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.json"

@@ -5,8 +5,10 @@ similarity per node, and charges each element's cells to a Python set.  The
 kernel must reproduce its cells exactly: same per-vertex counts, same
 totals, same cell sets, same elements in the same order.
 """
+import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,19 @@ from hypothesis import strategies as st
 import covering_oracle as oracle
 from conftest import BUNDLED_NAMES
 
-from gdcover import covering
-from gdcover.covering import GeometrySet, SetElement, _Shapes
+from gdcover import asymptotics, covering
+from gdcover.covering import (
+    CELL_CAP,
+    GeometrySet,
+    SetElement,
+    _count_rows,
+    _CountTable,
+    _effective_tight,
+    _origin_vector,
+    _Shapes,
+    _tag_counts,
+    _Walk,
+)
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Box, OrientedBox, Primitive, Similarity, rotation_2d
 from gdcover.graph import Edge, MWGraph, Path
@@ -71,7 +84,7 @@ def test_corpus_elements_match_oracle(bundled, name):
 
 
 def _shape_rows(shapes: _Shapes) -> list:
-    obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(len(shapes.obb_h), -1)], axis=1)
+    obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(-1, shapes.dim**2)], axis=1)
     segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
     return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, obbs)]
 
@@ -140,9 +153,14 @@ RATIOS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 ANGLES = (30.0, 45.0, 90.0, 135.0)
 
 
+# edge ends of the two-vertex systems: strongly connected, X and Y overlap
+TWO_VERTEX_ENDS = (("X", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Y"))
+
+
 @st.composite
-def systems(draw, dim):
-    n_edges = draw(st.integers(2, 3))
+def systems(draw, dim, two_vertices=False):
+    ends = TWO_VERTEX_ENDS if two_vertices else (("X", "X"),) * 3
+    n_edges = draw(st.integers(3, 4)) if two_vertices else draw(st.integers(2, 3))
     edges = []
     for k in range(n_edges):
         q = draw(st.sampled_from(RATIOS))
@@ -150,7 +168,8 @@ def systems(draw, dim):
         iso = np.eye(dim)
         if dim == 2 and k == 0:
             iso = rotation_2d(draw(st.sampled_from(ANGLES)))
-        edges.append(Edge(f"e{k}", "X", "X", Similarity(float(q), iso, shift), q))
+        src, dst = ends[k]
+        edges.append(Edge(f"e{k}", src, dst, Similarity(float(q), iso, shift), q))
     grid = st.integers(0, 16).map(lambda m: m / 16)
     prims = []
     for kind in draw(st.lists(st.sampled_from(("point", "segment", "box")), max_size=2)):
@@ -162,11 +181,12 @@ def systems(draw, dim):
             prims.append(Primitive.segment(a, b))
         else:
             prims.append(Primitive.box(np.minimum(a, b), np.maximum(a, b)))
+    unit = Box((0.0,) * dim, (1.0,) * dim)
     return MWGraph(
         dimension=dim,
-        vertices={"X": Box((0.0,) * dim, (1.0,) * dim)},
+        vertices={"X": unit, "Y": unit} if two_vertices else {"X": unit},
         edges=edges,
-        condensation={"X": tuple(prims)},
+        condensation={"X": tuple(prims), "Y": ()} if two_vertices else {"X": tuple(prims)},
     )
 
 
@@ -201,3 +221,184 @@ def test_random_systems_both_hit_tiny_caps(graph, t):
             covering.count(covering.generate(graph, "X", r), r, cap=n - 1)
         with pytest.raises(ResourceLimitError):
             oracle.count(oracle.generate(graph, "X", r), r, cap=n - 1)
+
+
+# -- many radii in one pass -------------------------------------------------------
+#
+# ``_Walk.shapes(radii).cells(radii)`` counts a sorted array of radii at once,
+# and ``_CountTable`` groups radii by work before it does.  Every count must
+# equal the one-radius pass ``shapes(r).cells(r)``, itself checked against the
+# oracle above.
+
+EXACT_TS = tuple(n * LN3 for n in range(4)) + tuple(n * LN2 for n in range(6))
+
+
+@st.composite
+def t_lists(draw):
+    """t values with exact thirds and halves, t < 0 and repeats."""
+    pool = st.one_of(
+        st.sampled_from(EXACT_TS), st.floats(-0.6, 3.2), st.sampled_from((-0.3, -0.05))
+    )
+    ts = draw(st.lists(pool, min_size=1, max_size=14))
+    return ts + draw(st.lists(st.sampled_from(ts), max_size=3))
+
+
+def _origin(pick, ts):
+    # "half" offsets the grid by half a cell of the finest radius
+    return {"zero": 0.0, "offset": 0.316, "half": math.exp(-max(ts)) / 2}[pick]
+
+
+def _one_radius_cells(walk, r, origin, cap=CELL_CAP):
+    graph = walk.graph
+    o = _origin_vector(origin, graph.dimension)
+    return walk.shapes(r).cells(r, o, _effective_tight(None, graph.dimension), cap)
+
+
+ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
+# group budgets from one radius per pass up to the default
+BUDGETS = st.sampled_from((1, 12, 150, covering._GROUP_WORK))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=st.sampled_from((1, 2)).flatmap(systems),
+    ts=t_lists(),
+    origin_pick=ORIGIN_PICKS,
+    budget=BUDGETS,
+)
+def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
+    origin = _origin(origin_pick, ts)
+    radii = np.array(sorted({math.exp(-t) for t in ts}))
+    walk = _Walk(graph, "X", radii[0])
+    want = [_one_radius_cells(walk, r, origin).shape[0] for r in radii]
+    table = _CountTable(graph, origin)
+    with mock.patch.object(covering, "_GROUP_WORK", budget):
+        table.fill("X", ts)
+    for t in ts:
+        r = math.exp(-t)
+        assert table.counts[("X", float(t))] == want[int(np.searchsorted(radii, r))]
+
+
+# the fields of each shape kind, its tag last
+KINDS = {
+    "points": ("points", "point_tag"),
+    "segments": ("seg_a", "seg_b", "seg_tag"),
+    "boxes": ("obb_c", "obb_h", "obb_tag"),
+}
+
+
+def _one_kind(shapes: _Shapes, kind: str, k: int | None = None) -> _Shapes:
+    """The points, segments or boxes of a tagged set alone; with k, only
+    those of radius k, untagged."""
+    fields = {}
+    for name, names in KINDS.items():
+        for f in names:
+            a = getattr(shapes, f)
+            if a is None:  # the tag of an untagged set
+                pass
+            elif name != kind:
+                a = a[:0]
+            elif k is not None:
+                a = a[getattr(shapes, names[-1]) == k]
+            fields[f] = a
+    if k is not None:
+        fields.update(point_tag=None, seg_tag=None, obb_tag=None)
+    return dataclasses.replace(shapes, **fields)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=st.sampled_from((1, 2)).flatmap(systems), ts=t_lists(), origin_pick=ORIGIN_PICKS)
+def test_tagged_shapes_and_cells_match_each_radius(graph, ts, origin_pick):
+    # radii equal to stopping sizes put nodes exactly on the leaf boundary;
+    # each kind alone, so a box cannot hide a lost segment cell
+    origin = _origin(origin_pick, ts)
+    walk = _Walk(graph, "X", math.exp(-max(ts)))
+    sizes = walk.size[walk.size >= walk.r_min]
+    ties = sizes[:: max(1, sizes.size // 4)]
+    radii = np.unique(np.concatenate([[math.exp(-t) for t in ts], ties]))
+    o = _origin_vector(origin, graph.dimension)
+    tight = _effective_tight(None, graph.dimension)
+    shapes = walk.shapes(radii)
+    for k, r in enumerate(radii):
+        alone = walk.shapes(r)
+        for kind in KINDS:
+            assert _shape_rows(_one_kind(shapes, kind, k)) == _shape_rows(_one_kind(alone, kind))
+    for kind in KINDS:
+        rows = _one_kind(shapes, kind).cells(radii, o, tight, CELL_CAP)
+        for k, r in enumerate(radii):
+            want = _one_kind(shapes, kind, k).cells(r, o, tight, CELL_CAP)
+            got = rows[rows[:, 0] == k, 1:]
+            assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=st.sampled_from((1, 2)).flatmap(lambda d: systems(d, two_vertices=True)),
+    ts=t_lists(),
+    origin_pick=ORIGIN_PICKS,
+    budget=BUDGETS,
+)
+def test_profile_totals_match_one_radius_totals(graph, ts, origin_pick, budget):
+    # the total deduplicates cells shared by X and Y at each radius
+    origin = _origin(origin_pick, ts)
+    r_min = math.exp(-max(ts))
+    walks = [_Walk(graph, v, r_min) for v in graph.vertex_order]
+    with mock.patch.object(covering, "_GROUP_WORK", budget):
+        prof = covering.profile_at(graph, ts, grid_origin=origin)
+    assert len(prof.samples) == len(ts)
+    for sample in prof.samples:
+        rows = [_one_radius_cells(w, sample.r, origin) for w in walks]
+        want = _count_rows(graph.vertex_order, rows, CELL_CAP)
+        assert (sample.counts, sample.total) == (want.per_vertex, want.total)
+
+
+def _raises_cap(fn, *args, **kwargs) -> bool:
+    try:
+        fn(*args, **kwargs)
+    except ResourceLimitError:
+        return True
+    return False
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=st.sampled_from((1, 2)).flatmap(systems), ts=t_lists())
+def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
+    # a pass over many radii trips a cap exactly when one of its radii
+    # trips it alone: the caps hold per shape and per radius, never on the
+    # sum over a pass
+    radii = np.array(sorted({math.exp(-t) for t in ts}))
+    walk = _Walk(graph, "X", radii[0])
+    counts = [_one_radius_cells(walk, r, 0.0).shape[0] for r in radii]
+    o = _origin_vector(0.0, graph.dimension)
+    tight = _effective_tight(None, graph.dimension)
+    for cap in sorted({1, 2, max(counts) - 1, max(counts)}):
+        alone = [_raises_cap(_one_radius_cells, walk, r, 0.0, cap=cap) for r in radii]
+        batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o, tight, cap))
+        assert batched == any(alone), cap
+    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o, tight, CELL_CAP))
+    # the walk's node cap trips on both paths
+    with pytest.raises(ResourceLimitError):
+        _CountTable(graph, cap=2).fill("X", ts + [5.0])
+    with pytest.raises(ResourceLimitError):
+        covering.generate(graph, "X", math.exp(-5.0), cap=2)
+
+
+@pytest.mark.parametrize("name", ["cantor", "two_vertex", "sierpinski"])
+def test_analyze_counts_each_key_once(bundled, name):
+    # lattice systems: the cross-check grid y + k*tau holds every profile t,
+    # so the forcing reuses the profile's counts instead of counting again
+    graph = bundled[name]
+    counted = []
+    shapes = _Walk.shapes
+
+    def spy(walk, r, include_condensation=True):
+        counted.extend((walk.vertex, float(x)) for x in np.atleast_1d(r))
+        return shapes(walk, r, include_condensation)
+
+    with mock.patch.object(_Walk, "shapes", spy):
+        res = asymptotics.analyze(graph, n_min=3, n_max=6, y_samples=4)
+    assert counted and len(counted) == len(set(counted))
+    report = res.report
+    assert report.tau == res.lattice.tau
+    grid = {y + k * report.tau for y in report.y_grid for k in range(max(report.n_values) + 1)}
+    assert {s.t for s in res.profile.samples} <= grid
