@@ -75,7 +75,6 @@ def classify_regime(
     spectral: SpectralData | None = None,
     *,
     lattice: LatticeResult | None = None,
-    eps: float = 1e-9,
 ) -> RegimeResult:
     """Decide which asymptotic regime the system falls in.
 
@@ -88,7 +87,7 @@ def classify_regime(
     if spectral is None:
         spectral = solve_s0(graph)
     if lattice is None:
-        lattice = classify_graph(graph, eps=eps)
+        lattice = classify_graph(graph)
     integrals = {
         v: condensation_integral(graph, v, spectral) for v in graph.vertex_order
     }
@@ -292,7 +291,6 @@ def cross_check(
     report: AsymptoticReport,
     *,
     grid_origin=None,
-    tight: bool | None = None,
     _table: _CountTable | None = None,
 ) -> CrossCheckResult:
     """Compare measured limit estimates against the renewal prediction.
@@ -303,8 +301,8 @@ def cross_check(
     rank-one limit matrix of the Perron data.  Also reports the worst
     renewal-identity residual of the measured data, which vanishes up to
     rounding by construction.  ``_table`` is the count table of an
-    enclosing analysis, built from the same arguments; the profile's
-    counts in it are not counted again.
+    enclosing analysis, whose grid origin replaces ``grid_origin``; the
+    profile's counts in it are not counted again.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
@@ -318,9 +316,7 @@ def cross_check(
     else:
         steps = int(round(DENSE_FORCING_T_MAX / DENSE_FORCING_STEP))
         points = np.linspace(0.0, DENSE_FORCING_T_MAX, steps + 1)
-    ctx = ForcingContext(
-        graph, spectral, points, grid_origin=grid_origin, tight=tight, _table=_table
-    )
+    ctx = ForcingContext(graph, spectral, points, grid_origin=grid_origin, _table=_table)
     forcing = forcing_values(ctx)
     a = spectral.limit_matrix
     if tau is None:
@@ -402,15 +398,13 @@ def analyze(
     large_n_min: int = 3,
     large_n_max: int = 10,
     grid_origin=None,
-    tight: bool | None = None,
-    eps: float = 1e-9,
     with_cross_check: bool = True,
 ) -> AnalysisResult:
     """Full pipeline: validate, classify, profile, estimate, cross-check."""
     validate(graph).raise_if_failed()
     spectral = solve_s0(graph)
-    lattice = classify_graph(graph, eps=eps)
-    regime = classify_regime(graph, spectral, lattice=lattice, eps=eps)
+    lattice = classify_graph(graph)
+    regime = classify_regime(graph, spectral, lattice=lattice)
     points = _default_points(
         graph,
         regime,
@@ -424,26 +418,12 @@ def analyze(
         large_n_max=large_n_max,
     )
     # one walk per vertex and one count table serve the profile and the forcing
-    table = _CountTable(graph, grid_origin, tight)
-    prof = profile_at(
-        graph,
-        points,
-        spectral=spectral,
-        grid_origin=grid_origin,
-        tight=tight,
-        _table=table,
-    )
+    table = _CountTable(graph, grid_origin)
+    prof = profile_at(graph, points, spectral=spectral, _table=table)
     report = estimate_limit(prof, regime)
     cross = None
     if with_cross_check and report.kind != "divergent":
-        cross = cross_check(
-            graph,
-            spectral,
-            report,
-            grid_origin=grid_origin,
-            tight=tight,
-            _table=table,
-        )
+        cross = cross_check(graph, spectral, report, _table=table)
     return AnalysisResult(
         vertex_order=graph.vertex_order,
         spectral=spectral,

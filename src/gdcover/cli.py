@@ -93,6 +93,20 @@ def _load(args) -> "schema.MWGraph":
     return graph
 
 
+def _check_int_at_least(value, low: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _check_t_range(args) -> None:
+    if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
+        raise ValidationError(
+            f"--tmin and --tmax must be finite, got {args.tmin} and {args.tmax}"
+        )
+    if args.tmin > args.tmax:
+        raise ValidationError(f"--tmin {args.tmin} exceeds --tmax {args.tmax}")
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -134,15 +148,8 @@ def cmd_validate(args) -> int:
 def cmd_dim(args) -> int:
     graph = _load(args)
     sd = spectral.solve_s0(graph, tol=args.tol)
-    doc = {
-        "s0": sd.s0,
-        "vertex_order": list(sd.vertex_order),
-        "u": sd.u,
-        "v": sd.v,
-        "mean_log_ratio": sd.mean_log_ratio,
-    }
     if args.json or args.output:
-        _emit_json(doc, args.output)
+        _emit_json(_spectral_doc(sd), args.output)
     else:
         print(f"s0 = {sd.s0:.12g}")
         for k, vid in enumerate(sd.vertex_order):
@@ -208,6 +215,8 @@ def _resolve_period(args, graph) -> float | None:
 
 
 def cmd_profile(args) -> int:
+    _check_int_at_least(args.samples, 1, "--samples")
+    _check_t_range(args)
     graph = _load(args)
     sd = spectral.solve_s0(graph)
     prof = covering.profile(
@@ -218,7 +227,6 @@ def cmd_profile(args) -> int:
         period=_resolve_period(args, graph),
         spectral=sd,
         grid_origin=_parse_origin(args.grid_origin),
-        tight=args.tight,
         include_condensation=not args.no_condensation,
     )
     header, rows = _profile_rows(prof)
@@ -295,12 +303,8 @@ def _parse_reduced(doc: dict, horizon: float | None = None):
     return m, forcing, float(horizon)
 
 
-def _check_int_at_least(value, low: int, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
-
-
 def cmd_renewal(args) -> int:
+    _check_int_at_least(args.samples, 1, "--samples")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -457,9 +461,12 @@ def _analysis_doc(res: asymptotics.AnalysisResult, include_profile: bool) -> dic
     return doc
 
 
-def _run_analysis(args) -> asymptotics.AnalysisResult:
+def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
+    _check_int_at_least(args.y_samples, 1, "--y-samples")
+    _check_int_at_least(args.samples, 1, "--samples")
+    _check_t_range(args)
     graph = _load(args)
-    return asymptotics.analyze(
+    return graph, asymptotics.analyze(
         graph,
         n_min=args.n_min,
         n_max=args.n_max,
@@ -468,13 +475,12 @@ def _run_analysis(args) -> asymptotics.AnalysisResult:
         t_max=args.tmax,
         dense_samples=args.samples,
         grid_origin=_parse_origin(args.grid_origin),
-        tight=args.tight,
         with_cross_check=not args.no_cross_check,
     )
 
 
 def cmd_analyze(args) -> int:
-    res = _run_analysis(args)
+    _graph, res = _run_analysis(args)
     if args.json or args.output:
         _emit_json(_analysis_doc(res, include_profile=True), args.output)
         return 0
@@ -510,10 +516,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
-    res = _run_analysis(args)
+    graph, res = _run_analysis(args)
     os.makedirs(args.outdir, exist_ok=True)
     doc = _analysis_doc(res, include_profile=True)
-    graph = schema.load_system(args.file)
     doc["system"] = schema.dump_system(graph)
     artifacts = {"report": "report.json", "profile": "profile.csv"}
     header, rows = _profile_rows(res.profile)
@@ -563,12 +568,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         "--grid-origin",
         default=None,
         help="grid anchor: one number broadcast to all axes, or comma-separated",
-    )
-    p.add_argument(
-        "--tight",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="exact rotated-box cell test (default: on for dimension <= 2)",
     )
 
 

@@ -443,11 +443,13 @@ class _Shapes:
                 raise TypeError(f"unsupported shape {type(s).__name__}")
         return cls.gather(dim, points, segments, obbs)
 
-    def cells(self, r, origin: np.ndarray, tight: bool, cap: int) -> np.ndarray:
+    def cells(self, r, origin: np.ndarray, cap: int) -> np.ndarray:
         """Distinct cells met by the union of the shapes, as index rows.
 
-        Tagged shapes take the sorted radii they were selected for; each of
-        their rows then leads with its tag, and the cap holds per radius.
+        A rotated box is tested exactly (separating axes) in dimension <= 2
+        and charged the cells of its bounding box above.  Tagged shapes take
+        the sorted radii they were selected for; each of their rows then
+        leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
         acc = _CellUnion(self.dim, cap, tagged)
@@ -459,7 +461,7 @@ class _Shapes:
         _segment_cells(
             self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, cap, self.seg_tag
         )
-        plain = _is_axis_aligned(self.obb_h) | (not tight)
+        plain = _is_axis_aligned(self.obb_h) | (self.dim > 2)
         lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
         r_obb, tag = radius(self.obb_tag), self.obb_tag
         _box_cells(lo, hi, _take(r_obb, plain), origin, acc, cap, _take(tag, plain))
@@ -834,15 +836,7 @@ def generate(
 # -- counting ----------------------------------------------------------------
 
 
-def _effective_tight(tight: bool | None, dim: int) -> bool:
-    if tight is None:
-        return dim <= 2
-    if tight and dim > 2:
-        raise ValueError("tight counting is implemented only for dimension <= 2")
-    return bool(tight)
-
-
-def _set_cells(gset: GeometrySet, r, grid_origin, tight, cap) -> np.ndarray | None:
+def _set_cells(gset: GeometrySet, r, grid_origin, cap) -> np.ndarray | None:
     """Index rows of the cells met by a set; None for an empty set."""
     if r is None:
         r = gset.resolution
@@ -852,7 +846,7 @@ def _set_cells(gset: GeometrySet, r, grid_origin, tight, cap) -> np.ndarray | No
         raise ValueError("counting below the generation resolution is not meaningful")
     shapes = gset._shapes()
     origin = _origin_vector(grid_origin, shapes.dim)
-    return shapes.cells(r, origin, _effective_tight(tight, shapes.dim), cap)
+    return shapes.cells(r, origin, cap)
 
 
 def cell_union(
@@ -860,11 +854,10 @@ def cell_union(
     r: float | None = None,
     *,
     grid_origin=None,
-    tight: bool | None = None,
     cap: int = CELL_CAP,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    rows = _set_cells(gset, r, grid_origin, tight, cap)
+    rows = _set_cells(gset, r, grid_origin, cap)
     return set() if rows is None else set(map(tuple, rows.tolist()))
 
 
@@ -940,11 +933,10 @@ class _CountTable:
     groups (``_groups``), each in one array pass per vertex.
     """
 
-    def __init__(self, graph: MWGraph, grid_origin=None, tight=None,
-                 include_condensation: bool = True, cap: int = PATH_CAP) -> None:
+    def __init__(self, graph: MWGraph, grid_origin=None, include_condensation: bool = True,
+                 cap: int = PATH_CAP) -> None:
         self.graph = graph
         self.origin = _origin_vector(grid_origin, graph.dimension)
-        self.tight = _effective_tight(tight, graph.dimension)
         self.include_condensation = include_condensation
         self.cap = cap
         self.counts: dict[tuple[str, float], int] = {}
@@ -966,7 +958,7 @@ class _CountTable:
         incl = self.include_condensation
         for a, b in _groups(sum(w.work(radii, incl) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            cells = [w.shapes(r, incl).cells(r, self.origin, self.tight, CELL_CAP) for w in walks]
+            cells = [w.shapes(r, incl).cells(r, self.origin, CELL_CAP) for w in walks]
             yield a, b, cells
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
@@ -1000,7 +992,6 @@ def count(
     r: float | None = None,
     grid_origin=None,
     *,
-    tight: bool | None = None,
     cap: int = CELL_CAP,
 ) -> CountResult:
     """Per-vertex and total cell counts for one or several covering sets.
@@ -1010,7 +1001,7 @@ def count(
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
-    rows = [_set_cells(sets[v], r, grid_origin, tight, cap) for v in sets]
+    rows = [_set_cells(sets[v], r, grid_origin, cap) for v in sets]
     return _count_rows(sets, rows, cap)
 
 
@@ -1057,9 +1048,7 @@ def profile_at(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    tight: bool | None = None,
     include_condensation: bool = True,
-    cap: int = PATH_CAP,
     _table: _CountTable | None = None,
 ) -> CoveringProfile:
     """Covering profile at explicit t samples.
@@ -1068,13 +1057,14 @@ def profile_at(
     where ``t = n * tau + y`` records the decomposition used downstream.
     One walk per vertex, sized for the largest t, serves every sample, and
     the samples are counted a group of radii at a time.  ``_table`` is the
-    count table of an enclosing analysis, built from the same arguments; it
-    keeps the per-vertex counts for the cross-check.
+    count table of an enclosing analysis; its grid origin and condensation
+    setting replace the arguments, and it keeps the per-vertex counts for
+    the cross-check.
     """
     if spectral is None:
         spectral = solve_s0(graph)
     if _table is None:
-        _table = _CountTable(graph, grid_origin, tight, include_condensation, cap)
+        _table = _CountTable(graph, grid_origin, include_condensation)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -1126,9 +1116,7 @@ def profile(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    tight: bool | None = None,
     include_condensation: bool = True,
-    cap: int = PATH_CAP,
 ) -> CoveringProfile:
     """Uniform-in-t profile, or per-period sampling when ``period`` is set.
 
@@ -1160,9 +1148,7 @@ def profile(
         points,
         spectral=spectral,
         grid_origin=grid_origin,
-        tight=tight,
         include_condensation=include_condensation,
-        cap=cap,
     )
 
 
@@ -1341,8 +1327,8 @@ class ForcingContext:
     t - log(1/ratio), including negative ones (the grid is simply coarser
     than the attractor there; counts stay honest).  Each vertex is walked
     once, down to the radius of the largest grid t.  ``_table`` is the
-    count table of an enclosing analysis, built from the same arguments,
-    whose counts are reused.
+    count table of an enclosing analysis, whose grid origin replaces
+    ``grid_origin`` and whose counts are reused.
     """
 
     def __init__(
@@ -1352,8 +1338,6 @@ class ForcingContext:
         t_grid,
         *,
         grid_origin=None,
-        tight: bool | None = None,
-        cap: int = PATH_CAP,
         _table: _CountTable | None = None,
     ) -> None:
         self.graph = graph
@@ -1363,7 +1347,7 @@ class ForcingContext:
             raise ValueError("empty t grid")
         if self.t_grid[0] < 0:
             raise ValueError("t grid must be nonnegative")
-        self._table = _table if _table is not None else _CountTable(graph, grid_origin, tight, cap=cap)
+        self._table = _table if _table is not None else _CountTable(graph, grid_origin)
 
     def _fill(self, vertex: str, ts) -> None:
         """Count one vertex at every t of ``ts`` not yet known, in radius groups."""
@@ -1467,8 +1451,6 @@ def boundary_diagnostic(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    tight: bool | None = None,
-    cap: int = PATH_CAP,
 ) -> BoundaryDiagnostic:
     """Weighted count of covering cells near the open-set boundary.
 
@@ -1482,13 +1464,12 @@ def boundary_diagnostic(
         spectral = solve_s0(graph)
     ts = np.array(sorted(float(t) for t in t_grid))
     origin = _origin_vector(grid_origin, graph.dimension)
-    eff_tight = _effective_tight(tight, graph.dimension)
     u = graph.open_sets[vertex]
-    walk = _Walk(graph, vertex, math.exp(-ts[-1]), cap) if ts.size else None
+    walk = _Walk(graph, vertex, math.exp(-ts[-1])) if ts.size else None
     out = []
     for t in ts:
         r = math.exp(-t)
-        rows = walk.shapes(r).cells(r, origin, eff_tight, CELL_CAP)
+        rows = walk.shapes(r).cells(r, origin, CELL_CAP)
         # strictly within r: the neighbor of an endpoint cell sits at
         # distance exactly r and must not count, else every face
         # contributes twice and the two-cell bound for a clean interval

@@ -321,21 +321,18 @@ class StepFunction:
         return cls([a, b], [height, 0.0])
 
     @classmethod
-    def from_samples(cls, ts, ys, close: bool = True) -> "StepFunction":
+    def from_samples(cls, ts, ys) -> "StepFunction":
         """Step function taking value ``ys[k]`` on ``[ts[k], ts[k+1])``.
 
-        With ``close=True`` a trailing zero piece is appended one grid step
-        after the last sample, making the function integrable.
+        A trailing zero piece is appended one grid step after the last
+        sample, making the function integrable.
         """
         ts = np.asarray(ts, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if ts.size == 0:
             return cls.zero()
-        if close:
-            dt = ts[-1] - ts[-2] if ts.size >= 2 else 1.0
-            ts = np.append(ts, ts[-1] + dt)
-            ys = np.append(ys, 0.0)
-        return cls(ts, ys)
+        dt = ts[-1] - ts[-2] if ts.size >= 2 else 1.0
+        return cls(np.append(ts, ts[-1] + dt), np.append(ys, 0.0))
 
     @property
     def is_zero(self) -> bool:
@@ -399,7 +396,7 @@ class StepFunction:
     def abs(self) -> "StepFunction":
         return StepFunction(self.breakpoints, np.abs(self.values))
 
-    def convolve_measure(self, mu: AtomicMeasure, merge_tol: float = ATOM_MERGE_TOL) -> "StepFunction":
+    def convolve_measure(self, mu: AtomicMeasure) -> "StepFunction":
         """Convolution with an atomic measure: a sum of shifted scaled copies."""
         if self.is_zero or mu.is_zero:
             return StepFunction.zero()
@@ -407,8 +404,7 @@ class StepFunction:
             [
                 self.shifted_scaled(loc, w)
                 for loc, w in zip(mu.locations, mu.weights)
-            ],
-            merge_tol=merge_tol,
+            ]
         )
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -446,9 +442,7 @@ def add_steps(
     return StepFunction._wrap(bp[change], total[change])
 
 
-def vector_convolve(
-    fs: Sequence[StepFunction], m: MatrixMeasure, merge_tol: float = ATOM_MERGE_TOL
-) -> list[StepFunction]:
+def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFunction]:
     """Row vector times matrix: ``(f * M)_j = sum_l f_l * M[l][j]``."""
     n = m.n
     if len(fs) != n:
@@ -461,8 +455,8 @@ def vector_convolve(
             continue
         for j, mu in enumerate(row):
             if mu.locations.size:
-                parts[j].append(f.convolve_measure(mu, merge_tol=merge_tol))
-    return [add_steps(p, merge_tol=merge_tol) for p in parts]
+                parts[j].append(f.convolve_measure(mu))
+    return [add_steps(p) for p in parts]
 
 
 @dataclass(frozen=True)

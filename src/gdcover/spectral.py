@@ -78,9 +78,7 @@ def _dense_perron(b: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec / s
 
 
-def _power_perron(
-    a: np.ndarray, rel_tol: float, max_iter: int
-) -> tuple[float, np.ndarray]:
+def _power_perron(a: np.ndarray, max_iter: int) -> tuple[float, np.ndarray]:
     """Perron root and vector of a nonnegative square matrix.
 
     Power iteration runs on ``a + I`` (primitive whenever ``a`` is
@@ -95,7 +93,7 @@ def _power_perron(
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
     for _, (lo, hi, x) in zip(range(max_iter), _brackets(b)):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= POWER_REL_TOL * hi:
             return (lo + hi) / 2 - 1.0, x / x.sum()
     lam, vec = _dense_perron(b)
     return lam - 1.0, vec
@@ -141,10 +139,9 @@ def spectral_radius(
     a,
     *,
     want_vectors: bool = False,
-    rel_tol: float = POWER_REL_TOL,
     max_iter: int = POWER_MAX_ITER,
 ):
-    """Spectral radius of a nonnegative matrix, to ``rel_tol`` relative.
+    """Spectral radius of a nonnegative matrix, to ``POWER_REL_TOL`` relative.
 
     With ``want_vectors=True`` the matrix must be irreducible and the
     result is ``(radius, right_vector, left_vector)`` with both vectors
@@ -159,11 +156,11 @@ def spectral_radius(
         raise NumericalError(
             "Perron vectors need an irreducible matrix (graph not strongly connected)"
         )
-    rho, right = _power_perron(a, rel_tol, max_iter)
+    rho, right = _power_perron(a, max_iter)
     if not want_vectors:
         return rho
-    rho_t, left = _power_perron(a.T, rel_tol, max_iter)
-    if abs(rho - rho_t) > 10 * rel_tol * max(abs(rho), 1.0) + 1e-13:
+    rho_t, left = _power_perron(a.T, max_iter)
+    if abs(rho - rho_t) > 10 * POWER_REL_TOL * max(abs(rho), 1.0) + 1e-13:
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
         )

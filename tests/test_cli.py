@@ -281,6 +281,48 @@ class TestAnalyze:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFlagChecks:
+    # bad counts and reversed t-ranges are input errors (exit 1), named by
+    # flag; the renewal rows (no system) read a valid reduced file
+    @pytest.mark.parametrize(
+        "cmd, system, flags, flag",
+        [
+            ("profile", "cantor", ["--samples", "0"], "--samples"),
+            ("profile", "cantor", ["--samples", "-3"], "--samples"),
+            ("profile", "cantor", ["--tmin", "3", "--tmax", "1"], "--tmin"),
+            ("profile", "cantor", ["--tmax", "nan"], "--tmax"),
+            ("renewal", None, ["--samples", "-1"], "--samples"),
+            ("renewal", None, ["--samples", "0"], "--samples"),
+            ("analyze", "two_ratio", ["--tmin", "9", "--tmax", "2"], "--tmin"),
+            ("analyze", "cantor", ["--y-samples", "0"], "--y-samples"),
+            ("report", "two_ratio", ["--samples", "0"], "--samples"),
+        ],
+        ids=["profile_zero_samples", "profile_negative_samples", "profile_reversed_t",
+             "profile_nan_tmax", "renewal_negative_samples", "renewal_zero_samples",
+             "analyze_reversed_t", "analyze_zero_y_samples", "report_zero_samples"],
+    )
+    def test_rejected_with_flag_named(self, corpus_files, tmp_path, capsys, cmd, system, flags,
+                                      flag):
+        if system is None:
+            path = tmp_path / "renewal.json"
+            path.write_text(json.dumps(RENEWAL_DOC), encoding="utf-8")
+        else:
+            path = corpus_files[system]
+        out = tmp_path / "out"
+        extra = ["-o", str(out)] if cmd == "report" else []
+        assert main([cmd, str(path)] + flags + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_equal_t_bounds_accepted(self, corpus_files, capsys):
+        rc = main(["profile", corpus_files["cantor"], "--tmin", "2", "--tmax", "2",
+                   "--samples", "1"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
 class TestArgparse:
     # usage errors come from argparse itself and exit rather than return
 

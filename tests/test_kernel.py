@@ -25,7 +25,7 @@ from gdcover.covering import (
     SetElement,
     _count_rows,
     _CountTable,
-    _effective_tight,
+    _is_axis_aligned,
     _origin_vector,
     _Shapes,
     _tag_counts,
@@ -223,6 +223,54 @@ def test_random_systems_both_hit_tiny_caps(graph, t):
             oracle.count(oracle.generate(graph, "X", r), r, cap=n - 1)
 
 
+# -- dimension 3: rotated boxes are charged their bounding boxes ------------------
+
+
+def _space_system() -> MWGraph:
+    """A 3-d system with one edge rotated 30 degrees about the z axis and a
+    segment condensation; its rotated cylinders are not axis aligned."""
+    a = math.radians(30.0)
+    c, s = math.cos(a), math.sin(a)
+    spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    edges = [
+        Edge("a", "X", "X", Similarity(0.5, spin, [0.25, 0.0, 0.0]), Fraction(1, 2)),
+        Edge("b", "X", "X", Similarity(1 / 3, np.eye(3), [2 / 3] * 3), Fraction(1, 3)),
+    ]
+    return MWGraph(
+        dimension=3,
+        vertices={"X": Box((0.0,) * 3, (1.0,) * 3)},
+        edges=edges,
+        condensation={"X": (Primitive.segment([0.125, 0.875, 0.25], [0.875, 0.75, 0.875]),)},
+    )
+
+
+SPACE_TS = (0.4, 1.0, 2.0, 3.0 * LN2, 3.0, 3.5)
+
+
+def test_space_counts_match_oracle():
+    graph = _space_system()
+    for t in SPACE_TS:
+        r = math.exp(-t)
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        assert kernel_sets["X"].elements == oracle_sets["X"].elements
+        if t >= 1.0:
+            shapes = kernel_sets["X"]._shapes()
+            assert shapes.seg_a.shape[0] and not _is_axis_aligned(shapes.obb_h).all()
+        for origin in (0.0, 0.316, r / 2):
+            _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.316])
+def test_space_profile_matches_one_radius_counts(origin):
+    graph = _space_system()
+    walk = _Walk(graph, "X", math.exp(-max(SPACE_TS)))
+    prof = covering.profile_at(graph, SPACE_TS, grid_origin=origin)
+    want = [_one_radius_cells(walk, math.exp(-t), origin).shape[0] for t in SPACE_TS]
+    assert [s.counts[0] for s in prof.samples] == want
+    assert [s.total for s in prof.samples] == want
+
+
 # -- many radii in one pass -------------------------------------------------------
 #
 # ``_Walk.shapes(radii).cells(radii)`` counts a sorted array of radii at once,
@@ -251,7 +299,7 @@ def _origin(pick, ts):
 def _one_radius_cells(walk, r, origin, cap=CELL_CAP):
     graph = walk.graph
     o = _origin_vector(origin, graph.dimension)
-    return walk.shapes(r).cells(r, o, _effective_tight(None, graph.dimension), cap)
+    return walk.shapes(r).cells(r, o, cap)
 
 
 ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
@@ -317,16 +365,15 @@ def test_tagged_shapes_and_cells_match_each_radius(graph, ts, origin_pick):
     ties = sizes[:: max(1, sizes.size // 4)]
     radii = np.unique(np.concatenate([[math.exp(-t) for t in ts], ties]))
     o = _origin_vector(origin, graph.dimension)
-    tight = _effective_tight(None, graph.dimension)
     shapes = walk.shapes(radii)
     for k, r in enumerate(radii):
         alone = walk.shapes(r)
         for kind in KINDS:
             assert _shape_rows(_one_kind(shapes, kind, k)) == _shape_rows(_one_kind(alone, kind))
     for kind in KINDS:
-        rows = _one_kind(shapes, kind).cells(radii, o, tight, CELL_CAP)
+        rows = _one_kind(shapes, kind).cells(radii, o, CELL_CAP)
         for k, r in enumerate(radii):
-            want = _one_kind(shapes, kind, k).cells(r, o, tight, CELL_CAP)
+            want = _one_kind(shapes, kind, k).cells(r, o, CELL_CAP)
             got = rows[rows[:, 0] == k, 1:]
             assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
@@ -370,12 +417,11 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
     walk = _Walk(graph, "X", radii[0])
     counts = [_one_radius_cells(walk, r, 0.0).shape[0] for r in radii]
     o = _origin_vector(0.0, graph.dimension)
-    tight = _effective_tight(None, graph.dimension)
     for cap in sorted({1, 2, max(counts) - 1, max(counts)}):
         alone = [_raises_cap(_one_radius_cells, walk, r, 0.0, cap=cap) for r in radii]
-        batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o, tight, cap))
+        batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o, cap))
         assert batched == any(alone), cap
-    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o, tight, CELL_CAP))
+    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o, CELL_CAP))
     # the walk's node cap trips on both paths
     with pytest.raises(ResourceLimitError):
         _CountTable(graph, cap=2).fill("X", ts + [5.0])
