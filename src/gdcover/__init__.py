@@ -24,7 +24,6 @@ from .covering import (
     ForcingContext,
     GeometrySet,
     IntegralResult,
-    boundary_diagnostic,
     cell_union,
     condensation_covering,
     condensation_integral,

@@ -137,11 +137,6 @@ class AsymptoticReport:
     growth_rate: float | None = None
     growth_monotone: bool | None = None
 
-    def min_periodic(self) -> float:
-        if self.kind != "periodic":
-            raise ValueError("not a periodic report")
-        return float(np.min(self.total_estimate))
-
 
 def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
     ts = profile.t_values()
@@ -178,10 +173,10 @@ def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
 
 
 def _estimate_lattice(
-    profile: CoveringProfile, regime: str, tau: float | None = None
+    profile: CoveringProfile, regime: str, tau: float | None
 ) -> AsymptoticReport:
-    """Per-offset estimates; ``tau`` is the lattice step, recovered from the
-    samples when not given."""
+    """Per-offset estimates; ``tau`` is the lattice step, or None when the
+    regime came without its lattice."""
     by_y: dict[float, list] = {}
     for s in profile.samples:
         if s.y is None or s.n is None:
@@ -192,13 +187,6 @@ def _estimate_lattice(
         raise ValidationError(
             f"profile covers {len(n_all)} periods; need at least {LATTICE_MIN_PERIODS}"
         )
-    for s in profile.samples if tau is None else ():
-        for s2 in profile.samples:
-            if s2.y == s.y and s2.n == s.n + 1:
-                tau = s2.t - s.t
-                break
-        if tau:
-            break
     y_grid = np.array(sorted(by_y))
     n_vertices = len(profile.vertex_order)
     est = np.zeros((y_grid.size, n_vertices))
@@ -290,7 +278,6 @@ def cross_check(
     spectral: SpectralData,
     report: AsymptoticReport,
     *,
-    grid_origin=None,
     _table: _CountTable | None = None,
 ) -> CrossCheckResult:
     """Compare measured limit estimates against the renewal prediction.
@@ -301,8 +288,8 @@ def cross_check(
     rank-one limit matrix of the Perron data.  Also reports the worst
     renewal-identity residual of the measured data, which vanishes up to
     rounding by construction.  ``_table`` is the count table of an
-    enclosing analysis, whose grid origin replaces ``grid_origin``; the
-    profile's counts in it are not counted again.
+    enclosing analysis, whose grid origin the forcing shares; the profile's
+    counts in it are not counted again.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
@@ -316,7 +303,7 @@ def cross_check(
     else:
         steps = int(round(DENSE_FORCING_T_MAX / DENSE_FORCING_STEP))
         points = np.linspace(0.0, DENSE_FORCING_T_MAX, steps + 1)
-    ctx = ForcingContext(graph, spectral, points, grid_origin=grid_origin, _table=_table)
+    ctx = ForcingContext(graph, spectral, points, _table=_table)
     forcing = forcing_values(ctx)
     a = spectral.limit_matrix
     if tau is None:

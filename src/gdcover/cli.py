@@ -111,6 +111,10 @@ def _check_t_range(args) -> None:
 
 
 def cmd_validate(args) -> int:
+    _check_int_at_least(args.pairs, 1, "--pairs")
+    _check_int_at_least(args.seed, 0, "--seed")
+    if not 0 < args.stop_ratio < 1:
+        raise ValidationError(f"--stop-ratio must lie in (0, 1), got {args.stop_ratio}")
     graph = schema.load_system(args.file)
     rep = validate(graph)
     doc: dict = {
@@ -209,8 +213,8 @@ def _resolve_period(args, graph) -> float | None:
         raise ValidationError(
             f"--period must be a number or 'auto', got {args.period!r}"
         ) from None
-    if period <= 0:
-        raise ValidationError("--period must be positive")
+    if not (math.isfinite(period) and period > 0):
+        raise ValidationError(f"--period must be positive and finite, got {args.period!r}")
     return period
 
 
@@ -462,6 +466,8 @@ def _analysis_doc(res: asymptotics.AnalysisResult, include_profile: bool) -> dic
 
 
 def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
+    _check_int_at_least(args.n_min, 0, "--n-min")
+    _check_int_at_least(args.n_max, args.n_min, "--n-max")
     _check_int_at_least(args.y_samples, 1, "--y-samples")
     _check_int_at_least(args.samples, 1, "--samples")
     _check_t_range(args)

@@ -51,15 +51,10 @@ __all__ = [
     "ForcingContext",
     "forcing_values",
     "renewal_residual",
-    "BoundaryDiagnostic",
-    "boundary_diagnostic",
 ]
 
 ETA = 1e-9
 CELL_CAP = 10**7
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 # -- cell index arithmetic --------------------------------------------------
 
@@ -1121,18 +1116,24 @@ def profile(
     """Uniform-in-t profile, or per-period sampling when ``period`` is set.
 
     In lattice mode ``samples`` counts the y-offsets per period; every
-    t = n*period + y inside [t_min, t_max] is sampled.
+    t = n*period + y inside [t_min, t_max] is sampled.  A request for more
+    than ``CELL_CAP`` samples raises ``ResourceLimitError`` before any is
+    built.
     """
     if t_max < t_min:
         raise ValueError("t_max must be at least t_min")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if period is not None and period <= 0:
+        raise ValueError("period must be positive")
+    # periods in the range as a float, so a tiny period gives inf, not an overflow
+    n_samples = samples if period is None else samples * (t_max / period - t_min / period + 1)
+    if n_samples > CELL_CAP:
+        raise ResourceLimitError(f"profile needs {n_samples:.4g} samples (cap {CELL_CAP})")
     if period is None:
         ts = np.linspace(t_min, t_max, samples).tolist()
         points: list = ts
     else:
-        if period <= 0:
-            raise ValueError("period must be positive")
         n_lo = math.ceil(t_min / period - 1e-12)
         n_hi = math.floor(t_max / period + 1e-12)
         y_values = [m * period / samples for m in range(samples)]
@@ -1167,12 +1168,17 @@ def condensation_covering(primitive, r: float, grid_origin=None) -> int:
         _segment_cells(a, b, r, origin, acc, CELL_CAP)
         return acc.rows().shape[0]
     if primitive.kind == "box":
-        total = 1
-        for a, b, o in zip(primitive.points[0], primitive.points[1], origin):
-            lo, hi = interval_cell_range(a, b, r, o)
-            total *= hi - lo + 1
-        return total
+        return _box_cell_count(primitive.points[0], primitive.points[1], r, origin)
     raise ValueError(f"unsupported primitive kind {primitive.kind!r}")
+
+
+def _box_cell_count(lo, hi, r: float, origin) -> int:
+    """Cells met by the closed box [lo, hi], axis by axis in scalar arithmetic."""
+    total = 1
+    for a, b, o in zip(lo, hi, origin):
+        i0, i1 = interval_cell_range(a, b, r, o)
+        total *= i1 - i0 + 1
+    return total
 
 
 def _hurwitz(s: float, a: float) -> float:
@@ -1220,14 +1226,6 @@ def _segment_scale_integral(a, b, s: float) -> float:
     return total
 
 
-def _box_count_at(lo, hi, r: float) -> int:
-    n = 1
-    for a, b in zip(lo, hi):
-        i0, i1 = interval_cell_range(a, b, r, 0.0)
-        n *= i1 - i0 + 1
-    return n
-
-
 def _box_scale_integral(lo, hi, s: float, r_floor: float = 1e-4) -> float:
     """Count-decay integral for a full-dimensional box, semi-numeric.
 
@@ -1244,9 +1242,10 @@ def _box_scale_integral(lo, hi, s: float, r_floor: float = 1e-4) -> float:
                 jump_radii.add(c / m)
             m += 1
     grid = sorted(jump_radii)
+    origin = (0.0,) * len(lo)
     total = 0.0
     for r0, r1 in zip(grid, grid[1:]):
-        n = _box_count_at(lo, hi, math.sqrt(r0 * r1))
+        n = _box_cell_count(lo, hi, math.sqrt(r0 * r1), origin)
         total += n * (r1**s - r0**s) / s
     widths = [b - a for a, b in zip(lo, hi)]
     axes = [w for w in widths if w > 0]
@@ -1327,8 +1326,8 @@ class ForcingContext:
     t - log(1/ratio), including negative ones (the grid is simply coarser
     than the attractor there; counts stay honest).  Each vertex is walked
     once, down to the radius of the largest grid t.  ``_table`` is the
-    count table of an enclosing analysis, whose grid origin replaces
-    ``grid_origin`` and whose counts are reused.
+    count table of an enclosing analysis, whose grid origin and counts are
+    reused.
     """
 
     def __init__(
@@ -1337,7 +1336,6 @@ class ForcingContext:
         spectral: SpectralData,
         t_grid,
         *,
-        grid_origin=None,
         _table: _CountTable | None = None,
     ) -> None:
         self.graph = graph
@@ -1347,7 +1345,7 @@ class ForcingContext:
             raise ValueError("empty t grid")
         if self.t_grid[0] < 0:
             raise ValueError("t grid must be nonnegative")
-        self._table = _table if _table is not None else _CountTable(graph, grid_origin)
+        self._table = _table if _table is not None else _CountTable(graph)
 
     def _fill(self, vertex: str, ts) -> None:
         """Count one vertex at every t of ``ts`` not yet known, in radius groups."""
@@ -1410,73 +1408,3 @@ def renewal_residual(ctx: ForcingContext, forcing: np.ndarray) -> float:
                     conv += e.ratio**s0 * ctx.normalized_count(e.dst, shifted)
             worst = max(worst, abs(lhs - conv - forcing[row, idx]))
     return worst
-
-
-# -- boundary diagnostic ------------------------------------------------------
-
-
-def _cell_boundary_distances(cell_lo: np.ndarray, r: float, u: Box) -> np.ndarray:
-    """Distance from each cell to the boundary of an axis-aligned box."""
-    ulo = np.array(u.lo)
-    uhi = np.array(u.hi)
-    cell_hi = cell_lo + r
-    inside = (cell_lo >= ulo).all(axis=1) & (cell_hi <= uhi).all(axis=1)
-    # inside: distance to the nearest face; a straddling cell is at 0
-    dist = np.minimum((cell_lo - ulo).min(axis=1), (uhi - cell_hi).min(axis=1))
-    dist[~inside] = 0.0
-    gap = np.maximum(ulo - cell_hi, 0.0) + np.maximum(cell_lo - uhi, 0.0)
-    outside = ~inside & gap.any(axis=1)
-    dist[outside] = [math.hypot(*g) for g in gap[outside].tolist()]
-    return dist
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    t: float
-    count: int
-    integrand: float
-
-
-@dataclass(frozen=True)
-class BoundaryDiagnostic:
-    vertex: str
-    samples: tuple[BoundarySample, ...]
-    partial_integral: float
-
-
-def boundary_diagnostic(
-    graph: MWGraph,
-    vertex: str,
-    t_grid,
-    *,
-    spectral: SpectralData | None = None,
-    grid_origin=None,
-) -> BoundaryDiagnostic:
-    """Weighted count of covering cells near the open-set boundary.
-
-    Tracks e^(-s0 t) times the number of covering cells within e^(-t) of
-    the boundary of the vertex's open set, and the trapezoid partial
-    integral over the grid.  Saturation of the partial integral is the
-    practical signature of a negligible boundary; steady growth flags a
-    condensation set hugging the boundary.
-    """
-    if spectral is None:
-        spectral = solve_s0(graph)
-    ts = np.array(sorted(float(t) for t in t_grid))
-    origin = _origin_vector(grid_origin, graph.dimension)
-    u = graph.open_sets[vertex]
-    walk = _Walk(graph, vertex, math.exp(-ts[-1])) if ts.size else None
-    out = []
-    for t in ts:
-        r = math.exp(-t)
-        rows = walk.shapes(r).cells(r, origin, CELL_CAP)
-        # strictly within r: the neighbor of an endpoint cell sits at
-        # distance exactly r and must not count, else every face
-        # contributes twice and the two-cell bound for a clean interval
-        # attractor fails
-        dist = _cell_boundary_distances(origin + rows * r, r, u)
-        near = int((dist <= r * (1 - ETA)).sum())
-        out.append(BoundarySample(float(t), near, near * math.exp(-spectral.s0 * t)))
-    integrand = np.array([s.integrand for s in out])
-    partial = float(_trapezoid(integrand, ts)) if ts.size > 1 else 0.0
-    return BoundaryDiagnostic(vertex, tuple(out), partial)

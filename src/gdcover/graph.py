@@ -15,7 +15,6 @@ classifier works from a spanning tree instead.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -32,6 +31,7 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "validate",
+    "strong_components",
     "strongly_connected",
     "enumerate_paths",
     "walk_prefix_tree",
@@ -90,11 +90,6 @@ class Path:
 
     def prefix(self, n: int) -> "Path":
         return Path(self.start, self.edges[:n])
-
-    def parent(self) -> "Path":
-        if self.is_empty:
-            raise ValueError("the empty walk has no parent")
-        return Path(self.start, self.edges[:-1])
 
     def child(self, edge_id: str) -> "Path":
         return Path(self.start, self.edges + (edge_id,))
@@ -354,30 +349,46 @@ def validate(graph: MWGraph) -> ValidationReport:
 # -- connectivity ----------------------------------------------------------
 
 
-def _reachable(adjacent: dict[str, set[str]], start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adjacent[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def strong_components(graph: MWGraph) -> dict[str, str]:
+    """Label each vertex with a representative of its strongly connected
+    component (Kosaraju: finishing order forward, then reverse reachability)."""
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in graph.vertex_order:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(graph.out_edges(root)))]
+        while stack:
+            v, outs = stack[-1]
+            for e in outs:
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    stack.append((e.dst, iter(graph.out_edges(e.dst))))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    preds: dict[str, list[str]] = {v: [] for v in graph.vertex_order}
+    for e in graph.edges.values():
+        preds[e.dst].append(e.src)
+    label: dict[str, str] = {}
+    for root in reversed(finished):
+        if root in label:
+            continue
+        label[root] = root
+        stack_v = [root]
+        while stack_v:
+            for u in preds[stack_v.pop()]:
+                if u not in label:
+                    label[u] = root
+                    stack_v.append(u)
+    return label
 
 
 def strongly_connected(graph: MWGraph) -> bool:
     """True when every ordered vertex pair is joined by a directed walk."""
-    if graph.n_vertices <= 1:
-        return True
-    fwd: dict[str, set[str]] = {v: set() for v in graph.vertex_order}
-    rev: dict[str, set[str]] = {v: set() for v in graph.vertex_order}
-    for e in graph.edges.values():
-        fwd[e.src].add(e.dst)
-        rev[e.dst].add(e.src)
-    root = graph.vertex_order[0]
-    n = graph.n_vertices
-    return len(_reachable(fwd, root)) == n and len(_reachable(rev, root)) == n
+    return len(set(strong_components(graph).values())) <= 1
 
 
 # -- walk enumeration -------------------------------------------------------

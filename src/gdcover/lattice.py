@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .graph import MWGraph
+from .graph import MWGraph, strong_components
 from .renewal import LATTICE_ALIGN_TOL
 
 __all__ = ["LatticeResult", "cycle_log_ratios", "classify", "classify_graph"]
@@ -83,43 +83,6 @@ class LatticeResult:
 # -- spanning-tree generators -------------------------------------------------
 
 
-def _components(graph: MWGraph) -> dict[str, str]:
-    """Label each vertex with a representative of its strongly connected
-    component (Kosaraju: finishing order forward, then reverse reachability)."""
-    finished: list[str] = []
-    seen: set[str] = set()
-    for root in graph.vertex_order:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(graph.out_edges(root)))]
-        while stack:
-            v, outs = stack[-1]
-            for e in outs:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append((e.dst, iter(graph.out_edges(e.dst))))
-                    break
-            else:
-                stack.pop()
-                finished.append(v)
-    preds: dict[str, list[str]] = {v: [] for v in graph.vertex_order}
-    for e in graph.edges.values():
-        preds[e.dst].append(e.src)
-    label: dict[str, str] = {}
-    for root in reversed(finished):
-        if root in label:
-            continue
-        label[root] = root
-        stack_v = [root]
-        while stack_v:
-            for u in preds[stack_v.pop()]:
-                if u not in label:
-                    label[u] = root
-                    stack_v.append(u)
-    return label
-
-
 def _spanning_generators(
     graph: MWGraph, exact: bool, eps: float
 ) -> tuple[list[tuple[str, float, Fraction | None]], dict[str, float]]:
@@ -134,7 +97,7 @@ def _spanning_generators(
     ``(depth(src) - depth(dst) + 1, edge id)``, the length of the cycle the
     edge closes when ``dst`` is a tree ancestor of ``src``.
     """
-    comp = _components(graph)
+    comp = strong_components(graph)
     phi: dict[str, float] = {}
     prod: dict[str, Fraction] = {}  # exact tree-path ratio, exp(-phi)
     depth: dict[str, int] = {}

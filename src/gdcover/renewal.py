@@ -21,14 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ResourceLimitError, ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "AtomicMeasure",
     "MatrixMeasure",
     "StepFunction",
-    "convolve",
-    "matrix_convolve",
     "transfer_measure",
     "renewal_solve",
     "check_dri",
@@ -38,7 +36,6 @@ __all__ = [
 ]
 
 ATOM_MERGE_TOL = 1e-12
-ATOM_CAP = 10**7
 MASS_TOL = 1e-9
 LATTICE_ALIGN_TOL = 1e-9
 
@@ -149,39 +146,11 @@ class AtomicMeasure:
     def min_location(self) -> float | None:
         return float(self.locations[0]) if self.locations.size else None
 
-    def scaled(self, c: float) -> "AtomicMeasure":
-        if c == 0 or self.is_zero:
-            return AtomicMeasure.zero()
-        return AtomicMeasure(self.locations, self.weights * c)
-
-    def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return AtomicMeasure(
-            np.concatenate([self.locations, other.locations]),
-            np.concatenate([self.weights, other.weights]),
-        )
-
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.locations.tolist(), self.weights.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AtomicMeasure({self.n_atoms} atoms, mass={self.total_mass():.6g})"
-
-
-def convolve(a: AtomicMeasure, b: AtomicMeasure, cap: int = ATOM_CAP) -> AtomicMeasure:
-    """Convolution of two atomic measures: all pairwise location sums."""
-    if a.is_zero or b.is_zero:
-        return AtomicMeasure.zero()
-    if a.n_atoms * b.n_atoms > cap:
-        raise ResourceLimitError(
-            f"convolution would create {a.n_atoms * b.n_atoms} atoms (cap {cap})"
-        )
-    locs = (a.locations[:, None] + b.locations[None, :]).ravel()
-    ws = (a.weights[:, None] * b.weights[None, :]).ravel()
-    return AtomicMeasure(locs, ws)
 
 
 class MatrixMeasure:
@@ -195,18 +164,6 @@ class MatrixMeasure:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix of measures must be square")
         self.entries = tuple(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "MatrixMeasure":
-        return cls(
-            [
-                [
-                    AtomicMeasure.dirac(0.0, 1.0) if i == j else AtomicMeasure.zero()
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
 
     @property
     def n(self) -> int:
@@ -234,28 +191,6 @@ class MatrixMeasure:
         ]
         return min(locs) if locs else None
 
-    def all_locations(self) -> np.ndarray:
-        parts = [m.locations for row in self.entries for m in row if not m.is_zero]
-        return np.concatenate(parts) if parts else np.array([])
-
-
-def matrix_convolve(
-    m: MatrixMeasure, p: MatrixMeasure, cap: int = ATOM_CAP
-) -> MatrixMeasure:
-    """Matrix product where scalar multiplication is measure convolution."""
-    if m.n != p.n:
-        raise ValueError("matrix sizes differ")
-    n = m.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = AtomicMeasure.zero()
-            for l in range(n):
-                acc = acc + convolve(m.entry(i, l), p.entry(l, j), cap=cap)
-            row.append(acc)
-        out.append(row)
-    return MatrixMeasure(out)
 
 
 def transfer_measure(graph, s0: float) -> MatrixMeasure:
@@ -364,11 +299,6 @@ class StepFunction:
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add_steps([self, other])
 
-    def scaled(self, c: float) -> "StepFunction":
-        if c == 0 or self.is_zero:
-            return StepFunction.zero()
-        return StepFunction(self.breakpoints, self.values * c)
-
     def clipped(self, t_max: float) -> "StepFunction":
         """Restrict to ``(-inf, t_max)``: beyond ``t_max`` the value is zero."""
         if self.breakpoints.size == 0:
@@ -392,9 +322,6 @@ class StepFunction:
             return math.inf if self.values[-1] > 0 else -math.inf
         widths = np.diff(self.breakpoints)
         return float((self.values[:-1] * widths).sum())
-
-    def abs(self) -> "StepFunction":
-        return StepFunction(self.breakpoints, np.abs(self.values))
 
     def convolve_measure(self, mu: AtomicMeasure) -> "StepFunction":
         """Convolution with an atomic measure: a sum of shifted scaled copies."""
@@ -535,7 +462,6 @@ def renewal_solve(
     forcing: Sequence[StepFunction],
     horizon: float,
     truncation: int | None = None,
-    atom_cap: int = ATOM_CAP,
 ) -> list[StepFunction]:
     """Solve ``f = f * M + L`` on ``[0, horizon]`` by the convolution series.
 

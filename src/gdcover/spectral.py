@@ -21,7 +21,6 @@ __all__ = [
     "build_matrix",
     "build_moment_matrix",
     "spectral_radius",
-    "perron_triple",
     "is_irreducible",
     "solve_s0",
 ]
@@ -164,12 +163,6 @@ def spectral_radius(
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
         )
-    return rho, right, left
-
-
-def perron_triple(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Radius with positive right/left vectors, unit-sum normalized."""
-    rho, right, left = spectral_radius(a, want_vectors=True)
     return rho, right, left
 
 

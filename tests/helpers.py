@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import Edge, MWGraph
@@ -139,3 +140,27 @@ def brute_cells_1d(points, r: float, origin: float = 0.0) -> set:
     """Grid cells (side r, half-open, anchored at origin) met by sample points."""
     eta = 1e-9
     return {math.floor((x - origin) / r + eta) for x in points}
+
+
+RATIOS = tuple(
+    Fraction(*q) for q in ((1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (2, 9), (3, 8))
+)
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 6 vertices, self-loops and parallel edges allowed, often not
+    strongly connected, every edge with a rational ratio from RATIOS."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    triples = draw(
+        st.lists(
+            st.tuples(vertex, vertex, st.sampled_from(RATIOS)), min_size=0, max_size=11
+        )
+    )
+    edges = [
+        Edge(f"e{k}", f"v{a}", f"v{b}", line_map(float(q), 0.0), q)
+        for k, (a, b, q) in enumerate(triples)
+    ]
+    vertices = {f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)}
+    return MWGraph(dimension=1, vertices=vertices, edges=edges)

@@ -18,7 +18,6 @@ import numpy as np
 from gdcover.errors import NumericalError
 from gdcover.graph import MWGraph, strongly_connected
 from gdcover.renewal import (
-    ATOM_CAP,
     ATOM_MERGE_TOL,
     StepFunction,
     _require_renewal_preconditions,
@@ -136,8 +135,7 @@ def vector_convolve(fs, m, merge_tol: float = ATOM_MERGE_TOL) -> list[StepFuncti
     return out
 
 
-def renewal_solve(m, forcing, horizon: float, truncation: int | None = None,
-                  atom_cap: int = ATOM_CAP) -> list[StepFunction]:
+def renewal_solve(m, forcing, horizon: float, truncation: int | None = None) -> list[StepFunction]:
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if len(forcing) != m.n:

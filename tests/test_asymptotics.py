@@ -76,7 +76,7 @@ class TestEstimateLimit:
         assert rep.tau == pytest.approx(LN3, rel=1e-12)
         assert rep.n_values == (4, 5, 6, 7, 8)
         assert rep.y_grid.shape == (4,)
-        assert rep.min_periodic() > 0
+        assert np.min(rep.total_estimate) > 0
         assert np.all(rep.drift < 0.05)
 
     def test_dense_report_shape(self, two_ratio, spectral_cache):

@@ -296,10 +296,24 @@ class TestFlagChecks:
             ("analyze", "two_ratio", ["--tmin", "9", "--tmax", "2"], "--tmin"),
             ("analyze", "cantor", ["--y-samples", "0"], "--y-samples"),
             ("report", "two_ratio", ["--samples", "0"], "--samples"),
+            ("analyze", "cantor", ["--n-min", "-3", "--n-max", "2"], "--n-min"),
+            ("analyze", "cantor", ["--n-min", "5", "--n-max", "2"], "--n-max"),
+            ("report", "cantor", ["--n-min", "5", "--n-max", "2"], "--n-max"),
+            ("validate", "cantor_point", ["--spot-check", "--pairs", "0"], "--pairs"),
+            ("validate", "cantor_point", ["--spot-check", "--pairs", "-5"], "--pairs"),
+            ("validate", "cantor_point", ["--spot-check", "--stop-ratio", "2"], "--stop-ratio"),
+            ("validate", "cantor_point", ["--spot-check", "--stop-ratio", "0"], "--stop-ratio"),
+            ("validate", "cantor_point", ["--spot-check", "--seed", "-1"], "--seed"),
+            ("profile", "cantor", ["--period", "nan"], "--period"),
+            ("profile", "cantor", ["--period", "inf"], "--period"),
         ],
         ids=["profile_zero_samples", "profile_negative_samples", "profile_reversed_t",
              "profile_nan_tmax", "renewal_negative_samples", "renewal_zero_samples",
-             "analyze_reversed_t", "analyze_zero_y_samples", "report_zero_samples"],
+             "analyze_reversed_t", "analyze_zero_y_samples", "report_zero_samples",
+             "analyze_negative_n_min", "analyze_reversed_n", "report_reversed_n",
+             "validate_zero_pairs", "validate_negative_pairs", "validate_stop_ratio_above_one",
+             "validate_zero_stop_ratio", "validate_negative_seed", "profile_nan_period",
+             "profile_infinite_period"],
     )
     def test_rejected_with_flag_named(self, corpus_files, tmp_path, capsys, cmd, system, flags,
                                       flag):
@@ -315,6 +329,19 @@ class TestFlagChecks:
         assert err.startswith("error:") and flag in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    # the sample count is checked before any sample is built, so these
+    # return at once instead of filling memory with 10^9 or more t values
+    @pytest.mark.parametrize(
+        "flags",
+        [["--period", "1e-9", "--tmax", "1"], ["--samples", "1000000000"],
+         ["--period", "5e-324", "--tmax", "1"]],
+        ids=["tiny_period", "huge_samples", "subnormal_period"],
+    )
+    def test_profile_sample_count_capped(self, corpus_files, capsys, flags):
+        assert main(["profile", corpus_files["cantor"]] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "samples" in err
 
     def test_equal_t_bounds_accepted(self, corpus_files, capsys):
         rc = main(["profile", corpus_files["cantor"], "--tmin", "2", "--tmax", "2",

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from helpers import LN2, LN3, cantor_graph, sierpinski_graph, two_vertex_graph
 from gdcover.covering import (
     ForcingContext,
     GeometrySet,
-    boundary_diagnostic,
     cell_union,
     condensation_covering,
     condensation_integral,
@@ -24,8 +25,8 @@ from gdcover.covering import (
     renewal_residual,
 )
 from gdcover.errors import ResourceLimitError
-from gdcover.geometry import Primitive
-from gdcover.graph import sample_path
+from gdcover.geometry import Box, Primitive, Similarity
+from gdcover.graph import Edge, MWGraph, sample_path
 from gdcover.spectral import solve_s0
 
 
@@ -357,6 +358,23 @@ class TestCondensationIntegral:
         total += (x1 - x0) * r_min ** (s - 1.0) / (s - 1.0) + r_min**s / s
         assert res.value == pytest.approx(total, rel=1e-6)
 
+    def test_flat_box_in_menger_sponge_is_semi_numeric(self):
+        # a 2-d box condensation under the 20 maps of the Menger sponge
+        # (s0 = log 20 / log 3 > 2) goes through the box scale integral
+        edges = [
+            Edge(f"e{i}{j}{k}", "X", "X", Similarity(1 / 3, np.eye(3), [i / 3, j / 3, k / 3]),
+                 Fraction(1, 3))
+            for i, j, k in itertools.product(range(3), repeat=3)
+            if (i == 1) + (j == 1) + (k == 1) < 2
+        ]
+        box = Primitive.box((0.1, 0.1, 0.5), (0.9, 0.9, 0.5))
+        g = MWGraph(3, {"X": Box((0.0,) * 3, (1.0,) * 3)}, edges, condensation={"X": [box]})
+        sd = solve_s0(g)
+        assert len(edges) == 20 and sd.s0 == pytest.approx(math.log(20) / LN3, rel=1e-12)
+        res = condensation_integral(g, "X", sd)
+        assert (res.kind, res.exact, res.exponent) == ("Finite", False, 2.0)
+        assert res.value == 1.7794526660335157
+
 
 class TestProfile:
     def test_cantor_lattice_ratios_are_unity(self, cantor, spectral_cache):
@@ -406,6 +424,13 @@ class TestProfile:
             profile(cantor, 1.0, 2.0, 0)
         with pytest.raises(ValueError):
             profile(cantor, 0.1, 0.2, 3, period=LN3)
+
+    def test_sample_count_checked_before_sampling(self, cantor):
+        # 4.1e10 and 1e9 samples: refused before a t value is built
+        with pytest.raises(ResourceLimitError, match="samples"):
+            profile(cantor, 0.0, 1.0, 41, period=1e-9)
+        with pytest.raises(ResourceLimitError, match="samples"):
+            profile(cantor, 0.0, 1.0, 10**9)
 
 
 def count_defect(ctx: ForcingContext, vertex: str, t: float) -> int:
@@ -488,30 +513,3 @@ class TestForcing:
             ForcingContext(cantor, spectral_cache["cantor"], [])
         with pytest.raises(ValueError):
             ForcingContext(cantor, spectral_cache["cantor"], [-1.0, 2.0])
-
-
-class TestBoundaryDiagnostic:
-    def test_interval_attractor_keeps_two_boundary_cells(self, cantor, spectral_cache):
-        sd = spectral_cache["cantor"]
-        ts = [n * LN3 for n in range(1, 9)]
-        diag = boundary_diagnostic(cantor, "X", ts, spectral=sd)
-        assert all(s.count == 2 for s in diag.samples)
-        assert diag.partial_integral <= 2.0 / sd.s0
-
-    def test_generic_grid_stays_bounded(self, cantor, spectral_cache):
-        diag = boundary_diagnostic(
-            cantor, "X", np.linspace(0.3, 6.0, 14), spectral=spectral_cache["cantor"]
-        )
-        assert all(s.count <= 3 for s in diag.samples)
-
-    def test_boundary_hugging_condensation_grows(self, bundled, spectral_cache):
-        dust = bundled["dust2d_edge"]
-        diag = boundary_diagnostic(
-            dust,
-            dust.vertex_order[0],
-            np.linspace(0.5, 5.5, 11),
-            spectral=spectral_cache["dust2d_edge"],
-        )
-        vals = np.array([s.integrand for s in diag.samples])
-        assert vals[-1] > 2.0 * vals[0]
-        assert vals[-3:].mean() > vals[:3].mean()

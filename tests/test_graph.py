@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     LN3,
     cantor_graph,
     line_map,
+    random_graphs,
     two_ratio_graph,
     two_vertex_graph,
 )
@@ -25,7 +27,7 @@ from gdcover.graph import (
     validate,
     walk_prefix_tree,
 )
-from gdcover.spectral import solve_s0
+from gdcover.spectral import build_matrix, is_irreducible, solve_s0
 
 
 class TestValidate:
@@ -132,6 +134,12 @@ class TestConnectivity:
 
     def test_loop_plus_round_trip_is(self):
         assert strongly_connected(two_vertex_graph())
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=random_graphs())
+    def test_agrees_with_matrix_irreducibility(self, g):
+        # ratio^0 = 1 per edge: the support of the edge-count matrix
+        assert strongly_connected(g) == is_irreducible(build_matrix(g, 0.0))
 
 
 class TestEnumeratePaths:

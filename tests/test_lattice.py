@@ -10,40 +10,15 @@ from helpers import (
     LN2,
     LN3,
     cantor_graph,
-    line_map,
     phase_graph,
+    random_graphs,
     two_ratio_graph,
     two_vertex_graph,
 )
 
 from gdcover.errors import ValidationError
-from gdcover.geometry import Box
-from gdcover.graph import Edge, MWGraph, enumerate_paths
+from gdcover.graph import enumerate_paths
 from gdcover.lattice import classify, classify_graph, cycle_log_ratios
-
-RATIOS = tuple(
-    Fraction(*q) for q in ((1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (2, 9), (3, 8))
-)
-
-
-@st.composite
-def random_graphs(draw):
-    """Up to 6 vertices, self-loops and parallel edges allowed, often not
-    strongly connected, every edge with a rational ratio from RATIOS."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    vertex = st.integers(min_value=0, max_value=n - 1)
-    triples = draw(
-        st.lists(
-            st.tuples(vertex, vertex, st.sampled_from(RATIOS)), min_size=0, max_size=11
-        )
-    )
-    edges = [
-        Edge(f"e{k}", f"v{a}", f"v{b}", line_map(float(q), 0.0), q)
-        for k, (a, b, q) in enumerate(triples)
-    ]
-    vertices = {f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)}
-    return MWGraph(dimension=1, vertices=vertices, edges=edges)
-
 
 PRIMES = (2, 3, 5, 7)
 

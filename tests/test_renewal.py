@@ -6,7 +6,7 @@ import pytest
 
 from helpers import LN2, LN3, phase_graph, two_vertex_graph
 
-from gdcover.errors import NumericalError, ResourceLimitError, ValidationError
+from gdcover.errors import NumericalError, ValidationError
 from gdcover.lattice import classify_graph
 from gdcover.renewal import (
     AtomicMeasure,
@@ -14,9 +14,7 @@ from gdcover.renewal import (
     StepFunction,
     add_steps,
     check_dri,
-    convolve,
     limit_value,
-    matrix_convolve,
     renewal_solve,
     transfer_measure,
     vector_convolve,
@@ -69,91 +67,6 @@ class TestAtomicMeasure:
         assert mu.n_atoms == 1
 
 
-class TestConvolve:
-    def test_single_atoms(self):
-        out = convolve(AtomicMeasure.dirac(1.0, 2.0), AtomicMeasure.dirac(2.5, 3.0))
-        assert out.atoms() == [(3.5, 6.0)]
-
-    def test_dirac_at_zero_is_the_identity(self):
-        mu = AtomicMeasure.from_atoms([(0.5, 0.25), (1.5, 0.75)])
-        out = convolve(mu, AtomicMeasure.dirac(0.0, 1.0))
-        assert out.atoms() == mu.atoms()
-
-    def test_cantor_transfer_self_convolution(self):
-        sd = solve_s0(__import__("helpers").cantor_graph())
-        w = 2 * (1.0 / 3.0) ** sd.s0
-        mu = AtomicMeasure.dirac(LN3, w)
-        out = convolve(mu, mu)
-        assert out.n_atoms == 1
-        loc, weight = out.atoms()[0]
-        assert loc == pytest.approx(2 * LN3, rel=1e-15)
-        assert weight == pytest.approx(1.0, abs=1e-12)
-
-    def test_mass_multiplies(self):
-        a = AtomicMeasure.from_atoms([(0.1, 0.3), (0.9, 0.6)])
-        b = AtomicMeasure.from_atoms([(0.2, 1.1), (0.4, 0.4)])
-        out = convolve(a, b)
-        assert out.total_mass() == pytest.approx(
-            a.total_mass() * b.total_mass(), rel=1e-14
-        )
-
-    def test_atom_cap(self):
-        big = AtomicMeasure.from_atoms([(0.1 * k, 1.0) for k in range(1, 201)])
-        with pytest.raises(ResourceLimitError):
-            convolve(big, big, cap=10_000)
-
-
-class TestMatrixConvolve:
-    def test_identity_is_neutral(self):
-        g = two_vertex_graph()
-        sd = solve_s0(g)
-        m = transfer_measure(g, sd.s0)
-        out = matrix_convolve(m, MatrixMeasure.identity(2))
-        for i in range(2):
-            for j in range(2):
-                assert out.entry(i, j).atoms() == m.entry(i, j).atoms()
-
-    def test_single_entry_reduces_to_convolve(self):
-        a = AtomicMeasure.from_atoms([(0.5, 0.5), (1.0, 0.5)])
-        out = matrix_convolve(MatrixMeasure([[a]]), MatrixMeasure([[a]]))
-        assert out.entry(0, 0).atoms() == convolve(a, a).atoms()
-
-    def test_two_by_two_single_atoms_by_hand(self):
-        d = AtomicMeasure.dirac
-        m = MatrixMeasure([[d(1.0, 0.5), d(2.0, 0.25)], [d(3.0, 1.0), d(4.0, 0.125)]])
-        p = MatrixMeasure([[d(0.5, 2.0), d(1.5, 4.0)], [d(2.5, 8.0), d(3.5, 0.5)]])
-        out = matrix_convolve(m, p)
-        # entry (0,0): 0.5 delta_1 * 2 delta_0.5 + 0.25 delta_2 * 8 delta_2.5
-        assert out.entry(0, 0).atoms() == [(1.5, 1.0), (4.5, 2.0)]
-        # entry (0,1): 0.5 delta_1 * 4 delta_1.5 + 0.25 delta_2 * 0.5 delta_3.5
-        assert out.entry(0, 1).atoms() == [(2.5, 2.0), (5.5, 0.125)]
-
-    def test_mass_matrices_multiply(self):
-        g = two_vertex_graph()
-        sd = solve_s0(g)
-        m = transfer_measure(g, sd.s0)
-        out = matrix_convolve(m, m)
-        assert np.allclose(
-            out.mass_matrix(), m.mass_matrix() @ m.mass_matrix(), atol=1e-10
-        )
-
-    def test_repeated_convolution_masses_follow_matrix_powers(self):
-        g = two_vertex_graph()
-        sd = solve_s0(g)
-        m = transfer_measure(g, sd.s0)
-        mass = m.mass_matrix()
-        acc = m
-        for k in range(2, 9):
-            acc = matrix_convolve(acc, m)
-            assert np.max(np.abs(acc.mass_matrix() - np.linalg.matrix_power(mass, k))) <= 1e-9, k
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matrix_convolve(
-                MatrixMeasure.identity(2), MatrixMeasure.identity(3)
-            )
-
-
 class TestTransferMeasure:
     def test_masses_equal_transposed_pressure_matrix(self, bundled, spectral_cache):
         for name, g in bundled.items():
@@ -175,7 +88,8 @@ class TestTransferMeasure:
         g = two_vertex_graph()
         sd = solve_s0(g)
         m = transfer_measure(g, sd.s0)
-        locs = sorted(set(np.round(m.all_locations(), 12)))
+        parts = [mu.locations for row in m.entries for mu in row]
+        locs = sorted(set(np.round(np.concatenate(parts), 12)))
         assert locs == pytest.approx([LN2, math.log(4.0)], rel=1e-9)
 
 

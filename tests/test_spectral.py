@@ -23,7 +23,6 @@ from gdcover.spectral import (
     build_matrix,
     build_moment_matrix,
     is_irreducible,
-    perron_triple,
     solve_s0,
     spectral_radius,
 )
@@ -77,11 +76,11 @@ class TestSpectralRadius:
         reducible = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert not is_irreducible(reducible)
         with pytest.raises(NumericalError):
-            perron_triple(reducible)
+            spectral_radius(reducible, want_vectors=True)
 
     def test_perron_triple_vectors(self):
         a = np.array([[0.5, 0.25], [0.5, 0.0]])
-        rho, u, v = perron_triple(a)
+        rho, u, v = spectral_radius(a, want_vectors=True)
         assert np.all(u > 0) and np.all(v > 0)
         assert np.allclose(a @ u, rho * u, atol=1e-12)
         assert np.allclose(v @ a, rho * v, atol=1e-12)
