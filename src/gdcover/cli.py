@@ -74,7 +74,8 @@ def _emit_csv(header, rows, path: str | None) -> None:
     _write_text("\n".join(lines) + "\n", path)
 
 
-def _parse_origin(text: str | None):
+def _parse_origin(text: str | None, dim: int):
+    """One finite number for every axis, or ``dim`` comma-separated ones."""
     if text is None:
         return None
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -84,6 +85,13 @@ def _parse_origin(text: str | None):
         values = [float(p) for p in parts]
     except ValueError:
         raise ValidationError(f"--grid-origin must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"--grid-origin must be finite, got {text!r}")
+    if len(values) not in (1, dim):
+        raise ValidationError(
+            f"--grid-origin takes one number, or one per axis of this {dim}-d system, "
+            f"got {len(values)}"
+        )
     return values[0] if len(values) == 1 else tuple(values)
 
 
@@ -151,7 +159,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dim(args) -> int:
     graph = _load(args)
-    sd = spectral.solve_s0(graph, tol=args.tol)
+    sd = spectral.solve_s0(graph)
     if args.json or args.output:
         _emit_json(_spectral_doc(sd), args.output)
     else:
@@ -163,7 +171,7 @@ def cmd_dim(args) -> int:
 
 def cmd_lattice(args) -> int:
     graph = _load(args)
-    result = lattice.classify_graph(graph, eps=args.eps, mode=args.mode)
+    result = lattice.classify_graph(graph, mode=args.mode)
     if args.json or args.output:
         _emit_json(_lattice_doc(result), args.output)
     elif result.is_lattice:
@@ -222,17 +230,28 @@ def cmd_profile(args) -> int:
     _check_int_at_least(args.samples, 1, "--samples")
     _check_t_range(args)
     graph = _load(args)
+    grid_origin = _parse_origin(args.grid_origin, graph.dimension)
     sd = spectral.solve_s0(graph)
-    prof = covering.profile(
-        graph,
-        args.tmin,
-        args.tmax,
-        args.samples,
-        period=_resolve_period(args, graph),
-        spectral=sd,
-        grid_origin=_parse_origin(args.grid_origin),
-        include_condensation=not args.no_condensation,
-    )
+    period = _resolve_period(args, graph)
+    try:
+        prof = covering.profile(
+            graph,
+            args.tmin,
+            args.tmax,
+            args.samples,
+            period=period,
+            spectral=sd,
+            grid_origin=grid_origin,
+            include_condensation=not args.no_condensation,
+        )
+    except ValueError as exc:
+        # the flags are checked above, so what is left is a t-range that
+        # holds no lattice point n*period + y
+        if period is None:
+            raise
+        raise ValidationError(
+            f"{exc}: --period {args.period}, --tmin {args.tmin}, --tmax {args.tmax}"
+        ) from None
     header, rows = _profile_rows(prof)
     _emit_csv(header, rows, args.output)
     return 0
@@ -480,7 +499,7 @@ def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
         t_min=args.tmin,
         t_max=args.tmax,
         dense_samples=args.samples,
-        grid_origin=_parse_origin(args.grid_origin),
+        grid_origin=_parse_origin(args.grid_origin, graph.dimension),
         with_cross_check=not args.no_cross_check,
     )
 
@@ -601,14 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="similarity dimension and Perron data")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("lattice", help="classify the cycle-ratio group")
     p.add_argument("file")
-    p.add_argument("--eps", type=float, default=lattice.DEFAULT_EPS)
     p.add_argument("--mode", choices=("auto", "exact", "floating"), default="auto")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .geometry import Box, OrientedBox, PointShape, SegmentShape, Similarity
-from .graph import PATH_CAP, MWGraph, Path
+from .geometry import Box
+from .graph import PATH_CAP, MWGraph
 from .spectral import SpectralData, solve_s0
 
 __all__ = [
-    "SetElement",
     "GeometrySet",
     "generate",
     "CountResult",
@@ -57,10 +56,6 @@ ETA = 1e-9
 CELL_CAP = 10**7
 
 # -- cell index arithmetic --------------------------------------------------
-
-
-def point_cell(x: float, r: float, origin: float = 0.0) -> int:
-    return int(math.floor((x - origin) / r + ETA))
 
 
 def interval_cell_range(a: float, b: float, r: float, origin: float = 0.0) -> tuple[int, int]:
@@ -170,13 +165,12 @@ def _tag_counts(rows: np.ndarray, n_radii: int) -> np.ndarray:
 
 
 class _CellUnion:
-    """Distinct cells accumulated chunk by chunk under a cap.
+    """Distinct cells accumulated chunk by chunk under ``CELL_CAP``.
 
     A tagged union holds (tag, cell) rows and applies the cap per radius.
     """
 
-    def __init__(self, dim: int, cap: int, tagged: bool = False) -> None:
-        self.cap = cap
+    def __init__(self, dim: int, tagged: bool = False) -> None:
         self.tagged = tagged
         self.parts = [np.empty((0, dim + tagged), dtype=np.int64)]
         self.fresh = 0
@@ -196,8 +190,8 @@ class _CellUnion:
             self.fresh = 0
         out = self.parts[0]
         most = _tag_counts(out, 0).max(initial=0) if self.tagged else out.shape[0]
-        if most > self.cap:
-            raise ResourceLimitError(f"cell union exceeds cap {self.cap}")
+        if most > CELL_CAP:
+            raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
         return out
 
 
@@ -226,21 +220,21 @@ def _expand(lo: np.ndarray, cnt: np.ndarray):
     return rows, owner
 
 
-def _check_candidates(cnt: np.ndarray, cap: int) -> None:
-    if cnt.size and _row_prod(cnt.astype(float)).max() > cap:
-        raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
+def _check_candidates(cnt: np.ndarray) -> None:
+    if cnt.size and _row_prod(cnt.astype(float)).max() > CELL_CAP:
+        raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
 
 
-def _box_cells(lo, hi, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
+def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
     ilo, ihi = _interval_cells(lo, hi, r, origin)
     cnt = ihi - ilo + 1
-    _check_candidates(cnt, cap)
+    _check_candidates(cnt)
     for sel in _chunks(_row_prod(cnt)):
         rows, owner = _expand(ilo[sel], cnt[sel])
         acc.add(rows, _take(_take(tag, sel), owner))
 
 
-def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
+def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     """Cells of the points where each segment crosses a grid plane.
 
     Per segment: the parameters of its plane crossings plus 0 and 1, clipped
@@ -255,8 +249,8 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, cap: int, tag=None) -> None
     m0 = np.floor((np.minimum(a, b) - origin) / r) + 1
     m1 = np.ceil((np.maximum(a, b) - origin) / r) - 1
     cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
-    if cnt.size and cnt.max() > cap:
-        raise ResourceLimitError(f"cell enumeration exceeds cap {cap}")
+    if cnt.size and cnt.max() > CELL_CAP:
+        raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
     m0 = m0.astype(np.int64)
     for sel in _chunks(cnt.sum(axis=1) + 2):
         p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
@@ -322,7 +316,7 @@ def _sat_axes(half: np.ndarray, r, exact: bool):
     return live, units, reach
 
 
-def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int, tag=None) -> None:
+def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, tag=None) -> None:
     """2-d separating-axis test of each candidate cell against each box.
 
     A cell is separated from a box along an axis when the distance of their
@@ -335,7 +329,7 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, cap: int, tag=Non
     lo, hi, ext = _obb_bounds(center, half)
     ilo, ihi = _interval_cells(lo, hi, r, origin)
     cnt = ihi - ilo + 1
-    _check_candidates(cnt, cap)
+    _check_candidates(cnt)
     flat_r = _take(r, (slice(None), 0))
     live, units, reach = _sat_axes(half, flat_r, exact=False)
     size = flat_r + np.abs(half).sum(axis=(1, 2))
@@ -419,26 +413,7 @@ class _Shapes:
             *(() if tags is None else map(stack_tags, tags)),
         )
 
-    @classmethod
-    def of_elements(cls, elements) -> "_Shapes":
-        points, segments, obbs = [], [], []
-        dim = 0
-        for e in elements:
-            s = e.shape
-            if isinstance(s, PointShape):
-                points.append(s.point)
-                dim = len(s.point)
-            elif isinstance(s, SegmentShape):
-                segments.append((s.a, s.b))
-                dim = len(s.a)
-            elif isinstance(s, OrientedBox):
-                obbs.append((s.center, s.half_axes))
-                dim = s.dim
-            else:
-                raise TypeError(f"unsupported shape {type(s).__name__}")
-        return cls.gather(dim, points, segments, obbs)
-
-    def cells(self, r, origin: np.ndarray, cap: int) -> np.ndarray:
+    def cells(self, r, origin: np.ndarray) -> np.ndarray:
         """Distinct cells met by the union of the shapes, as index rows.
 
         A rotated box is tested exactly (separating axes) in dimension <= 2
@@ -447,23 +422,21 @@ class _Shapes:
         leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
-        acc = _CellUnion(self.dim, cap, tagged)
+        acc = _CellUnion(self.dim, tagged)
 
         def radius(tag):  # one radius per row as a column, or the one radius
             return r[tag][:, None] if tagged else r
 
         acc.add(_floor_cells(self.points, radius(self.point_tag), origin), self.point_tag)
-        _segment_cells(
-            self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, cap, self.seg_tag
-        )
+        _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
         plain = _is_axis_aligned(self.obb_h) | (self.dim > 2)
         lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
         r_obb, tag = radius(self.obb_tag), self.obb_tag
-        _box_cells(lo, hi, _take(r_obb, plain), origin, acc, cap, _take(tag, plain))
+        _box_cells(lo, hi, _take(r_obb, plain), origin, acc, _take(tag, plain))
         if not plain.all():
             bent = ~plain
             _obb_cells_tight(
-                self.obb_c[bent], self.obb_h[bent], _take(r_obb, bent), origin, acc, cap,
+                self.obb_c[bent], self.obb_h[bent], _take(r_obb, bent), origin, acc,
                 _take(tag, bent),
             )
         return acc.rows()
@@ -494,7 +467,7 @@ class _Walk:
     every node's map equals the one the depth-first walk would build.
     """
 
-    def __init__(self, graph: MWGraph, vertex: str, r_min: float, cap: int = PATH_CAP) -> None:
+    def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
         if vertex not in graph.vertices:
             raise ValidationError(f"unknown vertex {vertex!r}")
         self.graph = graph
@@ -503,17 +476,13 @@ class _Walk:
         order = graph.vertex_order
         dim = graph.dimension
         self.diam = np.array([graph.seed_box(v).diameter for v in order])
-        self.edge_ids = tuple(graph.edges)
-        slot = {eid: k for k, eid in enumerate(self.edge_ids)}
-        out = [[(slot[e.id], e) for e in graph.out_edges(v)] for v in order]
+        out = [graph.out_edges(v) for v in order]
         dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
         self.isos = [np.eye(dim)]
         self._iso_slot = {self.isos[0].tobytes(): 0}
-        self._steps: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        self._steps: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
 
         level = {
-            "parent": np.array([-1]),
-            "edge": np.array([-1]),
             "ratio": np.array([1.0]),
             "iso": np.array([0]),
             "trans": np.zeros((1, dim)),
@@ -522,30 +491,29 @@ class _Walk:
         }
         level["size"] = level["ratio"] * self.diam[level["term"]]
         levels = [level]
-        start, total = 0, 1
-        if total > cap:
-            raise ResourceLimitError(f"walk enumeration exceeded the cap of {cap} nodes")
+        total = 1
+        if total > PATH_CAP:
+            raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
         while True:
             grow = np.flatnonzero(level["size"] > r_min)
             blocks = [
-                (sel, k, e)
+                (sel, e)
                 for v, edges in enumerate(out)
                 for sel in [grow[level["term"][grow] == v]]
                 if sel.size
-                for k, e in edges
+                for e in edges
             ]
-            n_new = sum(sel.size for sel, _k, _e in blocks)
+            n_new = sum(sel.size for sel, _e in blocks)
             if not n_new:
                 break
-            if total + n_new > cap:
-                raise ResourceLimitError(f"walk enumeration exceeded the cap of {cap} nodes")
-            parts = [self._children(level, start, sel, k, e, dst[e.id]) for sel, k, e in blocks]
+            if total + n_new > PATH_CAP:
+                raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
+            parts = [self._children(level, sel, e, dst[e.id]) for sel, e in blocks]
             level = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
             levels.append(level)
-            start, total = total, total + n_new
+            total += n_new
         for key in levels[0]:
             setattr(self, key, np.concatenate([lv[key] for lv in levels]))
-        self.n = total
         # node ids end each level; a child's above is at most its parent's,
         # so the levels some radius r visits (max above > r) are a prefix
         self._level_end = np.cumsum([lv["term"].size for lv in levels])
@@ -558,16 +526,13 @@ class _Walk:
         for nodes in self._at:
             self._rank[nodes] = np.arange(nodes.size)
         self._images: dict[tuple, np.ndarray] = {}
-        self._kids = None
 
-    def _children(self, level, start, sel, k, edge, dst) -> dict:
+    def _children(self, level, sel, edge, dst) -> dict:
         ratio = level["ratio"][sel]
         uniq, inv = _distinct_small(level["iso"][sel])
-        steps = [self._step(int(i), k, edge) for i in uniq]
+        steps = [self._step(int(i), edge) for i in uniq]
         qb = np.array([s[1] for s in steps])[inv]
         child = {
-            "parent": start + sel,
-            "edge": np.full(sel.size, k),
             "ratio": ratio * edge.ratio,
             "iso": np.array([s[0] for s in steps])[inv],
             "trans": ratio[:, None] * qb + level["trans"][sel],
@@ -577,16 +542,16 @@ class _Walk:
         child["size"] = child["ratio"] * self.diam[dst]
         return child
 
-    def _step(self, iso: int, k: int, edge) -> tuple[int, np.ndarray]:
+    def _step(self, iso: int, edge) -> tuple[int, np.ndarray]:
         """Isometry of parent-iso-then-edge, and the parent's Q applied to b_e."""
-        hit = self._steps.get((iso, k))
+        hit = self._steps.get((iso, edge.id))
         if hit is None:
             q = self.isos[iso] @ edge.map.isometry
             slot = self._iso_slot.setdefault(q.tobytes(), len(self.isos))
             if slot == len(self.isos):
                 self.isos.append(q)
             hit = (slot, self.isos[iso] @ edge.map.translation)
-            self._steps[(iso, k)] = hit
+            self._steps[(iso, edge.id)] = hit
         return hit
 
     @staticmethod
@@ -723,89 +688,28 @@ class _Walk:
                 out += _range_sums(lo, hi, self.ratio[nodes] * extent, g) / radii
         return out
 
-    def elements(self, r: float, include_condensation: bool = True) -> tuple:
-        """Covering elements of the radius-r walk in depth-first path order."""
-        graph = self.graph
-        if self._kids is None:
-            kids = np.argsort(self.parent[1:], kind="stable") + 1
-            bounds = np.searchsorted(self.parent[kids], np.arange(self.n + 1))
-            self._kids = (kids, bounds)
-        kids, bounds = self._kids
-        out = []
-        stack = [(0, Path(self.vertex))]
-        while stack:
-            k, path = stack.pop()
-            sim = Similarity(self.ratio[k], self.isos[self.iso[k]], self.trans[k])
-            terminal = graph.vertex_order[self.term[k]]
-            if self.size[k] <= r:
-                shape = OrientedBox.image_of(sim, graph.seed_box(terminal))
-                out.append(SetElement("cylinder", shape, path))
-                continue
-            if include_condensation:
-                for prim in graph.condensation[terminal]:
-                    out.append(SetElement("condensation", prim.image(sim), path))
-            for c in kids[bounds[k]:bounds[k + 1]][::-1]:
-                stack.append((int(c), path.child(self.edge_ids[self.edge[c]])))
-        return tuple(out)
-
 
 # -- geometry sets -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetElement:
-    """One covering element with the path that produced it."""
-
-    kind: str  # "cylinder" or "condensation"
-    shape: object
-    path: Path
-
-
 class GeometrySet:
-    """Resolution-r covering of one vertex's attractor.
-
-    ``generate`` returns a view over the vertex's array walk; ``elements``
-    is materialized, in depth-first path order, only when it is read.  A
-    set can also be built from an explicit tuple of elements.
-    """
+    """Resolution-r covering of one vertex's attractor: a view over the
+    vertex's array walk, whose elements exist only as arrays."""
 
     def __init__(
-        self,
-        vertex: str,
-        resolution: float,
-        elements: tuple[SetElement, ...] | None = None,
-        *,
-        walk: _Walk | None = None,
-        include_condensation: bool = True,
+        self, vertex: str, resolution: float, walk: _Walk, include_condensation: bool = True
     ) -> None:
         self.vertex = vertex
         self.resolution = resolution
-        self._elements = None if walk is not None else tuple(elements or ())
         self._walk = walk
         self._include_condensation = include_condensation
 
     @property
-    def elements(self) -> tuple[SetElement, ...]:
-        if self._elements is None:
-            self._elements = self._walk.elements(self.resolution, self._include_condensation)
-        return self._elements
-
-    @property
     def n_elements(self) -> int:
-        if self._elements is None:
-            return self._walk.n_elements(self.resolution, self._include_condensation)
-        return len(self._elements)
-
-    def cylinders(self) -> tuple[SetElement, ...]:
-        return tuple(e for e in self.elements if e.kind == "cylinder")
-
-    def condensation_images(self) -> tuple[SetElement, ...]:
-        return tuple(e for e in self.elements if e.kind == "condensation")
+        return self._walk.n_elements(self.resolution, self._include_condensation)
 
     def _shapes(self) -> _Shapes:
-        if self._elements is None:
-            return self._walk.shapes(self.resolution, self._include_condensation)
-        return _Shapes.of_elements(self._elements)
+        return self._walk.shapes(self.resolution, self._include_condensation)
 
 
 def generate(
@@ -813,7 +717,6 @@ def generate(
     vertex: str,
     r: float,
     include_condensation: bool = True,
-    cap: int = PATH_CAP,
 ) -> GeometrySet:
     """Covering elements for one vertex at resolution r.
 
@@ -824,24 +727,21 @@ def generate(
     """
     if r <= 0:
         raise ValueError("resolution must be positive")
-    walk = _Walk(graph, vertex, r, cap)
-    return GeometrySet(vertex, r, walk=walk, include_condensation=include_condensation)
+    return GeometrySet(vertex, r, _Walk(graph, vertex, r), include_condensation)
 
 
 # -- counting ----------------------------------------------------------------
 
 
-def _set_cells(gset: GeometrySet, r, grid_origin, cap) -> np.ndarray | None:
-    """Index rows of the cells met by a set; None for an empty set."""
+def _set_cells(gset: GeometrySet, r, grid_origin) -> np.ndarray:
+    """Index rows of the cells met by a set."""
     if r is None:
         r = gset.resolution
-    if not gset.n_elements:
-        return None
     if r < gset.resolution * (1 - 1e-12):
         raise ValueError("counting below the generation resolution is not meaningful")
     shapes = gset._shapes()
     origin = _origin_vector(grid_origin, shapes.dim)
-    return shapes.cells(r, origin, cap)
+    return shapes.cells(r, origin)
 
 
 def cell_union(
@@ -849,11 +749,9 @@ def cell_union(
     r: float | None = None,
     *,
     grid_origin=None,
-    cap: int = CELL_CAP,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    rows = _set_cells(gset, r, grid_origin, cap)
-    return set() if rows is None else set(map(tuple, rows.tolist()))
+    return set(map(tuple, _set_cells(gset, r, grid_origin).tolist()))
 
 
 @dataclass(frozen=True)
@@ -866,26 +764,26 @@ class CountResult:
         return self.per_vertex[self.vertex_order.index(vertex)]
 
 
-def _count_rows(order, rows: list, cap: int, n_radii: int | None = None):
+def _count_rows(order, rows: list, n_radii: int | None = None):
     """Per-vertex counts and the deduplicated total from per-vertex cells.
 
     For (tag, cell) rows of ``n_radii`` radii, a list of one result per
     radius.
     """
-    live = [c for c in rows if c is not None and c.shape[0]]
+    live = [c for c in rows if c.shape[0]]
     if n_radii is None:
-        per = tuple(0 if c is None else c.shape[0] for c in rows)
+        per = tuple(c.shape[0] for c in rows)
         total = _unique_rows(np.concatenate(live)).shape[0] if len(live) > 1 else sum(per)
-        if total > cap:
-            raise ResourceLimitError(f"cell union exceeds cap {cap}")
+        if total > CELL_CAP:
+            raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
         return CountResult(tuple(order), per, total)
     per = np.array([_tag_counts(c, n_radii) for c in rows])
     if len(live) > 1:
         totals = _tag_counts(_unique_rows(np.concatenate(live)), n_radii)
     else:
         totals = per.sum(axis=0)
-    if totals.max(initial=0) > cap:
-        raise ResourceLimitError(f"cell union exceeds cap {cap}")
+    if totals.max(initial=0) > CELL_CAP:
+        raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
     return [
         CountResult(tuple(order), tuple(col), total)
         for col, total in zip(per.T.tolist(), totals.tolist())
@@ -928,19 +826,19 @@ class _CountTable:
     groups (``_groups``), each in one array pass per vertex.
     """
 
-    def __init__(self, graph: MWGraph, grid_origin=None, include_condensation: bool = True,
-                 cap: int = PATH_CAP) -> None:
+    def __init__(
+        self, graph: MWGraph, grid_origin=None, include_condensation: bool = True
+    ) -> None:
         self.graph = graph
         self.origin = _origin_vector(grid_origin, graph.dimension)
         self.include_condensation = include_condensation
-        self.cap = cap
         self.counts: dict[tuple[str, float], int] = {}
         self.walks: dict[str, _Walk] = {}
 
     def walk(self, vertex: str, r_min: float) -> _Walk:
         walk = self.walks.get(vertex)
         if walk is None or walk.r_min > r_min:
-            walk = self.walks[vertex] = _Walk(self.graph, vertex, r_min, self.cap)
+            walk = self.walks[vertex] = _Walk(self.graph, vertex, r_min)
         return walk
 
     def _passes(self, vertices, radii: np.ndarray, r_min: float = math.inf):
@@ -953,7 +851,7 @@ class _CountTable:
         incl = self.include_condensation
         for a, b in _groups(sum(w.work(radii, incl) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            cells = [w.shapes(r, incl).cells(r, self.origin, CELL_CAP) for w in walks]
+            cells = [w.shapes(r, incl).cells(r, self.origin) for w in walks]
             yield a, b, cells
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
@@ -974,7 +872,7 @@ class _CountTable:
         radii, which = _distinct_radii(ts)
         results: list = [None] * radii.size
         for a, b, cells in self._passes(order, radii):
-            res = _count_rows(order, cells, CELL_CAP, None if b - a == 1 else b - a)
+            res = _count_rows(order, cells, None if b - a == 1 else b - a)
             results[a:b] = [res] if b - a == 1 else res
         out = {t: results[k] for t, k in zip(ts, which.tolist())}
         for t, res in out.items():
@@ -986,8 +884,6 @@ def count(
     sets,
     r: float | None = None,
     grid_origin=None,
-    *,
-    cap: int = CELL_CAP,
 ) -> CountResult:
     """Per-vertex and total cell counts for one or several covering sets.
 
@@ -996,8 +892,8 @@ def count(
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
-    rows = [_set_cells(sets[v], r, grid_origin, cap) for v in sets]
-    return _count_rows(sets, rows, cap)
+    rows = [_set_cells(sets[v], r, grid_origin) for v in sets]
+    return _count_rows(sets, rows)
 
 
 # -- profiles ----------------------------------------------------------------
@@ -1163,9 +1059,9 @@ def condensation_covering(primitive, r: float, grid_origin=None) -> int:
     if primitive.kind == "point":
         return 1
     if primitive.kind == "segment":
-        acc = _CellUnion(dim, CELL_CAP)
+        acc = _CellUnion(dim)
         a, b = (np.array([p]) for p in primitive.points)
-        _segment_cells(a, b, r, origin, acc, CELL_CAP)
+        _segment_cells(a, b, r, origin, acc)
         return acc.rows().shape[0]
     if primitive.kind == "box":
         return _box_cell_count(primitive.points[0], primitive.points[1], r, origin)

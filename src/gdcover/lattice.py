@@ -84,7 +84,7 @@ class LatticeResult:
 
 
 def _spanning_generators(
-    graph: MWGraph, exact: bool, eps: float
+    graph: MWGraph, exact: bool
 ) -> tuple[list[tuple[str, float, Fraction | None]], dict[str, float]]:
     """Cycle-group generators of the non-tree edges, and vertex potentials.
 
@@ -93,9 +93,9 @@ def _spanning_generators(
     arithmetic and, when ``exact``, ``ratio`` is the same quantity as a
     fraction in (0, 1) with ``value`` ~ ``-log ratio``; otherwise ``ratio``
     is ``None``.  Zero generators are dropped: ``ratio == 1`` in exact mode,
-    ``value <= eps * max(value)`` in floating mode.  Generators are sorted by
-    ``(depth(src) - depth(dst) + 1, edge id)``, the length of the cycle the
-    edge closes when ``dst`` is a tree ancestor of ``src``.
+    ``value <= DEFAULT_EPS * max(value)`` in floating mode.  Generators are
+    sorted by ``(depth(src) - depth(dst) + 1, edge id)``, the length of the
+    cycle the edge closes when ``dst`` is a tree ancestor of ``src``.
     """
     comp = strong_components(graph)
     phi: dict[str, float] = {}
@@ -134,7 +134,7 @@ def _spanning_generators(
                 ratio = 1 / ratio
         found.append(((depth[e.src] - depth[e.dst] + 1, e.id), (e.id, value, ratio)))
     if not exact and found:
-        cutoff = eps * max(gen[1] for _key, gen in found)
+        cutoff = DEFAULT_EPS * max(gen[1] for _key, gen in found)
         found = [item for item in found if item[1][1] > cutoff]
     found.sort(key=lambda item: item[0])
     return [gen for _key, gen in found], phi
@@ -147,7 +147,7 @@ def cycle_log_ratios(graph: MWGraph) -> list[tuple[str, float]]:
     numerical zeros below ``DEFAULT_EPS * max`` dropped); see the module
     docstring.
     """
-    gens, _phi = _spanning_generators(graph, exact=False, eps=DEFAULT_EPS)
+    gens, _phi = _spanning_generators(graph, exact=False)
     return [(eid, value) for eid, value, _r in gens]
 
 
@@ -365,9 +365,7 @@ def classify(
     return _classify_floating(values, eps)
 
 
-def classify_graph(
-    graph: MWGraph, eps: float = DEFAULT_EPS, mode: str = "auto"
-) -> LatticeResult:
+def classify_graph(graph: MWGraph, mode: str = "auto") -> LatticeResult:
     """Classify a system from its spanning-tree generators.
 
     ``mode="auto"`` runs the exact classifier when every edge of the graph
@@ -381,13 +379,13 @@ def classify_graph(
     if mode == "exact" and not rational:
         raise ValidationError("exact mode needs ratio_rational on every edge")
     exact = rational and mode != "floating"
-    gens, phi = _spanning_generators(graph, exact, eps)
+    gens, phi = _spanning_generators(graph, exact)
     if not gens:
         raise ValueError("graph has no cycle; classification is undefined")
     if exact:
         result = _classify_exact([1 / r for _e, _v, r in gens])
     else:
-        result = _classify_floating([v for _e, v, _r in gens], eps)
+        result = _classify_floating([v for _e, v, _r in gens], DEFAULT_EPS)
     if not result.is_lattice:
         return result
     phases = []

@@ -197,13 +197,13 @@ class SpectralData:
         return float(self.v @ self.moment_matrix @ self.u)
 
 
-def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
+def solve_s0(graph: MWGraph) -> SpectralData:
     """Similarity dimension by bisection on the spectral radius.
 
     The radius is strictly decreasing in ``s``, so the unique root of
     ``radius(s) = 1`` is bracketed by doubling from ``s = 1`` and then
     bisected until the bracket is exhausted at double precision; the
-    returned value satisfies ``|radius(s0) - 1| <= tol``.  Each step only
+    returned value satisfies ``|radius(s0) - 1| <= S0_TOL``.  Each step only
     needs the side of 1 the radius lies on, which power iteration usually
     settles long before it converges.
     """
@@ -218,7 +218,7 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
         raise NumericalError(
             f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
         )
-    if abs(r0 - 1.0) <= tol:
+    if abs(r0 - 1.0) <= S0_TOL:
         s0 = 0.0
     else:
         lo, hi = 0.0, 1.0
@@ -236,8 +236,8 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
                 hi = mid
         s0 = 0.5 * (lo + hi)
     resid = abs(radius(s0) - 1.0)
-    if resid > tol:
-        raise NumericalError(f"dimension residual {resid:.3e} exceeds {tol:.3e}")
+    if resid > S0_TOL:
+        raise NumericalError(f"dimension residual {resid:.3e} exceeds {S0_TOL:.3e}")
 
     a0 = build_matrix(graph, s0)
     _rho, u, v = spectral_radius(a0, want_vectors=True)

@@ -3,23 +3,52 @@
 This is the straightforward path the package's array kernel replaces: a
 depth-first prefix-tree walk that composes one ``Similarity`` per node, and
 a per-shape loop that charges each covering element's cells to a Python
-set.  It shares no counting logic with ``gdcover.covering`` and is kept
-only as a differential oracle for the kernel.
+set.  It shares no code with ``gdcover.covering``, whose covering elements
+exist only as arrays, and is kept only as a differential oracle for the
+kernel.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from gdcover.covering import GeometrySet, SetElement
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Box, OrientedBox, PointShape, SegmentShape
-from gdcover.graph import PATH_CAP, walk_prefix_tree
+from gdcover.graph import PATH_CAP, Path, walk_prefix_tree
 
 ETA = 1e-9
 CELL_CAP = 10**7
+
+
+@dataclass(frozen=True)
+class SetElement:
+    """One covering element with the path that produced it."""
+
+    kind: str  # "cylinder" or "condensation"
+    shape: object
+    path: Path
+
+
+@dataclass(frozen=True)
+class ElementSet:
+    """Resolution-r covering of one vertex as an explicit element tuple."""
+
+    vertex: str
+    resolution: float
+    elements: tuple[SetElement, ...]
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.elements)
+
+    def cylinders(self) -> tuple[SetElement, ...]:
+        return tuple(e for e in self.elements if e.kind == "cylinder")
+
+    def condensation_images(self) -> tuple[SetElement, ...]:
+        return tuple(e for e in self.elements if e.kind == "condensation")
 
 
 def interval_cell_range(a, b, r, origin=0.0):
@@ -144,7 +173,7 @@ def generate(graph, vertex, r, include_condensation=True, cap=PATH_CAP):
         elif include_condensation:
             for prim in graph.condensation[terminal]:
                 elements.append(SetElement("condensation", prim.image(sim), path))
-    return GeometrySet(vertex, r, tuple(elements))
+    return ElementSet(vertex, r, tuple(elements))
 
 
 def cell_union(gset, r=None, *, grid_origin=None, tight=None, cap=CELL_CAP):
@@ -173,7 +202,7 @@ def cell_union(gset, r=None, *, grid_origin=None, tight=None, cap=CELL_CAP):
 
 def count(sets, r, grid_origin=None, *, tight=None, cap=CELL_CAP):
     """``(per_vertex, total)`` with the total deduplicated across vertices."""
-    if isinstance(sets, GeometrySet):
+    if isinstance(sets, ElementSet):
         sets = {sets.vertex: sets}
     per = []
     union = set()

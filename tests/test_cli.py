@@ -12,7 +12,7 @@ from gdcover.schema import bundled_text, dumps_system
 def corpus_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("systems")
     out = {}
-    for name in ("cantor", "cantor_point", "two_ratio", "two_vertex"):
+    for name in ("cantor", "cantor_point", "sierpinski", "two_ratio", "two_vertex"):
         p = root / f"{name}.json"
         p.write_text(bundled_text(name), encoding="utf-8")
         out[name] = str(p)
@@ -306,6 +306,11 @@ class TestFlagChecks:
             ("validate", "cantor_point", ["--spot-check", "--seed", "-1"], "--seed"),
             ("profile", "cantor", ["--period", "nan"], "--period"),
             ("profile", "cantor", ["--period", "inf"], "--period"),
+            ("analyze", "cantor", ["--grid-origin", "nan", "--json"], "--grid-origin"),
+            ("profile", "cantor", ["--grid-origin", "1,2,3"], "--grid-origin"),
+            ("analyze", "sierpinski", ["--grid-origin", "0.1,0.2,0.3"], "--grid-origin"),
+            ("profile", "cantor", ["--tmin", "0.1", "--tmax", "0.2", "--period", "1",
+                                   "--samples", "1"], "--period"),
         ],
         ids=["profile_zero_samples", "profile_negative_samples", "profile_reversed_t",
              "profile_nan_tmax", "renewal_negative_samples", "renewal_zero_samples",
@@ -313,7 +318,9 @@ class TestFlagChecks:
              "analyze_negative_n_min", "analyze_reversed_n", "report_reversed_n",
              "validate_zero_pairs", "validate_negative_pairs", "validate_stop_ratio_above_one",
              "validate_zero_stop_ratio", "validate_negative_seed", "profile_nan_period",
-             "profile_infinite_period"],
+             "profile_infinite_period", "analyze_nan_grid_origin",
+             "profile_grid_origin_too_long", "analyze_grid_origin_too_long",
+             "profile_no_lattice_point_in_range"],
     )
     def test_rejected_with_flag_named(self, corpus_files, tmp_path, capsys, cmd, system, flags,
                                       flag):
@@ -366,6 +373,13 @@ class TestArgparse:
     def test_missing_file_argument(self):
         with pytest.raises(SystemExit) as exc:
             main(["dim"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd, flag", [("lattice", "--eps"), ("dim", "--tol")])
+    def test_cutoff_flags_are_gone(self, corpus_files, cmd, flag):
+        # the cutoffs are lattice.DEFAULT_EPS and spectral.S0_TOL, as in analyze
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, corpus_files["cantor"], flag, "1e-9"])
         assert exc.value.code == 2
 
 

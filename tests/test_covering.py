@@ -1,15 +1,19 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import covering_oracle as oracle
 from helpers import LN2, LN3, cantor_graph, sierpinski_graph, two_vertex_graph
+from test_kernel import shapes_of_elements
 
+from gdcover import covering
 from gdcover.covering import (
     ForcingContext,
-    GeometrySet,
+    _origin_vector,
     cell_union,
     condensation_covering,
     condensation_integral,
@@ -19,7 +23,6 @@ from gdcover.covering import (
     generate,
     interval_cell_range,
     lattice_grid,
-    point_cell,
     profile,
     profile_at,
     renewal_residual,
@@ -77,17 +80,19 @@ class TestCellArithmetic:
         lo, hi = interval_cell_range(0.55, 0.55, 0.1)
         assert lo == hi == 5
 
-    def test_point_cell_origin_shift(self):
-        assert point_cell(0.25, 0.1) == 2
-        assert point_cell(0.25, 0.1, origin=0.2) == 0
-        assert point_cell(-0.05, 0.1) == -1
-
 
 class TestGenerate:
+    # paths, depths and diameters come from the oracle's elements; the
+    # kernel's elements exist only as arrays
+
     def test_cantor_depth_three(self, cantor):
         gs = generate(cantor, "X", 0.04)
-        cyl = gs.cylinders()
-        assert len(cyl) == 16 // 2
+        assert gs.n_elements == 16 // 2
+        # cylinders are 1-d boxes: the diameter is twice the half axis
+        widths = 2 * np.abs(gs._shapes().obb_h[:, 0, 0])
+        assert widths == pytest.approx([3.0**-3] * 8, rel=1e-12)
+        cyl = oracle.generate(cantor, "X", 0.04).cylinders()
+        assert len(cyl) == 8
         for el in cyl:
             assert len(el.path.edges) == 3
             box = el.shape.bounding_box()
@@ -96,29 +101,32 @@ class TestGenerate:
     def test_resolution_above_diameter_stops_at_root(self, cantor):
         gs = generate(cantor, "X", 1.0)
         assert gs.n_elements == 1
-        (el,) = gs.cylinders()
+        assert 2 * abs(gs._shapes().obb_h[0, 0, 0]) == pytest.approx(1.0)
+        (el,) = oracle.generate(cantor, "X", 1.0).cylinders()
         assert el.path.edges == ()
         assert el.shape.bounding_box().diameter == pytest.approx(1.0)
 
     def test_condensation_copies_on_interior_paths(self, cantor_point):
         gs = generate(cantor_point, "X", 0.04)
-        assert len(gs.cylinders()) == 8
-        pts = gs.condensation_images()
-        # one copy per interior node: depths 0, 1, 2
-        assert len(pts) == 1 + 2 + 4
+        shapes = gs._shapes()
+        # 8 cylinders and one copy per interior node: depths 0, 1, 2
+        assert (shapes.obb_c.shape[0], shapes.points.shape[0]) == (8, 1 + 2 + 4)
+        assert gs.n_elements == 8 + 7
+        pts = oracle.generate(cantor_point, "X", 0.04).condensation_images()
         assert sorted(len(e.path.edges) for e in pts) == [0, 1, 1, 2, 2, 2, 2]
 
     def test_include_condensation_false(self, cantor_point):
         gs = generate(cantor_point, "X", 0.04, include_condensation=False)
-        assert gs.condensation_images() == ()
+        assert gs.n_elements == 8
+        assert gs._shapes().points.shape[0] == 0
 
     def test_nonpositive_resolution_rejected(self, cantor):
         with pytest.raises(ValueError):
             generate(cantor, "X", 0.0)
 
     def test_path_cap(self, cantor):
-        with pytest.raises(ResourceLimitError):
-            generate(cantor, "X", 1e-6, cap=100)
+        with pytest.raises(ResourceLimitError), mock.patch.object(covering, "PATH_CAP", 100):
+            generate(cantor, "X", 1e-6)
 
 
 class TestCount:
@@ -156,8 +164,8 @@ class TestCount:
 
     def test_cell_cap(self, cantor):
         gs = generate(cantor, "X", 1e-3)
-        with pytest.raises(ResourceLimitError):
-            cell_union(gs, 1e-3, cap=4)
+        with pytest.raises(ResourceLimitError), mock.patch.object(covering, "CELL_CAP", 4):
+            cell_union(gs, 1e-3)
 
 
 class TestCountOracles:
@@ -243,15 +251,15 @@ class TestRescaling:
             term = graph.path_terminal(path)
             r = q * float(rng.uniform(0.05, 0.2))
 
-            full = generate(graph, vertex, r)
+            full = oracle.generate(graph, vertex, r)
             sub = tuple(
                 el
                 for el in full.elements
                 if el.path.edges[: len(path.edges)] == path.edges
             )
             assert sub, "sampled cylinder must survive to the stopping scale"
-            inside = GeometrySet(vertex, r, sub)
-            got = count(inside, r, grid_origin=b).total
+            origin = _origin_vector(b, graph.dimension)
+            got = shapes_of_elements(sub).cells(r, origin).shape[0]
 
             want = count(generate(graph, term, r / q), r / q).total
             assert got == want

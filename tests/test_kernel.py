@@ -3,7 +3,7 @@
 ``covering_oracle`` walks the prefix tree depth first, composing one
 similarity per node, and charges each element's cells to a Python set.  The
 kernel must reproduce its cells exactly: same per-vertex counts, same
-totals, same cell sets, same elements in the same order.
+totals, same cell sets, and the same elements, bit for bit, as arrays.
 """
 import dataclasses
 import math
@@ -20,9 +20,6 @@ from conftest import BUNDLED_NAMES
 
 from gdcover import asymptotics, covering
 from gdcover.covering import (
-    CELL_CAP,
-    GeometrySet,
-    SetElement,
     _count_rows,
     _CountTable,
     _is_axis_aligned,
@@ -32,7 +29,15 @@ from gdcover.covering import (
     _Walk,
 )
 from gdcover.errors import ResourceLimitError
-from gdcover.geometry import Box, OrientedBox, Primitive, Similarity, rotation_2d
+from gdcover.geometry import (
+    Box,
+    OrientedBox,
+    PointShape,
+    Primitive,
+    SegmentShape,
+    Similarity,
+    rotation_2d,
+)
 from gdcover.graph import Edge, MWGraph, Path
 from gdcover.spectral import solve_s0
 
@@ -46,6 +51,26 @@ CORPUS_TS = (
     + [-0.3, -0.05]
     + np.linspace(0.2, 4.6, 8).tolist()
 )
+
+
+def shapes_of_elements(elements) -> _Shapes:
+    """The oracle's covering elements as the kernel's arrays."""
+    points, segments, obbs = [], [], []
+    dim = 0
+    for e in elements:
+        s = e.shape
+        if isinstance(s, PointShape):
+            points.append(s.point)
+            dim = len(s.point)
+        elif isinstance(s, SegmentShape):
+            segments.append((s.a, s.b))
+            dim = len(s.a)
+        elif isinstance(s, OrientedBox):
+            obbs.append((s.center, s.half_axes))
+            dim = s.dim
+        else:
+            raise TypeError(f"unsupported shape {type(s).__name__}")
+    return _Shapes.gather(dim, points, segments, obbs)
 
 
 def _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin):
@@ -71,22 +96,25 @@ def test_corpus_counts_match_oracle(bundled, name):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
 
+def _shape_rows(shapes: _Shapes) -> list:
+    obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(-1, shapes.dim**2)], axis=1)
+    segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
+    return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, obbs)]
+
+
+def _assert_same_elements(kernel_set, oracle_set):
+    assert kernel_set.n_elements == oracle_set.n_elements
+    want = shapes_of_elements(oracle_set.elements)
+    assert _shape_rows(kernel_set._shapes()) == _shape_rows(want)
+
+
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
 def test_corpus_elements_match_oracle(bundled, name):
     graph = bundled[name]
     for t in (0.5, 2.0, 3.5):
         r = math.exp(-t)
         for v in graph.vertex_order:
-            got = covering.generate(graph, v, r)
-            want = oracle.generate(graph, v, r)
-            assert got.n_elements == want.n_elements
-            assert got.elements == want.elements
-
-
-def _shape_rows(shapes: _Shapes) -> list:
-    obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(-1, shapes.dim**2)], axis=1)
-    segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
-    return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, obbs)]
+            _assert_same_elements(covering.generate(graph, v, r), oracle.generate(graph, v, r))
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -98,7 +126,7 @@ def test_shape_coordinates_are_bitwise_the_scalar_images(bundled, name):
         r = math.exp(-t)
         for v in graph.vertex_order:
             got = covering.generate(graph, v, r)._shapes()
-            want = _Shapes.of_elements(oracle.generate(graph, v, r).elements)
+            want = shapes_of_elements(oracle.generate(graph, v, r).elements)
             assert _shape_rows(got) == _shape_rows(want), t
 
 
@@ -115,8 +143,10 @@ def test_near_tangent_rotated_boxes_match_oracle():
             reach = 0.5 * r * (abs(u[0]) + abs(u[1])) + w / 2 - covering.ETA * r
             c = (np.array([3, 5]) + 0.5) * r + reach * u + rng.uniform(-0.4, 0.4) * r * v
             box = OrientedBox(tuple(c), (tuple(u * (w / 2)), tuple(v * (h / 2))))
-            gset = GeometrySet("X", r, (SetElement("cylinder", box, Path("X")),))
-            assert covering.cell_union(gset, r) == oracle.cell_union(gset, r)
+            rows = _Shapes.gather(2, obbs=[(box.center, box.half_axes)]).cells(r, np.zeros(2))
+            element = oracle.SetElement("cylinder", box, Path("X"))
+            want = oracle.cell_union(oracle.ElementSet("X", r, (element,)), r)
+            assert set(map(tuple, rows.tolist())) == want
 
 
 def test_profile_and_forcing_share_the_oracle_counts(bundled):
@@ -201,9 +231,7 @@ def test_random_systems_match_oracle(graph, t, origin_pick):
     origin = {"zero": 0.0, "offset": 0.316, "half": r / 2}[origin_pick]
     kernel_sets = {"X": covering.generate(graph, "X", r)}
     oracle_sets = {"X": oracle.generate(graph, "X", r)}
-    assert kernel_sets["X"].elements == oracle_sets["X"].elements
-    want = _Shapes.of_elements(oracle_sets["X"].elements)
-    assert _shape_rows(kernel_sets["X"]._shapes()) == _shape_rows(want)
+    _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
     _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
 
@@ -211,14 +239,15 @@ def test_random_systems_match_oracle(graph, t, origin_pick):
 @given(graph=st.sampled_from((1, 2)).flatmap(systems), t=st.floats(1.0, 2.5))
 def test_random_systems_both_hit_tiny_caps(graph, t):
     r = math.exp(-t)
-    with pytest.raises(ResourceLimitError):
-        covering.generate(graph, "X", r, cap=2)
+    with pytest.raises(ResourceLimitError), mock.patch.object(covering, "PATH_CAP", 2):
+        covering.generate(graph, "X", r)
     with pytest.raises(ResourceLimitError):
         oracle.generate(graph, "X", r, cap=2)
-    n = covering.count(covering.generate(graph, "X", r), r).total
+    gset = covering.generate(graph, "X", r)
+    n = covering.count(gset, r).total
     if n >= 2:
-        with pytest.raises(ResourceLimitError):
-            covering.count(covering.generate(graph, "X", r), r, cap=n - 1)
+        with pytest.raises(ResourceLimitError), mock.patch.object(covering, "CELL_CAP", n - 1):
+            covering.count(gset, r)
         with pytest.raises(ResourceLimitError):
             oracle.count(oracle.generate(graph, "X", r), r, cap=n - 1)
 
@@ -253,7 +282,7 @@ def test_space_counts_match_oracle():
         r = math.exp(-t)
         kernel_sets = {"X": covering.generate(graph, "X", r)}
         oracle_sets = {"X": oracle.generate(graph, "X", r)}
-        assert kernel_sets["X"].elements == oracle_sets["X"].elements
+        _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
         if t >= 1.0:
             shapes = kernel_sets["X"]._shapes()
             assert shapes.seg_a.shape[0] and not _is_axis_aligned(shapes.obb_h).all()
@@ -296,10 +325,10 @@ def _origin(pick, ts):
     return {"zero": 0.0, "offset": 0.316, "half": math.exp(-max(ts)) / 2}[pick]
 
 
-def _one_radius_cells(walk, r, origin, cap=CELL_CAP):
+def _one_radius_cells(walk, r, origin):
     graph = walk.graph
     o = _origin_vector(origin, graph.dimension)
-    return walk.shapes(r).cells(r, o, cap)
+    return walk.shapes(r).cells(r, o)
 
 
 ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
@@ -371,9 +400,9 @@ def test_tagged_shapes_and_cells_match_each_radius(graph, ts, origin_pick):
         for kind in KINDS:
             assert _shape_rows(_one_kind(shapes, kind, k)) == _shape_rows(_one_kind(alone, kind))
     for kind in KINDS:
-        rows = _one_kind(shapes, kind).cells(radii, o, CELL_CAP)
+        rows = _one_kind(shapes, kind).cells(radii, o)
         for k, r in enumerate(radii):
-            want = _one_kind(shapes, kind, k).cells(r, o, CELL_CAP)
+            want = _one_kind(shapes, kind, k).cells(r, o)
             got = rows[rows[:, 0] == k, 1:]
             assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
@@ -395,8 +424,25 @@ def test_profile_totals_match_one_radius_totals(graph, ts, origin_pick, budget):
     assert len(prof.samples) == len(ts)
     for sample in prof.samples:
         rows = [_one_radius_cells(w, sample.r, origin) for w in walks]
-        want = _count_rows(graph.vertex_order, rows, CELL_CAP)
+        want = _count_rows(graph.vertex_order, rows)
         assert (sample.counts, sample.total) == (want.per_vertex, want.total)
+
+
+def test_total_over_vertices_hits_the_cell_cap(two_vertex):
+    # the cap holds on the total deduplicated across vertices as well: with
+    # it at the largest per-vertex count, only the union of P and Q exceeds it
+    ts = [1.0, 1.5, 2.0, 2.5, 3.0]
+    prof = covering.profile_at(two_vertex, ts)
+    cap = max(max(s.counts) for s in prof.samples)
+    assert prof.samples[-1].total > cap
+    r = math.exp(-ts[-1])
+    sets = {v: covering.generate(two_vertex, v, r) for v in two_vertex.vertex_order}
+    with mock.patch.object(covering, "CELL_CAP", cap):
+        with pytest.raises(ResourceLimitError):
+            covering.count(sets, r)
+        # the five radii share one tagged pass
+        with pytest.raises(ResourceLimitError):
+            covering.profile_at(two_vertex, ts)
 
 
 def _raises_cap(fn, *args, **kwargs) -> bool:
@@ -418,15 +464,17 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
     counts = [_one_radius_cells(walk, r, 0.0).shape[0] for r in radii]
     o = _origin_vector(0.0, graph.dimension)
     for cap in sorted({1, 2, max(counts) - 1, max(counts)}):
-        alone = [_raises_cap(_one_radius_cells, walk, r, 0.0, cap=cap) for r in radii]
-        batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o, cap))
+        with mock.patch.object(covering, "CELL_CAP", cap):
+            alone = [_raises_cap(_one_radius_cells, walk, r, 0.0) for r in radii]
+            batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o))
         assert batched == any(alone), cap
-    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o, CELL_CAP))
+    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o))
     # the walk's node cap trips on both paths
-    with pytest.raises(ResourceLimitError):
-        _CountTable(graph, cap=2).fill("X", ts + [5.0])
-    with pytest.raises(ResourceLimitError):
-        covering.generate(graph, "X", math.exp(-5.0), cap=2)
+    with mock.patch.object(covering, "PATH_CAP", 2):
+        with pytest.raises(ResourceLimitError):
+            _CountTable(graph).fill("X", ts + [5.0])
+        with pytest.raises(ResourceLimitError):
+            covering.generate(graph, "X", math.exp(-5.0))
 
 
 @pytest.mark.parametrize("name", ["cantor", "two_vertex", "sierpinski"])
