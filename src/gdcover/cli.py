@@ -78,9 +78,9 @@ def _parse_origin(text: str | None, dim: int):
     """One finite number for every axis, or ``dim`` comma-separated ones."""
     if text is None:
         return None
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValidationError("empty --grid-origin")
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ValidationError(f"--grid-origin has an empty field, got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError:

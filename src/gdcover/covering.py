@@ -16,8 +16,9 @@ terminates.
 One kernel does all counting.  A vertex's stopping tree is walked once,
 level by level as numpy arrays, down to the finest radius a caller needs;
 every coarser radius selects its leaves and interior nodes from the same
-arrays.  Cells come out as int64 index rows and are deduplicated with a
-1-d ``np.unique`` over linearized ids.
+arrays.  Cells are held as runs along the last axis, int64 rows
+(c_0, ..., c_{d-2}, lo, hi), and a run union over linearized ids
+deduplicates them; a count is the summed run length.
 """
 from __future__ import annotations
 
@@ -80,20 +81,22 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 
 # -- array cell enumeration --------------------------------------------------
 #
-# Cells are (n, d) int64 index rows.  Float expressions repeat the operation
-# order of the scalar definitions (Similarity.compose and apply,
-# OrientedBox.image_of, interval_cell_range).  Small matrix products go
-# through np.matmul with the operand layout of the scalar call, because BLAS
-# may fuse multiply-adds where a written-out formula would round twice.  So
-# coordinates and cells agree bit for bit with shape-by-shape enumeration.
+# Cells are held as runs: stretches of consecutive cells along the last
+# axis, one int64 row (c_0, ..., c_{d-2}, lo, hi) each.  A single cell is a
+# run with lo == hi.  Float expressions repeat the operation order of the
+# scalar definitions (Similarity.compose and apply, OrientedBox.image_of,
+# interval_cell_range).  Small matrix products go through np.matmul with the
+# operand layout of the scalar call, because BLAS may fuse multiply-adds
+# where a written-out formula would round twice.  So coordinates and cells
+# agree bit for bit with shape-by-shape enumeration.
 #
 # The radius ``r`` is one float for every shape, or an (n, 1) column giving
 # each shape row its own radius.  The arithmetic is elementwise either way,
 # so a row counted among many radii gets the cells of a call at its radius
 # alone.  Such rows carry a ``tag``, the index of their radius, which leads
-# each cell row into the union: a (tag, cell) row is distinct per radius.
+# each run into the union: a (tag, run) row never merges across radii.
 
-_CHUNK = 1 << 20  # candidate cells expanded at once; bounds transient memory
+_CHUNK = 1 << 20  # candidate runs built at once; bounds transient memory
 
 
 def _take(x, idx):
@@ -113,16 +116,6 @@ def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
     return lo, np.maximum(lo, hi)
 
 
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-d array by sort and compare, several times faster
-    than the hashing ``np.unique`` of numpy >= 2.3 on millions of ids."""
-    ids = np.sort(ids)
-    keep = np.empty(ids.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 def _distinct_small(values: np.ndarray):
     """Distinct small nonnegative ints and each value's index among them."""
     present = np.flatnonzero(np.bincount(values))
@@ -132,71 +125,122 @@ def _distinct_small(values: np.ndarray):
 
 
 def _row_prod(a: np.ndarray) -> np.ndarray:
-    """Product across the (few) columns of a 2-d array."""
-    out = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
+    """Product across the (few, maybe no) columns of a 2-d array."""
+    out = np.ones(a.shape[0], dtype=a.dtype)
+    for k in range(a.shape[1]):
         out *= a[:, k]
     return out
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows of an int64 index array, via one 1-d unique on linear ids."""
-    if rows.shape[0] <= 1:
-        return rows
-    cols = rows.T
-    lo = [int(c.min()) for c in cols]
-    span = [int(c.max()) - l + 1 for c, l in zip(cols, lo)]
-    if math.prod(span) >= 1 << 62:
-        return np.unique(rows, axis=0)
-    ids = cols[0] - lo[0]
-    for c, l, n in zip(cols[1:], lo[1:], span[1:]):
-        ids = ids * n + (c - l)
-    ids = _sorted_unique(ids)
-    out = np.empty((ids.size, len(span)), dtype=np.int64)
-    for k in range(len(span) - 1, -1, -1):
-        out[:, k] = ids % span[k] + lo[k]
-        ids //= span[k]
-    return out
+def _point_runs(cells: np.ndarray) -> np.ndarray:
+    """Cell rows as runs of one cell."""
+    return np.column_stack((cells, cells[:, -1]))
 
 
-def _tag_counts(rows: np.ndarray, n_radii: int) -> np.ndarray:
-    """Cells per radius of (tag, cell) rows."""
-    return np.bincount(rows[:, 0], minlength=n_radii)
+def _merge(start: np.ndarray, stop: np.ndarray):
+    """Union of half-open id ranges [start, stop) as disjoint, non-touching
+    ranges in ascending order.  Starts and stops sort apart: a merged range
+    closes at the k-th smallest stop exactly when the next start lies past
+    it."""
+    start, stop = np.sort(start), np.sort(stop)
+    opens = np.empty(start.size, dtype=bool)
+    opens[0] = True
+    np.greater(start[1:], stop[:-1], out=opens[1:])
+    closes = np.append(opens[1:], True)
+    return start[opens], stop[closes]
+
+
+def _union_runs(runs: np.ndarray) -> np.ndarray:
+    """Union of (tag?, prefix, lo, hi) runs as disjoint runs, none touching
+    another, sorted by tag, prefix and lo.
+
+    Each run becomes a half-open range of linear ids, the last axis fastest,
+    with one padding id per (tag, prefix) group so that ranges of two
+    groups never touch.  Where those ids would pass 2^62, the distinct
+    groups and run ends are numbered by ``np.unique`` instead.
+    """
+    n, w = runs.shape[0], runs.shape[1] - 2
+    if n <= 1:
+        return runs
+    keys, lo, end = runs[:, :w], runs[:, w], runs[:, w + 1] + 1
+    k_lo = keys.min(axis=0)
+    span = (keys.max(axis=0) - k_lo + 1).tolist()
+    base = int(lo.min())
+    width = int(end.max()) - base + 1
+    if math.prod(span) * width < 1 << 62:
+        group = np.zeros(n, dtype=np.int64)
+        for k, s in enumerate(span):
+            group = group * s + (keys[:, k] - k_lo[k])
+        start, stop = _merge(group * width + (lo - base), group * width + (end - base))
+        group, lo = np.divmod(start, width)
+        end = stop - group * width + base
+        cols = []
+        for k in range(w - 1, -1, -1):
+            group, c = np.divmod(group, span[k])
+            cols.append(c + k_lo[k])
+        return np.column_stack((*cols[::-1], lo + base, end - 1))
+    group = np.zeros(n, dtype=np.int64)
+    if w:
+        keys, group = np.unique(keys, axis=0, return_inverse=True)
+    values, at = np.unique(np.concatenate((lo, end)), return_inverse=True)
+    width = values.size
+    group = group.reshape(-1) * width
+    start, stop = _merge(group + at[:n], group + at[n:])
+    group, at = np.divmod(start, width)
+    return np.column_stack((keys[group], values[at], values[stop - group * width] - 1))
+
+
+def _cell_count(runs: np.ndarray, n_radii: int | None = None):
+    """Cells held by disjoint runs; for (tag, run) rows, an array of the
+    cells of each of ``n_radii`` radii."""
+    length = runs[:, -1] - runs[:, -2] + 1
+    if n_radii is None:
+        return int(length.sum())
+    return np.bincount(runs[:, 0], weights=length, minlength=n_radii).astype(np.int64)
+
+
+def _run_cells(runs: np.ndarray) -> np.ndarray:
+    """Every cell of disjoint runs as an index row, a leading tag kept."""
+    length = runs[:, -1] - runs[:, -2] + 1
+    owner = np.repeat(np.arange(runs.shape[0]), length)
+    cells = runs[owner, :-1]
+    cells[:, -1] += np.arange(owner.size) - np.repeat(np.cumsum(length) - length, length)
+    return cells
 
 
 class _CellUnion:
-    """Distinct cells accumulated chunk by chunk under ``CELL_CAP``.
+    """Distinct cells accumulated as runs, chunk by chunk, under ``CELL_CAP``.
 
-    A tagged union holds (tag, cell) rows and applies the cap per radius.
+    A tagged union holds (tag, run) rows and applies the cap per radius.
     """
 
     def __init__(self, dim: int, tagged: bool = False) -> None:
         self.tagged = tagged
-        self.parts = [np.empty((0, dim + tagged), dtype=np.int64)]
+        self.parts = [np.empty((0, dim + 1 + tagged), dtype=np.int64)]
         self.fresh = 0
 
-    def add(self, rows: np.ndarray, tag: np.ndarray | None = None) -> None:
-        if rows.shape[0]:
+    def add(self, runs: np.ndarray, tag: np.ndarray | None = None) -> None:
+        if runs.shape[0]:
             if tag is not None:
-                rows = np.column_stack((tag, rows))
-            self.parts.append(rows)
-            self.fresh += rows.shape[0]
+                runs = np.column_stack((tag, runs))
+            self.parts.append(runs)
+            self.fresh += runs.shape[0]
             if self.fresh > _CHUNK:
-                self.rows()
+                self.runs()
 
-    def rows(self) -> np.ndarray:
+    def runs(self) -> np.ndarray:
         if len(self.parts) > 1:
-            self.parts = [_unique_rows(np.concatenate(self.parts))]
+            self.parts = [_union_runs(np.concatenate(self.parts))]
             self.fresh = 0
         out = self.parts[0]
-        most = _tag_counts(out, 0).max(initial=0) if self.tagged else out.shape[0]
+        most = _cell_count(out, 0).max(initial=0) if self.tagged else _cell_count(out)
         if most > CELL_CAP:
             raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
         return out
 
 
 def _chunks(sizes: np.ndarray):
-    """Slices of consecutive shapes holding about _CHUNK candidate cells each."""
+    """Slices of consecutive shapes holding about _CHUNK candidate runs each."""
     ends = np.cumsum(sizes)
     start = 0
     while start < sizes.size:
@@ -226,32 +270,40 @@ def _check_candidates(cnt: np.ndarray) -> None:
 
 
 def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
+    """One run per index row of each box's first d - 1 axes."""
     ilo, ihi = _interval_cells(lo, hi, r, origin)
     cnt = ihi - ilo + 1
     _check_candidates(cnt)
-    for sel in _chunks(_row_prod(cnt)):
-        rows, owner = _expand(ilo[sel], cnt[sel])
-        acc.add(rows, _take(_take(tag, sel), owner))
+    for sel in _chunks(_row_prod(cnt[:, :-1])):
+        keys, owner = _expand(ilo[sel, :-1], cnt[sel, :-1])
+        ends = np.column_stack((ilo[sel, -1], ihi[sel, -1]))[owner]
+        acc.add(np.column_stack((keys, ends)), _take(_take(tag, sel), owner))
 
 
 def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
-    """Cells of the points where each segment crosses a grid plane.
+    """Cells each segment meets.
 
-    Per segment: the parameters of its plane crossings plus 0 and 1, clipped
-    and deduplicated, with the endpoints and the midpoint of every gap
-    between consecutive parameters as sample points.
+    A 1-d segment meets the one run from the cell of its lower end to that
+    of its upper end.  Above, per segment: the parameters of its plane
+    crossings plus 0 and 1, clipped and deduplicated, with the endpoints and
+    the midpoint of every gap between consecutive parameters as sample
+    points, each a run of one cell.
     """
     delta = b - a
-    flat = ~delta.any(axis=1)
-    acc.add(_floor_cells(a[flat], _take(r, flat), origin), _take(tag, flat))
-    live = ~flat
-    a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
     m0 = np.floor((np.minimum(a, b) - origin) / r) + 1
     m1 = np.ceil((np.maximum(a, b) - origin) / r) - 1
     cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
     if cnt.size and cnt.max() > CELL_CAP:
         raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
-    m0 = m0.astype(np.int64)
+    if a.shape[1] == 1:
+        ends = np.column_stack((np.minimum(a, b), np.maximum(a, b)))
+        acc.add(_floor_cells(ends, r, origin), tag)
+        return
+    flat = ~delta.any(axis=1)
+    acc.add(_point_runs(_floor_cells(a[flat], _take(r, flat), origin)), _take(tag, flat))
+    live = ~flat
+    a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
+    cnt, m0 = cnt[live], m0[live].astype(np.int64)
     for sel in _chunks(cnt.sum(axis=1) + 2):
         p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
         rs, tags = _take(r, sel), _take(tag, sel)
@@ -277,7 +329,7 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
         # the sample points p, q, mids lie on segments 0..n-1, 0..n-1, s
         owner = None if tags is None else np.r_[0:n, 0:n, s]
         pts = np.concatenate([p, q, mids])
-        acc.add(_floor_cells(pts, _take(rs, owner), origin), _take(tags, owner))
+        acc.add(_point_runs(_floor_cells(pts, _take(rs, owner), origin)), _take(tags, owner))
 
 
 def _obb_bounds(center: np.ndarray, half: np.ndarray):
@@ -351,7 +403,7 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, tag=None) -> None
         redo = np.flatnonzero(grid & unsure)
         if redo.size:
             hit[redo] = _sat_exact(diff[redo], half[owner[redo]], _take(flat_r, owner[redo]))
-        acc.add(rows[hit], _take(_take(tag, owner), hit))
+        acc.add(_point_runs(rows[hit]), _take(_take(tag, owner), hit))
 
 
 def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r) -> np.ndarray:
@@ -413,12 +465,12 @@ class _Shapes:
             *(() if tags is None else map(stack_tags, tags)),
         )
 
-    def cells(self, r, origin: np.ndarray) -> np.ndarray:
-        """Distinct cells met by the union of the shapes, as index rows.
+    def runs(self, r, origin: np.ndarray) -> np.ndarray:
+        """Distinct cells met by the union of the shapes, as disjoint runs.
 
         A rotated box is tested exactly (separating axes) in dimension <= 2
         and charged the cells of its bounding box above.  Tagged shapes take
-        the sorted radii they were selected for; each of their rows then
+        the sorted radii they were selected for; each of their runs then
         leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
@@ -427,7 +479,8 @@ class _Shapes:
         def radius(tag):  # one radius per row as a column, or the one radius
             return r[tag][:, None] if tagged else r
 
-        acc.add(_floor_cells(self.points, radius(self.point_tag), origin), self.point_tag)
+        points = _floor_cells(self.points, radius(self.point_tag), origin)
+        acc.add(_point_runs(points), self.point_tag)
         _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
         plain = _is_axis_aligned(self.obb_h) | (self.dim > 2)
         lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
@@ -439,7 +492,11 @@ class _Shapes:
                 self.obb_c[bent], self.obb_h[bent], _take(r_obb, bent), origin, acc,
                 _take(tag, bent),
             )
-        return acc.rows()
+        return acc.runs()
+
+    def cells(self, r, origin: np.ndarray) -> np.ndarray:
+        """The cells of :meth:`runs`, one index row each."""
+        return _run_cells(self.runs(r, origin))
 
 
 # -- the multi-resolution walk -----------------------------------------------
@@ -671,9 +728,10 @@ class _Walk:
         return n
 
     def work(self, radii: np.ndarray, include_condensation: bool = True) -> np.ndarray:
-        """Estimated candidate cells of each radius of an ascending array:
-        one per element, plus the grid planes each condensation image
-        crosses (its ratio times the primitive's L1 extent, over r)."""
+        """Estimated candidate runs of each radius of an ascending array:
+        one per element, plus in dimension >= 2 the grid planes each
+        condensation image crosses (its ratio times the primitive's L1
+        extent, over r).  A 1-d shape is one run."""
         leaf, inner = self._select(radii)
         g = len(radii)
         out = np.zeros(g)
@@ -683,8 +741,9 @@ class _Walk:
             prims = self.graph.condensation[name] if include_condensation else ()
             if prims:
                 nodes, lo, hi = inner[v]
-                extent = sum(np.abs(np.subtract(p.points[-1], p.points[0])).sum() for p in prims)
                 out += _range_sums(lo, hi, float(len(prims)), g)
+            if prims and self.graph.dimension > 1:
+                extent = sum(np.abs(np.subtract(p.points[-1], p.points[0])).sum() for p in prims)
                 out += _range_sums(lo, hi, self.ratio[nodes] * extent, g) / radii
         return out
 
@@ -733,15 +792,15 @@ def generate(
 # -- counting ----------------------------------------------------------------
 
 
-def _set_cells(gset: GeometrySet, r, grid_origin) -> np.ndarray:
-    """Index rows of the cells met by a set."""
+def _set_runs(gset: GeometrySet, r, grid_origin) -> np.ndarray:
+    """Runs of the cells met by a set."""
     if r is None:
         r = gset.resolution
     if r < gset.resolution * (1 - 1e-12):
         raise ValueError("counting below the generation resolution is not meaningful")
     shapes = gset._shapes()
     origin = _origin_vector(grid_origin, shapes.dim)
-    return shapes.cells(r, origin)
+    return shapes.runs(r, origin)
 
 
 def cell_union(
@@ -751,7 +810,7 @@ def cell_union(
     grid_origin=None,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    return set(map(tuple, _set_cells(gset, r, grid_origin).tolist()))
+    return set(map(tuple, _run_cells(_set_runs(gset, r, grid_origin)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -764,33 +823,29 @@ class CountResult:
         return self.per_vertex[self.vertex_order.index(vertex)]
 
 
-def _count_rows(order, rows: list, n_radii: int | None = None):
-    """Per-vertex counts and the deduplicated total from per-vertex cells.
+def _count_runs(order, runs: list, n_radii: int | None = None):
+    """Per-vertex counts and the deduplicated total from per-vertex runs.
 
-    For (tag, cell) rows of ``n_radii`` radii, a list of one result per
+    For (tag, run) rows of ``n_radii`` radii, a list of one result per
     radius.
     """
-    live = [c for c in rows if c.shape[0]]
-    if n_radii is None:
-        per = tuple(c.shape[0] for c in rows)
-        total = _unique_rows(np.concatenate(live)).shape[0] if len(live) > 1 else sum(per)
-        if total > CELL_CAP:
-            raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
-        return CountResult(tuple(order), per, total)
-    per = np.array([_tag_counts(c, n_radii) for c in rows])
+    live = [c for c in runs if c.shape[0]]
+    per = np.array([_cell_count(c, n_radii) for c in runs], dtype=np.int64)
     if len(live) > 1:
-        totals = _tag_counts(_unique_rows(np.concatenate(live)), n_radii)
+        totals = _cell_count(_union_runs(np.concatenate(live)), n_radii)
     else:
         totals = per.sum(axis=0)
-    if totals.max(initial=0) > CELL_CAP:
+    if np.max(totals, initial=0) > CELL_CAP:
         raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
+    if n_radii is None:
+        return CountResult(tuple(order), tuple(per.tolist()), int(totals))
     return [
         CountResult(tuple(order), tuple(col), total)
         for col, total in zip(per.T.tolist(), totals.tolist())
     ]
 
 
-# work (estimated candidate cells, ``_Walk.work``) of the radii that share
+# work (estimated candidate runs, ``_Walk.work``) of the radii that share
 # one array pass; a radius with more is counted alone on the one-radius path,
 # so peak memory stays that of one radius
 _GROUP_WORK = 4096
@@ -842,17 +897,16 @@ class _CountTable:
         return walk
 
     def _passes(self, vertices, radii: np.ndarray, r_min: float = math.inf):
-        """Cells of ``vertices`` at an ascending array of distinct radii, one
+        """Runs of ``vertices`` at an ascending array of distinct radii, one
         radius group at a time: yields the group's index range ``a, b`` and
-        one cell array per vertex, tagged when the group has several radii."""
+        one run array per vertex, tagged when the group has several radii."""
         if not radii.size:
             return
         walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
         incl = self.include_condensation
         for a, b in _groups(sum(w.work(radii, incl) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            cells = [w.shapes(r, incl).cells(r, self.origin) for w in walks]
-            yield a, b, cells
+            yield a, b, [w.shapes(r, incl).runs(r, self.origin) for w in walks]
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
         """Count one vertex at every t not yet in the table; its walk reaches
@@ -860,8 +914,8 @@ class _CountTable:
         todo = list({float(t) for t in ts if (vertex, float(t)) not in self.counts})
         radii, which = _distinct_radii(todo)
         counts = np.zeros(radii.size, dtype=np.int64)
-        for a, b, (cells,) in self._passes([vertex], radii, r_min):
-            counts[a:b] = cells.shape[0] if b - a == 1 else _tag_counts(cells, b - a)
+        for a, b, (runs,) in self._passes([vertex], radii, r_min):
+            counts[a:b] = _cell_count(runs, None if b - a == 1 else b - a)
         self.counts.update(((vertex, t), c) for t, c in zip(todo, counts[which].tolist()))
 
     def totals(self, ts) -> dict[float, CountResult]:
@@ -871,8 +925,8 @@ class _CountTable:
         ts = list(set(ts))
         radii, which = _distinct_radii(ts)
         results: list = [None] * radii.size
-        for a, b, cells in self._passes(order, radii):
-            res = _count_rows(order, cells, None if b - a == 1 else b - a)
+        for a, b, runs in self._passes(order, radii):
+            res = _count_runs(order, runs, None if b - a == 1 else b - a)
             results[a:b] = [res] if b - a == 1 else res
         out = {t: results[k] for t, k in zip(ts, which.tolist())}
         for t, res in out.items():
@@ -892,8 +946,7 @@ def count(
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
-    rows = [_set_cells(sets[v], r, grid_origin) for v in sets]
-    return _count_rows(sets, rows)
+    return _count_runs(sets, [_set_runs(sets[v], r, grid_origin) for v in sets])
 
 
 # -- profiles ----------------------------------------------------------------
@@ -1062,7 +1115,7 @@ def condensation_covering(primitive, r: float, grid_origin=None) -> int:
         acc = _CellUnion(dim)
         a, b = (np.array([p]) for p in primitive.points)
         _segment_cells(a, b, r, origin, acc)
-        return acc.rows().shape[0]
+        return _cell_count(acc.runs())
     if primitive.kind == "box":
         return _box_cell_count(primitive.points[0], primitive.points[1], r, origin)
     raise ValueError(f"unsupported primitive kind {primitive.kind!r}")

@@ -166,19 +166,6 @@ class MWGraph:
 
     # -- path helpers ------------------------------------------------------
 
-    def make_path(self, start: str, edge_ids: Iterable[str]) -> Path:
-        """Build a path after checking edge consecutiveness."""
-        ids = tuple(edge_ids)
-        at = start
-        for eid in ids:
-            e = self.edges.get(eid)
-            if e is None:
-                raise ValidationError(f"unknown edge {eid!r}")
-            if e.src != at:
-                raise ValidationError(f"edge {eid!r} does not continue the walk at {at!r}")
-            at = e.dst
-        return Path(start, ids)
-
     def path_terminal(self, path: Path) -> str:
         return self.edges[path.edges[-1]].dst if path.edges else path.start
 

@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from gdcover.errors import ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
-from gdcover.graph import Edge, MWGraph
+from gdcover.graph import Edge, MWGraph, Path
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -28,6 +29,20 @@ def line_map(ratio: float, shift: float) -> Similarity:
 def plane_map(ratio: float, shift, isometry=None) -> Similarity:
     q = np.eye(2) if isometry is None else isometry
     return Similarity(ratio, q, shift)
+
+
+def make_path(graph: MWGraph, start: str, edge_ids) -> Path:
+    """A path of ``graph`` after checking that its edges follow each other."""
+    ids = tuple(edge_ids)
+    at = start
+    for eid in ids:
+        e = graph.edges.get(eid)
+        if e is None:
+            raise ValidationError(f"unknown edge {eid!r}")
+        if e.src != at:
+            raise ValidationError(f"edge {eid!r} does not continue the walk at {at!r}")
+        at = e.dst
+    return Path(start, ids)
 
 
 def cantor_graph(condensation=None, separation="SSC") -> MWGraph:

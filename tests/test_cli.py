@@ -309,6 +309,8 @@ class TestFlagChecks:
             ("analyze", "cantor", ["--grid-origin", "nan", "--json"], "--grid-origin"),
             ("profile", "cantor", ["--grid-origin", "1,2,3"], "--grid-origin"),
             ("analyze", "sierpinski", ["--grid-origin", "0.1,0.2,0.3"], "--grid-origin"),
+            ("profile", "sierpinski", ["--grid-origin", "0.1,,0.2"], "--grid-origin"),
+            ("profile", "cantor", ["--grid-origin", "0.1,"], "--grid-origin"),
             ("profile", "cantor", ["--tmin", "0.1", "--tmax", "0.2", "--period", "1",
                                    "--samples", "1"], "--period"),
         ],
@@ -320,6 +322,7 @@ class TestFlagChecks:
              "validate_zero_stop_ratio", "validate_negative_seed", "profile_nan_period",
              "profile_infinite_period", "analyze_nan_grid_origin",
              "profile_grid_origin_too_long", "analyze_grid_origin_too_long",
+             "profile_grid_origin_empty_field", "profile_grid_origin_trailing_comma",
              "profile_no_lattice_point_in_range"],
     )
     def test_rejected_with_flag_named(self, corpus_files, tmp_path, capsys, cmd, system, flags,

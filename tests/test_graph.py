@@ -8,6 +8,7 @@ from helpers import (
     LN3,
     cantor_graph,
     line_map,
+    make_path,
     random_graphs,
     two_ratio_graph,
     two_vertex_graph,
@@ -245,16 +246,16 @@ class TestSimpleCycles:
 class TestPathAlgebra:
     def test_make_path_checks_consecutiveness(self):
         g = two_vertex_graph()
-        p = g.make_path("P", ("hop", "back", "loop"))
+        p = make_path(g, "P", ("hop", "back", "loop"))
         assert g.path_terminal(p) == "P"
         with pytest.raises(ValidationError):
-            g.make_path("P", ("back",))
+            make_path(g, "P", ("back",))
         with pytest.raises(ValidationError):
-            g.make_path("P", ("loop", "nope"))
+            make_path(g, "P", ("loop", "nope"))
 
     def test_path_ratio_is_edge_product(self):
         g = two_vertex_graph()
-        p = g.make_path("P", ("hop", "back"))
+        p = make_path(g, "P", ("hop", "back"))
         assert g.path_ratio(p) == pytest.approx(0.125, rel=1e-15)
 
     def test_composition_matches_sequential_maps(self, bundled):
@@ -270,7 +271,7 @@ class TestPathAlgebra:
                 e = outs[int(rng.integers(len(outs)))]
                 ids.append(e.id)
                 at = e.dst
-            path = g.make_path(start, ids)
+            path = make_path(g, start, ids)
             composed = g.path_map(path).apply(point)
             sequential = point
             for eid in reversed(ids):

@@ -20,12 +20,13 @@ from conftest import BUNDLED_NAMES
 
 from gdcover import asymptotics, covering
 from gdcover.covering import (
-    _count_rows,
+    _cell_count,
     _CountTable,
     _is_axis_aligned,
     _origin_vector,
+    _run_cells,
     _Shapes,
-    _tag_counts,
+    _union_runs,
     _Walk,
 )
 from gdcover.errors import ResourceLimitError
@@ -423,9 +424,9 @@ def test_profile_totals_match_one_radius_totals(graph, ts, origin_pick, budget):
         prof = covering.profile_at(graph, ts, grid_origin=origin)
     assert len(prof.samples) == len(ts)
     for sample in prof.samples:
-        rows = [_one_radius_cells(w, sample.r, origin) for w in walks]
-        want = _count_rows(graph.vertex_order, rows)
-        assert (sample.counts, sample.total) == (want.per_vertex, want.total)
+        cells = [set(map(tuple, _one_radius_cells(w, sample.r, origin).tolist())) for w in walks]
+        want = tuple(map(len, cells)), len(set().union(*cells))
+        assert (sample.counts, sample.total) == want
 
 
 def test_total_over_vertices_hits_the_cell_cap(two_vertex):
@@ -496,3 +497,163 @@ def test_analyze_counts_each_key_once(bundled, name):
     assert report.tau == res.lattice.tau
     grid = {y + k * report.tau for y in report.y_grid for k in range(max(report.n_values) + 1)}
     assert {s.t for s in res.profile.samples} <= grid
+
+
+# -- runs in one dimension -------------------------------------------------------
+#
+# A 1-d box or segment meets one run of cells, a point a run of one cell.  The
+# summed run lengths must equal the expanded cells, and those the oracle's
+# cells, for endpoints on a grid plane or within ETA of one, reversed and flat
+# segments, negative coordinates and radii above the diameter.
+
+LINE_RADII = (0.1, 0.25, 1 / 3, 1.0, 40.0)
+LINE_ORIGINS = (0.0, 0.316, -0.7)
+# offsets from a grid plane, in cells: on it, within ETA of it, just past ETA
+PLANE_OFFSETS = (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, 0.5)
+
+
+@st.composite
+def line_coords(draw, r, origin):
+    # steps of at most 1, so that at r = 40 every shape (at most 25 steps
+    # long) is shorter than a cell
+    m = draw(st.integers(-12, 12))
+    f = draw(st.one_of(st.sampled_from(PLANE_OFFSETS), st.floats(0.0, 1.0)))
+    return origin + (m + f) * min(r, 1.0)
+
+
+@st.composite
+def line_shapes(draw, r, origin):
+    """A few 1-d points, segments and boxes, as the oracle's shapes."""
+    coord = line_coords(r, origin)
+    points, segments, boxes = [], [], []
+    kinds = st.lists(st.sampled_from(("point", "segment", "box")), min_size=1, max_size=5)
+    for kind in draw(kinds):
+        x = draw(coord)
+        flat = kind == "segment" and draw(st.booleans())
+        y = x if flat else draw(coord)
+        if kind == "point":
+            points.append(PointShape((x,)))
+        elif kind == "segment":
+            segments.append(SegmentShape((x,), (y,)))  # x > y reverses it
+        else:
+            # a negative half axis is the image under a reflection
+            boxes.append(OrientedBox(((x + y) / 2,), (((y - x) / 2,),)))
+    return points, segments, boxes
+
+
+def _line_arrays(points, segments, boxes):
+    """The shapes as ``_Shapes.gather`` parts."""
+    def col(xs):
+        return np.array(xs, dtype=float).reshape(-1, 1)
+
+    return (
+        [col([p.point for p in points])],
+        [(col([s.a for s in segments]), col([s.b for s in segments]))],
+        [(col([b.center for b in boxes]), col([b.half_axes for b in boxes]).reshape(-1, 1, 1))],
+    )
+
+
+def _oracle_cells(shapes, r, origin) -> set:
+    elements = tuple(oracle.SetElement("condensation", s, Path("X")) for s in shapes)
+    return oracle.cell_union(oracle.ElementSet("X", r, elements), r, grid_origin=origin)
+
+
+def _assert_disjoint(runs):
+    # within each (tag, prefix): ascending, no two runs overlapping or touching
+    same = runs[1:, :-2] == runs[:-1, :-2]
+    assert (runs[:, -1] >= runs[:, -2]).all()
+    assert np.where(same.all(axis=1), runs[1:, -2] > runs[:-1, -1] + 1, True).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-20, 20), st.integers(0, 6)),
+        min_size=1,
+        max_size=30,
+    ),
+    far=st.booleans(),
+)
+def test_run_union_matches_cell_sets(runs, far):
+    # (tag, c_0, lo, hi) runs; two far runs put the linear ids past 2^62,
+    # where the union numbers groups and run ends by np.unique instead
+    rows = np.array([(t, c, lo, lo + n) for t, c, lo, n in runs], dtype=np.int64)
+    if far:
+        rows = np.vstack([rows, [0, 0, 1 << 61, (1 << 61) + 2], [1, 0, -(1 << 61), -(1 << 61)]])
+    got = _union_runs(rows)
+    _assert_disjoint(got)
+    want = {(t, c, x) for t, c, lo, hi in rows.tolist() for x in range(lo, hi + 1)}
+    assert set(map(tuple, _run_cells(got).tolist())) == want
+    assert _cell_count(got) == len(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), r=st.sampled_from(LINE_RADII), origin=st.sampled_from(LINE_ORIGINS))
+def test_line_runs_match_cells_and_oracle(data, r, origin):
+    points, segments, boxes = data.draw(line_shapes(r, origin))
+    shapes = _Shapes.gather(1, *_line_arrays(points, segments, boxes))
+    o = _origin_vector(origin, 1)
+    runs = shapes.runs(r, o)
+    _assert_disjoint(runs)
+    cells = shapes.cells(r, o)
+    want = _oracle_cells(points + segments + boxes, r, origin)
+    assert _cell_count(runs) == cells.shape[0] == len(want)
+    assert set(map(tuple, cells.tolist())) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    radii=st.lists(st.sampled_from(LINE_RADII), min_size=2, max_size=4, unique=True),
+    origin=st.sampled_from(LINE_ORIGINS),
+)
+def test_tagged_line_runs_match_each_radius(data, radii, origin):
+    # shapes of several radii in one union: a run never merges across radii
+    radii = np.array(sorted(radii))
+    drawn = [data.draw(line_shapes(r, origin)) for r in radii]
+    kinds = [sum((d[j] for d in drawn), []) for j in range(3)]
+    tags = [[np.array([k for k, d in enumerate(drawn) for _ in d[j]], dtype=np.int64)]
+            for j in range(3)]
+    shapes = _Shapes.gather(1, *_line_arrays(*kinds), tags=tags)
+    o = _origin_vector(origin, 1)
+    runs = shapes.runs(radii, o)
+    _assert_disjoint(runs)
+    cells = shapes.cells(radii, o)
+    counts = _cell_count(runs, radii.size)
+    for k, r in enumerate(radii):
+        want = _oracle_cells(sum(drawn[k], []), r, origin)
+        got = cells[cells[:, 0] == k, 1:]
+        assert counts[k] == got.shape[0] == len(want)
+        assert set(map(tuple, got.tolist())) == want
+
+
+def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
+    # the segment [0, 10] crosses the 9 planes 1..9 of the unit grid and
+    # meets 11 cells: a cap of 8 stops it before any cell is counted, a cap
+    # of 9 only once its cells are
+    segment = [(np.array([[0.0]]), np.array([[10.0]]))]
+    alone = _Shapes.gather(1, segments=segment)
+    tagged = _Shapes.gather(1, segments=segment, tags=([], [np.array([1])], []))
+    o = np.zeros(1)
+    for cap, stage in ((8, "enumeration"), (9, "union")):
+        with mock.patch.object(covering, "CELL_CAP", cap):
+            with pytest.raises(ResourceLimitError, match=stage):
+                alone.runs(1.0, o)
+            with pytest.raises(ResourceLimitError, match=stage):
+                tagged.runs(np.array([0.5, 1.0]), o)
+    # through the walk: at t = 3 the condensation segment [1/3, 2/3] crosses
+    # 6 planes; the table counts t = 1 and t = 3 in one tagged pass
+    r = math.exp(-3.0)
+    with mock.patch.object(covering, "CELL_CAP", 5):
+        with pytest.raises(ResourceLimitError, match="enumeration"):
+            covering.count(covering.generate(cantor_segment, "X", r), r)
+        with pytest.raises(ResourceLimitError, match="enumeration"):
+            _CountTable(cantor_segment).fill("X", [1.0, 3.0])
+
+
+@pytest.mark.parametrize("origin, want", [(0.0, 442_414), (0.1, 442_415)])
+def test_fine_cantor_segment_count(cantor_segment, origin, want):
+    # the fine_count benchmark totals of cantor_segment at t = 13
+    r = math.exp(-13.0)
+    res = covering.count(covering.generate(cantor_segment, "X", r), r, grid_origin=origin)
+    assert res.total == res.per_vertex[0] == want
