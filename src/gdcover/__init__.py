@@ -24,8 +24,6 @@ from .covering import (
     ForcingContext,
     GeometrySet,
     IntegralResult,
-    cell_union,
-    condensation_covering,
     condensation_integral,
     count,
     generate,
@@ -40,18 +38,15 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .geometry import Box, OrientedBox, Primitive, Similarity, rotation_2d
+from .geometry import Box, Primitive, Similarity, rotation_2d
 from .graph import (
     Edge,
     MWGraph,
     Path,
     ValidationReport,
     common_prefix,
-    enumerate_paths,
     sample_path,
-    simple_cycles,
     validate,
-    walk_prefix_tree,
 )
 from .lattice import LatticeResult, classify, classify_graph, cycle_log_ratios
 from .renewal import (

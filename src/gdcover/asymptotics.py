@@ -11,6 +11,7 @@ from measured forcing terms.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .covering import (
     renewal_residual,
 )
 from .errors import InconclusiveRegimeError, ValidationError
+from .geometry import Primitive, Similarity
 from .graph import MWGraph, common_prefix, sample_path, validate
 from .lattice import LatticeResult, classify_graph
 from .spectral import SpectralData, solve_s0
@@ -426,24 +428,35 @@ def analyze(
 # -- separation spot check ----------------------------------------------------
 
 
-def _shape_cloud(shape, per_edge: int = 9) -> np.ndarray:
-    from .geometry import OrientedBox, PointShape, SegmentShape
+_SEGMENT_SAMPLES = 9  # evenly spaced points of a segment's image
 
-    if isinstance(shape, PointShape):
-        return np.array([shape.point])
-    if isinstance(shape, SegmentShape):
-        a, b = np.array(shape.a), np.array(shape.b)
-        ts = np.linspace(0.0, 1.0, per_edge)
+
+def _shape_cloud(prim: Primitive, sim: Similarity) -> np.ndarray:
+    """Sample points of a condensation shape's image under ``sim``.
+
+    A point maps to itself, a segment to evenly spaced points between its
+    mapped endpoints, and a box to the corners of its image (half axes
+    ``ratio * Q e_k``) plus the midpoint of every corner pair, which flesh
+    out edges cheaply.
+    """
+    if prim.kind == "point":
+        return sim.apply(np.array(prim.points[0]))[None, :]
+    if prim.kind == "segment":
+        a, b = (sim.apply(np.array(p)) for p in prim.points)
+        ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES)
         return a + ts[:, None] * (b - a)
-    if isinstance(shape, OrientedBox):
-        corners = shape.corners()
-        pts = [corners]
-        # midpoints between corner pairs flesh out edges cheaply
-        for i in range(len(corners)):
-            for j in range(i + 1, len(corners)):
-                pts.append((corners[i][None, :] + corners[j][None, :]) / 2)
-        return np.vstack(pts)
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
+    box = prim.as_box()
+    centre = sim.apply(np.array(box.center))
+    axes = []
+    for k, w in enumerate(box.widths):
+        e = np.zeros(box.dim)
+        e[k] = w / 2
+        axes.append(sim.ratio * (sim.isometry @ e))
+    axes = np.array(axes)
+    signs = itertools.product((-1.0, 1.0), repeat=box.dim)
+    corners = np.array([centre + np.array(sign) @ axes for sign in signs])
+    i, j = np.triu_indices(len(corners), 1)
+    return np.vstack([corners, (corners[i] + corners[j]) / 2])
 
 
 @dataclass(frozen=True)
@@ -495,9 +508,7 @@ def separation_spot_check(
                 ok = False
                 break
             sim = graph.path_map(p)
-            clouds.append(
-                np.vstack([_shape_cloud(prim.image(sim)) for prim in prims])
-            )
+            clouds.append(np.vstack([_shape_cloud(prim, sim) for prim in prims]))
         if not ok:
             continue
         meet_ratio = graph.path_ratio(p1.prefix(k))

@@ -38,13 +38,11 @@ __all__ = [
     "generate",
     "CountResult",
     "count",
-    "cell_union",
     "ProfileSample",
     "CoveringProfile",
     "profile",
     "profile_at",
     "lattice_grid",
-    "condensation_covering",
     "IntegralResult",
     "condensation_integral",
     "child_time",
@@ -84,11 +82,12 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # Cells are held as runs: stretches of consecutive cells along the last
 # axis, one int64 row (c_0, ..., c_{d-2}, lo, hi) each.  A single cell is a
 # run with lo == hi.  Float expressions repeat the operation order of the
-# scalar definitions (Similarity.compose and apply, OrientedBox.image_of,
-# interval_cell_range).  Small matrix products go through np.matmul with the
-# operand layout of the scalar call, because BLAS may fuse multiply-adds
-# where a written-out formula would round twice.  So coordinates and cells
-# agree bit for bit with shape-by-shape enumeration.
+# scalar definitions (Similarity.compose and apply, interval_cell_range, and
+# OrientedBox.image_of in the test oracle tests/covering_oracle.py).  Small
+# matrix products go through np.matmul with the operand layout of the scalar
+# call, because BLAS may fuse multiply-adds where a written-out formula would
+# round twice.  So coordinates and cells agree bit for bit with shape-by-shape
+# enumeration.
 #
 # The radius ``r`` is one float for every shape, or an (n, 1) column giving
 # each shape row its own radius.  The arithmetic is elementwise either way,
@@ -333,7 +332,8 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
 
 
 def _obb_bounds(center: np.ndarray, half: np.ndarray):
-    """Bounding boxes of oriented boxes, as OrientedBox.bounding_box."""
+    """Bounding boxes of oriented boxes, as the covering oracle's
+    OrientedBox.bounding_box."""
     ext = np.abs(half[:, 0, :])
     for k in range(1, half.shape[1]):
         ext = ext + np.abs(half[:, k, :])
@@ -422,7 +422,7 @@ def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
 
 
 def _is_axis_aligned(half: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """OrientedBox.is_axis_aligned for each box."""
+    """The covering oracle's OrientedBox.is_axis_aligned for each box."""
     return ((np.abs(half) > tol).sum(axis=2) <= 1).all(axis=1)
 
 
@@ -645,7 +645,8 @@ class _Walk:
         return full[self._rank[nodes]]
 
     def _box_image(self, v: int, box: Box, nodes: np.ndarray):
-        """``OrientedBox.image_of`` per node: centres and half axes."""
+        """The covering oracle's ``OrientedBox.image_of`` per node: centres
+        and half axes."""
         centre = self._image(v, box.center, nodes)
         q = self._iso_stack[self.iso[nodes]]
         ratio = self.ratio[nodes][:, None]
@@ -970,7 +971,6 @@ class CoveringProfile:
     s0: float
     grid_origin: tuple[float, ...]
     samples: tuple[ProfileSample, ...]
-    counting_mode: str = "grid"
 
     def t_values(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -1102,23 +1102,7 @@ def profile(
     )
 
 
-# -- condensation covering and its scale integral ----------------------------
-
-
-def condensation_covering(primitive, r: float, grid_origin=None) -> int:
-    """Exact number of grid cells met by a declared condensation shape."""
-    dim = primitive.dim
-    origin = _origin_vector(grid_origin, dim)
-    if primitive.kind == "point":
-        return 1
-    if primitive.kind == "segment":
-        acc = _CellUnion(dim)
-        a, b = (np.array([p]) for p in primitive.points)
-        _segment_cells(a, b, r, origin, acc)
-        return _cell_count(acc.runs())
-    if primitive.kind == "box":
-        return _box_cell_count(primitive.points[0], primitive.points[1], r, origin)
-    raise ValueError(f"unsupported primitive kind {primitive.kind!r}")
+# -- condensation scale integral ---------------------------------------------
 
 
 def _box_cell_count(lo, hi, r: float, origin) -> int:
@@ -1175,18 +1159,21 @@ def _segment_scale_integral(a, b, s: float) -> float:
     return total
 
 
-def _box_scale_integral(lo, hi, s: float, r_floor: float = 1e-4) -> float:
+_BOX_R_FLOOR = 1e-4  # radius below which a box's count takes its mean expansion
+
+
+def _box_scale_integral(lo, hi, s: float) -> float:
     """Count-decay integral for a full-dimensional box, semi-numeric.
 
-    Pieces above ``r_floor`` are exact (the count only jumps where some
+    Pieces above ``_BOX_R_FLOOR`` are exact (the count only jumps where some
     coordinate over r crosses an integer); the tail below uses the mean
     cell-count expansion prod_j (w_j / r + 1), whose error decays like the
     next fractional-correction order.
     """
-    jump_radii = {1.0, r_floor}
+    jump_radii = {1.0, _BOX_R_FLOOR}
     for c in set(abs(x) for x in (*lo, *hi) if x != 0.0):
         m = 1
-        while c / m > r_floor:
+        while c / m > _BOX_R_FLOOR:
             if c / m <= 1.0:
                 jump_radii.add(c / m)
             m += 1
@@ -1202,7 +1189,7 @@ def _box_scale_integral(lo, hi, s: float, r_floor: float = 1e-4) -> float:
         for combo in itertools.combinations(axes, size):
             prod = math.prod(combo)
             power = s - size
-            total += prod * r_floor**power / power
+            total += prod * _BOX_R_FLOOR**power / power
     return total
 
 

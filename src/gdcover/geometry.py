@@ -1,9 +1,11 @@
 """Boxes, similarity maps, and condensation shapes in R^d.
 
-Everything downstream manipulates three kinds of geometry: closed
+Everything downstream builds on three kinds of geometry: closed
 axis-aligned boxes (seed sets and grid cells), similarity maps
-``x -> ratio * Q x + b`` with orthogonal ``Q``, and the images of simple
-shapes (points, segments, boxes) under compositions of such maps.
+``x -> ratio * Q x + b`` with orthogonal ``Q``, and the simple shapes
+(points, segments, boxes) declared as condensation.  Their images under
+compositions of maps exist only as arrays, in ``covering`` and the
+separation spot check.
 """
 from __future__ import annotations
 
@@ -16,9 +18,6 @@ import numpy as np
 __all__ = [
     "Box",
     "Similarity",
-    "OrientedBox",
-    "PointShape",
-    "SegmentShape",
     "Primitive",
     "rotation_2d",
 ]
@@ -124,11 +123,6 @@ class Similarity:
         q = self.isometry
         return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
 
-    def is_axis_aligned(self, tol: float = 1e-12) -> bool:
-        """True when the isometry is a signed permutation matrix."""
-        q = np.abs(self.isometry)
-        return bool(np.all((q < tol) | (np.abs(q - 1.0) < tol)))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Similarity(ratio={self.ratio!r}, translation={self.translation.tolist()!r})"
 
@@ -138,79 +132,6 @@ def rotation_2d(angle_degrees: float) -> np.ndarray:
     a = math.radians(angle_degrees)
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s], [s, c]])
-
-
-@dataclass(frozen=True)
-class OrientedBox:
-    """Image of an axis-aligned box under a similarity.
-
-    ``half_axes[k]`` is the half-extent vector of the image along what used
-    to be coordinate axis ``k``; for an axis-aligned map each of these has a
-    single nonzero component.
-    """
-
-    center: tuple[float, ...]
-    half_axes: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_box(cls, box: Box) -> "OrientedBox":
-        axes = []
-        for k, w in enumerate(box.widths):
-            e = [0.0] * box.dim
-            e[k] = w / 2
-            axes.append(tuple(e))
-        return cls(box.center, tuple(axes))
-
-    @classmethod
-    def image_of(cls, sim: Similarity, box: Box) -> "OrientedBox":
-        center = sim.apply(np.array(box.center))
-        axes = []
-        for k, w in enumerate(box.widths):
-            e = np.zeros(box.dim)
-            e[k] = w / 2
-            axes.append(tuple(sim.ratio * (sim.isometry @ e)))
-        return cls(tuple(center), tuple(axes))
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def bounding_box(self) -> Box:
-        half = np.sum(np.abs(np.array(self.half_axes)), axis=0)
-        c = np.array(self.center)
-        return Box(tuple(c - half), tuple(c + half))
-
-    def corners(self) -> np.ndarray:
-        c = np.array(self.center)
-        axes = np.array(self.half_axes)
-        pts = []
-        for signs in itertools.product((-1.0, 1.0), repeat=len(self.half_axes)):
-            pts.append(c + np.array(signs) @ axes)
-        return np.array(pts)
-
-    def is_axis_aligned(self, tol: float = 1e-12) -> bool:
-        return all(
-            sum(1 for x in axis if abs(x) > tol) <= 1 for axis in self.half_axes
-        )
-
-
-@dataclass(frozen=True)
-class PointShape:
-    """A single point."""
-
-    point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SegmentShape:
-    """A closed line segment between two points."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-    @property
-    def length(self) -> float:
-        return math.hypot(*(x - y for x, y in zip(self.a, self.b)))
 
 
 @dataclass(frozen=True)
@@ -271,14 +192,3 @@ class Primitive:
     def bounding_box(self) -> Box:
         arr = np.array(self.points)
         return Box(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
-
-    def image(self, sim: Similarity):
-        """Image under a similarity, as a countable-cover-friendly shape."""
-        if self.kind == "point":
-            return PointShape(tuple(sim.apply(np.array(self.points[0]))))
-        if self.kind == "segment":
-            a, b = self.points
-            return SegmentShape(
-                tuple(sim.apply(np.array(a))), tuple(sim.apply(np.array(b)))
-            )
-        return OrientedBox.image_of(sim, self.as_box())

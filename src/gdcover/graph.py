@@ -33,9 +33,6 @@ __all__ = [
     "validate",
     "strong_components",
     "strongly_connected",
-    "enumerate_paths",
-    "walk_prefix_tree",
-    "simple_cycles",
     "sample_path",
     "common_prefix",
 ]
@@ -173,15 +170,6 @@ class MWGraph:
         r = 1.0
         for eid in path.edges:
             r *= self.edges[eid].ratio
-        return r
-
-    def path_ratio_rational(self, path: Path) -> Fraction | None:
-        r = Fraction(1)
-        for eid in path.edges:
-            q = self.edges[eid].ratio_rational
-            if q is None:
-                return None
-            r *= q
         return r
 
     def path_map(self, path: Path) -> Similarity:
@@ -416,51 +404,6 @@ def walk_prefix_tree(
         # reversed keeps emission in declaration order for a LIFO stack
         for e in reversed(graph.out_edges(vertex)):
             stack.append((path.child(e.id), sim.compose(e.map), ratio * e.ratio, e.dst))
-
-
-def enumerate_paths(
-    graph: MWGraph,
-    start: str,
-    *,
-    length: int | None = None,
-    max_ratio: float | None = None,
-    cap: int = PATH_CAP,
-) -> list[Path]:
-    """Enumerate walks from ``start`` by exact length or by ratio antichain.
-
-    With ``max_ratio=rho`` the result is the stopping set
-    ``{gamma : ratio(gamma) <= rho < ratio(parent(gamma))}``: a prefix-free
-    family met exactly once by every infinite walk.  ``rho >= 1`` yields the
-    empty walk alone.
-    """
-    if (length is None) == (max_ratio is None):
-        raise ValueError("specify exactly one of length= or max_ratio=")
-    if length is not None:
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        frontier = [Path(start)]
-        for _ in range(length):
-            nxt: list[Path] = []
-            for p in frontier:
-                v = graph.path_terminal(p)
-                for e in graph.out_edges(v):
-                    nxt.append(p.child(e.id))
-                    if len(nxt) > cap:
-                        raise ResourceLimitError(
-                            f"path enumeration exceeded the cap of {cap}"
-                        )
-            frontier = nxt
-        return frontier
-    rho = float(max_ratio)
-    if rho <= 0:
-        raise ValueError("max_ratio must be positive")
-    return [
-        path
-        for kind, path, _sim, _ratio, _v in walk_prefix_tree(
-            graph, start, lambda r, _v: r <= rho, cap=cap
-        )
-        if kind == "leaf"
-    ]
 
 
 def common_prefix(a: Path, b: Path) -> Path:

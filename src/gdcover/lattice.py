@@ -58,20 +58,15 @@ DEFAULT_EPS = 1e-9
 class LatticeResult:
     """Outcome of the group classification.
 
-    In the lattice case ``tau`` is the positive generator; when the exact
-    classifier produced it, ``tau_base = (p, q)`` and ``tau_multiple = g``
-    characterize it exactly as ``tau = g * log(p / q)`` with ``p/q > 1``.
-    ``phases`` holds ``phi_j mod tau`` per vertex in the graph's
-    ``vertex_order`` when :func:`classify_graph` found a lattice, and is
-    ``None`` otherwise.
+    In the lattice case ``tau`` is the positive generator.  ``phases``
+    holds ``phi_j mod tau`` per vertex in the graph's ``vertex_order`` when
+    :func:`classify_graph` found a lattice, and is ``None`` otherwise.
     """
 
     kind: str  # "lattice" | "dense"
     mode: str  # "exact" | "floating"
     tau: float | None
     generators: tuple[float, ...]
-    tau_base: tuple[int, int] | None = None
-    tau_multiple: int | None = None
     note: str = ""
     phases: tuple[float, ...] | None = None
 
@@ -281,8 +276,6 @@ def _classify_exact(inverse_ratios: Sequence[Fraction]) -> "LatticeResult":
         mode="exact",
         tau=tau,
         generators=generators,
-        tau_base=(base_fraction.numerator, base_fraction.denominator),
-        tau_multiple=g,
     )
 
 

@@ -146,9 +146,6 @@ class AtomicMeasure:
     def min_location(self) -> float | None:
         return float(self.locations[0]) if self.locations.size else None
 
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.locations.tolist(), self.weights.tolist()))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"AtomicMeasure({self.n_atoms} atoms, mass={self.total_mass():.6g})"
 
@@ -254,20 +251,6 @@ class StepFunction:
         if not b > a:
             raise ValueError("indicator needs a < b")
         return cls([a, b], [height, 0.0])
-
-    @classmethod
-    def from_samples(cls, ts, ys) -> "StepFunction":
-        """Step function taking value ``ys[k]`` on ``[ts[k], ts[k+1])``.
-
-        A trailing zero piece is appended one grid step after the last
-        sample, making the function integrable.
-        """
-        ts = np.asarray(ts, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if ts.size == 0:
-            return cls.zero()
-        dt = ts[-1] - ts[-2] if ts.size >= 2 else 1.0
-        return cls(np.append(ts, ts[-1] + dt), np.append(ys, 0.0))
 
     @property
     def is_zero(self) -> bool:
@@ -513,9 +496,6 @@ class RenewalLimit:
     values: np.ndarray
     y_grid: np.ndarray | None = None
     tau: float | None = None
-
-    def component(self, j: int):
-        return self.values[j] if self.kind == "constant" else self.values[:, j]
 
 
 def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Per-element reference implementation of covering sets and cell counts.
 
 This is the straightforward path the package's array kernel replaces: a
-depth-first prefix-tree walk that composes one ``Similarity`` per node, and
-a per-shape loop that charges each covering element's cells to a Python
-set.  It shares no code with ``gdcover.covering``, whose covering elements
-exist only as arrays, and is kept only as a differential oracle for the
-kernel.
+depth-first prefix-tree walk that composes one ``Similarity`` per node,
+one shape object per covering element (``PointShape``, ``SegmentShape`` or
+``OrientedBox``), and a per-shape loop that charges each element's cells to
+a Python set.  It shares no code with ``gdcover.covering``, whose covering
+elements exist only as arrays, and is kept only as a differential oracle
+for the kernel.
 """
 from __future__ import annotations
 
@@ -16,11 +17,73 @@ from dataclasses import dataclass
 import numpy as np
 
 from gdcover.errors import ResourceLimitError
-from gdcover.geometry import Box, OrientedBox, PointShape, SegmentShape
+from gdcover.geometry import Box, Similarity
 from gdcover.graph import PATH_CAP, Path, walk_prefix_tree
 
 ETA = 1e-9
 CELL_CAP = 10**7
+
+
+@dataclass(frozen=True)
+class OrientedBox:
+    """Image of an axis-aligned box under a similarity.
+
+    ``half_axes[k]`` is the half-extent vector of the image along what used
+    to be coordinate axis ``k``; for an axis-aligned map each of these has a
+    single nonzero component.
+    """
+
+    center: tuple[float, ...]
+    half_axes: tuple[tuple[float, ...], ...]
+
+    @classmethod
+    def image_of(cls, sim: Similarity, box: Box) -> "OrientedBox":
+        center = sim.apply(np.array(box.center))
+        axes = []
+        for k, w in enumerate(box.widths):
+            e = np.zeros(box.dim)
+            e[k] = w / 2
+            axes.append(tuple(sim.ratio * (sim.isometry @ e)))
+        return cls(tuple(center), tuple(axes))
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    def bounding_box(self) -> Box:
+        half = np.sum(np.abs(np.array(self.half_axes)), axis=0)
+        c = np.array(self.center)
+        return Box(tuple(c - half), tuple(c + half))
+
+    def is_axis_aligned(self, tol: float = 1e-12) -> bool:
+        return all(
+            sum(1 for x in axis if abs(x) > tol) <= 1 for axis in self.half_axes
+        )
+
+
+@dataclass(frozen=True)
+class PointShape:
+    """A single point."""
+
+    point: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class SegmentShape:
+    """A closed line segment between two points."""
+
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+
+
+def image(prim, sim: Similarity):
+    """A condensation primitive's image under a similarity, as one shape."""
+    if prim.kind == "point":
+        return PointShape(tuple(sim.apply(np.array(prim.points[0]))))
+    if prim.kind == "segment":
+        a, b = prim.points
+        return SegmentShape(tuple(sim.apply(np.array(a))), tuple(sim.apply(np.array(b))))
+    return OrientedBox.image_of(sim, prim.as_box())
 
 
 @dataclass(frozen=True)
@@ -172,7 +235,7 @@ def generate(graph, vertex, r, include_condensation=True, cap=PATH_CAP):
             elements.append(SetElement("cylinder", shape, path))
         elif include_condensation:
             for prim in graph.condensation[terminal]:
-                elements.append(SetElement("condensation", prim.image(sim), path))
+                elements.append(SetElement("condensation", image(prim, sim), path))
     return ElementSet(vertex, r, tuple(elements))
 
 

@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from gdcover.errors import ValidationError
+from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
-from gdcover.graph import Edge, MWGraph, Path
+from gdcover.graph import PATH_CAP, Edge, MWGraph, Path, walk_prefix_tree
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -43,6 +43,51 @@ def make_path(graph: MWGraph, start: str, edge_ids) -> Path:
             raise ValidationError(f"edge {eid!r} does not continue the walk at {at!r}")
         at = e.dst
     return Path(start, ids)
+
+
+def enumerate_paths(
+    graph: MWGraph,
+    start: str,
+    *,
+    length: int | None = None,
+    max_ratio: float | None = None,
+    cap: int = PATH_CAP,
+) -> list[Path]:
+    """Enumerate walks from ``start`` by exact length or by ratio antichain.
+
+    With ``max_ratio=rho`` the result is the stopping set
+    ``{gamma : ratio(gamma) <= rho < ratio(parent(gamma))}``: a prefix-free
+    family met exactly once by every infinite walk.  ``rho >= 1`` yields the
+    empty walk alone.
+    """
+    if (length is None) == (max_ratio is None):
+        raise ValueError("specify exactly one of length= or max_ratio=")
+    if length is not None:
+        if length < 0:
+            raise ValueError("length must be nonnegative")
+        frontier = [Path(start)]
+        for _ in range(length):
+            nxt: list[Path] = []
+            for p in frontier:
+                v = graph.path_terminal(p)
+                for e in graph.out_edges(v):
+                    nxt.append(p.child(e.id))
+                    if len(nxt) > cap:
+                        raise ResourceLimitError(
+                            f"path enumeration exceeded the cap of {cap}"
+                        )
+            frontier = nxt
+        return frontier
+    rho = float(max_ratio)
+    if rho <= 0:
+        raise ValueError("max_ratio must be positive")
+    return [
+        path
+        for kind, path, _sim, _ratio, _v in walk_prefix_tree(
+            graph, start, lambda r, _v: r <= rho, cap=cap
+        )
+        if kind == "leaf"
+    ]
 
 
 def cantor_graph(condensation=None, separation="SSC") -> MWGraph:

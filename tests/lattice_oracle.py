@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from gdcover.graph import MWGraph, simple_cycles
+from gdcover.graph import MWGraph, Path, simple_cycles
 from gdcover.lattice import DEFAULT_EPS, classify
 
 
@@ -59,6 +59,11 @@ def classify_exact(inverse_ratios: list[Fraction]) -> tuple[str, float | None]:
     return "lattice", math.gcd(*multiples) * math.log(base)
 
 
+def path_ratio_rational(graph: MWGraph, path: Path) -> Fraction:
+    """Exact contraction ratio of a walk whose edges all carry one."""
+    return math.prod((graph.edges[e].ratio_rational for e in path.edges), start=Fraction(1))
+
+
 def classify_graph(
     graph: MWGraph, eps: float = DEFAULT_EPS, mode: str = "auto"
 ) -> tuple[str, str, float | None]:
@@ -68,7 +73,7 @@ def classify_graph(
         raise ValueError("graph has no cycle; classification is undefined")
     rational = all(e.ratio_rational is not None for e in graph.edges.values())
     if rational and mode != "floating":
-        kind, tau = classify_exact([1 / graph.path_ratio_rational(c) for c in cycles])
+        kind, tau = classify_exact([1 / path_ratio_rational(graph, c) for c in cycles])
         return kind, "exact", tau
     res = classify([-math.log(graph.path_ratio(c)) for c in cycles], eps=eps)
     return res.kind, res.mode, res.tau

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import LN3, cantor_graph, half_half_segment_graph
+from helpers import LN3, cantor_graph, half_half_segment_graph, sierpinski_graph
 
 from gdcover.asymptotics import (
     analyze,
@@ -216,3 +216,30 @@ class TestSeparationSpotCheck:
         sc = separation_spot_check(cantor_point, sd, pairs=40, rng=1)
         assert sc.pairs_checked == 40
         assert sc.min_normalized_distance > 0.0
+
+    # (pairs_checked, min_normalized_distance) at default arguments, exact;
+    # no bundled system has box condensation, so the two "+box" systems are
+    # the only runs through the box cloud
+    PINS = {
+        "cantor_point": (40, 0.345679012345679),
+        "cantor_segment": (40, 0.34552659655540324),
+        "dust2d_edge": (40, 0.4885407317600403),
+        "sierpinski+box": (40, 0.19988574102096673),
+        "rotated2d+box": (40, 0.35882494650833013),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_pinned_at_defaults(self, bundled, name):
+        if name == "sierpinski+box":
+            box = Primitive.box((0.6, 0.1), (0.9, 0.3))
+            graph = sierpinski_graph(condensation={"X": (box,)})
+        elif name == "rotated2d+box":
+            g = bundled["rotated2d"]
+            box = Primitive.box((0.6, 0.6), (0.8, 0.8))
+            graph = MWGraph(
+                g.dimension, g.vertices, g.edges.values(), {"X": (box,)}, g.separation
+            )
+        else:
+            graph = bundled[name]
+        sc = separation_spot_check(graph)
+        assert (sc.pairs_checked, sc.min_normalized_distance) == self.PINS[name]

@@ -13,9 +13,10 @@ from test_kernel import shapes_of_elements
 from gdcover import covering
 from gdcover.covering import (
     ForcingContext,
+    _cell_count,
     _origin_vector,
+    _Shapes,
     cell_union,
-    condensation_covering,
     condensation_integral,
     child_time,
     count,
@@ -40,6 +41,11 @@ def cells_of_points(pts, r, origin=0.0):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     idx = np.floor((pts - origin) / r + ETA).astype(np.int64)
     return set(map(tuple, idx.tolist()))
+
+
+def kernel_cells(dim, r, origin=0.0, **parts) -> int:
+    """Cells the array kernel charges the shapes ``_Shapes.gather`` stacks."""
+    return _cell_count(_Shapes.gather(dim, **parts).runs(r, _origin_vector(origin, dim)))
 
 
 def cantor_level_endpoints(depth=12):
@@ -137,11 +143,11 @@ class TestCount:
             assert res.total == 2**n, n
 
     def test_point_primitive_single_cell(self):
-        assert condensation_covering(Primitive.point((0.42,)), 0.1) == 1
+        assert kernel_cells(1, 0.1, points=[(0.42,)]) == 1
 
     def test_square_box_nine_cells(self):
-        prim = Primitive.box((0.0, 0.0), (1.0, 1.0))
-        assert condensation_covering(prim, 1.0 / 3.0) == 9
+        unit_square = ((0.5, 0.5), ((0.5, 0.0), (0.0, 0.5)))
+        assert kernel_cells(2, 1.0 / 3.0, obbs=[unit_square]) == 9
 
     def test_sierpinski_first_level(self):
         g = sierpinski_graph()
@@ -287,8 +293,7 @@ class TestTwoGrids:
 
 class TestSegmentCovering:
     def test_horizontal_ten_cells(self):
-        prim = Primitive.segment((0.05, 0.35), (0.95, 0.35))
-        assert condensation_covering(prim, 0.1) == 10
+        assert kernel_cells(2, 0.1, segments=[((0.05, 0.35), (0.95, 0.35))]) == 10
 
     @pytest.mark.parametrize(
         "a,b",
@@ -300,15 +305,13 @@ class TestSegmentCovering:
     )
     @pytest.mark.parametrize("r", [0.1, 0.033])
     def test_walker_matches_dense_sampling(self, a, b, r):
-        prim = Primitive.segment(a, b)
-        got = condensation_covering(prim, r)
+        got = kernel_cells(2, r, segments=[(a, b)])
         ts = np.linspace(0.0, 1.0, 200_001)[:, None]
         pts = np.asarray(a) + ts * (np.asarray(b) - np.asarray(a))
         assert got == len(cells_of_points(pts, r))
 
     def test_walker_respects_origin(self):
-        prim = Primitive.segment((0.05, 0.35), (0.95, 0.35))
-        n = condensation_covering(prim, 0.1, grid_origin=(0.05, 0.0))
+        n = kernel_cells(2, 0.1, (0.05, 0.0), segments=[((0.05, 0.35), (0.95, 0.35))])
         assert n == 10  # planes shift with the grid: 0.15, 0.25, ..., 0.95
 
 

@@ -1,17 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gdcover.geometry import (
-    Box,
-    OrientedBox,
-    PointShape,
-    Primitive,
-    SegmentShape,
-    Similarity,
-    rotation_2d,
-)
+from covering_oracle import OrientedBox, image
+
+from gdcover.asymptotics import _shape_cloud
+from gdcover.geometry import Box, Primitive, Similarity, rotation_2d
 
 
 class TestBox:
@@ -84,11 +80,6 @@ class TestSimilarity:
         sheared = Similarity(0.5, [[1.0, 0.1], [0.0, 1.0]], (0, 0))
         assert sheared.orthogonality_defect() > 0.05
 
-    def test_axis_alignment_detection(self):
-        assert Similarity.identity(2).is_axis_aligned()
-        assert Similarity(0.5, rotation_2d(90.0), (0, 0)).is_axis_aligned()
-        assert not Similarity(0.5, rotation_2d(30.0), (0, 0)).is_axis_aligned()
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Similarity(0.5, [[1.0, 0.0]], [0.0, 0.0])
@@ -108,9 +99,9 @@ class TestRotation2d:
 
 
 class TestOrientedBox:
-    def test_from_box_round_trip(self):
+    def test_identity_image_round_trip(self):
         b = Box((0.0, 1.0), (2.0, 3.0))
-        ob = OrientedBox.from_box(b)
+        ob = OrientedBox.image_of(Similarity.identity(2), b)
         bb = ob.bounding_box()
         assert bb.lo == b.lo and bb.hi == b.hi
         assert ob.is_axis_aligned()
@@ -119,7 +110,9 @@ class TestOrientedBox:
         b = Box((0.0, 0.0), (1.0, 2.0))
         sim = Similarity(0.5, rotation_2d(33.0), (0.4, -0.1))
         ob = OrientedBox.image_of(sim, b)
-        got = {tuple(np.round(c, 12)) for c in ob.corners()}
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=2)))
+        corners = np.array(ob.center) + signs @ np.array(ob.half_axes)
+        got = {tuple(np.round(c, 12)) for c in corners}
         want = {tuple(np.round(c, 12)) for c in sim.apply(b.corners())}
         assert got == want
         assert not ob.is_axis_aligned()
@@ -145,11 +138,8 @@ class TestPrimitive:
         s = Primitive.segment((0.0, 0.0), (3.0, 4.0))
         assert s.kind == "segment"
         assert s.box_dimension() == 1
-        img = s.image(Similarity(0.5, np.eye(2), (1.0, 1.0)))
-        assert isinstance(img, SegmentShape)
-        assert np.allclose(img.a, (1.0, 1.0))
-        assert np.allclose(img.b, (2.5, 3.0))
-        assert img.length == pytest.approx(2.5)
+        cloud = _shape_cloud(s, Similarity(0.5, np.eye(2), (1.0, 1.0)))
+        assert np.allclose(cloud[[0, -1]], [(1.0, 1.0), (2.5, 3.0)])
 
     def test_box_dimension_counts_live_axes(self):
         flat = Primitive.box((0.0, 0.0), (1.0, 0.0))
@@ -161,6 +151,30 @@ class TestPrimitive:
 
     def test_point_image_is_point(self):
         p = Primitive.point((1.0,))
-        img = p.image(Similarity(0.25, [[1.0]], [0.5]))
-        assert isinstance(img, PointShape)
-        assert np.allclose(img.point, (0.75,))
+        cloud = _shape_cloud(p, Similarity(0.25, [[1.0]], [0.5]))
+        assert np.allclose(cloud, [(0.75,)])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cloud_is_bitwise_the_oracle_image(self, dim):
+        # the spot check's cloud starts from the oracle's image of each shape:
+        # mapped points, and a box's corners as centre plus signed half axes
+        # in itertools.product order, then every corner pair's midpoint
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            sim = Similarity(rng.uniform(0.01, 1.0), q, rng.normal(size=dim))
+            lo = rng.uniform(-1.0, 1.0, dim)
+            hi = lo + rng.uniform(0.0, 1.0, dim)
+            point, seg, box = Primitive.point(lo), Primitive.segment(lo, hi), Primitive.box(lo, hi)
+            want = np.array([image(point, sim).point])
+            assert _shape_cloud(point, sim).tobytes() == want.tobytes()
+            a, b = (np.array(p) for p in (image(seg, sim).a, image(seg, sim).b))
+            want = a + np.linspace(0.0, 1.0, 9)[:, None] * (b - a)
+            assert _shape_cloud(seg, sim).tobytes() == want.tobytes()
+            ob = image(box, sim)
+            c, axes = np.array(ob.center), np.array(ob.half_axes)
+            signs = itertools.product((-1.0, 1.0), repeat=dim)
+            corners = np.array([c + np.array(sign) @ axes for sign in signs])
+            pairs = [(x + y) / 2 for x, y in itertools.combinations(corners, 2)]
+            want = np.vstack([corners, *pairs]) if pairs else corners
+            assert _shape_cloud(box, sim).tobytes() == want.tobytes()

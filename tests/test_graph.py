@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from helpers import (
     LN3,
     cantor_graph,
+    enumerate_paths,
     line_map,
     make_path,
     random_graphs,
@@ -21,7 +22,6 @@ from gdcover.graph import (
     MWGraph,
     Path,
     common_prefix,
-    enumerate_paths,
     sample_path,
     simple_cycles,
     strongly_connected,

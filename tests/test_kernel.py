@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import covering_oracle as oracle
 from conftest import BUNDLED_NAMES
+from covering_oracle import OrientedBox, PointShape, SegmentShape
 
 from gdcover import asymptotics, covering
 from gdcover.covering import (
@@ -30,15 +31,7 @@ from gdcover.covering import (
     _Walk,
 )
 from gdcover.errors import ResourceLimitError
-from gdcover.geometry import (
-    Box,
-    OrientedBox,
-    PointShape,
-    Primitive,
-    SegmentShape,
-    Similarity,
-    rotation_2d,
-)
+from gdcover.geometry import Box, Primitive, Similarity, rotation_2d
 from gdcover.graph import Edge, MWGraph, Path
 from gdcover.spectral import solve_s0
 

@@ -10,6 +10,7 @@ from helpers import (
     LN2,
     LN3,
     cantor_graph,
+    enumerate_paths,
     phase_graph,
     random_graphs,
     two_ratio_graph,
@@ -17,7 +18,6 @@ from helpers import (
 )
 
 from gdcover.errors import ValidationError
-from gdcover.graph import enumerate_paths
 from gdcover.lattice import classify, classify_graph, cycle_log_ratios
 
 PRIMES = (2, 3, 5, 7)

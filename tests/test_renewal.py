@@ -136,17 +136,6 @@ class TestStepFunction:
         assert out[1](2.5) == pytest.approx(2.0)
         assert out[1](1.5) == 0.0
 
-    def test_from_samples_closes_support(self):
-        ts = np.array([0.0, 1.0, 2.0])
-        f = StepFunction.from_samples(ts, np.array([1.0, 2.0, 3.0]))
-        assert f(2.5) == 3.0
-        assert f(3.0) == 0.0
-        assert f.integral() == pytest.approx(6.0)
-
-    def test_from_samples_vanishes_before_first_sample(self):
-        f = StepFunction.from_samples(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
-        assert f(0.5) == 0.0
-        assert f(1.0) == 3.0
 
 
 class TestAddSteps:
@@ -193,7 +182,7 @@ class TestCheckDri:
 
     def test_exponential_steps_sum_to_geometric_series(self):
         ts = np.arange(0.0, 20.0, 0.01)
-        f = StepFunction.from_samples(ts, np.exp(-ts))
+        f = StepFunction(np.append(ts, 20.0), np.append(np.exp(-ts), 0.0))
         report = check_dri([f])
         want = sum(math.exp(-k) for k in range(20))
         assert report.ok
