@@ -365,11 +365,11 @@ def cmd_renewal(args) -> int:
     # horizon: the solution is clipped to zero at t >= horizon, so the
     # endpoint itself would report a spurious mismatch
     ts = np.linspace(0.0, horizon, args.samples, endpoint=False)
+    cols = [f(ts) for f in fs]
     residual = 0.0
     for j in range(m.n):
-        lhs = np.array([fs[j](t) for t in ts])
-        rhs = np.array([conv[j](t) + forcing[j](t) for t in ts])
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+        rhs = conv[j](ts) + forcing[j](ts)
+        residual = max(residual, float(np.max(np.abs(cols[j] - rhs))))
     summary = {
         "n": m.n,
         "horizon": horizon,
@@ -384,7 +384,7 @@ def cmd_renewal(args) -> int:
     }
     if args.output:
         header = ["t"] + [f"f_{j}" for j in range(m.n)]
-        rows = [[t] + [fs[j](t) for j in range(m.n)] for t in ts]
+        rows = np.column_stack([ts] + cols).tolist()
         _emit_csv(header, rows, args.output)
     if args.json_out:
         _emit_json(summary, args.json_out)

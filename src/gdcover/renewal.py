@@ -13,6 +13,7 @@ mass matrix is the transpose of the pressure matrix at ``s0``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from bisect import bisect_right
@@ -53,11 +54,11 @@ def _anchors(x: np.ndarray, tol: float) -> np.ndarray:
     keep = np.empty(x.size, dtype=bool)
     keep[0] = True
     np.greater(x[1:] - x[:-1], tol, out=keep[1:])
-    heads = np.flatnonzero(keep)
-    if heads.size == x.size:
+    if keep.all():
         return keep
+    heads = keep.nonzero()[0]
     tails = np.append(heads[1:], x.size) - 1
-    for c in np.flatnonzero(x[tails] - x[heads] > tol).tolist():
+    for c in (x[tails] - x[heads] > tol).nonzero()[0].tolist():
         anchor = x[heads[c]]
         for k in range(heads[c] + 1, tails[c] + 1):
             if x[k] - anchor > tol:
@@ -205,8 +206,10 @@ def transfer_measure(graph, s0: float) -> MatrixMeasure:
         i = graph.vertex_index(e.dst)
         j = graph.vertex_index(e.src)
         atoms[i][j].append((e.log_ratio, e.ratio**s0))
+    # the arrays of a measure are read-only, so empty entries can share one
+    zero = AtomicMeasure.zero()
     return MatrixMeasure(
-        [[AtomicMeasure.from_atoms(cell) for cell in row] for row in atoms]
+        [[AtomicMeasure.from_atoms(cell) if cell else zero for cell in row] for row in atoms]
     )
 
 
@@ -273,29 +276,14 @@ class StepFunction:
     def shifted_scaled(self, shift: float, weight: float) -> "StepFunction":
         if weight == 0 or self.is_zero:
             return StepFunction.zero()
-        bp = self.breakpoints + shift
-        # a shift can round neighbouring breakpoints onto each other
-        if (bp[1:] <= bp[:-1]).any():
-            raise ValueError("breakpoints must be strictly increasing")
-        return StepFunction._wrap(bp, self.values * weight)
+        return StepFunction._wrap(*_convolve(self.breakpoints, self.values, [shift], [weight]))
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add_steps([self, other])
 
     def clipped(self, t_max: float) -> "StepFunction":
         """Restrict to ``(-inf, t_max)``: beyond ``t_max`` the value is zero."""
-        if self.breakpoints.size == 0:
-            return self
-        # the breakpoints below t_max are a prefix
-        k = int(np.count_nonzero(self.breakpoints < t_max))
-        if k == 0:
-            return StepFunction.zero()
-        bp = self.breakpoints[:k]
-        vals = self.values[:k]
-        if vals[-1] != 0.0:
-            bp = np.append(bp, t_max)
-            vals = np.append(vals, 0.0)
-        return StepFunction._wrap(bp, vals)
+        return StepFunction._wrap(*_clip(self.breakpoints, self.values, t_max))
 
     def integral(self) -> float:
         """Lebesgue integral; infinite when the final value is nonzero."""
@@ -310,27 +298,30 @@ class StepFunction:
         """Convolution with an atomic measure: a sum of shifted scaled copies."""
         if self.is_zero or mu.is_zero:
             return StepFunction.zero()
-        return add_steps(
-            [
-                self.shifted_scaled(loc, w)
-                for loc, w in zip(mu.locations, mu.weights)
-            ]
-        )
+        loc, w = mu.locations, mu.weights
+        return StepFunction._wrap(*_convolve(self.breakpoints, self.values, loc, w))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StepFunction({self.breakpoints.size} pieces)"
 
 
-def add_steps(
-    fns: Sequence[StepFunction], merge_tol: float = ATOM_MERGE_TOL
-) -> StepFunction:
-    """Pointwise sum of step functions with breakpoint merging."""
-    fns = [f for f in fns if f.breakpoints.size]
-    if not fns:
-        return StepFunction.zero()
-    if len(fns) == 1:
-        return fns[0]
-    bp = np.sort(np.concatenate([f.breakpoints for f in fns]))
+def _clip(bp: np.ndarray, vals: np.ndarray, t_max: float):
+    """Restrict a pair to ``(-inf, t_max)``; the breakpoints below are a prefix."""
+    k = int(bp.searchsorted(t_max))
+    if k == 0 or vals[k - 1] == 0.0:
+        return bp[:k], vals[:k]
+    return np.concatenate((bp[:k], [t_max])), np.concatenate((vals[:k], [0.0]))
+
+
+def _add(pairs, merge_tol: float = ATOM_MERGE_TOL):
+    """Pointwise sum of ``(breakpoints, values)`` pairs with breakpoint merging."""
+    pairs = [p for p in pairs if p[0].size]
+    if not pairs:
+        return np.empty(0), np.empty(0)
+    if len(pairs) == 1:
+        return pairs[0]
+    bp = np.concatenate([p[0] for p in pairs])
+    bp.sort()
     if merge_tol > 0:
         bp = bp[_anchors(bp, merge_tol)]
     # evaluate past the merge window: a dropped near-duplicate breakpoint
@@ -341,15 +332,32 @@ def add_steps(
     # at each point is rounded the same way whatever the vectorization;
     # a summand adds nothing before its first breakpoint
     total = np.zeros(bp.size)
-    for f in fns:
-        start = int(np.searchsorted(eval_pts, f.breakpoints[0]))
-        idx = np.searchsorted(f.breakpoints, eval_pts[start:], side="right") - 1
-        total[start:] += f.values[idx]
+    starts = eval_pts.searchsorted([p[0][0] for p in pairs]).tolist()
+    for (fbp, fvals), start in zip(pairs, starts):
+        idx = fbp.searchsorted(eval_pts[start:], side="right") - 1
+        total[start:] += fvals[idx]
     # collapse runs of equal values to keep representations small
     change = np.empty(bp.size, dtype=bool)
     change[0] = True
     np.not_equal(total[1:], total[:-1], out=change[1:])
-    return StepFunction._wrap(bp[change], total[change])
+    return bp[change], total[change]
+
+
+def _convolve(bp: np.ndarray, vals: np.ndarray, locations, weights):
+    """A pair convolved with atoms: its copies shifted and scaled by each, summed in turn."""
+    copies = []
+    for loc, w in zip(locations, weights):
+        shifted = bp + loc
+        # a shift can round neighbouring breakpoints onto each other
+        if (shifted[1:] <= shifted[:-1]).any():
+            raise ValueError("breakpoints must be strictly increasing")
+        copies.append((shifted, vals * w))
+    return _add(copies)
+
+
+def add_steps(fns: Sequence[StepFunction], merge_tol: float = ATOM_MERGE_TOL) -> StepFunction:
+    """Pointwise sum of step functions with breakpoint merging."""
+    return StepFunction._wrap(*_add([(f.breakpoints, f.values) for f in fns], merge_tol))
 
 
 def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFunction]:
@@ -359,14 +367,14 @@ def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFu
         raise ValueError("vector length must match matrix size")
     # only nonzero products contribute; rows in increasing l keep each
     # column's parts in the summation order of sum_l f_l * M[l][j]
-    parts: list[list[StepFunction]] = [[] for _ in range(n)]
+    parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
     for f, row in zip(fs, m.entries):
         if f.is_zero:
             continue
         for j, mu in enumerate(row):
             if mu.locations.size:
-                parts[j].append(f.convolve_measure(mu))
-    return [add_steps(p) for p in parts]
+                parts[j].append(_convolve(f.breakpoints, f.values, mu.locations, mu.weights))
+    return [StepFunction._wrap(*_add(p)) for p in parts]
 
 
 @dataclass(frozen=True)
@@ -543,39 +551,31 @@ def limit_value(
     if not is_lattice:
         integrals = np.array([f.integral() for f in forcing])
         return RenewalLimit(kind="constant", values=integrals @ a)
-    if tau is None or tau <= 0:
-        raise ValueError("lattice result lacks a positive step")
+    if tau is None or not 0 < tau < math.inf:
+        raise ValueError("lattice result lacks a positive finite step")
     phases = getattr(lattice, "phases", None)
     phi = np.zeros(m.n) if phases is None else np.asarray(phases, dtype=float)
     if phi.shape != (m.n,):
         raise ValueError("lattice phases must give one value per component")
-    worst = 0.0
-    for i in range(m.n):
-        for j in range(m.n):
-            locs = m.entry(i, j).locations - (phi[i] - phi[j])
-            if locs.size:
-                offsets = np.abs(locs - np.round(locs / tau) * tau)
-                worst = max(worst, float(offsets.max()))
+    locs = np.concatenate([mu.locations - (phi[i] - phi[j])
+                           for i, row in enumerate(m.entries) for j, mu in enumerate(row)])
+    worst = float(np.abs(locs - np.round(locs / tau) * tau).max(initial=0.0))
     if worst > LATTICE_ALIGN_TOL:
         raise NumericalError(
             f"lattice step {tau} inconsistent with atom locations "
             f"(offset {worst:.3e})"
         )
     y = np.arange(samples_per_period) * (tau / samples_per_period)
-    rows = np.zeros((samples_per_period, m.n))
-    for idx, y0 in enumerate(y):
-        sums = np.zeros(m.n)
-        for l, f in enumerate(forcing):
-            start = (y0 - phi[l]) % tau
-            end = f.support_end
-            k = 0
-            acc = 0.0
-            while True:
-                t = start + k * tau
-                if t > end:
-                    break
-                acc += f(t)
-                k += 1
-            sums[l] = acc
-        rows[idx] = tau * (sums @ a)
+    # sums[l, m] = sum_k L_l(((y_m - phi_l) mod tau) + k tau), k up to L_l's support end
+    sums = np.zeros((m.n, y.size))
+    for l, f in enumerate(forcing):
+        start = (y - phi[l]) % tau
+        for k in itertools.count():
+            t = start + k * tau
+            live = t <= f.support_end
+            if not live.any():
+                break
+            sums[l, live] += f(t[live])
+    # one row at a time: a single matrix product may round differently
+    rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
     return RenewalLimit(kind="periodic", values=rows, y_grid=y, tau=tau)

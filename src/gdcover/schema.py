@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -39,6 +40,12 @@ _TOP_KEYS = {
     "separation",
     "open_sets",
 }
+
+
+# a ratio in (0, 1) must be normal (exp(-t) overflows at a subnormal one's scale)
+# and this far below 1 (closer, -log(ratio) keeps under 7 correct digits and the
+# walk spins to its path cap); validation judges the rest
+_RATIO_UNIT_GAP = 1e-9
 
 
 def _fail(msg: str) -> ValidationError:
@@ -93,6 +100,9 @@ def _edge_map(spec: dict, d: int, what: str) -> Similarity:
     if not isinstance(ratio, (int, float)):
         raise _fail(f"{what}.ratio must be a number")
     _finite(float(ratio), f"{what}.ratio")
+    if 0 < ratio < sys.float_info.min or 0 < 1 - ratio < _RATIO_UNIT_GAP:
+        raise _fail(f"{what} (edge {spec['id']!r}): ratio {ratio!r} is subnormal or "
+                    f"within {_RATIO_UNIT_GAP:g} of 1")
     has_matrix = "isometry" in spec
     has_angle = "angle" in spec
     if has_matrix and has_angle:

@@ -33,26 +33,33 @@ S0_TOL = 1e-12
 # and the width of a converged one, so the side it reports is the side of
 # the converged estimate
 SIDE_MARGIN = 1e-12
+# power steps between bracket checks grow from 2 to this; a stop wastes the rest of its block
+_BLOCK = 16
+
+
+def _matrix_builder(graph: MWGraph, moments: bool = False):
+    """``s -> build_matrix(graph, s)`` (or the moment matrix), indices looked up once."""
+    n, index = graph.n_vertices, graph.vertex_index
+    cells = [(index(e.src) * n + index(e.dst), e.ratio, e.log_ratio if moments else 1.0)
+             for e in graph.edges.values()]
+
+    def build(s: float) -> np.ndarray:
+        flat = [0.0] * (n * n)
+        for k, ratio, weight in cells:
+            flat[k] += ratio**s * weight
+        return np.array(flat).reshape(n, n)
+
+    return build
 
 
 def build_matrix(graph: MWGraph, s: float) -> np.ndarray:
     """Entry (i, j) is the sum of ``ratio^s`` over edges i -> j."""
-    n = graph.n_vertices
-    a = np.zeros((n, n))
-    for e in graph.edges.values():
-        a[graph.vertex_index(e.src), graph.vertex_index(e.dst)] += e.ratio**s
-    return a
+    return _matrix_builder(graph)(s)
 
 
 def build_moment_matrix(graph: MWGraph, s0: float) -> np.ndarray:
     """Entry (i, j) is the sum of ``ratio^s0 * (-log ratio)`` over edges i -> j."""
-    n = graph.n_vertices
-    m = np.zeros((n, n))
-    for e in graph.edges.values():
-        m[graph.vertex_index(e.src), graph.vertex_index(e.dst)] += (
-            e.ratio**s0 * e.log_ratio
-        )
-    return m
+    return _matrix_builder(graph, moments=True)(s0)
 
 
 def is_irreducible(a: np.ndarray) -> bool:
@@ -77,6 +84,34 @@ def _dense_perron(b: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec / s
 
 
+def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
+    """Power iteration on ``b`` from the positive ``x``: ``y = b @ x``, then
+    ``x = y / y.sum()``.  Min and max of ``y / x`` bracket the Perron root
+    (Collatz-Wielandt); they are formed a block of steps at a time.  Returns
+    ``(lo, hi, x, latest)`` at the first of at most ``max_iter`` steps whose
+    bracket converged or, with ``side``, lies beyond ``2 +- SIDE_MARGIN``
+    (None if none does); ``latest`` is the last iterate made."""
+    done, block = 0, 2
+    while done < max_iter:
+        xs, ys = [], []
+        for _ in range(min(block, max_iter - done)):
+            y = b @ x
+            xs.append(x)
+            ys.append(y)
+            x = y / y.sum()
+        quot = np.divide(ys, xs)
+        lo, hi = quot.min(axis=1), quot.max(axis=1)
+        stop = hi - lo <= POWER_REL_TOL * hi
+        if side:
+            stop |= (lo > 2.0 + SIDE_MARGIN) | (hi < 2.0 - SIDE_MARGIN)
+        if stop.any():
+            k = int(stop.argmax())
+            return float(lo[k]), float(hi[k]), xs[k], x
+        done += len(xs)
+        block = min(2 * block, _BLOCK)
+    return None
+
+
 def _power_perron(a: np.ndarray, max_iter: int) -> tuple[float, np.ndarray]:
     """Perron root and vector of a nonnegative square matrix.
 
@@ -91,47 +126,39 @@ def _power_perron(a: np.ndarray, max_iter: int) -> tuple[float, np.ndarray]:
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
-    for _, (lo, hi, x) in zip(range(max_iter), _brackets(b)):
-        if hi - lo <= POWER_REL_TOL * hi:
-            return (lo + hi) / 2 - 1.0, x / x.sum()
-    lam, vec = _dense_perron(b)
-    return lam - 1.0, vec
+    hit = _power_steps(b, np.full(n, 1.0 / n), max_iter, side=False)
+    if hit is None:
+        lam, vec = _dense_perron(b)
+        return lam - 1.0, vec
+    lo, hi, x, _latest = hit
+    return (lo + hi) / 2 - 1.0, x / x.sum()
 
 
-def _brackets(b: np.ndarray):
-    """Power iteration on ``b`` from the uniform vector.
-
-    Yields ``(lo, hi, x)`` per step: the iterate ``x`` and the min and max
-    of ``(b x)_i / x_i``, which bracket the Perron root of ``b``.
-    """
-    x = np.full(b.shape[0], 1.0 / b.shape[0])
-    while True:
-        y = b @ x
-        quot = y / x
-        yield float(quot.min()), float(quot.max()), x
-        x = y / y.sum()
-
-
-def _radius_at_least_one(a: np.ndarray) -> bool:
+def _radius_at_least_one(a: np.ndarray, start: np.ndarray | None = None):
     """``spectral_radius(a) >= 1.0`` for a nonnegative float matrix.
 
     Runs the same iteration as :func:`spectral_radius` but answers as soon
     as the bracket of ``a + I`` lies beyond ``2 +- SIDE_MARGIN``; inside the
     margin it iterates to the same converged estimate (or dense fallback)
-    and compares that, so the answer never differs.
+    and compares that, so the answer never differs.  A warm ``start`` may
+    answer only through its bracket, else the uniform vector reruns.  Also
+    returns the latest iterate, the next call's warm start.
     """
     n = a.shape[0]
     if n == 1:
-        return float(a[0, 0]) >= 1.0
+        return float(a[0, 0]) >= 1.0, None
     b = a + np.eye(n)
-    for _, (lo, hi, _x) in zip(range(POWER_MAX_ITER), _brackets(b)):
-        if hi - lo <= POWER_REL_TOL * hi:
-            return (lo + hi) / 2 - 1.0 >= 1.0
-        if lo > 2.0 + SIDE_MARGIN:
-            return True
-        if hi < 2.0 - SIDE_MARGIN:
-            return False
-    return _dense_perron(b)[0] - 1.0 >= 1.0
+    cold = np.full(n, 1.0 / n)
+    for x in (start, cold):
+        hit = None if x is None else _power_steps(b, x, POWER_MAX_ITER, side=True)
+        if hit is not None:
+            lo, hi, _x, latest = hit
+            # a converged bracket beyond the margin gives its estimate's side
+            if lo > 2.0 + SIDE_MARGIN or hi < 2.0 - SIDE_MARGIN:
+                return lo > 2.0 + SIDE_MARGIN, latest
+            if x is cold:
+                return (lo + hi) / 2 - 1.0 >= 1.0, latest
+    return _dense_perron(b)[0] - 1.0 >= 1.0, None
 
 
 def spectral_radius(
@@ -204,16 +231,14 @@ def solve_s0(graph: MWGraph) -> SpectralData:
     ``radius(s) = 1`` is bracketed by doubling from ``s = 1`` and then
     bisected until the bracket is exhausted at double precision; the
     returned value satisfies ``|radius(s0) - 1| <= S0_TOL``.  Each step only
-    needs the side of 1 the radius lies on, which power iteration usually
-    settles long before it converges.
+    needs the side of 1 the radius lies on, which power iteration (from the
+    previous step's iterate) usually settles long before it converges.
     """
     if not strongly_connected(graph):
         raise NumericalError("graph is not strongly connected")
 
-    def radius(s: float) -> float:
-        return spectral_radius(build_matrix(graph, s))
-
-    r0 = radius(0.0)
+    build = _matrix_builder(graph)
+    r0 = spectral_radius(build(0.0))
     if r0 < 1.0 - 1e-12:
         raise NumericalError(
             f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
@@ -222,24 +247,27 @@ def solve_s0(graph: MWGraph) -> SpectralData:
         s0 = 0.0
     else:
         lo, hi = 0.0, 1.0
-        while _radius_at_least_one(build_matrix(graph, hi)):
+        above, x = _radius_at_least_one(build(hi))
+        while above:
             lo, hi = hi, 2.0 * hi
             if hi > 1e6:
                 raise NumericalError("failed to bracket the dimension")
+            above, x = _radius_at_least_one(build(hi), x)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if _radius_at_least_one(build_matrix(graph, mid)):
+            above, x = _radius_at_least_one(build(mid), x)
+            if above:
                 lo = mid
             else:
                 hi = mid
         s0 = 0.5 * (lo + hi)
-    resid = abs(radius(s0) - 1.0)
+    resid = abs(spectral_radius(build(s0)) - 1.0)
     if resid > S0_TOL:
         raise NumericalError(f"dimension residual {resid:.3e} exceeds {S0_TOL:.3e}")
 
-    a0 = build_matrix(graph, s0)
+    a0 = build(s0)
     _rho, u, v = spectral_radius(a0, want_vectors=True)
     v = v / v.sum()
     u = u / float(v @ u)

@@ -1,12 +1,15 @@
-"""Loop-based reference for the renewal series and the ``s0`` bisection.
+"""Loop-based reference for the renewal series, the periodic limit and the
+``s0`` bisection.
 
 This is the straightforward path that ``gdcover.renewal`` and
 ``gdcover.spectral`` replace with array-native fast paths: the atom merge
 and the breakpoint merge walk every value in a Python loop,
 ``vector_convolve`` convolves all n^2 matrix entries, every step function
-goes through the validating constructor, and every bisection step runs
-power iteration to full convergence.  It is kept only as a differential
-oracle; the package's results must equal it bit for bit.
+goes through the validating constructor, the periodic limit evaluates the
+forcing at one point at a time, power iteration checks its bracket after
+every step, and every bisection step runs it from the uniform vector to
+full convergence.  It is kept only as a differential oracle; the package's
+results must equal it bit for bit.
 """
 from __future__ import annotations
 
@@ -20,12 +23,14 @@ from gdcover.graph import MWGraph, strongly_connected
 from gdcover.renewal import (
     ATOM_MERGE_TOL,
     StepFunction,
+    _limit_matrix_from,
     _require_renewal_preconditions,
 )
 from gdcover.spectral import (
     POWER_MAX_ITER,
     POWER_REL_TOL,
     S0_TOL,
+    SIDE_MARGIN,
     SpectralData,
     _dense_perron,
     build_matrix,
@@ -159,6 +164,51 @@ def renewal_solve(m, forcing, horizon: float, truncation: int | None = None) -> 
             break
         total = [add_steps([a, b]) for a, b in zip(total, term)]
     return total
+
+
+def periodic_limit(m, forcing, phases, tau: float, samples_per_period: int = 64) -> np.ndarray:
+    """Rows of the lattice limit, one (y, l, k) term at a time.
+
+    Row ``idx`` is ``tau * sums @ A`` with ``sums[l]`` the sum over k of
+    ``L_l(((y - phi_l) mod tau) + k tau)`` up to the end of ``L_l``'s support.
+    """
+    a = _limit_matrix_from(m)
+    phi = np.zeros(m.n) if phases is None else np.asarray(phases, dtype=float)
+    y = np.arange(samples_per_period) * (tau / samples_per_period)
+    rows = np.zeros((samples_per_period, m.n))
+    for idx, y0 in enumerate(y):
+        sums = np.zeros(m.n)
+        for l, f in enumerate(forcing):
+            start = (y0 - phi[l]) % tau
+            end = f.support_end
+            k = 0
+            acc = 0.0
+            while True:
+                t = start + k * tau
+                if t > end:
+                    break
+                acc += f(t)
+                k += 1
+            sums[l] = acc
+        rows[idx] = tau * (sums @ a)
+    return rows
+
+
+def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
+    """Power iteration on ``b`` from ``x`` with the bracket checked after every
+    step: ``(k, lo, hi, x)`` at the first step ``k`` whose bracket has
+    converged or, with ``side``, lies beyond ``2 +- SIDE_MARGIN``; None when
+    ``max_iter`` steps pass without a stop."""
+    for k in range(max_iter):
+        y = b @ x
+        quot = y / x
+        lo, hi = float(quot.min()), float(quot.max())
+        if hi - lo <= POWER_REL_TOL * hi:
+            return k, lo, hi, x
+        if side and (lo > 2.0 + SIDE_MARGIN or hi < 2.0 - SIDE_MARGIN):
+            return k, lo, hi, x
+        x = y / y.sum()
+    return None
 
 
 def power_perron(a: np.ndarray, rel_tol: float, max_iter: int) -> tuple[float, np.ndarray]:

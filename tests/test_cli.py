@@ -67,6 +67,27 @@ class TestValidate:
         assert "Traceback" not in captured.out + captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("ratio", [5e-324, 1 - 1e-15])
+    @pytest.mark.parametrize("command", ["validate", "dim", "analyze"])
+    def test_unusable_ratio_rejected_at_parse_time(self, tmp_path, capsys, command, ratio):
+        # a subnormal ratio used to pass validation and crash analyze with an
+        # OverflowError; a near-unit one spun until the path cap
+        doc = {
+            "dimension": 1,
+            "vertices": [{"id": "X", "box": {"min": [0.0], "max": [1.0]}}],
+            "edges": [
+                {"id": "a", "from": "X", "to": "X", "ratio": ratio, "translation": [0.0]},
+                {"id": "b", "from": "X", "to": "X", "ratio": 0.5, "translation": [0.5]},
+            ],
+        }
+        p = tmp_path / "ratio.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert "edge 'a'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "PASS" not in captured.out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err

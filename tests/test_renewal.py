@@ -119,6 +119,18 @@ class TestStepFunction:
         assert g(3.9) == 1.0 and g(4.0) == 0.0
         assert g.integral() == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, 1.0, 1.5, 2.0, 5.0])
+    def test_clipped_at_and_between_breakpoints(self, t_max):
+        # a breakpoint at t_max itself lies outside (-inf, t_max)
+        f = StepFunction([0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+        g = f.clipped(t_max)
+        want = {0.0: ([], []), 1.0: ([0.0, 1.0], [1.0, 0.0]),
+                1.5: ([0.0, 1.0, 1.5], [1.0, 2.0, 0.0]),
+                2.0: ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0]),
+                5.0: ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0])}[t_max]
+        assert g.breakpoints.tolist() == want[0]
+        assert g.values.tolist() == want[1]
+
     def test_convolve_with_dirac_shifts(self):
         f = StepFunction.indicator(0.0, 1.0)
         g = f.convolve_measure(AtomicMeasure.dirac(2.0, 0.5))
@@ -327,6 +339,14 @@ class TestRenewalSolve:
                 n = int((38.0 - y + phase) / lat.tau)
                 t = y - phase + n * lat.tau
                 assert fs[j](t) == pytest.approx(lim.values[row, j], abs=1e-9)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_lattice_limit_needs_a_positive_finite_step(self, tau):
+        # a NaN step used to loop forever: no t + k * nan ever exceeds the support
+        m = scalar_measure((1.0, 1.0))
+        lat = type("L", (), {"is_lattice": True, "tau": tau})()
+        with pytest.raises(ValueError, match="positive finite step"):
+            limit_value(m, [StepFunction.indicator(0.0, 1.0)], lattice=lat)
 
     def test_lattice_limit_rejects_off_grid_atoms(self):
         m = scalar_measure((LN3, 0.6), (1.0, 0.4))

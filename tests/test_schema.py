@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,28 @@ class TestParse:
         }
         with pytest.raises(ValidationError, match="finite"):
             parse_system(doc)
+
+    @pytest.mark.parametrize(
+        "ratio, message",
+        [
+            (5e-324, "subnormal"),
+            (np.nextafter(sys.float_info.min, 0.0), "subnormal"),
+            (1 - 1e-15, "within 1e-09 of 1"),
+            (np.nextafter(1.0, 0.0), "within 1e-09 of 1"),
+        ],
+    )
+    def test_subnormal_and_near_unit_ratios_rejected(self, ratio, message):
+        doc = minimal_doc()
+        doc["edges"][1]["ratio"] = float(ratio)
+        with pytest.raises(ValidationError, match=r"edges\[1\] \(edge 'b'\).*" + message):
+            parse_system(doc)
+
+    @pytest.mark.parametrize("ratio", [sys.float_info.min, 1e-300, 1 - 2e-9, 0.0, 1.0, 1.2, -0.5])
+    def test_ratios_at_the_bounds_and_outside_the_range_parse(self, ratio):
+        # ratios outside (0, 1) are left to validation's ratio-range check
+        doc = minimal_doc()
+        doc["edges"][1]["ratio"] = ratio
+        assert parse_system(doc).edges["b"].ratio == ratio
 
     def test_wrong_dimension_vector_rejected(self):
         doc = minimal_doc()

@@ -94,26 +94,26 @@ class TestRadiusSide:
     UNIT = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.3], [0.0, 0.25, 0.7]])
 
     def test_radius_exactly_one_iterates_to_the_full_estimate(self):
-        assert spectral._radius_at_least_one(self.UNIT) == (
+        assert spectral._radius_at_least_one(self.UNIT)[0] == (
             spectral_radius(self.UNIT) >= 1.0
         )
 
     @pytest.mark.parametrize("scale", [1 - 1e-9, 1 - 1e-13, 1 + 1e-13, 1 + 1e-9, 0.5, 2.0])
     def test_side_matches_full_iteration(self, scale):
         a = self.UNIT * scale
-        assert spectral._radius_at_least_one(a) == (spectral_radius(a) >= 1.0)
+        assert spectral._radius_at_least_one(a)[0] == (spectral_radius(a) >= 1.0)
 
     def test_dense_fallback_decides_like_spectral_radius(self, monkeypatch):
         monkeypatch.setattr(spectral, "POWER_MAX_ITER", 1)
         for scale in (1 - 1e-13, 1.0, 1 + 1e-13):
             a = self.UNIT * scale
-            assert spectral._radius_at_least_one(a) == (
+            assert spectral._radius_at_least_one(a)[0] == (
                 spectral_radius(a, max_iter=1) >= 1.0
             ), scale
 
     def test_scalar(self):
-        assert spectral._radius_at_least_one(np.array([[1.0]]))
-        assert not spectral._radius_at_least_one(np.array([[np.nextafter(1.0, 0.0)]]))
+        assert spectral._radius_at_least_one(np.array([[1.0]]))[0]
+        assert not spectral._radius_at_least_one(np.array([[np.nextafter(1.0, 0.0)]]))[0]
 
 
 class TestSolveS0:
