@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import (
+    CELL_CAP,
     CoveringProfile,
     ForcingContext,
     IntegralResult,
@@ -29,7 +30,7 @@ from .covering import (
     profile_at,
     renewal_residual,
 )
-from .errors import InconclusiveRegimeError, ValidationError
+from .errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
 from .geometry import Primitive, Similarity
 from .graph import MWGraph, common_prefix, sample_path, validate
 from .lattice import LatticeResult, classify_graph
@@ -362,7 +363,10 @@ def _default_points(
     large_n_min: int,
     large_n_max: int,
 ):
+    """Profile samples of the regime.  A request for more than ``CELL_CAP``
+    samples raises ``ResourceLimitError`` before any is built."""
     if regime.regime == "SmallCondensation-Lattice":
+        _check_sample_count((n_max - n_min + 1) * y_samples)
         tau = regime.lattice.tau
         ys = [m * tau / y_samples for m in range(y_samples)]
         return lattice_grid(tau, range(n_min, n_max + 1), ys)
@@ -372,7 +376,13 @@ def _default_points(
         else:
             step = max(e.log_ratio for e in graph.edges.values())
         return lattice_grid(step, range(large_n_min, large_n_max + 1), [0.0])
+    _check_sample_count(dense_samples)
     return np.linspace(t_min, t_max, dense_samples).tolist()
+
+
+def _check_sample_count(n: int) -> None:
+    if n > CELL_CAP:
+        raise ResourceLimitError(f"analysis needs {n} samples (cap {CELL_CAP})")
 
 
 def analyze(

@@ -171,7 +171,7 @@ def cmd_dim(args) -> int:
 
 def cmd_lattice(args) -> int:
     graph = _load(args)
-    result = lattice.classify_graph(graph, mode=args.mode)
+    result = lattice.classify_graph(graph)
     if args.json or args.output:
         _emit_json(_lattice_doc(result), args.output)
     elif result.is_lattice:
@@ -230,6 +230,8 @@ def cmd_profile(args) -> int:
     _check_int_at_least(args.samples, 1, "--samples")
     _check_t_range(args)
     graph = _load(args)
+    if args.no_condensation:
+        graph = graph.without_condensation()
     grid_origin = _parse_origin(args.grid_origin, graph.dimension)
     sd = spectral.solve_s0(graph)
     period = _resolve_period(args, graph)
@@ -242,7 +244,6 @@ def cmd_profile(args) -> int:
             period=period,
             spectral=sd,
             grid_origin=grid_origin,
-            include_condensation=not args.no_condensation,
         )
     except ValueError as exc:
         # the flags are checked above, so what is left is a t-range that
@@ -272,7 +273,7 @@ def _pairs(items, what: str) -> tuple[list[float], list[float]]:
     return [float(p[0]) for p in items], [float(p[1]) for p in items]
 
 
-def _parse_reduced(doc: dict, horizon: float | None = None):
+def _parse_reduced(doc: dict):
     """Renewal-only input: matrix atoms and forcing pieces given directly.
 
     Expected shape::
@@ -285,7 +286,7 @@ def _parse_reduced(doc: dict, horizon: float | None = None):
 
     Forcing breakpoints must be at least ``renewal.ATOM_MERGE_TOL`` apart:
     closer ones can be rounded onto each other when the solver shifts them.
-    ``horizon`` overrides the file's horizon.  Returns ``(M, L, horizon)``.
+    Returns ``(M, L, horizon)``.
     """
     if not isinstance(doc, dict) or "M" not in doc or "L" not in doc:
         raise ValidationError("renewal input needs top-level keys M and L")
@@ -319,8 +320,7 @@ def _parse_reduced(doc: dict, horizon: float | None = None):
             forcing.append(renewal.StepFunction(bps, vals))
         else:
             forcing.append(renewal.StepFunction.zero())
-    if horizon is None:
-        horizon = doc.get("horizon", 30.0)
+    horizon = doc.get("horizon", 30.0)
     if not _finite_number(horizon) or horizon <= 0:
         raise ValidationError(f"horizon must be a positive finite number, got {horizon!r}")
     return m, forcing, float(horizon)
@@ -335,17 +335,13 @@ def cmd_renewal(args) -> int:
         raise ValidationError(f"cannot read renewal input {args.file}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"renewal input is not valid JSON: {exc}") from exc
-    m, forcing, horizon = _parse_reduced(doc, args.horizon)
-    truncation = args.truncation
-    if truncation is None:
-        truncation = doc.get("truncation")
+    m, forcing, horizon = _parse_reduced(doc)
+    truncation = doc.get("truncation")
     if truncation is not None:
         _check_int_at_least(truncation, 0, "truncation")
-    spp = args.samples_per_period
-    if spp is None:
-        spp = doc.get("samples_per_period", 64)
+    spp = doc.get("samples_per_period", 64)
     _check_int_at_least(spp, 1, "samples_per_period")
-    tau = args.tau if args.tau is not None else doc.get("tau")
+    tau = doc.get("tau")
     if tau is not None and not (_finite_number(tau) and tau > 0):
         raise ValidationError(f"tau must be a positive finite number, got {tau!r}")
     dri = renewal.check_dri(forcing)
@@ -456,8 +452,9 @@ def _cross_doc(cross: asymptotics.CrossCheckResult | None) -> dict | None:
     return doc
 
 
-def _analysis_doc(res: asymptotics.AnalysisResult, include_profile: bool) -> dict:
-    doc = {
+def _analysis_doc(res: asymptotics.AnalysisResult) -> dict:
+    header, rows = _profile_rows(res.profile)
+    return {
         "vertex_order": list(res.vertex_order),
         "spectral": _spectral_doc(res.spectral),
         "lattice": _lattice_doc(res.lattice),
@@ -477,11 +474,8 @@ def _analysis_doc(res: asymptotics.AnalysisResult, include_profile: bool) -> dic
         "estimate": _report_doc(res.report),
         "cross_check": _cross_doc(res.cross),
         "notes": list(res.notes),
+        "profile": {"columns": header, "rows": rows},
     }
-    if include_profile:
-        header, rows = _profile_rows(res.profile)
-        doc["profile"] = {"columns": header, "rows": rows}
-    return doc
 
 
 def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
@@ -507,7 +501,7 @@ def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
 def cmd_analyze(args) -> int:
     _graph, res = _run_analysis(args)
     if args.json or args.output:
-        _emit_json(_analysis_doc(res, include_profile=True), args.output)
+        _emit_json(_analysis_doc(res), args.output)
         return 0
     print(f"regime: {res.regime.regime}")
     print(f"s0 = {res.spectral.s0:.12g}")
@@ -543,7 +537,7 @@ def cmd_analyze(args) -> int:
 def cmd_report(args) -> int:
     graph, res = _run_analysis(args)
     os.makedirs(args.outdir, exist_ok=True)
-    doc = _analysis_doc(res, include_profile=True)
+    doc = _analysis_doc(res)
     doc["system"] = schema.dump_system(graph)
     artifacts = {"report": "report.json", "profile": "profile.csv"}
     header, rows = _profile_rows(res.profile)
@@ -626,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="classify the cycle-ratio group")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("auto", "exact", "floating"), default="auto")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lattice)
@@ -646,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="lattice step for per-period sampling; 'auto' to detect",
     )
-    p.add_argument("--no-condensation", action="store_true")
+    p.add_argument("--no-condensation", action="store_true", help="the condensation-free system")
     _add_grid_flags(p)
     p.add_argument("-o", "--output", default=None, help="write CSV here")
     p.set_defaults(func=cmd_profile)
@@ -655,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
         "renewal", help="solve f = f*M + L from a reduced matrix/forcing file"
     )
     p.add_argument("file")
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None, help="lattice step")
-    p.add_argument("--samples-per-period", type=int, default=None)
     p.add_argument("--samples", type=int, default=601, help="CSV sample count")
     p.add_argument("-o", "--output", default=None, help="write solution CSV here")
     p.add_argument("--json-out", default=None, help="write summary JSON here")

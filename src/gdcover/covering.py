@@ -57,15 +57,6 @@ CELL_CAP = 10**7
 # -- cell index arithmetic --------------------------------------------------
 
 
-def interval_cell_range(a: float, b: float, r: float, origin: float = 0.0) -> tuple[int, int]:
-    """Inclusive index range of cells met by the closed interval [a, b]."""
-    if b < a:
-        a, b = b, a
-    lo = int(math.floor((a - origin) / r + ETA))
-    hi = int(math.ceil((b - origin) / r - ETA)) - 1
-    return lo, max(lo, hi)
-
-
 def _origin_vector(grid_origin, dim: int) -> np.ndarray:
     if grid_origin is None:
         return np.zeros(dim)
@@ -82,8 +73,8 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # Cells are held as runs: stretches of consecutive cells along the last
 # axis, one int64 row (c_0, ..., c_{d-2}, lo, hi) each.  A single cell is a
 # run with lo == hi.  Float expressions repeat the operation order of the
-# scalar definitions (Similarity.compose and apply, interval_cell_range, and
-# OrientedBox.image_of in the test oracle tests/covering_oracle.py).  Small
+# scalar definitions (Similarity.compose and apply, and the cell index
+# ranges and OrientedBox.image_of of the test oracle tests/covering_oracle.py).  Small
 # matrix products go through np.matmul with the operand layout of the scalar
 # call, because BLAS may fuse multiply-adds where a written-out formula would
 # round twice.  So coordinates and cells agree bit for bit with shape-by-shape
@@ -109,7 +100,8 @@ def _floor_cells(pts: np.ndarray, r, origin: np.ndarray) -> np.ndarray:
 
 
 def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
-    """Array form of :func:`interval_cell_range`, elementwise."""
+    """Inclusive index ranges of the cells met by the closed intervals
+    [a, b], elementwise."""
     lo = np.floor((np.minimum(a, b) - origin) / r + ETA).astype(np.int64)
     hi = np.ceil((np.maximum(a, b) - origin) / r - ETA).astype(np.int64) - 1
     return lo, np.maximum(lo, hi)
@@ -689,7 +681,7 @@ class _Walk:
         pairs = np.repeat(nodes, n)
         return pairs, np.arange(pairs.size) - np.repeat(np.cumsum(n) - n - lo, n)
 
-    def shapes(self, r, include_condensation: bool = True) -> _Shapes:
+    def shapes(self, r) -> _Shapes:
         """Covering elements of the radius-r walk as arrays.
 
         For an ascending array of radii, the elements of every radius
@@ -704,7 +696,7 @@ class _Walk:
             if nodes.size:
                 obbs.append(self._box_image(v, graph.seed_box(name), nodes))
                 tags[2].append(tag)
-            if not (include_condensation and graph.condensation[name]):
+            if not graph.condensation[name]:
                 continue
             nodes, tag = self._pick(v, inner)
             for prim in graph.condensation[name]:
@@ -720,15 +712,12 @@ class _Walk:
         tags = None if np.ndim(r) == 0 else tags
         return _Shapes.gather(graph.dimension, points, segments, obbs, tags)
 
-    def n_elements(self, r: float, include_condensation: bool = True) -> int:
+    def n_elements(self, r: float) -> int:
         leaf, inner = self._select(r)
-        n = int(leaf.sum())
-        if include_condensation:
-            per_vertex = np.array([len(self.graph.condensation[v]) for v in self.graph.vertex_order])
-            n += int(per_vertex[self.term[inner]].sum())
-        return n
+        per_vertex = np.array([len(self.graph.condensation[v]) for v in self.graph.vertex_order])
+        return int(leaf.sum()) + int(per_vertex[self.term[inner]].sum())
 
-    def work(self, radii: np.ndarray, include_condensation: bool = True) -> np.ndarray:
+    def work(self, radii: np.ndarray) -> np.ndarray:
         """Estimated candidate runs of each radius of an ascending array:
         one per element, plus in dimension >= 2 the grid planes each
         condensation image crosses (its ratio times the primitive's L1
@@ -739,7 +728,7 @@ class _Walk:
         for v, name in enumerate(self.graph.vertex_order):
             _nodes, lo, hi = leaf[v]
             out += _range_sums(lo, hi, 1.0, g)
-            prims = self.graph.condensation[name] if include_condensation else ()
+            prims = self.graph.condensation[name]
             if prims:
                 nodes, lo, hi = inner[v]
                 out += _range_sums(lo, hi, float(len(prims)), g)
@@ -756,28 +745,20 @@ class GeometrySet:
     """Resolution-r covering of one vertex's attractor: a view over the
     vertex's array walk, whose elements exist only as arrays."""
 
-    def __init__(
-        self, vertex: str, resolution: float, walk: _Walk, include_condensation: bool = True
-    ) -> None:
+    def __init__(self, vertex: str, resolution: float, walk: _Walk) -> None:
         self.vertex = vertex
         self.resolution = resolution
         self._walk = walk
-        self._include_condensation = include_condensation
 
     @property
     def n_elements(self) -> int:
-        return self._walk.n_elements(self.resolution, self._include_condensation)
+        return self._walk.n_elements(self.resolution)
 
     def _shapes(self) -> _Shapes:
-        return self._walk.shapes(self.resolution, self._include_condensation)
+        return self._walk.shapes(self.resolution)
 
 
-def generate(
-    graph: MWGraph,
-    vertex: str,
-    r: float,
-    include_condensation: bool = True,
-) -> GeometrySet:
+def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:
     """Covering elements for one vertex at resolution r.
 
     Cylinder boxes come from paths stopped the first time the image of the
@@ -787,7 +768,7 @@ def generate(
     """
     if r <= 0:
         raise ValueError("resolution must be positive")
-    return GeometrySet(vertex, r, _Walk(graph, vertex, r), include_condensation)
+    return GeometrySet(vertex, r, _Walk(graph, vertex, r))
 
 
 # -- counting ----------------------------------------------------------------
@@ -882,12 +863,9 @@ class _CountTable:
     groups (``_groups``), each in one array pass per vertex.
     """
 
-    def __init__(
-        self, graph: MWGraph, grid_origin=None, include_condensation: bool = True
-    ) -> None:
+    def __init__(self, graph: MWGraph, grid_origin=None) -> None:
         self.graph = graph
         self.origin = _origin_vector(grid_origin, graph.dimension)
-        self.include_condensation = include_condensation
         self.counts: dict[tuple[str, float], int] = {}
         self.walks: dict[str, _Walk] = {}
 
@@ -904,10 +882,9 @@ class _CountTable:
         if not radii.size:
             return
         walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
-        incl = self.include_condensation
-        for a, b in _groups(sum(w.work(radii, incl) for w in walks)):
+        for a, b in _groups(sum(w.work(radii) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            yield a, b, [w.shapes(r, incl).runs(r, self.origin) for w in walks]
+            yield a, b, [w.shapes(r).runs(r, self.origin) for w in walks]
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
         """Count one vertex at every t not yet in the table; its walk reaches
@@ -992,7 +969,6 @@ def profile_at(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    include_condensation: bool = True,
     _table: _CountTable | None = None,
 ) -> CoveringProfile:
     """Covering profile at explicit t samples.
@@ -1001,14 +977,13 @@ def profile_at(
     where ``t = n * tau + y`` records the decomposition used downstream.
     One walk per vertex, sized for the largest t, serves every sample, and
     the samples are counted a group of radii at a time.  ``_table`` is the
-    count table of an enclosing analysis; its grid origin and condensation
-    setting replace the arguments, and it keeps the per-vertex counts for
-    the cross-check.
+    count table of an enclosing analysis; its grid origin replaces the
+    argument, and it keeps the per-vertex counts for the cross-check.
     """
     if spectral is None:
         spectral = solve_s0(graph)
     if _table is None:
-        _table = _CountTable(graph, grid_origin, include_condensation)
+        _table = _CountTable(graph, grid_origin)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -1060,7 +1035,6 @@ def profile(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    include_condensation: bool = True,
 ) -> CoveringProfile:
     """Uniform-in-t profile, or per-period sampling when ``period`` is set.
 
@@ -1093,25 +1067,10 @@ def profile(
         ]
         if not points:
             raise ValueError("no lattice sample points inside the t-range")
-    return profile_at(
-        graph,
-        points,
-        spectral=spectral,
-        grid_origin=grid_origin,
-        include_condensation=include_condensation,
-    )
+    return profile_at(graph, points, spectral=spectral, grid_origin=grid_origin)
 
 
 # -- condensation scale integral ---------------------------------------------
-
-
-def _box_cell_count(lo, hi, r: float, origin) -> int:
-    """Cells met by the closed box [lo, hi], axis by axis in scalar arithmetic."""
-    total = 1
-    for a, b, o in zip(lo, hi, origin):
-        i0, i1 = interval_cell_range(a, b, r, o)
-        total *= i1 - i0 + 1
-    return total
 
 
 def _hurwitz(s: float, a: float) -> float:
@@ -1178,10 +1137,13 @@ def _box_scale_integral(lo, hi, s: float) -> float:
                 jump_radii.add(c / m)
             m += 1
     grid = sorted(jump_radii)
-    origin = (0.0,) * len(lo)
+    # the box's cells at the geometric midpoint of every piece, one row each
+    mid = np.sqrt(np.multiply(grid[:-1], grid[1:]))[:, None]
+    ilo, ihi = _interval_cells(np.array([lo], dtype=float), np.array([hi], dtype=float),
+                               mid, np.zeros(len(lo)))
+    counts = _row_prod(ihi - ilo + 1).tolist()
     total = 0.0
-    for r0, r1 in zip(grid, grid[1:]):
-        n = _box_cell_count(lo, hi, math.sqrt(r0 * r1), origin)
+    for r0, r1, n in zip(grid, grid[1:], counts):
         total += n * (r1**s - r0**s) / s
     widths = [b - a for a, b in zip(lo, hi)]
     axes = [w for w in widths if w > 0]

@@ -161,6 +161,17 @@ class MWGraph:
     def has_condensation(self) -> bool:
         return any(self.condensation[v] for v in self.vertex_order)
 
+    def without_condensation(self) -> "MWGraph":
+        """The same system with every condensation set empty: the homogeneous
+        graph-directed attractor of Mauldin and Williams."""
+        return MWGraph(
+            self.dimension,
+            self.vertices,
+            self.edges.values(),
+            separation=self.separation,
+            open_sets=self.open_sets,
+        )
+
     # -- path helpers ------------------------------------------------------
 
     def path_terminal(self, path: Path) -> str:

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ValidationError
 from .graph import MWGraph, strong_components
 from .renewal import LATTICE_ALIGN_TOL
 
@@ -358,20 +357,15 @@ def classify(
     return _classify_floating(values, eps)
 
 
-def classify_graph(graph: MWGraph, mode: str = "auto") -> LatticeResult:
+def classify_graph(graph: MWGraph) -> LatticeResult:
     """Classify a system from its spanning-tree generators.
 
-    ``mode="auto"`` runs the exact classifier when every edge of the graph
-    carries a rational ratio and the floating one otherwise; ``"exact"``
-    requires the rational ratios, and ``"floating"`` ignores them.  In the
+    The exact classifier runs when every edge of the graph carries a
+    rational ratio, the floating one otherwise; a rational system's floating
+    verdict is ``classify`` of the ``cycle_log_ratios`` values.  In the
     lattice case the result carries the vertex phases.
     """
-    if mode not in ("auto", "exact", "floating"):
-        raise ValueError(f"unknown classification mode {mode!r}")
-    rational = all(e.ratio_rational is not None for e in graph.edges.values())
-    if mode == "exact" and not rational:
-        raise ValidationError("exact mode needs ratio_rational on every edge")
-    exact = rational and mode != "floating"
+    exact = all(e.ratio_rational is not None for e in graph.edges.values())
     gens, phi = _spanning_generators(graph, exact)
     if not gens:
         raise ValueError("graph has no cycle; classification is undefined")

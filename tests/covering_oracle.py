@@ -220,7 +220,7 @@ def _shape_cells(shape, r, origin, tight, out, cap):
         raise TypeError(f"unsupported shape {type(shape).__name__}")
 
 
-def generate(graph, vertex, r, include_condensation=True, cap=PATH_CAP):
+def generate(graph, vertex, r, cap=PATH_CAP):
     """Covering elements in depth-first order, one composed map per node."""
     if r <= 0:
         raise ValueError("resolution must be positive")
@@ -233,7 +233,7 @@ def generate(graph, vertex, r, include_condensation=True, cap=PATH_CAP):
         if kind == "leaf":
             shape = OrientedBox.image_of(sim, graph.seed_box(terminal))
             elements.append(SetElement("cylinder", shape, path))
-        elif include_condensation:
+        else:
             for prim in graph.condensation[terminal]:
                 elements.append(SetElement("condensation", image(prim, sim), path))
     return ElementSet(vertex, r, tuple(elements))

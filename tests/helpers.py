@@ -5,6 +5,7 @@ enumeration, bisection on scalar equations) so that package results are
 checked against code that shares no logic with the implementation.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -200,6 +201,16 @@ def brute_cells_1d(points, r: float, origin: float = 0.0) -> set:
     """Grid cells (side r, half-open, anchored at origin) met by sample points."""
     eta = 1e-9
     return {math.floor((x - origin) / r + eta) for x in points}
+
+
+def without_rational(graph: MWGraph) -> MWGraph:
+    """A copy of ``graph`` whose edges carry no exact ratio, so that the
+    lattice classifier takes its floating path."""
+    edges = [dataclasses.replace(e, ratio_rational=None) for e in graph.edges.values()]
+    return MWGraph(
+        graph.dimension, graph.vertices, edges, graph.condensation, graph.separation,
+        graph.open_sets,
+    )
 
 
 RATIOS = tuple(

@@ -12,7 +12,8 @@ from gdcover.schema import bundled_text, dumps_system
 def corpus_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("systems")
     out = {}
-    for name in ("cantor", "cantor_point", "sierpinski", "two_ratio", "two_vertex"):
+    for name in ("cantor", "cantor_point", "dust2d_edge", "sierpinski", "two_ratio",
+                 "two_vertex"):
         p = root / f"{name}.json"
         p.write_text(bundled_text(name), encoding="utf-8")
         out[name] = str(p)
@@ -132,11 +133,17 @@ class TestLattice:
         assert doc["kind"] == "lattice"
         assert doc["tau"] == pytest.approx(LN3, rel=1e-12)
 
-    def test_forced_floating_mode(self, corpus_files, capsys):
-        assert main(["lattice", "--mode", "floating", "--json", corpus_files["cantor"]]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mode"] == "floating"
-        assert doc["tau"] == pytest.approx(LN3, rel=1e-9)
+    def test_unmarked_ratios_give_floating_mode(self, corpus_files, tmp_path, capsys):
+        # the file picks the classifier: without ratio_rational it is floating
+        doc = json.loads(open(corpus_files["cantor"], encoding="utf-8").read())
+        for edge in doc["edges"]:
+            del edge["ratio_rational"]
+        p = tmp_path / "cantor_float.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["lattice", "--json", str(p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "floating"
+        assert out["tau"] == pytest.approx(LN3, rel=1e-9)
 
 
 class TestProfile:
@@ -183,6 +190,19 @@ class TestProfile:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("origin", [[], ["--grid-origin", "0.316"]], ids=["zero", "shifted"])
+    @pytest.mark.parametrize("name", ["cantor_point", "dust2d_edge"])
+    def test_no_condensation_is_the_stripped_system(self, corpus_files, tmp_path, name, origin):
+        # --no-condensation profiles the same file with its condensation key removed
+        doc = json.loads(open(corpus_files[name], encoding="utf-8").read())
+        assert doc.pop("condensation")
+        stripped = tmp_path / f"{name}_plain.json"
+        stripped.write_text(json.dumps(doc), encoding="utf-8")
+        a, b = tmp_path / "flag.csv", tmp_path / "plain.csv"
+        assert main(["profile", corpus_files[name], "--no-condensation", "-o", str(a)] + origin) == 0
+        assert main(["profile", str(stripped), "-o", str(b)] + origin) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_period_rejected(self, corpus_files, capsys):
         rc = main(["profile", corpus_files["cantor"], "--period", "sometimes"])
         assert rc == 1
@@ -209,6 +229,16 @@ class TestRenewal:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,f_0"
         assert len(lines) == 12
+
+    def test_json_out_is_the_stdout_summary(self, tmp_path, capsys):
+        p = tmp_path / "renewal.json"
+        p.write_text(json.dumps(RENEWAL_DOC), encoding="utf-8")
+        assert main(["renewal", str(p)]) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "summary.json"
+        assert main(["renewal", str(p), "--json-out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == plain
 
     def test_lattice_tau_gives_periodic_limit(self, tmp_path, capsys):
         doc = {"M": [[[[LN3, 1.0]]]], "L": [[[0.0, 1.0], [LN3, 0.0]]], "tau": LN3}
@@ -374,6 +404,24 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "samples" in err
 
+    # likewise for the analysis: (n_max - n_min + 1) * y_samples lattice
+    # samples, or --samples dense ones, are checked before any is built
+    @pytest.mark.parametrize("cmd", ["analyze", "report"])
+    @pytest.mark.parametrize(
+        "system, flags",
+        [("cantor", ["--y-samples", "100000000"]), ("two_ratio", ["--samples", "1000000000"])],
+        ids=["lattice_y_samples", "dense_samples"],
+    )
+    def test_analysis_sample_count_capped(self, corpus_files, tmp_path, capsys, cmd, system,
+                                          flags):
+        out = tmp_path / "out"
+        extra = ["-o", str(out)] if cmd == "report" else []
+        assert main([cmd, corpus_files[system]] + flags + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "samples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_equal_t_bounds_accepted(self, corpus_files, capsys):
         rc = main(["profile", corpus_files["cantor"], "--tmin", "2", "--tmax", "2",
                    "--samples", "1"])
@@ -404,6 +452,24 @@ class TestArgparse:
         # the cutoffs are lattice.DEFAULT_EPS and spectral.S0_TOL, as in analyze
         with pytest.raises(SystemExit) as exc:
             main([cmd, corpus_files["cantor"], flag, "1e-9"])
+        assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "cmd, flags",
+        [("lattice", ["--mode", "floating"]), ("renewal", ["--horizon", "5"]),
+         ("renewal", ["--truncation", "3"]), ("renewal", ["--tau", "1"]),
+         ("renewal", ["--samples-per-period", "8"])],
+        ids=["lattice_mode", "renewal_horizon", "renewal_truncation", "renewal_tau",
+             "renewal_samples_per_period"],
+    )
+    def test_input_settings_have_no_flag(self, tmp_path, cmd, flags):
+        # the system file picks the classifier; the reduced file holds the
+        # renewal settings
+        p = tmp_path / "renewal.json"
+        p.write_text(json.dumps(RENEWAL_DOC), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(p)] + flags)
         assert exc.value.code == 2
 
 

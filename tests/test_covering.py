@@ -14,6 +14,7 @@ from gdcover import covering
 from gdcover.covering import (
     ForcingContext,
     _cell_count,
+    _interval_cells,
     _origin_vector,
     _Shapes,
     cell_union,
@@ -22,7 +23,6 @@ from gdcover.covering import (
     count,
     forcing_values,
     generate,
-    interval_cell_range,
     lattice_grid,
     profile,
     profile_at,
@@ -68,6 +68,12 @@ CANTOR_PTS = cantor_level_endpoints()
 
 def cantor_count(t: float) -> int:
     return len(cells_of_points(CANTOR_PTS[:, None], math.exp(-t), 0.0))
+
+
+def interval_cell_range(a, b, r, origin=0.0):
+    """The kernel's inclusive cell index range of the closed interval [a, b]."""
+    lo, hi = _interval_cells(np.array([a]), np.array([b]), r, np.array([origin]))
+    return int(lo[0]), int(hi[0])
 
 
 class TestCellArithmetic:
@@ -122,7 +128,7 @@ class TestGenerate:
         assert sorted(len(e.path.edges) for e in pts) == [0, 1, 1, 2, 2, 2, 2]
 
     def test_include_condensation_false(self, cantor_point):
-        gs = generate(cantor_point, "X", 0.04, include_condensation=False)
+        gs = generate(cantor_point.without_condensation(), "X", 0.04)
         assert gs.n_elements == 8
         assert gs._shapes().points.shape[0] == 0
 
@@ -399,14 +405,14 @@ class TestProfile:
     ):
         ts = [0.7, 1.6, 2.9]
         plain = profile_at(cantor, ts)
-        stripped = profile_at(cantor_point, ts, include_condensation=False)
+        stripped = profile_at(cantor_point.without_condensation(), ts)
         assert [s.total for s in plain.samples] == [s.total for s in stripped.samples]
 
     def test_condensation_increases_counts(self, cantor_segment):
         # below t ~ 2 the gap segment hides inside the cylinder cells
         ts = [2.4, 3.0, 3.6]
         with_c = profile_at(cantor_segment, ts)
-        without = profile_at(cantor_segment, ts, include_condensation=False)
+        without = profile_at(cantor_segment.without_condensation(), ts)
         for a, b in zip(with_c.samples, without.samples):
             assert a.total > b.total
 

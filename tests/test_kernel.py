@@ -479,9 +479,9 @@ def test_analyze_counts_each_key_once(bundled, name):
     counted = []
     shapes = _Walk.shapes
 
-    def spy(walk, r, include_condensation=True):
+    def spy(walk, r):
         counted.extend((walk.vertex, float(x)) for x in np.atleast_1d(r))
-        return shapes(walk, r, include_condensation)
+        return shapes(walk, r)
 
     with mock.patch.object(_Walk, "shapes", spy):
         res = asymptotics.analyze(graph, n_min=3, n_max=6, y_samples=4)

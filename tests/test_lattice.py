@@ -15,9 +15,9 @@ from helpers import (
     random_graphs,
     two_ratio_graph,
     two_vertex_graph,
+    without_rational,
 )
 
-from gdcover.errors import ValidationError
 from gdcover.lattice import classify, classify_graph, cycle_log_ratios
 
 PRIMES = (2, 3, 5, 7)
@@ -165,14 +165,16 @@ class TestAgainstSimpleCycles:
     @given(g=random_graphs())
     def test_spanning_tree_matches_simple_cycles(self, g):
         kinds = set()
-        for mode in ("auto", "floating"):
+        # the input picks the classifier: exact on the rational graph,
+        # floating on a copy whose edges carry no exact ratio
+        for graph, mode in ((g, "auto"), (without_rational(g), "floating")):
             try:
                 want = lattice_oracle.classify_graph(g, mode=mode)
             except ValueError:
                 with pytest.raises(ValueError):
-                    classify_graph(g, mode=mode)
+                    classify_graph(graph)
                 continue
-            got = classify_graph(g, mode=mode)
+            got = classify_graph(graph)
             assert (got.kind, got.mode) == want[:2]
             if want[2] is None:
                 assert got.tau is None and got.phases is None
@@ -231,8 +233,6 @@ class TestClassifyGraph:
     def test_unmarked_ratios_fall_back_to_floating(self):
         g = cantor_graph()  # built without ratio_rational annotations
         assert classify_graph(g).mode == "floating"
-        with pytest.raises(ValidationError):
-            classify_graph(g, mode="exact")
 
     def test_simple_cycles_agree_with_all_closed_walks(self, bundled):
         # the generating set built from every closed walk of length up to
