@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -680,11 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except GdcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():  # a warning is one line, like an error
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except GdcoverError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

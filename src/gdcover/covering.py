@@ -14,11 +14,11 @@ the stopping cutoff already sits inside a covering box, so generation
 terminates.
 
 One kernel does all counting.  A vertex's stopping tree is walked once,
-level by level as numpy arrays, down to the finest radius a caller needs;
-every coarser radius selects its leaves and interior nodes from the same
-arrays.  Cells are held as runs along the last axis, int64 rows
-(c_0, ..., c_{d-2}, lo, hi), and a run union over linearized ids
-deduplicates them; a count is the summed run length.
+level by level as numpy arrays, down to the finest radius a caller needs,
+then sorted by stopping size, so that a group of coarser radii takes its
+leaves and interior nodes as slices.  Cells are held as runs along the last
+axis, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a run union.
+Axis-parallel segments are index boxes like points and boxes.
 """
 from __future__ import annotations
 
@@ -121,11 +121,6 @@ def _row_prod(a: np.ndarray) -> np.ndarray:
     for k in range(a.shape[1]):
         out *= a[:, k]
     return out
-
-
-def _point_runs(cells: np.ndarray) -> np.ndarray:
-    """Cell rows as runs of one cell."""
-    return np.column_stack((cells, cells[:, -1]))
 
 
 def _merge(start: np.ndarray, stop: np.ndarray):
@@ -260,13 +255,15 @@ def _check_candidates(cnt: np.ndarray) -> None:
         raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
 
 
-def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
-    """One run per index row of each box's first d - 1 axes."""
-    ilo, ihi = _interval_cells(lo, hi, r, origin)
-    cnt = ihi - ilo + 1
-    _check_candidates(cnt)
-    for sel in _chunks(_row_prod(cnt[:, :-1])):
-        keys, owner = _expand(ilo[sel, :-1], cnt[sel, :-1])
+def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
+    """Runs of the index boxes [ilo, ihi] (inclusive per axis), one per index
+    row of each box's first d - 1 axes; unexpanded when every box has one."""
+    cnt = ihi[:, :-1] - ilo[:, :-1] + 1
+    if (cnt == 1).all():
+        acc.add(np.column_stack((ilo, ihi[:, -1])), tag)
+        return
+    for sel in _chunks(_row_prod(cnt)):
+        keys, owner = _expand(ilo[sel, :-1], cnt[sel])
         ends = np.column_stack((ilo[sel, -1], ihi[sel, -1]))[owner]
         acc.add(np.column_stack((keys, ends)), _take(_take(tag, sel), owner))
 
@@ -274,25 +271,25 @@ def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
 def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     """Cells each segment meets.
 
-    A 1-d segment meets the one run from the cell of its lower end to that
-    of its upper end.  Above, per segment: the parameters of its plane
-    crossings plus 0 and 1, clipped and deduplicated, with the endpoints and
-    the midpoint of every gap between consecutive parameters as sample
-    points, each a run of one cell.
+    A segment that moves along at most one axis is the index box from the
+    cell of its lower end to that of its upper end.  An oblique one is
+    sampled: the parameters of its plane crossings plus 0 and 1, clipped
+    and deduplicated, with the endpoints and the midpoint of every gap
+    between consecutive parameters as sample points, each a run of one
+    cell.
     """
-    delta = b - a
-    m0 = np.floor((np.minimum(a, b) - origin) / r) + 1
-    m1 = np.ceil((np.maximum(a, b) - origin) / r) - 1
+    if not a.shape[0]:
+        return
+    delta, low, high = b - a, np.minimum(a, b), np.maximum(a, b)
+    m0 = np.floor((low - origin) / r) + 1
+    m1 = np.ceil((high - origin) / r) - 1
     cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
     if cnt.size and cnt.max() > CELL_CAP:
         raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
-    if a.shape[1] == 1:
-        ends = np.column_stack((np.minimum(a, b), np.maximum(a, b)))
-        acc.add(_floor_cells(ends, r, origin), tag)
-        return
-    flat = ~delta.any(axis=1)
-    acc.add(_point_runs(_floor_cells(a[flat], _take(r, flat), origin)), _take(tag, flat))
-    live = ~flat
+    line = np.count_nonzero(delta, axis=1) <= 1
+    lo, hi = (_floor_cells(x[line], _take(r, line), origin) for x in (low, high))
+    _index_box_runs(lo, hi, acc, _take(tag, line))
+    live = ~line
     a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
     cnt, m0 = cnt[live], m0[live].astype(np.int64)
     for sel in _chunks(cnt.sum(axis=1) + 2):
@@ -319,8 +316,8 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
         mids = p[s] + (0.5 * (t[:-1][gap] + t[1:][gap]))[:, None] * dp[s]
         # the sample points p, q, mids lie on segments 0..n-1, 0..n-1, s
         owner = None if tags is None else np.r_[0:n, 0:n, s]
-        pts = np.concatenate([p, q, mids])
-        acc.add(_point_runs(_floor_cells(pts, _take(rs, owner), origin)), _take(tags, owner))
+        pts = _floor_cells(np.concatenate([p, q, mids]), _take(rs, owner), origin)
+        _index_box_runs(pts, pts, acc, _take(tags, owner))
 
 
 def _obb_bounds(center: np.ndarray, half: np.ndarray):
@@ -395,7 +392,7 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, tag=None) -> None
         redo = np.flatnonzero(grid & unsure)
         if redo.size:
             hit[redo] = _sat_exact(diff[redo], half[owner[redo]], _take(flat_r, owner[redo]))
-        acc.add(_point_runs(rows[hit]), _take(_take(tag, owner), hit))
+        _index_box_runs(rows[hit], rows[hit], acc, _take(_take(tag, owner), hit))
 
 
 def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r) -> np.ndarray:
@@ -472,12 +469,14 @@ class _Shapes:
             return r[tag][:, None] if tagged else r
 
         points = _floor_cells(self.points, radius(self.point_tag), origin)
-        acc.add(_point_runs(points), self.point_tag)
+        _index_box_runs(points, points, acc, self.point_tag)
         _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
         plain = _is_axis_aligned(self.obb_h) | (self.dim > 2)
         lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
         r_obb, tag = radius(self.obb_tag), self.obb_tag
-        _box_cells(lo, hi, _take(r_obb, plain), origin, acc, _take(tag, plain))
+        ilo, ihi = _interval_cells(lo, hi, _take(r_obb, plain), origin)
+        _check_candidates(ihi - ilo + 1)
+        _index_box_runs(ilo, ihi, acc, _take(tag, plain))
         if not plain.all():
             bent = ~plain
             _obb_cells_tight(
@@ -514,6 +513,12 @@ class _Walk:
     ``size <= r`` are its leaves (cylinders), the others its interior nodes
     (condensation copies).  Maps compose as Similarity.compose does, so
     every node's map equals the one the depth-first walk would build.
+
+    Built, the nodes are stably sorted by terminal vertex, then by size, so
+    those ending at vertex v fill ``_off[v]:_off[v+1]``.  As a child's size
+    is at least ``_shrink`` times its parent's, the leaves of radii in
+    [r_lo, r_hi] bar the root (above = inf) have sizes in [_shrink * r_lo,
+    r_hi] and the interior nodes sizes above r_lo: one slice of each range.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -527,6 +532,9 @@ class _Walk:
         self.diam = np.array([graph.seed_box(v).diameter for v in order])
         out = [graph.out_edges(v) for v in order]
         dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
+        ends = [(self.diam[order.index(e.src)], self.diam[dst[i]]) for i, e in graph.edges.items()]
+        shrink = (e.ratio * b / a for e, (a, b) in zip(graph.edges.values(), ends) if a)
+        self._shrink = (1 - 1e-9) * min(shrink, default=0.0)
         self.isos = [np.eye(dim)]
         self._iso_slot = {self.isos[0].tobytes(): 0}
         self._steps: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
@@ -561,19 +569,15 @@ class _Walk:
             level = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
             levels.append(level)
             total += n_new
-        for key in levels[0]:
-            setattr(self, key, np.concatenate([lv[key] for lv in levels]))
-        # node ids end each level; a child's above is at most its parent's,
-        # so the levels some radius r visits (max above > r) are a prefix
-        self._level_end = np.cumsum([lv["term"].size for lv in levels])
-        self._level_above = np.array([lv["above"].max() for lv in levels])
+        levels.reverse()  # deepest first: with one vertex and one ratio, already sorted
+        by_size = np.lexsort([np.concatenate([lv[k] for lv in levels]) for k in ("size", "term")])
+        take = by_size if (by_size != np.arange(total)).any() else slice(None)
+        for key in list(level):
+            setattr(self, key, np.concatenate([lv.pop(key) for lv in levels])[take])
+        self._root = int(np.flatnonzero(by_size == total - 1)[0])
+        self._off = np.searchsorted(self.term, np.arange(len(order) + 1))
         self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
-        # nodes by terminal vertex, and each node's rank among them
-        self._at = [np.flatnonzero(self.term == v) for v in range(len(order))]
-        self._rank = np.empty(total, dtype=np.int64)
-        for nodes in self._at:
-            self._rank[nodes] = np.arange(nodes.size)
         self._images: dict[tuple, np.ndarray] = {}
 
     def _children(self, level, sel, edge, dst) -> dict:
@@ -613,7 +617,7 @@ class _Walk:
 
     # -- images of fixed shapes under every selected node's map ----------
 
-    def _apply(self, nodes: np.ndarray, pt) -> np.ndarray:
+    def _apply(self, nodes, pt) -> np.ndarray:
         """``Similarity.apply(pt)`` per node: ``((ratio * pt) @ Q.T) + b``."""
         x = self.ratio[nodes][:, None] * np.asarray(pt, dtype=float)
         iso = self.iso[nodes]
@@ -633,8 +637,8 @@ class _Walk:
         key = (v, tuple(pt))
         full = self._images.get(key)
         if full is None:
-            full = self._images[key] = self._apply(self._at[v], pt)
-        return full[self._rank[nodes]]
+            full = self._images[key] = self._apply(slice(self._off[v], self._off[v + 1]), pt)
+        return full[nodes - self._off[v]]
 
     def _box_image(self, v: int, box: Box, nodes: np.ndarray):
         """The covering oracle's ``OrientedBox.image_of`` per node: centres
@@ -647,35 +651,32 @@ class _Walk:
             half[:, k, :] = ratio * (q[:, :, k] * (w / 2))
         return centre, half
 
-    def _select(self, r):
-        """Leaves and interior nodes of the radius-r walk, as masks.
-
-        For an ascending array of radii, per vertex ``(nodes, lo, hi)``
-        ranges of radius indices instead, over the nodes ending there on the
-        levels the smallest radius visits: a node is a leaf for
-        ``radii[lo:hi]`` (size <= r < above), and interior, carrying
-        condensation, for ``radii[:min(lo, hi)]`` (r below size and above).
-        """
-        if np.ndim(r) == 0:
-            visited = self.above > r
-            leaf = visited & (self.size <= r)
-            return leaf, visited & ~leaf
-        stop = self._level_end[np.count_nonzero(self._level_above > r[0]) - 1]
+    def _select(self, radii: np.ndarray):
+        """Per vertex, ``(nodes, lo, hi)`` with each node serving ``radii[lo:hi]``
+        of an ascending array: the leaves (size <= r < above) and, at vertices
+        with condensation (else None), the interior nodes (r below both)."""
+        r_lo, r_hi = radii[0], radii[-1]
         leaf, inner = [], []
-        for at in self._at:
-            nodes = at[: np.searchsorted(at, stop)]
-            lo = np.searchsorted(r, self.size[nodes])
-            hi = np.searchsorted(r, self.above[nodes])
-            leaf.append((nodes, lo, hi))
-            inner.append((nodes, np.zeros_like(lo), np.minimum(lo, hi)))
+        for v, name in enumerate(self.graph.vertex_order):
+            a, b = self._off[v], self._off[v + 1]
+            size = self.size[a:b]
+            i0 = a + np.searchsorted(size, self._shrink * r_lo)
+            if a <= self._root < b and self.size[self._root] <= r_hi:
+                i0 = min(i0, self._root)
+            nodes = np.arange(i0, a + np.searchsorted(size, r_hi, side="right"))
+            lo = np.searchsorted(radii, self.size[nodes])
+            leaf.append((nodes, lo, np.searchsorted(radii, self.above[nodes])))
+            if not self.graph.condensation[name]:
+                inner.append(None)
+                continue
+            nodes = np.arange(a + np.searchsorted(size, r_lo, side="right"), b)
+            lo = np.searchsorted(radii, self.size[nodes])
+            hi = np.minimum(lo, np.searchsorted(radii, self.above[nodes]))
+            inner.append((nodes, np.zeros_like(hi), hi))
         return leaf, inner
 
     def _pick(self, v: int, sel):
-        """Nodes ending at vertex v chosen by a ``_select`` mask, with no
-        tags; or every (node, radius index) pair of its ``_select`` ranges."""
-        if isinstance(sel, np.ndarray):
-            at = self._at[v]
-            return at[sel[at]], None
+        """Every (node, radius index) pair of vertex v's ``_select`` ranges."""
         nodes, lo, hi = sel[v]
         n = np.maximum(hi - lo, 0)
         pairs = np.repeat(nodes, n)
@@ -688,7 +689,7 @@ class _Walk:
         together, each tagged with the index of its radius.
         """
         graph = self.graph
-        leaf, inner = self._select(r)
+        leaf, inner = self._select(np.atleast_1d(r))
         points, segments, obbs = [], [], []
         tags = ([], [], [])
         for v, name in enumerate(graph.vertex_order):
@@ -696,7 +697,7 @@ class _Walk:
             if nodes.size:
                 obbs.append(self._box_image(v, graph.seed_box(name), nodes))
                 tags[2].append(tag)
-            if not graph.condensation[name]:
+            if inner[v] is None:
                 continue
             nodes, tag = self._pick(v, inner)
             for prim in graph.condensation[name]:
@@ -712,11 +713,6 @@ class _Walk:
         tags = None if np.ndim(r) == 0 else tags
         return _Shapes.gather(graph.dimension, points, segments, obbs, tags)
 
-    def n_elements(self, r: float) -> int:
-        leaf, inner = self._select(r)
-        per_vertex = np.array([len(self.graph.condensation[v]) for v in self.graph.vertex_order])
-        return int(leaf.sum()) + int(per_vertex[self.term[inner]].sum())
-
     def work(self, radii: np.ndarray) -> np.ndarray:
         """Estimated candidate runs of each radius of an ascending array:
         one per element, plus in dimension >= 2 the grid planes each
@@ -726,13 +722,13 @@ class _Walk:
         g = len(radii)
         out = np.zeros(g)
         for v, name in enumerate(self.graph.vertex_order):
-            _nodes, lo, hi = leaf[v]
-            out += _range_sums(lo, hi, 1.0, g)
+            out += _range_sums(*leaf[v][1:], 1.0, g)
+            if inner[v] is None:
+                continue
             prims = self.graph.condensation[name]
-            if prims:
-                nodes, lo, hi = inner[v]
-                out += _range_sums(lo, hi, float(len(prims)), g)
-            if prims and self.graph.dimension > 1:
+            nodes, lo, hi = inner[v]
+            out += _range_sums(lo, hi, float(len(prims)), g)
+            if self.graph.dimension > 1:
                 extent = sum(np.abs(np.subtract(p.points[-1], p.points[0])).sum() for p in prims)
                 out += _range_sums(lo, hi, self.ratio[nodes] * extent, g) / radii
         return out
@@ -752,7 +748,8 @@ class GeometrySet:
 
     @property
     def n_elements(self) -> int:
-        return self._walk.n_elements(self.resolution)
+        shapes = self._shapes()
+        return shapes.points.shape[0] + shapes.seg_a.shape[0] + shapes.obb_c.shape[0]
 
     def _shapes(self) -> _Shapes:
         return self._walk.shapes(self.resolution)

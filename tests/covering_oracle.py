@@ -6,7 +6,9 @@ one shape object per covering element (``PointShape``, ``SegmentShape`` or
 ``OrientedBox``), and a per-shape loop that charges each element's cells to
 a Python set.  It shares no code with ``gdcover.covering``, whose covering
 elements exist only as arrays, and is kept only as a differential oracle
-for the kernel.
+for the kernel.  ``select`` and ``pick`` read a kernel walk's node arrays,
+and choose its nodes by the definition, a mask over every node, where the
+walk takes slices of its size-ordered ranges.
 """
 from __future__ import annotations
 
@@ -274,3 +276,17 @@ def count(sets, r, grid_origin=None, *, tight=None, cap=CELL_CAP):
         per.append(len(cells))
         union |= cells
     return tuple(per), len(union)
+
+
+def select(walk, r):
+    """Leaf and interior masks over every node of a ``gdcover.covering._Walk``
+    at radius r: the radius-r walk visits the nodes with ``above > r``, and
+    its leaves are those with ``size <= r``."""
+    visited = walk.above > r
+    leaf = visited & (walk.size <= r)
+    return leaf, visited & ~leaf
+
+
+def pick(walk, v, mask):
+    """The nodes ending at vertex index v that a ``select`` mask chooses."""
+    return np.flatnonzero(mask & (walk.term == v))

@@ -325,6 +325,18 @@ class TestAnalyze:
         assert doc["cross_check"]["max_rel_discrepancy"] < 0.05
         assert doc["lattice"]["tau"] == pytest.approx(LN3, rel=1e-12)
 
+    @pytest.mark.parametrize("cmd", ["analyze", "report"])
+    def test_warning_is_one_line(self, corpus_files, tmp_path, capsys, cmd):
+        # dust2d_edge's condensation diverges under declared SSC: a warning,
+        # printed like the error lines, without a source path or line number
+        out = ["--json"] if cmd == "analyze" else ["-o", str(tmp_path / "report")]
+        assert main([cmd, corpus_files["dust2d_edge"], *out]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: divergent condensation requires SCOSC for a certified "
+            "conclusion; declared separation is 'SSC'\n"
+        )
+
     def test_inconclusive_exit_code(self, tmp_path, capsys):
         p = tmp_path / "tie.json"
         p.write_text(dumps_system(half_half_segment_graph()), encoding="utf-8")

@@ -650,3 +650,210 @@ def test_fine_cantor_segment_count(cantor_segment, origin, want):
     r = math.exp(-13.0)
     res = covering.count(covering.generate(cantor_segment, "X", r), r, grid_origin=origin)
     assert res.total == res.per_vertex[0] == want
+
+
+# -- segments along one axis are index boxes ---------------------------------------
+#
+# A segment that moves along at most one axis meets the cells from that of its
+# lower end to that of its upper end; the oracle samples it at its plane
+# crossings.  Both must give the same cells in d = 2 and 3: endpoints on a grid
+# plane, within ETA of one or just past it, reversed and zero-length segments,
+# each case at two grid origins.  Oblique segments ride along.
+
+AXIS_ORIGINS = (0.0, 0.316)
+
+
+@st.composite
+def axis_segments(draw, dim):
+    """Endpoint pairs in cells of min(r, 1) from the origin, most moving
+    along one axis, some along none and some along two."""
+    unit = st.builds(
+        lambda m, f: m + f,
+        st.integers(-12, 12),
+        st.one_of(st.sampled_from(PLANE_OFFSETS), st.floats(0.0, 1.0)),
+    )
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = [draw(unit) for _ in range(dim)]
+        b = list(a)
+        kind = draw(st.sampled_from(("axis", "axis", "zero", "oblique")))
+        if kind != "zero":
+            for j in draw(st.permutations(range(dim)))[: 2 if kind == "oblique" else 1]:
+                b[j] = draw(unit)  # below a[j] reverses the segment
+        segments.append((a, b))
+    return segments
+
+
+def _placed(segments, r, origin):
+    """The two endpoint arrays of drawn segments at radius r and an origin."""
+    ends = np.array(segments, dtype=float).reshape(-1, 2, len(segments[0][0]))
+    return origin + ends[:, 0] * min(r, 1.0), origin + ends[:, 1] * min(r, 1.0)
+
+
+def _oracle_segment_cells(a, b, r, origin) -> set:
+    shapes = [SegmentShape(tuple(p), tuple(q)) for p, q in zip(a.tolist(), b.tolist())]
+    return _oracle_cells(shapes, r, origin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from((2, 3)), r=st.sampled_from(LINE_RADII))
+def test_axis_segments_match_the_crossing_sampler(data, dim, r):
+    segments = data.draw(axis_segments(dim))
+    for origin in AXIS_ORIGINS:
+        a, b = _placed(segments, r, origin)
+        shapes = _Shapes.gather(dim, segments=[(a, b)])
+        o = _origin_vector(origin, dim)
+        _assert_disjoint(shapes.runs(r, o))
+        cells = shapes.cells(r, o)
+        want = _oracle_segment_cells(a, b, r, origin)
+        assert cells.shape[0] == len(want)
+        assert set(map(tuple, cells.tolist())) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from((2, 3)),
+    radii=st.lists(st.sampled_from(LINE_RADII), min_size=2, max_size=4, unique=True),
+)
+def test_tagged_axis_segments_match_each_radius(data, dim, radii):
+    radii = np.array(sorted(radii))
+    drawn = [data.draw(axis_segments(dim)) for _ in radii]
+    tag = np.repeat(np.arange(radii.size), [len(d) for d in drawn])
+    for origin in AXIS_ORIGINS:
+        placed = [_placed(d, r, origin) for d, r in zip(drawn, radii)]
+        a, b = (np.concatenate([p[k] for p in placed]) for k in (0, 1))
+        shapes = _Shapes.gather(dim, segments=[(a, b)], tags=([], [tag], []))
+        o = _origin_vector(origin, dim)
+        _assert_disjoint(shapes.runs(radii, o))
+        cells = shapes.cells(radii, o)
+        for k, r in enumerate(radii):
+            want = _oracle_segment_cells(*placed[k], r, origin)
+            got = cells[cells[:, 0] == k, 1:]
+            assert got.shape[0] == len(want)
+            assert set(map(tuple, got.tolist())) == want
+
+
+# -- the size-ordered walk ----------------------------------------------------------
+#
+# The walk keeps each vertex's nodes as one range sorted by stopping size and
+# takes a radius group's leaves and interior nodes as slices of it.  The
+# oracle chooses them by the definition, a mask over every node.  Seed boxes
+# of unequal diameters make a child's size a varying fraction of its parent's.
+
+WIDTHS = (0.75, 1.0, 1.25)  # seed-box sides; ratios of at most 1/2 keep images inside
+
+
+@st.composite
+def unequal_systems(draw):
+    """1-3 vertices with seed boxes [0, w]^d of unequal sides, one to three
+    out-edges each, and condensation at some of them."""
+    dim = draw(st.sampled_from((1, 2)))
+    names = ("X", "Y", "Z")[: draw(st.integers(1, 3))]
+    width = {v: draw(st.sampled_from(WIDTHS)) for v in names}
+    grid = st.integers(0, 8).map(lambda m: m / 8)
+    edges, condensation = [], {}
+    for v in names:
+        for k in range(draw(st.integers(2 if len(names) == 1 else 1, 3))):
+            dst = draw(st.sampled_from(names))
+            q = draw(st.sampled_from(RATIOS))
+            shift = [draw(grid) * (width[v] - float(q) * width[dst]) for _ in range(dim)]
+            iso = rotation_2d(90.0) if dim == 2 and draw(st.booleans()) else np.eye(dim)
+            edges.append(Edge(f"{v}{k}", v, dst, Similarity(float(q), iso, shift), q))
+        prims = []
+        for kind in draw(st.lists(st.sampled_from(("point", "segment", "box")), max_size=2)):
+            a = [draw(grid) * width[v] for _ in range(dim)]
+            b = [draw(grid) * width[v] for _ in range(dim)]
+            if kind == "point":
+                prims.append(Primitive.point(a))
+            elif kind == "segment":
+                prims.append(Primitive.segment(a, b))
+            else:
+                prims.append(Primitive.box(np.minimum(a, b), np.maximum(a, b)))
+        condensation[v] = tuple(prims)
+    return MWGraph(
+        dimension=dim,
+        vertices={v: Box((0.0,) * dim, (width[v],) * dim) for v in names},
+        edges=edges,
+        condensation=condensation,
+    )
+
+
+def _node_rows(walk, nodes) -> list:
+    """(ratio, translation, terminal) of each node, sorted: a multiset."""
+    rows = np.column_stack((walk.ratio[nodes], walk.trans[nodes], walk.term[nodes]))
+    return sorted(map(tuple, rows.tolist()))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=unequal_systems(),
+    ts=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=6),
+    origin_pick=ORIGIN_PICKS,
+)
+def test_size_ordered_selection_matches_level_masks(graph, ts, origin_pick):
+    # radii at and far above the root's size (t < 0), equal to stopping
+    # sizes, generic; the whole array as one group, its middle third and each
+    # radius alone
+    r_min = math.exp(-max(ts))
+    origin = _origin(origin_pick, ts)
+    for root in graph.vertex_order:
+        walk = _Walk(graph, root, r_min)
+        sizes = walk.size[walk.size >= r_min]
+        ties = sizes[:: max(1, sizes.size // 4)]
+        above = graph.seed_box(root).diameter * np.array([1.0, 2.5, 10.0])
+        ts_root = ts + [-math.log(x) for x in above]
+        radii = np.unique(np.concatenate([[math.exp(-t) for t in ts], ties, above]))
+        third = radii.size // 3
+        groups = [radii, radii[third : radii.size - third]]
+        groups += [radii[k : k + 1] for k in range(radii.size)]
+        for group in groups:
+            leaf, inner = walk._select(group)
+            for k, r in enumerate(group):
+                masks = oracle.select(walk, r)
+                for v, name in enumerate(graph.vertex_order):
+                    nodes, tag = walk._pick(v, leaf)
+                    want = _node_rows(walk, oracle.pick(walk, v, masks[0]))
+                    assert _node_rows(walk, nodes[tag == k]) == want
+                    if not graph.condensation[name]:
+                        assert inner[v] is None
+                        continue
+                    nodes, tag = walk._pick(v, inner)
+                    want = _node_rows(walk, oracle.pick(walk, v, masks[1]))
+                    assert _node_rows(walk, nodes[tag == k]) == want
+        table = _CountTable(graph, origin)
+        table.fill(root, ts_root)
+        for t in ts_root:
+            r = math.exp(-t)
+            (want,), _ = oracle.count(oracle.generate(graph, root, r), r, grid_origin=origin)
+            assert table.counts[(root, float(t))] == want
+
+
+# -- properties of random small systems ---------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=st.sampled_from((1, 2)).flatmap(systems), t=st.floats(-0.5, 3.0), data=st.data())
+def test_origin_shift_changes_counts_by_at_most_3_to_the_d(graph, t, data):
+    # a cell of one grid meets at most 2^d cells of another grid of the same
+    # cell size; 3^d leaves room for closed shapes on cell boundaries
+    r = math.exp(-t)
+    d = graph.dimension
+    origin = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    gset = covering.generate(graph, "X", r)
+    base = covering.count(gset, r).total
+    moved = covering.count(gset, r, grid_origin=origin).total
+    assert moved <= 3**d * base
+    assert base <= 3**d * moved
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=st.sampled_from((1, 2)).flatmap(
+        lambda d: st.one_of(systems(d), systems(d, two_vertices=True))
+    ),
+    ts=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6, unique=True),
+)
+def test_renewal_residual_is_at_most_1e_9(graph, ts):
+    ctx = covering.ForcingContext(graph, solve_s0(graph), ts)
+    assert covering.renewal_residual(ctx, covering.forcing_values(ctx)) <= 1e-9
