@@ -107,6 +107,13 @@ def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
     return lo, np.maximum(lo, hi)
 
 
+def _span(idx: np.ndarray):
+    """A strictly increasing index array as a slice when it is one."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _distinct_small(values: np.ndarray):
     """Distinct small nonnegative ints and each value's index among them."""
     present = np.flatnonzero(np.bincount(values))
@@ -320,13 +327,13 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
         _index_box_runs(pts, pts, acc, _take(tags, owner))
 
 
-def _obb_bounds(center: np.ndarray, half: np.ndarray):
-    """Bounding boxes of oriented boxes, as the covering oracle's
-    OrientedBox.bounding_box."""
+def _obb_extent(half: np.ndarray) -> np.ndarray:
+    """Half widths of the bounding boxes of oriented boxes, summed as the
+    covering oracle's OrientedBox.bounding_box sums them."""
     ext = np.abs(half[:, 0, :])
     for k in range(1, half.shape[1]):
         ext = ext + np.abs(half[:, k, :])
-    return center - ext, center + ext, ext
+    return ext
 
 
 def _sat_axes(half: np.ndarray, r, exact: bool):
@@ -367,8 +374,8 @@ def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, tag=None) -> None
     arithmetic; a candidate whose margin there is within 1e-12 of the
     scale is retested with the scalar test's exact arithmetic.
     """
-    lo, hi, ext = _obb_bounds(center, half)
-    ilo, ihi = _interval_cells(lo, hi, r, origin)
+    ext = _obb_extent(half)
+    ilo, ihi = _interval_cells(center - ext, center + ext, r, origin)
     cnt = ihi - ilo + 1
     _check_candidates(cnt)
     flat_r = _take(r, (slice(None), 0))
@@ -410,33 +417,34 @@ def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
     return hit
 
 
-def _is_axis_aligned(half: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """The covering oracle's OrientedBox.is_axis_aligned for each box."""
-    return ((np.abs(half) > tol).sum(axis=2) <= 1).all(axis=1)
-
-
 @dataclass(frozen=True)
 class _Shapes:
     """Covering elements as arrays, grouped by how their cells are found.
 
-    Elements selected for several radii at once carry tags: the index of
-    each point's, segment's and box's radius among the sorted radii.
+    Boxes charged their bounding box (axis-aligned ones, and every box in
+    dimension > 2) are held as bounds; the other, rotated, boxes as centres
+    and half axes.  Elements selected for several radii at once carry tags:
+    the index of each element's radius among the sorted radii.
     """
 
     dim: int
     points: np.ndarray  # (n, d)
     seg_a: np.ndarray  # (n, d) segment endpoints
     seg_b: np.ndarray
-    obb_c: np.ndarray  # (n, d) oriented box centres
+    box_lo: np.ndarray  # (n, d) box bounds
+    box_hi: np.ndarray
+    obb_c: np.ndarray  # (n, d) rotated box centres
     obb_h: np.ndarray  # (n, d, d) half axes, one row per box axis
     point_tag: np.ndarray | None = None
     seg_tag: np.ndarray | None = None
+    box_tag: np.ndarray | None = None
     obb_tag: np.ndarray | None = None
 
     @classmethod
-    def gather(cls, dim, points=(), segments=(), obbs=(), tags=None) -> "_Shapes":
-        """Stack the parts; ``tags`` holds three lists of tag arrays that run
-        parallel to ``points``, ``segments`` and ``obbs``."""
+    def gather(cls, dim, points=(), segments=(), boxes=(), obbs=(), tags=None) -> "_Shapes":
+        """Stack the parts: point arrays, and (a, b), (lo, hi) and (centre,
+        half axes) pairs of arrays; ``tags`` holds four lists of tag arrays
+        that run parallel to ``points``, ``segments``, ``boxes`` and ``obbs``."""
         def stack(parts, *shape):
             parts = [np.asarray(p, dtype=float).reshape(-1, *shape) for p in parts]
             return np.concatenate(parts) if parts else np.empty((0, *shape))
@@ -449,6 +457,8 @@ class _Shapes:
             stack(points, dim),
             stack([s[0] for s in segments], dim),
             stack([s[1] for s in segments], dim),
+            stack([b[0] for b in boxes], dim),
+            stack([b[1] for b in boxes], dim),
             stack([o[0] for o in obbs], dim),
             stack([o[1] for o in obbs], dim, dim),
             *(() if tags is None else map(stack_tags, tags)),
@@ -457,10 +467,9 @@ class _Shapes:
     def runs(self, r, origin: np.ndarray) -> np.ndarray:
         """Distinct cells met by the union of the shapes, as disjoint runs.
 
-        A rotated box is tested exactly (separating axes) in dimension <= 2
-        and charged the cells of its bounding box above.  Tagged shapes take
-        the sorted radii they were selected for; each of their runs then
-        leads with its tag, and the cap holds per radius.
+        A rotated box (dimension 2) is tested exactly, by separating axes.
+        Tagged shapes take the sorted radii they were selected for; each of
+        their runs then leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
         acc = _CellUnion(self.dim, tagged)
@@ -471,18 +480,12 @@ class _Shapes:
         points = _floor_cells(self.points, radius(self.point_tag), origin)
         _index_box_runs(points, points, acc, self.point_tag)
         _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
-        plain = _is_axis_aligned(self.obb_h) | (self.dim > 2)
-        lo, hi, _ = _obb_bounds(self.obb_c[plain], self.obb_h[plain])
-        r_obb, tag = radius(self.obb_tag), self.obb_tag
-        ilo, ihi = _interval_cells(lo, hi, _take(r_obb, plain), origin)
+        ilo, ihi = _interval_cells(self.box_lo, self.box_hi, radius(self.box_tag), origin)
         _check_candidates(ihi - ilo + 1)
-        _index_box_runs(ilo, ihi, acc, _take(tag, plain))
-        if not plain.all():
-            bent = ~plain
-            _obb_cells_tight(
-                self.obb_c[bent], self.obb_h[bent], _take(r_obb, bent), origin, acc,
-                _take(tag, bent),
-            )
+        _index_box_runs(ilo, ihi, acc, self.box_tag)
+        if self.obb_c.shape[0]:
+            _obb_cells_tight(self.obb_c, self.obb_h, radius(self.obb_tag), origin, acc,
+                             self.obb_tag)
         return acc.runs()
 
     def cells(self, r, origin: np.ndarray) -> np.ndarray:
@@ -519,6 +522,10 @@ class _Walk:
     is at least ``_shrink`` times its parent's, the leaves of radii in
     [r_lo, r_hi] bar the root (above = inf) have sizes in [_shrink * r_lo,
     r_hi] and the interior nodes sizes above r_lo: one slice of each range.
+
+    The image of a seed box or condensation shape under a node's map is
+    computed the first time a pass reads that node, and kept for every
+    later pass, whatever the order of its radii.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -553,20 +560,15 @@ class _Walk:
             raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
         while True:
             grow = np.flatnonzero(level["size"] > r_min)
-            blocks = [
-                (sel, e)
-                for v, edges in enumerate(out)
-                for sel in [grow[level["term"][grow] == v]]
-                if sel.size
-                for e in edges
-            ]
-            n_new = sum(sel.size for sel, _e in blocks)
+            term = level["term"][grow]
+            parents = [(v, grow[term == v]) for v in range(len(order)) if out[v]]
+            parents = [(v, sel) for v, sel in parents if sel.size]
+            n_new = sum(sel.size * len(out[v]) for v, sel in parents)
             if not n_new:
                 break
             if total + n_new > PATH_CAP:
                 raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
-            parts = [self._children(level, sel, e, dst[e.id]) for sel, e in blocks]
-            level = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+            level = self._children(level, parents, out, dst, n_new)
             levels.append(level)
             total += n_new
         levels.reverse()  # deepest first: with one vertex and one ratio, already sorted
@@ -578,21 +580,41 @@ class _Walk:
         self._off = np.searchsorted(self.term, np.arange(len(order) + 1))
         self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
-        self._images: dict[tuple, np.ndarray] = {}
+        self._memo: dict[tuple, dict] = {}
 
-    def _children(self, level, sel, edge, dst) -> dict:
-        ratio = level["ratio"][sel]
-        uniq, inv = _distinct_small(level["iso"][sel])
-        steps = [self._step(int(i), edge) for i in uniq]
-        qb = np.array([s[1] for s in steps])[inv]
+    def _children(self, level, parents, out, dst, n_new) -> dict:
+        """The next level: for each vertex v and its growing nodes ``sel``,
+        the children along each out-edge of v in turn, written in place.
+        A vertex's parent set is gathered once for all of its edges, and not
+        at all when it is the whole level."""
+        dim = level["trans"].shape[1]
         child = {
-            "ratio": ratio * edge.ratio,
-            "iso": np.array([s[0] for s in steps])[inv],
-            "trans": ratio[:, None] * qb + level["trans"][sel],
-            "term": np.full(sel.size, dst),
-            "above": np.minimum(level["above"][sel], level["size"][sel]),
+            "ratio": np.empty(n_new),
+            "iso": np.empty(n_new, dtype=np.int64),
+            "trans": np.empty((n_new, dim)),
+            "term": np.empty(n_new, dtype=np.int64),
+            "above": np.empty(n_new),
         }
-        child["size"] = child["ratio"] * self.diam[dst]
+        at = 0
+        for v, sel in parents:
+            whole = sel.size == level["ratio"].size
+            ratio, iso, trans, size, above = (
+                level[k] if whole else level[k][sel]
+                for k in ("ratio", "iso", "trans", "size", "above")
+            )
+            above = np.minimum(above, size)
+            uniq, inv = _distinct_small(iso)
+            for edge in out[v]:
+                part = slice(at, at + sel.size)
+                steps = [self._step(int(i), edge) for i in uniq]
+                qb = np.array([s[1] for s in steps])[inv]
+                child["ratio"][part] = ratio * edge.ratio
+                child["iso"][part] = np.array([s[0] for s in steps])[inv]
+                child["trans"][part] = ratio[:, None] * qb + trans
+                child["term"][part] = dst[edge.id]
+                child["above"][part] = above
+                at += sel.size
+        child["size"] = child["ratio"] * self.diam[child["term"]]
         return child
 
     def _step(self, iso: int, edge) -> tuple[int, np.ndarray]:
@@ -615,41 +637,141 @@ class _Walk:
         col = np.abs(q).argmax(axis=1)
         return col, q[np.arange(q.shape[0]), col]
 
-    # -- images of fixed shapes under every selected node's map ----------
+    # -- images of fixed shapes under the nodes' maps ---------------------
 
-    def _apply(self, nodes, pt) -> np.ndarray:
+    def _by_iso(self, nodes):
+        """One stable sort of ``nodes`` by isometry: the order, and each
+        distinct isometry with its slice of the sorted nodes."""
+        slots, rank = _distinct_small(self.iso[nodes])
+        if slots.size <= 1 << 16:
+            rank = rank.astype(np.uint16)  # sorted by radix
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+        parts = [(k, slice(a, b)) for k, a, b in zip(slots.tolist(), bounds, bounds[1:])]
+        return np.argsort(rank, kind="stable"), parts
+
+    def _apply(self, nodes, pt, by_iso=None) -> np.ndarray:
         """``Similarity.apply(pt)`` per node: ``((ratio * pt) @ Q.T) + b``."""
         x = self.ratio[nodes][:, None] * np.asarray(pt, dtype=float)
-        iso = self.iso[nodes]
-        out = np.empty_like(x)
-        for k in _distinct_small(iso)[0] if iso.size else ():
-            m = iso == k
-            perm = self._perm[k]
-            if perm is not None:  # products with 0 and +-1 are exact
-                out[m] = x[m][:, perm[0]] * perm[1]
-            else:
-                out[m] = np.matmul(x[m][:, None, :], self.isos[k].T)[:, 0, :]
-        return out + self.trans[nodes]
+        if len(self.isos) > 1:
+            order, parts = self._by_iso(nodes) if by_iso is None else by_iso
+            xs = x[order]
+            for k, part in parts:
+                perm = self._perm[k]
+                if perm is not None:  # products with 0 and +-1 are exact
+                    xs[part] = xs[part][:, perm[0]] * perm[1]
+                else:
+                    xs[part] = np.matmul(xs[part][:, None, :], self.isos[k].T)[:, 0, :]
+            x[order] = xs
+        return x + self.trans[nodes]
 
-    def _image(self, v: int, pt, nodes: np.ndarray) -> np.ndarray:
-        """``_apply`` for nodes ending at vertex v; computed once for every
-        such node, then shared by all radii."""
-        key = (v, tuple(pt))
-        full = self._images.get(key)
-        if full is None:
-            full = self._images[key] = self._apply(slice(self._off[v], self._off[v + 1]), pt)
-        return full[nodes - self._off[v]]
+    def _axes(self, box: Box) -> np.ndarray:
+        """Per isometry Q, the half axes of ``box``'s image at ratio 1: row k
+        is Q[:, k] * (w_k / 2).  Times a node's ratio, they are the covering
+        oracle's ``OrientedBox.image_of`` half axes."""
+        return self._iso_stack.transpose(0, 2, 1) * (np.array(box.widths) / 2)[:, None]
 
-    def _box_image(self, v: int, box: Box, nodes: np.ndarray):
-        """The covering oracle's ``OrientedBox.image_of`` per node: centres
-        and half axes."""
-        centre = self._image(v, box.center, nodes)
-        q = self._iso_stack[self.iso[nodes]]
+    def _box_image(self, nodes, box: Box):
+        """The covering oracle's ``OrientedBox.image_of`` per node, as its
+        ``bounding_box`` bounds, whether it is charged its bounding box
+        (``plain``: axis-aligned by the oracle's 1e-12 test, or any box in
+        dimension > 2), and the centres of the others (None when there are
+        none).
+
+        Under a signed permutation each bounding half width is
+        ratio * (w / 2) of one axis: the oracle's sum of absolute half-axis
+        entries adds only zeros to it, so no half axis is formed.  In
+        dimension 2 a box is axis-aligned when each half axis has an entry
+        of at most 1e-12, that is when ratio * ``tilt`` is, with ``tilt``
+        the largest over the axes of the smaller |entry| at ratio 1:
+        |ratio * a| is ratio * |a|, and rounding keeps order.
+        """
         ratio = self.ratio[nodes][:, None]
-        half = np.empty((nodes.size, box.dim, box.dim))
-        for k, w in enumerate(box.widths):
-            half[:, k, :] = ratio * (q[:, :, k] * (w / 2))
-        return centre, half
+        half_w = np.array(box.widths) / 2
+        plain = np.ones(ratio.shape[0], dtype=bool)
+        if len(self.isos) == 1:
+            centre = self._apply(nodes, box.center)
+            ext = ratio * half_w
+            return centre - ext, centre + ext, plain, None
+        order, parts = by_iso = self._by_iso(nodes)
+        centre = self._apply(nodes, box.center, by_iso)
+        rs = ratio[order]
+        ext_s, plain_s = np.empty_like(centre), plain.copy()
+        axes = self._axes(box)
+        for k, part in parts:
+            perm = self._perm[k]
+            if perm is not None:
+                ext_s[part] = rs[part] * half_w[perm[0]]
+                continue
+            ext_s[part] = _obb_extent(rs[part][:, :, None] * axes[k])
+            if box.dim == 2:
+                tilt = np.abs(axes[k]).min(axis=1).max()
+                plain_s[part] = rs[part, 0] * tilt <= 1e-12
+        ext = np.empty_like(centre)
+        ext[order], plain[order] = ext_s, plain_s
+        bent = None if plain.all() else centre[~plain]
+        return centre - ext, centre + ext, plain, bent
+
+    def _images(self, v: int, key: tuple, nodes: np.ndarray):
+        """The image cache of ``key``, a ("point", coordinates) or ("box",
+        Box) at vertex v, with every node of ``nodes`` (non-decreasing)
+        mapped, and the nodes as rows of it.  Rows are offsets into v's node
+        range, held in arrays the size of the range; a node is mapped the
+        first time a pass reads it, and never again."""
+        a = self._off[v]
+        memo = self._memo.get((v, key))
+        if memo is None:
+            memo = self._memo[(v, key)] = {"done": np.zeros(self._off[v + 1] - a, dtype=bool)}
+        rows = nodes - a
+        lo = rows[0]
+        seen = np.zeros(rows[-1] + 1 - lo, dtype=bool)
+        seen[rows - lo] = True
+        todo = lo + np.flatnonzero(seen & ~memo["done"][lo : lo + seen.size])
+        if todo.size:
+            memo["done"][_span(todo)] = True
+            self._map(memo, key, a + todo, todo)
+        if rows.size == seen.size and seen.all():  # each row once, none skipped
+            rows = slice(lo, lo + seen.size)
+        return memo, rows
+
+    def _map(self, memo: dict, key: tuple, nodes: np.ndarray, rows: np.ndarray) -> None:
+        """Map ``nodes``, at ``rows`` of an ``_images`` cache, and store them."""
+        def put(name, at, value):
+            if name not in memo:
+                memo[name] = np.empty((memo["done"].size, *value.shape[1:]), dtype=value.dtype)
+            memo[name][_span(at)] = value
+
+        kind, shape = key
+        if kind == "point":
+            put("x", rows, self._apply(_span(nodes), shape))
+            return
+        lo, hi, plain, centre = self._box_image(_span(nodes), shape)
+        put("lo", rows, lo)
+        put("hi", rows, hi)
+        put("plain", rows, plain)
+        if centre is not None:
+            put("centre", rows[~plain], centre)
+
+    def _points(self, v: int, pt, nodes: np.ndarray) -> np.ndarray:
+        """``_apply(nodes, pt)`` for nodes ending at vertex v, from the cache."""
+        memo, rows = self._images(v, ("point", tuple(pt)), nodes)
+        return memo["x"][rows]
+
+    def _boxes(self, v: int, box: Box, nodes: np.ndarray, tag, boxes, obbs) -> None:
+        """Append the images of ``box`` under ``nodes`` (at vertex v), with
+        their tags, to ``boxes`` as bounds and to ``obbs`` as rotated boxes
+        (cached centres, half axes formed anew)."""
+        memo, rows = self._images(v, ("box", box), nodes)
+        plain = memo["plain"][rows] if "centre" in memo else None
+        if plain is None or plain.all():
+            boxes.append(((memo["lo"][rows], memo["hi"][rows]), tag))
+            return
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
+        bent = rows[~plain]
+        at = self._off[v] + bent
+        half = self.ratio[at][:, None, None] * self._axes(box)[self.iso[at]]
+        boxes.append(((memo["lo"][rows[plain]], memo["hi"][rows[plain]]), tag[plain]))
+        obbs.append(((memo["centre"][bent], half), tag[~plain]))
 
     def _select(self, radii: np.ndarray):
         """Per vertex, ``(nodes, lo, hi)`` with each node serving ``radii[lo:hi]``
@@ -690,28 +812,26 @@ class _Walk:
         """
         graph = self.graph
         leaf, inner = self._select(np.atleast_1d(r))
-        points, segments, obbs = [], [], []
-        tags = ([], [], [])
+        points, segments, boxes, obbs = [], [], [], []
         for v, name in enumerate(graph.vertex_order):
             nodes, tag = self._pick(v, leaf)
             if nodes.size:
-                obbs.append(self._box_image(v, graph.seed_box(name), nodes))
-                tags[2].append(tag)
+                self._boxes(v, graph.seed_box(name), nodes, tag, boxes, obbs)
             if inner[v] is None:
                 continue
             nodes, tag = self._pick(v, inner)
+            if not nodes.size:
+                continue
             for prim in graph.condensation[name]:
                 if prim.kind == "point":
-                    points.append(self._image(v, prim.points[0], nodes))
-                    tags[0].append(tag)
+                    points.append((self._points(v, prim.points[0], nodes), tag))
                 elif prim.kind == "segment":
-                    segments.append(tuple(self._image(v, p, nodes) for p in prim.points))
-                    tags[1].append(tag)
+                    segments.append((tuple(self._points(v, p, nodes) for p in prim.points), tag))
                 else:
-                    obbs.append(self._box_image(v, prim.as_box(), nodes))
-                    tags[2].append(tag)
-        tags = None if np.ndim(r) == 0 else tags
-        return _Shapes.gather(graph.dimension, points, segments, obbs, tags)
+                    self._boxes(v, prim.as_box(), nodes, tag, boxes, obbs)
+        parts = (points, segments, boxes, obbs)
+        tags = None if np.ndim(r) == 0 else [[t for _x, t in part] for part in parts]
+        return _Shapes.gather(graph.dimension, *([x for x, _t in part] for part in parts), tags=tags)
 
     def work(self, radii: np.ndarray) -> np.ndarray:
         """Estimated candidate runs of each radius of an ascending array:
@@ -749,7 +869,7 @@ class GeometrySet:
     @property
     def n_elements(self) -> int:
         shapes = self._shapes()
-        return shapes.points.shape[0] + shapes.seg_a.shape[0] + shapes.obb_c.shape[0]
+        return sum(a.shape[0] for a in (shapes.points, shapes.seg_a, shapes.box_lo, shapes.obb_c))
 
     def _shapes(self) -> _Shapes:
         return self._walk.shapes(self.resolution)

@@ -8,7 +8,9 @@ a Python set.  It shares no code with ``gdcover.covering``, whose covering
 elements exist only as arrays, and is kept only as a differential oracle
 for the kernel.  ``select`` and ``pick`` read a kernel walk's node arrays,
 and choose its nodes by the definition, a mask over every node, where the
-walk takes slices of its size-ordered ranges.
+walk takes slices of its size-ordered ranges.  ``per_edge_walk`` builds the
+kernel's node arrays one (vertex, edge) block at a time, each block
+gathering its parents anew, where the kernel gathers each parent set once.
 """
 from __future__ import annotations
 
@@ -290,3 +292,67 @@ def select(walk, r):
 def pick(walk, v, mask):
     """The nodes ending at vertex index v that a ``select`` mask chooses."""
     return np.flatnonzero(mask & (walk.term == v))
+
+
+def per_edge_walk(graph, vertex, r_min):
+    """The level-by-level array walk built one (vertex, edge) block at a time,
+    each block gathering its parents anew: a ``gdcover.covering._Walk``'s
+    node arrays (ratio, iso, trans, term, above, size), sorted as it sorts
+    them, and its isometries, in the order of first use."""
+    order = graph.vertex_order
+    dim = graph.dimension
+    diam = np.array([graph.seed_box(v).diameter for v in order])
+    out = [graph.out_edges(v) for v in order]
+    dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
+    isos = [np.eye(dim)]
+    slots = {isos[0].tobytes(): 0}
+
+    def step(iso, edge):
+        q = isos[iso] @ edge.map.isometry
+        slot = slots.setdefault(q.tobytes(), len(isos))
+        if slot == len(isos):
+            isos.append(q)
+        return slot, isos[iso] @ edge.map.translation
+
+    def children(level, sel, edge):
+        ratio = level["ratio"][sel]
+        uniq, inv = np.unique(level["iso"][sel], return_inverse=True)
+        steps = [step(int(i), edge) for i in uniq]
+        qb = np.array([s[1] for s in steps])[inv]
+        child = {
+            "ratio": ratio * edge.ratio,
+            "iso": np.array([s[0] for s in steps])[inv],
+            "trans": ratio[:, None] * qb + level["trans"][sel],
+            "term": np.full(sel.size, dst[edge.id]),
+            "above": np.minimum(level["above"][sel], level["size"][sel]),
+        }
+        child["size"] = child["ratio"] * diam[dst[edge.id]]
+        return child
+
+    level = {
+        "ratio": np.array([1.0]),
+        "iso": np.array([0]),
+        "trans": np.zeros((1, dim)),
+        "term": np.array([order.index(vertex)]),
+        "above": np.array([np.inf]),
+    }
+    level["size"] = level["ratio"] * diam[level["term"]]
+    levels = [level]
+    while True:
+        grow = np.flatnonzero(level["size"] > r_min)
+        blocks = [
+            (sel, e)
+            for v, edges in enumerate(out)
+            for sel in [grow[level["term"][grow] == v]]
+            if sel.size
+            for e in edges
+        ]
+        if not blocks:
+            break
+        parts = [children(level, sel, e) for sel, e in blocks]
+        level = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+        levels.append(level)
+    levels.reverse()
+    nodes = {key: np.concatenate([lv[key] for lv in levels]) for key in level}
+    by_size = np.lexsort((nodes["size"], nodes["term"]))
+    return {key: a[by_size] for key, a in nodes.items()}, isos

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import BUNDLED_NAMES
 from helpers import LN2, LN3, half_half_segment_graph
 
 from gdcover.cli import main
@@ -504,3 +509,66 @@ class TestReport:
         doc = json.loads((d1 / "report.json").read_text())
         assert set(doc["artifacts"].values()) == set(names)
         assert doc["system"]["dimension"] == 1
+
+
+# -- fuzzed system files ------------------------------------------------------------
+#
+# A bundled system with a few keys deleted or replaced by arbitrary JSON, or
+# its text cut short.  Every command exits with a documented code (0-4) and
+# never lets an exception escape main, which would print a traceback.
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from((0.0, -1.0, 0.5, 1.0, 2.0, 1e308, 5e-324, 1 - 1e-12, 10**30)),
+    st.sampled_from(("", "X", "P", "a", "box", "point", "segment", "SSC")),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(("id", "min", "max", "kind", "ratio", "X")), inner,
+                        max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _slots(doc, out):
+    """Every (container, key) pair of a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        _slots(value, out)
+    return out
+
+
+@st.composite
+def fuzzed_system_text(draw):
+    doc = json.loads(bundled_text(draw(st.sampled_from(BUNDLED_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=fuzzed_system_text(), command=st.sampled_from(("validate", "dim", "lattice")))
+def test_fuzzed_systems_exit_with_documented_codes(tmp_path_factory, text, command):
+    path = tmp_path_factory.mktemp("fuzz") / "system.json"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -100,8 +100,9 @@ class TestGenerate:
     def test_cantor_depth_three(self, cantor):
         gs = generate(cantor, "X", 0.04)
         assert gs.n_elements == 16 // 2
-        # cylinders are 1-d boxes: the diameter is twice the half axis
-        widths = 2 * np.abs(gs._shapes().obb_h[:, 0, 0])
+        # cylinders are 1-d boxes, held as bounds
+        shapes = gs._shapes()
+        widths = (shapes.box_hi - shapes.box_lo)[:, 0]
         assert widths == pytest.approx([3.0**-3] * 8, rel=1e-12)
         cyl = oracle.generate(cantor, "X", 0.04).cylinders()
         assert len(cyl) == 8
@@ -113,7 +114,8 @@ class TestGenerate:
     def test_resolution_above_diameter_stops_at_root(self, cantor):
         gs = generate(cantor, "X", 1.0)
         assert gs.n_elements == 1
-        assert 2 * abs(gs._shapes().obb_h[0, 0, 0]) == pytest.approx(1.0)
+        shapes = gs._shapes()
+        assert shapes.box_hi[0, 0] - shapes.box_lo[0, 0] == pytest.approx(1.0)
         (el,) = oracle.generate(cantor, "X", 1.0).cylinders()
         assert el.path.edges == ()
         assert el.shape.bounding_box().diameter == pytest.approx(1.0)
@@ -122,7 +124,7 @@ class TestGenerate:
         gs = generate(cantor_point, "X", 0.04)
         shapes = gs._shapes()
         # 8 cylinders and one copy per interior node: depths 0, 1, 2
-        assert (shapes.obb_c.shape[0], shapes.points.shape[0]) == (8, 1 + 2 + 4)
+        assert (shapes.box_lo.shape[0], shapes.points.shape[0]) == (8, 1 + 2 + 4)
         assert gs.n_elements == 8 + 7
         pts = oracle.generate(cantor_point, "X", 0.04).condensation_images()
         assert sorted(len(e.path.edges) for e in pts) == [0, 1, 1, 2, 2, 2, 2]
@@ -152,8 +154,8 @@ class TestCount:
         assert kernel_cells(1, 0.1, points=[(0.42,)]) == 1
 
     def test_square_box_nine_cells(self):
-        unit_square = ((0.5, 0.5), ((0.5, 0.0), (0.0, 0.5)))
-        assert kernel_cells(2, 1.0 / 3.0, obbs=[unit_square]) == 9
+        unit_square = ((0.0, 0.0), (1.0, 1.0))
+        assert kernel_cells(2, 1.0 / 3.0, boxes=[unit_square]) == 9
 
     def test_sierpinski_first_level(self):
         g = sierpinski_graph()

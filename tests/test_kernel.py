@@ -23,7 +23,6 @@ from gdcover import asymptotics, covering
 from gdcover.covering import (
     _cell_count,
     _CountTable,
-    _is_axis_aligned,
     _origin_vector,
     _run_cells,
     _Shapes,
@@ -48,8 +47,11 @@ CORPUS_TS = (
 
 
 def shapes_of_elements(elements) -> _Shapes:
-    """The oracle's covering elements as the kernel's arrays."""
-    points, segments, obbs = [], [], []
+    """The oracle's covering elements as the kernel's arrays: a box charged
+    its bounding box (axis-aligned, or any box in dimension > 2) as the
+    bounds of ``bounding_box``, any other as its ``image_of`` centre and
+    half axes."""
+    points, segments, boxes, obbs = [], [], [], []
     dim = 0
     for e in elements:
         s = e.shape
@@ -60,11 +62,15 @@ def shapes_of_elements(elements) -> _Shapes:
             segments.append((s.a, s.b))
             dim = len(s.a)
         elif isinstance(s, OrientedBox):
-            obbs.append((s.center, s.half_axes))
+            if s.is_axis_aligned() or s.dim > 2:
+                bounds = s.bounding_box()
+                boxes.append((bounds.lo, bounds.hi))
+            else:
+                obbs.append((s.center, s.half_axes))
             dim = s.dim
         else:
             raise TypeError(f"unsupported shape {type(s).__name__}")
-    return _Shapes.gather(dim, points, segments, obbs)
+    return _Shapes.gather(dim, points, segments, boxes, obbs)
 
 
 def _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin):
@@ -93,7 +99,8 @@ def test_corpus_counts_match_oracle(bundled, name):
 def _shape_rows(shapes: _Shapes) -> list:
     obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(-1, shapes.dim**2)], axis=1)
     segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
-    return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, obbs)]
+    boxes = np.concatenate([shapes.box_lo, shapes.box_hi], axis=1)
+    return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, boxes, obbs)]
 
 
 def _assert_same_elements(kernel_set, oracle_set):
@@ -113,8 +120,9 @@ def test_corpus_elements_match_oracle(bundled, name):
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
 def test_shape_coordinates_are_bitwise_the_scalar_images(bundled, name):
-    # node maps, centres and half axes repeat Similarity.compose/apply and
-    # OrientedBox.image_of operation for operation
+    # node maps, box bounds, and the centres and half axes of rotated boxes
+    # repeat Similarity.compose/apply, OrientedBox.image_of and
+    # OrientedBox.bounding_box operation for operation
     graph = bundled[name]
     for t in (2.0, 3.0, 4.0, 5.0):
         r = math.exp(-t)
@@ -175,6 +183,13 @@ def test_child_time_snaps_float_noise_to_zero(bundled):
 
 RATIOS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 ANGLES = (30.0, 45.0, 90.0, 135.0)
+# isometries of a system's first edge: rotations (rotation_2d(90) is not
+# exactly a quarter turn) and exact signed permutations
+FIRST_ISOMETRIES = {
+    1: (np.eye(1), -np.eye(1)),
+    2: tuple(rotation_2d(a) for a in ANGLES)
+    + (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+}
 
 
 # edge ends of the two-vertex systems: strongly connected, X and Y overlap
@@ -189,9 +204,7 @@ def systems(draw, dim, two_vertices=False):
     for k in range(n_edges):
         q = draw(st.sampled_from(RATIOS))
         shift = [draw(st.integers(0, 8)) / 8 * (1 - float(q)) for _ in range(dim)]
-        iso = np.eye(dim)
-        if dim == 2 and k == 0:
-            iso = rotation_2d(draw(st.sampled_from(ANGLES)))
+        iso = draw(st.sampled_from(FIRST_ISOMETRIES[dim])) if k == 0 else np.eye(dim)
         src, dst = ends[k]
         edges.append(Edge(f"e{k}", src, dst, Similarity(float(q), iso, shift), q))
     grid = st.integers(0, 16).map(lambda m: m / 16)
@@ -278,8 +291,11 @@ def test_space_counts_match_oracle():
         oracle_sets = {"X": oracle.generate(graph, "X", r)}
         _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
         if t >= 1.0:
+            # rotated cylinders, each charged its bounding box
             shapes = kernel_sets["X"]._shapes()
-            assert shapes.seg_a.shape[0] and not _is_axis_aligned(shapes.obb_h).all()
+            cylinders = oracle_sets["X"].cylinders()
+            assert not all(e.shape.is_axis_aligned() for e in cylinders)
+            assert shapes.seg_a.shape[0] and shapes.obb_c.shape[0] == 0
         for origin in (0.0, 0.316, r / 2):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
@@ -354,7 +370,8 @@ def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
 KINDS = {
     "points": ("points", "point_tag"),
     "segments": ("seg_a", "seg_b", "seg_tag"),
-    "boxes": ("obb_c", "obb_h", "obb_tag"),
+    "boxes": ("box_lo", "box_hi", "box_tag"),
+    "obbs": ("obb_c", "obb_h", "obb_tag"),
 }
 
 
@@ -373,7 +390,7 @@ def _one_kind(shapes: _Shapes, kind: str, k: int | None = None) -> _Shapes:
                 a = a[getattr(shapes, names[-1]) == k]
             fields[f] = a
     if k is not None:
-        fields.update(point_tag=None, seg_tag=None, obb_tag=None)
+        fields.update(point_tag=None, seg_tag=None, box_tag=None, obb_tag=None)
     return dataclasses.replace(shapes, **fields)
 
 
@@ -535,14 +552,15 @@ def line_shapes(draw, r, origin):
 
 
 def _line_arrays(points, segments, boxes):
-    """The shapes as ``_Shapes.gather`` parts."""
+    """The shapes as ``_Shapes.gather`` parts; boxes as their bounds."""
     def col(xs):
         return np.array(xs, dtype=float).reshape(-1, 1)
 
+    bounds = [b.bounding_box() for b in boxes]
     return (
         [col([p.point for p in points])],
         [(col([s.a for s in segments]), col([s.b for s in segments]))],
-        [(col([b.center for b in boxes]), col([b.half_axes for b in boxes]).reshape(-1, 1, 1))],
+        [(col([b.lo for b in bounds]), col([b.hi for b in bounds]))],
     )
 
 
@@ -606,7 +624,7 @@ def test_tagged_line_runs_match_each_radius(data, radii, origin):
     drawn = [data.draw(line_shapes(r, origin)) for r in radii]
     kinds = [sum((d[j] for d in drawn), []) for j in range(3)]
     tags = [[np.array([k for k, d in enumerate(drawn) for _ in d[j]], dtype=np.int64)]
-            for j in range(3)]
+            for j in range(3)] + [[]]
     shapes = _Shapes.gather(1, *_line_arrays(*kinds), tags=tags)
     o = _origin_vector(origin, 1)
     runs = shapes.runs(radii, o)
@@ -626,7 +644,7 @@ def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
     # of 9 only once its cells are
     segment = [(np.array([[0.0]]), np.array([[10.0]]))]
     alone = _Shapes.gather(1, segments=segment)
-    tagged = _Shapes.gather(1, segments=segment, tags=([], [np.array([1])], []))
+    tagged = _Shapes.gather(1, segments=segment, tags=([], [np.array([1])], [], []))
     o = np.zeros(1)
     for cap, stage in ((8, "enumeration"), (9, "union")):
         with mock.patch.object(covering, "CELL_CAP", cap):
@@ -723,7 +741,7 @@ def test_tagged_axis_segments_match_each_radius(data, dim, radii):
     for origin in AXIS_ORIGINS:
         placed = [_placed(d, r, origin) for d, r in zip(drawn, radii)]
         a, b = (np.concatenate([p[k] for p in placed]) for k in (0, 1))
-        shapes = _Shapes.gather(dim, segments=[(a, b)], tags=([], [tag], []))
+        shapes = _Shapes.gather(dim, segments=[(a, b)], tags=([], [tag], [], []))
         o = _origin_vector(origin, dim)
         _assert_disjoint(shapes.runs(radii, o))
         cells = shapes.cells(radii, o)
@@ -857,3 +875,187 @@ def test_origin_shift_changes_counts_by_at_most_3_to_the_d(graph, t, data):
 def test_renewal_residual_is_at_most_1e_9(graph, ts):
     ctx = covering.ForcingContext(graph, solve_s0(graph), ts)
     assert covering.renewal_residual(ctx, covering.forcing_values(ctx)) <= 1e-9
+
+
+# -- the walk build and the per-walk image cache --------------------------------------
+#
+# The walk gathers each (level, vertex) parent set once and writes every
+# edge's children into one level array; the oracle builds one (vertex, edge)
+# block at a time.  The node arrays must be identical, in the same order.
+# Images of seed boxes and condensation shapes are mapped once per node and
+# kept: a walk asked for radius groups in any order must give the shapes of a
+# fresh walk, bit for bit, and map each node at most once, and only when a
+# pass reads it.
+
+
+def _assert_same_walk(graph, vertex, r_min):
+    walk = _Walk(graph, vertex, r_min)
+    nodes, isos = oracle.per_edge_walk(graph, vertex, r_min)
+    for key, want in nodes.items():
+        got = getattr(walk, key)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), key
+    assert [q.tobytes() for q in walk.isos] == [q.tobytes() for q in isos]
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_walk_build_matches_the_per_edge_build(bundled, name):
+    graph = bundled[name]
+    for t in (-0.5, 2.0, 5.0):
+        for v in graph.vertex_order:
+            _assert_same_walk(graph, v, math.exp(-t))
+
+
+def _growing_system() -> MWGraph:
+    """Two vertices whose seed boxes differ 4-fold in side: the child of an
+    X node along X -> Y has twice its parent's stopping size."""
+    return MWGraph(
+        dimension=1,
+        vertices={"X": Box((0.0,), (1.0,)), "Y": Box((0.0,), (4.0,))},
+        edges=[
+            Edge("xx", "X", "X", Similarity(1 / 3, np.eye(1), [0.0]), Fraction(1, 3)),
+            Edge("xy", "X", "Y", Similarity(0.5, -np.eye(1), [1.0]), Fraction(1, 2)),
+            Edge("yx", "Y", "X", Similarity(0.5, np.eye(1), [2.0]), Fraction(1, 2)),
+            Edge("yy", "Y", "Y", Similarity(0.25, np.eye(1), [0.0]), Fraction(1, 4)),
+        ],
+        condensation={"X": (Primitive.point([0.5]),), "Y": ()},
+    )
+
+
+def test_walk_build_matches_the_per_edge_build_when_children_grow():
+    graph = _growing_system()
+    for t in (0.0, 3.0, 6.0):
+        for v in graph.vertex_order:
+            _assert_same_walk(graph, v, math.exp(-t))
+
+
+def _permuted_system() -> MWGraph:
+    """A 2-d system on a 2 x 1 seed box whose maps are exact signed
+    permutations (a quarter turn, an axis swap with a reflection), with a
+    box, a point and a segment of condensation."""
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    swap = np.array([[0.0, 1.0], [-1.0, 0.0]]) @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    return MWGraph(
+        dimension=2,
+        vertices={"X": Box((0.0, 0.0), (2.0, 1.0))},
+        edges=[
+            Edge("a", "X", "X", Similarity(0.5, quarter, [0.5, 0.0]), Fraction(1, 2)),
+            Edge("b", "X", "X", Similarity(1 / 3, swap, [1.25, 0.5]), Fraction(1, 3)),
+            Edge("c", "X", "X", Similarity(0.25, np.eye(2), [1.5, 0.75]), Fraction(1, 4)),
+        ],
+        condensation={"X": (
+            Primitive.box([0.1, 0.2], [0.3, 0.9]),
+            Primitive.point([1.7, 0.1]),
+            Primitive.segment([0.2, 0.4], [1.9, 0.4]),
+        )},
+    )
+
+
+def test_signed_permutation_images_match_oracle():
+    # each bounding half width is ratio * (w / 2) of the permuted axis
+    graph = _permuted_system()
+    for t in (-0.2, 1.0, 2.5, 4.0):
+        r = math.exp(-t)
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
+        for origin in (0.0, 0.316, r / 2):
+            _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+def test_alignment_follows_the_ratio_as_in_the_oracle():
+    # a rotation by 1e-10 rad: a node's off-axis half-axis entries, about
+    # ratio * k * 1e-10 / 2 after k turns, pass 1e-12 only above some ratio,
+    # so one isometry holds both axis-aligned and rotated boxes
+    c, s = math.cos(1e-10), math.sin(1e-10)
+    graph = MWGraph(
+        dimension=2,
+        vertices={"X": Box((0.0, 0.0), (1.0, 1.0))},
+        edges=[
+            Edge("a", "X", "X", Similarity(0.5, [[c, -s], [s, c]], [0.0, 0.0]), Fraction(1, 2)),
+            Edge("b", "X", "X", Similarity(0.5, np.eye(2), [0.5, 0.5]), Fraction(1, 2)),
+        ],
+        condensation={"X": (Primitive.box([0.25, 0.0], [0.75, 0.5]),)},
+    )
+    r = math.exp(-5.0)
+    kernel_sets = {"X": covering.generate(graph, "X", r)}
+    oracle_sets = {"X": oracle.generate(graph, "X", r)}
+    boxes = [e.shape for e in oracle_sets["X"].elements]
+    tilted = [b for b in boxes if np.count_nonzero(np.array(b.half_axes)) > 2]
+    assert any(b.is_axis_aligned() for b in tilted)
+    assert not all(b.is_axis_aligned() for b in tilted)
+    _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
+    for origin in (0.0, 0.316, r / 2):
+        _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+ANY_SYSTEMS = st.sampled_from((1, 2)).flatmap(
+    lambda d: st.one_of(systems(d), systems(d, two_vertices=True))
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=ANY_SYSTEMS, t=st.floats(-0.5, 4.0))
+def test_random_walk_build_matches_the_per_edge_build(graph, t):
+    for v in graph.vertex_order:
+        _assert_same_walk(graph, v, math.exp(-t))
+
+
+def _same_arrays(a: _Shapes, b: _Shapes) -> bool:
+    fields = [f.name for f in dataclasses.fields(_Shapes) if f.name != "dim"]
+    for f in fields:
+        x, y = getattr(a, f), getattr(b, f)
+        if (x is None) != (y is None):
+            return False
+        if x is not None and (x.shape, x.tobytes()) != (y.shape, y.tobytes()):
+            return False
+    return True
+
+
+@st.composite
+def group_orders(draw, n):
+    """Radius groups (ascending index lists into n radii) in any order:
+    drawn ones, then every radius alone from the coarsest down, the whole
+    array, and the finest radius again after coarser ones."""
+    index_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    drawn = draw(st.lists(index_sets.map(sorted), max_size=5))
+    return drawn + [[k] for k in range(n - 1, -1, -1)] + [list(range(n)), [0]]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=ANY_SYSTEMS, ts=t_lists(), origin_pick=ORIGIN_PICKS, data=st.data())
+def test_groups_in_any_order_map_each_node_once(graph, ts, origin_pick, data):
+    origin = _origin(origin_pick, ts)
+    o = _origin_vector(origin, graph.dimension)
+    radii = np.array(sorted({math.exp(-t) for t in ts}))
+    groups = data.draw(group_orders(radii.size))
+    want: dict = {}
+    for root in graph.vertex_order:
+        shared = _Walk(graph, root, radii[0])
+        mapped, read = [], set()
+        real_map, real_images = _Walk._map, _Walk._images
+
+        def spy_map(walk, memo, key, nodes, rows):
+            if walk is shared:
+                mapped.extend((key, n) for n in nodes.tolist())
+            return real_map(walk, memo, key, nodes, rows)
+
+        def spy_images(walk, v, key, nodes):
+            if walk is shared:
+                read.update((key, n) for n in nodes.tolist())
+            return real_images(walk, v, key, nodes)
+
+        with mock.patch.object(_Walk, "_map", spy_map), \
+                mock.patch.object(_Walk, "_images", spy_images):
+            for group in groups:
+                rs = radii[group]
+                r = rs[0] if rs.size == 1 else rs
+                got = shared.shapes(r)
+                assert _same_arrays(got, _Walk(graph, root, radii[0]).shapes(r)), group
+                counts = np.atleast_1d(_cell_count(got.runs(r, o), None if rs.size == 1 else rs.size))
+                for k, x in zip(group, counts.tolist()):
+                    if (root, k) not in want:
+                        oracle_set = oracle.generate(graph, root, radii[k])
+                        (want[(root, k)],), _ = oracle.count(oracle_set, radii[k], grid_origin=origin)
+                    assert x == want[(root, k)], (group, k)
+        assert len(mapped) == len(set(mapped))  # no node mapped twice
+        assert set(mapped) == read  # and none that no pass read
