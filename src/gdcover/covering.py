@@ -16,9 +16,9 @@ terminates.
 One kernel does all counting.  A vertex's stopping tree is walked once,
 level by level as numpy arrays, down to the finest radius a caller needs,
 then sorted by stopping size, so that a group of coarser radii takes its
-leaves and interior nodes as slices.  Cells are held as runs along the last
-axis, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a run union.
-Axis-parallel segments are index boxes like points and boxes.
+leaves and interior nodes as slices.  Cells are held as runs along one axis
+per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a run
+union.  Axis-parallel segments are index boxes like points and boxes.
 """
 from __future__ import annotations
 
@@ -70,10 +70,11 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 
 # -- array cell enumeration --------------------------------------------------
 #
-# Cells are held as runs: stretches of consecutive cells along the last
-# axis, one int64 row (c_0, ..., c_{d-2}, lo, hi) each.  A single cell is a
-# run with lo == hi.  Float expressions repeat the operation order of the
-# scalar definitions (Similarity.compose and apply, and the cell index
+# Cells are held as runs: stretches of consecutive cells along the run axis
+# (one per system, ``_run_axis``), one int64 row (c_0, ..., c_{d-2}, lo, hi)
+# each, the integer index columns permuted to put the run axis last.  A
+# single cell is a run with lo == hi.  Float expressions repeat the operation
+# order of the scalar definitions (Similarity.compose and apply, and the cell index
 # ranges and OrientedBox.image_of of the test oracle tests/covering_oracle.py).  Small
 # matrix products go through np.matmul with the operand layout of the scalar
 # call, because BLAS may fuse multiply-adds where a written-out formula would
@@ -192,12 +193,21 @@ def _cell_count(runs: np.ndarray, n_radii: int | None = None):
     return np.bincount(runs[:, 0], weights=length, minlength=n_radii).astype(np.int64)
 
 
-def _run_cells(runs: np.ndarray) -> np.ndarray:
-    """Every cell of disjoint runs as an index row, a leading tag kept."""
+def _axis_order(dim: int, axis: int | None):
+    """Index columns with the run ``axis`` last; None when that keeps them."""
+    return None if axis in (None, dim - 1) else [*range(axis), *range(axis + 1, dim), axis]
+
+
+def _run_cells(runs: np.ndarray, order=None) -> np.ndarray:
+    """Every cell of disjoint runs written in axis ``order`` as an index row in
+    the caller's order, a leading tag kept."""
     length = runs[:, -1] - runs[:, -2] + 1
     owner = np.repeat(np.arange(runs.shape[0]), length)
     cells = runs[owner, :-1]
     cells[:, -1] += np.arange(owner.size) - np.repeat(np.cumsum(length) - length, length)
+    if order is not None:
+        lead = cells.shape[1] - len(order)
+        cells = cells[:, [*range(lead), *(lead + np.argsort(order))]]
     return cells
 
 
@@ -207,8 +217,9 @@ class _CellUnion:
     A tagged union holds (tag, run) rows and applies the cap per radius.
     """
 
-    def __init__(self, dim: int, tagged: bool = False) -> None:
+    def __init__(self, dim: int, tagged: bool = False, axis: int | None = None) -> None:
         self.tagged = tagged
+        self.order = _axis_order(dim, axis)
         self.parts = [np.empty((0, dim + 1 + tagged), dtype=np.int64)]
         self.fresh = 0
 
@@ -263,8 +274,10 @@ def _check_candidates(cnt: np.ndarray) -> None:
 
 
 def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
-    """Runs of the index boxes [ilo, ihi] (inclusive per axis), one per index
-    row of each box's first d - 1 axes; unexpanded when every box has one."""
+    """Runs of the index boxes [ilo, ihi] (inclusive per axis) along the run
+    axis, one per index row of each box's other axes; unexpanded when every box has one."""
+    if acc.order is not None:
+        ilo, ihi = ilo[:, acc.order], ihi[:, acc.order]
     cnt = ihi[:, :-1] - ilo[:, :-1] + 1
     if (cnt == 1).all():
         acc.add(np.column_stack((ilo, ihi[:, -1])), tag)
@@ -464,15 +477,15 @@ class _Shapes:
             *(() if tags is None else map(stack_tags, tags)),
         )
 
-    def runs(self, r, origin: np.ndarray) -> np.ndarray:
-        """Distinct cells met by the union of the shapes, as disjoint runs.
+    def runs(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Distinct cells met by the union of the shapes, as disjoint runs along ``axis``.
 
         A rotated box (dimension 2) is tested exactly, by separating axes.
         Tagged shapes take the sorted radii they were selected for; each of
         their runs then leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
-        acc = _CellUnion(self.dim, tagged)
+        acc = _CellUnion(self.dim, tagged, axis)
 
         def radius(tag):  # one radius per row as a column, or the one radius
             return r[tag][:, None] if tagged else r
@@ -488,9 +501,9 @@ class _Shapes:
                              self.obb_tag)
         return acc.runs()
 
-    def cells(self, r, origin: np.ndarray) -> np.ndarray:
-        """The cells of :meth:`runs`, one index row each."""
-        return _run_cells(self.runs(r, origin))
+    def cells(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """The cells of :meth:`runs`, one index row each, in the caller's axis order."""
+        return _run_cells(self.runs(r, origin, axis), _axis_order(self.dim, axis))
 
 
 # -- the multi-resolution walk -----------------------------------------------
@@ -833,11 +846,11 @@ class _Walk:
         tags = None if np.ndim(r) == 0 else [[t for _x, t in part] for part in parts]
         return _Shapes.gather(graph.dimension, *([x for x, _t in part] for part in parts), tags=tags)
 
-    def work(self, radii: np.ndarray) -> np.ndarray:
-        """Estimated candidate runs of each radius of an ascending array:
-        one per element, plus in dimension >= 2 the grid planes each
-        condensation image crosses (its ratio times the primitive's L1
-        extent, over r).  A 1-d shape is one run."""
+    def work(self, radii: np.ndarray, axis: int) -> np.ndarray:
+        """Estimated candidate runs along ``axis`` of each radius of an ascending
+        array: one per element, plus in dimension >= 2 the grid planes each
+        condensation image crosses on the other axes (its ratio times its
+        isometry's image of the primitive's extent, over r)."""
         leaf, inner = self._select(radii)
         g = len(radii)
         out = np.zeros(g)
@@ -849,8 +862,9 @@ class _Walk:
             nodes, lo, hi = inner[v]
             out += _range_sums(lo, hi, float(len(prims)), g)
             if self.graph.dimension > 1:
-                extent = sum(np.abs(np.subtract(p.points[-1], p.points[0])).sum() for p in prims)
-                out += _range_sums(lo, hi, self.ratio[nodes] * extent, g) / radii
+                widths = sum(np.abs(np.subtract(p.points[-1], p.points[0])) for p in prims)
+                across = np.delete(np.abs(self._iso_stack) @ widths, axis, axis=1).sum(axis=1)
+                out += _range_sums(lo, hi, self.ratio[nodes] * across[self.iso[nodes]], g) / radii
         return out
 
 
@@ -891,15 +905,25 @@ def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:
 # -- counting ----------------------------------------------------------------
 
 
-def _set_runs(gset: GeometrySet, r, grid_origin) -> np.ndarray:
-    """Runs of the cells met by a set."""
+def _run_axis(graph: MWGraph) -> int:
+    """The axis every count of ``graph`` lays its runs along: the largest
+    summed extent of the seed boxes and the condensation primitives'
+    bounding boxes, the last on a tie.  Counts do not depend on it."""
+    boxes = [graph.seed_box(v) for v in graph.vertex_order]
+    boxes += [p.bounding_box() for v in graph.vertex_order for p in graph.condensation[v]]
+    extent = np.sum([b.widths for b in boxes], axis=0)
+    return graph.dimension - 1 - int(np.argmax(extent[::-1]))
+
+
+def _set_runs(gset: GeometrySet, r, grid_origin, axis: int) -> np.ndarray:
+    """Runs along ``axis`` of the cells met by a set."""
     if r is None:
         r = gset.resolution
     if r < gset.resolution * (1 - 1e-12):
         raise ValueError("counting below the generation resolution is not meaningful")
     shapes = gset._shapes()
     origin = _origin_vector(grid_origin, shapes.dim)
-    return shapes.runs(r, origin)
+    return shapes.runs(r, origin, axis)
 
 
 def cell_union(
@@ -909,7 +933,10 @@ def cell_union(
     grid_origin=None,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    return set(map(tuple, _run_cells(_set_runs(gset, r, grid_origin)).tolist()))
+    graph = gset._walk.graph
+    axis = _run_axis(graph)
+    cells = _run_cells(_set_runs(gset, r, grid_origin, axis), _axis_order(graph.dimension, axis))
+    return set(map(tuple, cells.tolist()))
 
 
 @dataclass(frozen=True)
@@ -983,6 +1010,7 @@ class _CountTable:
     def __init__(self, graph: MWGraph, grid_origin=None) -> None:
         self.graph = graph
         self.origin = _origin_vector(grid_origin, graph.dimension)
+        self.axis = _run_axis(graph)
         self.counts: dict[tuple[str, float], int] = {}
         self.walks: dict[str, _Walk] = {}
 
@@ -999,9 +1027,9 @@ class _CountTable:
         if not radii.size:
             return
         walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
-        for a, b in _groups(sum(w.work(radii) for w in walks)):
+        for a, b in _groups(sum(w.work(radii, self.axis) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            yield a, b, [w.shapes(r).runs(r, self.origin) for w in walks]
+            yield a, b, [w.shapes(r).runs(r, self.origin, self.axis) for w in walks]
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
         """Count one vertex at every t not yet in the table; its walk reaches
@@ -1041,7 +1069,8 @@ def count(
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
-    return _count_runs(sets, [_set_runs(sets[v], r, grid_origin) for v in sets])
+    axis = _run_axis(next(iter(sets.values()))._walk.graph) if sets else None
+    return _count_runs(sets, [_set_runs(sets[v], r, grid_origin, axis) for v in sets])
 
 
 # -- profiles ----------------------------------------------------------------

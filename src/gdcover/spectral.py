@@ -178,19 +178,29 @@ def spectral_radius(
         raise ValueError("matrix must be square")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    if want_vectors and not is_irreducible(a):
-        raise NumericalError(
-            "Perron vectors need an irreducible matrix (graph not strongly connected)"
-        )
+    if want_vectors:
+        _require_irreducible(a)
     rho, right = _power_perron(a, max_iter)
     if not want_vectors:
         return rho
+    return rho, right, _left_perron(a, rho, max_iter)
+
+
+def _require_irreducible(a: np.ndarray) -> None:
+    if not is_irreducible(a):
+        raise NumericalError(
+            "Perron vectors need an irreducible matrix (graph not strongly connected)"
+        )
+
+
+def _left_perron(a: np.ndarray, rho: float, max_iter: int) -> np.ndarray:
+    """Left Perron vector of ``a``, its radius estimate checked against ``rho``."""
     rho_t, left = _power_perron(a.T, max_iter)
     if abs(rho - rho_t) > 10 * POWER_REL_TOL * max(abs(rho), 1.0) + 1e-13:
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
         )
-    return rho, right, left
+    return left
 
 
 @dataclass(frozen=True)
@@ -263,12 +273,13 @@ def solve_s0(graph: MWGraph) -> SpectralData:
             else:
                 hi = mid
         s0 = 0.5 * (lo + hi)
-    resid = abs(spectral_radius(build(s0)) - 1.0)
+    a0 = build(s0)
+    rho, u = _power_perron(a0, POWER_MAX_ITER)
+    resid = abs(rho - 1.0)
     if resid > S0_TOL:
         raise NumericalError(f"dimension residual {resid:.3e} exceeds {S0_TOL:.3e}")
-
-    a0 = build(s0)
-    _rho, u, v = spectral_radius(a0, want_vectors=True)
+    _require_irreducible(a0)
+    v = _left_perron(a0, rho, POWER_MAX_ITER)
     v = v / v.sum()
     u = u / float(v @ u)
     moments = build_moment_matrix(graph, s0)
