@@ -123,6 +123,17 @@ def _distinct_small(values: np.ndarray):
     return present, slot[values]
 
 
+# most distinct values of small int keys that sort as 8- or 16-bit ints, by radix
+_RADIX_KEYS = 1 << 16
+
+
+def _sort_keys(keys: np.ndarray, n_values: int) -> np.ndarray:
+    """Nonnegative int keys below ``n_values`` in the dtype that numpy's
+    stable sort takes fastest: the least unsigned one, sorted by radix, when
+    they fit in 16 bits."""
+    return keys.astype(np.min_scalar_type(n_values - 1)) if n_values <= _RADIX_KEYS else keys
+
+
 def _row_prod(a: np.ndarray) -> np.ndarray:
     """Product across the (few, maybe no) columns of a 2-d array."""
     out = np.ones(a.shape[0], dtype=a.dtype)
@@ -521,20 +532,28 @@ def _range_sums(lo: np.ndarray, hi: np.ndarray, weights, n: int) -> np.ndarray:
 class _Walk:
     """Stopping tree of one vertex down to radius ``r_min``, stored as arrays.
 
-    Built level by level; node k holds its ratio, isometry (an index into
-    ``isos``), translation, terminal vertex, the stopping size
-    ``ratio * diam(terminal)`` and ``above``, the smallest size among its
-    proper ancestors (infinite at the root).  The radius-r walk, for any
-    r >= r_min, visits exactly the nodes with ``above > r``: those with
-    ``size <= r`` are its leaves (cylinders), the others its interior nodes
-    (condensation copies).  Maps compose as Similarity.compose does, so
-    every node's map equals the one the depth-first walk would build.
+    A node's ratio, isometry (an index into ``isos``), terminal vertex and
+    stopping size ``ratio * diam(terminal)`` fix those of its children, so
+    they are kept once per class, a distinct (ratio, isometry, terminal)
+    triple: ``c_ratio``, ``c_iso``, ``c_term`` and ``c_size``.  Node k holds
+    only its class ``cls[k]``, its translation and ``above``, the smallest
+    size among its proper ancestors (infinite at the root).  The radius-r
+    walk, for any r >= r_min, visits exactly the nodes with ``above > r``:
+    those with ``size <= r`` are its leaves (cylinders), the others its
+    interior nodes (condensation copies).  Maps compose as
+    Similarity.compose does, so every node's map equals the one the
+    depth-first walk would build.
 
-    Built, the nodes are stably sorted by terminal vertex, then by size, so
-    those ending at vertex v fill ``_off[v]:_off[v+1]``.  As a child's size
-    is at least ``_shrink`` times its parent's, the leaves of radii in
-    [r_lo, r_hi] bar the root (above = inf) have sizes in [_shrink * r_lo,
-    r_hi] and the interior nodes sizes above r_lo: one slice of each range.
+    A pre-flight pass over the class table counts the nodes of each
+    (level, class) before any node array exists, so a walk over
+    ``PATH_CAP`` nodes is refused first.  The levels are then written
+    deepest first into one array per field, and the nodes stably sorted by
+    the rank of their class in (terminal vertex, size) order: those of rank
+    k fill ``_rank_off[k]:_rank_off[k+1]``, those ending at vertex v
+    ``_off[v]:_off[v+1]``.  As a child's size is at least ``_shrink`` times
+    its parent's, the leaves of radii in [r_lo, r_hi] bar the root
+    (above = inf) have sizes in [_shrink * r_lo, r_hi] and the interior
+    nodes sizes above r_lo: one range of ranks each.
 
     The image of a seed box or condensation shape under a node's map is
     computed the first time a pass reads that node, and kept for every
@@ -548,87 +567,160 @@ class _Walk:
         self.vertex = vertex
         self.r_min = r_min
         order = graph.vertex_order
-        dim = graph.dimension
         self.diam = np.array([graph.seed_box(v).diameter for v in order])
-        out = [graph.out_edges(v) for v in order]
-        dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
-        ends = [(self.diam[order.index(e.src)], self.diam[dst[i]]) for i, e in graph.edges.items()]
+        self._out = [graph.out_edges(v) for v in order]
+        self._dst = {eid: order.index(e.dst) for eid, e in graph.edges.items()}
+        ends = [(self.diam[order.index(e.src)], self.diam[self._dst[i]])
+                for i, e in graph.edges.items()]
         shrink = (e.ratio * b / a for e, (a, b) in zip(graph.edges.values(), ends) if a)
         self._shrink = (1 - 1e-9) * min(shrink, default=0.0)
-        self.isos = [np.eye(dim)]
+        self.isos = [np.eye(graph.dimension)]
         self._iso_slot = {self.isos[0].tobytes(): 0}
         self._steps: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
-
-        level = {
-            "ratio": np.array([1.0]),
-            "iso": np.array([0]),
-            "trans": np.zeros((1, dim)),
-            "term": np.array([order.index(vertex)]),
-            "above": np.array([np.inf]),
-        }
-        level["size"] = level["ratio"] * self.diam[level["term"]]
-        levels = [level]
-        total = 1
-        if total > PATH_CAP:
-            raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
-        while True:
-            grow = np.flatnonzero(level["size"] > r_min)
-            term = level["term"][grow]
-            parents = [(v, grow[term == v]) for v in range(len(order)) if out[v]]
-            parents = [(v, sel) for v, sel in parents if sel.size]
-            n_new = sum(sel.size * len(out[v]) for v, sel in parents)
-            if not n_new:
-                break
-            if total + n_new > PATH_CAP:
-                raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
-            level = self._children(level, parents, out, dst, n_new)
-            levels.append(level)
-            total += n_new
-        levels.reverse()  # deepest first: with one vertex and one ratio, already sorted
-        by_size = np.lexsort([np.concatenate([lv[k] for lv in levels]) for k in ("size", "term")])
-        take = by_size if (by_size != np.arange(total)).any() else slice(None)
-        for key in list(level):
-            setattr(self, key, np.concatenate([lv.pop(key) for lv in levels])[take])
-        self._root = int(np.flatnonzero(by_size == total - 1)[0])
-        self._off = np.searchsorted(self.term, np.arange(len(order) + 1))
+        levels = self._count(order.index(vertex))
+        self._build(levels)
+        self._order(levels)
         self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
         self._memo: dict[tuple, dict] = {}
+        self._tables: dict[tuple, tuple] = {}
 
-    def _children(self, level, parents, out, dst, n_new) -> dict:
-        """The next level: for each vertex v and its growing nodes ``sel``,
-        the children along each out-edge of v in turn, written in place.
-        A vertex's parent set is gathered once for all of its edges, and not
-        at all when it is the whole level."""
-        dim = level["trans"].shape[1]
-        child = {
-            "ratio": np.empty(n_new),
-            "iso": np.empty(n_new, dtype=np.int64),
-            "trans": np.empty((n_new, dim)),
-            "term": np.empty(n_new, dtype=np.int64),
-            "above": np.empty(n_new),
-        }
-        at = 0
-        for v, sel in parents:
-            whole = sel.size == level["ratio"].size
-            ratio, iso, trans, size, above = (
-                level[k] if whole else level[k][sel]
-                for k in ("ratio", "iso", "trans", "size", "above")
-            )
-            above = np.minimum(above, size)
-            uniq, inv = _distinct_small(iso)
-            for edge in out[v]:
-                part = slice(at, at + sel.size)
-                steps = [self._step(int(i), edge) for i in uniq]
-                qb = np.array([s[1] for s in steps])[inv]
-                child["ratio"][part] = ratio * edge.ratio
-                child["iso"][part] = np.array([s[0] for s in steps])[inv]
-                child["trans"][part] = ratio[:, None] * qb + trans
-                child["term"][part] = dst[edge.id]
-                child["above"][part] = above
-                at += sel.size
-        child["size"] = child["ratio"] * self.diam[child["term"]]
-        return child
+    # -- the class table and the pre-flight count ------------------------
+
+    def _count(self, root: int) -> list:
+        """The class table, and per level a ``{class: nodes}`` dict; raises
+        past ``PATH_CAP`` nodes before any node array exists.
+
+        The children of a class along the out-edges of its terminal vertex
+        are in ``_kid[j, class]`` (-1 where there is none), their translation
+        steps ``ratio * (Q @ b_e)`` in ``_step_b[j, class]``.  The table has
+        a row per class, so it is walked in Python.
+        """
+        diam = self.diam.tolist()
+        table = {"ratio": [1.0], "iso": [0], "term": [root], "size": [diam[root]],
+                 "kids": [None], "keys": {(1.0, 0, root): 0}, "steps": []}
+        deg = [len(e) for e in self._out]
+        level = {0: 1}
+        levels = []
+        total = 1
+        while total <= PATH_CAP:
+            levels.append(level)
+            grow = [(c, n) for c, n in level.items()
+                    if table["size"][c] > self.r_min and deg[table["term"][c]]]
+            if not grow:
+                self._tabulate(table)
+                return levels
+            total += sum(n * deg[table["term"][c]] for c, n in grow)
+            self._derive(table, [c for c, _n in grow if table["kids"][c] is None], diam)
+            level = {}
+            for c, n in grow:
+                for k in table["kids"][c]:
+                    level[k] = level.get(k, 0) + n
+        raise ResourceLimitError(f"walk enumeration exceeded the cap of {PATH_CAP} nodes")
+
+    def _derive(self, t: dict, fresh: list, diam: list) -> None:
+        """Add to the class rows ``t`` the children of classes seen growing
+        for the first time, in the order of the level build (vertex, edge,
+        isometry), so that isometries enter ``isos`` in that order too."""
+        for c in fresh:
+            t["kids"][c] = []
+        for v in sorted({t["term"][c] for c in fresh}):
+            parents = sorted((c for c in fresh if t["term"][c] == v), key=t["iso"].__getitem__)
+            for j, edge in enumerate(self._out[v]):
+                term = self._dst[edge.id]
+                for c in parents:
+                    slot, qb = self._step(t["iso"][c], edge)
+                    key = (t["ratio"][c] * edge.ratio, slot, term)
+                    k = t["keys"].setdefault(key, len(t["ratio"]))
+                    if k == len(t["ratio"]):
+                        t["ratio"].append(key[0])
+                        t["iso"].append(slot)
+                        t["term"].append(term)
+                        t["size"].append(key[0] * diam[term])
+                        t["kids"].append(None)
+                    t["kids"][c].append(k)
+                    t["steps"].append((j, c, k, t["ratio"][c] * qb))
+
+    def _tabulate(self, t: dict) -> None:
+        """The class rows ``t`` as arrays."""
+        self.c_ratio = np.array(t["ratio"])
+        self.c_iso = np.array(t["iso"], dtype=np.int64)
+        self.c_term = np.array(t["term"], dtype=np.int64)
+        self.c_size = np.array(t["size"])
+        self._deg = np.array([len(e) for e in self._out])
+        width, n = max(1, int(self._deg.max())), self.c_ratio.size
+        self._kid = np.full((width, n), -1, dtype=np.int32)
+        self._step_b = np.zeros((width, n, self.graph.dimension))
+        if t["steps"]:
+            j, c, k, step = zip(*t["steps"])
+            self._kid[j, c] = k
+            self._step_b[j, c] = step
+
+    # -- the node arrays -------------------------------------------------
+
+    def _build(self, levels: list) -> None:
+        """Write the levels deepest first into ``cls``, ``trans`` and
+        ``above``: each child level from its parent level's slice, the
+        class's row broadcast when the parents share one class, else
+        gathered by class id."""
+        sizes = [sum(level.values()) for level in levels]
+        n = sum(sizes)
+        starts = [n - s for s in itertools.accumulate(sizes)]
+        self.cls = cls = np.empty(n, dtype=np.int32)
+        self.trans = trans = np.empty((n, self.graph.dimension))
+        self.above = above = np.empty(n)
+        cls[-1], trans[-1], above[-1] = 0, 0.0, np.inf
+        grow_term = np.where(self.c_size > self.r_min, self.c_term, -1)
+        gt = grow_term.tolist()
+        for level, a, m, at in zip(levels, starts, sizes, starts[1:]):
+            pc, ptr, pab = cls[a : a + m], trans[a : a + m], above[a : a + m]
+            if len(level) == 1:
+                (c,) = level
+                for j in range(self._deg[self.c_term[c]]):
+                    cls[at : at + m] = self._kid[j, c]
+                    for k, b in enumerate(self._step_b[j, c]):  # a column at a time:
+                        np.add(ptr[:, k], b, out=trans[at : at + m, k])  # broadcasting is slow
+                    np.minimum(pab, self.c_size[c], out=above[at : at + m])
+                    at += m
+                continue
+            terms = sorted({gt[c] for c in level} - {-1})
+            whole = len(terms) == 1 and all(gt[c] >= 0 for c in level)
+            tv = None if whole else grow_term[pc]
+            for v in terms:
+                sel = slice(None) if whole else (tv == v).nonzero()[0]
+                c, tr = pc[sel].astype(np.intp), ptr[sel]
+                ab = np.minimum(pab[sel], self.c_size[c])
+                for j in range(self._deg[v]):
+                    self._kid[j].take(c, out=cls[at : at + c.size])
+                    np.add(tr, self._step_b[j].take(c, axis=0), out=trans[at : at + c.size])
+                    above[at : at + c.size] = ab
+                    at += c.size
+
+    def _order(self, levels: list) -> None:
+        """Rank the classes densely in (terminal vertex, size) order and
+        sort the nodes stably by the rank of their class, unless they are in
+        that order already."""
+        by = np.lexsort((self.c_size, self.c_term))
+        head = np.ones(by.size, dtype=bool)
+        head[1:] = (np.diff(self.c_term[by]) != 0) | (np.diff(self.c_size[by]) != 0)
+        rank = np.empty(by.size, dtype=np.int64)
+        rank[by] = np.cumsum(head) - 1
+        first = by[head]
+        self._rank_size = self.c_size[first]
+        per_rank = [0] * first.size
+        for level in levels:
+            for c, n in level.items():
+                per_rank[rank[c]] += n
+        self._rank_off = np.concatenate(([0], np.cumsum(per_rank)))
+        self._vrank = np.searchsorted(self.c_term[first], np.arange(len(self._out) + 1))
+        self._off = self._rank_off[self._vrank]
+        self._root = int(self._rank_off[rank[0] + 1]) - 1  # the last node of its rank
+        key = _sort_keys(rank, first.size)[self.cls]
+        if (key[1:] < key[:-1]).any():
+            perm = np.argsort(key, kind="stable")
+            del key
+            for name in ("cls", "trans", "above"):
+                setattr(self, name, getattr(self, name)[perm])
 
     def _step(self, iso: int, edge) -> tuple[int, np.ndarray]:
         """Isometry of parent-iso-then-edge, and the parent's Q applied to b_e."""
@@ -651,22 +743,28 @@ class _Walk:
         return col, q[np.arange(q.shape[0]), col]
 
     # -- images of fixed shapes under the nodes' maps ---------------------
+    #
+    # A node maps a point x to ((ratio * x) @ Q.T) + b, and all but the
+    # translation b is fixed by its class.  So the images of a shape are
+    # formed once per class, and a node's image is its class's row, gathered
+    # by class id, plus b: the same operations on the same operands as a
+    # node-by-node map.
 
-    def _by_iso(self, nodes):
-        """One stable sort of ``nodes`` by isometry: the order, and each
-        distinct isometry with its slice of the sorted nodes."""
-        slots, rank = _distinct_small(self.iso[nodes])
-        if slots.size <= 1 << 16:
-            rank = rank.astype(np.uint16)  # sorted by radix
+    def _by_iso(self):
+        """One stable sort of the classes by isometry: the order, and each
+        distinct isometry with its slice of the sorted classes."""
+        slots, rank = _distinct_small(self.c_iso)
+        rank = _sort_keys(rank, slots.size)
         bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
         parts = [(k, slice(a, b)) for k, a, b in zip(slots.tolist(), bounds, bounds[1:])]
         return np.argsort(rank, kind="stable"), parts
 
-    def _apply(self, nodes, pt, by_iso=None) -> np.ndarray:
-        """``Similarity.apply(pt)`` per node: ``((ratio * pt) @ Q.T) + b``."""
-        x = self.ratio[nodes][:, None] * np.asarray(pt, dtype=float)
+    def _class_point(self, pt) -> np.ndarray:
+        """``(ratio * pt) @ Q.T`` per class: ``Similarity.apply(pt)`` less
+        the translation."""
+        x = self.c_ratio[:, None] * np.asarray(pt, dtype=float)
         if len(self.isos) > 1:
-            order, parts = self._by_iso(nodes) if by_iso is None else by_iso
+            order, parts = self._by_iso()
             xs = x[order]
             for k, part in parts:
                 perm = self._perm[k]
@@ -675,7 +773,7 @@ class _Walk:
                 else:
                     xs[part] = np.matmul(xs[part][:, None, :], self.isos[k].T)[:, 0, :]
             x[order] = xs
-        return x + self.trans[nodes]
+        return x
 
     def _axes(self, box: Box) -> np.ndarray:
         """Per isometry Q, the half axes of ``box``'s image at ratio 1: row k
@@ -683,33 +781,31 @@ class _Walk:
         oracle's ``OrientedBox.image_of`` half axes."""
         return self._iso_stack.transpose(0, 2, 1) * (np.array(box.widths) / 2)[:, None]
 
-    def _box_image(self, nodes, box: Box):
-        """The covering oracle's ``OrientedBox.image_of`` per node, as its
-        ``bounding_box`` bounds, whether it is charged its bounding box
-        (``plain``: axis-aligned by the oracle's 1e-12 test, or any box in
-        dimension > 2), and the centres of the others (None when there are
-        none).
+    def _class_box(self, box: Box):
+        """Per class, the covering oracle's ``OrientedBox.image_of`` less the
+        translation: its centre, its ``bounding_box`` half widths, whether it
+        is charged its bounding box (``plain``: axis-aligned by the oracle's
+        1e-12 test, or any box in dimension > 2), and its half axes.
 
         Under a signed permutation each bounding half width is
         ratio * (w / 2) of one axis: the oracle's sum of absolute half-axis
-        entries adds only zeros to it, so no half axis is formed.  In
-        dimension 2 a box is axis-aligned when each half axis has an entry
-        of at most 1e-12, that is when ratio * ``tilt`` is, with ``tilt``
-        the largest over the axes of the smaller |entry| at ratio 1:
-        |ratio * a| is ratio * |a|, and rounding keeps order.
+        entries adds only zeros to it.  In dimension 2 a box is axis-aligned
+        when each half axis has an entry of at most 1e-12, that is when
+        ratio * ``tilt`` is, with ``tilt`` the largest over the axes of the
+        smaller |entry| at ratio 1: |ratio * a| is ratio * |a|, and rounding
+        keeps order.
         """
-        ratio = self.ratio[nodes][:, None]
+        ratio = self.c_ratio[:, None]
         half_w = np.array(box.widths) / 2
+        centre = self._class_point(box.center)
         plain = np.ones(ratio.shape[0], dtype=bool)
+        axes = self._axes(box)
+        half = ratio[:, :, None] * axes[self.c_iso]
         if len(self.isos) == 1:
-            centre = self._apply(nodes, box.center)
-            ext = ratio * half_w
-            return centre - ext, centre + ext, plain, None
-        order, parts = by_iso = self._by_iso(nodes)
-        centre = self._apply(nodes, box.center, by_iso)
+            return centre, ratio * half_w, plain, half
+        order, parts = self._by_iso()
         rs = ratio[order]
         ext_s, plain_s = np.empty_like(centre), plain.copy()
-        axes = self._axes(box)
         for k, part in parts:
             perm = self._perm[k]
             if perm is not None:
@@ -721,8 +817,7 @@ class _Walk:
                 plain_s[part] = rs[part, 0] * tilt <= 1e-12
         ext = np.empty_like(centre)
         ext[order], plain[order] = ext_s, plain_s
-        bent = None if plain.all() else centre[~plain]
-        return centre - ext, centre + ext, plain, bent
+        return centre, ext, plain, half
 
     def _images(self, v: int, key: tuple, nodes: np.ndarray):
         """The image cache of ``key``, a ("point", coordinates) or ("box",
@@ -746,6 +841,16 @@ class _Walk:
             rows = slice(lo, lo + seen.size)
         return memo, rows
 
+    def _table(self, key: tuple):
+        """The per-class images of ``key``: ``_class_point`` of a point, as a
+        1-tuple, or ``_class_box`` of a box; formed once per walk."""
+        table = self._tables.get(key)
+        if table is None:
+            kind, shape = key
+            table = (self._class_point(shape),) if kind == "point" else self._class_box(shape)
+            self._tables[key] = table
+        return table
+
     def _map(self, memo: dict, key: tuple, nodes: np.ndarray, rows: np.ndarray) -> None:
         """Map ``nodes``, at ``rows`` of an ``_images`` cache, and store them."""
         def put(name, at, value):
@@ -753,26 +858,30 @@ class _Walk:
                 memo[name] = np.empty((memo["done"].size, *value.shape[1:]), dtype=value.dtype)
             memo[name][_span(at)] = value
 
-        kind, shape = key
-        if kind == "point":
-            put("x", rows, self._apply(_span(nodes), shape))
+        table = self._table(key)
+        nodes = _span(nodes)
+        cls = self.cls[nodes].astype(np.intp)  # gathers by intp indices are the fast ones
+        centre = np.take(table[0], cls, axis=0) + self.trans[nodes]
+        if key[0] == "point":
+            put("x", rows, centre)
             return
-        lo, hi, plain, centre = self._box_image(_span(nodes), shape)
-        put("lo", rows, lo)
-        put("hi", rows, hi)
+        ext = np.take(table[1], cls, axis=0)
+        plain = table[2][cls]
+        put("lo", rows, centre - ext)
+        put("hi", rows, centre + ext)
         put("plain", rows, plain)
-        if centre is not None:
-            put("centre", rows[~plain], centre)
+        if not plain.all():
+            put("centre", rows[~plain], centre[~plain])
 
     def _points(self, v: int, pt, nodes: np.ndarray) -> np.ndarray:
-        """``_apply(nodes, pt)`` for nodes ending at vertex v, from the cache."""
+        """``Similarity.apply(pt)`` for nodes ending at vertex v, from the cache."""
         memo, rows = self._images(v, ("point", tuple(pt)), nodes)
         return memo["x"][rows]
 
     def _boxes(self, v: int, box: Box, nodes: np.ndarray, tag, boxes, obbs) -> None:
         """Append the images of ``box`` under ``nodes`` (at vertex v), with
         their tags, to ``boxes`` as bounds and to ``obbs`` as rotated boxes
-        (cached centres, half axes formed anew)."""
+        (cached centres, half axes gathered from the class table)."""
         memo, rows = self._images(v, ("box", box), nodes)
         plain = memo["plain"][rows] if "centre" in memo else None
         if plain is None or plain.all():
@@ -781,8 +890,8 @@ class _Walk:
         if isinstance(rows, slice):
             rows = np.arange(rows.start, rows.stop)
         bent = rows[~plain]
-        at = self._off[v] + bent
-        half = self.ratio[at][:, None, None] * self._axes(box)[self.iso[at]]
+        cls = self.cls[self._off[v] + bent].astype(np.intp)
+        half = np.take(self._table(("box", box))[3], cls, axis=0)
         boxes.append(((memo["lo"][rows[plain]], memo["hi"][rows[plain]]), tag[plain]))
         obbs.append(((memo["centre"][bent], half), tag[~plain]))
 
@@ -791,24 +900,33 @@ class _Walk:
         of an ascending array: the leaves (size <= r < above) and, at vertices
         with condensation (else None), the interior nodes (r below both)."""
         r_lo, r_hi = radii[0], radii[-1]
+        off, size = self._rank_off, self._rank_size
         leaf, inner = [], []
         for v, name in enumerate(self.graph.vertex_order):
-            a, b = self._off[v], self._off[v + 1]
-            size = self.size[a:b]
-            i0 = a + np.searchsorted(size, self._shrink * r_lo)
-            if a <= self._root < b and self.size[self._root] <= r_hi:
+            k0, k1 = self._vrank[v], self._vrank[v + 1]
+            sizes = size[k0:k1]
+            i0 = off[k0 + np.searchsorted(sizes, self._shrink * r_lo)]
+            if off[k0] <= self._root < off[k1] and self.c_size[0] <= r_hi:  # class 0: the root
                 i0 = min(i0, self._root)
-            nodes = np.arange(i0, a + np.searchsorted(size, r_hi, side="right"))
-            lo = np.searchsorted(radii, self.size[nodes])
-            leaf.append((nodes, lo, np.searchsorted(radii, self.above[nodes])))
+            i1 = off[k0 + np.searchsorted(sizes, r_hi, side="right")]
+            lo = self._per_node(radii, i0, i1)
+            leaf.append((np.arange(i0, i1), lo, np.searchsorted(radii, self.above[i0:i1])))
             if not self.graph.condensation[name]:
                 inner.append(None)
                 continue
-            nodes = np.arange(a + np.searchsorted(size, r_lo, side="right"), b)
-            lo = np.searchsorted(radii, self.size[nodes])
-            hi = np.minimum(lo, np.searchsorted(radii, self.above[nodes]))
-            inner.append((nodes, np.zeros_like(hi), hi))
+            i0 = off[k0 + np.searchsorted(sizes, r_lo, side="right")]
+            lo = self._per_node(radii, i0, off[k1])
+            hi = np.minimum(lo, np.searchsorted(radii, self.above[i0 : off[k1]]))
+            inner.append((np.arange(i0, off[k1]), np.zeros_like(hi), hi))
         return leaf, inner
+
+    def _per_node(self, radii: np.ndarray, i0: int, i1: int) -> np.ndarray:
+        """``searchsorted(radii, size)`` for nodes i0..i1-1, once per rank."""
+        off = self._rank_off
+        k0 = np.searchsorted(off, i0, side="right") - 1
+        k1 = np.searchsorted(off, i1)
+        n = np.diff(np.clip(off[k0 : k1 + 1], i0, i1))
+        return np.repeat(np.searchsorted(radii, self._rank_size[k0:k1]), n)
 
     def _pick(self, v: int, sel):
         """Every (node, radius index) pair of vertex v's ``_select`` ranges."""
@@ -864,7 +982,8 @@ class _Walk:
             if self.graph.dimension > 1:
                 widths = sum(np.abs(np.subtract(p.points[-1], p.points[0])) for p in prims)
                 across = np.delete(np.abs(self._iso_stack) @ widths, axis, axis=1).sum(axis=1)
-                out += _range_sums(lo, hi, self.ratio[nodes] * across[self.iso[nodes]], g) / radii
+                per_class = self.c_ratio * across[self.c_iso]
+                out += _range_sums(lo, hi, per_class[self.cls[nodes]], g) / radii
         return out
 
 

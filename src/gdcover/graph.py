@@ -81,10 +81,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
     def prefix(self, n: int) -> "Path":
         return Path(self.start, self.edges[:n])
 

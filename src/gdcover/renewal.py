@@ -122,10 +122,6 @@ class AtomicMeasure:
         return cls([], [])
 
     @classmethod
-    def dirac(cls, location: float, weight: float = 1.0) -> "AtomicMeasure":
-        return cls([location], [weight])
-
-    @classmethod
     def from_atoms(cls, pairs) -> "AtomicMeasure":
         pairs = list(pairs)
         return cls([p[0] for p in pairs], [p[1] for p in pairs])
@@ -272,11 +268,6 @@ class StepFunction:
         else:
             vals = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
         return float(vals) if ts.ndim == 0 else vals
-
-    def shifted_scaled(self, shift: float, weight: float) -> "StepFunction":
-        if weight == 0 or self.is_zero:
-            return StepFunction.zero()
-        return StepFunction._wrap(*_convolve(self.breakpoints, self.values, [shift], [weight]))
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add_steps([self, other])

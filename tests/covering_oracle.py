@@ -6,11 +6,14 @@ one shape object per covering element (``PointShape``, ``SegmentShape`` or
 ``OrientedBox``), and a per-shape loop that charges each element's cells to
 a Python set.  It shares no code with ``gdcover.covering``, whose covering
 elements exist only as arrays, and is kept only as a differential oracle
-for the kernel.  ``select`` and ``pick`` read a kernel walk's node arrays,
-and choose its nodes by the definition, a mask over every node, where the
-walk takes slices of its size-ordered ranges.  ``per_edge_walk`` builds the
-kernel's node arrays one (vertex, edge) block at a time, each block
-gathering its parents anew, where the kernel gathers each parent set once.
+for the kernel.  ``node_arrays`` reads a kernel walk's fields per node,
+through its class table; ``select`` and ``pick`` choose its nodes from them
+by the definition, a mask over every node, where the walk takes ranges of
+its rank-ordered classes.  ``per_edge_walk`` builds the node arrays the
+kernel's walk must equal, every field stored per node, one (vertex, edge)
+block at a time, each block gathering its parents anew, and ordered by a
+node-level sort, where the kernel counts nodes per class first and writes
+each level once.
 """
 from __future__ import annotations
 
@@ -284,21 +287,23 @@ def select(walk, r):
     """Leaf and interior masks over every node of a ``gdcover.covering._Walk``
     at radius r: the radius-r walk visits the nodes with ``above > r``, and
     its leaves are those with ``size <= r``."""
-    visited = walk.above > r
-    leaf = visited & (walk.size <= r)
+    nodes = node_arrays(walk)
+    visited = nodes["above"] > r
+    leaf = visited & (nodes["size"] <= r)
     return leaf, visited & ~leaf
 
 
 def pick(walk, v, mask):
     """The nodes ending at vertex index v that a ``select`` mask chooses."""
-    return np.flatnonzero(mask & (walk.term == v))
+    return np.flatnonzero(mask & (node_arrays(walk)["term"] == v))
 
 
 def per_edge_walk(graph, vertex, r_min):
     """The level-by-level array walk built one (vertex, edge) block at a time,
     each block gathering its parents anew: a ``gdcover.covering._Walk``'s
     node arrays (ratio, iso, trans, term, above, size), sorted as it sorts
-    them, and its isometries, in the order of first use."""
+    them, its isometries, in the order of first use, and the root's
+    position."""
     order = graph.vertex_order
     dim = graph.dimension
     diam = np.array([graph.seed_box(v).diameter for v in order])
@@ -355,4 +360,19 @@ def per_edge_walk(graph, vertex, r_min):
     levels.reverse()
     nodes = {key: np.concatenate([lv[key] for lv in levels]) for key in level}
     by_size = np.lexsort((nodes["size"], nodes["term"]))
-    return {key: a[by_size] for key, a in nodes.items()}, isos
+    root = int(np.flatnonzero(by_size == by_size.size - 1)[0])
+    return {key: a[by_size] for key, a in nodes.items()}, isos, root
+
+
+def node_arrays(walk):
+    """A ``gdcover.covering._Walk``'s fields per node, the class fields read
+    through each node's class id: ratio, iso, trans, term, above, size."""
+    c = walk.cls
+    return {
+        "ratio": walk.c_ratio[c],
+        "iso": walk.c_iso[c],
+        "trans": walk.trans,
+        "term": walk.c_term[c],
+        "above": walk.above,
+        "size": walk.c_size[c],
+    }

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import PATH_CAP, Edge, MWGraph, Path, walk_prefix_tree
+from gdcover.renewal import AtomicMeasure, StepFunction
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -178,6 +179,16 @@ def phase_graph() -> MWGraph:
         ],
         condensation={"P": (Primitive.point((0.4,)),)},
     )
+
+
+def dirac(location: float, weight: float = 1.0) -> AtomicMeasure:
+    """One atom of ``weight`` at ``location``."""
+    return AtomicMeasure([location], [weight])
+
+
+def shifted_scaled(f: StepFunction, shift: float, weight: float) -> StepFunction:
+    """``weight * f(t - shift)``, as the convolution of ``f`` with one atom."""
+    return f.convolve_measure(dirac(shift, weight))
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:

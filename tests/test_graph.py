@@ -183,7 +183,7 @@ class TestEnumeratePaths:
     def test_ratio_one_returns_empty_walk(self):
         g = cantor_graph()
         paths = enumerate_paths(g, "X", max_ratio=1.0)
-        assert len(paths) == 1 and paths[0].is_empty
+        assert paths == [Path("X")]
 
     def test_argument_validation(self):
         g = cantor_graph()

@@ -7,6 +7,7 @@ totals, same cell sets, and the same elements, bit for bit, as arrays.
 """
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -401,7 +402,8 @@ def test_tagged_shapes_and_cells_match_each_radius(graph, ts, origin_pick):
     # each kind alone, so a box cannot hide a lost segment cell
     origin = _origin(origin_pick, ts)
     walk = _Walk(graph, "X", math.exp(-max(ts)))
-    sizes = walk.size[walk.size >= walk.r_min]
+    sizes = oracle.node_arrays(walk)["size"]
+    sizes = sizes[sizes >= walk.r_min]
     ties = sizes[:: max(1, sizes.size // 4)]
     radii = np.unique(np.concatenate([[math.exp(-t) for t in ts], ties]))
     o = _origin_vector(origin, graph.dimension)
@@ -799,7 +801,8 @@ def unequal_systems(draw):
 
 def _node_rows(walk, nodes) -> list:
     """(ratio, translation, terminal) of each node, sorted: a multiset."""
-    rows = np.column_stack((walk.ratio[nodes], walk.trans[nodes], walk.term[nodes]))
+    fields = oracle.node_arrays(walk)
+    rows = np.column_stack((fields["ratio"][nodes], fields["trans"][nodes], fields["term"][nodes]))
     return sorted(map(tuple, rows.tolist()))
 
 
@@ -817,7 +820,8 @@ def test_size_ordered_selection_matches_level_masks(graph, ts, origin_pick):
     origin = _origin(origin_pick, ts)
     for root in graph.vertex_order:
         walk = _Walk(graph, root, r_min)
-        sizes = walk.size[walk.size >= r_min]
+        sizes = oracle.node_arrays(walk)["size"]
+        sizes = sizes[sizes >= r_min]
         ties = sizes[:: max(1, sizes.size // 4)]
         above = graph.seed_box(root).diameter * np.array([1.0, 2.5, 10.0])
         ts_root = ts + [-math.log(x) for x in above]
@@ -879,22 +883,31 @@ def test_renewal_residual_is_at_most_1e_9(graph, ts):
 
 # -- the walk build and the per-walk image cache --------------------------------------
 #
-# The walk gathers each (level, vertex) parent set once and writes every
-# edge's children into one level array; the oracle builds one (vertex, edge)
-# block at a time.  The node arrays must be identical, in the same order.
+# The walk keeps ratio, isometry, terminal vertex and size once per class and
+# writes each level into one array per field; the oracle builds every field
+# per node, one (vertex, edge) block at a time (``per_edge_walk``).  The node
+# arrays read through the class table must be identical, in the same order,
+# and the root at the same position.
 # Images of seed boxes and condensation shapes are mapped once per node and
 # kept: a walk asked for radius groups in any order must give the shapes of a
 # fresh walk, bit for bit, and map each node at most once, and only when a
 # pass reads it.
 
 
+def _same_bytes(got, want) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def _assert_same_walk(graph, vertex, r_min):
     walk = _Walk(graph, vertex, r_min)
-    nodes, isos = oracle.per_edge_walk(graph, vertex, r_min)
+    got = oracle.node_arrays(walk)
+    nodes, isos, root = oracle.per_edge_walk(graph, vertex, r_min)
+    assert got.keys() == nodes.keys()
     for key, want in nodes.items():
-        got = getattr(walk, key)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), key
+        assert _same_bytes(got[key], want), key
+    assert walk._root == root
     assert [q.tobytes() for q in walk.isos] == [q.tobytes() for q in isos]
+    return walk
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -903,6 +916,107 @@ def test_walk_build_matches_the_per_edge_build(bundled, name):
     for t in (-0.5, 2.0, 5.0):
         for v in graph.vertex_order:
             _assert_same_walk(graph, v, math.exp(-t))
+
+
+# per bundled system, the benchmark's fine_count radius where it has one, and
+# the finest radius ``analyze`` walks at the README defaults
+WALK_RADII = {
+    "cantor": (6.475992765555589e-06,),
+    "cantor_point": (6.475992765555589e-06,),
+    "cantor_segment": (math.exp(-13.0), 1.6935087808430265e-05),
+    "dust2d_edge": (math.exp(-10.0), 1.6935087808430265e-05),
+    "rotated2d": (math.exp(-7.0), 4.703297017353915e-05),
+    "sierpinski": (math.exp(-6.0), 0.000532474478840458),
+    "two_ratio": (8.315287191035679e-07,),
+    "two_vertex": (0.000532474478840458,),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_walk_build_matches_the_per_edge_build_at_fine_radii(bundled, name):
+    graph = bundled[name]
+    for r in WALK_RADII[name]:
+        for v in graph.vertex_order:
+            _assert_same_walk(graph, v, r)
+
+
+def _ratio_tie_system() -> MWGraph:
+    """Three maps of ratio 0.3, 0.1 and 0.2 on [0, 3]: a path's ratio
+    depends on the order of its products in the last bit, and some ratios
+    an ulp apart give one stopping size."""
+    return MWGraph(
+        dimension=1,
+        vertices={"X": Box((0.0,), (3.0,))},
+        edges=[
+            Edge("a", "X", "X", Similarity(0.3, np.eye(1), [0.0]), None),
+            Edge("b", "X", "X", Similarity(0.1, np.eye(1), [0.9]), None),
+            Edge("c", "X", "X", Similarity(0.2, np.eye(1), [1.2]), None),
+        ],
+        condensation={"X": (Primitive.point([2.5]),)},
+    )
+
+
+def _rank_mates(walk, field):
+    """Whether some rank holds classes that differ in ``field``."""
+    rank = np.searchsorted(walk._rank_off, np.arange(walk.cls.size), side="right") - 1
+    pairs = set(zip(rank.tolist(), getattr(walk, field)[walk.cls].tolist()))
+    return len(pairs) > walk._rank_size.size
+
+
+def test_classes_sharing_a_rank_keep_their_order(bundled):
+    # rotated2d at t = 7: 55 classes in 10 ranks, told apart by isometry;
+    # the tie system: ratios an ulp apart with one size.  Either way a rank's
+    # nodes keep the order of the per-edge build
+    walk = _assert_same_walk(bundled["rotated2d"], "X", math.exp(-7.0))
+    assert (walk.c_ratio.size, walk._rank_size.size) == (55, 10)
+    assert _rank_mates(walk, "c_iso")
+    graph = _ratio_tie_system()
+    walk = _assert_same_walk(graph, "X", 3e-3)
+    assert _rank_mates(walk, "c_ratio")
+    for t in (1.0, 2.5, 4.0, 5.8):
+        r = math.exp(-t)
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        for origin in (0.0, 0.37):
+            _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+def _kernel_counts(graph, r):
+    sets = {v: covering.generate(graph, v, r) for v in graph.vertex_order}
+    return covering.count(sets, r, grid_origin=0.316)
+
+
+def test_wide_ranks_sort_alike(bundled):
+    # more ranks than the radix sort's key range: the comparison sort
+    cases = [(bundled["rotated2d"], math.exp(-7.0)), (bundled["two_ratio"], math.exp(-9.0)),
+             (bundled["two_vertex"], math.exp(-5.0)), (_ratio_tie_system(), 3e-3)]
+    want = [_kernel_counts(graph, r) for graph, r in cases]
+    with mock.patch.object(covering, "_RADIX_KEYS", 1):
+        for (graph, r), counts in zip(cases, want):
+            for v in graph.vertex_order:
+                _assert_same_walk(graph, v, r)
+            assert _kernel_counts(graph, r) == counts
+
+
+def test_walk_over_the_cap_is_refused_before_any_node_array(cantor):
+    # 2^17 - 1 nodes down to 3^-15.5: with the cap one node below that, the
+    # pre-flight count refuses while holding less memory than the smallest
+    # node array (an int32 class id per node) would take
+    r = 3.0**-15.5
+    n = _Walk(cantor, "X", r).cls.size
+    assert n == 2**17 - 1
+    with mock.patch.object(covering, "PATH_CAP", n - 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                _Walk(cantor, "X", r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert str(err.value) == f"walk enumeration exceeded the cap of {n - 1} nodes"
+    assert peak < 4 * n
+    with mock.patch.object(covering, "PATH_CAP", n):
+        assert _Walk(cantor, "X", r).cls.size == n
 
 
 def _growing_system() -> MWGraph:
@@ -996,8 +1110,11 @@ ANY_SYSTEMS = st.sampled_from((1, 2)).flatmap(
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graph=ANY_SYSTEMS, t=st.floats(-0.5, 4.0))
 def test_random_walk_build_matches_the_per_edge_build(graph, t):
+    # the pre-flight count is exact: the walk is refused one node under it
     for v in graph.vertex_order:
-        _assert_same_walk(graph, v, math.exp(-t))
+        n = _assert_same_walk(graph, v, math.exp(-t)).cls.size
+        with pytest.raises(ResourceLimitError), mock.patch.object(covering, "PATH_CAP", n - 1):
+            _Walk(graph, v, math.exp(-t))
 
 
 def _same_arrays(a: _Shapes, b: _Shapes) -> bool:

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import LN2, LN3, phase_graph, two_vertex_graph
+from helpers import LN2, LN3, dirac, phase_graph, shifted_scaled, two_vertex_graph
 
 from gdcover.errors import NumericalError, ValidationError
 from gdcover.lattice import classify_graph
@@ -37,7 +37,7 @@ CHAIN = (0.0, 0.6e-12, 1.2e-12, 1.8e-12)
 
 class TestAtomicMeasure:
     def test_dirac_and_moments(self):
-        mu = AtomicMeasure.dirac(2.0, 0.5)
+        mu = dirac(2.0, 0.5)
         assert mu.total_mass() == 0.5
         assert mu.first_moment() == 1.0
         assert mu.min_location() == 2.0
@@ -109,7 +109,7 @@ class TestStepFunction:
 
     def test_shifted_scaled(self):
         f = StepFunction.indicator(0.0, 1.0)
-        g = f.shifted_scaled(2.0, 3.0)
+        g = shifted_scaled(f, 2.0, 3.0)
         assert g(2.5) == 3.0 and g(1.5) == 0.0
         assert g.integral() == pytest.approx(3.0)
 
@@ -133,11 +133,11 @@ class TestStepFunction:
 
     def test_convolve_with_dirac_shifts(self):
         f = StepFunction.indicator(0.0, 1.0)
-        g = f.convolve_measure(AtomicMeasure.dirac(2.0, 0.5))
+        g = f.convolve_measure(dirac(2.0, 0.5))
         assert g(2.5) == 0.5 and g(1.5) == 0.0
 
     def test_vector_convolve_row_times_matrix(self):
-        d = AtomicMeasure.dirac
+        d = dirac
         m = MatrixMeasure([[d(1.0, 1.0), d(2.0, 2.0)], [d(0.5, 3.0), AtomicMeasure.zero()]])
         fs = [StepFunction.indicator(0.0, 1.0), StepFunction.indicator(0.0, 1.0, 2.0)]
         out = vector_convolve(fs, m)
@@ -281,7 +281,7 @@ class TestRenewalSolve:
             renewal_solve(m, [StepFunction.indicator(0.0, 1.0)], 5.0)
 
     def test_reducible_matrix_rejected(self):
-        d = AtomicMeasure.dirac
+        d = dirac
         m = MatrixMeasure(
             [[d(1.0, 1.0), AtomicMeasure.zero()], [AtomicMeasure.zero(), d(1.0, 1.0)]]
         )
