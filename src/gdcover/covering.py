@@ -16,7 +16,9 @@ terminates.
 One kernel does all counting.  A vertex's stopping tree is walked once,
 level by level as numpy arrays, down to the finest radius a caller needs,
 then sorted by stopping size, so that a group of coarser radii takes its
-leaves and interior nodes as slices.  Cells are held as runs along one axis
+leaves and interior nodes as slices.  A pass maps each node it reads once,
+from per-class image tables formed once per walk; nothing per node is kept
+between passes.  Cells are held as runs along one axis
 per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a run
 union.  Axis-parallel segments are index boxes like points and boxes.
 """
@@ -113,6 +115,11 @@ def _span(idx: np.ndarray):
     if idx.size and idx[-1] - idx[0] + 1 == idx.size:
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
+
+
+def _repeat_rows(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row k of ``x`` n[k] >= 1 times: ``x`` itself when each is once."""
+    return x if x.shape[0] == n.sum() else np.repeat(x, n, axis=0)
 
 
 def _distinct_small(values: np.ndarray):
@@ -555,9 +562,10 @@ class _Walk:
     (above = inf) have sizes in [_shrink * r_lo, r_hi] and the interior
     nodes sizes above r_lo: one range of ranks each.
 
-    The image of a seed box or condensation shape under a node's map is
-    computed the first time a pass reads that node, and kept for every
-    later pass, whatever the order of its radii.
+    Each pass maps the nodes it reads, each once, from per-class image
+    tables kept for the walk, and keeps nothing per node: whatever passes
+    the walk serves, its per-node arrays stay ``cls``, ``trans`` and
+    ``above``.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -582,7 +590,6 @@ class _Walk:
         self._order(levels)
         self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
-        self._memo: dict[tuple, dict] = {}
         self._tables: dict[tuple, tuple] = {}
 
     # -- the class table and the pre-flight count ------------------------
@@ -715,7 +722,7 @@ class _Walk:
         self._vrank = np.searchsorted(self.c_term[first], np.arange(len(self._out) + 1))
         self._off = self._rank_off[self._vrank]
         self._root = int(self._rank_off[rank[0] + 1]) - 1  # the last node of its rank
-        key = _sort_keys(rank, first.size)[self.cls]
+        key = np.take(_sort_keys(rank, first.size), self.cls)  # take: cls is int32
         if (key[1:] < key[:-1]).any():
             perm = np.argsort(key, kind="stable")
             del key
@@ -748,7 +755,8 @@ class _Walk:
     # translation b is fixed by its class.  So the images of a shape are
     # formed once per class, and a node's image is its class's row, gathered
     # by class id, plus b: the same operations on the same operands as a
-    # node-by-node map.
+    # node-by-node map.  A pass maps each node it reads once, then repeats
+    # the image for each radius the node serves.
 
     def _by_iso(self):
         """One stable sort of the classes by isometry: the order, and each
@@ -819,28 +827,6 @@ class _Walk:
         ext[order], plain[order] = ext_s, plain_s
         return centre, ext, plain, half
 
-    def _images(self, v: int, key: tuple, nodes: np.ndarray):
-        """The image cache of ``key``, a ("point", coordinates) or ("box",
-        Box) at vertex v, with every node of ``nodes`` (non-decreasing)
-        mapped, and the nodes as rows of it.  Rows are offsets into v's node
-        range, held in arrays the size of the range; a node is mapped the
-        first time a pass reads it, and never again."""
-        a = self._off[v]
-        memo = self._memo.get((v, key))
-        if memo is None:
-            memo = self._memo[(v, key)] = {"done": np.zeros(self._off[v + 1] - a, dtype=bool)}
-        rows = nodes - a
-        lo = rows[0]
-        seen = np.zeros(rows[-1] + 1 - lo, dtype=bool)
-        seen[rows - lo] = True
-        todo = lo + np.flatnonzero(seen & ~memo["done"][lo : lo + seen.size])
-        if todo.size:
-            memo["done"][_span(todo)] = True
-            self._map(memo, key, a + todo, todo)
-        if rows.size == seen.size and seen.all():  # each row once, none skipped
-            rows = slice(lo, lo + seen.size)
-        return memo, rows
-
     def _table(self, key: tuple):
         """The per-class images of ``key``: ``_class_point`` of a point, as a
         1-tuple, or ``_class_box`` of a box; formed once per walk."""
@@ -851,49 +837,34 @@ class _Walk:
             self._tables[key] = table
         return table
 
-    def _map(self, memo: dict, key: tuple, nodes: np.ndarray, rows: np.ndarray) -> None:
-        """Map ``nodes``, at ``rows`` of an ``_images`` cache, and store them."""
-        def put(name, at, value):
-            if name not in memo:
-                memo[name] = np.empty((memo["done"].size, *value.shape[1:]), dtype=value.dtype)
-            memo[name][_span(at)] = value
-
-        table = self._table(key)
+    def _centres(self, table: np.ndarray, nodes: np.ndarray):
+        """The classes of ``nodes`` and their images: ``table``'s class rows
+        plus the nodes' translations."""
         nodes = _span(nodes)
         cls = self.cls[nodes].astype(np.intp)  # gathers by intp indices are the fast ones
-        centre = np.take(table[0], cls, axis=0) + self.trans[nodes]
-        if key[0] == "point":
-            put("x", rows, centre)
-            return
+        return cls, np.take(table, cls, axis=0) + self.trans[nodes]
+
+    def _points(self, pt, nodes: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """``Similarity.apply(pt)`` for each node, once for each of its n radii."""
+        _cls, x = self._centres(self._table(("point", tuple(pt)))[0], nodes)
+        return _repeat_rows(x, n)
+
+    def _boxes(self, box: Box, nodes: np.ndarray, n: np.ndarray, tag, boxes, obbs) -> None:
+        """Append the images of ``box`` under ``nodes``, each once for each of
+        its n radii, with their tags, to ``boxes`` as bounds and to ``obbs``
+        as rotated boxes (centres, and half axes from the class table)."""
+        table = self._table(("box", box))
+        cls, centre = self._centres(table[0], nodes)
         ext = np.take(table[1], cls, axis=0)
         plain = table[2][cls]
-        put("lo", rows, centre - ext)
-        put("hi", rows, centre + ext)
-        put("plain", rows, plain)
-        if not plain.all():
-            put("centre", rows[~plain], centre[~plain])
-
-    def _points(self, v: int, pt, nodes: np.ndarray) -> np.ndarray:
-        """``Similarity.apply(pt)`` for nodes ending at vertex v, from the cache."""
-        memo, rows = self._images(v, ("point", tuple(pt)), nodes)
-        return memo["x"][rows]
-
-    def _boxes(self, v: int, box: Box, nodes: np.ndarray, tag, boxes, obbs) -> None:
-        """Append the images of ``box`` under ``nodes`` (at vertex v), with
-        their tags, to ``boxes`` as bounds and to ``obbs`` as rotated boxes
-        (cached centres, half axes gathered from the class table)."""
-        memo, rows = self._images(v, ("box", box), nodes)
-        plain = memo["plain"][rows] if "centre" in memo else None
-        if plain is None or plain.all():
-            boxes.append(((memo["lo"][rows], memo["hi"][rows]), tag))
+        if plain.all():
+            boxes.append(((_repeat_rows(centre - ext, n), _repeat_rows(centre + ext, n)), tag))
             return
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop)
-        bent = rows[~plain]
-        cls = self.cls[self._off[v] + bent].astype(np.intp)
-        half = np.take(self._table(("box", box))[3], cls, axis=0)
-        boxes.append(((memo["lo"][rows[plain]], memo["hi"][rows[plain]]), tag[plain]))
-        obbs.append(((memo["centre"][bent], half), tag[~plain]))
+        bent, each = ~plain, np.repeat(plain, n)
+        c, e, m = centre[plain], ext[plain], n[plain]
+        boxes.append(((_repeat_rows(c - e, m), _repeat_rows(c + e, m)), tag[each]))
+        half, m = np.take(table[3], cls[bent], axis=0), n[bent]
+        obbs.append(((_repeat_rows(centre[bent], m), _repeat_rows(half, m)), tag[~each]))
 
     def _select(self, radii: np.ndarray):
         """Per vertex, ``(nodes, lo, hi)`` with each node serving ``radii[lo:hi]``
@@ -929,11 +900,15 @@ class _Walk:
         return np.repeat(np.searchsorted(radii, self._rank_size[k0:k1]), n)
 
     def _pick(self, v: int, sel):
-        """Every (node, radius index) pair of vertex v's ``_select`` ranges."""
+        """The nodes of vertex v's ``_select`` ranges that serve some radius,
+        the number n of radii each serves, and the radius index (tag) of each
+        (node, radius) pair, node by node."""
         nodes, lo, hi = sel[v]
-        n = np.maximum(hi - lo, 0)
-        pairs = np.repeat(nodes, n)
-        return pairs, np.arange(pairs.size) - np.repeat(np.cumsum(n) - n - lo, n)
+        n = hi - lo
+        live = n > 0
+        if not live.all():
+            nodes, lo, n = nodes[live], lo[live], n[live]
+        return nodes, n, np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
 
     def shapes(self, r) -> _Shapes:
         """Covering elements of the radius-r walk as arrays.
@@ -945,21 +920,21 @@ class _Walk:
         leaf, inner = self._select(np.atleast_1d(r))
         points, segments, boxes, obbs = [], [], [], []
         for v, name in enumerate(graph.vertex_order):
-            nodes, tag = self._pick(v, leaf)
+            nodes, n, tag = self._pick(v, leaf)
             if nodes.size:
-                self._boxes(v, graph.seed_box(name), nodes, tag, boxes, obbs)
+                self._boxes(graph.seed_box(name), nodes, n, tag, boxes, obbs)
             if inner[v] is None:
                 continue
-            nodes, tag = self._pick(v, inner)
+            nodes, n, tag = self._pick(v, inner)
             if not nodes.size:
                 continue
             for prim in graph.condensation[name]:
                 if prim.kind == "point":
-                    points.append((self._points(v, prim.points[0], nodes), tag))
+                    points.append((self._points(prim.points[0], nodes, n), tag))
                 elif prim.kind == "segment":
-                    segments.append((tuple(self._points(v, p, nodes) for p in prim.points), tag))
+                    segments.append((tuple(self._points(p, nodes, n) for p in prim.points), tag))
                 else:
-                    self._boxes(v, prim.as_box(), nodes, tag, boxes, obbs)
+                    self._boxes(prim.as_box(), nodes, n, tag, boxes, obbs)
         parts = (points, segments, boxes, obbs)
         tags = None if np.ndim(r) == 0 else [[t for _x, t in part] for part in parts]
         return _Shapes.gather(graph.dimension, *([x for x, _t in part] for part in parts), tags=tags)
@@ -983,7 +958,7 @@ class _Walk:
                 widths = sum(np.abs(np.subtract(p.points[-1], p.points[0])) for p in prims)
                 across = np.delete(np.abs(self._iso_stack) @ widths, axis, axis=1).sum(axis=1)
                 per_class = self.c_ratio * across[self.c_iso]
-                out += _range_sums(lo, hi, per_class[self.cls[nodes]], g) / radii
+                out += _range_sums(lo, hi, np.take(per_class, self.cls[nodes]), g) / radii
         return out
 
 

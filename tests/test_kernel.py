@@ -834,15 +834,15 @@ def test_size_ordered_selection_matches_level_masks(graph, ts, origin_pick):
             for k, r in enumerate(group):
                 masks = oracle.select(walk, r)
                 for v, name in enumerate(graph.vertex_order):
-                    nodes, tag = walk._pick(v, leaf)
+                    nodes, n, tag = walk._pick(v, leaf)
                     want = _node_rows(walk, oracle.pick(walk, v, masks[0]))
-                    assert _node_rows(walk, nodes[tag == k]) == want
+                    assert _node_rows(walk, np.repeat(nodes, n)[tag == k]) == want
                     if not graph.condensation[name]:
                         assert inner[v] is None
                         continue
-                    nodes, tag = walk._pick(v, inner)
+                    nodes, n, tag = walk._pick(v, inner)
                     want = _node_rows(walk, oracle.pick(walk, v, masks[1]))
-                    assert _node_rows(walk, nodes[tag == k]) == want
+                    assert _node_rows(walk, np.repeat(nodes, n)[tag == k]) == want
         table = _CountTable(graph, origin)
         table.fill(root, ts_root)
         for t in ts_root:
@@ -881,17 +881,17 @@ def test_renewal_residual_is_at_most_1e_9(graph, ts):
     assert covering.renewal_residual(ctx, covering.forcing_values(ctx)) <= 1e-9
 
 
-# -- the walk build and the per-walk image cache --------------------------------------
+# -- the walk build and the per-pass images ------------------------------------------
 #
 # The walk keeps ratio, isometry, terminal vertex and size once per class and
 # writes each level into one array per field; the oracle builds every field
 # per node, one (vertex, edge) block at a time (``per_edge_walk``).  The node
 # arrays read through the class table must be identical, in the same order,
 # and the root at the same position.
-# Images of seed boxes and condensation shapes are mapped once per node and
-# kept: a walk asked for radius groups in any order must give the shapes of a
-# fresh walk, bit for bit, and map each node at most once, and only when a
-# pass reads it.
+# A pass maps each node it reads once, from the per-class image tables, and
+# the walk keeps nothing per node between passes: a walk asked for radius
+# groups in any order must give the shapes of a fresh walk, bit for bit, and
+# hold no more memory after its passes than its node arrays and tables.
 
 
 def _same_bytes(got, want) -> bool:
@@ -1140,7 +1140,7 @@ def group_orders(draw, n):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graph=ANY_SYSTEMS, ts=t_lists(), origin_pick=ORIGIN_PICKS, data=st.data())
-def test_groups_in_any_order_map_each_node_once(graph, ts, origin_pick, data):
+def test_groups_in_any_order_match_fresh_walks(graph, ts, origin_pick, data):
     origin = _origin(origin_pick, ts)
     o = _origin_vector(origin, graph.dimension)
     radii = np.array(sorted({math.exp(-t) for t in ts}))
@@ -1148,31 +1148,35 @@ def test_groups_in_any_order_map_each_node_once(graph, ts, origin_pick, data):
     want: dict = {}
     for root in graph.vertex_order:
         shared = _Walk(graph, root, radii[0])
-        mapped, read = [], set()
-        real_map, real_images = _Walk._map, _Walk._images
+        for group in groups:
+            rs = radii[group]
+            r = rs[0] if rs.size == 1 else rs
+            got = shared.shapes(r)
+            assert _same_arrays(got, _Walk(graph, root, radii[0]).shapes(r)), group
+            counts = np.atleast_1d(_cell_count(got.runs(r, o), None if rs.size == 1 else rs.size))
+            for k, x in zip(group, counts.tolist()):
+                if (root, k) not in want:
+                    oracle_set = oracle.generate(graph, root, radii[k])
+                    (want[(root, k)],), _ = oracle.count(oracle_set, radii[k], grid_origin=origin)
+                assert x == want[(root, k)], (group, k)
 
-        def spy_map(walk, memo, key, nodes, rows):
-            if walk is shared:
-                mapped.extend((key, n) for n in nodes.tolist())
-            return real_map(walk, memo, key, nodes, rows)
 
-        def spy_images(walk, v, key, nodes):
-            if walk is shared:
-                read.update((key, n) for n in nodes.tolist())
-            return real_images(walk, v, key, nodes)
-
-        with mock.patch.object(_Walk, "_map", spy_map), \
-                mock.patch.object(_Walk, "_images", spy_images):
-            for group in groups:
-                rs = radii[group]
-                r = rs[0] if rs.size == 1 else rs
-                got = shared.shapes(r)
-                assert _same_arrays(got, _Walk(graph, root, radii[0]).shapes(r)), group
-                counts = np.atleast_1d(_cell_count(got.runs(r, o), None if rs.size == 1 else rs.size))
-                for k, x in zip(group, counts.tolist()):
-                    if (root, k) not in want:
-                        oracle_set = oracle.generate(graph, root, radii[k])
-                        (want[(root, k)],), _ = oracle.count(oracle_set, radii[k], grid_origin=origin)
-                    assert x == want[(root, k)], (group, k)
-        assert len(mapped) == len(set(mapped))  # no node mapped twice
-        assert set(mapped) == read  # and none that no pass read
+@pytest.mark.parametrize("name", ["cantor_point", "rotated2d", "sierpinski", "two_ratio"])
+def test_passes_keep_nothing_per_node(bundled, name):
+    # every radius of a geometric ladder down to the walk's finest, alone and
+    # then as one group: once the shapes are dropped, all the walk has gained
+    # is its per-class image tables, under 2 bytes per node
+    graph, r_min = bundled[name], WALK_RADII[name][0]
+    radii = np.geomspace(r_min, max(graph.seed_box(v).diameter for v in graph.vertex_order), 8)
+    tracemalloc.start()
+    try:
+        for v in graph.vertex_order:
+            walk = _Walk(graph, v, r_min)
+            before = tracemalloc.get_traced_memory()[0]
+            for r in radii:
+                walk.shapes(r)
+            walk.shapes(radii)
+            grown = tracemalloc.get_traced_memory()[0] - before
+            assert grown < 2 * walk.cls.size, (v, grown, walk.cls.size)
+    finally:
+        tracemalloc.stop()
