@@ -24,6 +24,7 @@ union.  Axis-parallel segments are index boxes like points and boxes.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,9 +82,10 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # matrix products go through np.matmul with the operand layout of the scalar
 # call, because BLAS may fuse multiply-adds where a written-out formula would
 # round twice.  So coordinates and cells agree bit for bit with shape-by-shape
-# enumeration.
+# enumeration.  Coordinates are worked a column at a time: a d-vector
+# broadcast over (n, d) rows costs more than the d column passes it saves.
 #
-# The radius ``r`` is one float for every shape, or an (n, 1) column giving
+# The radius ``r`` is one float for every shape, or an (n,) array giving
 # each shape row its own radius.  The arithmetic is elementwise either way,
 # so a row counted among many radii gets the cells of a call at its radius
 # alone.  Such rows carry a ``tag``, the index of their radius, which leads
@@ -99,15 +101,21 @@ def _take(x, idx):
 
 
 def _floor_cells(pts: np.ndarray, r, origin: np.ndarray) -> np.ndarray:
-    return np.floor((pts - origin) / r + ETA).astype(np.int64)
+    out = np.empty(pts.shape, dtype=np.int64)
+    for k in range(pts.shape[1]):
+        out[:, k] = np.floor((pts[:, k] - origin[k]) / r + ETA)
+    return out
 
 
 def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
     """Inclusive index ranges of the cells met by the closed intervals
     [a, b], elementwise."""
-    lo = np.floor((np.minimum(a, b) - origin) / r + ETA).astype(np.int64)
-    hi = np.ceil((np.maximum(a, b) - origin) / r - ETA).astype(np.int64) - 1
-    return lo, np.maximum(lo, hi)
+    lo, hi = np.empty(a.shape, dtype=np.int64), np.empty(a.shape, dtype=np.int64)
+    for k in range(a.shape[1]):
+        lo[:, k] = np.floor((np.minimum(a[:, k], b[:, k]) - origin[k]) / r + ETA)
+        hi[:, k] = np.ceil((np.maximum(a[:, k], b[:, k]) - origin[k]) / r - ETA)
+    hi -= 1
+    return lo, np.maximum(lo, hi, out=hi)
 
 
 def _span(idx: np.ndarray):
@@ -241,10 +249,9 @@ class _CellUnion:
         self.parts = [np.empty((0, dim + 1 + tagged), dtype=np.int64)]
         self.fresh = 0
 
-    def add(self, runs: np.ndarray, tag: np.ndarray | None = None) -> None:
+    def add(self, runs: np.ndarray) -> None:
+        """Take (tag?, run) rows, a tagged union's led by their tags."""
         if runs.shape[0]:
-            if tag is not None:
-                runs = np.column_stack((tag, runs))
             self.parts.append(runs)
             self.fresh += runs.shape[0]
             if self.fresh > _CHUNK:
@@ -273,16 +280,24 @@ def _chunks(sizes: np.ndarray):
         start = stop
 
 
-def _expand(lo: np.ndarray, cnt: np.ndarray):
-    """Every index row of each index box, last axis fastest, with its box."""
+def _expand(lo: np.ndarray, cnt: np.ndarray, lead: int = 0, tail: int = 0):
+    """Every index row of each index box, last axis fastest, with its box.
+
+    The index rows fill the middle columns of a new int64 array, after
+    ``lead`` columns and before ``tail`` more that the caller fills.  A
+    row's offset in its box is below the product of the box's counts, so
+    once the inner axes are divided out it is the outermost axis's offset.
+    """
     n = _row_prod(cnt)
     owner = np.repeat(np.arange(n.size), n)
     local = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-    rows = np.empty((owner.size, lo.shape[1]), dtype=np.int64)
-    for k in range(lo.shape[1] - 1, -1, -1):
-        c = cnt[owner, k]
-        rows[:, k] = lo[owner, k] + local % c
+    d = lo.shape[1]
+    rows = np.empty((owner.size, lead + d + tail), dtype=np.int64)
+    for k in range(d - 1, 0, -1):
+        c = cnt[:, k][owner]
+        np.add(lo[:, k][owner], local % c, out=rows[:, lead + k])
         local //= c
+    np.add(lo[:, 0][owner], local, out=rows[:, lead])
     return rows, owner
 
 
@@ -297,13 +312,17 @@ def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
     if acc.order is not None:
         ilo, ihi = ilo[:, acc.order], ihi[:, acc.order]
     cnt = ihi[:, :-1] - ilo[:, :-1] + 1
+    lead = () if tag is None else (tag,)
     if (cnt == 1).all():
-        acc.add(np.column_stack((ilo, ihi[:, -1])), tag)
+        acc.add(np.column_stack((*lead, ilo, ihi[:, -1])))
         return
     for sel in _chunks(_row_prod(cnt)):
-        keys, owner = _expand(ilo[sel, :-1], cnt[sel])
-        ends = np.column_stack((ilo[sel, -1], ihi[sel, -1]))[owner]
-        acc.add(np.column_stack((keys, ends)), _take(_take(tag, sel), owner))
+        runs, owner = _expand(ilo[sel, :-1], cnt[sel], len(lead), 2)
+        if lead:
+            runs[:, 0] = tag[sel][owner]
+        runs[:, -2] = ilo[sel, -1][owner]
+        runs[:, -1] = ihi[sel, -1][owner]
+        acc.add(runs)
 
 
 def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
@@ -319,9 +338,12 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     if not a.shape[0]:
         return
     delta, low, high = b - a, np.minimum(a, b), np.maximum(a, b)
-    m0 = np.floor((low - origin) / r) + 1
-    m1 = np.ceil((high - origin) / r) - 1
-    cnt = np.where(delta != 0.0, np.maximum(m1 - m0 + 1, 0), 0).astype(np.int64)
+    m0, cnt = np.empty(a.shape, dtype=np.int64), np.empty(a.shape, dtype=np.int64)
+    for k in range(a.shape[1]):
+        first = np.floor((low[:, k] - origin[k]) / r) + 1
+        last = np.ceil((high[:, k] - origin[k]) / r) - 1
+        m0[:, k] = first
+        cnt[:, k] = np.where(delta[:, k] != 0.0, np.maximum(last - first + 1, 0), 0)
     if cnt.size and cnt.max() > CELL_CAP:
         raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
     line = np.count_nonzero(delta, axis=1) <= 1
@@ -329,7 +351,7 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     _index_box_runs(lo, hi, acc, _take(tag, line))
     live = ~line
     a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
-    cnt, m0 = cnt[live], m0[live].astype(np.int64)
+    cnt, m0 = cnt[live], m0[live]
     for sel in _chunks(cnt.sum(axis=1) + 2):
         p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
         rs, tags = _take(r, sel), _take(tag, sel)
@@ -339,7 +361,7 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
         for j in range(p.shape[1]):
             owner = np.repeat(np.arange(n), c[:, j])
             step = np.arange(owner.size) - np.repeat(np.cumsum(c[:, j]) - c[:, j], c[:, j])
-            planes = origin[j] + (first[owner, j] + step) * _take(rs, (owner, 0))
+            planes = origin[j] + (first[owner, j] + step) * _take(rs, owner)
             segs.append(owner)
             ts.append((planes - p[owner, j]) / dp[owner, j])
         seg = np.concatenate(segs)
@@ -367,14 +389,15 @@ def _obb_extent(half: np.ndarray) -> np.ndarray:
     return ext
 
 
-def _sat_axes(half: np.ndarray, r, exact: bool):
-    """Unit box axes of 2-d boxes and the projected extent of box plus cell.
+def _sat_axes(half: np.ndarray, exact: bool):
+    """Unit box axes of 2-d boxes; per box axis, the box's projected half
+    extent (summed over its half axes) and the cell factor |u_0| + |u_1|.
 
-    ``r`` is one radius, or a flat array with one radius per box.
-
-    ``exact`` repeats the scalar test's arithmetic (``math.hypot`` and
-    numpy's matrix products); otherwise plain elementwise numpy, which can
-    differ from it in the last bits.
+    Against a cell of side r, an axis separates at a centre distance of
+    ``0.5 * r * factor + extent - ETA * r``.  ``exact`` repeats the scalar
+    test's arithmetic (``math.hypot`` and numpy's matrix products);
+    otherwise plain elementwise numpy, which can differ from it in the last
+    bits.
     """
     if exact:
         norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
@@ -383,68 +406,108 @@ def _sat_axes(half: np.ndarray, r, exact: bool):
         norms = np.hypot(half[..., 0], half[..., 1])
     live = norms > 0
     units = half / np.where(live, norms, 1.0)[..., None]
-    reach = []
+    extent, factor = [], []
     for k in range(2):
         u = units[:, k, :]
         if exact:
             proj = np.abs(np.matmul(half, u[:, :, None])[:, :, 0])
         else:
             proj = np.abs(half[:, :, 0] * u[:, None, 0] + half[:, :, 1] * u[:, None, 1])
-        cell = 0.5 * r * (np.abs(u[:, 0]) + np.abs(u[:, 1]))
-        reach.append(cell + (proj[:, 0] + proj[:, 1]) - ETA * r)
-    return live, units, reach
+        extent.append(proj[:, 0] + proj[:, 1])
+        factor.append(np.abs(u[:, 0]) + np.abs(u[:, 1]))
+    return live, units, extent, factor
 
 
-def _obb_cells_tight(center, half, r, origin, acc: _CellUnion, tag=None) -> None:
-    """2-d separating-axis test of each candidate cell against each box.
+def _reach(r, factor, extent):
+    """Centre distance along a box axis at which it separates box and cell."""
+    return 0.5 * r * factor + extent - ETA * r
 
-    A cell is separated from a box along an axis when the distance of their
-    centres projected on it reaches the sum of their projected half
-    extents, less a 1e-9 r tolerance.  The two grid axes test exactly in
-    elementwise arithmetic.  The two box axes are first tested in fast
-    arithmetic; a candidate whose margin there is within 1e-12 of the
-    scale is retested with the scalar test's exact arithmetic.
+
+@dataclass(frozen=True)
+class _BoxAxes:
+    """Separating-axis constants of rotated 2-d boxes, one row per box shape
+    (a class of a walk, or one box): none depends on the radius, so they are
+    formed once per row, in the fast arithmetic of ``_sat_axes``.
+
+    ``extent[:, k]`` is infinite where box axis k has length zero: such an
+    axis separates nothing.
     """
-    ext = _obb_extent(half)
+
+    half: np.ndarray  # (k, 2, 2) half axes, one row per box axis
+    ext: np.ndarray  # (k, 2) bounding-box half widths
+    units: np.ndarray  # (k, 2, 2) unit box axes
+    extent: np.ndarray  # (k, 2) projected half extents on the box axes
+    factor: np.ndarray  # (k, 2) cell factors |u_0| + |u_1|
+    size: np.ndarray  # (k,) summed |half|, the box's scale in the unsure margin
+
+    @classmethod
+    def of(cls, half: np.ndarray) -> "_BoxAxes":
+        live, units, extent, factor = _sat_axes(half, exact=False)
+        extent = np.where(live, np.column_stack(extent), np.inf)
+        return cls(half, _obb_extent(half), units, extent, np.column_stack(factor),
+                   np.abs(half).sum(axis=(1, 2)))
+
+    @classmethod
+    def stack(cls, tables: list) -> "_BoxAxes":
+        if len(tables) == 1:
+            return tables[0]
+        fields = [f.name for f in dataclasses.fields(cls)]
+        return cls(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
+
+
+def _obb_hits(center, row, axes: _BoxAxes, r, origin):
+    """2-d separating-axis test of each candidate cell against each box,
+    chunk by chunk: the candidates' index rows, their boxes and the hit mask.
+
+    A box is its centre and a row of ``axes``.  A cell is separated from a
+    box along an axis when the distance of their centres projected on it
+    reaches the sum of their projected half extents, less a 1e-9 r
+    tolerance.  The two grid axes test exactly in elementwise arithmetic.
+    The two box axes are first tested in fast arithmetic; a candidate whose
+    margin there is within 1e-12 of the scale is retested with the scalar
+    test's exact arithmetic.
+    """
+    ext = axes.ext[row]
     ilo, ihi = _interval_cells(center - ext, center + ext, r, origin)
     cnt = ihi - ilo + 1
     _check_candidates(cnt)
-    flat_r = _take(r, (slice(None), 0))
-    live, units, reach = _sat_axes(half, flat_r, exact=False)
-    size = flat_r + np.abs(half).sum(axis=(1, 2))
     for sel in _chunks(_row_prod(cnt)):
         rows, owner = _expand(ilo[sel], cnt[sel])
-        owner = owner + sel.start
-        r_own = _take(r, owner)
-        diff = center[owner] - (origin + (rows + 0.5) * r_own)
-        grid = _grid_axes_hit(diff, ext[owner], r_own)
-        hit = grid.copy()
-        unsure = np.zeros_like(grid)
-        margin = 1e-12 * (size[owner] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
+        owner += sel.start
+        cls, r_own = row[owner], _take(r, owner)
+        diff = np.empty(rows.shape)
+        hit = np.ones(owner.size, dtype=bool)
         for k in range(2):
-            u = units[owner, k, :]
-            gap = np.abs(diff[:, 0] * u[:, 0] + diff[:, 1] * u[:, 1]) - reach[k][owner]
-            on = live[owner, k]
-            hit &= ~on | (gap < 0)
-            unsure |= on & (np.abs(gap) <= margin)
+            diff[:, k] = center[:, k][owner] - (origin[k] + (rows[:, k] + 0.5) * r_own)
+            hit &= np.abs(diff[:, k]) < 0.5 * r_own + axes.ext[:, k][cls] - ETA * r_own
+        grid = hit.copy()
+        unsure = np.zeros_like(grid)
+        margin = 1e-12 * (r_own + axes.size[cls] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
+        for k in range(2):
+            u = axes.units[:, k, :][cls]
+            gap = np.abs(diff[:, 0] * u[:, 0] + diff[:, 1] * u[:, 1])
+            gap -= _reach(r_own, axes.factor[:, k][cls], axes.extent[:, k][cls])
+            hit &= gap < 0
+            unsure |= np.abs(gap) <= margin
         redo = np.flatnonzero(grid & unsure)
         if redo.size:
-            hit[redo] = _sat_exact(diff[redo], half[owner[redo]], _take(flat_r, owner[redo]))
-        _index_box_runs(rows[hit], rows[hit], acc, _take(_take(tag, owner), hit))
+            hit[redo] = _sat_exact(diff[redo], axes.half[cls[redo]], _take(r, owner[redo]))
+        yield rows, owner, hit
 
 
-def _grid_axes_hit(diff: np.ndarray, ext: np.ndarray, r) -> np.ndarray:
-    hit = np.abs(diff) < 0.5 * r + ext - ETA * r
-    return hit[:, 0] & hit[:, 1]
+def _obb_cells_tight(center, row, axes: _BoxAxes, r, origin, acc: _CellUnion, tag=None) -> None:
+    """Runs of the cells that ``_obb_hits`` finds meet the boxes."""
+    for rows, owner, hit in _obb_hits(center, row, axes, r, origin):
+        _index_box_runs(rows[hit], rows[hit], acc, _take(tag, owner[hit]))
 
 
 def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
     """Box-axis part of the separating-axis test, in the scalar arithmetic."""
-    live, units, reach = _sat_axes(half, r, exact=True)
+    live, units, extent, factor = _sat_axes(half, exact=True)
     hit = np.ones(diff.shape[0], dtype=bool)
     for k in range(2):
         d = np.abs(np.matmul(diff[:, None, :], units[:, k, :, None])[:, 0, 0])
-        hit &= ~live[:, k] | (d < reach[k])
+        hit &= ~live[:, k] | (d < _reach(r, factor[k], extent[k]))
     return hit
 
 
@@ -454,8 +517,9 @@ class _Shapes:
 
     Boxes charged their bounding box (axis-aligned ones, and every box in
     dimension > 2) are held as bounds; the other, rotated, boxes as centres
-    and half axes.  Elements selected for several radii at once carry tags:
-    the index of each element's radius among the sorted radii.
+    and rows of a separating-axis table.  Elements selected for several
+    radii at once carry tags: the index of each element's radius among the
+    sorted radii.
     """
 
     dim: int
@@ -465,7 +529,8 @@ class _Shapes:
     box_lo: np.ndarray  # (n, d) box bounds
     box_hi: np.ndarray
     obb_c: np.ndarray  # (n, d) rotated box centres
-    obb_h: np.ndarray  # (n, d, d) half axes, one row per box axis
+    obb_row: np.ndarray  # (n,) each rotated box's row of obb_axes
+    obb_axes: _BoxAxes | None  # None when there is no rotated box
     point_tag: np.ndarray | None = None
     seg_tag: np.ndarray | None = None
     box_tag: np.ndarray | None = None
@@ -473,16 +538,26 @@ class _Shapes:
 
     @classmethod
     def gather(cls, dim, points=(), segments=(), boxes=(), obbs=(), tags=None) -> "_Shapes":
-        """Stack the parts: point arrays, and (a, b), (lo, hi) and (centre,
-        half axes) pairs of arrays; ``tags`` holds four lists of tag arrays
-        that run parallel to ``points``, ``segments``, ``boxes`` and ``obbs``."""
+        """Stack the parts: point arrays, (a, b) and (lo, hi) pairs of
+        arrays, and rotated boxes as (centre, row, ``_BoxAxes``) triples or,
+        a table row each, (centre, half axes) pairs; ``tags`` holds four
+        lists of tag arrays that run parallel to ``points``, ``segments``,
+        ``boxes`` and ``obbs``."""
         def stack(parts, *shape):
             parts = [np.asarray(p, dtype=float).reshape(-1, *shape) for p in parts]
             return np.concatenate(parts) if parts else np.empty((0, *shape))
 
-        def stack_tags(parts):
+        def stack_ints(parts):
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
+        rows, tables, base = [], [], 0
+        for o in obbs:
+            if len(o) == 2:
+                half = stack([o[1]], dim, dim)
+                o = (o[0], np.arange(half.shape[0]), _BoxAxes.of(half))
+            rows.append(o[1] + base)
+            tables.append(o[2])
+            base += o[2].half.shape[0]
         return cls(
             dim,
             stack(points, dim),
@@ -491,8 +566,9 @@ class _Shapes:
             stack([b[0] for b in boxes], dim),
             stack([b[1] for b in boxes], dim),
             stack([o[0] for o in obbs], dim),
-            stack([o[1] for o in obbs], dim, dim),
-            *(() if tags is None else map(stack_tags, tags)),
+            stack_ints(rows),
+            _BoxAxes.stack(tables) if tables else None,
+            *(() if tags is None else map(stack_ints, tags)),
         )
 
     def runs(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -505,8 +581,8 @@ class _Shapes:
         tagged = self.point_tag is not None
         acc = _CellUnion(self.dim, tagged, axis)
 
-        def radius(tag):  # one radius per row as a column, or the one radius
-            return r[tag][:, None] if tagged else r
+        def radius(tag):  # one radius per row, or the one radius
+            return r[tag] if tagged else r
 
         points = _floor_cells(self.points, radius(self.point_tag), origin)
         _index_box_runs(points, points, acc, self.point_tag)
@@ -515,8 +591,8 @@ class _Shapes:
         _check_candidates(ihi - ilo + 1)
         _index_box_runs(ilo, ihi, acc, self.box_tag)
         if self.obb_c.shape[0]:
-            _obb_cells_tight(self.obb_c, self.obb_h, radius(self.obb_tag), origin, acc,
-                             self.obb_tag)
+            _obb_cells_tight(self.obb_c, self.obb_row, self.obb_axes, radius(self.obb_tag),
+                             origin, acc, self.obb_tag)
         return acc.runs()
 
     def cells(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -793,7 +869,9 @@ class _Walk:
         """Per class, the covering oracle's ``OrientedBox.image_of`` less the
         translation: its centre, its ``bounding_box`` half widths, whether it
         is charged its bounding box (``plain``: axis-aligned by the oracle's
-        1e-12 test, or any box in dimension > 2), and its half axes.
+        1e-12 test, or any box in dimension > 2), and, when some class is
+        not, the classes' separating-axis table (``_BoxAxes`` of their half
+        axes; else None).
 
         Under a signed permutation each bounding half width is
         ratio * (w / 2) of one axis: the oracle's sum of absolute half-axis
@@ -807,10 +885,9 @@ class _Walk:
         half_w = np.array(box.widths) / 2
         centre = self._class_point(box.center)
         plain = np.ones(ratio.shape[0], dtype=bool)
-        axes = self._axes(box)
-        half = ratio[:, :, None] * axes[self.c_iso]
         if len(self.isos) == 1:
-            return centre, ratio * half_w, plain, half
+            return centre, ratio * half_w, plain, None
+        axes = self._axes(box)
         order, parts = self._by_iso()
         rs = ratio[order]
         ext_s, plain_s = np.empty_like(centre), plain.copy()
@@ -825,7 +902,9 @@ class _Walk:
                 plain_s[part] = rs[part, 0] * tilt <= 1e-12
         ext = np.empty_like(centre)
         ext[order], plain[order] = ext_s, plain_s
-        return centre, ext, plain, half
+        if plain.all():
+            return centre, ext, plain, None
+        return centre, ext, plain, _BoxAxes.of(ratio[:, :, None] * axes[self.c_iso])
 
     def _table(self, key: tuple):
         """The per-class images of ``key``: ``_class_point`` of a point, as a
@@ -852,7 +931,8 @@ class _Walk:
     def _boxes(self, box: Box, nodes: np.ndarray, n: np.ndarray, tag, boxes, obbs) -> None:
         """Append the images of ``box`` under ``nodes``, each once for each of
         its n radii, with their tags, to ``boxes`` as bounds and to ``obbs``
-        as rotated boxes (centres, and half axes from the class table)."""
+        as rotated boxes (centres, and class rows of the separating-axis
+        table)."""
         table = self._table(("box", box))
         cls, centre = self._centres(table[0], nodes)
         ext = np.take(table[1], cls, axis=0)
@@ -863,8 +943,9 @@ class _Walk:
         bent, each = ~plain, np.repeat(plain, n)
         c, e, m = centre[plain], ext[plain], n[plain]
         boxes.append(((_repeat_rows(c - e, m), _repeat_rows(c + e, m)), tag[each]))
-        half, m = np.take(table[3], cls[bent], axis=0), n[bent]
-        obbs.append(((_repeat_rows(centre[bent], m), _repeat_rows(half, m)), tag[~each]))
+        m = n[bent]
+        obbs.append(((_repeat_rows(centre[bent], m), _repeat_rows(cls[bent], m), table[3]),
+                     tag[~each]))
 
     def _select(self, radii: np.ndarray):
         """Per vertex, ``(nodes, lo, hi)`` with each node serving ``radii[lo:hi]``
@@ -1378,9 +1459,9 @@ def _box_scale_integral(lo, hi, s: float) -> float:
             m += 1
     grid = sorted(jump_radii)
     # the box's cells at the geometric midpoint of every piece, one row each
-    mid = np.sqrt(np.multiply(grid[:-1], grid[1:]))[:, None]
-    ilo, ihi = _interval_cells(np.array([lo], dtype=float), np.array([hi], dtype=float),
-                               mid, np.zeros(len(lo)))
+    mid = np.sqrt(np.multiply(grid[:-1], grid[1:]))
+    lo_hi = (np.broadcast_to(np.array(x, dtype=float), (mid.size, len(lo))) for x in (lo, hi))
+    ilo, ihi = _interval_cells(*lo_hi, mid, np.zeros(len(lo)))
     counts = _row_prod(ihi - ilo + 1).tolist()
     total = 0.0
     for r0, r1, n in zip(grid, grid[1:], counts):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -404,19 +403,28 @@ def check_dri(forcing: Sequence[StepFunction]) -> DriReport:
         if f.values[-1] != 0.0:
             sums.append(math.inf)
             continue
-        total = 0.0
-        k_lo = int(math.floor(f.breakpoints[0]))
-        k_hi = int(math.ceil(f.support_end))
-        bp = f.breakpoints
-        vals = np.abs(f.values)
-        for k in range(k_lo, k_hi + 1):
-            i0 = bisect_right(bp, k) - 1
-            i1 = bisect_right(bp, k + 1) - 1
-            lo = max(i0, 0)
-            piece_max = float(vals[lo : i1 + 1].max()) if i1 >= lo else 0.0
-            total += piece_max
-        sums.append(total)
+        sums.append(_unit_sup_sum(f.breakpoints, np.abs(f.values)))
     return DriReport(tuple(sums), tuple(vanishes))
+
+
+def _unit_sup_sum(bp: np.ndarray, vals: np.ndarray) -> float:
+    """Sum over k >= floor(bp[0]) of the sup of a step function on [k, k+1],
+    for nonnegative ``vals`` ending in 0, in O(breakpoints).
+
+    Every such interval holds the value of the piece at its left end k:
+    piece i has the integers of [bp[i], bp[i+1]) as left ends.  An interval
+    with breakpoints in (k, k+1] also meets the pieces they start; those
+    breakpoints are consecutive, so their largest value is one ``reduceat``,
+    and it adds its excess over the left-end value.
+    """
+    ceil = np.ceil(bp)
+    total = float(vals[:-1] @ np.diff(ceil))
+    key = ceil - 1  # the k with the breakpoint in (k, k+1]
+    heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    heads = heads[key[heads] >= math.floor(bp[0])]
+    left = np.where(heads > 0, vals[heads - 1], 0.0)
+    excess = np.maximum.reduceat(vals, heads) - left
+    return total + float(np.maximum(excess, 0.0).sum())
 
 
 def _require_renewal_preconditions(m: MatrixMeasure, forcing: Sequence[StepFunction]) -> float:

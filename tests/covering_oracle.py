@@ -376,3 +376,59 @@ def node_arrays(walk):
         "above": walk.above,
         "size": walk.c_size[c],
     }
+
+
+def _per_box_sat_axes(half, r, exact):
+    """Unit box axes and reaches of each box from its own half axes: the
+    array kernel's per-box separating-axis step before it kept the constants
+    per class."""
+    if exact:
+        norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
+        norms = norms.reshape(half.shape[:2])
+    else:
+        norms = np.hypot(half[..., 0], half[..., 1])
+    live = norms > 0
+    units = half / np.where(live, norms, 1.0)[..., None]
+    reach = []
+    for k in range(2):
+        u = units[:, k, :]
+        if exact:
+            proj = np.abs(np.matmul(half, u[:, :, None])[:, :, 0])
+        else:
+            proj = np.abs(half[:, :, 0] * u[:, None, 0] + half[:, :, 1] * u[:, None, 1])
+        cell = 0.5 * r * (np.abs(u[:, 0]) + np.abs(u[:, 1]))
+        reach.append(cell + (proj[:, 0] + proj[:, 1]) - ETA * r)
+    return live, units, reach
+
+
+def per_box_obb_hits(center, half, r, origin, rows, owner):
+    """Hit mask of the candidate cells ``rows`` (index rows) of the 2-d
+    boxes ``owner`` by the per-box separating-axis test: fast arithmetic,
+    and a candidate within 1e-12 of the scale retested in the scalar test's
+    arithmetic.  ``r`` is one radius or one per box."""
+    flat_r = np.asarray(r, dtype=float)
+    r_own = flat_r if flat_r.ndim == 0 else flat_r[owner][:, None]
+    ext = np.abs(half[:, 0, :]) + np.abs(half[:, 1, :])
+    live, units, reach = _per_box_sat_axes(half, flat_r, exact=False)
+    size = flat_r + np.abs(half).sum(axis=(1, 2))
+    diff = center[owner] - (origin + (rows + 0.5) * r_own)
+    grid = np.abs(diff) < 0.5 * r_own + ext[owner] - ETA * r_own
+    grid = grid[:, 0] & grid[:, 1]
+    hit, unsure = grid.copy(), np.zeros_like(grid)
+    margin = 1e-12 * (size[owner] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
+    for k in range(2):
+        u = units[owner, k, :]
+        gap = np.abs(diff[:, 0] * u[:, 0] + diff[:, 1] * u[:, 1]) - reach[k][owner]
+        on = live[owner, k]
+        hit &= ~on | (gap < 0)
+        unsure |= on & (np.abs(gap) <= margin)
+    redo = np.flatnonzero(grid & unsure)
+    if redo.size:
+        r_redo = flat_r if flat_r.ndim == 0 else flat_r[owner[redo]]
+        live, units, reach = _per_box_sat_axes(half[owner[redo]], r_redo, exact=True)
+        again = np.ones(redo.size, dtype=bool)
+        for k in range(2):
+            d = np.abs(np.matmul(diff[redo][:, None, :], units[:, k, :, None])[:, 0, 0])
+            again &= ~live[:, k] | (d < reach[k])
+        hit[redo] = again
+    return hit, redo.size

@@ -256,6 +256,17 @@ class TestRenewal:
         flat = [x for row in vals for x in row]
         assert max(abs(x - 1.0) for x in flat) < 1e-9
 
+    def test_forcing_that_ends_far_out(self, tmp_path, capsys):
+        # the integrability sums come from the forcing's pieces, not from one
+        # unit interval at a time: a support end of 1e8 once took minutes
+        doc = {"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "L": [[[0.0, 1.0], [1e8, 0.0]]]}
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["renewal", str(p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["dri_ok"] is True
+        assert out["limit"]["kind"] == "constant"
+
     def test_malformed_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"M": []}', encoding="utf-8")

@@ -72,8 +72,8 @@ def cantor_count(t: float) -> int:
 
 def interval_cell_range(a, b, r, origin=0.0):
     """The kernel's inclusive cell index range of the closed interval [a, b]."""
-    lo, hi = _interval_cells(np.array([a]), np.array([b]), r, np.array([origin]))
-    return int(lo[0]), int(hi[0])
+    lo, hi = _interval_cells(np.array([[a]]), np.array([[b]]), r, np.array([origin]))
+    return int(lo[0, 0]), int(hi[0, 0])
 
 
 class TestCellArithmetic:

@@ -97,8 +97,15 @@ def test_corpus_counts_match_oracle(bundled, name):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
 
+def _obb_half(shapes: _Shapes) -> np.ndarray:
+    """The half axes of each rotated box, from its row of the table."""
+    if shapes.obb_axes is None:
+        return np.empty((0, shapes.dim, shapes.dim))
+    return shapes.obb_axes.half[shapes.obb_row]
+
+
 def _shape_rows(shapes: _Shapes) -> list:
-    obbs = np.concatenate([shapes.obb_c, shapes.obb_h.reshape(-1, shapes.dim**2)], axis=1)
+    obbs = np.concatenate([shapes.obb_c, _obb_half(shapes).reshape(-1, shapes.dim**2)], axis=1)
     segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
     boxes = np.concatenate([shapes.box_lo, shapes.box_hi], axis=1)
     return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, boxes, obbs)]
@@ -133,23 +140,98 @@ def test_shape_coordinates_are_bitwise_the_scalar_images(bundled, name):
             assert _shape_rows(got) == _shape_rows(want), t
 
 
+def _near_tangent_box(rng, r: float) -> OrientedBox:
+    """A box within float noise of the separating-axis threshold of one
+    cell along its first axis."""
+    a = math.radians(rng.uniform(1.0, 89.0))
+    u = np.array([math.cos(a), math.sin(a)])
+    v = np.array([-math.sin(a), math.cos(a)])
+    w, h = rng.uniform(0.3, 2.0, size=2) * r
+    reach = 0.5 * r * (abs(u[0]) + abs(u[1])) + w / 2 - covering.ETA * r
+    c = (np.array([3, 5]) + 0.5) * r + reach * u + rng.uniform(-0.4, 0.4) * r * v
+    return OrientedBox(tuple(c), (tuple(u * (w / 2)), tuple(v * (h / 2))))
+
+
 def test_near_tangent_rotated_boxes_match_oracle():
     # boxes placed within float noise of the separating-axis threshold of
     # one cell: the fast test is unsure there and defers to the exact one
     rng = np.random.default_rng(5)
     for r in (1.0, 0.037):
         for _ in range(500):
-            a = math.radians(rng.uniform(1.0, 89.0))
-            u = np.array([math.cos(a), math.sin(a)])
-            v = np.array([-math.sin(a), math.cos(a)])
-            w, h = rng.uniform(0.3, 2.0, size=2) * r
-            reach = 0.5 * r * (abs(u[0]) + abs(u[1])) + w / 2 - covering.ETA * r
-            c = (np.array([3, 5]) + 0.5) * r + reach * u + rng.uniform(-0.4, 0.4) * r * v
-            box = OrientedBox(tuple(c), (tuple(u * (w / 2)), tuple(v * (h / 2))))
+            box = _near_tangent_box(rng, r)
             rows = _Shapes.gather(2, obbs=[(box.center, box.half_axes)]).cells(r, np.zeros(2))
             element = oracle.SetElement("cylinder", box, Path("X"))
             want = oracle.cell_union(oracle.ElementSet("X", r, (element,)), r)
             assert set(map(tuple, rows.tolist())) == want
+
+
+def _hits_match_per_box(center, row, axes, r, origin, obb_hits=covering._obb_hits):
+    """``covering._obb_hits``, each chunk's hit mask checked bit for bit
+    against the per-box separating-axis test of the boxes' own half axes;
+    yields what it yields, and the number of candidates retested exactly."""
+    half = axes.half[row]
+    for rows, owner, hit in obb_hits(center, row, axes, r, origin):
+        want, redone = oracle.per_box_obb_hits(center, half, r, origin, rows, owner)
+        assert hit.tobytes() == want.tobytes()
+        yield rows, owner, hit, redone
+
+
+def test_class_table_hits_match_the_per_box_test_on_kernel_boxes(bundled):
+    # near-tangent boxes, a row each, some reaching the exact retest; and the
+    # rotated cylinders of rotated2d given per box, at one radius and tagged
+    rng = np.random.default_rng(5)
+    origin = np.zeros(2)
+    for r in (1.0, 0.037):
+        boxes = [_near_tangent_box(rng, r) for _ in range(500)]
+        shapes = _Shapes.gather(2, obbs=[(b.center, b.half_axes) for b in boxes])
+        hits = list(_hits_match_per_box(shapes.obb_c, shapes.obb_row, shapes.obb_axes, r, origin))
+        assert sum(x[-1] for x in hits) > 0
+    graph = bundled["rotated2d"]
+    radii = np.array([math.exp(-t) for t in (5.0, 4.0, 3.0)])
+    tagged = _Walk(graph, "X", radii[0]).shapes(radii)
+    per_box = _Shapes.gather(2, obbs=[(tagged.obb_c, _obb_half(tagged))])
+    for origin in (np.zeros(2), np.full(2, 0.316)):
+        for r in (radii[0], radii[tagged.obb_tag]):
+            assert list(_hits_match_per_box(per_box.obb_c, per_box.obb_row, per_box.obb_axes,
+                                            r, origin))
+
+
+def test_class_table_hits_match_the_per_box_test_on_rotated2d(bundled):
+    # every separating-axis pass of a count at t = 7 and of the bounded
+    # analysis (n 2..6, 4 offsets, with its cross-check's forcing radii)
+    graph = bundled["rotated2d"]
+    chunks = []
+
+    def checked(*args):
+        for rows, owner, hit, _redone in _hits_match_per_box(*args):
+            chunks.append(rows.shape[0])
+            yield rows, owner, hit
+
+    with mock.patch.object(covering, "_obb_hits", checked):
+        r = math.exp(-7.0)
+        for origin in (0.0, 0.316):
+            covering.count({"X": covering.generate(graph, "X", r)}, r, grid_origin=origin)
+        asymptotics.analyze(graph, n_min=2, n_max=6, y_samples=4)
+    assert len(chunks) > 2 and sum(chunks) > 25_000
+
+
+def test_fast_separating_axes_form_once_per_walk_table(bundled):
+    # one table of the seed box, a row per class, serves every pass
+    graph = bundled["rotated2d"]
+    real, fast = covering._sat_axes, []
+
+    def spy(half, exact):
+        if not exact:
+            fast.append(half.shape[0])
+        return real(half, exact)
+
+    radii = np.geomspace(math.exp(-6.0), 1.0, 6)
+    with mock.patch.object(covering, "_sat_axes", spy):
+        walk = _Walk(graph, "X", radii[0])
+        for r in radii:
+            walk.shapes(r).runs(r, np.zeros(2))
+        walk.shapes(radii).runs(radii, np.full(2, 0.316))
+    assert fast == [walk.c_ratio.size]
 
 
 def test_profile_and_forcing_share_the_oracle_counts(bundled):
@@ -372,7 +454,7 @@ KINDS = {
     "points": ("points", "point_tag"),
     "segments": ("seg_a", "seg_b", "seg_tag"),
     "boxes": ("box_lo", "box_hi", "box_tag"),
-    "obbs": ("obb_c", "obb_h", "obb_tag"),
+    "obbs": ("obb_c", "obb_row", "obb_tag"),
 }
 
 
@@ -1118,9 +1200,9 @@ def test_random_walk_build_matches_the_per_edge_build(graph, t):
 
 
 def _same_arrays(a: _Shapes, b: _Shapes) -> bool:
-    fields = [f.name for f in dataclasses.fields(_Shapes) if f.name != "dim"]
-    for f in fields:
-        x, y = getattr(a, f), getattr(b, f)
+    fields = [f.name for f in dataclasses.fields(_Shapes) if f.name not in ("dim", "obb_axes")]
+    pairs = [(getattr(a, f), getattr(b, f)) for f in fields] + [(_obb_half(a), _obb_half(b))]
+    for x, y in pairs:
         if (x is None) != (y is None):
             return False
         if x is not None and (x.shape, x.tobytes()) != (y.shape, y.tobytes()):

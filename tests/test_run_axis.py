@@ -253,9 +253,9 @@ def _candidate_runs(fn):
     built = []
     add = _CellUnion.add
 
-    def spy(acc, runs, tag=None):
+    def spy(acc, runs):
         built.append(runs.shape[0])
-        return add(acc, runs, tag)
+        return add(acc, runs)
 
     with mock.patch.object(_CellUnion, "add", spy):
         fn()
