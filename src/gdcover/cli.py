@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import asymptotics, covering, lattice, renewal, schema, spectral
-from .errors import GdcoverError, ValidationError
+from .errors import GdcoverError, ResourceLimitError, ValidationError
 from .graph import validate
 
 __all__ = ["main"]
@@ -327,8 +327,15 @@ def _parse_reduced(doc: dict):
     return m, forcing, float(horizon)
 
 
+def _check_sample_cap(n: int, what: str) -> None:
+    """Refuse more than ``covering.CELL_CAP`` samples before any is built."""
+    if n > covering.CELL_CAP:
+        raise ResourceLimitError(f"{what} {n} exceeds the sample cap {covering.CELL_CAP}")
+
+
 def cmd_renewal(args) -> int:
     _check_int_at_least(args.samples, 1, "--samples")
+    _check_sample_cap(args.samples, "--samples")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -342,6 +349,7 @@ def cmd_renewal(args) -> int:
         _check_int_at_least(truncation, 0, "truncation")
     spp = doc.get("samples_per_period", 64)
     _check_int_at_least(spp, 1, "samples_per_period")
+    _check_sample_cap(spp, "samples_per_period")
     tau = doc.get("tau")
     if tau is not None and not (_finite_number(tau) and tau > 0):
         raise ValidationError(f"tau must be a positive finite number, got {tau!r}")

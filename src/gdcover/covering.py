@@ -18,9 +18,13 @@ level by level as numpy arrays, down to the finest radius a caller needs,
 then sorted by stopping size, so that a group of coarser radii takes its
 leaves and interior nodes as slices.  A pass maps each node it reads once,
 from per-class image tables formed once per walk; nothing per node is kept
-between passes.  Cells are held as runs along one axis
-per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a run
-union.  Axis-parallel segments are index boxes like points and boxes.
+between passes.  A pass streams: it cuts its nodes into chunks of about
+``_STREAM`` (node, radius) pairs, turns each chunk's shapes into runs, adds
+them to one union and drops the chunk before cutting the next, so its peak
+memory is one chunk's plus the union's.  Cells are held as runs along one
+axis per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a
+run union that merges as it grows.  Axis-parallel segments are index boxes
+like points and boxes.
 """
 from __future__ import annotations
 
@@ -161,8 +165,9 @@ def _merge(start: np.ndarray, stop: np.ndarray):
     """Union of half-open id ranges [start, stop) as disjoint, non-touching
     ranges in ascending order.  Starts and stops sort apart: a merged range
     closes at the k-th smallest stop exactly when the next start lies past
-    it."""
-    start, stop = np.sort(start), np.sort(stop)
+    it.  Both arrays are sorted in place."""
+    start.sort()
+    stop.sort()
     opens = np.empty(start.size, dtype=bool)
     opens[0] = True
     np.greater(start[1:], stop[:-1], out=opens[1:])
@@ -182,16 +187,24 @@ def _union_runs(runs: np.ndarray) -> np.ndarray:
     n, w = runs.shape[0], runs.shape[1] - 2
     if n <= 1:
         return runs
-    keys, lo, end = runs[:, :w], runs[:, w], runs[:, w + 1] + 1
+    keys, lo, hi = runs[:, :w], runs[:, w], runs[:, w + 1]
     k_lo = keys.min(axis=0)
     span = (keys.max(axis=0) - k_lo + 1).tolist()
     base = int(lo.min())
-    width = int(end.max()) - base + 1
+    width = int(hi.max()) + 2 - base
     if math.prod(span) * width < 1 << 62:
-        group = np.zeros(n, dtype=np.int64)
+        # a run's ids are [lo, hi + 1) plus group * width - base, formed in place
+        off = np.zeros(n, dtype=np.int64)
         for k, s in enumerate(span):
-            group = group * s + (keys[:, k] - k_lo[k])
-        start, stop = _merge(group * width + (lo - base), group * width + (end - base))
+            off *= s
+            off += keys[:, k]
+            off -= k_lo[k]
+        off *= width
+        off -= base
+        start = lo + off
+        off += hi
+        off += 1
+        start, stop = _merge(start, off)
         group, lo = np.divmod(start, width)
         end = stop - group * width + base
         cols = []
@@ -202,7 +215,7 @@ def _union_runs(runs: np.ndarray) -> np.ndarray:
     group = np.zeros(n, dtype=np.int64)
     if w:
         keys, group = np.unique(keys, axis=0, return_inverse=True)
-    values, at = np.unique(np.concatenate((lo, end)), return_inverse=True)
+    values, at = np.unique(np.concatenate((lo, hi + 1)), return_inverse=True)
     width = values.size
     group = group.reshape(-1) * width
     start, stop = _merge(group + at[:n], group + at[n:])
@@ -237,10 +250,19 @@ def _run_cells(runs: np.ndarray, order=None) -> np.ndarray:
     return cells
 
 
+# unmerged rows a union takes before it first merges them; past that, it
+# merges when they pass twice its merged rows, so that each merged row is
+# sorted again about half as often as it is added, and all merges together
+# sort about 1.5 times the rows one union of everything would
+_MERGE_FLOOR = 1 << 14
+
+
 class _CellUnion:
     """Distinct cells accumulated as runs, chunk by chunk, under ``CELL_CAP``.
 
     A tagged union holds (tag, run) rows and applies the cap per radius.
+    The cap is checked at every merge, so a count over it stops after
+    about ``CELL_CAP`` cells, not after all of its shapes.
     """
 
     def __init__(self, dim: int, tagged: bool = False, axis: int | None = None) -> None:
@@ -254,13 +276,13 @@ class _CellUnion:
         if runs.shape[0]:
             self.parts.append(runs)
             self.fresh += runs.shape[0]
-            if self.fresh > _CHUNK:
+            if self.fresh > max(_MERGE_FLOOR, 2 * self.parts[0].shape[0]):
                 self.runs()
 
     def runs(self) -> np.ndarray:
         if len(self.parts) > 1:
-            self.parts = [_union_runs(np.concatenate(self.parts))]
-            self.fresh = 0
+            runs, self.parts = np.concatenate(self.parts), []
+            self.parts, self.fresh = [_union_runs(runs)], 0
         out = self.parts[0]
         most = _cell_count(out, 0).max(initial=0) if self.tagged else _cell_count(out)
         if most > CELL_CAP:
@@ -323,6 +345,13 @@ def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
         runs[:, -2] = ilo[sel, -1][owner]
         runs[:, -1] = ihi[sel, -1][owner]
         acc.add(runs)
+
+
+def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
+    """Runs of the cells each axis-aligned box [lo, hi] meets."""
+    ilo, ihi = _interval_cells(lo, hi, r, origin)
+    _check_candidates(ihi - ilo + 1)
+    _index_box_runs(ilo, ihi, acc, tag)
 
 
 def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
@@ -469,30 +498,46 @@ def _obb_hits(center, row, axes: _BoxAxes, r, origin):
     """
     ext = axes.ext[row]
     ilo, ihi = _interval_cells(center - ext, center + ext, r, origin)
+    del ext  # a generator's locals outlive its yields
     cnt = ihi - ilo + 1
     _check_candidates(cnt)
     for sel in _chunks(_row_prod(cnt)):
         rows, owner = _expand(ilo[sel], cnt[sel])
         owner += sel.start
-        cls, r_own = row[owner], _take(r, owner)
-        diff = np.empty(rows.shape)
-        hit = np.ones(owner.size, dtype=bool)
-        for k in range(2):
-            diff[:, k] = center[:, k][owner] - (origin[k] + (rows[:, k] + 0.5) * r_own)
-            hit &= np.abs(diff[:, k]) < 0.5 * r_own + axes.ext[:, k][cls] - ETA * r_own
-        grid = hit.copy()
-        unsure = np.zeros_like(grid)
-        margin = 1e-12 * (r_own + axes.size[cls] + np.abs(diff[:, 0]) + np.abs(diff[:, 1]))
-        for k in range(2):
-            u = axes.units[:, k, :][cls]
-            gap = np.abs(diff[:, 0] * u[:, 0] + diff[:, 1] * u[:, 1])
-            gap -= _reach(r_own, axes.factor[:, k][cls], axes.extent[:, k][cls])
-            hit &= gap < 0
-            unsure |= np.abs(gap) <= margin
-        redo = np.flatnonzero(grid & unsure)
-        if redo.size:
-            hit[redo] = _sat_exact(diff[redo], axes.half[cls[redo]], _take(r, owner[redo]))
-        yield rows, owner, hit
+        yield rows, owner, _sat_hits(rows, center[owner], row[owner], axes, _take(r, owner), origin)
+
+
+def _sat_hits(rows, center, cls, axes: _BoxAxes, r, origin) -> np.ndarray:
+    """``_obb_hits``'s mask for candidate cells ``rows`` against boxes of
+    centres ``center`` and ``axes`` rows ``cls``, one box per candidate."""
+    # in place where the operands allow: + and * commute exactly
+    diff = np.empty(rows.shape)
+    hit = np.ones(rows.shape[0], dtype=bool)
+    for k in range(2):
+        d = diff[:, k]
+        np.add(rows[:, k], 0.5, out=d)
+        d *= r
+        d += origin[k]
+        np.subtract(center[:, k], d, out=d)
+        hit &= np.abs(d) < 0.5 * r + axes.ext[:, k][cls] - ETA * r
+    grid = hit.copy()
+    unsure = np.zeros_like(grid)
+    margin = axes.size[cls]
+    margin += r
+    margin += np.abs(diff[:, 0])
+    margin += np.abs(diff[:, 1])
+    margin *= 1e-12
+    for k in range(2):
+        gap = diff[:, 0] * axes.units[:, k, 0][cls]
+        gap += diff[:, 1] * axes.units[:, k, 1][cls]
+        np.abs(gap, out=gap)
+        gap -= _reach(r, axes.factor[:, k][cls], axes.extent[:, k][cls])
+        hit &= gap < 0
+        unsure |= np.abs(gap) <= margin
+    redo = np.flatnonzero(grid & unsure)
+    if redo.size:
+        hit[redo] = _sat_exact(diff[redo], axes.half[cls[redo]], _take(r, redo))
+    return hit
 
 
 def _obb_cells_tight(center, row, axes: _BoxAxes, r, origin, acc: _CellUnion, tag=None) -> None:
@@ -571,29 +616,36 @@ class _Shapes:
             *(() if tags is None else map(stack_ints, tags)),
         )
 
+    def __len__(self) -> int:
+        return sum(a.shape[0] for a in (self.points, self.seg_a, self.box_lo, self.obb_c))
+
     def runs(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """Distinct cells met by the union of the shapes, as disjoint runs along ``axis``.
+        """Distinct cells met by the union of the shapes, as disjoint runs along ``axis``."""
+        acc = _CellUnion(self.dim, self.point_tag is not None, axis)
+        self.feed(r, origin, acc)
+        return acc.runs()
+
+    def feed(self, r, origin: np.ndarray, acc: _CellUnion) -> None:
+        """Add the runs of the cells each shape meets to ``acc``.
 
         A rotated box (dimension 2) is tested exactly, by separating axes.
         Tagged shapes take the sorted radii they were selected for; each of
         their runs then leads with its tag, and the cap holds per radius.
         """
         tagged = self.point_tag is not None
-        acc = _CellUnion(self.dim, tagged, axis)
 
         def radius(tag):  # one radius per row, or the one radius
             return r[tag] if tagged else r
 
-        points = _floor_cells(self.points, radius(self.point_tag), origin)
-        _index_box_runs(points, points, acc, self.point_tag)
+        if self.points.shape[0]:
+            points = _floor_cells(self.points, radius(self.point_tag), origin)
+            _index_box_runs(points, points, acc, self.point_tag)
         _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
-        ilo, ihi = _interval_cells(self.box_lo, self.box_hi, radius(self.box_tag), origin)
-        _check_candidates(ihi - ilo + 1)
-        _index_box_runs(ilo, ihi, acc, self.box_tag)
+        if self.box_lo.shape[0]:
+            _box_cells(self.box_lo, self.box_hi, radius(self.box_tag), origin, acc, self.box_tag)
         if self.obb_c.shape[0]:
             _obb_cells_tight(self.obb_c, self.obb_row, self.obb_axes, radius(self.obb_tag),
                              origin, acc, self.obb_tag)
-        return acc.runs()
 
     def cells(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
         """The cells of :meth:`runs`, one index row each, in the caller's axis order."""
@@ -610,6 +662,12 @@ def _range_sums(lo: np.ndarray, hi: np.ndarray, weights, n: int) -> np.ndarray:
     w = np.broadcast_to(weights, lo.shape)[live]
     edges = np.bincount(lo[live], w, n + 1) - np.bincount(hi[live], w, n + 1)
     return np.cumsum(edges)[:n]
+
+
+# (node, radius) pairs a counting pass maps at once: their shapes, cells and
+# candidate runs are formed, added to the pass's union and dropped before the
+# next chunk is cut
+_STREAM = 1 << 13
 
 
 class _Walk:
@@ -641,7 +699,11 @@ class _Walk:
     Each pass maps the nodes it reads, each once, from per-class image
     tables kept for the walk, and keeps nothing per node: whatever passes
     the walk serves, its per-node arrays stay ``cls``, ``trans`` and
-    ``above``.
+    ``above``.  A pass (``runs``) streams: ``chunks`` cuts the selected
+    leaves and interior nodes into chunks of about ``_STREAM`` (node,
+    radius) pairs, and each chunk's images become cells and runs in one
+    ``_CellUnion`` before the next chunk is cut.  ``shapes`` is the one
+    chunk of a pass cut with no bound.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -942,15 +1004,16 @@ class _Walk:
             return
         bent, each = ~plain, np.repeat(plain, n)
         c, e, m = centre[plain], ext[plain], n[plain]
-        boxes.append(((_repeat_rows(c - e, m), _repeat_rows(c + e, m)), tag[each]))
+        boxes.append(((_repeat_rows(c - e, m), _repeat_rows(c + e, m)), _take(tag, each)))
         m = n[bent]
         obbs.append(((_repeat_rows(centre[bent], m), _repeat_rows(cls[bent], m), table[3]),
-                     tag[~each]))
+                     _take(tag, ~each)))
 
     def _select(self, radii: np.ndarray):
-        """Per vertex, ``(nodes, lo, hi)`` with each node serving ``radii[lo:hi]``
-        of an ascending array: the leaves (size <= r < above) and, at vertices
-        with condensation (else None), the interior nodes (r below both)."""
+        """Per vertex, the node range ``(i0, i1)`` holding the leaves of an
+        ascending array of radii (size <= r < above for some r) and, at
+        vertices with condensation (else None), the one holding the interior
+        nodes (r below both)."""
         r_lo, r_hi = radii[0], radii[-1]
         off, size = self._rank_off, self._rank_size
         leaf, inner = [], []
@@ -960,16 +1023,11 @@ class _Walk:
             i0 = off[k0 + np.searchsorted(sizes, self._shrink * r_lo)]
             if off[k0] <= self._root < off[k1] and self.c_size[0] <= r_hi:  # class 0: the root
                 i0 = min(i0, self._root)
-            i1 = off[k0 + np.searchsorted(sizes, r_hi, side="right")]
-            lo = self._per_node(radii, i0, i1)
-            leaf.append((np.arange(i0, i1), lo, np.searchsorted(radii, self.above[i0:i1])))
+            leaf.append((int(i0), int(off[k0 + np.searchsorted(sizes, r_hi, side="right")])))
             if not self.graph.condensation[name]:
                 inner.append(None)
                 continue
-            i0 = off[k0 + np.searchsorted(sizes, r_lo, side="right")]
-            lo = self._per_node(radii, i0, off[k1])
-            hi = np.minimum(lo, np.searchsorted(radii, self.above[i0 : off[k1]]))
-            inner.append((np.arange(i0, off[k1]), np.zeros_like(hi), hi))
+            inner.append((int(off[k0 + np.searchsorted(sizes, r_lo, side="right")]), int(off[k1])))
         return leaf, inner
 
     def _per_node(self, radii: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -977,69 +1035,128 @@ class _Walk:
         off = self._rank_off
         k0 = np.searchsorted(off, i0, side="right") - 1
         k1 = np.searchsorted(off, i1)
-        n = np.diff(np.clip(off[k0 : k1 + 1], i0, i1))
+        n = np.diff(np.minimum(np.maximum(off[k0 : k1 + 1], i0), i1))
         return np.repeat(np.searchsorted(radii, self._rank_size[k0:k1]), n)
 
-    def _pick(self, v: int, sel):
-        """The nodes of vertex v's ``_select`` ranges that serve some radius,
-        the number n of radii each serves, and the radius index (tag) of each
-        (node, radius) pair, node by node."""
-        nodes, lo, hi = sel[v]
-        n = hi - lo
-        live = n > 0
-        if not live.all():
-            nodes, lo, n = nodes[live], lo[live], n[live]
-        return nodes, n, np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+    def _blocks(self, radii: np.ndarray):
+        """The nodes of the ``_select`` ranges in blocks of at most
+        ``_STREAM``: yields the vertex, whether the block's nodes are
+        interior ones, its first node, and ``lo``, ``hi`` with each node
+        serving ``radii[lo:hi]``."""
+        for v, ranges in enumerate(zip(*self._select(radii))):
+            for inner, span in zip((False, True), ranges):
+                if span is None:
+                    continue
+                for a in range(span[0], span[1], _STREAM):
+                    b = min(a + _STREAM, span[1])
+                    lo = self._per_node(radii, a, b)
+                    hi = np.searchsorted(radii, self.above[a:b])
+                    if inner:  # the radii below both size and above
+                        lo, hi = np.zeros_like(hi), np.minimum(lo, hi)
+                    yield v, inner, a, lo, hi
 
-    def shapes(self, r) -> _Shapes:
-        """Covering elements of the radius-r walk as arrays.
+    def _images(self, v: int, inner: bool, nodes, n, tag, parts: tuple) -> None:
+        """Append to ``parts`` (points, segments, boxes and obbs lists) the
+        images of vertex v's seed box under leaves ``nodes``, or of its
+        condensation under interior ones, each node's once for each of the
+        n radii it serves, with their radius indices ``tag`` (None for one
+        radius)."""
+        name = self.graph.vertex_order[v]
+        points, segments, boxes, obbs = parts
+        if not inner:
+            self._boxes(self.graph.seed_box(name), nodes, n, tag, boxes, obbs)
+            return
+        for prim in self.graph.condensation[name]:
+            if prim.kind == "point":
+                points.append((self._points(prim.points[0], nodes, n), tag))
+            elif prim.kind == "segment":
+                segments.append((tuple(self._points(p, nodes, n) for p in prim.points), tag))
+            else:
+                self._boxes(prim.as_box(), nodes, n, tag, boxes, obbs)
+
+    def chunks(self, r, rows: float | None = None):
+        """Covering elements of the radius-r walk as ``_Shapes``, a chunk of
+        about ``rows`` (default ``_STREAM``) (node, radius) pairs at a time.
 
         For an ascending array of radii, the elements of every radius
-        together, each tagged with the index of its radius.
+        together, each tagged with the index of its radius.  A chunk ends
+        with the node that fills it, so it holds at least one node; the last
+        chunk, and the only one of a pass that selects nothing, may be
+        smaller.
         """
-        graph = self.graph
-        leaf, inner = self._select(np.atleast_1d(r))
-        points, segments, boxes, obbs = [], [], [], []
-        for v, name in enumerate(graph.vertex_order):
-            nodes, n, tag = self._pick(v, leaf)
-            if nodes.size:
-                self._boxes(graph.seed_box(name), nodes, n, tag, boxes, obbs)
-            if inner[v] is None:
-                continue
-            nodes, n, tag = self._pick(v, inner)
-            if not nodes.size:
-                continue
-            for prim in graph.condensation[name]:
-                if prim.kind == "point":
-                    points.append((self._points(prim.points[0], nodes, n), tag))
-                elif prim.kind == "segment":
-                    segments.append((tuple(self._points(p, nodes, n) for p in prim.points), tag))
+        tagged = np.ndim(r) > 0
+        rows = _STREAM if rows is None else rows
+        parts, room, cut = ([], [], [], []), rows, 0
+        for v, inner, a, lo, hi in self._blocks(np.atleast_1d(r)):
+            n = hi - lo
+            live = np.flatnonzero(n > 0)
+            nodes, lo, n = live + a, lo[live], n[live]
+            ends = np.cumsum(n)  # (node, radius) pairs up to each node
+            k = 0
+            while k < nodes.size:
+                done = ends[k - 1] if k else 0
+                if ends[-1] - done <= room:  # the rest of the block fits
+                    stop = nodes.size
                 else:
-                    self._boxes(prim.as_box(), nodes, n, tag, boxes, obbs)
-        parts = (points, segments, boxes, obbs)
-        tags = None if np.ndim(r) == 0 else [[t for _x, t in part] for part in parts]
-        return _Shapes.gather(graph.dimension, *([x for x, _t in part] for part in parts), tags=tags)
+                    stop = max(k + 1, int(np.searchsorted(ends, done + room, side="right")))
+                m, tag = n[k:stop], None
+                if tagged:  # the radius index of each (node, radius) pair
+                    tag = np.arange(ends[stop - 1] - done)
+                    tag -= np.repeat(np.cumsum(m) - m - lo[k:stop], m)
+                self._images(v, inner, nodes[k:stop], m, tag, parts)
+                room -= ends[stop - 1] - done
+                k = stop
+                if room <= 0:
+                    room, cut = rows, cut + 1
+                    yield self._gather(parts, tagged)
+        if room < rows or not cut:
+            yield self._gather(parts, tagged)
+
+    def _gather(self, parts: tuple, tagged: bool) -> _Shapes:
+        """``parts`` stacked as ``_Shapes``, the lists emptied: the images
+        live on only in the chunk."""
+        tags = [[t for _x, t in part] for part in parts] if tagged else None
+        shapes = _Shapes.gather(self.graph.dimension, *([x for x, _t in part] for part in parts),
+                                tags=tags)
+        for part in parts:
+            part.clear()
+        return shapes
+
+    def shapes(self, r) -> _Shapes:
+        """Covering elements of the radius-r walk as one chunk (tagged for
+        an array of radii)."""
+        return next(self.chunks(r, math.inf))
+
+    def runs(self, r, origin: np.ndarray, axis: int | None = None, cell=None) -> np.ndarray:
+        """Runs along ``axis`` of the cells of side ``cell`` (default r) met
+        by the covering elements of the radius-r walk, tagged for an array
+        of radii: each chunk's shapes become cells and runs, enter one
+        union and are dropped before the next chunk is cut."""
+        acc = _CellUnion(self.graph.dimension, np.ndim(r) > 0, axis)
+        side = r if cell is None else cell
+        for shapes in self.chunks(r):
+            shapes.feed(side, origin, acc)
+            del shapes  # before the next chunk is cut
+        return acc.runs()
 
     def work(self, radii: np.ndarray, axis: int) -> np.ndarray:
         """Estimated candidate runs along ``axis`` of each radius of an ascending
         array: one per element, plus in dimension >= 2 the grid planes each
         condensation image crosses on the other axes (its ratio times its
         isometry's image of the primitive's extent, over r)."""
-        leaf, inner = self._select(radii)
         g = len(radii)
         out = np.zeros(g)
-        for v, name in enumerate(self.graph.vertex_order):
-            out += _range_sums(*leaf[v][1:], 1.0, g)
-            if inner[v] is None:
+        for v, inner, a, lo, hi in self._blocks(radii):
+            if not inner:
+                out += _range_sums(lo, hi, 1.0, g)
                 continue
-            prims = self.graph.condensation[name]
-            nodes, lo, hi = inner[v]
+            prims = self.graph.condensation[self.graph.vertex_order[v]]
             out += _range_sums(lo, hi, float(len(prims)), g)
             if self.graph.dimension > 1:
                 widths = sum(np.abs(np.subtract(p.points[-1], p.points[0])) for p in prims)
                 across = np.delete(np.abs(self._iso_stack) @ widths, axis, axis=1).sum(axis=1)
                 per_class = self.c_ratio * across[self.c_iso]
-                out += _range_sums(lo, hi, np.take(per_class, self.cls[nodes]), g) / radii
+                out += _range_sums(lo, hi, np.take(per_class, self.cls[a : a + lo.size]), g) / radii
         return out
 
 
@@ -1057,8 +1174,7 @@ class GeometrySet:
 
     @property
     def n_elements(self) -> int:
-        shapes = self._shapes()
-        return sum(a.shape[0] for a in (shapes.points, shapes.seg_a, shapes.box_lo, shapes.obb_c))
+        return sum(map(len, self._walk.chunks(self.resolution)))
 
     def _shapes(self) -> _Shapes:
         return self._walk.shapes(self.resolution)
@@ -1096,9 +1212,9 @@ def _set_runs(gset: GeometrySet, r, grid_origin, axis: int) -> np.ndarray:
         r = gset.resolution
     if r < gset.resolution * (1 - 1e-12):
         raise ValueError("counting below the generation resolution is not meaningful")
-    shapes = gset._shapes()
-    origin = _origin_vector(grid_origin, shapes.dim)
-    return shapes.runs(r, origin, axis)
+    walk = gset._walk
+    origin = _origin_vector(grid_origin, walk.graph.dimension)
+    return walk.runs(gset.resolution, origin, axis, cell=r)
 
 
 def cell_union(
@@ -1204,7 +1320,7 @@ class _CountTable:
         walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
         for a, b in _groups(sum(w.work(radii, self.axis) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
-            yield a, b, [w.shapes(r).runs(r, self.origin, self.axis) for w in walks]
+            yield a, b, [w.runs(r, self.origin, self.axis) for w in walks]
 
     def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
         """Count one vertex at every t not yet in the table; its walk reaches

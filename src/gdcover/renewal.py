@@ -13,7 +13,6 @@ mass matrix is the transpose of the pressure matrix at ``s0``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -521,6 +520,31 @@ def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:
     return np.outer(right, left) / denom
 
 
+# (step, sample) terms of the lattice sum evaluated at once
+_LATTICE_BLOCK = 1 << 14
+
+
+def _lattice_steps(f: StepFunction, tau: float, width: int):
+    """Ascending blocks, of at most ``width``, of the steps k >= 0 at which
+    some ``s + k * tau`` with s in [0, tau] may fall on a nonzero piece of
+    ``f`` at or before its support end; each step once.  The bounds of a
+    piece's steps are widened by one or two, far past rounding error."""
+    bp = f.breakpoints
+    live = np.flatnonzero(f.values != 0.0)
+    if not live.size:
+        return
+    ends = np.append(bp[1:], bp[-1])  # the last piece counts only at the support end
+    first = np.maximum(np.floor(bp[live] / tau) - 2, 0.0)
+    last = np.ceil(ends[live] / tau) + 1
+    # pieces are in order, so both bounds ascend: a range of steps opens
+    # where the next piece's first step is past the last one so far
+    opens = np.flatnonzero(np.concatenate(([True], first[1:] > last[:-1] + 1)))
+    closes = np.append(opens[1:] - 1, live.size - 1)
+    for k0, k1 in zip(first[opens].tolist(), last[closes].tolist()):
+        for a in range(int(k0), int(k1) + 1, width):
+            yield np.arange(a, min(a + width, int(k1) + 1), dtype=float)
+
+
 def limit_value(
     m: MatrixMeasure,
     forcing: Sequence[StepFunction],
@@ -565,16 +589,19 @@ def limit_value(
             f"(offset {worst:.3e})"
         )
     y = np.arange(samples_per_period) * (tau / samples_per_period)
-    # sums[l, m] = sum_k L_l(((y_m - phi_l) mod tau) + k tau), k up to L_l's support end
+    # sums[l, m] = sum_k L_l(((y_m - phi_l) mod tau) + k tau), k up to L_l's
+    # support end, added in increasing k; a block of steps at a time, and only
+    # the steps that can land on a nonzero piece: the sums start at +0.0, and
+    # adding a zero never changes them
     sums = np.zeros((m.n, y.size))
+    width = max(1, _LATTICE_BLOCK // y.size)
     for l, f in enumerate(forcing):
         start = (y - phi[l]) % tau
-        for k in itertools.count():
-            t = start + k * tau
-            live = t <= f.support_end
-            if not live.any():
-                break
-            sums[l, live] += f(t[live])
+        for ks in _lattice_steps(f, tau, width):
+            t = start + ks[:, None] * tau
+            terms = np.where(t <= f.support_end, f(t), 0.0)
+            # cumsum adds down each column in order, as a loop over k would
+            sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
     # one row at a time: a single matrix product may round differently
     rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
     return RenewalLimit(kind="periodic", values=rows, y_grid=y, tau=tau)

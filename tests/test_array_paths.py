@@ -8,6 +8,8 @@ bracket after every step and runs every bisection step from the uniform
 vector to full convergence.
 """
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import renewal_oracle as oracle
 from conftest import BUNDLED_NAMES
-from helpers import line_map, phase_graph
+from helpers import LN2, line_map, phase_graph
 from test_fast_paths import (
     DENSE_LOOPS,
     DENSE_RATIOS,
@@ -83,6 +85,25 @@ class TestPeriodicLimitAgainstOracle:
                 assert_same_limit(m, forcing, lat)
             checked += 1
         assert checked >= 4
+
+
+def test_far_support_sums_match_the_oracle():
+    # zero pieces hundreds of periods long are skipped; a constant piece
+    # spanning many periods adds 0.1 once per step, in order; a block of
+    # one step, of seven and the default cut the steps differently
+    m = renewal.MatrixMeasure([[renewal.AtomicMeasure([LN2, 2 * LN2], [0.5, 0.5])]])
+    lat = SimpleNamespace(is_lattice=True, tau=LN2, phases=None)
+    forcings = [
+        StepFunction([0.0, 0.5, 1.5, 1999.5, 2000.0], [0.3, -1.2, 0.0, 0.7, 0.0]),
+        StepFunction([0.0, 900.0], [0.1, 0.0]),
+        StepFunction([3.0, 8.0 * LN2, 500.0, 1500.0], [0.0, 2.5, 0.0, 0.0]),
+    ]
+    for block in (1, 7 * 8, renewal._LATTICE_BLOCK):
+        with mock.patch.object(renewal, "_LATTICE_BLOCK", block):
+            for f in forcings:
+                got = renewal.limit_value(m, [f], lattice=lat, samples_per_period=8)
+                want = oracle.periodic_limit(m, [f], None, LN2, samples_per_period=8)
+                assert got.values.tobytes() == want.tobytes()
 
 
 # -- blocked power iteration and the warm-started bisection -----------------------

@@ -267,6 +267,30 @@ class TestRenewal:
         assert out["dri_ok"] is True
         assert out["limit"]["kind"] == "constant"
 
+    def test_lattice_forcing_that_ends_far_out(self, tmp_path, capsys):
+        # with tau, the lattice sum steps only near the nonzero pieces, not
+        # through the 1.4e8 periods up to the support end
+        doc = {"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "tau": LN2,
+               "L": [[[0.0, 1.0], [1.0, 0.0], [1e8 - 1.0, 0.5], [1e8, 0.0]]]}
+        p = tmp_path / "far_tau.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["renewal", str(p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["limit"]["kind"] == "periodic"
+
+    @pytest.mark.parametrize("flag, key", [("--samples", None), (None, "samples_per_period")])
+    def test_sample_counts_past_the_cap(self, tmp_path, capsys, flag, key):
+        # refused with exit 2 before any sample array is allocated
+        doc = dict(RENEWAL_DOC, tau=LN2)
+        if key:
+            doc[key] = 10**9
+        p = tmp_path / "many.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["renewal", str(p)] + ([flag, str(10**9)] if flag else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag or key} 1000000000 exceeds the sample cap 10000000" in err
+
     def test_malformed_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"M": []}', encoding="utf-8")

@@ -578,13 +578,13 @@ def test_analyze_counts_each_key_once(bundled, name):
     # so the forcing reuses the profile's counts instead of counting again
     graph = bundled[name]
     counted = []
-    shapes = _Walk.shapes
+    runs = _Walk.runs
 
-    def spy(walk, r):
+    def spy(walk, r, *args, **kwargs):
         counted.extend((walk.vertex, float(x)) for x in np.atleast_1d(r))
-        return shapes(walk, r)
+        return runs(walk, r, *args, **kwargs)
 
-    with mock.patch.object(_Walk, "shapes", spy):
+    with mock.patch.object(_Walk, "runs", spy):
         res = asymptotics.analyze(graph, n_min=3, n_max=6, y_samples=4)
     assert counted and len(counted) == len(set(counted))
     report = res.report
@@ -888,6 +888,15 @@ def _node_rows(walk, nodes) -> list:
     return sorted(map(tuple, rows.tolist()))
 
 
+def _serving_nodes(walk, radii, k) -> dict:
+    """The nodes of ``walk._blocks(radii)`` that serve radius k, keyed by
+    (vertex, whether interior)."""
+    out: dict = {}
+    for v, inner, a, lo, hi in walk._blocks(radii):
+        out.setdefault((v, inner), []).extend((a + np.flatnonzero((lo <= k) & (k < hi))).tolist())
+    return out
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     graph=unequal_systems(),
@@ -912,19 +921,17 @@ def test_size_ordered_selection_matches_level_masks(graph, ts, origin_pick):
         groups = [radii, radii[third : radii.size - third]]
         groups += [radii[k : k + 1] for k in range(radii.size)]
         for group in groups:
-            leaf, inner = walk._select(group)
             for k, r in enumerate(group):
                 masks = oracle.select(walk, r)
+                serving = _serving_nodes(walk, group, k)
                 for v, name in enumerate(graph.vertex_order):
-                    nodes, n, tag = walk._pick(v, leaf)
                     want = _node_rows(walk, oracle.pick(walk, v, masks[0]))
-                    assert _node_rows(walk, np.repeat(nodes, n)[tag == k]) == want
+                    assert _node_rows(walk, serving.get((v, False), [])) == want
                     if not graph.condensation[name]:
-                        assert inner[v] is None
+                        assert (v, True) not in serving
                         continue
-                    nodes, n, tag = walk._pick(v, inner)
                     want = _node_rows(walk, oracle.pick(walk, v, masks[1]))
-                    assert _node_rows(walk, np.repeat(nodes, n)[tag == k]) == want
+                    assert _node_rows(walk, serving.get((v, True), [])) == want
         table = _CountTable(graph, origin)
         table.fill(root, ts_root)
         for t in ts_root:
@@ -1262,3 +1269,121 @@ def test_passes_keep_nothing_per_node(bundled, name):
             assert grown < 2 * walk.cls.size, (v, grown, walk.cls.size)
     finally:
         tracemalloc.stop()
+
+
+# -- passes streamed through the union in chunks -----------------------------------
+#
+# A pass maps ``_STREAM`` (node, radius) pairs at a time and adds their runs to
+# one union.  The chunk size changes no run and no cap: one pair per chunk,
+# seven, and one chunk past every pass (the one-shot pass) give the runs of
+# the shapes stacked at once, and the same error where a cap trips.
+
+STREAM_SIZES = (1, 7, 1 << 40)
+
+
+def _outcome(fn):
+    """``fn()``'s run array as bytes, or the message of the cap it trips."""
+    try:
+        runs = fn()
+    except ResourceLimitError as exc:
+        return ("raises", str(exc))
+    return (runs.shape, runs.tobytes())
+
+
+def _streamed(fn) -> list:
+    outs = []
+    for size in STREAM_SIZES:
+        with mock.patch.object(covering, "_STREAM", size):
+            outs.append(_outcome(fn))
+    return outs
+
+
+def _assert_streams_alike(walk, r, o, axis) -> None:
+    """Walk ``runs`` at every chunk size (and merging at every add) equal the
+    one-shot shapes' runs, without a cap and under tiny ones."""
+    want = walk.shapes(r).runs(r, o, axis)
+    assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
+    with mock.patch.object(covering, "_MERGE_FLOOR", 1):
+        assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
+    most = int(np.max(_cell_count(want, None if np.ndim(r) == 0 else r.size), initial=0))
+    for cap in sorted({1, 2, max(most - 1, 1), max(most, 1)}):
+        with mock.patch.object(covering, "CELL_CAP", cap):
+            one_shot = _outcome(lambda: walk.shapes(r).runs(r, o, axis))
+            assert _streamed(lambda: walk.runs(r, o, axis)) == [one_shot] * 3, cap
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=ANY_SYSTEMS, ts=t_lists(), origin_pick=ORIGIN_PICKS)
+def test_chunk_size_changes_no_run_and_no_cap(graph, ts, origin_pick):
+    # the finest and the coarsest radius alone, and all of them tagged
+    o = _origin_vector(_origin(origin_pick, ts), graph.dimension)
+    radii = np.array(sorted({math.exp(-t) for t in ts}))
+    axis = covering._run_axis(graph)
+    for v in graph.vertex_order:
+        walk = _Walk(graph, v, radii[0])
+        for r in (radii[0], radii[-1], radii):
+            _assert_streams_alike(walk, r, o, axis)
+
+
+@pytest.mark.parametrize("name, ts", [
+    ("rotated2d", (2.0, 3.0)),  # rotated boxes
+    ("dust2d_edge", (2.0, 3.5)),  # boxes and segments along an axis
+    ("cantor_point", (3.0, 4.0)),  # points
+    ("cantor_segment", (2.0, 4.5)),  # 1-d segments
+])
+def test_chunk_size_changes_no_bundled_run(bundled, name, ts):
+    graph = bundled[name]
+    radii = np.array([math.exp(-t) for t in sorted(ts, reverse=True)])
+    axis = covering._run_axis(graph)
+    for v in graph.vertex_order:
+        walk = _Walk(graph, v, radii[0])
+        for r in (radii[0], radii[1], radii):
+            _assert_streams_alike(walk, r, np.full(graph.dimension, 0.316), axis)
+
+
+def test_chunk_size_changes_no_condensation_kind_run():
+    # box, point and segment condensation under signed permutations
+    graph = _permuted_system()
+    radii = np.array([math.exp(-4.0), math.exp(-2.5), math.exp(-1.0)])
+    walk = _Walk(graph, "X", radii[0])
+    shapes = walk.shapes(radii)
+    assert all(a.shape[0] for a in (shapes.points, shapes.seg_a, shapes.box_lo))
+    for r in (radii[0], radii[2], radii):
+        _assert_streams_alike(walk, r, np.zeros(2), covering._run_axis(graph))
+
+
+def test_chunk_size_changes_no_profile(two_vertex):
+    # per-vertex counts and the totals deduplicated across vertices; with the
+    # cap at the largest per-vertex count, only the total over P and Q trips it
+    ts = [1.0, 1.5, 2.0, 2.5, 3.0]
+    for origin in (0.0, 0.316):
+        want = covering.profile_at(two_vertex, ts, grid_origin=origin)
+        for size in STREAM_SIZES:
+            with mock.patch.object(covering, "_STREAM", size):
+                assert covering.profile_at(two_vertex, ts, grid_origin=origin) == want
+    cap = max(max(s.counts) for s in covering.profile_at(two_vertex, ts).samples)
+    for size in STREAM_SIZES:
+        with mock.patch.object(covering, "_STREAM", size), mock.patch.object(
+                covering, "CELL_CAP", cap), pytest.raises(ResourceLimitError) as err:
+            covering.profile_at(two_vertex, ts)
+        assert str(err.value) == f"cell union exceeds cap {cap}"
+
+
+@pytest.mark.parametrize("name, t, total, parent_peak", [
+    ("sierpinski", 6.0, 22_795, 13.5e6),
+    ("rotated2d", 7.0, 13_145, 6.3e6),
+])
+def test_a_count_holds_one_chunk_at_a_time(bundled, name, t, total, parent_peak):
+    # building the walk and counting it: when a pass built every shape, cell
+    # range and candidate run before the union saw any, the traced peak was
+    # parent_peak; streamed a chunk at a time it stays below 60% of that
+    graph = bundled[name]
+    r = math.exp(-t)
+    tracemalloc.start()
+    try:
+        res = covering.count(covering.generate(graph, "X", r), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total == total
+    assert peak < 0.6 * parent_peak, peak
