@@ -19,7 +19,7 @@ then sorted by stopping size, so that a group of coarser radii takes its
 leaves and interior nodes as slices.  A pass maps each node it reads once,
 from per-class image tables formed once per walk; nothing per node is kept
 between passes.  A pass streams: it cuts its nodes into chunks of about
-``_STREAM`` (node, radius) pairs, turns each chunk's shapes into runs, adds
+``_WORK`` estimated candidate runs, turns each chunk's shapes into runs, adds
 them to one union and drops the chunk before cutting the next, so its peak
 memory is one chunk's plus the union's.  Cells are held as runs along one
 axis per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a
@@ -94,9 +94,6 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # so a row counted among many radii gets the cells of a call at its radius
 # alone.  Such rows carry a ``tag``, the index of their radius, which leads
 # each run into the union: a (tag, run) row never merges across radii.
-
-_CHUNK = 1 << 20  # candidate runs built at once; bounds transient memory
-
 
 def _take(x, idx):
     """Rows ``idx`` of a per-row radius column or tag array; one radius for
@@ -290,18 +287,6 @@ class _CellUnion:
         return out
 
 
-def _chunks(sizes: np.ndarray):
-    """Slices of consecutive shapes holding about _CHUNK candidate runs each."""
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < sizes.size:
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + _CHUNK, side="right"))
-        stop = max(stop, start + 1)
-        yield slice(start, stop)
-        start = stop
-
-
 def _expand(lo: np.ndarray, cnt: np.ndarray, lead: int = 0, tail: int = 0):
     """Every index row of each index box, last axis fastest, with its box.
 
@@ -338,13 +323,12 @@ def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
     if (cnt == 1).all():
         acc.add(np.column_stack((*lead, ilo, ihi[:, -1])))
         return
-    for sel in _chunks(_row_prod(cnt)):
-        runs, owner = _expand(ilo[sel, :-1], cnt[sel], len(lead), 2)
-        if lead:
-            runs[:, 0] = tag[sel][owner]
-        runs[:, -2] = ilo[sel, -1][owner]
-        runs[:, -1] = ihi[sel, -1][owner]
-        acc.add(runs)
+    runs, owner = _expand(ilo[:, :-1], cnt, len(lead), 2)
+    if lead:
+        runs[:, 0] = tag[owner]
+    runs[:, -2] = ilo[owner, -1]
+    runs[:, -1] = ihi[owner, -1]
+    acc.add(runs)
 
 
 def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
@@ -379,34 +363,33 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     lo, hi = (_floor_cells(x[line], _take(r, line), origin) for x in (low, high))
     _index_box_runs(lo, hi, acc, _take(tag, line))
     live = ~line
-    a, b, delta, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
-    cnt, m0 = cnt[live], m0[live]
-    for sel in _chunks(cnt.sum(axis=1) + 2):
-        p, q, dp, c, first = a[sel], b[sel], delta[sel], cnt[sel], m0[sel]
-        rs, tags = _take(r, sel), _take(tag, sel)
-        n = p.shape[0]
-        segs = [np.arange(n), np.arange(n)]
-        ts = [np.zeros(n), np.ones(n)]
-        for j in range(p.shape[1]):
-            owner = np.repeat(np.arange(n), c[:, j])
-            step = np.arange(owner.size) - np.repeat(np.cumsum(c[:, j]) - c[:, j], c[:, j])
-            planes = origin[j] + (first[owner, j] + step) * _take(rs, owner)
-            segs.append(owner)
-            ts.append((planes - p[owner, j]) / dp[owner, j])
-        seg = np.concatenate(segs)
-        t = np.clip(np.concatenate(ts), 0.0, 1.0)
-        order = np.lexsort((t, seg))
-        seg, t = seg[order], t[order]
-        keep = np.ones(seg.size, dtype=bool)
-        keep[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
-        seg, t = seg[keep], t[keep]
-        gap = seg[1:] == seg[:-1]
-        s = seg[:-1][gap]
-        mids = p[s] + (0.5 * (t[:-1][gap] + t[1:][gap]))[:, None] * dp[s]
-        # the sample points p, q, mids lie on segments 0..n-1, 0..n-1, s
-        owner = None if tags is None else np.r_[0:n, 0:n, s]
-        pts = _floor_cells(np.concatenate([p, q, mids]), _take(rs, owner), origin)
-        _index_box_runs(pts, pts, acc, _take(tags, owner))
+    if not live.any():
+        return
+    p, q, dp, r, tag = a[live], b[live], delta[live], _take(r, live), _take(tag, live)
+    c, first = cnt[live], m0[live]
+    n = p.shape[0]
+    segs = [np.arange(n), np.arange(n)]
+    ts = [np.zeros(n), np.ones(n)]
+    for j in range(p.shape[1]):
+        owner = np.repeat(np.arange(n), c[:, j])
+        step = np.arange(owner.size) - np.repeat(np.cumsum(c[:, j]) - c[:, j], c[:, j])
+        planes = origin[j] + (first[owner, j] + step) * _take(r, owner)
+        segs.append(owner)
+        ts.append((planes - p[owner, j]) / dp[owner, j])
+    seg = np.concatenate(segs)
+    t = np.clip(np.concatenate(ts), 0.0, 1.0)
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    keep = np.ones(seg.size, dtype=bool)
+    keep[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[keep], t[keep]
+    gap = seg[1:] == seg[:-1]
+    s = seg[:-1][gap]
+    mids = p[s] + (0.5 * (t[:-1][gap] + t[1:][gap]))[:, None] * dp[s]
+    # the sample points p, q, mids lie on segments 0..n-1, 0..n-1, s
+    owner = None if tag is None else np.r_[0:n, 0:n, s]
+    pts = _floor_cells(np.concatenate([p, q, mids]), _take(r, owner), origin)
+    _index_box_runs(pts, pts, acc, _take(tag, owner))
 
 
 def _obb_extent(half: np.ndarray) -> np.ndarray:
@@ -485,8 +468,8 @@ class _BoxAxes:
 
 
 def _obb_hits(center, row, axes: _BoxAxes, r, origin):
-    """2-d separating-axis test of each candidate cell against each box,
-    chunk by chunk: the candidates' index rows, their boxes and the hit mask.
+    """2-d separating-axis test of each candidate cell against each box: the
+    candidates' index rows, their boxes and the hit mask.
 
     A box is its centre and a row of ``axes``.  A cell is separated from a
     box along an axis when the distance of their centres projected on it
@@ -498,13 +481,10 @@ def _obb_hits(center, row, axes: _BoxAxes, r, origin):
     """
     ext = axes.ext[row]
     ilo, ihi = _interval_cells(center - ext, center + ext, r, origin)
-    del ext  # a generator's locals outlive its yields
     cnt = ihi - ilo + 1
     _check_candidates(cnt)
-    for sel in _chunks(_row_prod(cnt)):
-        rows, owner = _expand(ilo[sel], cnt[sel])
-        owner += sel.start
-        yield rows, owner, _sat_hits(rows, center[owner], row[owner], axes, _take(r, owner), origin)
+    rows, owner = _expand(ilo, cnt)
+    return rows, owner, _sat_hits(rows, center[owner], row[owner], axes, _take(r, owner), origin)
 
 
 def _sat_hits(rows, center, cls, axes: _BoxAxes, r, origin) -> np.ndarray:
@@ -538,12 +518,6 @@ def _sat_hits(rows, center, cls, axes: _BoxAxes, r, origin) -> np.ndarray:
     if redo.size:
         hit[redo] = _sat_exact(diff[redo], axes.half[cls[redo]], _take(r, redo))
     return hit
-
-
-def _obb_cells_tight(center, row, axes: _BoxAxes, r, origin, acc: _CellUnion, tag=None) -> None:
-    """Runs of the cells that ``_obb_hits`` finds meet the boxes."""
-    for rows, owner, hit in _obb_hits(center, row, axes, r, origin):
-        _index_box_runs(rows[hit], rows[hit], acc, _take(tag, owner[hit]))
 
 
 def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
@@ -644,8 +618,9 @@ class _Shapes:
         if self.box_lo.shape[0]:
             _box_cells(self.box_lo, self.box_hi, radius(self.box_tag), origin, acc, self.box_tag)
         if self.obb_c.shape[0]:
-            _obb_cells_tight(self.obb_c, self.obb_row, self.obb_axes, radius(self.obb_tag),
-                             origin, acc, self.obb_tag)
+            rows, owner, hit = _obb_hits(self.obb_c, self.obb_row, self.obb_axes,
+                                         radius(self.obb_tag), origin)
+            _index_box_runs(rows[hit], rows[hit], acc, _take(self.obb_tag, owner[hit]))
 
     def cells(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
         """The cells of :meth:`runs`, one index row each, in the caller's axis order."""
@@ -664,10 +639,10 @@ def _range_sums(lo: np.ndarray, hi: np.ndarray, weights, n: int) -> np.ndarray:
     return np.cumsum(edges)[:n]
 
 
-# (node, radius) pairs a counting pass maps at once: their shapes, cells and
-# candidate runs are formed, added to the pass's union and dropped before the
-# next chunk is cut
-_STREAM = 1 << 13
+# the work budget of a counting pass, in estimated candidate runs (``_Walk._cost``):
+# radii share a pass while their estimates sum within it, and a pass's chunks hold
+# about this much, each added to the pass's union and dropped before the next is cut
+_WORK = 1 << 13
 
 
 class _Walk:
@@ -700,10 +675,10 @@ class _Walk:
     tables kept for the walk, and keeps nothing per node: whatever passes
     the walk serves, its per-node arrays stay ``cls``, ``trans`` and
     ``above``.  A pass (``runs``) streams: ``chunks`` cuts the selected
-    leaves and interior nodes into chunks of about ``_STREAM`` (node,
-    radius) pairs, and each chunk's images become cells and runs in one
-    ``_CellUnion`` before the next chunk is cut.  ``shapes`` is the one
-    chunk of a pass cut with no bound.
+    leaves and interior nodes into chunks of ``_WORK`` estimated candidate
+    runs (``_cost``) plus at most one node's, each building at most 2^d runs
+    per estimated one, and turns each into runs in one ``_CellUnion``
+    before it cuts the next.  ``shapes`` is the one unbounded chunk.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -1040,15 +1015,15 @@ class _Walk:
 
     def _blocks(self, radii: np.ndarray):
         """The nodes of the ``_select`` ranges in blocks of at most
-        ``_STREAM``: yields the vertex, whether the block's nodes are
+        ``_WORK``: yields the vertex, whether the block's nodes are
         interior ones, its first node, and ``lo``, ``hi`` with each node
         serving ``radii[lo:hi]``."""
         for v, ranges in enumerate(zip(*self._select(radii))):
             for inner, span in zip((False, True), ranges):
                 if span is None:
                     continue
-                for a in range(span[0], span[1], _STREAM):
-                    b = min(a + _STREAM, span[1])
+                for a in range(span[0], span[1], _WORK):
+                    b = min(a + _WORK, span[1])
                     lo = self._per_node(radii, a, b)
                     hi = np.searchsorted(radii, self.above[a:b])
                     if inner:  # the radii below both size and above
@@ -1074,43 +1049,70 @@ class _Walk:
             else:
                 self._boxes(prim.as_box(), nodes, n, tag, boxes, obbs)
 
-    def chunks(self, r, rows: float | None = None):
-        """Covering elements of the radius-r walk as ``_Shapes``, a chunk of
-        about ``rows`` (default ``_STREAM``) (node, radius) pairs at a time.
+    def _cost(self, v: int, inner: bool, cls: np.ndarray, r, axis: int) -> np.ndarray:
+        """Estimated candidate runs along ``axis`` of the images under nodes of
+        classes ``cls`` at radius r (one, or one per node), as floats.  A leaf
+        is charged one, and spans at most two cells per axis.  A condensation
+        image is charged what it builds, from the grid planes it can cross per
+        axis: an oblique segment its samples, both ends and one per gap; else
+        the product of its cell spans ``planes + 1`` across ``axis``, or on
+        both axes for a rotated 2-d box."""
+        if not inner:
+            return np.ones(cls.size)
+        out = np.zeros(cls.size)
+        for prim in self.graph.condensation[self.graph.vertex_order[v]]:
+            widths = np.abs(self._iso_stack) @ np.abs(np.subtract(prim.points[-1], prim.points[0]))
+            span = self.c_ratio[cls, None] * widths[self.c_iso[cls]]
+            planes = np.ceil(span / np.reshape(r, (-1, 1)))
+            cost = np.prod(np.delete(planes, axis, axis=1) + 1, axis=1)
+            if prim.kind == "segment":
+                oblique = np.count_nonzero(planes, axis=1) > 1
+                cost[oblique] = 3 + planes[oblique].sum(axis=1)
+            elif prim.kind == "box":
+                plain = self._table(("box", prim.as_box()))[2][cls]
+                cost[~plain] *= planes[~plain, axis] + 1
+            out += cost
+        return out
+
+    def chunks(self, r, axis: int, budget: float | None = None):
+        """Covering elements of the radius-r walk as ``_Shapes``, a chunk per
+        ``budget`` (default ``_WORK``) estimated candidate runs along ``axis``
+        (``_cost``): the nodes whose share of the pass's estimate starts in it.
 
         For an ascending array of radii, the elements of every radius
-        together, each tagged with the index of its radius.  A chunk ends
-        with the node that fills it, so it holds at least one node; the last
-        chunk, and the only one of a pass that selects nothing, may be
-        smaller.
+        together, each tagged with the index of its radius.  A chunk holds at
+        least one node; the only one of a pass that selects nothing is empty.
         """
         tagged = np.ndim(r) > 0
-        rows = _STREAM if rows is None else rows
-        parts, room, cut = ([], [], [], []), rows, 0
-        for v, inner, a, lo, hi in self._blocks(np.atleast_1d(r)):
+        radii = np.atleast_1d(r)
+        budget = _WORK if budget is None else budget
+        parts, spent, chunk = ([], [], [], []), 0.0, 0.0
+        for v, inner, a, lo, hi in self._blocks(radii):
             n = hi - lo
             live = np.flatnonzero(n > 0)
-            nodes, lo, n = live + a, lo[live], n[live]
-            ends = np.cumsum(n)  # (node, radius) pairs up to each node
+            if not live.size:
+                continue
+            nodes, n = live + a, n[live]
+            pairs = np.cumsum(n)  # (node, radius) pairs up to each node
+            # the radius index of each (node, radius) pair
+            tag = np.arange(pairs[-1]) - np.repeat(pairs - n - lo[live], n) if tagged else None
+            cost = pairs  # a leaf is charged one per radius
+            if inner:
+                cost = np.cumsum(self._cost(v, inner, _repeat_rows(self.cls[nodes], n),
+                                            r if tag is None else radii[tag], axis))[pairs - 1]
+            ends = spent + cost  # the pass's estimate up to each node
             k = 0
-            while k < nodes.size:
-                done = ends[k - 1] if k else 0
-                if ends[-1] - done <= room:  # the rest of the block fits
-                    stop = nodes.size
-                else:
-                    stop = max(k + 1, int(np.searchsorted(ends, done + room, side="right")))
-                m, tag = n[k:stop], None
-                if tagged:  # the radius index of each (node, radius) pair
-                    tag = np.arange(ends[stop - 1] - done)
-                    tag -= np.repeat(np.cumsum(m) - m - lo[k:stop], m)
-                self._images(v, inner, nodes[k:stop], m, tag, parts)
-                room -= ends[stop - 1] - done
-                k = stop
-                if room <= 0:
-                    room, cut = rows, cut + 1
+            while k < nodes.size:  # the nodes whose estimate starts in this chunk
+                start = ends[k - 1] if k else spent
+                if start // budget > chunk:
+                    chunk = start // budget
                     yield self._gather(parts, tagged)
-        if room < rows or not cut:
-            yield self._gather(parts, tagged)
+                stop = min(int(np.searchsorted(ends, (chunk + 1) * budget)) + 1, nodes.size)
+                piece = slice(pairs[k] - n[k], pairs[stop - 1])
+                self._images(v, inner, nodes[k:stop], n[k:stop], _take(tag, piece), parts)
+                k = stop
+            spent = ends[-1]
+        yield self._gather(parts, tagged)
 
     def _gather(self, parts: tuple, tagged: bool) -> _Shapes:
         """``parts`` stacked as ``_Shapes``, the lists emptied: the images
@@ -1125,38 +1127,38 @@ class _Walk:
     def shapes(self, r) -> _Shapes:
         """Covering elements of the radius-r walk as one chunk (tagged for
         an array of radii)."""
-        return next(self.chunks(r, math.inf))
+        return next(self.chunks(r, self.graph.dimension - 1, math.inf))
 
-    def runs(self, r, origin: np.ndarray, axis: int | None = None, cell=None) -> np.ndarray:
+    def runs(self, r, origin: np.ndarray, axis: int, cell=None) -> np.ndarray:
         """Runs along ``axis`` of the cells of side ``cell`` (default r) met
         by the covering elements of the radius-r walk, tagged for an array
         of radii: each chunk's shapes become cells and runs, enter one
         union and are dropped before the next chunk is cut."""
         acc = _CellUnion(self.graph.dimension, np.ndim(r) > 0, axis)
         side = r if cell is None else cell
-        for shapes in self.chunks(r):
+        for shapes in self.chunks(r, axis):
             shapes.feed(side, origin, acc)
             del shapes  # before the next chunk is cut
         return acc.runs()
 
     def work(self, radii: np.ndarray, axis: int) -> np.ndarray:
-        """Estimated candidate runs along ``axis`` of each radius of an ascending
-        array: one per element, plus in dimension >= 2 the grid planes each
-        condensation image crosses on the other axes (its ratio times its
-        isometry's image of the primitive's extent, over r)."""
+        """``_cost`` summed over the (node, radius) pairs of each radius of an
+        ascending array; where no node's cost depends on its radius (as at
+        the finest one), by ranges of radii, else ``_WORK`` pairs at a time."""
         g = len(radii)
         out = np.zeros(g)
         for v, inner, a, lo, hi in self._blocks(radii):
-            if not inner:
-                out += _range_sums(lo, hi, 1.0, g)
+            cls = self.cls[a : a + lo.size]
+            most = self._cost(v, inner, cls, radii[0], axis)
+            if (most == self._cost(v, inner, cls, math.inf, axis)).all():
+                out += _range_sums(lo, hi, most, g)
                 continue
-            prims = self.graph.condensation[self.graph.vertex_order[v]]
-            out += _range_sums(lo, hi, float(len(prims)), g)
-            if self.graph.dimension > 1:
-                widths = sum(np.abs(np.subtract(p.points[-1], p.points[0])) for p in prims)
-                across = np.delete(np.abs(self._iso_stack) @ widths, axis, axis=1).sum(axis=1)
-                per_class = self.c_ratio * across[self.c_iso]
-                out += _range_sums(lo, hi, np.take(per_class, self.cls[a : a + lo.size]), g) / radii
+            ends = np.cumsum(hi - lo)
+            for p0 in range(0, int(ends[-1]), _WORK):
+                p = np.arange(p0, min(p0 + _WORK, int(ends[-1])))
+                k = np.searchsorted(ends, p, side="right")
+                j = p - ends[k] + hi[k]  # the radius of pair p
+                out += np.bincount(j, self._cost(v, inner, cls[k], radii[j], axis), g)
         return out
 
 
@@ -1174,7 +1176,7 @@ class GeometrySet:
 
     @property
     def n_elements(self) -> int:
-        return sum(map(len, self._walk.chunks(self.resolution)))
+        return sum(map(len, self._walk.chunks(self.resolution, _run_axis(self._walk.graph))))
 
     def _shapes(self) -> _Shapes:
         return self._walk.shapes(self.resolution)
@@ -1262,25 +1264,17 @@ def _count_runs(order, runs: list, n_radii: int | None = None):
     ]
 
 
-# work (estimated candidate runs, ``_Walk.work``) of the radii that share
-# one array pass; a radius with more is counted alone on the one-radius path,
-# so peak memory stays that of one radius
-_GROUP_WORK = 4096
-
-
-def _groups(work) -> list[tuple[int, int]]:
-    """Consecutive index ranges whose work sums to at most ``_GROUP_WORK``,
-    greedily; a radius with more work gets a range of its own."""
-    out = []
+def _groups(work):
+    """Consecutive index ranges whose work (``_Walk.work``) sums to at most
+    ``_WORK``, greedily; a radius with more work gets a range of its own, and
+    is counted alone on the one-radius path.  ``work`` is not empty."""
     start = total = 0
     for k, n in enumerate(work):
-        if k > start and total + n > _GROUP_WORK:
-            out.append((start, k))
+        if k > start and total + n > _WORK:
+            yield start, k
             start, total = k, 0
         total += n
-    if len(work):
-        out.append((start, len(work)))
-    return out
+    yield start, len(work)
 
 
 def _distinct_radii(ts: list):

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .covering import CELL_CAP
+from .errors import NumericalError, ResourceLimitError, ValidationError
 
 __all__ = [
     "AtomicMeasure",
@@ -524,15 +525,15 @@ def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:
 _LATTICE_BLOCK = 1 << 14
 
 
-def _lattice_steps(f: StepFunction, tau: float, width: int):
-    """Ascending blocks, of at most ``width``, of the steps k >= 0 at which
-    some ``s + k * tau`` with s in [0, tau] may fall on a nonzero piece of
-    ``f`` at or before its support end; each step once.  The bounds of a
-    piece's steps are widened by one or two, far past rounding error."""
+def _lattice_steps(f: StepFunction, tau: float) -> list[tuple[int, int]]:
+    """Disjoint ascending ranges [k0, k1] of the steps k >= 0 at which some
+    ``s + k * tau`` with s in [0, tau] may fall on a nonzero piece of ``f``
+    at or before its support end.  The bounds of a piece's steps are widened
+    by one or two, far past rounding error."""
     bp = f.breakpoints
     live = np.flatnonzero(f.values != 0.0)
     if not live.size:
-        return
+        return []
     ends = np.append(bp[1:], bp[-1])  # the last piece counts only at the support end
     first = np.maximum(np.floor(bp[live] / tau) - 2, 0.0)
     last = np.ceil(ends[live] / tau) + 1
@@ -540,9 +541,7 @@ def _lattice_steps(f: StepFunction, tau: float, width: int):
     # where the next piece's first step is past the last one so far
     opens = np.flatnonzero(np.concatenate(([True], first[1:] > last[:-1] + 1)))
     closes = np.append(opens[1:] - 1, live.size - 1)
-    for k0, k1 in zip(first[opens].tolist(), last[closes].tolist()):
-        for a in range(int(k0), int(k1) + 1, width):
-            yield np.arange(a, min(a + width, int(k1) + 1), dtype=float)
+    return [(int(k0), int(k1)) for k0, k1 in zip(first[opens].tolist(), last[closes].tolist())]
 
 
 def limit_value(
@@ -592,16 +591,21 @@ def limit_value(
     # sums[l, m] = sum_k L_l(((y_m - phi_l) mod tau) + k tau), k up to L_l's
     # support end, added in increasing k; a block of steps at a time, and only
     # the steps that can land on a nonzero piece: the sums start at +0.0, and
-    # adding a zero never changes them
+    # adding a zero never changes them; past CELL_CAP terms in all, none is formed
+    steps = [_lattice_steps(f, tau) for f in forcing]
+    n_terms = y.size * sum(k1 + 1 - k0 for ranges in steps for k0, k1 in ranges)
+    if n_terms > CELL_CAP:
+        raise ResourceLimitError(f"the lattice sum needs {n_terms} terms (cap {CELL_CAP})")
     sums = np.zeros((m.n, y.size))
     width = max(1, _LATTICE_BLOCK // y.size)
-    for l, f in enumerate(forcing):
+    for l, (f, ranges) in enumerate(zip(forcing, steps)):
         start = (y - phi[l]) % tau
-        for ks in _lattice_steps(f, tau, width):
-            t = start + ks[:, None] * tau
-            terms = np.where(t <= f.support_end, f(t), 0.0)
-            # cumsum adds down each column in order, as a loop over k would
-            sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
+        for k0, k1 in ranges:
+            for k in range(k0, k1 + 1, width):
+                t = start + np.arange(k, min(k + width, k1 + 1), dtype=float)[:, None] * tau
+                terms = np.where(t <= f.support_end, f(t), 0.0)
+                # cumsum adds down each column in order, as a loop over k would
+                sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
     # one row at a time: a single matrix product may round differently
     rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
     return RenewalLimit(kind="periodic", values=rows, y_grid=y, tau=tau)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import BUNDLED_NAMES
 from helpers import LN2, LN3, half_half_segment_graph
 
+from gdcover import renewal
 from gdcover.cli import main
 from gdcover.schema import bundled_text, dumps_system
 
@@ -277,6 +280,32 @@ class TestRenewal:
         assert main(["renewal", str(p)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["limit"]["kind"] == "periodic"
+
+    @pytest.mark.parametrize("pieces", [
+        [[0.0, 1.0], [1e5, 0.0]],  # 1.4e5 steps times 64 samples
+        [[0.0, 1.0], [1.0, 0.0], [1e8 - 1.0, 0.5], [1e8, 0.0]],  # few steps, far out
+    ])
+    def test_lattice_term_counts_under_the_cap(self, tmp_path, capsys, pieces):
+        # the count of (step, sample) terms changes no output below the cap
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "tau": LN2, "L": [pieces]}),
+                     encoding="utf-8")
+        assert main(["renewal", str(p)]) == 0
+        capped = capsys.readouterr().out
+        with mock.patch.object(renewal, "CELL_CAP", math.inf):
+            assert main(["renewal", str(p)]) == 0
+        assert capped == capsys.readouterr().out
+
+    def test_lattice_term_count_past_the_cap(self, tmp_path, capsys):
+        # a piece ending at 1e9 needs 1.4e9 steps times 64 samples: refused
+        # with exit 2 before any term is formed
+        doc = {"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "tau": LN2, "L": [[[0.0, 1.0], [1e9, 0.0]]]}
+        p = tmp_path / "farther.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["renewal", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "the lattice sum needs 92332482752 terms (cap 10000000)" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, key", [("--samples", None), (None, "samples_per_period")])
     def test_sample_counts_past_the_cap(self, tmp_path, capsys, flag, key):

@@ -166,14 +166,13 @@ def test_near_tangent_rotated_boxes_match_oracle():
 
 
 def _hits_match_per_box(center, row, axes, r, origin, obb_hits=covering._obb_hits):
-    """``covering._obb_hits``, each chunk's hit mask checked bit for bit
-    against the per-box separating-axis test of the boxes' own half axes;
-    yields what it yields, and the number of candidates retested exactly."""
-    half = axes.half[row]
-    for rows, owner, hit in obb_hits(center, row, axes, r, origin):
-        want, redone = oracle.per_box_obb_hits(center, half, r, origin, rows, owner)
-        assert hit.tobytes() == want.tobytes()
-        yield rows, owner, hit, redone
+    """``covering._obb_hits``, its hit mask checked bit for bit against the
+    per-box separating-axis test of the boxes' own half axes; returns what it
+    returns, and the number of candidates retested exactly."""
+    rows, owner, hit = obb_hits(center, row, axes, r, origin)
+    want, redone = oracle.per_box_obb_hits(center, axes.half[row], r, origin, rows, owner)
+    assert hit.tobytes() == want.tobytes()
+    return rows, owner, hit, redone
 
 
 def test_class_table_hits_match_the_per_box_test_on_kernel_boxes(bundled):
@@ -184,35 +183,36 @@ def test_class_table_hits_match_the_per_box_test_on_kernel_boxes(bundled):
     for r in (1.0, 0.037):
         boxes = [_near_tangent_box(rng, r) for _ in range(500)]
         shapes = _Shapes.gather(2, obbs=[(b.center, b.half_axes) for b in boxes])
-        hits = list(_hits_match_per_box(shapes.obb_c, shapes.obb_row, shapes.obb_axes, r, origin))
-        assert sum(x[-1] for x in hits) > 0
+        hits = _hits_match_per_box(shapes.obb_c, shapes.obb_row, shapes.obb_axes, r, origin)
+        assert hits[-1] > 0
     graph = bundled["rotated2d"]
     radii = np.array([math.exp(-t) for t in (5.0, 4.0, 3.0)])
     tagged = _Walk(graph, "X", radii[0]).shapes(radii)
     per_box = _Shapes.gather(2, obbs=[(tagged.obb_c, _obb_half(tagged))])
     for origin in (np.zeros(2), np.full(2, 0.316)):
         for r in (radii[0], radii[tagged.obb_tag]):
-            assert list(_hits_match_per_box(per_box.obb_c, per_box.obb_row, per_box.obb_axes,
-                                            r, origin))
+            rows = _hits_match_per_box(per_box.obb_c, per_box.obb_row, per_box.obb_axes,
+                                       r, origin)[0]
+            assert rows.shape[0]
 
 
 def test_class_table_hits_match_the_per_box_test_on_rotated2d(bundled):
     # every separating-axis pass of a count at t = 7 and of the bounded
     # analysis (n 2..6, 4 offsets, with its cross-check's forcing radii)
     graph = bundled["rotated2d"]
-    chunks = []
+    calls = []
 
     def checked(*args):
-        for rows, owner, hit, _redone in _hits_match_per_box(*args):
-            chunks.append(rows.shape[0])
-            yield rows, owner, hit
+        rows, owner, hit, _redone = _hits_match_per_box(*args)
+        calls.append(rows.shape[0])
+        return rows, owner, hit
 
     with mock.patch.object(covering, "_obb_hits", checked):
         r = math.exp(-7.0)
         for origin in (0.0, 0.316):
             covering.count({"X": covering.generate(graph, "X", r)}, r, grid_origin=origin)
         asymptotics.analyze(graph, n_min=2, n_max=6, y_samples=4)
-    assert len(chunks) > 2 and sum(chunks) > 25_000
+    assert len(calls) > 2 and sum(calls) > 25_000
 
 
 def test_fast_separating_axes_form_once_per_walk_table(bundled):
@@ -426,7 +426,7 @@ def _one_radius_cells(walk, r, origin):
 
 ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
 # group budgets from one radius per pass up to the default
-BUDGETS = st.sampled_from((1, 12, 150, covering._GROUP_WORK))
+BUDGETS = st.sampled_from((1, 12, 150, covering._WORK))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -442,7 +442,7 @@ def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
     walk = _Walk(graph, "X", radii[0])
     want = [_one_radius_cells(walk, r, origin).shape[0] for r in radii]
     table = _CountTable(graph, origin)
-    with mock.patch.object(covering, "_GROUP_WORK", budget):
+    with mock.patch.object(covering, "_WORK", budget):
         table.fill("X", ts)
     for t in ts:
         r = math.exp(-t)
@@ -514,7 +514,7 @@ def test_profile_totals_match_one_radius_totals(graph, ts, origin_pick, budget):
     origin = _origin(origin_pick, ts)
     r_min = math.exp(-max(ts))
     walks = [_Walk(graph, v, r_min) for v in graph.vertex_order]
-    with mock.patch.object(covering, "_GROUP_WORK", budget):
+    with mock.patch.object(covering, "_WORK", budget):
         prof = covering.profile_at(graph, ts, grid_origin=origin)
     assert len(prof.samples) == len(ts)
     for sample in prof.samples:
@@ -1273,10 +1273,11 @@ def test_passes_keep_nothing_per_node(bundled, name):
 
 # -- passes streamed through the union in chunks -----------------------------------
 #
-# A pass maps ``_STREAM`` (node, radius) pairs at a time and adds their runs to
-# one union.  The chunk size changes no run and no cap: one pair per chunk,
-# seven, and one chunk past every pass (the one-shot pass) give the runs of
-# the shapes stacked at once, and the same error where a cap trips.
+# A pass maps about ``_WORK`` estimated candidate runs at a time and adds
+# their runs to one union.  The chunk size changes no run and no cap: one
+# estimated run per chunk, seven, and one chunk past every pass (the one-shot
+# pass) give the runs of the shapes stacked at once, and the same error where
+# a cap trips.
 
 STREAM_SIZES = (1, 7, 1 << 40)
 
@@ -1293,7 +1294,7 @@ def _outcome(fn):
 def _streamed(fn) -> list:
     outs = []
     for size in STREAM_SIZES:
-        with mock.patch.object(covering, "_STREAM", size):
+        with mock.patch.object(covering, "_WORK", size):
             outs.append(_outcome(fn))
     return outs
 
@@ -1352,6 +1353,25 @@ def test_chunk_size_changes_no_condensation_kind_run():
         _assert_streams_alike(walk, r, np.zeros(2), covering._run_axis(graph))
 
 
+@pytest.mark.parametrize("name", ["two_ratio", "cantor_point", "dust2d_edge", "rotated2d"])
+def test_a_pass_of_several_radii_is_one_chunk(bundled, name):
+    # radii share a pass while their estimates sum within _WORK, the budget
+    # a pass's chunks are cut by, so such a pass is never cut
+    graph = bundled[name]
+    ts = np.linspace(0.5, 7.0 if graph.dimension == 2 else 9.0, 60)
+    per_pass, chunks = [], _Walk.chunks
+
+    def spy(walk, r, axis, budget=None):
+        out = list(chunks(walk, r, axis, budget))
+        per_pass.append((np.ndim(r) > 0, len(out)))
+        yield from out
+
+    with mock.patch.object(_Walk, "chunks", spy):
+        covering.profile_at(graph, ts)
+    assert any(tagged for tagged, _n in per_pass)
+    assert all(n == 1 for tagged, n in per_pass if tagged)
+
+
 def test_chunk_size_changes_no_profile(two_vertex):
     # per-vertex counts and the totals deduplicated across vertices; with the
     # cap at the largest per-vertex count, only the total over P and Q trips it
@@ -1359,11 +1379,11 @@ def test_chunk_size_changes_no_profile(two_vertex):
     for origin in (0.0, 0.316):
         want = covering.profile_at(two_vertex, ts, grid_origin=origin)
         for size in STREAM_SIZES:
-            with mock.patch.object(covering, "_STREAM", size):
+            with mock.patch.object(covering, "_WORK", size):
                 assert covering.profile_at(two_vertex, ts, grid_origin=origin) == want
     cap = max(max(s.counts) for s in covering.profile_at(two_vertex, ts).samples)
     for size in STREAM_SIZES:
-        with mock.patch.object(covering, "_STREAM", size), mock.patch.object(
+        with mock.patch.object(covering, "_WORK", size), mock.patch.object(
                 covering, "CELL_CAP", cap), pytest.raises(ResourceLimitError) as err:
             covering.profile_at(two_vertex, ts)
         assert str(err.value) == f"cell union exceeds cap {cap}"

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covering_oracle as oracle
+from helpers import sierpinski_graph
 
 from gdcover import covering
 from gdcover.covering import _CellUnion, _origin_vector, _run_axis, _Shapes, _Walk
@@ -104,6 +105,27 @@ def _turned_dust() -> MWGraph:
         ],
         condensation={"X": (Primitive.segment([0.0, 0.0], [1.0, 0.0]),)},
     )
+
+
+def _quarter_cube() -> MWGraph:
+    """The eight corner maps of ratio 1/4 of the unit cube, with a box of
+    condensation in its middle: every cylinder stays on the grid of
+    quarters."""
+    edges = [Edge(f"e{k}", "X", "X", Similarity(0.25, np.eye(3), list(c)), Fraction(1, 4))
+             for k, c in enumerate(itertools.product((0.0, 0.75), repeat=3))]
+    return MWGraph(3, {"X": Box((0.0,) * 3, (1.0,) * 3)}, edges,
+                   {"X": (Primitive.box((0.3,) * 3, (0.7,) * 3),)})
+
+
+def _boxed(graph: MWGraph, prim: Primitive) -> MWGraph:
+    """One-vertex ``graph`` with ``prim`` as its condensation."""
+    return MWGraph(graph.dimension, graph.vertices, graph.edges.values(), {"X": (prim,)})
+
+
+def _oblique_sierpinski() -> MWGraph:
+    """The Sierpinski maps with a condensation segment in the open corner,
+    oblique but close to the run axis: its samples are charged on both axes."""
+    return sierpinski_graph(condensation={"X": (Primitive.segment([0.55, 0.6], [0.95, 0.65]),)})
 
 
 def _counts(graph, t, origin):
@@ -249,15 +271,22 @@ def test_vertices_preferring_different_axes_match_the_oracle():
 
 
 def _candidate_runs(fn):
-    """``fn()`` with every candidate run a union receives counted."""
+    """``fn()`` with every candidate run it builds counted: the runs a union
+    receives, and for rotated boxes every cell of their bounding boxes, the
+    missed ones too."""
     built = []
-    add = _CellUnion.add
+    add, hits = _CellUnion.add, covering._obb_hits
 
     def spy(acc, runs):
         built.append(runs.shape[0])
         return add(acc, runs)
 
-    with mock.patch.object(_CellUnion, "add", spy):
+    def spy_hits(*args):
+        rows, owner, hit = hits(*args)
+        built.append(rows.shape[0] - np.count_nonzero(hit))
+        return rows, owner, hit
+
+    with mock.patch.object(_CellUnion, "add", spy), mock.patch.object(covering, "_obb_hits", spy_hits):
         fn()
     return sum(built)
 
@@ -288,21 +317,69 @@ def test_horizontal_segment_images_are_one_run_each(bundled):
     assert n == shapes.seg_a.shape[0]
 
 
-@pytest.mark.parametrize("make", [
-    lambda b: b["dust2d_edge"],
-    lambda b: transposed(b["dust2d_edge"], [1, 0]),
-    lambda b: _turned_dust(),
+THIRDS = [3.0**-n for n in (5, 4, 3, 2)]
+
+
+@pytest.mark.parametrize("make", [  # each gives a system, radii and a cylinder spread
+    lambda b: (b["dust2d_edge"], THIRDS, 1),
+    lambda b: (transposed(b["dust2d_edge"], [1, 0]), THIRDS, 1),
+    lambda b: (_turned_dust(), THIRDS, 1),
+    lambda b: (_quarter_cube(), [4.0**-n for n in (4, 3, 2)], 1),
+    lambda b: (_oblique_sierpinski(), [2.0**-n for n in (7, 5, 3)], 1),
+    lambda b: (_boxed(b["rotated2d"], Primitive.box((0.42, 0.05), (0.58, 0.3))),
+               [math.exp(-t) for t in (7.0, 5.0, 3.0)], 4),
 ])
 def test_work_covers_the_candidate_runs(bundled, make):
-    # on the grid of thirds each cylinder meets one cell, so the estimate's
-    # one run per element holds for cylinders, and the condensation images,
-    # some vertical under the quarter turn, cross at most the planes counted
+    # on the grid of thirds (quarters for the cube, halves for Sierpinski)
+    # each cylinder meets one cell, so the estimate's one run per cylinder
+    # holds; a rotated cylinder builds a candidate per cell of its bounding
+    # box, at most 2 x 2.  The condensation images, some vertical under the
+    # quarter turn, build at most what they are charged: for boxes, the
+    # product of the cells they can span (across the run axis, or on both
+    # axes when rotated), not its sum; for an oblique segment, its samples,
+    # counted from its grid planes on every axis
+    graph, radii, spread = make(bundled)
+    axis = _run_axis(graph)
+    o = np.zeros(graph.dimension)
+    radii = np.array(radii)
+    whole, bare = (_Walk(g, "X", radii[0]) for g in (graph, graph.without_condensation()))
+    work, leaf_work = whole.work(radii, axis), bare.work(radii, axis)
+    for r, w, lw in [*zip(radii, work, leaf_work), (radii, work.sum(), leaf_work.sum())]:
+        built = _candidate_runs(lambda: whole.shapes(r).runs(r, o, axis))
+        leaves = _candidate_runs(lambda: bare.shapes(r).runs(r, o, axis))
+        assert built - leaves <= w - lw
+        assert leaves <= spread * lw
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda b: b["sierpinski"], 6.0),  # leaf boxes
+    (lambda b: b["rotated2d"], 7.0),  # rotated leaves
+    (lambda b: _oblique_sierpinski(), 6.0),  # oblique 2-d segments
+    (lambda b: _quarter_cube(), 5.0),  # 3-d condensation boxes
+    (lambda b: _boxed(b["rotated2d"], Primitive.box((0.42, 0.05), (0.58, 0.3))), 7.0),  # rotated ones
+])
+def test_a_chunk_builds_within_its_factor_of_the_budget(bundled, make, t):
+    # a chunk's estimate passes _WORK by at most one node's, and its
+    # elements build at most 2^d candidates per estimated one
     graph = make(bundled)
     axis = _run_axis(graph)
-    o = np.zeros(2)
-    radii = np.array([3.0**-n for n in (5, 4, 3, 2)])
-    walk = _Walk(graph, "X", radii[0])
-    work = walk.work(radii, axis)
-    for r, w in zip(radii, work):
-        assert _candidate_runs(lambda: walk.shapes(r).runs(r, o, axis)) <= w
-    assert _candidate_runs(lambda: walk.shapes(radii).runs(radii, o, axis)) <= work.sum()
+    o = np.zeros(graph.dimension)
+    r = math.exp(-t)
+    walk = _Walk(graph, "X", r)
+    most = max(walk._cost(v, inner, walk.cls[a + np.flatnonzero(hi > lo)], r, axis).max(initial=0)
+               for v, inner, a, lo, hi in walk._blocks(np.array([r])))
+    estimate, images = [0.0], walk._images
+
+    def spy(v, inner, nodes, n, tag, parts):
+        estimate[-1] += walk._cost(v, inner, walk.cls[nodes], r, axis).sum()
+        return images(v, inner, nodes, n, tag, parts)
+
+    built = []
+    with mock.patch.object(walk, "_images", spy):
+        for shapes in walk.chunks(r, axis):
+            built.append(_candidate_runs(lambda: shapes.runs(r, o, axis)))
+            estimate.append(0.0)
+    assert len(built) > 2
+    for runs, est in zip(built, estimate):
+        assert 0 < est <= covering._WORK + most
+        assert runs <= 2**graph.dimension * est
