@@ -18,17 +18,16 @@ level by level as numpy arrays, down to the finest radius a caller needs,
 then sorted by stopping size, so that a group of coarser radii takes its
 leaves and interior nodes as slices.  A pass maps each node it reads once,
 from per-class image tables formed once per walk; nothing per node is kept
-between passes.  A pass streams: it cuts its nodes into chunks of about
-``_WORK`` estimated candidate runs, turns each chunk's shapes into runs, adds
-them to one union and drops the chunk before cutting the next, so its peak
-memory is one chunk's plus the union's.  Cells are held as runs along one
+between passes.  A pass streams: it cuts its nodes into slices of about
+``_WORK`` estimated candidate runs and feeds each slice's images straight
+into one run union, a primitive at a time, so its peak memory is one
+slice's plus the union's.  Cells are held as runs along one
 axis per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a
 run union that merges as it grows.  Axis-parallel segments are index boxes
 like points and boxes.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -255,7 +254,7 @@ _MERGE_FLOOR = 1 << 14
 
 
 class _CellUnion:
-    """Distinct cells accumulated as runs, chunk by chunk, under ``CELL_CAP``.
+    """Distinct cells accumulated as runs, piece by piece, under ``CELL_CAP``.
 
     A tagged union holds (tag, run) rows and applies the cap per radius.
     The cap is checked at every merge, so a count over it stops after
@@ -348,8 +347,6 @@ def _segment_cells(a, b, r, origin, acc: _CellUnion, tag=None) -> None:
     between consecutive parameters as sample points, each a run of one
     cell.
     """
-    if not a.shape[0]:
-        return
     delta, low, high = b - a, np.minimum(a, b), np.maximum(a, b)
     m0, cnt = np.empty(a.shape, dtype=np.int64), np.empty(a.shape, dtype=np.int64)
     for k in range(a.shape[1]):
@@ -459,13 +456,6 @@ class _BoxAxes:
         return cls(half, _obb_extent(half), units, extent, np.column_stack(factor),
                    np.abs(half).sum(axis=(1, 2)))
 
-    @classmethod
-    def stack(cls, tables: list) -> "_BoxAxes":
-        if len(tables) == 1:
-            return tables[0]
-        fields = [f.name for f in dataclasses.fields(cls)]
-        return cls(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
-
 
 def _obb_hits(center, row, axes: _BoxAxes, r, origin):
     """2-d separating-axis test of each candidate cell against each box: the
@@ -530,101 +520,28 @@ def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
     return hit
 
 
-@dataclass(frozen=True)
-class _Shapes:
-    """Covering elements as arrays, grouped by how their cells are found.
+def _feed(piece, r, origin: np.ndarray, acc: _CellUnion) -> None:
+    """Add the runs of the cells each shape of a piece meets to ``acc``.
 
-    Boxes charged their bounding box (axis-aligned ones, and every box in
-    dimension > 2) are held as bounds; the other, rotated, boxes as centres
-    and rows of a separating-axis table.  Elements selected for several
-    radii at once carry tags: the index of each element's radius among the
-    sorted radii.
+    A piece is ``(kind, arrays, tag)``: points ``(x,)``, segments ``(a, b)``,
+    boxes charged their bounding box as bounds ``(lo, hi)``, or rotated 2-d
+    boxes ``(centre, row, axes)``, tested exactly by separating axes, with
+    ``row`` a row of the ``_BoxAxes`` table ``axes`` per box.  Tagged shapes
+    take the radius ``r[tag]`` of their row; their runs then lead with the
+    tag, and the caps hold per radius.
     """
-
-    dim: int
-    points: np.ndarray  # (n, d)
-    seg_a: np.ndarray  # (n, d) segment endpoints
-    seg_b: np.ndarray
-    box_lo: np.ndarray  # (n, d) box bounds
-    box_hi: np.ndarray
-    obb_c: np.ndarray  # (n, d) rotated box centres
-    obb_row: np.ndarray  # (n,) each rotated box's row of obb_axes
-    obb_axes: _BoxAxes | None  # None when there is no rotated box
-    point_tag: np.ndarray | None = None
-    seg_tag: np.ndarray | None = None
-    box_tag: np.ndarray | None = None
-    obb_tag: np.ndarray | None = None
-
-    @classmethod
-    def gather(cls, dim, points=(), segments=(), boxes=(), obbs=(), tags=None) -> "_Shapes":
-        """Stack the parts: point arrays, (a, b) and (lo, hi) pairs of
-        arrays, and rotated boxes as (centre, row, ``_BoxAxes``) triples or,
-        a table row each, (centre, half axes) pairs; ``tags`` holds four
-        lists of tag arrays that run parallel to ``points``, ``segments``,
-        ``boxes`` and ``obbs``."""
-        def stack(parts, *shape):
-            parts = [np.asarray(p, dtype=float).reshape(-1, *shape) for p in parts]
-            return np.concatenate(parts) if parts else np.empty((0, *shape))
-
-        def stack_ints(parts):
-            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-        rows, tables, base = [], [], 0
-        for o in obbs:
-            if len(o) == 2:
-                half = stack([o[1]], dim, dim)
-                o = (o[0], np.arange(half.shape[0]), _BoxAxes.of(half))
-            rows.append(o[1] + base)
-            tables.append(o[2])
-            base += o[2].half.shape[0]
-        return cls(
-            dim,
-            stack(points, dim),
-            stack([s[0] for s in segments], dim),
-            stack([s[1] for s in segments], dim),
-            stack([b[0] for b in boxes], dim),
-            stack([b[1] for b in boxes], dim),
-            stack([o[0] for o in obbs], dim),
-            stack_ints(rows),
-            _BoxAxes.stack(tables) if tables else None,
-            *(() if tags is None else map(stack_ints, tags)),
-        )
-
-    def __len__(self) -> int:
-        return sum(a.shape[0] for a in (self.points, self.seg_a, self.box_lo, self.obb_c))
-
-    def runs(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """Distinct cells met by the union of the shapes, as disjoint runs along ``axis``."""
-        acc = _CellUnion(self.dim, self.point_tag is not None, axis)
-        self.feed(r, origin, acc)
-        return acc.runs()
-
-    def feed(self, r, origin: np.ndarray, acc: _CellUnion) -> None:
-        """Add the runs of the cells each shape meets to ``acc``.
-
-        A rotated box (dimension 2) is tested exactly, by separating axes.
-        Tagged shapes take the sorted radii they were selected for; each of
-        their runs then leads with its tag, and the cap holds per radius.
-        """
-        tagged = self.point_tag is not None
-
-        def radius(tag):  # one radius per row, or the one radius
-            return r[tag] if tagged else r
-
-        if self.points.shape[0]:
-            points = _floor_cells(self.points, radius(self.point_tag), origin)
-            _index_box_runs(points, points, acc, self.point_tag)
-        _segment_cells(self.seg_a, self.seg_b, radius(self.seg_tag), origin, acc, self.seg_tag)
-        if self.box_lo.shape[0]:
-            _box_cells(self.box_lo, self.box_hi, radius(self.box_tag), origin, acc, self.box_tag)
-        if self.obb_c.shape[0]:
-            rows, owner, hit = _obb_hits(self.obb_c, self.obb_row, self.obb_axes,
-                                         radius(self.obb_tag), origin)
-            _index_box_runs(rows[hit], rows[hit], acc, _take(self.obb_tag, owner[hit]))
-
-    def cells(self, r, origin: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """The cells of :meth:`runs`, one index row each, in the caller's axis order."""
-        return _run_cells(self.runs(r, origin, axis), _axis_order(self.dim, axis))
+    kind, arrays, tag = piece
+    side = r if tag is None else r[tag]
+    if kind == "point":
+        cells = _floor_cells(arrays[0], side, origin)
+        _index_box_runs(cells, cells, acc, tag)
+    elif kind == "segment":
+        _segment_cells(*arrays, side, origin, acc, tag)
+    elif kind == "box":
+        _box_cells(*arrays, side, origin, acc, tag)
+    else:
+        rows, owner, hit = _obb_hits(*arrays, side, origin)
+        _index_box_runs(rows[hit], rows[hit], acc, _take(tag, owner[hit]))
 
 
 # -- the multi-resolution walk -----------------------------------------------
@@ -640,8 +557,8 @@ def _range_sums(lo: np.ndarray, hi: np.ndarray, weights, n: int) -> np.ndarray:
 
 
 # the work budget of a counting pass, in estimated candidate runs (``_Walk._cost``):
-# radii share a pass while their estimates sum within it, and a pass's chunks hold
-# about this much, each added to the pass's union and dropped before the next is cut
+# radii share a pass while their estimates sum within it, and a pass's slices hold
+# about this much, each fed to the pass's union and dropped before the next is mapped
 _WORK = 1 << 13
 
 
@@ -674,11 +591,11 @@ class _Walk:
     Each pass maps the nodes it reads, each once, from per-class image
     tables kept for the walk, and keeps nothing per node: whatever passes
     the walk serves, its per-node arrays stay ``cls``, ``trans`` and
-    ``above``.  A pass (``runs``) streams: ``chunks`` cuts the selected
-    leaves and interior nodes into chunks of ``_WORK`` estimated candidate
+    ``above``.  A pass (``runs``) streams: ``pieces`` cuts the selected
+    leaves and interior nodes into slices of ``_WORK`` estimated candidate
     runs (``_cost``) plus at most one node's, each building at most 2^d runs
-    per estimated one, and turns each into runs in one ``_CellUnion``
-    before it cuts the next.  ``shapes`` is the one unbounded chunk.
+    per estimated one, and yields each slice's images, a primitive at a
+    time, for ``_feed`` to add to one ``_CellUnion``.
     """
 
     def __init__(self, graph: MWGraph, vertex: str, r_min: float) -> None:
@@ -965,24 +882,25 @@ class _Walk:
         _cls, x = self._centres(self._table(("point", tuple(pt)))[0], nodes)
         return _repeat_rows(x, n)
 
-    def _boxes(self, box: Box, nodes: np.ndarray, n: np.ndarray, tag, boxes, obbs) -> None:
-        """Append the images of ``box`` under ``nodes``, each once for each of
-        its n radii, with their tags, to ``boxes`` as bounds and to ``obbs``
-        as rotated boxes (centres, and class rows of the separating-axis
-        table)."""
+    def _boxes(self, box: Box, nodes: np.ndarray, n: np.ndarray, tag):
+        """Pieces of the images of ``box`` under ``nodes``, each once for each
+        of its n radii, with their tags: the boxes charged their bounding box
+        as bounds, the rotated ones as centres and class rows of the
+        separating-axis table."""
         table = self._table(("box", box))
         cls, centre = self._centres(table[0], nodes)
         ext = np.take(table[1], cls, axis=0)
         plain = table[2][cls]
         if plain.all():
-            boxes.append(((_repeat_rows(centre - ext, n), _repeat_rows(centre + ext, n)), tag))
+            yield "box", (_repeat_rows(centre - ext, n), _repeat_rows(centre + ext, n)), tag
             return
         bent, each = ~plain, np.repeat(plain, n)
-        c, e, m = centre[plain], ext[plain], n[plain]
-        boxes.append(((_repeat_rows(c - e, m), _repeat_rows(c + e, m)), _take(tag, each)))
+        if plain.any():
+            c, e, m = centre[plain], ext[plain], n[plain]
+            yield "box", (_repeat_rows(c - e, m), _repeat_rows(c + e, m)), _take(tag, each)
         m = n[bent]
-        obbs.append(((_repeat_rows(centre[bent], m), _repeat_rows(cls[bent], m), table[3]),
-                     _take(tag, ~each)))
+        obbs = _repeat_rows(centre[bent], m), _repeat_rows(cls[bent], m), table[3]
+        yield "obb", obbs, _take(tag, ~each)
 
     def _select(self, radii: np.ndarray):
         """Per vertex, the node range ``(i0, i1)`` holding the leaves of an
@@ -1030,24 +948,22 @@ class _Walk:
                         lo, hi = np.zeros_like(hi), np.minimum(lo, hi)
                     yield v, inner, a, lo, hi
 
-    def _images(self, v: int, inner: bool, nodes, n, tag, parts: tuple) -> None:
-        """Append to ``parts`` (points, segments, boxes and obbs lists) the
-        images of vertex v's seed box under leaves ``nodes``, or of its
-        condensation under interior ones, each node's once for each of the
-        n radii it serves, with their radius indices ``tag`` (None for one
-        radius)."""
+    def _images(self, v: int, inner: bool, nodes, n, tag):
+        """Pieces (see ``_feed``) of the images of vertex v's seed box under
+        leaves ``nodes``, or of each of its condensation primitives under
+        interior ones, each node's once for each of the n radii it serves,
+        with their radius indices ``tag`` (None for one radius)."""
         name = self.graph.vertex_order[v]
-        points, segments, boxes, obbs = parts
         if not inner:
-            self._boxes(self.graph.seed_box(name), nodes, n, tag, boxes, obbs)
+            yield from self._boxes(self.graph.seed_box(name), nodes, n, tag)
             return
         for prim in self.graph.condensation[name]:
             if prim.kind == "point":
-                points.append((self._points(prim.points[0], nodes, n), tag))
+                yield "point", (self._points(prim.points[0], nodes, n),), tag
             elif prim.kind == "segment":
-                segments.append((tuple(self._points(p, nodes, n) for p in prim.points), tag))
+                yield "segment", tuple(self._points(p, nodes, n) for p in prim.points), tag
             else:
-                self._boxes(prim.as_box(), nodes, n, tag, boxes, obbs)
+                yield from self._boxes(prim.as_box(), nodes, n, tag)
 
     def _cost(self, v: int, inner: bool, cls: np.ndarray, r, axis: int) -> np.ndarray:
         """Estimated candidate runs along ``axis`` of the images under nodes of
@@ -1074,19 +990,18 @@ class _Walk:
             out += cost
         return out
 
-    def chunks(self, r, axis: int, budget: float | None = None):
-        """Covering elements of the radius-r walk as ``_Shapes``, a chunk per
-        ``budget`` (default ``_WORK``) estimated candidate runs along ``axis``
-        (``_cost``): the nodes whose share of the pass's estimate starts in it.
+    def pieces(self, r, axis: int):
+        """Covering elements of the radius-r walk as pieces (see ``_feed``),
+        one per slice of nodes and primitive; for an ascending array of
+        radii, the elements of every radius together, each tagged with the
+        index of its radius.
 
-        For an ascending array of radii, the elements of every radius
-        together, each tagged with the index of its radius.  A chunk holds at
-        least one node; the only one of a pass that selects nothing is empty.
+        A slice holds the nodes of a ``_blocks`` block whose share of the
+        block's estimate (``_cost`` along ``axis``) starts in one window of
+        ``_WORK``: at most ``_WORK`` estimated candidate runs plus one node's.
         """
         tagged = np.ndim(r) > 0
         radii = np.atleast_1d(r)
-        budget = _WORK if budget is None else budget
-        parts, spent, chunk = ([], [], [], []), 0.0, 0.0
         for v, inner, a, lo, hi in self._blocks(radii):
             n = hi - lo
             live = np.flatnonzero(n > 0)
@@ -1100,45 +1015,21 @@ class _Walk:
             if inner:
                 cost = np.cumsum(self._cost(v, inner, _repeat_rows(self.cls[nodes], n),
                                             r if tag is None else radii[tag], axis))[pairs - 1]
-            ends = spent + cost  # the pass's estimate up to each node
-            k = 0
-            while k < nodes.size:  # the nodes whose estimate starts in this chunk
-                start = ends[k - 1] if k else spent
-                if start // budget > chunk:
-                    chunk = start // budget
-                    yield self._gather(parts, tagged)
-                stop = min(int(np.searchsorted(ends, (chunk + 1) * budget)) + 1, nodes.size)
-                piece = slice(pairs[k] - n[k], pairs[stop - 1])
-                self._images(v, inner, nodes[k:stop], n[k:stop], _take(tag, piece), parts)
-                k = stop
-            spent = ends[-1]
-        yield self._gather(parts, tagged)
-
-    def _gather(self, parts: tuple, tagged: bool) -> _Shapes:
-        """``parts`` stacked as ``_Shapes``, the lists emptied: the images
-        live on only in the chunk."""
-        tags = [[t for _x, t in part] for part in parts] if tagged else None
-        shapes = _Shapes.gather(self.graph.dimension, *([x for x, _t in part] for part in parts),
-                                tags=tags)
-        for part in parts:
-            part.clear()
-        return shapes
-
-    def shapes(self, r) -> _Shapes:
-        """Covering elements of the radius-r walk as one chunk (tagged for
-        an array of radii)."""
-        return next(self.chunks(r, self.graph.dimension - 1, math.inf))
+            window = np.concatenate(([0], cost[:-1])) // _WORK  # where each node's share starts
+            cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), nodes.size]
+            for i, j in zip(cuts, cuts[1:]):
+                span = slice(pairs[i] - n[i], pairs[j - 1])  # the slice's (node, radius) pairs
+                yield from self._images(v, inner, nodes[i:j], n[i:j], _take(tag, span))
 
     def runs(self, r, origin: np.ndarray, axis: int, cell=None) -> np.ndarray:
         """Runs along ``axis`` of the cells of side ``cell`` (default r) met
         by the covering elements of the radius-r walk, tagged for an array
-        of radii: each chunk's shapes become cells and runs, enter one
-        union and are dropped before the next chunk is cut."""
+        of radii: each piece enters one union as runs as it comes, so a pass
+        holds about one slice's images at a time."""
         acc = _CellUnion(self.graph.dimension, np.ndim(r) > 0, axis)
         side = r if cell is None else cell
-        for shapes in self.chunks(r, axis):
-            shapes.feed(side, origin, acc)
-            del shapes  # before the next chunk is cut
+        for piece in self.pieces(r, axis):
+            _feed(piece, side, origin, acc)
         return acc.runs()
 
     def work(self, radii: np.ndarray, axis: int) -> np.ndarray:
@@ -1176,10 +1067,12 @@ class GeometrySet:
 
     @property
     def n_elements(self) -> int:
-        return sum(map(len, self._walk.chunks(self.resolution, _run_axis(self._walk.graph))))
-
-    def _shapes(self) -> _Shapes:
-        return self._walk.shapes(self.resolution)
+        """Each leaf's one box and each interior node's condensation images,
+        counted from the walk's selection without mapping any."""
+        walk = self._walk
+        prims = [len(walk.graph.condensation[v]) for v in walk.graph.vertex_order]
+        return sum(int(np.count_nonzero(hi > lo)) * (prims[v] if inner else 1)
+                   for v, inner, _a, lo, hi in walk._blocks(np.array([self.resolution])))
 
 
 def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:

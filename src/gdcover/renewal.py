@@ -303,7 +303,7 @@ def _clip(bp: np.ndarray, vals: np.ndarray, t_max: float):
     return np.concatenate((bp[:k], [t_max])), np.concatenate((vals[:k], [0.0]))
 
 
-def _add(pairs, merge_tol: float = ATOM_MERGE_TOL):
+def _add(pairs):
     """Pointwise sum of ``(breakpoints, values)`` pairs with breakpoint merging."""
     pairs = [p for p in pairs if p[0].size]
     if not pairs:
@@ -312,12 +312,11 @@ def _add(pairs, merge_tol: float = ATOM_MERGE_TOL):
         return pairs[0]
     bp = np.concatenate([p[0] for p in pairs])
     bp.sort()
-    if merge_tol > 0:
-        bp = bp[_anchors(bp, merge_tol)]
+    bp = bp[_anchors(bp, ATOM_MERGE_TOL)]
     # evaluate past the merge window: a dropped near-duplicate breakpoint
-    # sits at most merge_tol above its anchor, and reading a summand below
-    # its own jump would silently shed that jump's mass
-    eval_pts = bp + merge_tol if merge_tol > 0 else bp
+    # sits at most ATOM_MERGE_TOL above its anchor, and reading a summand
+    # below its own jump would silently shed that jump's mass
+    eval_pts = bp + ATOM_MERGE_TOL
     # summands are added one after another, in the order given, so the sum
     # at each point is rounded the same way whatever the vectorization;
     # a summand adds nothing before its first breakpoint
@@ -345,9 +344,9 @@ def _convolve(bp: np.ndarray, vals: np.ndarray, locations, weights):
     return _add(copies)
 
 
-def add_steps(fns: Sequence[StepFunction], merge_tol: float = ATOM_MERGE_TOL) -> StepFunction:
+def add_steps(fns: Sequence[StepFunction]) -> StepFunction:
     """Pointwise sum of step functions with breakpoint merging."""
-    return StepFunction._wrap(*_add([(f.breakpoints, f.values) for f in fns], merge_tol))
+    return StepFunction._wrap(*_add([(f.breakpoints, f.values) for f in fns]))
 
 
 def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFunction]:
@@ -447,6 +446,12 @@ def _require_renewal_preconditions(m: MatrixMeasure, forcing: Sequence[StepFunct
     return lam
 
 
+# most terms of the convolution series one solve forms: a term's breakpoints,
+# and so its time, grow with its index, so a series takes about the square
+# of its length
+_SERIES_CAP = 1 << 12
+
+
 def renewal_solve(
     m: MatrixMeasure,
     forcing: Sequence[StepFunction],
@@ -458,7 +463,9 @@ def renewal_solve(
     The solution is ``sum_k L * M^(*k)``; with every atom at location at
     least ``lambda_min`` the sum is exact on the window once ``k`` reaches
     ``horizon / lambda_min``.  A smaller explicit ``truncation`` emits a
-    warning because tail terms then still intersect the window.
+    warning because tail terms then still intersect the window.  A series
+    of more than ``_SERIES_CAP`` terms raises ``ResourceLimitError`` before
+    any is formed.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -473,6 +480,9 @@ def renewal_solve(
             "the tail still reaches the window",
             stacklevel=2,
         )
+    n_terms = min(k_max, k_exact)  # the series stops at k_exact
+    if n_terms > _SERIES_CAP:
+        raise ResourceLimitError(f"the renewal series needs {n_terms} terms (cap {_SERIES_CAP})")
     total = [f.clipped(horizon) for f in forcing]
     term = total
     for k in range(1, k_max + 1):

@@ -12,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from gdcover import covering
+from gdcover.covering import _axis_order, _BoxAxes, _CellUnion, _run_cells
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import PATH_CAP, Edge, MWGraph, Path, walk_prefix_tree
@@ -246,3 +248,61 @@ def random_graphs(draw):
     ]
     vertices = {f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)}
     return MWGraph(dimension=1, vertices=vertices, edges=edges)
+
+
+# -- the cell kernel on shapes given as arrays ----------------------------------
+#
+# The walk yields its covering elements as pieces (kind, arrays, tag), which
+# ``covering._feed`` adds to a run union; these build such pieces by hand.
+
+PIECE_KINDS = ("point", "segment", "box", "obb")
+
+
+def shape_pieces(dim, points=(), segments=(), boxes=()) -> list:
+    """Untagged pieces of points, (a, b) segments and (lo, hi) bounds of
+    boxes, one per kind given; each end may be one point or an array of them."""
+    out = []
+    for kind, rows in (("point", [(p,) for p in points]), ("segment", segments), ("box", boxes)):
+        if len(rows):
+            out.append((kind, tuple(np.array(x, dtype=float).reshape(-1, dim) for x in zip(*rows)),
+                        None))
+    return out
+
+
+def obb_piece(centres, half, tag=None):
+    """Rotated 2-d boxes given by centres and half axes, a table row each."""
+    half = np.asarray(half, dtype=float).reshape(-1, 2, 2)
+    centres = np.asarray(centres, dtype=float).reshape(-1, 2)
+    return "obb", (centres, np.arange(half.shape[0]), _BoxAxes.of(half)), tag
+
+
+def kernel_runs(dim, pieces, r, origin, axis=None) -> np.ndarray:
+    """Runs along ``axis`` of the cells the kernel charges ``pieces`` at
+    radius r, or at an array of radii that tagged pieces index."""
+    acc = _CellUnion(dim, np.ndim(r) > 0, axis)
+    for piece in pieces:
+        covering._feed(piece, r, origin, acc)
+    return acc.runs()
+
+
+def kernel_cells(dim, pieces, r, origin, axis=None) -> np.ndarray:
+    """The cells of ``kernel_runs``, one index row each, in the caller's axis order."""
+    return _run_cells(kernel_runs(dim, pieces, r, origin, axis), _axis_order(dim, axis))
+
+
+def set_pieces(gset) -> list:
+    """A covering set's elements as the pieces of its walk."""
+    walk = gset._walk
+    return list(walk.pieces(gset.resolution, covering._run_axis(walk.graph)))
+
+
+def piece_rows(pieces) -> dict:
+    """The coordinate rows of ``pieces`` by kind: points, segment ends, box
+    bounds, and rotated boxes as centre and half axes."""
+    rows = {kind: [] for kind in PIECE_KINDS}
+    for kind, arrays, _tag in pieces:
+        if kind == "obb":
+            centre, row, axes = arrays
+            arrays = (centre, axes.half[row].reshape(centre.shape[0], 4))
+        rows[kind] += map(tuple, np.concatenate(arrays, axis=1).tolist())
+    return rows

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from unittest import mock
 
 import pytest
@@ -305,6 +306,20 @@ class TestRenewal:
         assert main(["renewal", str(p)]) == 2
         err = capsys.readouterr().err
         assert "the lattice sum needs 92332482752 terms (cap 10000000)" in err
+        assert "Traceback" not in err
+
+    def test_series_term_count_past_the_cap(self, tmp_path, capsys):
+        # horizon 1e6 over atoms from log 2 needs 1.4e6 series terms, days of
+        # convolutions: refused with exit 2 before the first
+        doc = {"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]],
+               "horizon": 1e6}
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["renewal", str(p)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "the renewal series needs 1442696 terms (cap 4096)" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, key", [("--samples", None), (None, "samples_per_period")])

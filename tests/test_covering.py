@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 
 import covering_oracle as oracle
-from helpers import LN2, LN3, cantor_graph, sierpinski_graph, two_vertex_graph
-from test_kernel import shapes_of_elements
+from helpers import (
+    LN2,
+    LN3,
+    cantor_graph,
+    kernel_runs,
+    piece_rows,
+    set_pieces,
+    shape_pieces,
+    sierpinski_graph,
+    two_vertex_graph,
+)
+from test_kernel import pieces_of_elements
 
 from gdcover import covering
 from gdcover.covering import (
@@ -16,7 +26,6 @@ from gdcover.covering import (
     _cell_count,
     _interval_cells,
     _origin_vector,
-    _Shapes,
     cell_union,
     condensation_integral,
     child_time,
@@ -43,9 +52,9 @@ def cells_of_points(pts, r, origin=0.0):
     return set(map(tuple, idx.tolist()))
 
 
-def kernel_cells(dim, r, origin=0.0, **parts) -> int:
-    """Cells the array kernel charges the shapes ``_Shapes.gather`` stacks."""
-    return _cell_count(_Shapes.gather(dim, **parts).runs(r, _origin_vector(origin, dim)))
+def kernel_count(dim, r, origin=0.0, **parts) -> int:
+    """Cells the array kernel charges the ``shape_pieces`` of ``parts``."""
+    return _cell_count(kernel_runs(dim, shape_pieces(dim, **parts), r, _origin_vector(origin, dim)))
 
 
 def cantor_level_endpoints(depth=12):
@@ -101,8 +110,7 @@ class TestGenerate:
         gs = generate(cantor, "X", 0.04)
         assert gs.n_elements == 16 // 2
         # cylinders are 1-d boxes, held as bounds
-        shapes = gs._shapes()
-        widths = (shapes.box_hi - shapes.box_lo)[:, 0]
+        widths = [hi - lo for lo, hi in piece_rows(set_pieces(gs))["box"]]
         assert widths == pytest.approx([3.0**-3] * 8, rel=1e-12)
         cyl = oracle.generate(cantor, "X", 0.04).cylinders()
         assert len(cyl) == 8
@@ -114,17 +122,17 @@ class TestGenerate:
     def test_resolution_above_diameter_stops_at_root(self, cantor):
         gs = generate(cantor, "X", 1.0)
         assert gs.n_elements == 1
-        shapes = gs._shapes()
-        assert shapes.box_hi[0, 0] - shapes.box_lo[0, 0] == pytest.approx(1.0)
+        ((lo, hi),) = piece_rows(set_pieces(gs))["box"]
+        assert hi - lo == pytest.approx(1.0)
         (el,) = oracle.generate(cantor, "X", 1.0).cylinders()
         assert el.path.edges == ()
         assert el.shape.bounding_box().diameter == pytest.approx(1.0)
 
     def test_condensation_copies_on_interior_paths(self, cantor_point):
         gs = generate(cantor_point, "X", 0.04)
-        shapes = gs._shapes()
+        rows = piece_rows(set_pieces(gs))
         # 8 cylinders and one copy per interior node: depths 0, 1, 2
-        assert (shapes.box_lo.shape[0], shapes.points.shape[0]) == (8, 1 + 2 + 4)
+        assert (len(rows["box"]), len(rows["point"])) == (8, 1 + 2 + 4)
         assert gs.n_elements == 8 + 7
         pts = oracle.generate(cantor_point, "X", 0.04).condensation_images()
         assert sorted(len(e.path.edges) for e in pts) == [0, 1, 1, 2, 2, 2, 2]
@@ -132,7 +140,7 @@ class TestGenerate:
     def test_include_condensation_false(self, cantor_point):
         gs = generate(cantor_point.without_condensation(), "X", 0.04)
         assert gs.n_elements == 8
-        assert gs._shapes().points.shape[0] == 0
+        assert not piece_rows(set_pieces(gs))["point"]
 
     def test_nonpositive_resolution_rejected(self, cantor):
         with pytest.raises(ValueError):
@@ -151,11 +159,11 @@ class TestCount:
             assert res.total == 2**n, n
 
     def test_point_primitive_single_cell(self):
-        assert kernel_cells(1, 0.1, points=[(0.42,)]) == 1
+        assert kernel_count(1, 0.1, points=[(0.42,)]) == 1
 
     def test_square_box_nine_cells(self):
         unit_square = ((0.0, 0.0), (1.0, 1.0))
-        assert kernel_cells(2, 1.0 / 3.0, boxes=[unit_square]) == 9
+        assert kernel_count(2, 1.0 / 3.0, boxes=[unit_square]) == 9
 
     def test_sierpinski_first_level(self):
         g = sierpinski_graph()
@@ -273,7 +281,7 @@ class TestRescaling:
             )
             assert sub, "sampled cylinder must survive to the stopping scale"
             origin = _origin_vector(b, graph.dimension)
-            got = shapes_of_elements(sub).cells(r, origin).shape[0]
+            got = _cell_count(kernel_runs(graph.dimension, pieces_of_elements(sub), r, origin))
 
             want = count(generate(graph, term, r / q), r / q).total
             assert got == want
@@ -301,7 +309,7 @@ class TestTwoGrids:
 
 class TestSegmentCovering:
     def test_horizontal_ten_cells(self):
-        assert kernel_cells(2, 0.1, segments=[((0.05, 0.35), (0.95, 0.35))]) == 10
+        assert kernel_count(2, 0.1, segments=[((0.05, 0.35), (0.95, 0.35))]) == 10
 
     @pytest.mark.parametrize(
         "a,b",
@@ -313,13 +321,13 @@ class TestSegmentCovering:
     )
     @pytest.mark.parametrize("r", [0.1, 0.033])
     def test_walker_matches_dense_sampling(self, a, b, r):
-        got = kernel_cells(2, r, segments=[(a, b)])
+        got = kernel_count(2, r, segments=[(a, b)])
         ts = np.linspace(0.0, 1.0, 200_001)[:, None]
         pts = np.asarray(a) + ts * (np.asarray(b) - np.asarray(a))
         assert got == len(cells_of_points(pts, r))
 
     def test_walker_respects_origin(self):
-        n = kernel_cells(2, 0.1, (0.05, 0.0), segments=[((0.05, 0.35), (0.95, 0.35))])
+        n = kernel_count(2, 0.1, (0.05, 0.0), segments=[((0.05, 0.35), (0.95, 0.35))])
         assert n == 10  # planes shift with the grid: 0.15, 0.25, ..., 0.95
 
 

@@ -175,15 +175,9 @@ def connected_graphs(draw, ratio_sets=None):
 
 class TestMergeAgainstOracle:
     @settings(max_examples=200, deadline=None)
-    @given(
-        fns=st.lists(step_functions(clustered_points()), min_size=0, max_size=5),
-        merge_tol=st.sampled_from((1e-12, 0.0, 2.5e-12)),
-    )
-    def test_add_steps(self, fns, merge_tol):
-        assert_same_steps(
-            [renewal.add_steps(fns, merge_tol=merge_tol)],
-            [oracle.add_steps(fns, merge_tol=merge_tol)],
-        )
+    @given(fns=st.lists(step_functions(clustered_points()), min_size=0, max_size=5))
+    def test_add_steps(self, fns):
+        assert_same_steps([renewal.add_steps(fns)], [oracle.add_steps(fns)])
 
     @settings(max_examples=200, deadline=None)
     @given(

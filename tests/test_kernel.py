@@ -5,7 +5,6 @@ similarity per node, and charges each element's cells to a Python set.  The
 kernel must reproduce its cells exactly: same per-vertex counts, same
 totals, same cell sets, and the same elements, bit for bit, as arrays.
 """
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,14 +18,23 @@ from hypothesis import strategies as st
 import covering_oracle as oracle
 from conftest import BUNDLED_NAMES
 from covering_oracle import OrientedBox, PointShape, SegmentShape
+from helpers import (
+    PIECE_KINDS,
+    kernel_cells,
+    kernel_runs,
+    obb_piece,
+    piece_rows,
+    set_pieces,
+    shape_pieces,
+)
 
 from gdcover import asymptotics, covering
 from gdcover.covering import (
+    _BoxAxes,
     _cell_count,
     _CountTable,
     _origin_vector,
     _run_cells,
-    _Shapes,
     _union_runs,
     _Walk,
 )
@@ -47,8 +55,8 @@ CORPUS_TS = (
 )
 
 
-def shapes_of_elements(elements) -> _Shapes:
-    """The oracle's covering elements as the kernel's arrays: a box charged
+def pieces_of_elements(elements) -> list:
+    """The oracle's covering elements as the kernel's pieces: a box charged
     its bounding box (axis-aligned, or any box in dimension > 2) as the
     bounds of ``bounding_box``, any other as its ``image_of`` centre and
     half axes."""
@@ -71,7 +79,8 @@ def shapes_of_elements(elements) -> _Shapes:
             dim = s.dim
         else:
             raise TypeError(f"unsupported shape {type(s).__name__}")
-    return _Shapes.gather(dim, points, segments, boxes, obbs)
+    pieces = shape_pieces(dim, points, segments, boxes)
+    return pieces + [obb_piece(*zip(*obbs))] if obbs else pieces
 
 
 def _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin):
@@ -97,24 +106,15 @@ def test_corpus_counts_match_oracle(bundled, name):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
 
-def _obb_half(shapes: _Shapes) -> np.ndarray:
-    """The half axes of each rotated box, from its row of the table."""
-    if shapes.obb_axes is None:
-        return np.empty((0, shapes.dim, shapes.dim))
-    return shapes.obb_axes.half[shapes.obb_row]
-
-
-def _shape_rows(shapes: _Shapes) -> list:
-    obbs = np.concatenate([shapes.obb_c, _obb_half(shapes).reshape(-1, shapes.dim**2)], axis=1)
-    segs = np.concatenate([shapes.seg_a, shapes.seg_b], axis=1)
-    boxes = np.concatenate([shapes.box_lo, shapes.box_hi], axis=1)
-    return [sorted(map(tuple, a.tolist())) for a in (shapes.points, segs, boxes, obbs)]
+def _shape_rows(pieces) -> list:
+    """Each kind's coordinate rows, sorted."""
+    return [sorted(rows) for rows in piece_rows(pieces).values()]
 
 
 def _assert_same_elements(kernel_set, oracle_set):
     assert kernel_set.n_elements == oracle_set.n_elements
-    want = shapes_of_elements(oracle_set.elements)
-    assert _shape_rows(kernel_set._shapes()) == _shape_rows(want)
+    want = pieces_of_elements(oracle_set.elements)
+    assert _shape_rows(set_pieces(kernel_set)) == _shape_rows(want)
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -135,8 +135,8 @@ def test_shape_coordinates_are_bitwise_the_scalar_images(bundled, name):
     for t in (2.0, 3.0, 4.0, 5.0):
         r = math.exp(-t)
         for v in graph.vertex_order:
-            got = covering.generate(graph, v, r)._shapes()
-            want = shapes_of_elements(oracle.generate(graph, v, r).elements)
+            got = set_pieces(covering.generate(graph, v, r))
+            want = pieces_of_elements(oracle.generate(graph, v, r).elements)
             assert _shape_rows(got) == _shape_rows(want), t
 
 
@@ -159,7 +159,7 @@ def test_near_tangent_rotated_boxes_match_oracle():
     for r in (1.0, 0.037):
         for _ in range(500):
             box = _near_tangent_box(rng, r)
-            rows = _Shapes.gather(2, obbs=[(box.center, box.half_axes)]).cells(r, np.zeros(2))
+            rows = kernel_cells(2, [obb_piece(box.center, box.half_axes)], r, np.zeros(2))
             element = oracle.SetElement("cylinder", box, Path("X"))
             want = oracle.cell_union(oracle.ElementSet("X", r, (element,)), r)
             assert set(map(tuple, rows.tolist())) == want
@@ -182,17 +182,18 @@ def test_class_table_hits_match_the_per_box_test_on_kernel_boxes(bundled):
     origin = np.zeros(2)
     for r in (1.0, 0.037):
         boxes = [_near_tangent_box(rng, r) for _ in range(500)]
-        shapes = _Shapes.gather(2, obbs=[(b.center, b.half_axes) for b in boxes])
-        hits = _hits_match_per_box(shapes.obb_c, shapes.obb_row, shapes.obb_axes, r, origin)
+        _kind, arrays, _tag = obb_piece([b.center for b in boxes], [b.half_axes for b in boxes])
+        hits = _hits_match_per_box(*arrays, r, origin)
         assert hits[-1] > 0
     graph = bundled["rotated2d"]
     radii = np.array([math.exp(-t) for t in (5.0, 4.0, 3.0)])
-    tagged = _Walk(graph, "X", radii[0]).shapes(radii)
-    per_box = _Shapes.gather(2, obbs=[(tagged.obb_c, _obb_half(tagged))])
+    tagged = [p for p in _Walk(graph, "X", radii[0]).pieces(radii, 1) if p[0] == "obb"]
+    centre, half, tag = (np.concatenate(x) for x in zip(*[
+        (c, axes.half[row], tag) for _kind, (c, row, axes), tag in tagged]))
+    _kind, per_box, _tag = obb_piece(centre, half)
     for origin in (np.zeros(2), np.full(2, 0.316)):
-        for r in (radii[0], radii[tagged.obb_tag]):
-            rows = _hits_match_per_box(per_box.obb_c, per_box.obb_row, per_box.obb_axes,
-                                       r, origin)[0]
+        for r in (radii[0], radii[tag]):
+            rows = _hits_match_per_box(*per_box, r, origin)[0]
             assert rows.shape[0]
 
 
@@ -229,8 +230,8 @@ def test_fast_separating_axes_form_once_per_walk_table(bundled):
     with mock.patch.object(covering, "_sat_axes", spy):
         walk = _Walk(graph, "X", radii[0])
         for r in radii:
-            walk.shapes(r).runs(r, np.zeros(2))
-        walk.shapes(radii).runs(radii, np.full(2, 0.316))
+            walk.runs(r, np.zeros(2), 1)
+        walk.runs(radii, np.full(2, 0.316), 1)
     assert fast == [walk.c_ratio.size]
 
 
@@ -375,10 +376,10 @@ def test_space_counts_match_oracle():
         _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
         if t >= 1.0:
             # rotated cylinders, each charged its bounding box
-            shapes = kernel_sets["X"]._shapes()
+            rows = piece_rows(set_pieces(kernel_sets["X"]))
             cylinders = oracle_sets["X"].cylinders()
             assert not all(e.shape.is_axis_aligned() for e in cylinders)
-            assert shapes.seg_a.shape[0] and shapes.obb_c.shape[0] == 0
+            assert rows["segment"] and not rows["obb"]
         for origin in (0.0, 0.316, r / 2):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
@@ -388,17 +389,16 @@ def test_space_profile_matches_one_radius_counts(origin):
     graph = _space_system()
     walk = _Walk(graph, "X", math.exp(-max(SPACE_TS)))
     prof = covering.profile_at(graph, SPACE_TS, grid_origin=origin)
-    want = [_one_radius_cells(walk, math.exp(-t), origin).shape[0] for t in SPACE_TS]
+    want = [_pass_cells(walk, math.exp(-t), origin).shape[0] for t in SPACE_TS]
     assert [s.counts[0] for s in prof.samples] == want
     assert [s.total for s in prof.samples] == want
 
 
 # -- many radii in one pass -------------------------------------------------------
 #
-# ``_Walk.shapes(radii).cells(radii)`` counts a sorted array of radii at once,
-# and ``_CountTable`` groups radii by work before it does.  Every count must
-# equal the one-radius pass ``shapes(r).cells(r)``, itself checked against the
-# oracle above.
+# ``_Walk.runs(radii)`` counts a sorted array of radii at once, and
+# ``_CountTable`` groups radii by work before it does.  Every count must equal
+# the one-radius pass ``runs(r)``, itself checked against the oracle above.
 
 EXACT_TS = tuple(n * LN3 for n in range(4)) + tuple(n * LN2 for n in range(6))
 
@@ -418,10 +418,10 @@ def _origin(pick, ts):
     return {"zero": 0.0, "offset": 0.316, "half": math.exp(-max(ts)) / 2}[pick]
 
 
-def _one_radius_cells(walk, r, origin):
-    graph = walk.graph
-    o = _origin_vector(origin, graph.dimension)
-    return walk.shapes(r).cells(r, o)
+def _pass_cells(walk, r, origin):
+    """The cells of a walk's pass at r, one radius or (tagged) an array of them."""
+    dim = walk.graph.dimension
+    return _run_cells(walk.runs(r, _origin_vector(origin, dim), dim - 1))
 
 
 ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
@@ -440,7 +440,7 @@ def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
     origin = _origin(origin_pick, ts)
     radii = np.array(sorted({math.exp(-t) for t in ts}))
     walk = _Walk(graph, "X", radii[0])
-    want = [_one_radius_cells(walk, r, origin).shape[0] for r in radii]
+    want = [_pass_cells(walk, r, origin).shape[0] for r in radii]
     table = _CountTable(graph, origin)
     with mock.patch.object(covering, "_WORK", budget):
         table.fill("X", ts)
@@ -449,32 +449,19 @@ def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
         assert table.counts[("X", float(t))] == want[int(np.searchsorted(radii, r))]
 
 
-# the fields of each shape kind, its tag last
-KINDS = {
-    "points": ("points", "point_tag"),
-    "segments": ("seg_a", "seg_b", "seg_tag"),
-    "boxes": ("box_lo", "box_hi", "box_tag"),
-    "obbs": ("obb_c", "obb_row", "obb_tag"),
-}
-
-
-def _one_kind(shapes: _Shapes, kind: str, k: int | None = None) -> _Shapes:
-    """The points, segments or boxes of a tagged set alone; with k, only
-    those of radius k, untagged."""
-    fields = {}
-    for name, names in KINDS.items():
-        for f in names:
-            a = getattr(shapes, f)
-            if a is None:  # the tag of an untagged set
-                pass
-            elif name != kind:
-                a = a[:0]
-            elif k is not None:
-                a = a[getattr(shapes, names[-1]) == k]
-            fields[f] = a
-    if k is not None:
-        fields.update(point_tag=None, seg_tag=None, box_tag=None, obb_tag=None)
-    return dataclasses.replace(shapes, **fields)
+def _one_kind(pieces, kind: str, k: int | None = None) -> list:
+    """The pieces of one kind alone; with k, only their rows of radius k,
+    untagged."""
+    out = []
+    for p_kind, arrays, tag in pieces:
+        if p_kind != kind:
+            continue
+        if k is not None:
+            keep = tag == k
+            arrays = tuple(x if isinstance(x, _BoxAxes) else x[keep] for x in arrays)
+            tag = None
+        out.append((kind, arrays, tag))
+    return out
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -488,16 +475,17 @@ def test_tagged_shapes_and_cells_match_each_radius(graph, ts, origin_pick):
     sizes = sizes[sizes >= walk.r_min]
     ties = sizes[:: max(1, sizes.size // 4)]
     radii = np.unique(np.concatenate([[math.exp(-t) for t in ts], ties]))
-    o = _origin_vector(origin, graph.dimension)
-    shapes = walk.shapes(radii)
+    dim = graph.dimension
+    o = _origin_vector(origin, dim)
+    pieces = list(walk.pieces(radii, dim - 1))
     for k, r in enumerate(radii):
-        alone = walk.shapes(r)
-        for kind in KINDS:
-            assert _shape_rows(_one_kind(shapes, kind, k)) == _shape_rows(_one_kind(alone, kind))
-    for kind in KINDS:
-        rows = _one_kind(shapes, kind).cells(radii, o)
+        alone = list(walk.pieces(r, dim - 1))
+        for kind in PIECE_KINDS:
+            assert _shape_rows(_one_kind(pieces, kind, k)) == _shape_rows(_one_kind(alone, kind))
+    for kind in PIECE_KINDS:
+        rows = kernel_cells(dim, _one_kind(pieces, kind), radii, o)
         for k, r in enumerate(radii):
-            want = _one_kind(shapes, kind, k).cells(r, o)
+            want = kernel_cells(dim, _one_kind(pieces, kind, k), r, o)
             got = rows[rows[:, 0] == k, 1:]
             assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
@@ -518,7 +506,7 @@ def test_profile_totals_match_one_radius_totals(graph, ts, origin_pick, budget):
         prof = covering.profile_at(graph, ts, grid_origin=origin)
     assert len(prof.samples) == len(ts)
     for sample in prof.samples:
-        cells = [set(map(tuple, _one_radius_cells(w, sample.r, origin).tolist())) for w in walks]
+        cells = [set(map(tuple, _pass_cells(w, sample.r, origin).tolist())) for w in walks]
         want = tuple(map(len, cells)), len(set().union(*cells))
         assert (sample.counts, sample.total) == want
 
@@ -556,14 +544,13 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
     # sum over a pass
     radii = np.array(sorted({math.exp(-t) for t in ts}))
     walk = _Walk(graph, "X", radii[0])
-    counts = [_one_radius_cells(walk, r, 0.0).shape[0] for r in radii]
-    o = _origin_vector(0.0, graph.dimension)
+    counts = [_pass_cells(walk, r, 0.0).shape[0] for r in radii]
     for cap in sorted({1, 2, max(counts) - 1, max(counts)}):
         with mock.patch.object(covering, "CELL_CAP", cap):
-            alone = [_raises_cap(_one_radius_cells, walk, r, 0.0) for r in radii]
-            batched = _raises_cap(lambda: walk.shapes(radii).cells(radii, o))
+            alone = [_raises_cap(_pass_cells, walk, r, 0.0) for r in radii]
+            batched = _raises_cap(_pass_cells, walk, radii, 0.0)
         assert batched == any(alone), cap
-    assert not _raises_cap(lambda: walk.shapes(radii).cells(radii, o))
+    assert not _raises_cap(_pass_cells, walk, radii, 0.0)
     # the walk's node cap trips on both paths
     with mock.patch.object(covering, "PATH_CAP", 2):
         with pytest.raises(ResourceLimitError):
@@ -635,17 +622,17 @@ def line_shapes(draw, r, origin):
     return points, segments, boxes
 
 
-def _line_arrays(points, segments, boxes):
-    """The shapes as ``_Shapes.gather`` parts; boxes as their bounds."""
-    def col(xs):
-        return np.array(xs, dtype=float).reshape(-1, 1)
-
+def _line_pieces(points, segments, boxes, tags=(None, None, None)) -> list:
+    """The shapes as the kernel's pieces, one per kind, each with its tag;
+    boxes as their bounds."""
     bounds = [b.bounding_box() for b in boxes]
-    return (
-        [col([p.point for p in points])],
-        [(col([s.a for s in segments]), col([s.b for s in segments]))],
-        [(col([b.lo for b in bounds]), col([b.hi for b in bounds]))],
+    parts = (
+        ("point", [p.point for p in points]),
+        ("segment", [s.a for s in segments], [s.b for s in segments]),
+        ("box", [b.lo for b in bounds], [b.hi for b in bounds]),
     )
+    return [(kind, tuple(np.array(x, dtype=float).reshape(-1, 1) for x in xs), tag)
+            for (kind, *xs), tag in zip(parts, tags) if xs[0]]
 
 
 def _oracle_cells(shapes, r, origin) -> set:
@@ -686,11 +673,11 @@ def test_run_union_matches_cell_sets(runs, far):
 @given(data=st.data(), r=st.sampled_from(LINE_RADII), origin=st.sampled_from(LINE_ORIGINS))
 def test_line_runs_match_cells_and_oracle(data, r, origin):
     points, segments, boxes = data.draw(line_shapes(r, origin))
-    shapes = _Shapes.gather(1, *_line_arrays(points, segments, boxes))
+    pieces = _line_pieces(points, segments, boxes)
     o = _origin_vector(origin, 1)
-    runs = shapes.runs(r, o)
+    runs = kernel_runs(1, pieces, r, o)
     _assert_disjoint(runs)
-    cells = shapes.cells(r, o)
+    cells = kernel_cells(1, pieces, r, o)
     want = _oracle_cells(points + segments + boxes, r, origin)
     assert _cell_count(runs) == cells.shape[0] == len(want)
     assert set(map(tuple, cells.tolist())) == want
@@ -707,13 +694,13 @@ def test_tagged_line_runs_match_each_radius(data, radii, origin):
     radii = np.array(sorted(radii))
     drawn = [data.draw(line_shapes(r, origin)) for r in radii]
     kinds = [sum((d[j] for d in drawn), []) for j in range(3)]
-    tags = [[np.array([k for k, d in enumerate(drawn) for _ in d[j]], dtype=np.int64)]
-            for j in range(3)] + [[]]
-    shapes = _Shapes.gather(1, *_line_arrays(*kinds), tags=tags)
+    tags = [np.array([k for k, d in enumerate(drawn) for _ in d[j]], dtype=np.int64)
+            for j in range(3)]
+    pieces = _line_pieces(*kinds, tags)
     o = _origin_vector(origin, 1)
-    runs = shapes.runs(radii, o)
+    runs = kernel_runs(1, pieces, radii, o)
     _assert_disjoint(runs)
-    cells = shapes.cells(radii, o)
+    cells = kernel_cells(1, pieces, radii, o)
     counts = _cell_count(runs, radii.size)
     for k, r in enumerate(radii):
         want = _oracle_cells(sum(drawn[k], []), r, origin)
@@ -726,16 +713,15 @@ def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
     # the segment [0, 10] crosses the 9 planes 1..9 of the unit grid and
     # meets 11 cells: a cap of 8 stops it before any cell is counted, a cap
     # of 9 only once its cells are
-    segment = [(np.array([[0.0]]), np.array([[10.0]]))]
-    alone = _Shapes.gather(1, segments=segment)
-    tagged = _Shapes.gather(1, segments=segment, tags=([], [np.array([1])], [], []))
+    segment = (np.array([[0.0]]), np.array([[10.0]]))
+    alone, tagged = ("segment", segment, None), ("segment", segment, np.array([1]))
     o = np.zeros(1)
     for cap, stage in ((8, "enumeration"), (9, "union")):
         with mock.patch.object(covering, "CELL_CAP", cap):
             with pytest.raises(ResourceLimitError, match=stage):
-                alone.runs(1.0, o)
+                kernel_runs(1, [alone], 1.0, o)
             with pytest.raises(ResourceLimitError, match=stage):
-                tagged.runs(np.array([0.5, 1.0]), o)
+                kernel_runs(1, [tagged], np.array([0.5, 1.0]), o)
     # through the walk: at t = 3 the condensation segment [1/3, 2/3] crosses
     # 6 planes; the table counts t = 1 and t = 3 in one tagged pass
     r = math.exp(-3.0)
@@ -803,10 +789,10 @@ def test_axis_segments_match_the_crossing_sampler(data, dim, r):
     segments = data.draw(axis_segments(dim))
     for origin in AXIS_ORIGINS:
         a, b = _placed(segments, r, origin)
-        shapes = _Shapes.gather(dim, segments=[(a, b)])
+        pieces = [("segment", (a, b), None)]
         o = _origin_vector(origin, dim)
-        _assert_disjoint(shapes.runs(r, o))
-        cells = shapes.cells(r, o)
+        _assert_disjoint(kernel_runs(dim, pieces, r, o))
+        cells = kernel_cells(dim, pieces, r, o)
         want = _oracle_segment_cells(a, b, r, origin)
         assert cells.shape[0] == len(want)
         assert set(map(tuple, cells.tolist())) == want
@@ -825,10 +811,10 @@ def test_tagged_axis_segments_match_each_radius(data, dim, radii):
     for origin in AXIS_ORIGINS:
         placed = [_placed(d, r, origin) for d, r in zip(drawn, radii)]
         a, b = (np.concatenate([p[k] for p in placed]) for k in (0, 1))
-        shapes = _Shapes.gather(dim, segments=[(a, b)], tags=([], [tag], [], []))
+        pieces = [("segment", (a, b), tag)]
         o = _origin_vector(origin, dim)
-        _assert_disjoint(shapes.runs(radii, o))
-        cells = shapes.cells(radii, o)
+        _assert_disjoint(kernel_runs(dim, pieces, radii, o))
+        cells = kernel_cells(dim, pieces, radii, o)
         for k, r in enumerate(radii):
             want = _oracle_segment_cells(*placed[k], r, origin)
             got = cells[cells[:, 0] == k, 1:]
@@ -1206,15 +1192,16 @@ def test_random_walk_build_matches_the_per_edge_build(graph, t):
             _Walk(graph, v, math.exp(-t))
 
 
-def _same_arrays(a: _Shapes, b: _Shapes) -> bool:
-    fields = [f.name for f in dataclasses.fields(_Shapes) if f.name not in ("dim", "obb_axes")]
-    pairs = [(getattr(a, f), getattr(b, f)) for f in fields] + [(_obb_half(a), _obb_half(b))]
-    for x, y in pairs:
-        if (x is None) != (y is None):
-            return False
-        if x is not None and (x.shape, x.tobytes()) != (y.shape, y.tobytes()):
-            return False
-    return True
+def _piece_bytes(pieces) -> list:
+    """Each piece's kind, arrays and tag as bytes; rotated boxes by their
+    centres and half axes."""
+    out = []
+    for kind, arrays, tag in pieces:
+        if kind == "obb":
+            arrays = (arrays[0], arrays[2].half[arrays[1]])
+        tag = None if tag is None else tag.tobytes()
+        out.append((kind, [(x.shape, x.tobytes()) for x in arrays], tag))
+    return out
 
 
 @st.composite
@@ -1240,9 +1227,11 @@ def test_groups_in_any_order_match_fresh_walks(graph, ts, origin_pick, data):
         for group in groups:
             rs = radii[group]
             r = rs[0] if rs.size == 1 else rs
-            got = shared.shapes(r)
-            assert _same_arrays(got, _Walk(graph, root, radii[0]).shapes(r)), group
-            counts = np.atleast_1d(_cell_count(got.runs(r, o), None if rs.size == 1 else rs.size))
+            got = list(shared.pieces(r, 0))
+            fresh = _Walk(graph, root, radii[0]).pieces(r, 0)
+            assert _piece_bytes(got) == _piece_bytes(fresh), group
+            runs = kernel_runs(graph.dimension, got, r, o)
+            counts = np.atleast_1d(_cell_count(runs, None if rs.size == 1 else rs.size))
             for k, x in zip(group, counts.tolist()):
                 if (root, k) not in want:
                     oracle_set = oracle.generate(graph, root, radii[k])
@@ -1253,7 +1242,7 @@ def test_groups_in_any_order_match_fresh_walks(graph, ts, origin_pick, data):
 @pytest.mark.parametrize("name", ["cantor_point", "rotated2d", "sierpinski", "two_ratio"])
 def test_passes_keep_nothing_per_node(bundled, name):
     # every radius of a geometric ladder down to the walk's finest, alone and
-    # then as one group: once the shapes are dropped, all the walk has gained
+    # then as one group: once the pieces are dropped, all the walk has gained
     # is its per-class image tables, under 2 bytes per node
     graph, r_min = bundled[name], WALK_RADII[name][0]
     radii = np.geomspace(r_min, max(graph.seed_box(v).diameter for v in graph.vertex_order), 8)
@@ -1262,22 +1251,20 @@ def test_passes_keep_nothing_per_node(bundled, name):
         for v in graph.vertex_order:
             walk = _Walk(graph, v, r_min)
             before = tracemalloc.get_traced_memory()[0]
-            for r in radii:
-                walk.shapes(r)
-            walk.shapes(radii)
+            for r in [*radii, radii]:
+                list(walk.pieces(r, 0))
             grown = tracemalloc.get_traced_memory()[0] - before
             assert grown < 2 * walk.cls.size, (v, grown, walk.cls.size)
     finally:
         tracemalloc.stop()
 
 
-# -- passes streamed through the union in chunks -----------------------------------
+# -- passes streamed through the union in slices -----------------------------------
 #
-# A pass maps about ``_WORK`` estimated candidate runs at a time and adds
-# their runs to one union.  The chunk size changes no run and no cap: one
-# estimated run per chunk, seven, and one chunk past every pass (the one-shot
-# pass) give the runs of the shapes stacked at once, and the same error where
-# a cap trips.
+# A pass maps about ``_WORK`` estimated candidate runs at a time and feeds
+# their runs to one union.  The slice size changes no run and no cap: one
+# estimated run per slice, seven, and one slice per node block give the same
+# runs, and the same error where a cap trips.
 
 STREAM_SIZES = (1, 7, 1 << 40)
 
@@ -1300,17 +1287,18 @@ def _streamed(fn) -> list:
 
 
 def _assert_streams_alike(walk, r, o, axis) -> None:
-    """Walk ``runs`` at every chunk size (and merging at every add) equal the
-    one-shot shapes' runs, without a cap and under tiny ones."""
-    want = walk.shapes(r).runs(r, o, axis)
+    """Walk ``runs`` at every slice size (and merging at every add) equal
+    those of one slice per node block, without a cap and under tiny ones."""
+    with mock.patch.object(covering, "_WORK", STREAM_SIZES[-1]):
+        want = walk.runs(r, o, axis)
     assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
     with mock.patch.object(covering, "_MERGE_FLOOR", 1):
         assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
     most = int(np.max(_cell_count(want, None if np.ndim(r) == 0 else r.size), initial=0))
     for cap in sorted({1, 2, max(most - 1, 1), max(most, 1)}):
         with mock.patch.object(covering, "CELL_CAP", cap):
-            one_shot = _outcome(lambda: walk.shapes(r).runs(r, o, axis))
-            assert _streamed(lambda: walk.runs(r, o, axis)) == [one_shot] * 3, cap
+            outcomes = _streamed(lambda: walk.runs(r, o, axis))
+            assert outcomes == [outcomes[-1]] * 3, cap
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1347,8 +1335,8 @@ def test_chunk_size_changes_no_condensation_kind_run():
     graph = _permuted_system()
     radii = np.array([math.exp(-4.0), math.exp(-2.5), math.exp(-1.0)])
     walk = _Walk(graph, "X", radii[0])
-    shapes = walk.shapes(radii)
-    assert all(a.shape[0] for a in (shapes.points, shapes.seg_a, shapes.box_lo))
+    rows = piece_rows(walk.pieces(radii, 0))
+    assert all(rows[kind] for kind in ("point", "segment", "box"))
     for r in (radii[0], radii[2], radii):
         _assert_streams_alike(walk, r, np.zeros(2), covering._run_axis(graph))
 
@@ -1356,20 +1344,55 @@ def test_chunk_size_changes_no_condensation_kind_run():
 @pytest.mark.parametrize("name", ["two_ratio", "cantor_point", "dust2d_edge", "rotated2d"])
 def test_a_pass_of_several_radii_is_one_chunk(bundled, name):
     # radii share a pass while their estimates sum within _WORK, the budget
-    # a pass's chunks are cut by, so such a pass is never cut
+    # a pass's slices are cut by, so such a pass maps each node block whole
     graph = bundled[name]
     ts = np.linspace(0.5, 7.0 if graph.dimension == 2 else 9.0, 60)
-    per_pass, chunks = [], _Walk.chunks
+    per_pass, pieces, images = [], _Walk.pieces, _Walk._images
 
-    def spy(walk, r, axis, budget=None):
-        out = list(chunks(walk, r, axis, budget))
-        per_pass.append((np.ndim(r) > 0, len(out)))
-        yield from out
+    def spy_pieces(walk, r, axis):
+        live = [(hi > lo).any() for *_block, lo, hi in walk._blocks(np.atleast_1d(r))]
+        per_pass.append([np.ndim(r) > 0, sum(live), 0])
+        yield from pieces(walk, r, axis)
 
-    with mock.patch.object(_Walk, "chunks", spy):
+    def spy_images(walk, *args):
+        per_pass[-1][-1] += 1
+        return images(walk, *args)
+
+    with mock.patch.object(_Walk, "pieces", spy_pieces), \
+            mock.patch.object(_Walk, "_images", spy_images):
         covering.profile_at(graph, ts)
-    assert any(tagged for tagged, _n in per_pass)
-    assert all(n == 1 for tagged, n in per_pass if tagged)
+    assert any(tagged for tagged, _blocks, _slices in per_pass)
+    assert all(blocks == slices for tagged, blocks, slices in per_pass if tagged)
+
+
+@pytest.mark.parametrize("name, ts", [
+    ("sierpinski", [6.0]),  # 3^10 leaves at one radius
+    ("two_ratio", np.linspace(0.5, 9.0, 60).tolist()),  # passes of many radii
+])
+def test_no_piece_passes_the_budget_by_more_than_one_node(bundled, name, ts):
+    # both systems have leaves only, whose _cost is one per (node, radius)
+    # pair: a piece's summed estimate is its row count, and one node's is at
+    # most the number of radii in its pass
+    graph = bundled[name]
+    assert not any(graph.condensation.values())
+    fed, feed = [], covering._feed
+
+    def spy(piece, r, origin, acc):
+        _kind, arrays, _tag = piece
+        fed.append((arrays[0].shape[0], np.size(r)))
+        return feed(piece, r, origin, acc)
+
+    with mock.patch.object(covering, "_feed", spy):
+        if len(ts) == 1:
+            r = math.exp(-ts[0])
+            assert covering.count(covering.generate(graph, "X", r), r).total > 0
+        else:
+            covering.profile_at(graph, ts)
+    if len(ts) == 1:
+        assert sum(rows for rows, _n in fed) == 3**10
+    else:
+        assert any(n_radii > 1 for _rows, n_radii in fed)
+    assert all(0 < rows <= covering._WORK + n_radii for rows, n_radii in fed)
 
 
 def test_chunk_size_changes_no_profile(two_vertex):

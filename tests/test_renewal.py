@@ -6,7 +6,7 @@ import pytest
 
 from helpers import LN2, LN3, dirac, phase_graph, shifted_scaled, two_vertex_graph
 
-from gdcover.errors import NumericalError, ValidationError
+from gdcover.errors import NumericalError, ResourceLimitError, ValidationError
 from gdcover.lattice import classify_graph
 from gdcover.renewal import (
     AtomicMeasure,
@@ -303,6 +303,17 @@ class TestRenewalSolve:
         forcing = [StepFunction.indicator(0.0, LN2)]
         with pytest.warns(UserWarning, match="truncation"):
             renewal_solve(m, forcing, 30.0, truncation=3)
+
+    def test_series_past_the_term_cap(self):
+        # ceil(horizon / lambda_min) terms: refused past the cap before any
+        # is formed, unless a truncation forms fewer
+        m = scalar_measure(*MIX)
+        forcing = [StepFunction.indicator(0.0, 1.0)]
+        with pytest.raises(ResourceLimitError, match="needs 1442696 terms"):
+            renewal_solve(m, forcing, 1e6)
+        with pytest.warns(UserWarning, match="truncation"):
+            (f,) = renewal_solve(m, forcing, 1e6, truncation=3)
+        assert f(0.5) == 1.0
 
     def test_two_vertex_system_settles_onto_periodic_limit(self):
         g = two_vertex_graph()

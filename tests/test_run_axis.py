@@ -19,10 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covering_oracle as oracle
-from helpers import sierpinski_graph
+from helpers import kernel_cells, kernel_runs, piece_rows, sierpinski_graph
 
 from gdcover import covering
-from gdcover.covering import _CellUnion, _origin_vector, _run_axis, _Shapes, _Walk
+from gdcover.covering import _CellUnion, _origin_vector, _run_axis, _Walk
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import Edge, MWGraph
 
@@ -243,11 +243,12 @@ def test_cells_come_back_in_the_callers_axis_order(make):
         for v in graph.vertex_order:
             walk = _Walk(graph, v, radii[0])
             want = [_oracle_cells(graph, v, r, origin) for r in radii]
-            for axis in range(graph.dimension):
+            dim = graph.dimension
+            for axis in range(dim):
                 for r, cells in zip(radii, want):
-                    got = walk.shapes(r).cells(r, o, axis)
+                    got = kernel_cells(dim, walk.pieces(r, axis), r, o, axis)
                     assert set(map(tuple, got.tolist())) == cells, (axis, r)
-                rows = walk.shapes(radii).cells(radii, o, axis)
+                rows = kernel_cells(dim, walk.pieces(radii, axis), radii, o, axis)
                 for k, cells in enumerate(want):
                     assert set(map(tuple, rows[rows[:, 0] == k, 1:].tolist())) == cells
             for r, cells in zip(radii, want):
@@ -298,23 +299,23 @@ def test_an_axis_parallel_segment_is_one_run(dim):
         a = np.full((1, dim), 0.35)
         b = a.copy()
         b[0, axis] = 2.05  # 18 cells along the axis
-        shapes = _Shapes.gather(dim, segments=[(a, b)])
+        pieces = [("segment", (a, b), None)]
         o = np.zeros(dim)
-        assert _candidate_runs(lambda: shapes.runs(r, o, axis)) == 1
-        assert shapes.runs(r, o, axis).shape[0] == 1
-        assert shapes.cells(r, o, axis).shape[0] == 18
+        assert _candidate_runs(lambda: kernel_runs(dim, pieces, r, o, axis)) == 1
+        assert kernel_runs(dim, pieces, r, o, axis).shape[0] == 1
+        assert kernel_cells(dim, pieces, r, o, axis).shape[0] == 18
         # along another axis each cell is a run of its own
         other = (axis + 1) % dim
-        assert _candidate_runs(lambda: shapes.runs(r, o, other)) == 18
+        assert _candidate_runs(lambda: kernel_runs(dim, pieces, r, o, other)) == 18
 
 
 def test_horizontal_segment_images_are_one_run_each(bundled):
     graph = bundled["dust2d_edge"]
     r = math.exp(-6.0)
-    shapes = _Walk(graph, "X", r).shapes(r)
-    segments = _Shapes.gather(2, segments=[(shapes.seg_a, shapes.seg_b)])
-    n = _candidate_runs(lambda: segments.runs(r, np.zeros(2), _run_axis(graph)))
-    assert n == shapes.seg_a.shape[0]
+    axis = _run_axis(graph)
+    segments = [p for p in _Walk(graph, "X", r).pieces(r, axis) if p[0] == "segment"]
+    n = _candidate_runs(lambda: kernel_runs(2, segments, r, np.zeros(2), axis))
+    assert n == len(piece_rows(segments)["segment"]) > 0
 
 
 THIRDS = [3.0**-n for n in (5, 4, 3, 2)]
@@ -345,8 +346,8 @@ def test_work_covers_the_candidate_runs(bundled, make):
     whole, bare = (_Walk(g, "X", radii[0]) for g in (graph, graph.without_condensation()))
     work, leaf_work = whole.work(radii, axis), bare.work(radii, axis)
     for r, w, lw in [*zip(radii, work, leaf_work), (radii, work.sum(), leaf_work.sum())]:
-        built = _candidate_runs(lambda: whole.shapes(r).runs(r, o, axis))
-        leaves = _candidate_runs(lambda: bare.shapes(r).runs(r, o, axis))
+        built = _candidate_runs(lambda: whole.runs(r, o, axis))
+        leaves = _candidate_runs(lambda: bare.runs(r, o, axis))
         assert built - leaves <= w - lw
         assert leaves <= spread * lw
 
@@ -359,27 +360,27 @@ def test_work_covers_the_candidate_runs(bundled, make):
     (lambda b: _boxed(b["rotated2d"], Primitive.box((0.42, 0.05), (0.58, 0.3))), 7.0),  # rotated ones
 ])
 def test_a_chunk_builds_within_its_factor_of_the_budget(bundled, make, t):
-    # a chunk's estimate passes _WORK by at most one node's, and its
+    # a slice's estimate passes _WORK by at most one node's, and its
     # elements build at most 2^d candidates per estimated one
     graph = make(bundled)
     axis = _run_axis(graph)
-    o = np.zeros(graph.dimension)
+    dim = graph.dimension
+    o = np.zeros(dim)
     r = math.exp(-t)
     walk = _Walk(graph, "X", r)
     most = max(walk._cost(v, inner, walk.cls[a + np.flatnonzero(hi > lo)], r, axis).max(initial=0)
                for v, inner, a, lo, hi in walk._blocks(np.array([r])))
-    estimate, images = [0.0], walk._images
+    estimate, built, images = [], [], walk._images
 
-    def spy(v, inner, nodes, n, tag, parts):
-        estimate[-1] += walk._cost(v, inner, walk.cls[nodes], r, axis).sum()
-        return images(v, inner, nodes, n, tag, parts)
+    def spy(v, inner, nodes, n, tag):
+        estimate.append(walk._cost(v, inner, walk.cls[nodes], r, axis).sum())
+        built.append(0)
+        return images(v, inner, nodes, n, tag)
 
-    built = []
     with mock.patch.object(walk, "_images", spy):
-        for shapes in walk.chunks(r, axis):
-            built.append(_candidate_runs(lambda: shapes.runs(r, o, axis)))
-            estimate.append(0.0)
+        for piece in walk.pieces(r, axis):  # each piece counted with its slice
+            built[-1] += _candidate_runs(lambda: kernel_runs(dim, [piece], r, o, axis))
     assert len(built) > 2
     for runs, est in zip(built, estimate):
         assert 0 < est <= covering._WORK + most
-        assert runs <= 2**graph.dimension * est
+        assert runs <= 2**dim * est
