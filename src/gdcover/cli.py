@@ -595,7 +595,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid-origin",
         default=None,
-        help="grid anchor: one number broadcast to all axes, or comma-separated",
+        help="grid anchor: one number broadcast to all axes, or comma-separated; "
+        "give a negative one with '=', as --grid-origin=-0.1,0.2",
     )
 
 

@@ -5,7 +5,9 @@ anchored at a grid origin (default 0).  A shape is charged to every cell it
 meets.  Index arithmetic carries a snap of 1e-9 in index space so that
 coordinates landing on a grid line within float noise resolve to the cell
 the exact arithmetic would pick; this is what makes ternary-grid counts of
-the middle-thirds attractor exact integers.
+the middle-thirds attractor exact integers, for coordinates and origins
+near unit size only: the noise of ``x - o`` grows with them, and ``cantor``
+at r = 3^-14 counts 19,227 cells at origin 10, 16,384 at origin 0.
 
 The covering set for a vertex mixes two element kinds: boxes covering whole
 subtrees (images of seed boxes along paths stopped at resolution) and
@@ -128,14 +130,6 @@ def _span(idx: np.ndarray):
 def _repeat_rows(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Row k of ``x`` n[k] >= 1 times: ``x`` itself when each is once."""
     return x if x.shape[0] == n.sum() else np.repeat(x, n, axis=0)
-
-
-def _distinct_small(values: np.ndarray):
-    """Distinct small nonnegative ints and each value's index among them."""
-    present = np.flatnonzero(np.bincount(values))
-    slot = np.zeros(present[-1] + 1, dtype=np.int64)
-    slot[present] = np.arange(present.size)
-    return present, slot[values]
 
 
 # most distinct values of small int keys that sort as 8- or 16-bit ints, by radix
@@ -398,33 +392,28 @@ def _obb_extent(half: np.ndarray) -> np.ndarray:
     return ext
 
 
-def _sat_axes(half: np.ndarray, exact: bool):
+def _sat_axes(half: np.ndarray):
     """Unit box axes of 2-d boxes; per box axis, the box's projected half
-    extent (summed over its half axes) and the cell factor |u_0| + |u_1|.
+    extent (summed over its half axes) and the cell factor |u_0| + |u_1|,
+    in the scalar test's arithmetic (``math.hypot`` and numpy's matrix
+    products).
 
     Against a cell of side r, an axis separates at a centre distance of
-    ``0.5 * r * factor + extent - ETA * r``.  ``exact`` repeats the scalar
-    test's arithmetic (``math.hypot`` and numpy's matrix products);
-    otherwise plain elementwise numpy, which can differ from it in the last
-    bits.
+    ``0.5 * r * factor + extent - ETA * r``.  The extent is infinite where
+    the axis has length zero: such an axis separates nothing.
     """
-    if exact:
-        norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
-        norms = norms.reshape(half.shape[:2])
-    else:
-        norms = np.hypot(half[..., 0], half[..., 1])
+    norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
+    norms = norms.reshape(half.shape[:2])
     live = norms > 0
     units = half / np.where(live, norms, 1.0)[..., None]
-    extent, factor = [], []
+    extent, factor = np.empty(live.shape), np.empty(live.shape)
     for k in range(2):
         u = units[:, k, :]
-        if exact:
-            proj = np.abs(np.matmul(half, u[:, :, None])[:, :, 0])
-        else:
-            proj = np.abs(half[:, :, 0] * u[:, None, 0] + half[:, :, 1] * u[:, None, 1])
-        extent.append(proj[:, 0] + proj[:, 1])
-        factor.append(np.abs(u[:, 0]) + np.abs(u[:, 1]))
-    return live, units, extent, factor
+        proj = np.abs(np.matmul(half, u[:, :, None])[:, :, 0])
+        extent[:, k] = proj[:, 0] + proj[:, 1]
+        factor[:, k] = np.abs(u[:, 0]) + np.abs(u[:, 1])
+    extent[~live] = np.inf
+    return units, extent, factor
 
 
 def _reach(r, factor, extent):
@@ -435,26 +424,21 @@ def _reach(r, factor, extent):
 @dataclass(frozen=True)
 class _BoxAxes:
     """Separating-axis constants of rotated 2-d boxes, one row per box shape
-    (a class of a walk, or one box): none depends on the radius, so they are
-    formed once per row, in the fast arithmetic of ``_sat_axes``.
-
-    ``extent[:, k]`` is infinite where box axis k has length zero: such an
-    axis separates nothing.
+    (a class of a walk, or one box): none depends on the radius, so
+    ``_sat_axes`` forms them once per row, and both the candidate test and
+    its exact retest read them.
     """
 
     half: np.ndarray  # (k, 2, 2) half axes, one row per box axis
     ext: np.ndarray  # (k, 2) bounding-box half widths
     units: np.ndarray  # (k, 2, 2) unit box axes
-    extent: np.ndarray  # (k, 2) projected half extents on the box axes
+    extent: np.ndarray  # (k, 2) projected half extents on the box axes, inf on a dead one
     factor: np.ndarray  # (k, 2) cell factors |u_0| + |u_1|
     size: np.ndarray  # (k,) summed |half|, the box's scale in the unsure margin
 
     @classmethod
     def of(cls, half: np.ndarray) -> "_BoxAxes":
-        live, units, extent, factor = _sat_axes(half, exact=False)
-        extent = np.where(live, np.column_stack(extent), np.inf)
-        return cls(half, _obb_extent(half), units, extent, np.column_stack(factor),
-                   np.abs(half).sum(axis=(1, 2)))
+        return cls(half, _obb_extent(half), *_sat_axes(half), np.abs(half).sum(axis=(1, 2)))
 
 
 def _obb_hits(center, row, axes: _BoxAxes, r, origin):
@@ -465,9 +449,11 @@ def _obb_hits(center, row, axes: _BoxAxes, r, origin):
     box along an axis when the distance of their centres projected on it
     reaches the sum of their projected half extents, less a 1e-9 r
     tolerance.  The two grid axes test exactly in elementwise arithmetic.
-    The two box axes are first tested in fast arithmetic; a candidate whose
-    margin there is within 1e-12 of the scale is retested with the scalar
-    test's exact arithmetic.
+    The two box axes take their constants from ``axes``, formed in the
+    scalar test's arithmetic, and project the centre distance with an
+    elementwise dot product, whose rounding a margin of 1e-12 of the scale
+    absorbs: a candidate within it is retested with the scalar test's
+    matrix product, so every mask equals the scalar test's.
     """
     ext = axes.ext[row]
     ilo, ihi = _interval_cells(center - ext, center + ext, r, origin)
@@ -490,8 +476,7 @@ def _sat_hits(rows, center, cls, axes: _BoxAxes, r, origin) -> np.ndarray:
         d += origin[k]
         np.subtract(center[:, k], d, out=d)
         hit &= np.abs(d) < 0.5 * r + axes.ext[:, k][cls] - ETA * r
-    grid = hit.copy()
-    unsure = np.zeros_like(grid)
+    grid, unsure = hit.copy(), np.zeros_like(hit)
     margin = axes.size[cls]
     margin += r
     margin += np.abs(diff[:, 0])
@@ -506,17 +491,17 @@ def _sat_hits(rows, center, cls, axes: _BoxAxes, r, origin) -> np.ndarray:
         unsure |= np.abs(gap) <= margin
     redo = np.flatnonzero(grid & unsure)
     if redo.size:
-        hit[redo] = _sat_exact(diff[redo], axes.half[cls[redo]], _take(r, redo))
+        hit[redo] = _sat_exact(diff[redo], cls[redo], axes, _take(r, redo))
     return hit
 
 
-def _sat_exact(diff: np.ndarray, half: np.ndarray, r) -> np.ndarray:
-    """Box-axis part of the separating-axis test, in the scalar arithmetic."""
-    live, units, extent, factor = _sat_axes(half, exact=True)
+def _sat_exact(diff: np.ndarray, cls: np.ndarray, axes: _BoxAxes, r) -> np.ndarray:
+    """Box-axis part of the separating-axis test, in the scalar arithmetic,
+    of centre distances ``diff`` against ``axes`` rows ``cls``."""
     hit = np.ones(diff.shape[0], dtype=bool)
     for k in range(2):
-        d = np.abs(np.matmul(diff[:, None, :], units[:, k, :, None])[:, 0, 0])
-        hit &= ~live[:, k] | (d < _reach(r, factor[k], extent[k]))
+        d = np.abs(np.matmul(diff[:, None, :], axes.units[cls, k, :, None])[:, 0, 0])
+        hit &= d < _reach(r, axes.factor[cls, k], axes.extent[cls, k])
     return hit
 
 
@@ -618,7 +603,6 @@ class _Walk:
         levels = self._count(order.index(vertex))
         self._build(levels)
         self._order(levels)
-        self._perm = [self._signed_permutation(q) for q in self.isos]
         self._iso_stack = np.array(self.isos)
         self._tables: dict[tuple, tuple] = {}
 
@@ -698,8 +682,7 @@ class _Walk:
     def _build(self, levels: list) -> None:
         """Write the levels deepest first into ``cls``, ``trans`` and
         ``above``: each child level from its parent level's slice, the
-        class's row broadcast when the parents share one class, else
-        gathered by class id."""
+        class rows gathered by class id, a terminal vertex at a time."""
         sizes = [sum(level.values()) for level in levels]
         n = sum(sizes)
         starts = [n - s for s in itertools.accumulate(sizes)]
@@ -711,15 +694,6 @@ class _Walk:
         gt = grow_term.tolist()
         for level, a, m, at in zip(levels, starts, sizes, starts[1:]):
             pc, ptr, pab = cls[a : a + m], trans[a : a + m], above[a : a + m]
-            if len(level) == 1:
-                (c,) = level
-                for j in range(self._deg[self.c_term[c]]):
-                    cls[at : at + m] = self._kid[j, c]
-                    for k, b in enumerate(self._step_b[j, c]):  # a column at a time:
-                        np.add(ptr[:, k], b, out=trans[at : at + m, k])  # broadcasting is slow
-                    np.minimum(pab, self.c_size[c], out=above[at : at + m])
-                    at += m
-                continue
             terms = sorted({gt[c] for c in level} - {-1})
             whole = len(terms) == 1 and all(gt[c] >= 0 for c in level)
             tv = None if whole else grow_term[pc]
@@ -771,14 +745,6 @@ class _Walk:
             self._steps[(iso, edge.id)] = hit
         return hit
 
-    @staticmethod
-    def _signed_permutation(q: np.ndarray):
-        """(column, sign) per row when q is exactly a signed permutation."""
-        if not (np.isin(q, (-1.0, 0.0, 1.0)).all() and ((q != 0).sum(axis=1) == 1).all()):
-            return None
-        col = np.abs(q).argmax(axis=1)
-        return col, q[np.arange(q.shape[0]), col]
-
     # -- images of fixed shapes under the nodes' maps ---------------------
     #
     # A node maps a point x to ((ratio * x) @ Q.T) + b, and all but the
@@ -788,77 +754,33 @@ class _Walk:
     # node-by-node map.  A pass maps each node it reads once, then repeats
     # the image for each radius the node serves.
 
-    def _by_iso(self):
-        """One stable sort of the classes by isometry: the order, and each
-        distinct isometry with its slice of the sorted classes."""
-        slots, rank = _distinct_small(self.c_iso)
-        rank = _sort_keys(rank, slots.size)
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
-        parts = [(k, slice(a, b)) for k, a, b in zip(slots.tolist(), bounds, bounds[1:])]
-        return np.argsort(rank, kind="stable"), parts
-
     def _class_point(self, pt) -> np.ndarray:
         """``(ratio * pt) @ Q.T`` per class: ``Similarity.apply(pt)`` less
-        the translation."""
+        the translation, in its operand layout."""
         x = self.c_ratio[:, None] * np.asarray(pt, dtype=float)
-        if len(self.isos) > 1:
-            order, parts = self._by_iso()
-            xs = x[order]
-            for k, part in parts:
-                perm = self._perm[k]
-                if perm is not None:  # products with 0 and +-1 are exact
-                    xs[part] = xs[part][:, perm[0]] * perm[1]
-                else:
-                    xs[part] = np.matmul(xs[part][:, None, :], self.isos[k].T)[:, 0, :]
-            x[order] = xs
-        return x
-
-    def _axes(self, box: Box) -> np.ndarray:
-        """Per isometry Q, the half axes of ``box``'s image at ratio 1: row k
-        is Q[:, k] * (w_k / 2).  Times a node's ratio, they are the covering
-        oracle's ``OrientedBox.image_of`` half axes."""
-        return self._iso_stack.transpose(0, 2, 1) * (np.array(box.widths) / 2)[:, None]
+        return np.matmul(x[:, None, :], self._iso_stack.transpose(0, 2, 1)[self.c_iso])[:, 0, :]
 
     def _class_box(self, box: Box):
         """Per class, the covering oracle's ``OrientedBox.image_of`` less the
         translation: its centre, its ``bounding_box`` half widths, whether it
         is charged its bounding box (``plain``: axis-aligned by the oracle's
-        1e-12 test, or any box in dimension > 2), and, when some class is
+        1e-12 test, or any box outside dimension 2), and, when some class is
         not, the classes' separating-axis table (``_BoxAxes`` of their half
         axes; else None).
 
-        Under a signed permutation each bounding half width is
-        ratio * (w / 2) of one axis: the oracle's sum of absolute half-axis
-        entries adds only zeros to it.  In dimension 2 a box is axis-aligned
-        when each half axis has an entry of at most 1e-12, that is when
-        ratio * ``tilt`` is, with ``tilt`` the largest over the axes of the
-        smaller |entry| at ratio 1: |ratio * a| is ratio * |a|, and rounding
-        keeps order.
+        A class's half axes are ratio * (Q.T * w / 2) of its isometry Q: row
+        k is ratio * Q[:, k] * (w_k / 2), as the oracle forms them.  In
+        dimension 2 a box is axis-aligned when each half axis has an entry of
+        at most 1e-12, that is when ratio * ``tilt`` is, with ``tilt`` the
+        largest over the axes of the smaller |entry| at ratio 1: |ratio * a|
+        is ratio * |a|, and rounding keeps order.
         """
-        ratio = self.c_ratio[:, None]
-        half_w = np.array(box.widths) / 2
-        centre = self._class_point(box.center)
-        plain = np.ones(ratio.shape[0], dtype=bool)
-        if len(self.isos) == 1:
-            return centre, ratio * half_w, plain, None
-        axes = self._axes(box)
-        order, parts = self._by_iso()
-        rs = ratio[order]
-        ext_s, plain_s = np.empty_like(centre), plain.copy()
-        for k, part in parts:
-            perm = self._perm[k]
-            if perm is not None:
-                ext_s[part] = rs[part] * half_w[perm[0]]
-                continue
-            ext_s[part] = _obb_extent(rs[part][:, :, None] * axes[k])
-            if box.dim == 2:
-                tilt = np.abs(axes[k]).min(axis=1).max()
-                plain_s[part] = rs[part, 0] * tilt <= 1e-12
-        ext = np.empty_like(centre)
-        ext[order], plain[order] = ext_s, plain_s
-        if plain.all():
-            return centre, ext, plain, None
-        return centre, ext, plain, _BoxAxes.of(ratio[:, :, None] * axes[self.c_iso])
+        axes = self._iso_stack.transpose(0, 2, 1) * (np.array(box.widths) / 2)[:, None]
+        half = self.c_ratio[:, None, None] * axes[self.c_iso]
+        tilt = np.abs(axes).min(axis=2).max(axis=1)
+        plain = (self.c_ratio * tilt[self.c_iso] <= 1e-12) | (box.dim != 2)
+        table = None if plain.all() else _BoxAxes.of(half)
+        return self._class_point(box.center), _obb_extent(half), plain, table
 
     def _table(self, key: tuple):
         """The per-class images of ``key``: ``_class_point`` of a point, as a

@@ -176,7 +176,8 @@ def parse_system(data: dict) -> MWGraph:
     condensation = None
     if "condensation" in data:
         cond_spec = data["condensation"]
-        if not isinstance(cond_spec, dict):
+        if not isinstance(cond_spec, dict) or not all(
+                isinstance(prims, list) for prims in cond_spec.values()):
             raise _fail("condensation must map vertex ids to primitive lists")
         condensation = {
             str(vid): tuple(

@@ -381,7 +381,11 @@ def node_arrays(walk):
 def _per_box_sat_axes(half, r, exact):
     """Unit box axes and reaches of each box from its own half axes: the
     array kernel's per-box separating-axis step before it kept the constants
-    per class."""
+    per class.  ``exact`` uses the scalar test's arithmetic (``math.hypot``
+    and numpy's matrix products), the arithmetic of the kernel's per-class
+    constants; otherwise plain elementwise numpy, which can differ from it in
+    the last bits, so this reference tests in that fast arithmetic first and
+    retests its unsure candidates exactly."""
     if exact:
         norms = np.array([[math.hypot(*row) for row in h] for h in half.tolist()])
         norms = norms.reshape(half.shape[:2])

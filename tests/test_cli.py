@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import BUNDLED_NAMES
 from helpers import LN2, LN3, half_half_segment_graph
 
-from gdcover import renewal
+from gdcover import covering, renewal, schema
 from gdcover.cli import main
 from gdcover.schema import bundled_text, dumps_system
 
@@ -211,6 +212,22 @@ class TestProfile:
         assert main(["profile", corpus_files[name], "--no-condensation", "-o", str(a)] + origin) == 0
         assert main(["profile", str(stripped), "-o", str(b)] + origin) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_grid_origin_with_equals(self, corpus_files, capsys):
+        # a leading minus reads as an option to argparse; the "=" form is the origin
+        path, origin = corpus_files["sierpinski"], (-0.1, 0.2)
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", path, "--grid-origin", "-0.1,0.2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["profile", path, "--tmax", "4", "--samples", "5",
+                     "--grid-origin=-0.1,0.2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        graph = schema.load_system(path)
+        want = covering.profile(graph, 0.0, 4.0, 5, grid_origin=origin).samples
+        plain = covering.profile(graph, 0.0, 4.0, 5).samples
+        assert [int(row["N_X"]) for row in rows] == [s.counts[0] for s in want]
+        assert [s.counts for s in want] != [s.counts for s in plain]
 
     def test_bad_period_rejected(self, corpus_files, capsys):
         rc = main(["profile", corpus_files["cantor"], "--period", "sometimes"])
@@ -649,5 +666,115 @@ def test_fuzzed_systems_exit_with_documented_codes(tmp_path_factory, text, comma
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, str(path)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- fuzzed pipeline runs -------------------------------------------------------------
+#
+# The counting commands on small edits of bundled systems, and renewal on
+# edits of a reduced file, at small t ranges with flag values that may be
+# out of range or not numbers.  Each run returns a documented code (0-4) or
+# stops in argparse with SystemExit(2); no other exception escapes main.
+
+# small edits: a shift of one coordinate of a translation, a box or a
+# primitive, or of one number of a reduced file's M or L; a ratio scaled, its
+# rational form dropped
+SHIFTS = (-0.25, -0.05, 0.05, 0.25)
+SCALES = (0.5, 0.9, 1.1)
+NUMBER_KEYS = {"translation", "min", "max", "point", "a", "b", "M", "L"}
+FLAG_VALUES = {
+    "--tmin": ("-1", "0", "0.5", "1.5", "nan", "x"),
+    "--tmax": ("0", "1", "2", "3", "inf"),
+    "--samples": ("-2", "0", "1", "3"),
+    "--n-min": ("-1", "0", "1", "2"),
+    "--n-max": ("0", "1", "3", "4"),
+    "--y-samples": ("0", "1", "2"),
+    "--grid-origin": ("0.316", "-0.25", "0.1,0.2", "x"),
+}
+COMMAND_FLAGS = {
+    "profile": ("--tmin", "--tmax", "--samples", "--grid-origin"),
+    "analyze": ("--tmin", "--tmax", "--samples", "--n-min", "--n-max", "--y-samples",
+                "--grid-origin"),
+    "report": ("--tmin", "--tmax", "--samples", "--n-min", "--n-max", "--y-samples",
+               "--grid-origin"),
+}
+# flags that keep a run small whatever the drawn ones leave at their default
+SMALL_RUN = {
+    "profile": ["--tmax", "2"],
+    "analyze": ["--tmin", "0.5", "--tmax", "5.5", "--n-min", "1", "--n-max", "4",
+                "--y-samples", "2", "--samples", "4"],
+}
+SMALL_RUN["report"] = SMALL_RUN["analyze"]
+
+
+def _coordinates(doc, out, key=None):
+    """Every (list, index) slot of a float under a ``NUMBER_KEYS`` key."""
+    if isinstance(doc, dict):
+        for k, value in doc.items():
+            _coordinates(value, out, k)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            if isinstance(value, float) and key in NUMBER_KEYS:
+                out.append((doc, i))
+            _coordinates(value, out, key)
+    return out
+
+
+@st.composite
+def edited_json(draw, doc):
+    """``doc`` after one or two edits: a small edit, or one time in three
+    (always, where no small one applies) an arbitrary one from
+    ``fuzzed_system_text``'s set."""
+    for _ in range(draw(st.integers(1, 2))):
+        coords = _coordinates(doc, [])
+        edges = doc.get("edges") if isinstance(doc.get("edges"), list) else []
+        edges = [e for e in edges if isinstance(e, dict) and isinstance(e.get("ratio"), float)]
+        edit = draw(st.sampled_from(("shift", "ratio", "any")))
+        if edit == "shift" and coords:
+            container, key = draw(st.sampled_from(coords))
+            container[key] += draw(st.sampled_from(SHIFTS))
+        elif edit == "ratio" and edges:
+            edge = draw(st.sampled_from(edges))
+            edge["ratio"] *= draw(st.sampled_from(SCALES))
+            edge.pop("ratio_rational", None)
+        else:
+            container, key = draw(st.sampled_from(_slots(doc, [])))
+            container[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A command, its input text and its flags."""
+    command = draw(st.sampled_from(("profile", "analyze", "report", "renewal")))
+    if command == "renewal":
+        return command, draw(edited_json(json.loads(json.dumps(RENEWAL_DOC)))), []
+    doc = json.loads(bundled_text(draw(st.sampled_from(BUNDLED_NAMES))))
+    flags = list(SMALL_RUN[command])
+    if command != "profile" and doc["dimension"] > 1:
+        # a dense-mode cross-check counts up to t = 10 whatever --tmax is
+        flags.append("--no-cross-check")
+    text = draw(edited_json(doc))
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True)):
+        flags += [f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag]))}"]
+    return command, text, flags
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run=fuzzed_runs())
+def test_fuzzed_runs_exit_with_documented_codes(tmp_path_factory, run):
+    command, text, flags = run
+    root = tmp_path_factory.mktemp("fuzz_run")
+    path = root / "input.json"
+    path.write_text(text, encoding="utf-8")
+    out = ["-o", str(root / "out")] if command == "report" else []
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, str(path), *flags, *out])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+            assert code == 2
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -217,22 +217,35 @@ def test_class_table_hits_match_the_per_box_test_on_rotated2d(bundled):
 
 
 def test_fast_separating_axes_form_once_per_walk_table(bundled):
-    # one table of the seed box, a row per class, serves every pass
+    # one table of the seed box, a row per class, serves every pass and
+    # every exact retest: the retest reads its rows and forms none
     graph = bundled["rotated2d"]
-    real, fast = covering._sat_axes, []
+    real_axes, real_exact = covering._sat_axes, covering._sat_exact
+    formed, retested = [], []
 
-    def spy(half, exact):
-        if not exact:
-            fast.append(half.shape[0])
-        return real(half, exact)
+    def spy_axes(half):
+        formed.append(half.shape[0])
+        return real_axes(half)
+
+    def spy_exact(diff, cls, axes, r):
+        retested.append(diff.shape[0])
+        return real_exact(diff, cls, axes, r)
 
     radii = np.geomspace(math.exp(-6.0), 1.0, 6)
-    with mock.patch.object(covering, "_sat_axes", spy):
+    with mock.patch.object(covering, "_sat_axes", spy_axes), \
+            mock.patch.object(covering, "_sat_exact", spy_exact):
         walk = _Walk(graph, "X", radii[0])
         for r in radii:
             walk.runs(r, np.zeros(2), 1)
         walk.runs(radii, np.full(2, 0.316), 1)
-    assert fast == [walk.c_ratio.size]
+        assert formed == [walk.c_ratio.size]
+        # near-tangent boxes reach the retest: their one table is all it reads
+        rng = np.random.default_rng(5)
+        boxes = [_near_tangent_box(rng, 1.0) for _ in range(200)]
+        _kind, arrays, _tag = obb_piece([b.center for b in boxes], [b.half_axes for b in boxes])
+        covering._obb_hits(*arrays, 1.0, np.zeros(2))
+    assert formed == [walk.c_ratio.size, len(boxes)]
+    assert sum(retested) > 0
 
 
 def test_profile_and_forcing_share_the_oracle_counts(bundled):
@@ -267,8 +280,9 @@ def test_child_time_snaps_float_noise_to_zero(bundled):
 
 RATIOS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 ANGLES = (30.0, 45.0, 90.0, 135.0)
-# isometries of a system's first edge: rotations (rotation_2d(90) is not
-# exactly a quarter turn) and exact signed permutations
+# isometries a system's edges draw, the first edge's only unless composed:
+# rotations (rotation_2d(90) is not exactly a quarter turn) and exact signed
+# permutations
 FIRST_ISOMETRIES = {
     1: (np.eye(1), -np.eye(1)),
     2: tuple(rotation_2d(a) for a in ANGLES)
@@ -281,14 +295,17 @@ TWO_VERTEX_ENDS = (("X", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Y"))
 
 
 @st.composite
-def systems(draw, dim, two_vertices=False):
+def systems(draw, dim, two_vertices=False, composed=False):
+    """A random system; only its first edge has an isometry, unless
+    ``composed``, when every edge draws one, so that classes carry products
+    of different non-identity isometries."""
     ends = TWO_VERTEX_ENDS if two_vertices else (("X", "X"),) * 3
     n_edges = draw(st.integers(3, 4)) if two_vertices else draw(st.integers(2, 3))
     edges = []
     for k in range(n_edges):
         q = draw(st.sampled_from(RATIOS))
         shift = [draw(st.integers(0, 8)) / 8 * (1 - float(q)) for _ in range(dim)]
-        iso = draw(st.sampled_from(FIRST_ISOMETRIES[dim])) if k == 0 else np.eye(dim)
+        iso = draw(st.sampled_from(FIRST_ISOMETRIES[dim])) if k == 0 or composed else np.eye(dim)
         src, dst = ends[k]
         edges.append(Edge(f"e{k}", src, dst, Similarity(float(q), iso, shift), q))
     grid = st.integers(0, 16).map(lambda m: m / 16)
@@ -313,7 +330,7 @@ def systems(draw, dim, two_vertices=False):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    graph=st.sampled_from((1, 2)).flatmap(systems),
+    graph=st.one_of(st.sampled_from((1, 2)).flatmap(systems), systems(2, composed=True)),
     t=st.floats(0.3, 3.0),
     origin_pick=st.sampled_from(("zero", "offset", "half")),
 )
@@ -1149,6 +1166,36 @@ def test_signed_permutation_images_match_oracle():
         _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
         for origin in (0.0, 0.316, r / 2):
             _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+def test_composed_isometry_images_match_oracle():
+    # a 30-degree rotation, an axis swap and a reflection on three edges:
+    # classes carry products of all three, rotated and signed permutations
+    # alike, through one image product
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    graph = MWGraph(
+        dimension=2,
+        vertices={"X": Box((0.0, 0.0), (1.0, 1.0))},
+        edges=[
+            Edge("a", "X", "X", Similarity(0.5, rotation_2d(30.0), [0.3, 0.1]), Fraction(1, 2)),
+            Edge("b", "X", "X", Similarity(1 / 3, swap, [0.6, 0.5]), Fraction(1, 3)),
+            Edge("c", "X", "X", Similarity(0.25, flip, [1.0, 0.7]), Fraction(1, 4)),
+        ],
+        condensation={"X": (
+            Primitive.box([0.1, 0.2], [0.3, 0.9]),
+            Primitive.segment([0.2, 0.4], [0.9, 0.6]),
+        )},
+    )
+    for t in (0.5, 1.5, 2.5, 3.7):
+        r = math.exp(-t)
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        _assert_same_elements(kernel_sets["X"], oracle_sets["X"])
+        for origin in (0.0, 0.316):
+            _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+    walk = kernel_sets["X"]._walk
+    assert len(walk.isos) > 20 and not set(walk.c_iso.tolist()) <= {0}
 
 
 def test_alignment_follows_the_ratio_as_in_the_oracle():

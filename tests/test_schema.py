@@ -169,6 +169,12 @@ class TestParse:
         with pytest.raises(ValidationError, match="unknown primitive"):
             parse_system(doc)
 
+    @pytest.mark.parametrize("prims", [None, 3, 0.5])
+    def test_condensation_entry_that_is_no_list_rejected(self, prims):
+        doc = minimal_doc(condensation={"X": prims})
+        with pytest.raises(ValidationError, match="primitive lists"):
+            parse_system(doc)
+
     def test_open_sets_parsed(self):
         doc = minimal_doc(open_sets={"X": {"min": [0.0], "max": [1.0]}})
         g = parse_system(doc)
