@@ -9,6 +9,7 @@ exceeded, 3 numerical failure, 4 inconclusive regime.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,8 +43,8 @@ def _fmt(x) -> str:
 
 
 def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
+    if isinstance(x, np.ndarray):  # tolist gives Python scalars unless dtype is object
+        return _jsonable(x.tolist()) if x.dtype == object else x.tolist()
     if isinstance(x, (np.floating,)):
         return float(x)
     if isinstance(x, (np.integer,)):
@@ -549,8 +550,8 @@ def cmd_report(args) -> int:
     doc = _analysis_doc(res)
     doc["system"] = schema.dump_system(graph)
     artifacts = {"report": "report.json", "profile": "profile.csv"}
-    header, rows = _profile_rows(res.profile)
-    _emit_csv(header, rows, os.path.join(args.outdir, "profile.csv"))
+    _emit_csv(doc["profile"]["columns"], doc["profile"]["rows"],
+              os.path.join(args.outdir, "profile.csv"))
     rep = res.report
     if rep.kind == "periodic":
         header = ["y"] + [f"h_{v}" for v in rep.vertex_order] + ["h_total"]
@@ -600,7 +601,9 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (``main``'s) and shared after."""
     parser = argparse.ArgumentParser(
         prog="gdcover",
         description="Covering profiles and dimension analysis of "
@@ -620,19 +623,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=40)
     p.add_argument("--stop-ratio", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dim", help="similarity dimension and Perron data")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("lattice", help="classify the cycle-ratio group")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("profile", help="covering-count profile as CSV")
     p.add_argument("file")
@@ -652,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-condensation", action="store_true", help="the condensation-free system")
     _add_grid_flags(p)
     p.add_argument("-o", "--output", default=None, help="write CSV here")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "renewal", help="solve f = f*M + L from a reduced matrix/forcing file"
@@ -661,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=601, help="CSV sample count")
     p.add_argument("-o", "--output", default=None, help="write solution CSV here")
     p.add_argument("--json-out", default=None, help="write summary JSON here")
-    p.set_defaults(func=cmd_renewal)
 
     for name, help_text in (
         ("analyze", "full pipeline: dimension, lattice, regime, limit"),
@@ -680,20 +678,19 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "analyze":
             p.add_argument("--json", action="store_true")
             p.add_argument("-o", "--output", default=None)
-            p.set_defaults(func=cmd_analyze)
         else:
             p.add_argument("-o", "--outdir", default="gdcover-report")
-            p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.subcommand}"]  # looked up now, so a patched one runs
     with warnings.catch_warnings():  # a warning is one line, like an error
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
-            return args.func(args)
+            return handler(args)
         except GdcoverError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code

@@ -30,6 +30,7 @@ like points and boxes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -954,24 +955,51 @@ class _Walk:
             _feed(piece, side, origin, acc)
         return acc.runs()
 
+    @functools.cached_property
+    def _work_table(self) -> tuple:
+        """(class, above, count) rows for ``work``, formed on its first call
+        from runs of nodes with one ``above`` (a class size, or infinite) in
+        one rank, and at vertices with condensation in one class: a leaf is
+        charged by its size, an interior node by its class."""
+        sizes = np.append(np.sort(self.c_size), np.inf)
+        head = np.ones(self.cls.size, dtype=bool)
+        head[1:] = self.above[1:] != self.above[:-1]
+        head[self._rank_off[:-1]] = True
+        for v, name in enumerate(self.graph.vertex_order):
+            a, b = self._off[v], self._off[v + 1]
+            if self.graph.condensation[name] and b > a:
+                head[a + 1 : b] |= self.cls[a + 1 : b] != self.cls[a : b - 1]
+        start = np.flatnonzero(head)
+        cls = self.cls[start].astype(np.int64)
+        key, which = np.unique(cls * sizes.size + np.searchsorted(sizes, self.above[start]),
+                               return_inverse=True)
+        return key // sizes.size, sizes[key % sizes.size], np.bincount(
+            which, np.diff(start, append=self.cls.size))
+
     def work(self, radii: np.ndarray, axis: int) -> np.ndarray:
         """``_cost`` summed over the (node, radius) pairs of each radius of an
-        ascending array; where no node's cost depends on its radius (as at
-        the finest one), by ranges of radii, else ``_WORK`` pairs at a time."""
-        g = len(radii)
-        out = np.zeros(g)
-        for v, inner, a, lo, hi in self._blocks(radii):
-            cls = self.cls[a : a + lo.size]
-            most = self._cost(v, inner, cls, radii[0], axis)
-            if (most == self._cost(v, inner, cls, math.inf, axis)).all():
-                out += _range_sums(lo, hi, most, g)
+        ascending array, from ``_work_table``: a node is a leaf for the radii
+        in [size, above), interior below both; where a class's cost does not
+        depend on the radius (as at the finest one), by ranges of radii, else
+        ``_WORK`` pairs at a time."""
+        cls, above, count = self._work_table
+        g, size = len(radii), self.c_size[cls]
+        out = _range_sums(np.searchsorted(radii, size), np.searchsorted(radii, above), count, g)
+        for v, name in enumerate(self.graph.vertex_order):
+            if not self.graph.condensation[name]:
                 continue
-            ends = np.cumsum(hi - lo)
-            for p0 in range(0, int(ends[-1]), _WORK):
+            at = self.c_term[cls] == v
+            c, n, hi = cls[at], count[at], np.searchsorted(radii, np.minimum(size, above)[at])
+            most = self._cost(v, True, c, radii[0], axis)
+            fixed = most == self._cost(v, True, c, math.inf, axis)
+            out += _range_sums(np.zeros_like(hi), hi, np.where(fixed, n * most, 0.0), g)
+            c, n, hi = c[~fixed], n[~fixed], hi[~fixed]
+            ends = np.cumsum(hi)
+            for p0 in range(0, int(ends[-1]) if ends.size else 0, _WORK):
                 p = np.arange(p0, min(p0 + _WORK, int(ends[-1])))
                 k = np.searchsorted(ends, p, side="right")
                 j = p - ends[k] + hi[k]  # the radius of pair p
-                out += np.bincount(j, self._cost(v, inner, cls[k], radii[j], axis), g)
+                out += np.bincount(j, n[k] * self._cost(v, True, c[k], radii[j], axis), g)
         return out
 
 

@@ -13,7 +13,9 @@ its rank-ordered classes.  ``per_edge_walk`` builds the node arrays the
 kernel's walk must equal, every field stored per node, one (vertex, edge)
 block at a time, each block gathering its parents anew, and ordered by a
 node-level sort, where the kernel counts nodes per class first and writes
-each level once.
+each level once.  ``per_node_work`` is the one piece that runs on a kernel
+walk with the kernel's helpers: the per-node scan of the walk's work
+estimate, which the kernel now reads from counts tallied once per walk.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gdcover.covering import _WORK, _range_sums
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Box, Similarity
 from gdcover.graph import PATH_CAP, Path, walk_prefix_tree
@@ -376,6 +379,29 @@ def node_arrays(walk):
         "above": walk.above,
         "size": walk.c_size[c],
     }
+
+
+def per_node_work(walk, radii, axis):
+    """``gdcover.covering._Walk.work`` by a scan of every selected node for
+    each array of radii, the kernel's path before it tallied nodes once per
+    walk: ``_cost`` summed over the (node, radius) pairs of each radius;
+    where no node's cost in a block depends on its radius, by ranges of
+    radii, else ``_WORK`` pairs at a time."""
+    g = len(radii)
+    out = np.zeros(g)
+    for v, inner, a, lo, hi in walk._blocks(radii):
+        cls = walk.cls[a : a + lo.size]
+        most = walk._cost(v, inner, cls, radii[0], axis)
+        if (most == walk._cost(v, inner, cls, math.inf, axis)).all():
+            out += _range_sums(lo, hi, most, g)
+            continue
+        ends = np.cumsum(hi - lo)
+        for p0 in range(0, int(ends[-1]), _WORK):
+            p = np.arange(p0, min(p0 + _WORK, int(ends[-1])))
+            k = np.searchsorted(ends, p, side="right")
+            j = p - ends[k] + hi[k]  # the radius of pair p
+            out += np.bincount(j, walk._cost(v, inner, cls[k], radii[j], axis), g)
+    return out
 
 
 def _per_box_sat_axes(half, r, exact):

@@ -6,6 +6,7 @@ import math
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import BUNDLED_NAMES
 from helpers import LN2, LN3, half_half_segment_graph
 
-from gdcover import covering, renewal, schema
+from gdcover import cli, covering, renewal, schema
 from gdcover.cli import main
 from gdcover.schema import bundled_text, dumps_system
 
@@ -606,6 +607,109 @@ class TestReport:
         assert set(doc["artifacts"].values()) == set(names)
         assert doc["system"]["dimension"] == 1
 
+
+class TestOneParser:
+    # the parser is built on the first ``main`` call of a process and reused
+    # after; each handler is looked up by name when its subcommand runs
+
+    @staticmethod
+    def _calls(corpus_files, out) -> list:
+        cantor = corpus_files["cantor"]
+        small = ["--n-min", "3", "--n-max", "6", "--y-samples", "4"]
+        renewal_file = out.parent / "renewal_input.json"
+        renewal_file.write_text(json.dumps(RENEWAL_DOC), encoding="utf-8")
+        return [
+            ["report", cantor, *small, "-o", str(out / "report")],
+            ["analyze", cantor, *small, "--json"],
+            ["profile", corpus_files["two_vertex"], "--tmax", "5", "-o", str(out / "p.csv")],
+            ["renewal", str(renewal_file), "--samples", "51", "-o", str(out / "f.csv"),
+             "--json-out", str(out / "f.json")],
+            ["validate", "--json", cantor],
+            ["analyze", cantor, "--samples", "x"],  # argparse: SystemExit(2)
+            ["report", "--help"],  # SystemExit(0)
+            ["analyze", cantor, "--n-min", "5", "--n-max", "2"],  # validation: exit 1
+        ]
+
+    @staticmethod
+    def _round(calls, out, capsys) -> list:
+        """Each call's exit code (a SystemExit's, tagged) and stdout, then
+        every file written, by path; the files are removed after."""
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            got.append((argv[0], code, capsys.readouterr().out))
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        got.append([(str(p.relative_to(out)), p.read_bytes()) for p in files])
+        for p in files:
+            p.unlink()
+        return got
+
+    def test_repeated_calls_in_one_process_match_the_first(self, corpus_files, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        calls = self._calls(corpus_files, out)
+        cli.build_parser.cache_clear()  # as in a fresh process
+        first = self._round(calls, out, capsys)
+        assert [code for _cmd, code, _out in first[:-1]] == [
+            0, 0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 0), 1]
+        assert len(first[-1]) == 7  # report's four artifacts, profile's, renewal's two
+        assert self._round(calls, out, capsys) == first
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_a_handler_patched_after_the_first_call_runs(self, corpus_files, tmp_path):
+        argv = ["validate", corpus_files["cantor"], "--json", "-o", str(tmp_path / "v.json")]
+        assert main(argv) == 0
+        with mock.patch.object(cli, "cmd_validate", return_value=5) as fake:
+            assert main(argv) == 5
+        fake.assert_called_once()
+        assert fake.call_args.args[0].file == corpus_files["cantor"]
+        with mock.patch.object(cli, "cmd_report", return_value=6) as fake:
+            assert main(["report", corpus_files["cantor"], "-o", str(tmp_path / "r")]) == 6
+        fake.assert_called_once()
+        assert not (tmp_path / "r").exists()
+
+
+def _recursive_jsonable(x):
+    """JSON-ready form of ``x`` converting every array element one at a time,
+    as ``_jsonable`` did before it took ``ndarray.tolist()`` as it is."""
+    if isinstance(x, np.ndarray):
+        return _recursive_jsonable(x.tolist())
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, dict):
+        return {str(k): _recursive_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_recursive_jsonable(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("value", [
+    np.array([0.1, -2.5e-300, 1e308, 3.0]),
+    np.array([0.1, 2.5], dtype=np.float32),
+    np.arange(-3, 4).reshape(7, 1),
+    np.array([1, 2], dtype=np.int32),
+    np.array([[True, False], [False, True]]),
+    np.array(0.30000000000000004),
+    np.array(7, dtype=np.uint8),
+    np.array(False),
+    [np.float64(0.1), (np.int64(3), np.bool_(True)), {"k": np.float32(0.5), 2: np.int8(-1)}],
+    {"rows": [[np.float64(1 / 3), np.int64(2)], np.array([1.5, 2.5])], "n": None},
+    np.array([np.float64(0.2), 3, None, np.arange(2), {"a": np.int64(1)}], dtype=object),
+], ids=["float", "float32", "int", "int32", "bool", "0d_float", "0d_uint8", "0d_bool",
+        "numpy_scalars", "nested", "object"])
+def test_jsonable_matches_the_recursive_conversion(value):
+    def dump(x):
+        return json.dumps(x, indent=2, sort_keys=True).encode()
+
+    assert dump(cli._jsonable(value)) == dump(_recursive_jsonable(value))
 
 # -- fuzzed system files ------------------------------------------------------------
 #

@@ -1477,3 +1477,91 @@ def test_a_count_holds_one_chunk_at_a_time(bundled, name, t, total, parent_peak)
         tracemalloc.stop()
     assert res.total == total
     assert peak < 0.6 * parent_peak, peak
+
+
+# -- the work table ------------------------------------------------------------------
+#
+# ``_Walk.work`` reads node counts tallied once per walk, on its first call;
+# ``per_node_work`` in the oracle is the per-node scan it replaced, run for
+# every array of radii.  Both give the same integer-valued sums, so ``_groups``
+# cuts the same passes.
+
+
+def _assert_work_matches_the_scan(walk, radii) -> None:
+    axis = covering._run_axis(walk.graph)
+    got, want = walk.work(radii, axis), oracle.per_node_work(walk, radii, axis)
+    assert got.tolist() == want.tolist(), radii
+    assert list(covering._groups(got)) == list(covering._groups(want))
+
+
+def _radius_sets(walk) -> list:
+    """The walk's finest radius alone, the root's size alone, ladders from
+    the finest radius to the root's size and past it, and radii above 1."""
+    r_min, root = walk.r_min, walk.c_size[0]
+    return [
+        np.array([r_min]),
+        np.array([root]),
+        np.geomspace(r_min, root, 9),
+        np.geomspace(r_min, 4.0 * max(root, 1.0), 17),
+        np.unique([r_min, root, 1.5, 4.0]),
+    ]
+
+
+def _analysis_radii(graph) -> np.ndarray:
+    """Every radius a README-default analysis asks ``work`` about: its
+    profile's and its cross-check's forcing radii together."""
+    seen, work = [], _Walk.work
+
+    def spy(walk, radii, axis):
+        seen.append(np.asarray(radii))
+        return work(walk, radii, axis)
+
+    with mock.patch.object(_Walk, "work", spy):
+        asymptotics.analyze(graph)
+    return np.unique(np.concatenate(seen))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_work_table_matches_the_per_node_scan(bundled, name):
+    graph = bundled[name]
+    for v in graph.vertex_order:
+        walk = _Walk(graph, v, WALK_RADII[name][0])
+        list(walk.pieces(walk.r_min, 0))
+        assert "_work_table" not in vars(walk)  # neither the build nor a pass forms it
+        for radii in _radius_sets(walk):
+            _assert_work_matches_the_scan(walk, radii)
+        assert "_work_table" in vars(walk)
+
+
+@pytest.mark.parametrize("name", ["two_ratio", "cantor_point"])
+def test_work_table_matches_the_scan_on_analysis_radii(bundled, name):
+    graph = bundled[name]
+    radii = _analysis_radii(graph)
+    assert radii.size > 100
+    for v in graph.vertex_order:
+        _assert_work_matches_the_scan(_Walk(graph, v, radii[0]), radii)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=st.one_of(ANY_SYSTEMS, systems(2, composed=True)), t=st.floats(0.5, 4.0))
+def test_random_work_tables_match_the_per_node_scan(graph, t):
+    for v in graph.vertex_order:
+        walk = _Walk(graph, v, math.exp(-t))
+        for radii in _radius_sets(walk):
+            _assert_work_matches_the_scan(walk, radii)
+
+
+def test_work_table_charges_interior_nodes_below_their_above():
+    # Y's box is wider than the X box its copy sits in, so a node ending at
+    # Y is larger than its parent, and is interior only below its ``above``
+    unit, wide = Box((0.0,), (1.0,)), Box((0.0,), (4.0,))
+    edges = [Edge("a", "X", "Y", Similarity(0.5, np.eye(1), [0.0]), Fraction(1, 2)),
+             Edge("b", "Y", "X", Similarity(0.5, np.eye(1), [2.0]), Fraction(1, 2)),
+             Edge("c", "Y", "Y", Similarity(0.25, np.eye(1), [0.0]), Fraction(1, 4))]
+    graph = MWGraph(dimension=1, vertices={"X": unit, "Y": wide}, edges=edges,
+                    condensation={"X": (), "Y": (Primitive.segment([0.5], [3.5]),)})
+    walk = _Walk(graph, "X", 1e-3)
+    node_size = walk.c_size[walk.cls]
+    assert (node_size > walk.above).any()
+    for radii in [*_radius_sets(walk), np.geomspace(1e-3, 2.0, 40)]:
+        _assert_work_matches_the_scan(walk, radii)
