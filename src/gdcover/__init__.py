@@ -11,12 +11,10 @@ from .asymptotics import (
     AsymptoticReport,
     CrossCheckResult,
     RegimeResult,
-    SeparationSpotCheck,
     analyze,
     classify_regime,
     cross_check,
     estimate_limit,
-    separation_spot_check,
 )
 from .covering import (
     CountResult,
@@ -44,8 +42,7 @@ from .graph import (
     MWGraph,
     Path,
     ValidationReport,
-    common_prefix,
-    sample_path,
+    certify_separation,
     validate,
 )
 from .lattice import LatticeResult, classify, classify_graph, cycle_log_ratios

@@ -11,7 +11,6 @@ from measured forcing terms.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,8 +30,7 @@ from .covering import (
     renewal_residual,
 )
 from .errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
-from .geometry import Primitive, Similarity
-from .graph import MWGraph, common_prefix, sample_path, validate
+from .graph import MWGraph, validate
 from .lattice import LatticeResult, classify_graph
 from .spectral import SpectralData, solve_s0
 
@@ -46,8 +44,6 @@ __all__ = [
     "cross_check",
     "AnalysisResult",
     "analyze",
-    "SeparationSpotCheck",
-    "separation_spot_check",
 ]
 
 REGIMES = (
@@ -433,97 +429,3 @@ def analyze(
         cross=cross,
         notes=regime.notes,
     )
-
-
-# -- separation spot check ----------------------------------------------------
-
-
-_SEGMENT_SAMPLES = 9  # evenly spaced points of a segment's image
-
-
-def _shape_cloud(prim: Primitive, sim: Similarity) -> np.ndarray:
-    """Sample points of a condensation shape's image under ``sim``.
-
-    A point maps to itself, a segment to evenly spaced points between its
-    mapped endpoints, and a box to the corners of its image (half axes
-    ``ratio * Q e_k``) plus the midpoint of every corner pair, which flesh
-    out edges cheaply.
-    """
-    if prim.kind == "point":
-        return sim.apply(np.array(prim.points[0]))[None, :]
-    if prim.kind == "segment":
-        a, b = (sim.apply(np.array(p)) for p in prim.points)
-        ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES)
-        return a + ts[:, None] * (b - a)
-    box = prim.as_box()
-    centre = sim.apply(np.array(box.center))
-    axes = []
-    for k, w in enumerate(box.widths):
-        e = np.zeros(box.dim)
-        e[k] = w / 2
-        axes.append(sim.ratio * (sim.isometry @ e))
-    axes = np.array(axes)
-    signs = itertools.product((-1.0, 1.0), repeat=box.dim)
-    corners = np.array([centre + np.array(sign) @ axes for sign in signs])
-    i, j = np.triu_indices(len(corners), 1)
-    return np.vstack([corners, (corners[i] + corners[j]) / 2])
-
-
-@dataclass(frozen=True)
-class SeparationSpotCheck:
-    pairs_checked: int
-    min_normalized_distance: float | None
-
-
-def separation_spot_check(
-    graph: MWGraph,
-    spectral: SpectralData | None = None,
-    *,
-    stop_ratio: float = 1e-3,
-    pairs: int = 40,
-    rng=0,
-) -> SeparationSpotCheck:
-    """Sampled lower bound on condensation separation between distinct paths.
-
-    Draws stationary-weighted path pairs, maps each terminal vertex's
-    condensation shapes along its path, and records the distance between
-    the two images normalized by the contraction of the common prefix.
-    A positive floor across samples is consistent with (but does not
-    prove) the strong separation the divergence conclusion relies on.
-    """
-    if not graph.has_condensation():
-        return SeparationSpotCheck(0, None)
-    if spectral is None:
-        spectral = solve_s0(graph)
-    gen = np.random.default_rng(rng)
-    best = math.inf
-    checked = 0
-    attempts = 0
-    while checked < pairs and attempts < 20 * pairs:
-        attempts += 1
-        start = graph.vertex_order[int(gen.integers(len(graph.vertex_order)))]
-        p1 = sample_path(graph, spectral, stop_ratio, rng=gen, start=start)
-        p2 = sample_path(graph, spectral, stop_ratio, rng=gen, start=start)
-        if p1.edges == p2.edges:
-            continue
-        k = len(common_prefix(p1, p2).edges)
-        if k == min(len(p1), len(p2)):
-            continue  # one is a prefix of the other; no sibling split
-        clouds = []
-        ok = True
-        for p in (p1, p2):
-            terminal = graph.path_terminal(p)
-            prims = graph.condensation[terminal]
-            if not prims:
-                ok = False
-                break
-            sim = graph.path_map(p)
-            clouds.append(np.vstack([_shape_cloud(prim, sim) for prim in prims]))
-        if not ok:
-            continue
-        meet_ratio = graph.path_ratio(p1.prefix(k))
-        diff = clouds[0][:, None, :] - clouds[1][None, :, :]
-        dist = float(np.sqrt((diff**2).sum(axis=2)).min())
-        best = min(best, dist / meet_ratio)
-        checked += 1
-    return SeparationSpotCheck(checked, None if checked == 0 else best)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics, covering, lattice, renewal, schema, spectral
 from .errors import GdcoverError, ResourceLimitError, ValidationError
-from .graph import validate
+from .graph import certify_separation, validate
 
 __all__ = ["main"]
 
@@ -121,10 +121,6 @@ def _check_t_range(args) -> None:
 
 
 def cmd_validate(args) -> int:
-    _check_int_at_least(args.pairs, 1, "--pairs")
-    _check_int_at_least(args.seed, 0, "--seed")
-    if not 0 < args.stop_ratio < 1:
-        raise ValidationError(f"--stop-ratio must lie in (0, 1), got {args.stop_ratio}")
     graph = schema.load_system(args.file)
     rep = validate(graph)
     doc: dict = {
@@ -134,14 +130,13 @@ def cmd_validate(args) -> int:
             for c in rep.checks
         ],
     }
-    if args.spot_check and rep.ok:
-        check = asymptotics.separation_spot_check(
-            graph, pairs=args.pairs, rng=args.seed, stop_ratio=args.stop_ratio
-        )
-        doc["spot_check"] = {
-            "pairs_checked": check.pairs_checked,
-            "min_normalized_distance": check.min_normalized_distance,
-        }
+    # the certificate needs a valid system, and never changes ok or the exit
+    # code: a class it cannot certify may still hold for other open sets
+    if rep.ok:
+        doc["separation"] = [
+            {"name": c.name, "certified": c.passed, "detail": c.detail}
+            for c in certify_separation(graph)
+        ]
     if args.json or args.output:
         _emit_json(doc, args.output)
     else:
@@ -149,12 +144,10 @@ def cmd_validate(args) -> int:
             mark = "PASS" if c.passed else "FAIL"
             detail = f"  ({c.detail})" if c.detail else ""
             print(f"{mark} {c.name}{detail}")
-        if "spot_check" in doc:
-            sc = doc["spot_check"]
-            print(
-                f"spot-check: {sc['pairs_checked']} path pairs, "
-                f"min normalized distance {_fmt(sc['min_normalized_distance'])}"
-            )
+        for c in doc.get("separation", ()):
+            verdict = "certified" if c["certified"] else "not certified by these boxes"
+            detail = f"  ({c['detail']})" if c["detail"] else ""
+            print(f"separation {c['name']}: {verdict}{detail}")
         print("ok" if rep.ok else "validation failed")
     return 0 if rep.ok else 1
 
@@ -494,7 +487,8 @@ def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
     _check_int_at_least(args.y_samples, 1, "--y-samples")
     _check_int_at_least(args.samples, 1, "--samples")
     _check_t_range(args)
-    graph = _load(args)
+    # analyze validates the system, after every flag, --grid-origin included
+    graph = schema.load_system(args.file)
     return graph, asymptotics.analyze(
         graph,
         n_min=args.n_min,
@@ -611,18 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="check a system file")
+    p = sub.add_parser("validate", help="check a system file and certify its separation")
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="emit JSON to stdout")
     p.add_argument("-o", "--output", default=None, help="write JSON here")
-    p.add_argument(
-        "--spot-check",
-        action="store_true",
-        help="also measure separation on sampled path pairs",
-    )
-    p.add_argument("--pairs", type=int, default=40)
-    p.add_argument("--stop-ratio", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dim", help="similarity dimension and Perron data")
     p.add_argument("file")

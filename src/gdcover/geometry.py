@@ -4,8 +4,8 @@ Everything downstream builds on three kinds of geometry: closed
 axis-aligned boxes (seed sets and grid cells), similarity maps
 ``x -> ratio * Q x + b`` with orthogonal ``Q``, and the simple shapes
 (points, segments, boxes) declared as condensation.  Their images under
-compositions of maps exist only as arrays, in ``covering`` and the
-separation spot check.
+compositions of maps exist only as arrays, in ``covering`` and in the
+separation certificate.
 """
 from __future__ import annotations
 

@@ -7,13 +7,15 @@ carry condensation shapes that get copied into every cylinder when the
 attractor is expanded.
 
 Finite edge walks are the combinatorial backbone of everything else:
-cylinder covers come from ratio-stopped antichains and the stationary
-measure from weighted random walks.  Simple-cycle enumeration, whose output
-grows exponentially with the graph, has no runtime caller: the lattice
-classifier works from a spanning tree instead.
+cylinder covers come from ratio-stopped antichains.  Simple-cycle
+enumeration, whose output grows exponentially with the graph, has no runtime
+caller: the lattice classifier works from a spanning tree instead.  Beside
+the structural checks sits a separation certificate that decides the open
+set conditions from first-level images of the candidate open sets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,10 +33,9 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "validate",
+    "certify_separation",
     "strong_components",
     "strongly_connected",
-    "sample_path",
-    "common_prefix",
 ]
 
 PATH_CAP = 10**8
@@ -80,9 +81,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def prefix(self, n: int) -> "Path":
-        return Path(self.start, self.edges[:n])
 
     def child(self, edge_id: str) -> "Path":
         return Path(self.start, self.edges + (edge_id,))
@@ -169,15 +167,6 @@ class MWGraph:
         )
 
     # -- path helpers ------------------------------------------------------
-
-    def path_terminal(self, path: Path) -> str:
-        return self.edges[path.edges[-1]].dst if path.edges else path.start
-
-    def path_ratio(self, path: Path) -> float:
-        r = 1.0
-        for eid in path.edges:
-            r *= self.edges[eid].ratio
-        return r
 
     def path_map(self, path: Path) -> Similarity:
         sim = Similarity.identity(self.dimension)
@@ -318,14 +307,125 @@ def validate(graph: MWGraph) -> ValidationReport:
             )
 
     for vid, open_box in graph.open_sets.items():
-        ok = graph.seed_box(vid).contains_box(open_box, tol=CONTAINMENT_TOL)
+        ok = all(w > 0 for w in open_box.widths) and graph.seed_box(vid).contains_box(
+            open_box, tol=CONTAINMENT_TOL
+        )
         rep.add(
             f"open-set[{vid}]",
             ok,
-            "" if ok else "open set must sit inside the seed box",
+            "" if ok else "open set must have positive widths and sit inside the seed box",
         )
 
     return rep
+
+
+# -- separation certificate ---------------------------------------------------
+
+SOSC_LEVELS = 2  # image levels above each vertex's cycle point that SOSC searches
+
+
+def _form(shape: Box | Primitive, sim: Similarity) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half-axis rows of a box's image under ``sim``; a point or a
+    segment is a degenerate box."""
+    if isinstance(shape, Box):
+        shape = Primitive.box(shape.lo, shape.hi)
+    a, b = np.array(shape.points[0]), np.array(shape.points[-1])
+    rows = np.diag((b - a) / 2) if shape.kind == "box" else ((b - a) / 2)[None, :]
+    return sim.apply((a + b) / 2), sim.ratio * rows @ sim.isometry.T
+
+
+def _margin(form, box: Box) -> float:
+    """How far a shape keeps inside ``box`` at its nearest face; below 0 it leaves."""
+    centre, rows = form
+    slack = np.array(box.widths) / 2 - np.abs(centre - box.center) - np.abs(rows).sum(axis=0)
+    return float(slack.min())
+
+
+def _gap(a, b) -> float:
+    """The widest gap between two boxes along candidate separating axes.
+
+    A gap of at least 0 puts a hyperplane between the boxes, so their
+    interiors are disjoint, and a positive one bounds their distance from
+    below.  In d <= 3 the axes are the face normals and the edge cross
+    products, which decide every pair with one full-dimensional box; in
+    d >= 4 only the half-axis directions are tried, so a missing axis can
+    only hide a gap.  With no axis at all the gap reads as -inf.
+    """
+    (ca, ra), (cb, rb) = a, b
+    axes = np.vstack([ra, rb])
+    if axes.shape[1] == 2:
+        axes = axes[:, ::-1] * (1.0, -1.0)
+    elif axes.shape[1] == 3:
+        i, j = np.triu_indices(len(axes), 1)
+        axes = np.vstack([axes, np.cross(axes[i], axes[j])])
+    norms = np.linalg.norm(axes, axis=1)
+    axes = axes[norms > 0] / norms[norms > 0, None]
+    spread = np.abs(ra @ axes.T).sum(axis=0) + np.abs(rb @ axes.T).sum(axis=0)
+    return float(np.max(np.abs(axes @ (cb - ca)) - spread, initial=-np.inf))
+
+
+def _cycle_point(graph: MWGraph, vertex: str) -> np.ndarray:
+    """A point of K_vertex: the fixed point of the cycle that the walk along
+    first out-edges runs into, mapped back along the walk's lead-in."""
+    walk = [vertex]
+    while (nxt := graph.out_edges(walk[-1])[0].dst) not in walk:
+        walk.append(nxt)
+    k = walk.index(nxt)
+    ids = tuple(graph.out_edges(u)[0].id for u in walk)
+    cycle = graph.path_map(Path(nxt, ids[k:]))
+    x = np.linalg.solve(np.eye(graph.dimension) - cycle.ratio * cycle.isometry, cycle.translation)
+    return graph.path_map(Path(vertex, ids[:k])).apply(x)
+
+
+def certify_separation(graph: MWGraph) -> list[CheckResult]:
+    """Decide OSC, SOSC, SSC and SCOSC per vertex from first-level images.
+
+    U_v is the interior of ``graph.open_sets[v]``.  OSC: each out-edge image
+    of the target's U lies in U_v and no two images overlap, both within
+    ``CONTAINMENT_TOL``.  SOSC: OSC, and a point of K_v lies in U_v; the
+    points tried are cycle fixed points and their images ``SOSC_LEVELS``
+    deep, and the one found is reported (Schief 1994; Wang 1997 for graphs).
+    SSC: OSC, and the closed images lie more than the tolerance apart.
+    SCOSC: SOSC, and each condensation shape lies in U_v and misses every
+    closed image: Fraser 2012's condensation OSC plus SOSC's point, sound
+    whether or not the strong form asks for the point.  A check that does
+    not pass names what blocked it and reads "not certified by these boxes":
+    other open sets may still certify the class, so it is no counterexample.
+    The graph must pass :func:`validate` first.
+    """
+    tol = CONTAINMENT_TOL
+    order, identity = graph.vertex_order, Similarity.identity(graph.dimension)
+    start = {v: _cycle_point(graph, v)[None, :] for v in order}
+    points = start
+    for _ in range(SOSC_LEVELS):
+        points = {
+            v: np.vstack([start[v]] + [e.map.apply(points[e.dst]) for e in graph.out_edges(v)])
+            for v in order
+        }
+    out: list[CheckResult] = []
+    for v in order:
+        box = graph.open_sets[v]
+        images = [(e.id, _form(graph.open_sets[e.dst], e.map)) for e in graph.out_edges(v)]
+        gaps = [(a, b, _gap(fa, fb)) for (a, fa), (b, fb) in itertools.combinations(images, 2)]
+        osc = next(itertools.chain(
+            (f"the image of edge {e!r} leaves U_{v}" for e, f in images if _margin(f, box) < -tol),
+            (f"the images of edges {a!r} and {b!r} overlap" for a, b, g in gaps if g < -tol)), "")
+        no_osc = osc and "OSC is not certified"
+        inside = [x for x in points[v] if _margin((x, 0 * x[None]), box) > tol]
+        sosc = no_osc or ("" if inside else f"no point of K_{v} tried lies in U_{v}")
+        ssc = no_osc or next((f"the closed images of edges {a!r} and {b!r} lie within {tol:g}"
+                              for a, b, g in gaps if g <= tol), "")
+        shapes = [(f"condensation shape {k} ({p.kind})", _form(p, identity))
+                  for k, p in enumerate(graph.condensation[v])]
+        scosc = (sosc and "SOSC is not certified") or next(itertools.chain(
+            (f"{what} does not lie in U_{v}" for what, f in shapes if _margin(f, box) <= tol),
+            (f"{what} meets the closed image of edge {e!r}"
+             for what, f in shapes for e, image in images if _gap(f, image) <= tol)), "")
+        found = "" if sosc else f"point {inside[0].tolist()} of K_{v} lies in U_{v}"
+        for name, blocker, witness in (("OSC", osc, ""), ("SOSC", sosc, found),
+                                       ("SSC", ssc, ""), ("SCOSC", scosc, "")):
+            out.append(CheckResult(f"{name}[{v}]", not blocker, blocker or witness))
+    return out
 
 
 # -- connectivity ----------------------------------------------------------
@@ -413,18 +513,6 @@ def walk_prefix_tree(
             stack.append((path.child(e.id), sim.compose(e.map), ratio * e.ratio, e.dst))
 
 
-def common_prefix(a: Path, b: Path) -> Path:
-    """Longest common prefix of two walks with the same start vertex."""
-    if a.start != b.start:
-        raise ValueError("walks start at different vertices")
-    n = 0
-    for x, y in zip(a.edges, b.edges):
-        if x != y:
-            break
-        n += 1
-    return Path(a.start, a.edges[:n])
-
-
 # -- cycles ------------------------------------------------------------------
 
 
@@ -461,48 +549,3 @@ def simple_cycles(graph: MWGraph) -> list[Path]:
     for v in graph.vertex_order:
         extend(v, v, {v}, [])
     return sorted(found.values(), key=lambda p: (len(p.edges), p.edges))
-
-
-# -- stationary sampling ------------------------------------------------------
-
-
-def sample_path(
-    graph: MWGraph,
-    spectral,
-    stop_ratio: float,
-    rng=0,
-    start: str | None = None,
-) -> Path:
-    """Draw a walk from the ratio antichain under the stationary measure.
-
-    The cylinder weight of a walk is ``v[start] * ratio^s0 * u[terminal]``;
-    sequentially that means the start vertex is drawn proportionally to
-    ``v_i * u_i`` and each step picks edge ``e`` with probability
-    ``r_e^s0 * u[dst] / u[src]`` (a proper distribution because ``u`` is the
-    right Perron vector).  The walk stops at the first prefix whose ratio
-    drops to ``stop_ratio`` or below.
-    """
-    if not 0 < stop_ratio < 1:
-        raise ValueError("stop_ratio must lie in (0, 1)")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    u = np.asarray(spectral.u, dtype=float)
-    v = np.asarray(spectral.v, dtype=float)
-    s0 = float(spectral.s0)
-    if start is None:
-        weights = u * v
-        weights = weights / weights.sum()
-        start = graph.vertex_order[int(gen.choice(len(weights), p=weights))]
-    at = start
-    ratio = 1.0
-    edges: list[str] = []
-    while ratio > stop_ratio:
-        outs = graph.out_edges(at)
-        probs = np.array(
-            [e.ratio**s0 * u[graph.vertex_index(e.dst)] for e in outs]
-        )
-        probs = probs / probs.sum()
-        e = outs[int(gen.choice(len(outs), p=probs))]
-        edges.append(e.id)
-        ratio *= e.ratio
-        at = e.dst
-    return Path(start, tuple(edges))

@@ -49,6 +49,11 @@ def make_path(graph: MWGraph, start: str, edge_ids) -> Path:
     return Path(start, ids)
 
 
+def path_terminal(graph: MWGraph, path: Path) -> str:
+    """The vertex a walk ends at; the empty walk ends where it starts."""
+    return graph.edges[path.edges[-1]].dst if path.edges else path.start
+
+
 def enumerate_paths(
     graph: MWGraph,
     start: str,
@@ -73,7 +78,7 @@ def enumerate_paths(
         for _ in range(length):
             nxt: list[Path] = []
             for p in frontier:
-                v = graph.path_terminal(p)
+                v = path_terminal(graph, p)
                 for e in graph.out_edges(v):
                     nxt.append(p.child(e.id))
                     if len(nxt) > cap:

@@ -59,6 +59,11 @@ def classify_exact(inverse_ratios: list[Fraction]) -> tuple[str, float | None]:
     return "lattice", math.gcd(*multiples) * math.log(base)
 
 
+def path_ratio(graph: MWGraph, path: Path) -> float:
+    """Contraction ratio of a walk: its edge ratios multiplied in order."""
+    return math.prod((graph.edges[e].ratio for e in path.edges), start=1.0)
+
+
 def path_ratio_rational(graph: MWGraph, path: Path) -> Fraction:
     """Exact contraction ratio of a walk whose edges all carry one."""
     return math.prod((graph.edges[e].ratio_rational for e in path.edges), start=Fraction(1))
@@ -75,5 +80,5 @@ def classify_graph(
     if rational and mode != "floating":
         kind, tau = classify_exact([1 / path_ratio_rational(graph, c) for c in cycles])
         return kind, "exact", tau
-    res = classify([-math.log(graph.path_ratio(c)) for c in cycles], eps=eps)
+    res = classify([-math.log(path_ratio(graph, c)) for c in cycles], eps=eps)
     return res.kind, res.mode, res.tau

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import LN3, cantor_graph, half_half_segment_graph, sierpinski_graph
+from helpers import LN3, cantor_graph, half_half_segment_graph
 
 from gdcover.asymptotics import (
     analyze,
     classify_regime,
     cross_check,
     estimate_limit,
-    separation_spot_check,
 )
 from gdcover.covering import profile, profile_at
 from gdcover.errors import InconclusiveRegimeError, ValidationError
@@ -203,43 +202,3 @@ class TestAnalyze:
             res = analyze(dust, large_n_min=2, large_n_max=6, with_cross_check=False)
         assert res.notes
         assert res.report.kind == "divergent"
-
-
-class TestSeparationSpotCheck:
-    def test_no_condensation_checks_nothing(self, cantor, spectral_cache):
-        sc = separation_spot_check(cantor, spectral_cache["cantor"])
-        assert sc.pairs_checked == 0
-        assert sc.min_normalized_distance is None
-
-    def test_gap_point_has_positive_floor(self, cantor_point):
-        sd = solve_s0(cantor_point)
-        sc = separation_spot_check(cantor_point, sd, pairs=40, rng=1)
-        assert sc.pairs_checked == 40
-        assert sc.min_normalized_distance > 0.0
-
-    # (pairs_checked, min_normalized_distance) at default arguments, exact;
-    # no bundled system has box condensation, so the two "+box" systems are
-    # the only runs through the box cloud
-    PINS = {
-        "cantor_point": (40, 0.345679012345679),
-        "cantor_segment": (40, 0.34552659655540324),
-        "dust2d_edge": (40, 0.4885407317600403),
-        "sierpinski+box": (40, 0.19988574102096673),
-        "rotated2d+box": (40, 0.35882494650833013),
-    }
-
-    @pytest.mark.parametrize("name", list(PINS))
-    def test_pinned_at_defaults(self, bundled, name):
-        if name == "sierpinski+box":
-            box = Primitive.box((0.6, 0.1), (0.9, 0.3))
-            graph = sierpinski_graph(condensation={"X": (box,)})
-        elif name == "rotated2d+box":
-            g = bundled["rotated2d"]
-            box = Primitive.box((0.6, 0.6), (0.8, 0.8))
-            graph = MWGraph(
-                g.dimension, g.vertices, g.edges.values(), {"X": (box,)}, g.separation
-            )
-        else:
-            graph = bundled[name]
-        sc = separation_spot_check(graph)
-        assert (sc.pairs_checked, sc.min_normalized_distance) == self.PINS[name]

@@ -104,14 +104,50 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_spot_check_flag(self, corpus_files, capsys):
-        rc = main(
-            ["validate", "--json", "--spot-check", corpus_files["cantor_point"]]
-        )
-        assert rc == 0
+    def test_certificate_added_to_json(self, corpus_files, capsys):
+        assert main(["validate", "--json", corpus_files["dust2d_edge"]]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["spot_check"]["pairs_checked"] == 40
-        assert doc["spot_check"]["min_normalized_distance"] > 0
+        assert doc["ok"] is True
+        verdicts = {c["name"]: c["certified"] for c in doc["separation"]}
+        assert verdicts == {"OSC[X]": True, "SOSC[X]": True, "SSC[X]": True, "SCOSC[X]": False}
+
+    def test_uncertified_class_keeps_ok(self, tmp_path, capsys):
+        # cantor_segment declares SCOSC, which its boxes cannot certify: the
+        # text names the blocking image and the run still ends ok, exit 0
+        p = tmp_path / "cantor_segment.json"
+        p.write_text(bundled_text("cantor_segment"), encoding="utf-8")
+        assert main(["validate", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "separation OSC[X]: certified" in lines
+        assert (
+            "separation SCOSC[X]: not certified by these boxes  (condensation shape 0 "
+            "(segment) meets the closed image of edge 'a')"
+        ) in lines
+        assert lines[-1] == "ok"
+
+    def test_report_runs_no_certificate(self, corpus_files, tmp_path):
+        with mock.patch.object(cli, "certify_separation", side_effect=AssertionError):
+            rc = main(["report", corpus_files["cantor"], "--n-min", "3", "--n-max", "6",
+                       "--y-samples", "2", "--no-cross-check", "-o", str(tmp_path / "r")])
+        assert rc == 0
+
+    def test_no_certificate_for_a_failing_system(self, tmp_path, capsys):
+        doc = json.loads(bundled_text("cantor"))
+        doc["edges"][0]["ratio"] = 1.5
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--json", str(p)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False and "separation" not in out
+
+    @pytest.mark.parametrize("lo, hi", [(0.7, 0.3), (0.5, 0.5)], ids=["reversed", "flat"])
+    def test_open_set_without_interior_fails(self, tmp_path, capsys, lo, hi):
+        doc = json.loads(bundled_text("cantor"))
+        doc["open_sets"] = {"X": {"min": [lo], "max": [hi]}}
+        p = tmp_path / "open.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert "FAIL open-set[X]" in capsys.readouterr().out
 
 
 class TestDim:
@@ -464,11 +500,6 @@ class TestFlagChecks:
             ("analyze", "cantor", ["--n-min", "-3", "--n-max", "2"], "--n-min"),
             ("analyze", "cantor", ["--n-min", "5", "--n-max", "2"], "--n-max"),
             ("report", "cantor", ["--n-min", "5", "--n-max", "2"], "--n-max"),
-            ("validate", "cantor_point", ["--spot-check", "--pairs", "0"], "--pairs"),
-            ("validate", "cantor_point", ["--spot-check", "--pairs", "-5"], "--pairs"),
-            ("validate", "cantor_point", ["--spot-check", "--stop-ratio", "2"], "--stop-ratio"),
-            ("validate", "cantor_point", ["--spot-check", "--stop-ratio", "0"], "--stop-ratio"),
-            ("validate", "cantor_point", ["--spot-check", "--seed", "-1"], "--seed"),
             ("profile", "cantor", ["--period", "nan"], "--period"),
             ("profile", "cantor", ["--period", "inf"], "--period"),
             ("analyze", "cantor", ["--grid-origin", "nan", "--json"], "--grid-origin"),
@@ -483,8 +514,7 @@ class TestFlagChecks:
              "profile_nan_tmax", "renewal_negative_samples", "renewal_zero_samples",
              "analyze_reversed_t", "analyze_zero_y_samples", "report_zero_samples",
              "analyze_negative_n_min", "analyze_reversed_n", "report_reversed_n",
-             "validate_zero_pairs", "validate_negative_pairs", "validate_stop_ratio_above_one",
-             "validate_zero_stop_ratio", "validate_negative_seed", "profile_nan_period",
+             "profile_nan_period",
              "profile_infinite_period", "analyze_nan_grid_origin",
              "profile_grid_origin_too_long", "analyze_grid_origin_too_long",
              "profile_grid_origin_empty_field", "profile_grid_origin_trailing_comma",
@@ -503,6 +533,23 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["analyze", "report"])
+    def test_flag_error_comes_before_validation_error(self, tmp_path, capsys, cmd):
+        # the file fails validation and --grid-origin is bad too: the flag is
+        # named first, as for every other flag; without it validation fails
+        doc = json.loads(bundled_text("cantor"))
+        doc["edges"][0]["ratio"] = 1.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["-o", str(out)] if cmd == "report" else []
+        assert main([cmd, str(path), "--grid-origin", "1,2"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid-origin")
+        assert main([cmd, str(path)] + extra) == 1
+        assert capsys.readouterr().err.startswith("error: validation failed (ratio-range[a]")
         assert not out.exists()
 
     # the sample count is checked before any sample is built, so these
@@ -584,6 +631,16 @@ class TestArgparse:
         p.write_text(json.dumps(RENEWAL_DOC), encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main([cmd, str(p)] + flags)
+        assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--spot-check"], ["--pairs", "40"], ["--stop-ratio", "0.1"], ["--seed", "0"]]
+    )
+    def test_spot_check_flags_are_gone(self, corpus_files, flags):
+        # the separation certificate is deterministic and always printed
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", corpus_files["cantor_point"]] + flags)
         assert exc.value.code == 2
 
 

@@ -12,12 +12,14 @@ from helpers import (
     LN3,
     cantor_graph,
     kernel_runs,
+    path_terminal,
     piece_rows,
     set_pieces,
     shape_pieces,
     sierpinski_graph,
     two_vertex_graph,
 )
+from lattice_oracle import path_ratio
 from test_kernel import pieces_of_elements
 
 from gdcover import covering
@@ -39,7 +41,7 @@ from gdcover.covering import (
 )
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Box, Primitive, Similarity
-from gdcover.graph import Edge, MWGraph, sample_path
+from gdcover.graph import Edge, MWGraph
 from gdcover.spectral import solve_s0
 
 
@@ -229,17 +231,17 @@ class TestNesting:
     @pytest.mark.parametrize("maker,vertex", [(cantor_graph, "X"), (two_vertex_graph, "P")])
     def test_attractor_samples_land_in_counted_cells(self, maker, vertex):
         graph = maker()
-        sd = solve_s0(graph)
         r = 0.0313
         sets = {v: generate(graph, v, r) for v in graph.vertex_order}
         cells = set()
         for v in graph.vertex_order:
             cells |= cell_union(sets[v], r)
+        cylinders = [el.path for el in oracle.generate(graph, vertex, r).cylinders()]
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            path = sample_path(graph, sd, r, rng=rng, start=vertex)
+            path = cylinders[int(rng.integers(len(cylinders)))]
             sim = graph.path_map(path)
-            seed = graph.seed_box(graph.path_terminal(path))
+            seed = graph.seed_box(path_terminal(graph, path))
             x = np.array(seed.lo) + rng.uniform(size=graph.dimension) * (
                 np.array(seed.hi) - np.array(seed.lo)
             )
@@ -263,14 +265,14 @@ class TestRescaling:
         # counting the whole attractor of the terminal vertex at the
         # proportionally finer resolution
         graph = maker()
-        sd = solve_s0(graph)
+        cylinders = [el.path for el in oracle.generate(graph, vertex, 0.6**depth).cylinders()]
         rng = np.random.default_rng(10 * depth + len(vertex))
         for trial in range(2):
-            path = sample_path(graph, sd, 0.6**depth, rng=rng, start=vertex)
-            q = graph.path_ratio(path)
+            path = cylinders[int(rng.integers(len(cylinders)))]
+            q = path_ratio(graph, path)
             sim = graph.path_map(path)
             b = np.asarray(sim.translation, dtype=float)
-            term = graph.path_terminal(path)
+            term = path_terminal(graph, path)
             r = q * float(rng.uniform(0.05, 0.2))
 
             full = oracle.generate(graph, vertex, r)

@@ -6,8 +6,8 @@ import pytest
 
 from covering_oracle import OrientedBox, image
 
-from gdcover.asymptotics import _shape_cloud
 from gdcover.geometry import Box, Primitive, Similarity, rotation_2d
+from gdcover.graph import _form
 
 
 class TestBox:
@@ -138,8 +138,8 @@ class TestPrimitive:
         s = Primitive.segment((0.0, 0.0), (3.0, 4.0))
         assert s.kind == "segment"
         assert s.box_dimension() == 1
-        cloud = _shape_cloud(s, Similarity(0.5, np.eye(2), (1.0, 1.0)))
-        assert np.allclose(cloud[[0, -1]], [(1.0, 1.0), (2.5, 3.0)])
+        centre, (half,) = _form(s, Similarity(0.5, np.eye(2), (1.0, 1.0)))
+        assert np.allclose([centre - half, centre + half], [(1.0, 1.0), (2.5, 3.0)])
 
     def test_box_dimension_counts_live_axes(self):
         flat = Primitive.box((0.0, 0.0), (1.0, 0.0))
@@ -151,14 +151,15 @@ class TestPrimitive:
 
     def test_point_image_is_point(self):
         p = Primitive.point((1.0,))
-        cloud = _shape_cloud(p, Similarity(0.25, [[1.0]], [0.5]))
-        assert np.allclose(cloud, [(0.75,)])
+        centre, rows = _form(p, Similarity(0.25, [[1.0]], [0.5]))
+        assert np.allclose(centre, (0.75,))
+        assert not rows.any()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_cloud_is_bitwise_the_oracle_image(self, dim):
-        # the spot check's cloud starts from the oracle's image of each shape:
-        # mapped points, and a box's corners as centre plus signed half axes
-        # in itertools.product order, then every corner pair's midpoint
+    def test_form_is_the_oracle_image(self, dim):
+        # the separation certificate's centre and half-axis rows of a shape's
+        # image describe the oracle's image: the mapped point, the mapped
+        # segment's ends, and the box's centre and half axes
         rng = np.random.default_rng(dim)
         for _ in range(30):
             q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
@@ -166,15 +167,13 @@ class TestPrimitive:
             lo = rng.uniform(-1.0, 1.0, dim)
             hi = lo + rng.uniform(0.0, 1.0, dim)
             point, seg, box = Primitive.point(lo), Primitive.segment(lo, hi), Primitive.box(lo, hi)
-            want = np.array([image(point, sim).point])
-            assert _shape_cloud(point, sim).tobytes() == want.tobytes()
-            a, b = (np.array(p) for p in (image(seg, sim).a, image(seg, sim).b))
-            want = a + np.linspace(0.0, 1.0, 9)[:, None] * (b - a)
-            assert _shape_cloud(seg, sim).tobytes() == want.tobytes()
-            ob = image(box, sim)
-            c, axes = np.array(ob.center), np.array(ob.half_axes)
-            signs = itertools.product((-1.0, 1.0), repeat=dim)
-            corners = np.array([c + np.array(sign) @ axes for sign in signs])
-            pairs = [(x + y) / 2 for x, y in itertools.combinations(corners, 2)]
-            want = np.vstack([corners, *pairs]) if pairs else corners
-            assert _shape_cloud(box, sim).tobytes() == want.tobytes()
+            centre, rows = _form(point, sim)
+            assert centre.tobytes() == np.array(image(point, sim).point).tobytes()
+            assert not rows.any()
+            centre, (half,) = _form(seg, sim)
+            want = image(seg, sim)
+            assert np.allclose([centre - half, centre + half], [want.a, want.b], rtol=0, atol=1e-14)
+            centre, rows = _form(box, sim)
+            want = image(box, sim)
+            assert np.allclose(centre, want.center, rtol=0, atol=1e-14)
+            assert np.allclose(rows, want.half_axes, rtol=0, atol=1e-14)

@@ -1,34 +1,40 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import covering_oracle as oracle
 from helpers import (
     LN3,
     cantor_graph,
     enumerate_paths,
     line_map,
     make_path,
+    path_terminal,
     random_graphs,
     two_ratio_graph,
     two_vertex_graph,
 )
+from lattice_oracle import path_ratio
 
+from gdcover import graph as graph_module
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import (
     Edge,
     MWGraph,
     Path,
-    common_prefix,
-    sample_path,
+    _gap,
+    certify_separation,
     simple_cycles,
     strongly_connected,
     validate,
     walk_prefix_tree,
 )
-from gdcover.spectral import build_matrix, is_irreducible, solve_s0
+from gdcover.spectral import build_matrix, is_irreducible
 
 
 class TestValidate:
@@ -148,7 +154,7 @@ class TestEnumeratePaths:
         g = cantor_graph()
         paths = enumerate_paths(g, "X", length=2)
         assert len(paths) == 4
-        assert all(g.path_ratio(p) == pytest.approx(1 / 9, rel=1e-15) for p in paths)
+        assert all(path_ratio(g, p) == pytest.approx(1 / 9, rel=1e-15) for p in paths)
         assert len({p.edges for p in paths}) == 4
 
     def test_cantor_by_ratio(self):
@@ -228,7 +234,7 @@ class TestSimpleCycles:
     def test_cycles_close_up(self):
         g = two_vertex_graph()
         for c in simple_cycles(g):
-            assert g.path_terminal(c) == c.start
+            assert path_terminal(g, c) == c.start
 
     def test_vertex_outside_all_cycles(self):
         g = MWGraph(
@@ -247,7 +253,7 @@ class TestPathAlgebra:
     def test_make_path_checks_consecutiveness(self):
         g = two_vertex_graph()
         p = make_path(g, "P", ("hop", "back", "loop"))
-        assert g.path_terminal(p) == "P"
+        assert path_terminal(g, p) == "P"
         with pytest.raises(ValidationError):
             make_path(g, "P", ("back",))
         with pytest.raises(ValidationError):
@@ -256,7 +262,7 @@ class TestPathAlgebra:
     def test_path_ratio_is_edge_product(self):
         g = two_vertex_graph()
         p = make_path(g, "P", ("hop", "back"))
-        assert g.path_ratio(p) == pytest.approx(0.125, rel=1e-15)
+        assert path_ratio(g, p) == pytest.approx(0.125, rel=1e-15)
 
     def test_composition_matches_sequential_maps(self, bundled):
         g = bundled["rotated2d"]
@@ -278,27 +284,6 @@ class TestPathAlgebra:
                 sequential = g.edge(eid).map.apply(sequential)
             assert np.allclose(composed, sequential, atol=1e-10)
 
-    def test_common_prefix_matches_linear_scan(self):
-        g = cantor_graph()
-        rng = np.random.default_rng(11)
-        pool = enumerate_paths(g, "X", length=6)
-        for _ in range(1000):
-            a = pool[int(rng.integers(len(pool)))]
-            b = pool[int(rng.integers(len(pool)))]
-            a = a.prefix(int(rng.integers(0, 7)))
-            b = b.prefix(int(rng.integers(0, 7)))
-            want = 0
-            while (
-                want < len(a) and want < len(b) and a.edges[want] == b.edges[want]
-            ):
-                want += 1
-            got = common_prefix(a, b)
-            assert got.edges == a.edges[:want]
-
-    def test_common_prefix_requires_shared_start(self):
-        with pytest.raises(ValueError):
-            common_prefix(Path("P"), Path("Q"))
-
 
 class TestStationarySampling:
     def test_antichain_masses_unroll_the_eigenvector(self, bundled, spectral_cache):
@@ -310,40 +295,134 @@ class TestStationarySampling:
             for start in g.vertex_order:
                 total = 0.0
                 for p in enumerate_paths(g, start, max_ratio=0.02):
-                    total += g.path_ratio(p) ** sd.s0 * sd.u[
-                        g.vertex_index(g.path_terminal(p))
+                    total += path_ratio(g, p) ** sd.s0 * sd.u[
+                        g.vertex_index(path_terminal(g, p))
                     ]
                 assert total == pytest.approx(
                     sd.u[g.vertex_index(start)], abs=1e-9
                 ), name
 
-    def test_single_edge_graph_gives_the_only_path(self):
-        g = MWGraph(
-            1,
-            {"X": Box((0.0,), (1.0,))},
-            [Edge("a", "X", "X", line_map(0.5, 0.0))],
+
+def _rotation_3d(axis: int, degrees: float) -> np.ndarray:
+    """Rotation about one coordinate axis of R^3."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    i, j = [k for k in range(3) if k != axis]
+    q = np.eye(3)
+    q[i, i], q[i, j], q[j, i], q[j, j] = c, -s, s, c
+    return q
+
+
+def _unit_system(dim: int, maps: dict[str, tuple[float, np.ndarray, tuple]]) -> MWGraph:
+    """One vertex on [0, 1]^dim whose edge ``id`` maps the unit box's centre
+    to ``centre`` with ratio and isometry as given."""
+    edges = [
+        Edge(eid, "X", "X", Similarity(r, q, np.array(c) - r * q @ np.full(dim, 0.5)))
+        for eid, (r, q, c) in maps.items()
+    ]
+    return MWGraph(dim, {"X": Box((0.0,) * dim, (1.0,) * dim)}, edges)
+
+
+# (vertex, class) -> detail of the classes the boxes cannot certify; every
+# other class of the system is certified
+NOT_CERTIFIED = {
+    "cantor": {},
+    "cantor_point": {},
+    "cantor_segment": {
+        "SCOSC[X]": "condensation shape 0 (segment) meets the closed image of edge 'a'"
+    },
+    "dust2d_edge": {"SCOSC[X]": "condensation shape 0 (segment) does not lie in U_X"},
+    "rotated2d": {},
+    "sierpinski": {"SSC[X]": "the closed images of edges 'a' and 'b' lie within 1e-09"},
+    "two_ratio": {},
+    "two_vertex": {"SSC[P]": "the closed images of edges 'loop' and 'hop' lie within 1e-09"},
+}
+
+
+class TestSeparationCertificate:
+    @pytest.mark.parametrize("name", sorted(NOT_CERTIFIED))
+    def test_bundled_outcomes(self, bundled, name):
+        g = bundled[name]
+        got = certify_separation(g)
+        assert [c.name for c in got] == [
+            f"{cls}[{v}]" for v in g.vertex_order for cls in ("OSC", "SOSC", "SSC", "SCOSC")
+        ]
+        assert {c.name: c.detail for c in got if not c.passed} == NOT_CERTIFIED[name]
+        for c in got:
+            if c.passed and c.name.startswith("SOSC"):
+                assert c.detail.startswith("point [")
+
+    @pytest.mark.parametrize("name", sorted(NOT_CERTIFIED))
+    def test_sosc_point_lies_on_the_attractor(self, bundled, name):
+        # the reported point lies in U_v and in a cylinder of K_v at scale 0.05
+        g = bundled[name]
+        for c in certify_separation(g):
+            if not c.name.startswith("SOSC"):
+                continue
+            v = c.name[5:-1]
+            x = np.array(json.loads(c.detail[len("point "):c.detail.index("]") + 1]))
+            u = g.open_sets[v]
+            assert all(lo < xi < hi for xi, lo, hi in zip(x, u.lo, u.hi))
+            boxes = [el.shape.bounding_box() for el in oracle.generate(g, v, 0.05).cylinders()]
+            assert any(b.contains_point(x, tol=1e-12) for b in boxes)
+
+    def test_never_run_by_validate(self, bundled):
+        # validate's report holds structural checks only, so graph_family and
+        # analyze, which call validate, never pay for the certificate
+        with mock.patch.object(graph_module, "certify_separation", side_effect=AssertionError):
+            names = {c.name for c in validate(bundled["cantor_segment"]).checks}
+        assert not any(n.startswith(("OSC", "SOSC", "SSC", "SCOSC")) for n in names)
+
+    @pytest.mark.parametrize(
+        "dim, maps",
+        [
+            (1, {"a": (0.6, np.eye(1), (0.3,)), "b": (0.6, np.eye(1), (0.7,))}),
+            (2, {"a": (0.5, np.eye(2), (0.25, 0.25)),
+                 "b": (0.4, _rotation_3d(2, 45.0)[:2, :2], (0.6, 0.3))}),
+            (3, {"a": (0.2, _rotation_3d(0, 45.0), (0.5, 0.5, 0.35)),
+                 "b": (0.2, _rotation_3d(1, 45.0), (0.5, 0.5, 0.62))}),
+        ],
+        ids=["1d", "2d_rotated", "3d_rotated"],
+    )
+    def test_overlapping_images_name_the_pair(self, dim, maps):
+        g = _unit_system(dim, maps)
+        assert validate(g).ok
+        got = {c.name: (c.passed, c.detail) for c in certify_separation(g)}
+        assert got["OSC[X]"] == (False, "the images of edges 'a' and 'b' overlap")
+        for cls in ("SOSC", "SSC"):
+            assert got[f"{cls}[X]"] == (False, "OSC is not certified")
+        assert got["SCOSC[X]"] == (False, "SOSC is not certified")
+
+    def test_image_leaving_the_open_set_is_named(self):
+        g = cantor_graph()
+        g = MWGraph(1, g.vertices, g.edges.values(), open_sets={"X": Box((0.0,), (0.9,))})
+        got = {c.name: (c.passed, c.detail) for c in certify_separation(g)}
+        assert got["OSC[X]"] == (False, "the image of edge 'b' leaves U_X")
+
+    def test_condensation_touching_an_image_is_named(self):
+        g = cantor_graph(condensation={"X": (Primitive.point((0.5,)), Primitive.point((2 / 3,)))})
+        got = {c.name: (c.passed, c.detail) for c in certify_separation(g)}
+        assert got["SCOSC[X]"] == (
+            False, "condensation shape 1 (point) meets the closed image of edge 'b'"
         )
-        sd = solve_s0(g)
-        p = sample_path(g, sd, stop_ratio=0.2, rng=0)
-        assert p.edges == ("a", "a", "a")
 
-    def test_cantor_depth3_frequencies(self):
-        g = cantor_graph()
-        sd = solve_s0(g)
-        rng = np.random.default_rng(0)
-        n = 100_000
-        counts: dict[tuple, int] = {}
-        for _ in range(n):
-            p = sample_path(g, sd, stop_ratio=1 / 27, rng=rng)
-            assert len(p) == 3
-            counts[p.edges] = counts.get(p.edges, 0) + 1
-        assert len(counts) == 8
-        se = math.sqrt((1 / 8) * (7 / 8) / n)
-        for edges, c in counts.items():
-            assert abs(c / n - 1 / 8) <= 3 * se, (edges, c / n)
+    def test_3d_pair_split_only_by_an_edge_cross_product(self):
+        # two cubes turned 45 degrees about x and about y, stacked along z:
+        # their ridges cross, and only x cross y = z separates them
+        maps = {"a": (0.2, _rotation_3d(0, 45.0), (0.5, 0.5, 0.35)),
+                "b": (0.2, _rotation_3d(1, 45.0), (0.5, 0.5, 0.64))}
+        g = _unit_system(3, maps)
+        assert validate(g).ok
+        assert all(c.passed for c in certify_separation(g))
+        (ca, ra), (cb, rb) = (
+            (e.map.apply(np.full(3, 0.5)), 0.5 * e.map.ratio * e.map.isometry.T)
+            for e in g.edges.values()
+        )
+        faces = np.vstack([ra, rb]) / (0.5 * 0.2)
+        face_gaps = np.abs(faces @ (cb - ca)) - (np.abs(ra @ faces.T) + np.abs(rb @ faces.T)).sum(0)
+        assert face_gaps.max() < 0 < _gap((ca, ra), (cb, rb))
 
-    def test_stop_ratio_bounds(self):
-        g = cantor_graph()
-        sd = solve_s0(g)
-        with pytest.raises(ValueError):
-            sample_path(g, sd, stop_ratio=1.0)
+    def test_4d_uses_face_normals(self):
+        # two boxes apart along the first axis: certified from face normals
+        maps = {"a": (0.4, np.eye(4), (0.2, 0.5, 0.5, 0.5)),
+                "b": (0.4, np.eye(4), (0.8, 0.5, 0.5, 0.5))}
+        assert all(c.passed for c in certify_separation(_unit_system(4, maps)))
