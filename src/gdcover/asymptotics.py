@@ -6,8 +6,10 @@ or to a periodic profile (lattice log-ratios).  When some integral
 diverges, normalized counts grow without bound and only a growth rate is
 reported.  Finite data cannot prove a limit, so every point estimate comes
 with a drift diagnostic over the estimation window, and small-condensation
-estimates are cross-checked against the renewal-theory prediction computed
-from measured forcing terms.
+estimates are cross-checked against a renewal-weighted mean of the measured
+profile over its last window.  That check reads the same counts as the
+estimate, so it is not an independent prediction: it catches
+non-convergence, stopping-size ties and phase errors.
 """
 from __future__ import annotations
 
@@ -24,10 +26,8 @@ from .covering import (
     IntegralResult,
     _CountTable,
     condensation_integral,
-    forcing_values,
     lattice_grid,
     profile_at,
-    renewal_residual,
 )
 from .errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
 from .graph import MWGraph, validate
@@ -55,7 +55,7 @@ REGIMES = (
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DENSE_MIN_SPAN = 2 * math.log(10.0)
-# dense-mode cross-check mesh: forcing sampled at 0, 0.05, ..., 10
+# dense-mode cross-check: trapezoid steps of at most 0.05, windows ending by t = 10
 DENSE_FORCING_T_MAX = 10.0
 DENSE_FORCING_STEP = 0.05
 LATTICE_MIN_PERIODS = 4
@@ -114,8 +114,9 @@ def classify_regime(
 class AsymptoticReport:
     """Limit estimates extracted from one covering profile.
 
-    ``kind == "constant"``: estimates has one entry per vertex and drift is
-    the (max - min) / mean spread over the estimation window.
+    ``kind == "constant"``: estimates has one entry per vertex, drift is
+    the (max - min) / mean spread over the estimation window and t_last is
+    the profile's last t.
     ``kind == "periodic"``: estimates is (n_y, n_vertices), averaged over
     the last few periods at each offset; drift is per offset.
     ``kind == "divergent"``: estimates holds per-vertex growth rates of
@@ -130,6 +131,7 @@ class AsymptoticReport:
     drift: np.ndarray | None = None
     drift_total: float | None = None
     thirds_drift: tuple[float, ...] | None = None
+    t_last: float | None = None
     y_grid: np.ndarray | None = None
     tau: float | None = None
     n_values: tuple[int, ...] | None = None
@@ -168,6 +170,7 @@ def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
         drift=drift,
         drift_total=drift_total,
         thirds_drift=thirds_drift,
+        t_last=float(ts[-1]),
     )
 
 
@@ -267,7 +270,6 @@ class CrossCheckResult:
     measured: np.ndarray
     rel_discrepancy: np.ndarray
     max_rel_discrepancy: float
-    residual_max: float
     y_grid: np.ndarray | None = None
     tau: float | None = None
 
@@ -279,43 +281,58 @@ def cross_check(
     *,
     _table: _CountTable | None = None,
 ) -> CrossCheckResult:
-    """Compare measured limit estimates against the renewal prediction.
+    """Compare the limit estimate with a renewal-weighted mean of the
+    measured profile over its last window.
 
-    The forcing terms are measured from covering counts on a grid matched
-    to the report (offsets y + k*tau for k up to the report's last period
-    in lattice mode, a uniform mesh in dense mode), pushed through the
-    rank-one limit matrix of the Perron data.  Also reports the worst
-    renewal-identity residual of the measured data, which vanishes up to
-    rounding by construction.  ``_table`` is the count table of an
-    enclosing analysis, whose grid origin the forcing shares; the profile's
-    counts in it are not counted again.
+    Weighted by the left Perron vector v, the renewal forcing telescopes:
+    sum_i v_i int_0^T L_i = sum_e v_src r_e^s0 W_e, with W_e the integral
+    of Z_dst(t) = e^(-s0 t) N_dst(t) over edge e's last window
+    [T - log(1/r_e), T]; per source vertex, the r_e^s0 W_e go through the
+    rank-one ``limit_matrix``.  Lattice mode: T is the report's last period
+    and W_e is tau times the sum over the last round(log(1/r_e)/tau)
+    periods, at profile t values.  Dense mode: T is the profile's last t,
+    at most ``DENSE_FORCING_T_MAX``, and W_e the trapezoid rule.  The check
+    reads the counts the estimate reads, so it is not an independent
+    prediction; it catches non-convergence, stopping-size ties and phase
+    errors.  ``_table`` is the count table of an enclosing analysis.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
+    edges = list(graph.edges.values())
     tau = y_grid = None
     if report.kind == "periodic":
         tau, y_grid = report.tau, report.y_grid
         if tau is None or y_grid is None or not report.n_values:
             raise ValueError("periodic report lacks its sampling grid")
-        k_max = max(report.n_values)
-        points = [y + k * tau for y in y_grid for k in range(k_max + 1)]
+        last = max(report.n_values)
+        # one row of windows per offset, at the profile's own t = n*tau + y
+        windows = [
+            [[n * tau + y for n in range(last - round(e.log_ratio / tau) + 1, last + 1) if n >= 0]
+             for e in edges]
+            for y in y_grid.tolist()
+        ]
     else:
-        steps = int(round(DENSE_FORCING_T_MAX / DENSE_FORCING_STEP))
-        points = np.linspace(0.0, DENSE_FORCING_T_MAX, steps + 1)
-    ctx = ForcingContext(graph, spectral, points, _table=_table)
-    forcing = forcing_values(ctx)
-    a = spectral.limit_matrix
-    if tau is None:
-        integrals = np.array([_trapezoid(row, ctx.t_grid) for row in forcing])
-        predicted = integrals @ a
-    else:
-        lookup = {t: i for i, t in enumerate(ctx.t_grid)}
-        predicted = np.zeros((y_grid.size, len(graph.vertex_order)))
-        for row, y in enumerate(y_grid):
-            sums = np.array(
-                [sum(f[lookup[y + k * tau]] for k in range(k_max + 1)) for f in forcing]
-            )
-            predicted[row] = tau * (sums @ a)
+        if report.t_last is None:
+            raise ValueError("constant report lacks its sampling grid")
+        # the forcing lives on t >= 0: a profile ending below 0 has no window
+        end = max(0.0, min(report.t_last, DENSE_FORCING_T_MAX))
+        starts = [max(0.0, end - e.log_ratio) for e in edges]
+        steps = [math.ceil((end - a) / DENSE_FORCING_STEP) for a in starts]
+        windows = [[np.linspace(a, end, k + 1).tolist() for a, k in zip(starts, steps)]]
+    points: dict[str, list] = {v: [] for v in graph.vertex_order}
+    for row in windows:
+        for e, ts in zip(edges, row):
+            points[e.dst].extend(ts)
+    ctx = ForcingContext(graph, [t for ts in points.values() for t in ts], _table=_table)
+    for v, ts in points.items():
+        ctx._fill(v, ts)
+    s0, col = spectral.s0, {v: k for k, v in enumerate(graph.vertex_order)}
+    sums = np.zeros((len(windows), len(col)))
+    for out, row in zip(sums, windows):
+        for e, ts in zip(edges, row):
+            z = [ctx.count_at(e.dst, t) * math.exp(-s0 * t) for t in ts]
+            out[col[e.src]] += e.ratio**s0 * (_trapezoid(z, ts) if tau is None else tau * sum(z))
+    predicted = (sums[0] if tau is None else sums) @ spectral.limit_matrix
     measured = np.asarray(report.estimates)
     rel = np.abs(predicted - measured) / np.maximum(np.abs(measured), 1e-300)
     return CrossCheckResult(
@@ -325,7 +342,6 @@ def cross_check(
         measured=measured,
         rel_discrepancy=rel,
         max_rel_discrepancy=float(rel.max()),
-        residual_max=renewal_residual(ctx, forcing),
         y_grid=y_grid,
         tau=tau,
     )

@@ -42,6 +42,10 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
+# exact types json.dumps takes as they are (not numpy's float subclass)
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def _jsonable(x):
     if isinstance(x, np.ndarray):  # tolist gives Python scalars unless dtype is object
         return _jsonable(x.tolist()) if x.dtype == object else x.tolist()
@@ -54,6 +58,8 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        if all(type(v) in _PLAIN for v in x):
+            return x
         return [_jsonable(v) for v in x]
     return x
 
@@ -446,7 +452,6 @@ def _cross_doc(cross: asymptotics.CrossCheckResult | None) -> dict | None:
         "measured": cross.measured,
         "rel_discrepancy": cross.rel_discrepancy,
         "max_rel_discrepancy": cross.max_rel_discrepancy,
-        "residual_max": cross.residual_max,
     }
     if cross.y_grid is not None:
         doc["y_grid"] = cross.y_grid

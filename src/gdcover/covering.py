@@ -54,10 +54,7 @@ __all__ = [
     "lattice_grid",
     "IntegralResult",
     "condensation_integral",
-    "child_time",
     "ForcingContext",
-    "forcing_values",
-    "renewal_residual",
 ]
 
 ETA = 1e-9
@@ -1128,7 +1125,7 @@ def _distinct_radii(ts: list):
 
 class _CountTable:
     """Covering counts N_v(t) on one grid, shared by the profile and the
-    forcing of one analysis.
+    cross-check of one analysis.
 
     Holds one walk per vertex, rebuilt deeper only when a finer radius is
     asked for, and one ``{(vertex, t): count}`` dict.  Radii are counted in
@@ -1476,42 +1473,21 @@ def condensation_integral(
     return IntegralResult("Finite", value, float(k), exact)
 
 
-# -- count-derived forcing for the renewal cross-check -----------------------
-
-
-def child_time(t: float, edge) -> float:
-    """Argument ``t - log(1/ratio)`` of an edge's child term in the forcing.
-
-    A shift within 1e-9 of zero is snapped to 0: a lattice period computed
-    apart from the edge's own log-ratio can leave a residue like -1e-16,
-    which would otherwise count the child term as not yet started.
-    """
-    s = t - edge.log_ratio
-    return 0.0 if abs(s) < ETA else s
+# -- the count reader of the renewal cross-check ------------------------------
 
 
 class ForcingContext:
-    """Cached covering counts supporting shifted-argument evaluations.
+    """Covering counts N(t) of the cross-check's windows, read through a
+    count table.
 
-    Holds N(t) = cell count of the vertex attractor at radius e^(-t) for
-    every t on the sample grid and at every child-shifted argument
-    t - log(1/ratio), including negative ones (the grid is simply coarser
-    than the attractor there; counts stay honest).  Each vertex is walked
-    once, down to the radius of the largest grid t.  ``_table`` is the
-    count table of an enclosing analysis, whose grid origin and counts are
+    Each vertex is walked once, down to the radius of the largest t in
+    ``t_grid``; a count at a larger t rewalks.  ``_table`` is the count
+    table of an enclosing analysis, whose grid origin and counts are
     reused.
     """
 
-    def __init__(
-        self,
-        graph: MWGraph,
-        spectral: SpectralData,
-        t_grid,
-        *,
-        _table: _CountTable | None = None,
-    ) -> None:
+    def __init__(self, graph: MWGraph, t_grid, *, _table: _CountTable | None = None) -> None:
         self.graph = graph
-        self.spectral = spectral
         self.t_grid = np.array(sorted(float(t) for t in t_grid))
         if self.t_grid.size == 0:
             raise ValueError("empty t grid")
@@ -1528,55 +1504,3 @@ class ForcingContext:
         if key not in self._table.counts:
             self._fill(vertex, [t])
         return self._table.counts[key]
-
-    def normalized_count(self, vertex: str, t: float) -> float:
-        return self.count_at(vertex, t) * math.exp(-self.spectral.s0 * t)
-
-
-def forcing_values(ctx: ForcingContext) -> np.ndarray:
-    """Corrected forcing L_i on the grid, one row per vertex in ``vertex_order``.
-
-    f(t) = sum over edges of ratio^s0 f_child(t - log(1/ratio)) + L(t)
-    holds exactly on the grid when L collects the count defect (child
-    counts minus the vertex count) together with the child terms whose
-    shifted argument is still negative.
-    """
-    graph = ctx.graph
-    s0 = ctx.spectral.s0
-    need: dict[str, list] = {v: list(ctx.t_grid) for v in graph.vertex_order}
-    for v in graph.vertex_order:
-        for e in graph.out_edges(v):
-            need[e.dst].extend(child_time(t, e) for t in ctx.t_grid)
-    for v, ts in need.items():
-        ctx._fill(v, ts)
-    out = np.zeros((len(graph.vertex_order), ctx.t_grid.size))
-    for row, v in enumerate(graph.vertex_order):
-        for idx, t in enumerate(ctx.t_grid):
-            child_all = 0
-            child_early = 0
-            for e in graph.out_edges(v):
-                shifted = child_time(t, e)
-                c = ctx.count_at(e.dst, shifted)
-                child_all += c
-                if shifted < 0:
-                    child_early += c
-            defect = child_all - ctx.count_at(v, t)
-            out[row, idx] = math.exp(-s0 * t) * (child_early - defect)
-    return out
-
-
-def renewal_residual(ctx: ForcingContext, forcing: np.ndarray) -> float:
-    """Max deviation from f = f*M + L with every term measured directly."""
-    graph = ctx.graph
-    s0 = ctx.spectral.s0
-    worst = 0.0
-    for row, v in enumerate(graph.vertex_order):
-        for idx, t in enumerate(ctx.t_grid):
-            lhs = ctx.normalized_count(v, t)
-            conv = 0.0
-            for e in graph.out_edges(v):
-                shifted = child_time(t, e)
-                if shifted >= 0:
-                    conv += e.ratio**s0 * ctx.normalized_count(e.dst, shifted)
-            worst = max(worst, abs(lhs - conv - forcing[row, idx]))
-    return worst

@@ -768,6 +768,15 @@ def test_jsonable_matches_the_recursive_conversion(value):
 
     assert dump(cli._jsonable(value)) == dump(_recursive_jsonable(value))
 
+
+def test_jsonable_takes_a_plain_row_as_it_is():
+    # a profile row holds Python scalars only: one call, no copy
+    row = [0.5, 0.6065306597126334, 2, 0.25, 8, 1.0, None, "X", True]
+    assert cli._jsonable(row) is row
+    converted = cli._jsonable([0.5, np.float64(0.25), np.int64(3)])
+    assert [type(x) for x in converted] == [float, float, int]
+
+
 # -- fuzzed system files ------------------------------------------------------------
 #
 # A bundled system with a few keys deleted or replaced by arbitrary JSON, or
@@ -913,9 +922,6 @@ def fuzzed_runs(draw):
         return command, draw(edited_json(json.loads(json.dumps(RENEWAL_DOC)))), []
     doc = json.loads(bundled_text(draw(st.sampled_from(BUNDLED_NAMES))))
     flags = list(SMALL_RUN[command])
-    if command != "profile" and doc["dimension"] > 1:
-        # a dense-mode cross-check counts up to t = 10 whatever --tmax is
-        flags.append("--no-cross-check")
     text = draw(edited_json(doc))
     for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True)):
         flags += [f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag]))}"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import covering_oracle as oracle
+from forcing_oracle import child_time, forcing_values, normalized_count, renewal_residual
 from helpers import (
     LN2,
     LN3,
@@ -30,14 +31,11 @@ from gdcover.covering import (
     _origin_vector,
     cell_union,
     condensation_integral,
-    child_time,
     count,
-    forcing_values,
     generate,
     lattice_grid,
     profile,
     profile_at,
-    renewal_residual,
 )
 from gdcover.errors import ResourceLimitError
 from gdcover.geometry import Box, Primitive, Similarity
@@ -476,11 +474,14 @@ def early_count(ctx: ForcingContext, vertex: str, t: float) -> int:
 
 
 class TestForcing:
+    """The forcing on a t grid (``forcing_oracle``, the cross-check's oracle)
+    against covering counts."""
+
     def test_lattice_defect_vanishes_on_aligned_grid(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [n * LN3 for n in range(1, 8)]
-        ctx = ForcingContext(cantor, sd, grid)
-        forcing = forcing_values(ctx)
+        ctx = ForcingContext(cantor, grid)
+        forcing = forcing_values(ctx, sd)
         assert forcing.shape == (1, len(grid))
         for idx, t in enumerate(ctx.t_grid):
             assert count_defect(ctx, "X", t) == 0
@@ -488,8 +489,8 @@ class TestForcing:
 
     def test_defect_matches_sampled_counts_at_generic_t(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
-        ctx = ForcingContext(cantor, sd, np.linspace(0.2, 4.8, 12))
-        forcing = forcing_values(ctx)
+        ctx = ForcingContext(cantor, np.linspace(0.2, 4.8, 12))
+        forcing = forcing_values(ctx, sd)
         for idx, t in enumerate(ctx.t_grid):
             child = 2 * cantor_count(t - LN3) if t >= LN3 else 2 * 1
             defect = child - cantor_count(t)
@@ -502,8 +503,8 @@ class TestForcing:
         # scale divides the map translations, so the defect is exactly -1
         sd = solve_s0(cantor_point)
         grid = [n * LN3 for n in range(1, 8)]
-        ctx = ForcingContext(cantor_point, sd, grid)
-        forcing = forcing_values(ctx)
+        ctx = ForcingContext(cantor_point, grid)
+        forcing = forcing_values(ctx, sd)
         assert [count_defect(ctx, "X", t) for t in ctx.t_grid] == [-1] * 7
         assert forcing[0].tolist() == [math.exp(-sd.s0 * t) for t in ctx.t_grid]
 
@@ -511,8 +512,8 @@ class TestForcing:
         # generic scales: misalignment of the x/3 + 2/3 copy can cost one
         # more cell, widening the aligned range by one on each side at most
         sd = solve_s0(cantor_point)
-        ctx = ForcingContext(cantor_point, sd, np.linspace(0.3, 5.7, 16))
-        forcing = forcing_values(ctx)
+        ctx = ForcingContext(cantor_point, np.linspace(0.3, 5.7, 16))
+        forcing = forcing_values(ctx, sd)
         for idx, t in enumerate(ctx.t_grid):
             defect = count_defect(ctx, "X", t)
             assert -2 <= defect <= 0, t
@@ -522,23 +523,23 @@ class TestForcing:
     def test_corrected_forcing_closes_renewal_identity(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [k * LN3 / 2 for k in range(9)]
-        ctx = ForcingContext(cantor, sd, grid)
-        forcing = forcing_values(ctx)
-        fs = [ctx.normalized_count("X", t) for t in ctx.t_grid]
+        ctx = ForcingContext(cantor, grid)
+        forcing = forcing_values(ctx, sd)
+        fs = [normalized_count(ctx, sd, "X", t) for t in ctx.t_grid]
         w = 2 * (1.0 / 3.0) ** sd.s0  # both edges together carry unit mass
         for k, t in enumerate(ctx.t_grid):
             # the shift is exactly two grid steps; index instead of
             # subtracting, else one ulp of slop falls off the breakpoint
             child = fs[k - 2] if k >= 2 else 0.0
             assert fs[k] == pytest.approx(w * child + forcing[0, k], abs=1e-12), t
-        assert renewal_residual(ctx, forcing) <= 1e-12
+        assert renewal_residual(ctx, sd, forcing) <= 1e-12
 
     def test_corrected_forcing_at_zero_is_the_full_count(self, cantor, spectral_cache):
-        ctx = ForcingContext(cantor, spectral_cache["cantor"], [0.0, LN3])
-        assert forcing_values(ctx)[0, 0] == pytest.approx(1.0)
+        ctx = ForcingContext(cantor, [0.0, LN3])
+        assert forcing_values(ctx, spectral_cache["cantor"])[0, 0] == pytest.approx(1.0)
 
-    def test_empty_grid_rejected(self, cantor, spectral_cache):
+    def test_empty_grid_rejected(self, cantor):
         with pytest.raises(ValueError):
-            ForcingContext(cantor, spectral_cache["cantor"], [])
+            ForcingContext(cantor, [])
         with pytest.raises(ValueError):
-            ForcingContext(cantor, spectral_cache["cantor"], [-1.0, 2.0])
+            ForcingContext(cantor, [-1.0, 2.0])

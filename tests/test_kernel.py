@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covering_oracle as oracle
+import forcing_oracle
 from conftest import BUNDLED_NAMES
 from covering_oracle import OrientedBox, PointShape, SegmentShape
 from helpers import (
@@ -253,7 +254,7 @@ def test_profile_and_forcing_share_the_oracle_counts(bundled):
     graph = bundled["two_vertex"]
     ts = [0.4, 1.3, 2.2, 3.1, 4.0]
     prof = covering.profile_at(graph, ts)
-    ctx = covering.ForcingContext(graph, solve_s0(graph), ts)
+    ctx = covering.ForcingContext(graph, ts)
     for sample in prof.samples:
         sets = {v: oracle.generate(graph, v, sample.r) for v in graph.vertex_order}
         per, total = oracle.count(sets, sample.r)
@@ -263,7 +264,7 @@ def test_profile_and_forcing_share_the_oracle_counts(bundled):
 
 def test_count_at_beyond_the_grid_rewalks(bundled):
     graph = bundled["cantor_point"]
-    ctx = covering.ForcingContext(graph, solve_s0(graph), [1.0, 2.0])
+    ctx = covering.ForcingContext(graph, [1.0, 2.0])
     r = math.exp(-4.0)
     (want,), _ = oracle.count(oracle.generate(graph, "X", r), r)
     assert ctx.count_at("X", 4.0) == want
@@ -271,9 +272,9 @@ def test_count_at_beyond_the_grid_rewalks(bundled):
 
 def test_child_time_snaps_float_noise_to_zero(bundled):
     edge = bundled["sierpinski"].out_edges("X")[0]
-    assert covering.child_time(edge.log_ratio - 1e-16, edge) == 0.0
-    assert covering.child_time(edge.log_ratio + 0.5, edge) == pytest.approx(0.5)
-    assert covering.child_time(0.0, edge) == -edge.log_ratio
+    assert forcing_oracle.child_time(edge.log_ratio - 1e-16, edge) == 0.0
+    assert forcing_oracle.child_time(edge.log_ratio + 0.5, edge) == pytest.approx(0.5)
+    assert forcing_oracle.child_time(0.0, edge) == -edge.log_ratio
 
 
 # -- random small systems -------------------------------------------------------
@@ -578,23 +579,28 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
 
 @pytest.mark.parametrize("name", ["cantor", "two_vertex", "sierpinski"])
 def test_analyze_counts_each_key_once(bundled, name):
-    # lattice systems: the cross-check grid y + k*tau holds every profile t,
-    # so the forcing reuses the profile's counts instead of counting again
+    # lattice systems: every point of the cross-check's windows is a profile
+    # t, so the cross-check counts nothing the profile did not
     graph = bundled[name]
     counted = []
+    tables = []
     runs = _Walk.runs
+    init = _CountTable.__init__
 
     def spy(walk, r, *args, **kwargs):
         counted.extend((walk.vertex, float(x)) for x in np.atleast_1d(r))
         return runs(walk, r, *args, **kwargs)
 
-    with mock.patch.object(_Walk, "runs", spy):
+    def keep(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        tables.append(table)
+
+    with mock.patch.object(_Walk, "runs", spy), mock.patch.object(_CountTable, "__init__", keep):
         res = asymptotics.analyze(graph, n_min=3, n_max=6, y_samples=4)
+    assert res.cross is not None and res.report.tau == res.lattice.tau
     assert counted and len(counted) == len(set(counted))
-    report = res.report
-    assert report.tau == res.lattice.tau
-    grid = {y + k * report.tau for y in report.y_grid for k in range(max(report.n_values) + 1)}
-    assert {s.t for s in res.profile.samples} <= grid
+    (table,) = tables
+    assert set(table.counts) == {(v, s.t) for s in res.profile.samples for v in graph.vertex_order}
 
 
 # -- runs in one dimension -------------------------------------------------------
@@ -969,8 +975,9 @@ def test_origin_shift_changes_counts_by_at_most_3_to_the_d(graph, t, data):
     ts=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6, unique=True),
 )
 def test_renewal_residual_is_at_most_1e_9(graph, ts):
-    ctx = covering.ForcingContext(graph, solve_s0(graph), ts)
-    assert covering.renewal_residual(ctx, covering.forcing_values(ctx)) <= 1e-9
+    sd = solve_s0(graph)
+    ctx = covering.ForcingContext(graph, ts)
+    assert forcing_oracle.renewal_residual(ctx, sd, forcing_oracle.forcing_values(ctx, sd)) <= 1e-9
 
 
 # -- the walk build and the per-pass images ------------------------------------------
@@ -1508,8 +1515,9 @@ def _radius_sets(walk) -> list:
 
 
 def _analysis_radii(graph) -> np.ndarray:
-    """Every radius a README-default analysis asks ``work`` about: its
-    profile's and its cross-check's forcing radii together."""
+    """Every radius a README-default analysis asks ``work`` about, together
+    with those of the forcing grid (``forcing_oracle``) on its report: the
+    profile's, the window's, and every forcing t and child-shifted t."""
     seen, work = [], _Walk.work
 
     def spy(walk, radii, axis):
@@ -1517,7 +1525,8 @@ def _analysis_radii(graph) -> np.ndarray:
         return work(walk, radii, axis)
 
     with mock.patch.object(_Walk, "work", spy):
-        asymptotics.analyze(graph)
+        res = asymptotics.analyze(graph)
+        forcing_oracle.predicted(graph, res.spectral, res.report)
     return np.unique(np.concatenate(seen))
 
 
