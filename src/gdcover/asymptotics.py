@@ -32,6 +32,7 @@ from .covering import (
 from .errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
 from .graph import MWGraph, validate
 from .lattice import LatticeResult, classify_graph
+from .renewal import LATTICE_ALIGN_TOL
 from .spectral import SpectralData, solve_s0
 
 __all__ = [
@@ -251,9 +252,8 @@ def estimate_limit(profile: CoveringProfile, regime) -> AsymptoticReport:
     if name == "LargeCondensation":
         return _estimate_divergent(profile, name)
     if name.endswith("Lattice"):
-        # the lattice's own step: t2 - t1 of two samples a period apart can
-        # be an ulp off it, and the cross-check grid y + k*tau would then
-        # miss the profile's t values
+        # the lattice's own step: t2 - t1 of two samples a period apart can be
+        # an ulp off it, and the cross-check's n*tau + y would miss profile t
         tau = regime.lattice.tau if isinstance(regime, RegimeResult) else None
         return _estimate_lattice(profile, name, tau)
     return _estimate_dense(profile, name)
@@ -295,6 +295,7 @@ def cross_check(
     reads the counts the estimate reads, so it is not an independent
     prediction; it catches non-convergence, stopping-size ties and phase
     errors.  ``_table`` is the count table of an enclosing analysis.
+    Nonzero vertex phases (a log(1/r_e) off tau*Z) raise ``ValidationError``.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
@@ -304,6 +305,8 @@ def cross_check(
         tau, y_grid = report.tau, report.y_grid
         if tau is None or y_grid is None or not report.n_values:
             raise ValueError("periodic report lacks its sampling grid")
+        if phased := _phase_note(graph, tau):
+            raise ValidationError(phased)
         last = max(report.n_values)
         # one row of windows per offset, at the profile's own t = n*tau + y
         windows = [
@@ -345,6 +348,14 @@ def cross_check(
         y_grid=y_grid,
         tau=tau,
     )
+
+
+def _phase_note(graph: MWGraph, tau: float) -> str | None:
+    """Why the lattice window does not apply, or None."""
+    for e in graph.edges.values():
+        if abs(e.log_ratio - round(e.log_ratio / tau) * tau) > LATTICE_ALIGN_TOL:
+            return f"edge {e.id!r} is off the lattice; the cross-check does not model vertex phases"
+    return None
 
 
 # -- end-to-end orchestration -------------------------------------------------
@@ -428,12 +439,15 @@ def analyze(
         large_n_min=large_n_min,
         large_n_max=large_n_max,
     )
-    # one walk per vertex and one count table serve the profile and the forcing
+    # one walk per vertex and one count table serve the profile and the cross-check
     table = _CountTable(graph, grid_origin)
     prof = profile_at(graph, points, spectral=spectral, _table=table)
     report = estimate_limit(prof, regime)
-    cross = None
-    if with_cross_check and report.kind != "divergent":
+    cross, notes = None, regime.notes
+    phased = report.kind == "periodic" and _phase_note(graph, report.tau)
+    if with_cross_check and phased:
+        notes += (f"cross-check skipped: {phased}",)
+    elif with_cross_check and report.kind != "divergent":
         cross = cross_check(graph, spectral, report, _table=table)
     return AnalysisResult(
         vertex_order=graph.vertex_order,
@@ -443,5 +457,5 @@ def analyze(
         profile=prof,
         report=report,
         cross=cross,
-        notes=regime.notes,
+        notes=notes,
     )

@@ -42,10 +42,6 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
-# exact types json.dumps takes as they are (not numpy's float subclass)
-_PLAIN = frozenset((str, int, float, bool, type(None)))
-
-
 def _jsonable(x):
     if isinstance(x, np.ndarray):  # tolist gives Python scalars unless dtype is object
         return _jsonable(x.tolist()) if x.dtype == object else x.tolist()
@@ -58,8 +54,6 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        if all(type(v) in _PLAIN for v in x):
-            return x
         return [_jsonable(v) for v in x]
     return x
 
@@ -538,7 +532,7 @@ def cmd_analyze(args) -> int:
             f"cross-check: max relative discrepancy "
             f"{res.cross.max_rel_discrepancy:.3%}"
         )
-    for note in res.regime.notes:
+    for note in res.notes:
         print(f"note: {note}")
     return 0
 

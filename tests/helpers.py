@@ -188,6 +188,21 @@ def phase_graph() -> MWGraph:
     )
 
 
+def three_cycle_graph() -> MWGraph:
+    """X -> Y -> Z -> X, ratio 1/2 on each edge: tau = ln8, while each edge
+    has log-ratio ln2, so Y and Z carry the phases ln2 and ln4."""
+    return MWGraph(
+        dimension=1,
+        vertices={"X": Box((0.0,), (1.0,)), "Y": Box((2.0,), (3.0,)),
+                  "Z": Box((4.0,), (5.0,))},
+        edges=[
+            Edge("xy", "X", "Y", line_map(0.5, -1.0), Fraction(1, 2)),
+            Edge("yz", "Y", "Z", line_map(0.5, 0.0), Fraction(1, 2)),
+            Edge("zx", "Z", "X", line_map(0.5, 4.0), Fraction(1, 2)),
+        ],
+    )
+
+
 def dirac(location: float, weight: float = 1.0) -> AtomicMeasure:
     """One atom of ``weight`` at ``location``."""
     return AtomicMeasure([location], [weight])

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import forcing_oracle
-from helpers import LN3, cantor_graph, half_half_segment_graph, random_graphs
+from helpers import (
+    LN3,
+    cantor_graph,
+    half_half_segment_graph,
+    phase_graph,
+    random_graphs,
+    three_cycle_graph,
+)
 
 from gdcover.asymptotics import (
     analyze,
@@ -220,13 +227,27 @@ class TestCrossCheck:
         np.testing.assert_allclose(res.cross.predicted, want, rtol=1e-3, atol=0)
 
     def test_sierpinski_zero_shift_is_not_early(self, bundled):
-        # tau - log 2 = -1.1e-16 at y = 0: unsnapped, the child terms count
-        # as not yet started and the prediction doubles to 2.0
+        # at y = 0 the window points are the profile's own n*tau values, so
+        # the prediction reads the counts the estimate read and agrees with
+        # it there, although tau - log 2 = -1.1e-16 puts them on a tie
         res = analyze(bundled["sierpinski"], n_min=2, n_max=6, y_samples=4)
         cross = res.cross
         assert cross.kind == "periodic" and cross.y_grid[0] == 0.0
         assert cross.predicted[0][0] == pytest.approx(cross.measured[0][0], rel=1e-9)
         assert cross.max_rel_discrepancy <= 0.05
+
+    @pytest.mark.parametrize("make", [three_cycle_graph, phase_graph])
+    def test_phased_lattice_skips_the_cross_check(self, make):
+        # an edge off the lattice tau*Z joins vertices of different phases,
+        # which the window does not model: a note instead of a rounded window
+        graph = make()
+        res = analyze(graph, n_min=2, n_max=6, y_samples=2)
+        assert res.regime.regime == "SmallCondensation-Lattice"
+        assert any(res.lattice.phases)
+        assert res.cross is None
+        assert [n for n in res.notes if n.startswith("cross-check skipped")]
+        with pytest.raises(ValidationError, match="vertex phases"):
+            cross_check(graph, res.spectral, res.report)
 
 
 class TestAnalyze:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED_NAMES
-from helpers import LN2, LN3, half_half_segment_graph
+from helpers import LN2, LN3, half_half_segment_graph, three_cycle_graph
 
 from gdcover import cli, covering, renewal, schema
 from gdcover.cli import main
@@ -481,6 +481,18 @@ class TestAnalyze:
         assert main(["analyze", str(p)]) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_phased_lattice_runs_without_its_cross_check(self, tmp_path, capsys):
+        p = tmp_path / "cycle.json"
+        p.write_text(dumps_system(three_cycle_graph()), encoding="utf-8")
+        assert main(["analyze", str(p)]) == 0
+        assert "note: cross-check skipped: edge 'xy'" in capsys.readouterr().out
+        out = tmp_path / "report"
+        assert main(["report", str(p), "-o", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["cross_check"] is None
+        assert doc["notes"][-1].startswith("cross-check skipped")
+        assert not (out / "cross_check.csv").exists()
+
 
 class TestFlagChecks:
     # bad counts and reversed t-ranges are input errors (exit 1), named by
@@ -767,14 +779,6 @@ def test_jsonable_matches_the_recursive_conversion(value):
         return json.dumps(x, indent=2, sort_keys=True).encode()
 
     assert dump(cli._jsonable(value)) == dump(_recursive_jsonable(value))
-
-
-def test_jsonable_takes_a_plain_row_as_it_is():
-    # a profile row holds Python scalars only: one call, no copy
-    row = [0.5, 0.6065306597126334, 2, 0.25, 8, 1.0, None, "X", True]
-    assert cli._jsonable(row) is row
-    converted = cli._jsonable([0.5, np.float64(0.25), np.int64(3)])
-    assert [type(x) for x in converted] == [float, float, int]
 
 
 # -- fuzzed system files ------------------------------------------------------------
