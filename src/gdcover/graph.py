@@ -207,89 +207,100 @@ class ValidationReport:
             raise ValidationError(f"validation failed ({lines})")
 
 
+def _bounds(boxes: list[Box], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min and max corners of ``boxes`` as rows of ``width`` columns, NaN
+    past a box's own dimension, and those dimensions."""
+    pad = [(math.nan,) * (width - b.dim) for b in boxes]
+    lo = np.array([b.lo + p for b, p in zip(boxes, pad)]).reshape(len(boxes), width)
+    hi = np.array([b.hi + p for b, p in zip(boxes, pad)]).reshape(len(boxes), width)
+    return lo, hi, np.array([b.dim for b in boxes], dtype=int)
+
+
 def validate(graph: MWGraph) -> ValidationReport:
     """Check every structural invariant and report pass/fail per check.
 
     Failures are fatal for downstream use; callers that need a hard stop can
-    use :meth:`ValidationReport.raise_if_failed`.
+    use :meth:`ValidationReport.raise_if_failed`.  Each kind of check runs
+    as one array pass over the stacked boxes or edge maps; a comparison
+    over two boxes covers the axes both have, as ``Box`` methods do.
     """
     rep = ValidationReport()
+    add, tol = rep.add, CONTAINMENT_TOL
     d = graph.dimension
-    rep.add("dimension-positive", d >= 1, f"d={d}")
-
-    for vid, box in graph.vertices.items():
-        ok = box.dim == d and all(w > 0 for w in box.widths)
-        rep.add(
-            f"seed-box[{vid}]",
-            ok,
-            "" if ok else f"box must be d-dimensional with positive widths, got {box}",
-        )
-
-    for vid in graph.vertex_order:
-        ok = len(graph.out_edges(vid)) > 0
-        rep.add(f"out-edge[{vid}]", ok, "" if ok else "vertex has no outgoing edge")
+    add("dimension-positive", d >= 1, f"d={d}")
 
     order = graph.vertex_order
-    for i, v1 in enumerate(order):
-        for v2 in order[i + 1 :]:
-            ok = not graph.vertices[v1].interior_intersects(graph.vertices[v2])
-            rep.add(
-                f"disjoint-interiors[{v1},{v2}]",
-                ok,
-                "" if ok else "seed boxes overlap on an open set",
-            )
+    seeds = [graph.vertices[v] for v in order]
+    opens = [graph.open_sets[v] for v in order]
+    width = max([d] + [b.dim for b in seeds + opens])
+    axes = np.arange(width)
+    lo, hi, dims = _bounds(seeds, width)
+    seed_ok = (dims == d) & (hi[:, :d] - lo[:, :d] > 0).all(axis=1)
+    for vid, box, ok in zip(order, seeds, seed_ok.tolist()):
+        add(f"seed-box[{vid}]", ok,
+            "" if ok else f"box must be d-dimensional with positive widths, got {box}")
 
-    rng = np.random.default_rng(0)
-    for e in graph.edges.values():
-        sim = e.map
-        rep.add(
-            f"ratio-range[{e.id}]",
-            0.0 < sim.ratio < 1.0,
-            f"ratio={sim.ratio}",
-        )
-        shape_ok = sim.dim == d and sim.isometry.shape == (d, d)
-        rep.add(f"map-shape[{e.id}]", shape_ok, "" if shape_ok else "wrong dimensions")
-        if not shape_ok:
+    for vid in order:
+        ok = len(graph.out_edges(vid)) > 0
+        add(f"out-edge[{vid}]", ok, "" if ok else "vertex has no outgoing edge")
+
+    first, second = np.triu_indices(len(order), 1)
+    apart = axes >= np.minimum(dims[first], dims[second])[:, None]
+    meet = (np.minimum(hi[first], hi[second]) > np.maximum(lo[first], lo[second])) | apart
+    for a, b, ok in zip(first.tolist(), second.tolist(), (~meet.all(axis=1)).tolist()):
+        add(f"disjoint-interiors[{order[a]},{order[b]}]", ok,
+            "" if ok else "seed boxes overlap on an open set")
+
+    edges = list(graph.edges.values())
+    shape_ok = [e.map.dim == d and e.map.isometry.shape == (d, d) for e in edges]
+    shaped = [e for e, ok in zip(edges, shape_ok) if ok]
+    count = len(shaped)
+    ratio = np.array([e.map.ratio for e in shaped])
+    q = np.array([e.map.isometry for e in shaped]).reshape(count, d, d)
+    qt = q.transpose(0, 2, 1)
+    shift = np.array([e.map.translation for e in shaped]).reshape(count, 1, d)
+    src = np.array([graph.vertex_index(e.src) for e in shaped], dtype=int)
+    dst = np.array([graph.vertex_index(e.dst) for e in shaped], dtype=int)
+    defect = np.abs(qt @ q - np.eye(d)).max(axis=(1, 2))
+    # distance scaling spot check on random point pairs: one block of the
+    # stream that one (4, d) draw per edge would take, norms as
+    # sqrt(x . x) per difference, and the worst of each edge's three
+    pts = np.random.default_rng(0).standard_normal((count, 4, d))
+    imgs = ratio[:, None, None] * pts @ qt + shift
+
+    def norms(v: np.ndarray) -> np.ndarray:
+        diff = np.diff(v, axis=1)
+        return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+
+    base = norms(pts)
+    rel = np.abs(norms(imgs) - ratio[:, None] * base) / np.maximum(base, 1e-300)
+    worst = np.fmax.reduce(rel, axis=1, initial=0.0)
+    # containment: image of the 2^d corners of the target box, within the
+    # axes the source box has
+    hi_bit = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1 == 1
+    corners = np.where(hi_bit, hi[dst, None, :d], lo[dst, None, :d])
+    images = ratio[:, None, None] * corners @ qt + shift
+    inside = ((lo[src, None, :d] - tol <= images) & (images <= hi[src, None, :d] + tol)
+              | (axes[:d] >= dims[src, None, None])).all(axis=(1, 2))
+
+    shaped_checks = zip(defect.tolist(), worst.tolist(), inside.tolist())
+    for e, ok in zip(edges, shape_ok):
+        r = e.map.ratio
+        add(f"ratio-range[{e.id}]", 0.0 < r < 1.0, f"ratio={r}")
+        add(f"map-shape[{e.id}]", ok, "" if ok else "wrong dimensions")
+        if not ok:
             continue
-        defect = sim.orthogonality_defect()
-        rep.add(
-            f"isometry-orthogonal[{e.id}]",
-            defect <= ORTHOGONALITY_TOL,
-            f"defect={defect:.3e}",
-        )
-        # distance scaling spot check on random point pairs
-        pts = rng.standard_normal((4, d))
-        imgs = sim.apply(pts)
-        worst = 0.0
-        for i in range(3):
-            base = float(np.linalg.norm(pts[i + 1] - pts[i]))
-            got = float(np.linalg.norm(imgs[i + 1] - imgs[i]))
-            worst = max(worst, abs(got - sim.ratio * base) / max(base, 1e-300))
-        rep.add(
-            f"distance-scaling[{e.id}]",
-            worst <= 1e-12,
-            f"relative defect={worst:.3e}",
-        )
-        # containment: image of the 2^d corners of the target box
-        target = graph.seed_box(e.dst)
-        source = graph.seed_box(e.src)
-        corners = sim.apply(target.corners())
-        inside = all(
-            source.contains_point(c, tol=CONTAINMENT_TOL) for c in corners
-        )
-        rep.add(
-            f"containment[{e.id}]",
-            inside,
-            "" if inside else f"image of {e.dst!r} escapes the box of {e.src!r}",
-        )
+        e_defect, e_worst, e_inside = next(shaped_checks)
+        add(f"isometry-orthogonal[{e.id}]", e_defect <= ORTHOGONALITY_TOL, f"defect={e_defect:.3e}")
+        add(f"distance-scaling[{e.id}]", e_worst <= 1e-12, f"relative defect={e_worst:.3e}")
+        add(f"containment[{e.id}]", e_inside,
+            "" if e_inside else f"image of {e.dst!r} escapes the box of {e.src!r}")
         if e.ratio_rational is not None:
-            q = e.ratio_rational
-            ok = 0 < q < 1 and abs(float(q) - sim.ratio) <= 1e-12
-            rep.add(
-                f"ratio-rational[{e.id}]",
-                ok,
-                "" if ok else f"rational {q} disagrees with float ratio {sim.ratio}",
-            )
+            rational = e.ratio_rational
+            # relative: a tiny ratio's rational must not be off by a multiple
+            ok = 0 < rational < 1 and abs(float(rational) - r) <= 1e-12 * r
+            add(f"ratio-rational[{e.id}]", ok,
+                "" if ok else f"rational {rational} disagrees with float ratio {r}")
 
     for vid, prims in graph.condensation.items():
         box = graph.seed_box(vid)
@@ -306,15 +317,13 @@ def validate(graph: MWGraph) -> ValidationReport:
                 "" if ok else "shape must sit inside its seed box",
             )
 
-    for vid, open_box in graph.open_sets.items():
-        ok = all(w > 0 for w in open_box.widths) and graph.seed_box(vid).contains_box(
-            open_box, tol=CONTAINMENT_TOL
-        )
-        rep.add(
-            f"open-set[{vid}]",
-            ok,
-            "" if ok else "open set must have positive widths and sit inside the seed box",
-        )
+    olo, ohi, odims = _bounds(opens, width)
+    open_ok = ((ohi - olo > 0) | (axes >= odims[:, None])).all(axis=1) & (
+        ((lo - tol <= olo) & (ohi <= hi + tol)) | (axes >= np.minimum(dims, odims)[:, None])
+    ).all(axis=1)
+    for vid, ok in zip(order, open_ok.tolist()):
+        add(f"open-set[{vid}]", ok,
+            "" if ok else "open set must have positive widths and sit inside the seed box")
 
     return rep
 

@@ -147,9 +147,14 @@ class AtomicMeasure:
 
 
 class MatrixMeasure:
-    """A square matrix of atomic measures under row-times-column convolution."""
+    """A square matrix of atomic measures under row-times-column convolution.
 
-    __slots__ = ("entries",)
+    Its nonzero entries are listed once, in row-major order, and everything
+    below walks only them.  The mass matrix and its right Perron run are
+    computed once, on first use.
+    """
+
+    __slots__ = ("entries", "_nonzero", "_mass", "_perron")
 
     def __init__(self, entries: Sequence[Sequence[AtomicMeasure]]) -> None:
         rows = [tuple(row) for row in entries]
@@ -157,6 +162,10 @@ class MatrixMeasure:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix of measures must be square")
         self.entries = tuple(rows)
+        self._nonzero = tuple((i, j, mu) for i, row in enumerate(rows)
+                              for j, mu in enumerate(row) if mu.locations.size)
+        self._mass = None
+        self._perron = None
 
     @property
     def n(self) -> int:
@@ -165,24 +174,33 @@ class MatrixMeasure:
     def entry(self, i: int, j: int) -> AtomicMeasure:
         return self.entries[i][j]
 
+    def _filled(self, value) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        for i, j, mu in self._nonzero:
+            out[i, j] = value(mu)
+        return out
+
     def mass_matrix(self) -> np.ndarray:
-        return np.array(
-            [[m.total_mass() for m in row] for row in self.entries]
-        )
+        """Total masses of the entries (read-only, computed once)."""
+        if self._mass is None:
+            self._mass = self._filled(AtomicMeasure.total_mass)
+            self._mass.setflags(write=False)
+        return self._mass
 
     def moment_matrix(self) -> np.ndarray:
-        return np.array(
-            [[m.first_moment() for m in row] for row in self.entries]
-        )
+        return self._filled(AtomicMeasure.first_moment)
 
     def min_location(self) -> float | None:
-        locs = [
-            m.min_location()
-            for row in self.entries
-            for m in row
-            if not m.is_zero
-        ]
-        return min(locs) if locs else None
+        return min((mu.min_location() for _, _, mu in self._nonzero), default=None)
+
+    def _right_perron(self) -> tuple[float, np.ndarray]:
+        """Spectral radius and right Perron vector of the mass matrix, from
+        one power run shared by every caller."""
+        if self._perron is None:
+            from .spectral import POWER_MAX_ITER, _power_perron
+
+            self._perron = _power_perron(self.mass_matrix(), POWER_MAX_ITER)
+        return self._perron
 
 
 
@@ -354,15 +372,14 @@ def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFu
     n = m.n
     if len(fs) != n:
         raise ValueError("vector length must match matrix size")
-    # only nonzero products contribute; rows in increasing l keep each
+    # only nonzero products contribute; entries in row-major order keep each
     # column's parts in the summation order of sum_l f_l * M[l][j]
     parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
-    for f, row in zip(fs, m.entries):
-        if f.is_zero:
-            continue
-        for j, mu in enumerate(row):
-            if mu.locations.size:
-                parts[j].append(_convolve(f.breakpoints, f.values, mu.locations, mu.weights))
+    live = [not f.is_zero for f in fs]
+    for l, j, mu in m._nonzero:
+        if live[l]:
+            f = fs[l]
+            parts[j].append(_convolve(f.breakpoints, f.values, mu.locations, mu.weights))
     return [StepFunction._wrap(*_add(p)) for p in parts]
 
 
@@ -427,12 +444,11 @@ def _unit_sup_sum(bp: np.ndarray, vals: np.ndarray) -> float:
 
 
 def _require_renewal_preconditions(m: MatrixMeasure, forcing: Sequence[StepFunction]) -> float:
-    from .spectral import is_irreducible, spectral_radius
+    from .spectral import is_irreducible
 
-    mass = m.mass_matrix()
-    if not is_irreducible(mass):
+    if not is_irreducible(m.mass_matrix()):
         raise NumericalError("renewal matrix is reducible")
-    rho = spectral_radius(mass)
+    rho = m._right_perron()[0]
     if abs(rho - 1.0) > MASS_TOL:
         raise NumericalError(
             f"renewal matrix mass has spectral radius {rho}, expected 1"
@@ -516,10 +532,12 @@ class RenewalLimit:
 
 
 def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:
-    from .spectral import spectral_radius
+    from .spectral import POWER_MAX_ITER, _left_perron, _require_irreducible
 
     mass = m.mass_matrix()
-    rho, right, left = spectral_radius(mass, want_vectors=True)
+    _require_irreducible(mass)
+    rho, right = m._right_perron()
+    left = _left_perron(mass, rho, POWER_MAX_ITER)
     if abs(rho - 1.0) > MASS_TOL:
         raise NumericalError(
             f"renewal matrix mass has spectral radius {rho}, expected 1"
@@ -589,8 +607,7 @@ def limit_value(
     phi = np.zeros(m.n) if phases is None else np.asarray(phases, dtype=float)
     if phi.shape != (m.n,):
         raise ValueError("lattice phases must give one value per component")
-    locs = np.concatenate([mu.locations - (phi[i] - phi[j])
-                           for i, row in enumerate(m.entries) for j, mu in enumerate(row)])
+    locs = np.concatenate([mu.locations - (phi[i] - phi[j]) for i, j, mu in m._nonzero])
     worst = float(np.abs(locs - np.round(locs / tau) * tau).max(initial=0.0))
     if worst > LATTICE_ALIGN_TOL:
         raise NumericalError(

@@ -7,6 +7,7 @@ checked against code that shares no logic with the implementation.
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,16 @@ from gdcover import covering
 from gdcover.covering import _axis_order, _BoxAxes, _CellUnion, _run_cells
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
-from gdcover.graph import PATH_CAP, Edge, MWGraph, Path, walk_prefix_tree
+from gdcover.graph import (
+    CONTAINMENT_TOL,
+    ORTHOGONALITY_TOL,
+    PATH_CAP,
+    Edge,
+    MWGraph,
+    Path,
+    ValidationReport,
+    walk_prefix_tree,
+)
 from gdcover.renewal import AtomicMeasure, StepFunction
 
 LN2 = math.log(2.0)
@@ -203,6 +213,77 @@ def three_cycle_graph() -> MWGraph:
     )
 
 
+FAMILY_DENSE = ((Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(2, 7)),
+                (Fraction(1, 3), Fraction(1, 4)))
+FAMILY_LATTICE = ((Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 4), Fraction(1, 8)))
+
+
+def family_system(n: int, lattice: bool, seed: int) -> dict:
+    """A valid 1-d system file shaped like the benchmark's graph_family
+    members: vertex k owns the box [2k, 2k + 1], a Hamiltonian cycle plus two
+    more targets per vertex, two self-loops at vertex 0 that fix the lattice
+    verdict, images at the left, middle or right of their box, and a
+    condensation point at about half the vertices."""
+    rng = random.Random(seed)
+    ratio_set, loops = FAMILY_LATTICE if lattice else FAMILY_DENSE
+    targets = [[0, 0, 1]] + [
+        [(k + 1) % n] + rng.sample([v for v in range(n) if v != (k + 1) % n], 2)
+        for k in range(1, n)
+    ]
+    edges = []
+    for k, dsts in enumerate(targets):
+        qs = list(loops) + [rng.choice(ratio_set)] if k == 0 else [
+            rng.choice(ratio_set) for _ in dsts]
+        for dst, q, place in zip(dsts, qs, rng.sample(range(3), 3)):
+            r = float(q)
+            offset = (0.0, (1.0 - r) / 2.0, 1.0 - r)[place]
+            edges.append({"id": f"e{len(edges):03d}", "from": f"v{k:02d}", "to": f"v{dst:02d}",
+                          "ratio": r, "ratio_rational": [q.numerator, q.denominator],
+                          "translation": [2.0 * k + offset - r * 2.0 * dst]})
+    return {
+        "dimension": 1,
+        "vertices": [{"id": f"v{k:02d}", "box": {"min": [2.0 * k], "max": [2.0 * k + 1.0]}}
+                     for k in range(n)],
+        "edges": edges,
+        "condensation": {f"v{k:02d}": [{"kind": "point", "point": [2.0 * k + 0.25]}]
+                         for k in range(n) if rng.random() < 0.5},
+        "separation": "none",
+    }
+
+
+# a 2-d system file that fails one check of every kind validate makes:
+# overlapping seed boxes, a vertex with no out-edge, ratios outside (0, 1),
+# a sheared isometry, an image leaving its box, a rational ratio off by 1/6,
+# a condensation point outside its box and an open set leaving its box
+FAILING_SYSTEM = {
+    "dimension": 2,
+    "vertices": [
+        {"id": "X", "box": {"min": [0.0, 0.0], "max": [1.0, 1.0]}},
+        {"id": "Y", "box": {"min": [0.5, 0.0], "max": [1.5, 1.0]}},
+        {"id": "Z", "box": {"min": [3.0, 0.0], "max": [4.0, 2.0]}},
+        {"id": "W", "box": {"min": [5.0, 5.0], "max": [6.0, 6.0]}},
+    ],
+    "edges": [
+        {"id": "a", "from": "X", "to": "X", "ratio": 0.4, "isometry": [[1.0, 0.1], [0.0, 1.0]],
+         "translation": [0.1, 0.1]},
+        {"id": "b", "from": "X", "to": "Y", "ratio": 0.5, "angle": 30.0,
+         "translation": [0.6, 0.6]},
+        {"id": "c", "from": "Y", "to": "Z", "ratio": 0.2, "angle": 90.0,
+         "translation": [1.0, -0.6]},
+        {"id": "d", "from": "Z", "to": "Z", "ratio": 0.5, "ratio_rational": [1, 3],
+         "translation": [1.5, 0.0]},
+        {"id": "e", "from": "Z", "to": "X", "ratio": 1.25, "angle": -45.0,
+         "translation": [3.0, 0.5]},
+        {"id": "f", "from": "Y", "to": "Y", "ratio": 0.3, "ratio_rational": [3, 10],
+         "isometry": [[0.0, 1.0], [1.0, 0.0]], "translation": [0.6, 0.1]},
+    ],
+    "condensation": {"X": [{"kind": "point", "point": [0.5, 1.5]}],
+                     "Z": [{"kind": "segment", "a": [3.2, 0.5], "b": [3.8, 1.5]}]},
+    "open_sets": {"Z": {"min": [2.5, 0.0], "max": [4.0, 2.0]}},
+    "separation": "none",
+}
+
+
 def dirac(location: float, weight: float = 1.0) -> AtomicMeasure:
     """One atom of ``weight`` at ``location``."""
     return AtomicMeasure([location], [weight])
@@ -326,3 +407,112 @@ def piece_rows(pieces) -> dict:
             arrays = (centre, axes.half[row].reshape(centre.shape[0], 4))
         rows[kind] += map(tuple, np.concatenate(arrays, axis=1).tolist())
     return rows
+
+
+def validate_loop(graph: MWGraph) -> ValidationReport:
+    """``gdcover.graph.validate`` one check at a time: the reference its array
+    passes must reproduce, check for check, name, verdict and detail."""
+    rep = ValidationReport()
+    d = graph.dimension
+    rep.add("dimension-positive", d >= 1, f"d={d}")
+
+    for vid, box in graph.vertices.items():
+        ok = box.dim == d and all(w > 0 for w in box.widths)
+        rep.add(
+            f"seed-box[{vid}]",
+            ok,
+            "" if ok else f"box must be d-dimensional with positive widths, got {box}",
+        )
+
+    for vid in graph.vertex_order:
+        ok = len(graph.out_edges(vid)) > 0
+        rep.add(f"out-edge[{vid}]", ok, "" if ok else "vertex has no outgoing edge")
+
+    order = graph.vertex_order
+    for i, v1 in enumerate(order):
+        for v2 in order[i + 1 :]:
+            ok = not graph.vertices[v1].interior_intersects(graph.vertices[v2])
+            rep.add(
+                f"disjoint-interiors[{v1},{v2}]",
+                ok,
+                "" if ok else "seed boxes overlap on an open set",
+            )
+
+    rng = np.random.default_rng(0)
+    for e in graph.edges.values():
+        sim = e.map
+        rep.add(
+            f"ratio-range[{e.id}]",
+            0.0 < sim.ratio < 1.0,
+            f"ratio={sim.ratio}",
+        )
+        shape_ok = sim.dim == d and sim.isometry.shape == (d, d)
+        rep.add(f"map-shape[{e.id}]", shape_ok, "" if shape_ok else "wrong dimensions")
+        if not shape_ok:
+            continue
+        defect = sim.orthogonality_defect()
+        rep.add(
+            f"isometry-orthogonal[{e.id}]",
+            defect <= ORTHOGONALITY_TOL,
+            f"defect={defect:.3e}",
+        )
+        # distance scaling spot check on random point pairs
+        pts = rng.standard_normal((4, d))
+        imgs = sim.apply(pts)
+        worst = 0.0
+        for i in range(3):
+            base = float(np.linalg.norm(pts[i + 1] - pts[i]))
+            got = float(np.linalg.norm(imgs[i + 1] - imgs[i]))
+            worst = max(worst, abs(got - sim.ratio * base) / max(base, 1e-300))
+        rep.add(
+            f"distance-scaling[{e.id}]",
+            worst <= 1e-12,
+            f"relative defect={worst:.3e}",
+        )
+        # containment: image of the 2^d corners of the target box
+        target = graph.seed_box(e.dst)
+        source = graph.seed_box(e.src)
+        corners = sim.apply(target.corners())
+        inside = all(
+            source.contains_point(c, tol=CONTAINMENT_TOL) for c in corners
+        )
+        rep.add(
+            f"containment[{e.id}]",
+            inside,
+            "" if inside else f"image of {e.dst!r} escapes the box of {e.src!r}",
+        )
+        if e.ratio_rational is not None:
+            q = e.ratio_rational
+            ok = 0 < q < 1 and abs(float(q) - sim.ratio) <= 1e-12 * sim.ratio
+            rep.add(
+                f"ratio-rational[{e.id}]",
+                ok,
+                "" if ok else f"rational {q} disagrees with float ratio {sim.ratio}",
+            )
+
+    for vid, prims in graph.condensation.items():
+        box = graph.seed_box(vid)
+        for k, prim in enumerate(prims):
+            ok = prim.dim == d
+            if ok and prim.kind == "box":
+                lo, hi = prim.points
+                ok = all(l <= h for l, h in zip(lo, hi))
+            if ok:
+                ok = box.contains_box(prim.bounding_box(), tol=CONTAINMENT_TOL)
+            rep.add(
+                f"condensation[{vid}:{k}]",
+                ok,
+                "" if ok else "shape must sit inside its seed box",
+            )
+
+    for vid, open_box in graph.open_sets.items():
+        ok = all(w > 0 for w in open_box.widths) and graph.seed_box(vid).contains_box(
+            open_box, tol=CONTAINMENT_TOL
+        )
+        rep.add(
+            f"open-set[{vid}]",
+            ok,
+            "" if ok else "open set must have positive widths and sit inside the seed box",
+        )
+
+    return rep

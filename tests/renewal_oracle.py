@@ -4,12 +4,13 @@
 This is the straightforward path that ``gdcover.renewal`` and
 ``gdcover.spectral`` replace with array-native fast paths: the atom merge
 and the breakpoint merge walk every value in a Python loop,
-``vector_convolve`` convolves all n^2 matrix entries, every step function
-goes through the validating constructor, the periodic limit evaluates the
-forcing at one point at a time, power iteration checks its bracket after
-every step, and every bisection step runs it from the uniform vector to
-full convergence.  It is kept only as a differential oracle; the package's
-results must equal it bit for bit.
+``vector_convolve``, the mass and moment matrices and the least atom
+location walk all n^2 matrix entries, every step function goes through the
+validating constructor, the periodic limit evaluates the forcing at one
+point at a time, power iteration checks its bracket after every step, and
+every bisection step runs it from the uniform vector to full convergence.
+It is kept only as a differential oracle; the package's results must equal
+it bit for bit.
 """
 from __future__ import annotations
 
@@ -30,12 +31,12 @@ from gdcover.spectral import (
     POWER_MAX_ITER,
     POWER_REL_TOL,
     S0_TOL,
-    SIDE_MARGIN,
     SpectralData,
     _dense_perron,
     build_matrix,
     build_moment_matrix,
     is_irreducible,
+    side_margin,
 )
 
 
@@ -61,6 +62,20 @@ def merge_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     out_loc.append(anchor)
     out_w.append(acc)
     return np.array(out_loc), np.array(out_w)
+
+
+def mass_matrix(m) -> np.ndarray:
+    """Total masses of all n^2 entries, zero or not."""
+    return np.array([[mu.total_mass() for mu in row] for row in m.entries])
+
+
+def moment_matrix(m) -> np.ndarray:
+    return np.array([[mu.first_moment() for mu in row] for row in m.entries])
+
+
+def min_location(m) -> float | None:
+    locs = [mu.min_location() for row in m.entries for mu in row if not mu.is_zero]
+    return min(locs) if locs else None
 
 
 def shifted_scaled(f: StepFunction, shift: float, weight: float) -> StepFunction:
@@ -197,15 +212,16 @@ def periodic_limit(m, forcing, phases, tau: float, samples_per_period: int = 64)
 def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
     """Power iteration on ``b`` from ``x`` with the bracket checked after every
     step: ``(k, lo, hi, x)`` at the first step ``k`` whose bracket has
-    converged or, with ``side``, lies beyond ``2 +- SIDE_MARGIN``; None when
-    ``max_iter`` steps pass without a stop."""
+    converged or, with ``side``, lies beyond ``2 +- side_margin(n)``; None
+    when ``max_iter`` steps pass without a stop."""
+    margin = side_margin(b.shape[0])
     for k in range(max_iter):
         y = b @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
         if hi - lo <= POWER_REL_TOL * hi:
             return k, lo, hi, x
-        if side and (lo > 2.0 + SIDE_MARGIN or hi < 2.0 - SIDE_MARGIN):
+        if side and (lo > 2.0 + margin or hi < 2.0 - margin):
             return k, lo, hi, x
         x = y / y.sum()
     return None

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import renewal_oracle as oracle
 from conftest import BUNDLED_NAMES
-from helpers import LN2, line_map, phase_graph
+from helpers import LN2, family_system, line_map, phase_graph
 from test_fast_paths import (
     DENSE_LOOPS,
     DENSE_RATIOS,
@@ -28,7 +28,7 @@ from test_fast_paths import (
     connected_graphs,
 )
 
-from gdcover import lattice, renewal, spectral
+from gdcover import lattice, renewal, schema, spectral
 from gdcover.geometry import Box
 from gdcover.graph import Edge, MWGraph
 from gdcover.renewal import StepFunction
@@ -229,32 +229,91 @@ def family_member(n, ratio_set, loops, seed):
     return MWGraph(dimension=1, vertices=vertices, edges=edges)
 
 
+def bisection_runs(monkeypatch, graph):
+    """``solve_s0(graph)`` and, per side decision, whether it had a warm start
+    and how many side-testing power runs it made."""
+    runs = []
+    real_side = spectral._radius_at_least_one
+    real_steps = spectral._power_steps
+
+    def decide(a, start=None):
+        runs.append([start is not None, 0])
+        return real_side(a, start)
+
+    def steps(b, x, max_iter, side):
+        if side:
+            runs[-1][1] += 1
+        return real_steps(b, x, max_iter, side)
+
+    monkeypatch.setattr(spectral, "_radius_at_least_one", decide)
+    monkeypatch.setattr(spectral, "_power_steps", steps)
+    sd = spectral.solve_s0(graph)
+    monkeypatch.undo()
+    return sd, runs
+
+
 class TestWarmBisection:
     @pytest.mark.parametrize(
         "ratios", [(DENSE_RATIOS, DENSE_LOOPS), (LATTICE_RATIOS, LATTICE_LOOPS)]
     )
     def test_cold_reruns_happen_and_s0_matches(self, monkeypatch, ratios):
         graph = family_member(14, *ratios, seed=4)
-        runs = []
-        real_side = spectral._radius_at_least_one
-        real_steps = spectral._power_steps
-
-        def decide(a, start=None):
-            runs.append([start is not None, 0])
-            return real_side(a, start)
-
-        def steps(b, x, max_iter, side):
-            if side:
-                runs[-1][1] += 1
-            return real_steps(b, x, max_iter, side)
-
-        monkeypatch.setattr(spectral, "_radius_at_least_one", decide)
-        monkeypatch.setattr(spectral, "_power_steps", steps)
-        sd = spectral.solve_s0(graph)
-        monkeypatch.undo()
+        sd, runs = bisection_runs(monkeypatch, graph)
         reruns = sum(1 for warm, calls in runs if warm and calls == 2)
-        # the bisection's last steps fall inside SIDE_MARGIN: the warm run
-        # converges there and the step reruns from the uniform vector
+        # the bisection's last steps fall inside the side margin: the warm
+        # run converges there and the step reruns from the uniform vector
         assert reruns >= 5
         assert sum(1 for warm, calls in runs if warm and calls == 1) >= 20
         assert_same_spectral(sd, oracle.solve_s0(graph))
+
+    # uniform-start runs of solve_s0 on these members with the fixed side
+    # margin 1e-12 that side_margin(n) replaced
+    FIXED_MARGIN_COLD_RUNS = {False: 16, True: 15}
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["dense", "lattice"])
+    def test_fewer_uniform_start_runs_at_22_vertices(self, monkeypatch, lattice):
+        graph = schema.parse_system(family_system(22, lattice, 4))
+        sd, runs = bisection_runs(monkeypatch, graph)
+        # a side decision without a warm start, or whose warm run reran
+        cold = sum(1 for warm, calls in runs if not warm or calls == 2)
+        assert cold < self.FIXED_MARGIN_COLD_RUNS[lattice]
+        assert_same_spectral(sd, oracle.solve_s0(graph))
+
+    @pytest.mark.parametrize("n", [18, 22])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["dense", "lattice"])
+    def test_family_members_match_the_cold_bisection(self, n, lattice):
+        for seed in (1, 2):
+            graph = schema.parse_system(family_system(n, lattice, seed))
+            assert_same_spectral(spectral.solve_s0(graph), oracle.solve_s0(graph))
+
+
+@st.composite
+def near_unit_radius(draw):
+    """An irreducible nonnegative matrix whose columns sum to 1 + c * M(n),
+    so that the radius of ``a + I`` lies within a few side margins M(n) of
+    2, exactly 2 included; and a random positive start vector."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((n, n)) * (rng.random((n, n)) < draw(st.sampled_from((0.1, 0.3, 1.0))))
+    a[(np.arange(n) + 1) % n, np.arange(n)] += rng.uniform(0.1, 1.0, n)
+    a /= a.sum(axis=0)
+    c = draw(st.sampled_from((0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)))
+    return a * (1.0 + c * spectral.side_margin(n)), rng.random(n) + 1e-3
+
+
+class TestSideMargin:
+    def test_values(self):
+        assert spectral.side_margin(22) == pytest.approx(6.04e-14, rel=1e-3)
+        assert spectral.side_margin(100) == pytest.approx(1.297e-13, rel=1e-3)
+        assert spectral.side_margin(1000) == pytest.approx(9.29e-13, rel=1e-3)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=near_unit_radius())
+    def test_a_side_stop_gives_the_cold_converged_side(self, case):
+        a, start = case
+        n = a.shape[0]
+        b = a + np.eye(n)
+        hit = spectral._power_steps(b, start, spectral.POWER_MAX_ITER, side=True)
+        margin = spectral.side_margin(n)
+        if hit is not None and (hit[0] > 2.0 + margin or hit[1] < 2.0 - margin):
+            assert (hit[0] > 2.0 + margin) == (oracle.spectral_radius(a) >= 1.0)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED_NAMES
-from helpers import LN2, LN3, half_half_segment_graph, three_cycle_graph
+from helpers import (
+    FAILING_SYSTEM,
+    LN2,
+    LN3,
+    family_system,
+    half_half_segment_graph,
+    three_cycle_graph,
+)
 
 from gdcover import cli, covering, renewal, schema
 from gdcover.cli import main
@@ -148,6 +156,83 @@ class TestValidate:
         p.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(p)]) == 1
         assert "FAIL open-set[X]" in capsys.readouterr().out
+
+    def test_rational_off_on_a_tiny_ratio_fails(self, tmp_path, capsys):
+        # 1/10^13 is 1e-13 from the float ratio 2e-13: inside an absolute
+        # 1e-12, but off by half the ratio
+        doc = {
+            "dimension": 1,
+            "vertices": [{"id": "X", "box": {"min": [0.0], "max": [1.0]}}],
+            "edges": [
+                {"id": "a", "from": "X", "to": "X", "ratio": 0.5, "ratio_rational": [1, 2],
+                 "translation": [0.0]},
+                {"id": "b", "from": "X", "to": "X", "ratio": 2e-13,
+                 "ratio_rational": [1, 10**13], "translation": [0.9]},
+            ],
+        }
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL ratio-rational[b]" in captured.out
+        assert "FAIL ratio-rational[a]" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
+def _pin_files(root):
+    """The bundled systems, two 22-vertex graph_family-shaped files and a file
+    that fails a check of every kind."""
+    files = {name: bundled_text(name) for name in BUNDLED_NAMES}
+    files["family22_dense"] = json.dumps(family_system(22, False, 4))
+    files["family22_lattice"] = json.dumps(family_system(22, True, 4))
+    files["failing"] = json.dumps(FAILING_SYSTEM)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+def _exit_and_digest(argv):
+    """Exit code and the first 16 hex digits of the sha256 of what
+    ``main(argv)`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+class TestBytePins:
+    """``validate --json`` and ``dim --json``, byte for byte as recorded before
+    the dimension bisection took its side margin from the matrix size and
+    validate ran its checks as array passes."""
+
+    # exit code and the first 16 hex digits of the sha256 of stdout, for
+    # validate --json and dim --json
+    PINS = {
+        "cantor": ((0, "103f6e0ecc4da3ee"), (0, "c8fd4f93b235d934")),
+        "cantor_point": ((0, "5971b902caa55973"), (0, "c8fd4f93b235d934")),
+        "cantor_segment": ((0, "1bada9f430677f34"), (0, "c8fd4f93b235d934")),
+        "dust2d_edge": ((0, "8ce44c2cfe7b69ae"), (0, "c8fd4f93b235d934")),
+        "rotated2d": ((0, "3747971f51d2baec"), (0, "36587f12e1b1de01")),
+        "sierpinski": ((0, "8c8b8b11cfab539d"), (0, "22a2bc6299ba0176")),
+        "two_ratio": ((0, "9e35ee6a12a03424"), (0, "0d9678907f5e1580")),
+        "two_vertex": ((0, "344dbed15e88c09e"), (0, "6caebae35ab45148")),
+        "family22_dense": ((0, "905ade910424171b"), (0, "cf47e44a41202b1c")),
+        "family22_lattice": ((0, "ffddded5b2183d3b"), (0, "63f9be0fd3b0c921")),
+        "failing": ((1, "72eda24bfdea471b"), (1, "e3b0c44298fc1c14")),
+    }
+
+    @pytest.fixture(scope="class")
+    def pin_files(self, tmp_path_factory):
+        return _pin_files(tmp_path_factory.mktemp("pins"))
+
+    @pytest.mark.parametrize("command", ["validate", "dim"])
+    def test_outputs_match_the_pins(self, pin_files, command):
+        k = ("validate", "dim").index(command)
+        got = {name: _exit_and_digest([command, "--json", str(p)])
+               for name, p in pin_files.items()}
+        assert got == {name: pins[k] for name, pins in self.PINS.items()}
 
 
 class TestDim:

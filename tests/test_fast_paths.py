@@ -194,6 +194,57 @@ class TestMergeAgainstOracle:
         assert got[1].tobytes() == want[1].tobytes()
 
 
+# -- entries of a matrix of measures ----------------------------------------------
+
+
+@st.composite
+def sparse_measures(draw):
+    """A matrix of atomic measures, most entries zero, one entry with 9 to 12
+    atoms: past 8 terms numpy sums pairwise, not one term after another."""
+    n = draw(st.integers(1, 6))
+    cells = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=n * n))
+    many = draw(st.sampled_from(sorted(cells)))
+    entries = [[AtomicMeasure.zero() for _ in range(n)] for _ in range(n)]
+    for cell in cells:
+        size = (9, 12) if cell == many else (1, 4)
+        # distinct grid points, so no two atoms merge
+        steps = draw(st.lists(st.integers(1, 400), min_size=size[0], max_size=size[1],
+                              unique=True))
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(steps),
+                                max_size=len(steps)))
+        entries[cell[0]][cell[1]] = AtomicMeasure([0.0125 * k for k in steps], weights)
+    return MatrixMeasure(entries)
+
+
+class TestMatrixMeasureAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(m=sparse_measures())
+    def test_nonzero_entries_give_the_n2_loops(self, m):
+        assert max(mu.n_atoms for row in m.entries for mu in row) >= 9
+        assert m.mass_matrix().tobytes() == oracle.mass_matrix(m).tobytes()
+        assert m.moment_matrix().tobytes() == oracle.moment_matrix(m).tobytes()
+        assert m.min_location() == oracle.min_location(m)
+
+    def test_zero_matrix(self):
+        m = MatrixMeasure([[AtomicMeasure.zero()] * 2] * 2)
+        assert m.mass_matrix().tobytes() == oracle.mass_matrix(m).tobytes()
+        assert m.min_location() is None and oracle.min_location(m) is None
+
+    def test_one_right_perron_run_per_matrix(self, bundled, monkeypatch):
+        # renewal_solve's precondition check and limit_value's limit matrix
+        # share the mass matrix's right Perron run
+        m = renewal.transfer_measure(bundled["two_vertex"], spectral.solve_s0(bundled["two_vertex"]).s0)
+        runs = []
+        real = spectral._power_perron
+        monkeypatch.setattr(spectral, "_power_perron", lambda a, k: runs.append(a.shape) or real(a, k))
+        forcing = [StepFunction.indicator(0.0, 1.0)] * m.n
+        renewal.renewal_solve(m, forcing, 5.0)
+        renewal.limit_value(m, forcing)
+        renewal.renewal_solve(m, forcing, 5.0)
+        assert len(runs) == 2  # the right run once, the left run once
+
+
 # -- the renewal series -----------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import covering_oracle as oracle
 from helpers import (
@@ -17,6 +19,7 @@ from helpers import (
     random_graphs,
     two_ratio_graph,
     two_vertex_graph,
+    validate_loop,
 )
 from lattice_oracle import path_ratio
 
@@ -125,6 +128,66 @@ class TestValidate:
             ],
         )
         assert not validate(g).ok
+
+
+@st.composite
+def checked_systems(draw):
+    """Systems in d = 1, 2, 3 on which validate fails some checks and passes
+    others: boxes that may overlap or be flat, open sets that may leave their
+    box, maps with random orthogonal or sheared linear parts, ratios outside
+    (0, 1), declared rationals near or off the ratio, and rarely a box or a
+    map of another dimension."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    odd_dim = draw(st.sampled_from([None] * 4 + list(range(n))))
+
+    def box(k, dim):
+        lo = rng.uniform(-1, 1, dim) + 3.0 * k * draw(st.sampled_from((0.0, 1.0, 1.0)))
+        return Box(tuple(lo), tuple(lo + rng.choice([0.0, 0.5, 2.0, 2.0, 2.0], dim)))
+
+    vertices = {f"v{k}": box(k, d + 1 if k == odd_dim else d) for k in range(n)}
+    edges = []
+    for k in range(draw(st.integers(1, 3 * n))):
+        a = f"v{draw(st.integers(0, n - 1))}"
+        # an edge into the odd box would make the loop reference raise
+        b = f"v{draw(st.sampled_from([j for j in range(n) if j != odd_dim] or [0]))}"
+        dim = d + 1 if draw(st.integers(0, 9)) == 0 else d
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        if draw(st.integers(0, 5)) == 0:
+            q = q + rng.uniform(-0.1, 0.1, (dim, dim))
+        ratio = draw(st.sampled_from((0.1, 0.25, 0.4, 1.0, 1.5, 2e-13)))
+        rational = draw(st.sampled_from((None, Fraction(1, 4), Fraction(1, 10**13),
+                                         Fraction(2, 5), Fraction(3, 2))))
+        sim = Similarity(ratio, q, rng.uniform(-2, 4, dim))
+        edges.append(Edge(f"e{k}", a, b, sim, rational))
+    if odd_dim is not None:
+        del vertices[f"v{odd_dim}"]
+        vertices[f"v{odd_dim}"] = box(odd_dim, d + 1)  # last in vertex order
+        edges = [e for e in edges if e.dst != f"v{odd_dim}" or e.map.dim != d]
+    opens = {v: box(0, d + draw(st.sampled_from((0, 0, 0, 1)))) for v in vertices
+             if draw(st.booleans())}
+    condensation = {v: (Primitive.point(tuple(rng.uniform(-1, 2, d))),) for v in vertices
+                    if draw(st.booleans())}
+    return MWGraph(d, vertices, edges, condensation=condensation, open_sets=opens)
+
+
+class TestValidateAgainstLoop:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=checked_systems())
+    def test_same_checks(self, graph):
+        assert validate(graph).checks == validate_loop(graph).checks
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_block_draws_what_one_draw_per_edge_does(self, d):
+        per_edge = np.random.default_rng(0)
+        block = np.random.default_rng(0).standard_normal((7, 4, d))
+        for k in range(7):
+            assert block[k].tobytes() == per_edge.standard_normal((4, d)).tobytes()
+
+    def test_bundled_systems(self, bundled):
+        for name, graph in bundled.items():
+            assert validate(graph).checks == validate_loop(graph).checks, name
 
 
 class TestConnectivity:
