@@ -78,11 +78,13 @@ def classify_regime(
 ) -> RegimeResult:
     """Decide which asymptotic regime the system falls in.
 
-    All scale integrals finite puts the system in the small-condensation
-    regime, split by the lattice dichotomy of cycle log-ratios.  Any
-    divergent integral yields the large regime; the divergence conclusion
-    is only certified under the strongest declared separation, so weaker
-    declarations are flagged in the notes.
+    Only each vertex's convergence verdict of its condensation scale
+    integral is read (``condensation_integral``: largest box dimension
+    below s0), never a value.  All integrals finite puts the system in the
+    small-condensation regime, split by the lattice dichotomy of cycle
+    log-ratios.  Any divergent integral yields the large regime; the
+    divergence conclusion is only certified under the strongest declared
+    separation, so weaker declarations are flagged in the notes.
     """
     if spectral is None:
         spectral = solve_s0(graph)

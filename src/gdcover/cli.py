@@ -464,12 +464,7 @@ def _analysis_doc(res: asymptotics.AnalysisResult) -> dict:
             "regime": res.regime.regime,
             "notes": list(res.regime.notes),
             "condensation_integrals": {
-                v: {
-                    "kind": r.kind,
-                    "value": r.value,
-                    "exponent": r.exponent,
-                    "exact": r.exact,
-                }
+                v: {"kind": r.kind, "exponent": r.exponent}
                 for v, r in res.regime.integrals.items()
             },
         },

@@ -1344,133 +1344,39 @@ def profile(
 # -- condensation scale integral ---------------------------------------------
 
 
-def _hurwitz(s: float, a: float) -> float:
-    import mpmath
-
-    return float(mpmath.zeta(s, a))
-
-
-def _floor_scale_integral(x: float, s: float) -> float:
-    """Integral over r in (0, 1] of r^(s-1) * floor(x / r)."""
-    if x == 0:
-        return 0.0
-    if x < 0:
-        return -_ceil_scale_integral(-x, s)
-    return (math.floor(x) + x**s * _hurwitz(s, math.floor(x) + 1)) / s
-
-
-def _ceil_scale_integral(x: float, s: float) -> float:
-    """Integral over r in (0, 1] of r^(s-1) * ceil(x / r)."""
-    if x == 0:
-        return 0.0
-    if x < 0:
-        return -_floor_scale_integral(-x, s)
-    return (math.ceil(x) + x**s * _hurwitz(s, max(math.ceil(x), 1))) / s
-
-
-def _segment_scale_integral(a, b, s: float) -> float:
-    """Exact value of the count-decay integral for a segment.
-
-    Writes the cell count as 1 plus the number of grid-plane crossings per
-    axis; each crossing count integrates in closed form through the Hurwitz
-    zeta function.  Valid for s > 1; the caller guards divergence.
-    """
-    total = 1.0 / s
-    for alpha, beta in zip(a, b):
-        if beta < alpha:
-            alpha, beta = beta, alpha
-        if beta == alpha:
-            continue
-        total += (
-            _ceil_scale_integral(beta, s)
-            - _floor_scale_integral(alpha, s)
-            - 1.0 / s
-        )
-    return total
-
-
-_BOX_R_FLOOR = 1e-4  # radius below which a box's count takes its mean expansion
-
-
-def _box_scale_integral(lo, hi, s: float) -> float:
-    """Count-decay integral for a full-dimensional box, semi-numeric.
-
-    Pieces above ``_BOX_R_FLOOR`` are exact (the count only jumps where some
-    coordinate over r crosses an integer); the tail below uses the mean
-    cell-count expansion prod_j (w_j / r + 1), whose error decays like the
-    next fractional-correction order.
-    """
-    jump_radii = {1.0, _BOX_R_FLOOR}
-    for c in set(abs(x) for x in (*lo, *hi) if x != 0.0):
-        m = 1
-        while c / m > _BOX_R_FLOOR:
-            if c / m <= 1.0:
-                jump_radii.add(c / m)
-            m += 1
-    grid = sorted(jump_radii)
-    # the box's cells at the geometric midpoint of every piece, one row each
-    mid = np.sqrt(np.multiply(grid[:-1], grid[1:]))
-    lo_hi = (np.broadcast_to(np.array(x, dtype=float), (mid.size, len(lo))) for x in (lo, hi))
-    ilo, ihi = _interval_cells(*lo_hi, mid, np.zeros(len(lo)))
-    counts = _row_prod(ihi - ilo + 1).tolist()
-    total = 0.0
-    for r0, r1, n in zip(grid, grid[1:], counts):
-        total += n * (r1**s - r0**s) / s
-    widths = [b - a for a, b in zip(lo, hi)]
-    axes = [w for w in widths if w > 0]
-    for size in range(len(axes) + 1):
-        for combo in itertools.combinations(axes, size):
-            prod = math.prod(combo)
-            power = s - size
-            total += prod * _BOX_R_FLOOR**power / power
-    return total
-
-
 @dataclass(frozen=True)
 class IntegralResult:
-    """Classification of the condensation count-decay integral."""
+    """Convergence verdict of the condensation count-decay integral.
+
+    ``exponent`` is the largest box dimension k among the vertex's shapes
+    (0 with no condensation), the exponent the verdict compares with s0.
+    """
 
     kind: str  # "Finite", "Infinite", or "Inconclusive"
-    value: float | None
     exponent: float
-    exact: bool = True
 
 
 def condensation_integral(
     graph: MWGraph, vertex: str, spectral: SpectralData | None = None
 ) -> IntegralResult:
-    """Integral of e^(-s0 t) times the condensation cell count over t >= 0.
+    """Whether the integral of e^(-s0 t) times the condensation cell count
+    over t >= 0 converges.
 
-    Convergence is decided by comparing s0 against the largest box
-    dimension among the vertex's shapes; a gap below 1e-9 is reported as
-    inconclusive rather than resolved by rounding.
+    The count grows like e^(k t) for the largest box dimension k among the
+    vertex's shapes, so the integral is finite when k < s0 and infinite when
+    k > s0; a gap below 1e-9 is reported as inconclusive rather than
+    resolved by rounding.  The integral's value is not computed.
     """
     if spectral is None:
         spectral = solve_s0(graph)
     s0 = spectral.s0
     prims = graph.condensation[vertex]
     if not prims:
-        return IntegralResult("Finite", 0.0, 0.0)
-    k = max(p.box_dimension() for p in prims)
+        return IntegralResult("Finite", 0.0)
+    k = float(max(p.box_dimension() for p in prims))
     if abs(k - s0) <= 1e-9:
-        return IntegralResult("Inconclusive", None, float(k))
-    if k > s0:
-        return IntegralResult("Infinite", None, float(k))
-    value = 0.0
-    exact = True
-    for p in prims:
-        pk = p.box_dimension()
-        if pk == 0:
-            value += 1.0 / s0
-        elif p.kind == "segment":
-            value += _segment_scale_integral(p.points[0], p.points[1], s0)
-        elif pk == 1:
-            # a box with one live axis meets the same cells as a segment
-            value += _segment_scale_integral(p.points[0], p.points[1], s0)
-        else:
-            value += _box_scale_integral(p.points[0], p.points[1], s0)
-            exact = False
-    return IntegralResult("Finite", value, float(k), exact)
+        return IntegralResult("Inconclusive", k)
+    return IntegralResult("Infinite" if k > s0 else "Finite", k)
 
 
 # -- the count reader of the renewal cross-check ------------------------------

@@ -405,14 +405,7 @@ def check_dri(forcing: Sequence[StepFunction]) -> DriReport:
     eventually equals zero; the sup sums quantify the admissible bound.
     """
     sums = []
-    vanishes = []
     for f in forcing:
-        neg_ok = True
-        if f.breakpoints.size:
-            before = f.breakpoints < 0
-            if before.any() and f.values[before].any():
-                neg_ok = False
-        vanishes.append(neg_ok)
         if f.breakpoints.size == 0:
             sums.append(0.0)
             continue
@@ -420,7 +413,13 @@ def check_dri(forcing: Sequence[StepFunction]) -> DriReport:
             sums.append(math.inf)
             continue
         sums.append(_unit_sup_sum(f.breakpoints, np.abs(f.values)))
-    return DriReport(tuple(sums), tuple(vanishes))
+    return DriReport(tuple(sums), tuple(_vanishes_on_negatives(f) for f in forcing))
+
+
+def _vanishes_on_negatives(f: StepFunction) -> bool:
+    """Whether ``f`` is zero on every piece that starts before 0."""
+    before = f.breakpoints < 0
+    return not f.values[before].any()
 
 
 def _unit_sup_sum(bp: np.ndarray, vals: np.ndarray) -> float:
@@ -456,8 +455,7 @@ def _require_renewal_preconditions(m: MatrixMeasure, forcing: Sequence[StepFunct
     lam = m.min_location()
     if lam is None or lam <= 0:
         raise ValidationError("renewal matrix needs atoms at strictly positive locations")
-    report = check_dri(forcing)
-    if not all(report.vanishes_on_negatives):
+    if not all(_vanishes_on_negatives(f) for f in forcing):
         raise ValidationError("forcing must vanish for x < 0")
     return lam
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import LN2, LN3, dirac, phase_graph, shifted_scaled, two_vertex_graph
 
+from gdcover import renewal as renewal_module
 from gdcover.errors import NumericalError, ResourceLimitError, ValidationError
 from gdcover.lattice import classify_graph
 from gdcover.renewal import (
@@ -297,6 +298,21 @@ class TestRenewalSolve:
         bad = [StepFunction([-1.0, 0.5], [1.0, 0.0])]
         with pytest.raises(ValidationError):
             renewal_solve(m, bad, 5.0)
+
+    def test_solve_checks_support_without_unit_sup_sums(self, monkeypatch):
+        # the precondition reads only the support test; the sup sums are
+        # limit_value's, so an op that runs both sums each forcing once
+        calls = []
+        inner = renewal_module._unit_sup_sum
+        monkeypatch.setattr(
+            renewal_module, "_unit_sup_sum", lambda *a: calls.append(1) or inner(*a)
+        )
+        m = scalar_measure(*MIX)
+        forcing = [StepFunction.indicator(0.0, LN2)]
+        renewal_solve(m, forcing, 10.0)
+        assert len(calls) == 0
+        limit_value(m, forcing)
+        assert len(calls) == 1
 
     def test_short_truncation_warns(self):
         m = scalar_measure(*MIX)
