@@ -9,7 +9,6 @@ separation certificate.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,24 +53,10 @@ class Box:
     def center(self) -> tuple[float, ...]:
         return tuple((l + h) / 2 for l, h in zip(self.lo, self.hi))
 
-    def corners(self) -> np.ndarray:
-        """All 2^d corner points, one per row."""
-        return np.array(list(itertools.product(*zip(self.lo, self.hi))), dtype=float)
-
-    def contains_point(self, point, tol: float = 0.0) -> bool:
-        return all(l - tol <= x <= h + tol for x, l, h in zip(point, self.lo, self.hi))
-
     def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
         return all(
             sl - tol <= ol and oh <= sh + tol
             for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
-    def interior_intersects(self, other: "Box") -> bool:
-        """True when the open interiors overlap (degenerate boxes never do)."""
-        return all(
-            min(h1, h2) > max(l1, l2)
-            for l1, h1, l2, h2 in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
 
@@ -118,10 +103,6 @@ class Similarity:
             self.isometry @ inner.isometry,
             self.ratio * (self.isometry @ inner.translation) + self.translation,
         )
-
-    def orthogonality_defect(self) -> float:
-        q = self.isometry
-        return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Similarity(ratio={self.ratio!r}, translation={self.translation.tolist()!r})"

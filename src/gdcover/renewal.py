@@ -30,7 +30,6 @@ __all__ = [
     "transfer_measure",
     "renewal_solve",
     "check_dri",
-    "DriReport",
     "limit_value",
     "RenewalLimit",
 ]
@@ -195,11 +194,24 @@ class MatrixMeasure:
 
     def _right_perron(self) -> tuple[float, np.ndarray]:
         """Spectral radius and right Perron vector of the mass matrix, from
-        one power run shared by every caller."""
-        if self._perron is None:
-            from .spectral import POWER_MAX_ITER, _power_perron
+        one power run shared by every caller.
 
-            self._perron = _power_perron(self.mass_matrix(), POWER_MAX_ITER)
+        The renewal theorem needs an irreducible mass matrix with spectral
+        radius one; both are checked here, before the run is kept, so a
+        matrix that passes is checked once.
+        """
+        if self._perron is None:
+            from .spectral import POWER_MAX_ITER, _power_perron, is_irreducible
+
+            mass = self.mass_matrix()
+            if not is_irreducible(mass):
+                raise NumericalError("renewal matrix is reducible")
+            rho, right = _power_perron(mass, POWER_MAX_ITER)
+            if abs(rho - 1.0) > MASS_TOL:
+                raise NumericalError(
+                    f"renewal matrix mass has spectral radius {rho}, expected 1"
+                )
+            self._perron = rho, right
         return self._perron
 
 
@@ -383,37 +395,20 @@ def vector_convolve(fs: Sequence[StepFunction], m: MatrixMeasure) -> list[StepFu
     return [StepFunction._wrap(*_add(p)) for p in parts]
 
 
-@dataclass(frozen=True)
-class DriReport:
-    """Direct-Riemann-integrability bookkeeping for a forcing vector."""
+def check_dri(forcing: Sequence[StepFunction]) -> bool:
+    """Whether every component of the forcing is directly Riemann integrable.
 
-    unit_sup_sums: tuple[float, ...]
-    vanishes_on_negatives: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.vanishes_on_negatives) and all(
-            math.isfinite(x) for x in self.unit_sup_sums
-        )
-
-
-def check_dri(forcing: Sequence[StepFunction]) -> DriReport:
-    """Per component: sum over k of sup |L| on [k, k+1], plus a support check.
-
-    A piecewise-constant function with finitely many pieces is directly
-    Riemann integrable exactly when it vanishes on the negative axis and
-    eventually equals zero; the sup sums quantify the admissible bound.
+    A step function with finitely many pieces is directly Riemann
+    integrable exactly when its breakpoints and values are finite, it
+    vanishes on the negative axis and its last value is zero.
     """
-    sums = []
-    for f in forcing:
-        if f.breakpoints.size == 0:
-            sums.append(0.0)
-            continue
-        if f.values[-1] != 0.0:
-            sums.append(math.inf)
-            continue
-        sums.append(_unit_sup_sum(f.breakpoints, np.abs(f.values)))
-    return DriReport(tuple(sums), tuple(_vanishes_on_negatives(f) for f in forcing))
+    return all(
+        np.isfinite(f.breakpoints).all()
+        and np.isfinite(f.values).all()
+        and _vanishes_on_negatives(f)
+        and (f.values.size == 0 or f.values[-1] == 0.0)
+        for f in forcing
+    )
 
 
 def _vanishes_on_negatives(f: StepFunction) -> bool:
@@ -422,36 +417,8 @@ def _vanishes_on_negatives(f: StepFunction) -> bool:
     return not f.values[before].any()
 
 
-def _unit_sup_sum(bp: np.ndarray, vals: np.ndarray) -> float:
-    """Sum over k >= floor(bp[0]) of the sup of a step function on [k, k+1],
-    for nonnegative ``vals`` ending in 0, in O(breakpoints).
-
-    Every such interval holds the value of the piece at its left end k:
-    piece i has the integers of [bp[i], bp[i+1]) as left ends.  An interval
-    with breakpoints in (k, k+1] also meets the pieces they start; those
-    breakpoints are consecutive, so their largest value is one ``reduceat``,
-    and it adds its excess over the left-end value.
-    """
-    ceil = np.ceil(bp)
-    total = float(vals[:-1] @ np.diff(ceil))
-    key = ceil - 1  # the k with the breakpoint in (k, k+1]
-    heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    heads = heads[key[heads] >= math.floor(bp[0])]
-    left = np.where(heads > 0, vals[heads - 1], 0.0)
-    excess = np.maximum.reduceat(vals, heads) - left
-    return total + float(np.maximum(excess, 0.0).sum())
-
-
 def _require_renewal_preconditions(m: MatrixMeasure, forcing: Sequence[StepFunction]) -> float:
-    from .spectral import is_irreducible
-
-    if not is_irreducible(m.mass_matrix()):
-        raise NumericalError("renewal matrix is reducible")
-    rho = m._right_perron()[0]
-    if abs(rho - 1.0) > MASS_TOL:
-        raise NumericalError(
-            f"renewal matrix mass has spectral radius {rho}, expected 1"
-        )
+    m._right_perron()  # irreducible with unit mass, or NumericalError
     lam = m.min_location()
     if lam is None or lam <= 0:
         raise ValidationError("renewal matrix needs atoms at strictly positive locations")
@@ -530,21 +497,23 @@ class RenewalLimit:
 
 
 def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:
-    from .spectral import POWER_MAX_ITER, _left_perron, _require_irreducible
+    from .spectral import POWER_MAX_ITER, _left_perron
 
-    mass = m.mass_matrix()
-    _require_irreducible(mass)
     rho, right = m._right_perron()
-    left = _left_perron(mass, rho, POWER_MAX_ITER)
-    if abs(rho - 1.0) > MASS_TOL:
-        raise NumericalError(
-            f"renewal matrix mass has spectral radius {rho}, expected 1"
-        )
+    left = _left_perron(m.mass_matrix(), rho, POWER_MAX_ITER)
     moments = m.moment_matrix()
     denom = float(left @ moments @ right)
     if denom <= 0:
         raise NumericalError("nonpositive mean renewal step")
     return np.outer(right, left) / denom
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, checked finite: a forcing that passes :func:`check_dri`
+    has finite pieces, so an infinite limit means a float overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalError("the renewal limit overflows a float")
+    return values
 
 
 # (step, sample) terms of the lattice sum evaluated at once
@@ -586,19 +555,20 @@ def limit_value(
     ``tau * sum_l A[l, j] * sum_k L_l(((y - phi_l) mod tau) + k tau)``,
     reported on a uniform grid over one period.  Every atom of entry
     ``(i, j)`` must sit on ``phi_i - phi_j + tau Z`` for the periodic
-    formula to apply.
+    formula to apply.  A forcing that fails :func:`check_dri` raises
+    ``ValidationError``, and a limit that overflows a float raises
+    ``NumericalError``.
     """
     if len(forcing) != m.n:
         raise ValueError("forcing length must match matrix size")
-    report = check_dri(forcing)
-    if not report.ok:
+    if not check_dri(forcing):
         raise ValidationError("forcing must vanish for x < 0 and decay to zero")
     a = _limit_matrix_from(m)
     tau = getattr(lattice, "tau", None) if lattice is not None else None
     is_lattice = bool(getattr(lattice, "is_lattice", False)) if lattice is not None else False
     if not is_lattice:
         integrals = np.array([f.integral() for f in forcing])
-        return RenewalLimit(kind="constant", values=integrals @ a)
+        return RenewalLimit(kind="constant", values=_finite(integrals @ a))
     if tau is None or not 0 < tau < math.inf:
         raise ValueError("lattice result lacks a positive finite step")
     phases = getattr(lattice, "phases", None)
@@ -633,4 +603,4 @@ def limit_value(
                 sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
     # one row at a time: a single matrix product may round differently
     rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
-    return RenewalLimit(kind="periodic", values=rows, y_grid=y, tau=tau)
+    return RenewalLimit(kind="periodic", values=_finite(rows), y_grid=y, tau=tau)

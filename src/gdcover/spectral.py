@@ -187,29 +187,14 @@ def _radius_at_least_one(a: np.ndarray, start: np.ndarray | None = None):
     return _dense_perron(b)[0] - 1.0 >= 1.0, None
 
 
-def spectral_radius(
-    a,
-    *,
-    want_vectors: bool = False,
-    max_iter: int = POWER_MAX_ITER,
-):
-    """Spectral radius of a nonnegative matrix, to ``POWER_REL_TOL`` relative.
-
-    With ``want_vectors=True`` the matrix must be irreducible and the
-    result is ``(radius, right_vector, left_vector)`` with both vectors
-    positive and normalized to unit sum.
-    """
+def spectral_radius(a, *, max_iter: int = POWER_MAX_ITER) -> float:
+    """Spectral radius of a nonnegative matrix, to ``POWER_REL_TOL`` relative."""
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    if want_vectors:
-        _require_irreducible(a)
-    rho, right = _power_perron(a, max_iter)
-    if not want_vectors:
-        return rho
-    return rho, right, _left_perron(a, rho, max_iter)
+    return _power_perron(a, max_iter)[0]
 
 
 def _require_irreducible(a: np.ndarray) -> None:

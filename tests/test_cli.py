@@ -400,8 +400,8 @@ class TestRenewal:
         assert max(abs(x - 1.0) for x in flat) < 1e-9
 
     def test_forcing_that_ends_far_out(self, tmp_path, capsys):
-        # the integrability sums come from the forcing's pieces, not from one
-        # unit interval at a time: a support end of 1e8 once took minutes
+        # the integrability verdict reads the forcing's pieces, not one unit
+        # interval at a time: a support end of 1e8 once took minutes
         doc = {"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "L": [[[0.0, 1.0], [1e8, 0.0]]]}
         p = tmp_path / "far.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
@@ -473,6 +473,32 @@ class TestRenewal:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{flag or key} 1000000000 exceeds the sample cap 10000000" in err
+
+    @pytest.mark.parametrize(
+        "doc, code, message",
+        [
+            ({"M": [[[[LN2, 0.5], [LN3, 0.5]]]], "L": [[[-1.0, 1.0], [1.0, 0.0]]]}, 1,
+             "error: forcing must vanish for x < 0"),
+            ({"M": [[[[LN2, 0.5], [LN3, 0.5]]]], "L": [[[0.0, 1.0]]]}, 1,
+             "error: forcing must vanish for x < 0 and decay to zero"),
+            ({"M": [[[[LN2, 0.4], [LN3, 0.4]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]]}, 3,
+             "expected 1"),
+            ({"M": [[[[1.0, 1.0]], []], [[], [[1.0, 1.0]]]],
+              "L": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]}, 3,
+             "error: renewal matrix is reducible"),
+            ({"M": [[[[LN2, 0.5], [LN3, 0.5]]]], "L": [[[0.0, 1e300], [1e10, 0.0]]]}, 3,
+             "error: the renewal limit overflows a float"),
+        ],
+        ids=["negative_support", "non_decaying", "wrong_mass", "reducible", "overflow"],
+    )
+    def test_refused_renewal_input(self, tmp_path, capsys, doc, code, message):
+        p = tmp_path / "refused.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["renewal", str(p)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_malformed_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -233,16 +233,20 @@ class TestMatrixMeasureAgainstOracle:
 
     def test_one_right_perron_run_per_matrix(self, bundled, monkeypatch):
         # renewal_solve's precondition check and limit_value's limit matrix
-        # share the mass matrix's right Perron run
+        # share the mass matrix's right Perron run, and with it its
+        # irreducibility test
         m = renewal.transfer_measure(bundled["two_vertex"], spectral.solve_s0(bundled["two_vertex"]).s0)
-        runs = []
+        runs, tests = [], []
         real = spectral._power_perron
         monkeypatch.setattr(spectral, "_power_perron", lambda a, k: runs.append(a.shape) or real(a, k))
+        real_test = spectral.is_irreducible
+        monkeypatch.setattr(spectral, "is_irreducible", lambda a: tests.append(a.shape) or real_test(a))
         forcing = [StepFunction.indicator(0.0, 1.0)] * m.n
         renewal.renewal_solve(m, forcing, 5.0)
         renewal.limit_value(m, forcing)
         renewal.renewal_solve(m, forcing, 5.0)
         assert len(runs) == 2  # the right run once, the left run once
+        assert len(tests) == 1
 
 
 # -- the renewal series -----------------------------------------------------------

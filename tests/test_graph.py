@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import covering_oracle as oracle
 from helpers import (
     LN3,
+    box_contains_point,
     cantor_graph,
     enumerate_paths,
     line_map,
@@ -426,7 +427,7 @@ class TestSeparationCertificate:
             u = g.open_sets[v]
             assert all(lo < xi < hi for xi, lo, hi in zip(x, u.lo, u.hi))
             boxes = [el.shape.bounding_box() for el in oracle.generate(g, v, 0.05).cylinders()]
-            assert any(b.contains_point(x, tol=1e-12) for b in boxes)
+            assert any(box_contains_point(b, x, tol=1e-12) for b in boxes)
 
     def test_never_run_by_validate(self, bundled):
         # validate's report holds structural checks only, so graph_family and

