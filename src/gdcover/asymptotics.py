@@ -60,6 +60,8 @@ DENSE_MIN_SPAN = 2 * math.log(10.0)
 DENSE_FORCING_T_MAX = 10.0
 DENSE_FORCING_STEP = 0.05
 LATTICE_MIN_PERIODS = 4
+# large-condensation samples: t = n * step for these n
+_LARGE_N = range(3, 11)
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,7 @@ def cross_check(
     for row in windows:
         for e, ts in zip(edges, row):
             points[e.dst].extend(ts)
-    ctx = ForcingContext(graph, [t for ts in points.values() for t in ts], _table=_table)
+    ctx = ForcingContext(graph, _table=_table)
     for v, ts in points.items():
         ctx._fill(v, ts)
     s0, col = spectral.s0, {v: k for k, v in enumerate(graph.vertex_order)}
@@ -385,8 +387,6 @@ def _default_points(
     t_min: float,
     t_max: float,
     dense_samples: int,
-    large_n_min: int,
-    large_n_max: int,
 ):
     """Profile samples of the regime.  A request for more than ``CELL_CAP``
     samples raises ``ResourceLimitError`` before any is built."""
@@ -400,7 +400,7 @@ def _default_points(
             step = regime.lattice.tau
         else:
             step = max(e.log_ratio for e in graph.edges.values())
-        return lattice_grid(step, range(large_n_min, large_n_max + 1), [0.0])
+        return lattice_grid(step, _LARGE_N, [0.0])
     _check_sample_count(dense_samples)
     return np.linspace(t_min, t_max, dense_samples).tolist()
 
@@ -419,8 +419,6 @@ def analyze(
     t_min: float = 2.0,
     t_max: float = 14.0,
     dense_samples: int = 24,
-    large_n_min: int = 3,
-    large_n_max: int = 10,
     grid_origin=None,
     with_cross_check: bool = True,
 ) -> AnalysisResult:
@@ -438,8 +436,6 @@ def analyze(
         t_min=t_min,
         t_max=t_max,
         dense_samples=dense_samples,
-        large_n_min=large_n_min,
-        large_n_max=large_n_max,
     )
     # one walk per vertex and one count table serve the profile and the cross-check
     table = _CountTable(graph, grid_origin)

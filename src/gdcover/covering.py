@@ -885,16 +885,14 @@ class _Walk:
             else:
                 yield from self._boxes(prim.as_box(), nodes, n, tag)
 
-    def _cost(self, v: int, inner: bool, cls: np.ndarray, r, axis: int) -> np.ndarray:
-        """Estimated candidate runs along ``axis`` of the images under nodes of
-        classes ``cls`` at radius r (one, or one per node), as floats.  A leaf
-        is charged one, and spans at most two cells per axis.  A condensation
-        image is charged what it builds, from the grid planes it can cross per
-        axis: an oblique segment its samples, both ends and one per gap; else
+    def _cost(self, v: int, cls: np.ndarray, r, axis: int) -> np.ndarray:
+        """Estimated candidate runs along ``axis`` of the condensation images
+        under interior nodes of classes ``cls`` at radius r (one, or one per
+        node), as floats (a leaf, charged one, spans at most two cells per
+        axis): what each image builds, from the grid planes it can cross per
+        axis.  An oblique segment its samples, both ends and one per gap; else
         the product of its cell spans ``planes + 1`` across ``axis``, or on
         both axes for a rotated 2-d box."""
-        if not inner:
-            return np.ones(cls.size)
         out = np.zeros(cls.size)
         for prim in self.graph.condensation[self.graph.vertex_order[v]]:
             widths = np.abs(self._iso_stack) @ np.abs(np.subtract(prim.points[-1], prim.points[0]))
@@ -933,7 +931,7 @@ class _Walk:
             tag = np.arange(pairs[-1]) - np.repeat(pairs - n - lo[live], n) if tagged else None
             cost = pairs  # a leaf is charged one per radius
             if inner:
-                cost = np.cumsum(self._cost(v, inner, _repeat_rows(self.cls[nodes], n),
+                cost = np.cumsum(self._cost(v, _repeat_rows(self.cls[nodes], n),
                                             r if tag is None else radii[tag], axis))[pairs - 1]
             window = np.concatenate(([0], cost[:-1])) // _WORK  # where each node's share starts
             cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), nodes.size]
@@ -941,15 +939,14 @@ class _Walk:
                 span = slice(pairs[i] - n[i], pairs[j - 1])  # the slice's (node, radius) pairs
                 yield from self._images(v, inner, nodes[i:j], n[i:j], _take(tag, span))
 
-    def runs(self, r, origin: np.ndarray, axis: int, cell=None) -> np.ndarray:
-        """Runs along ``axis`` of the cells of side ``cell`` (default r) met
-        by the covering elements of the radius-r walk, tagged for an array
-        of radii: each piece enters one union as runs as it comes, so a pass
-        holds about one slice's images at a time."""
+    def runs(self, r, origin: np.ndarray, axis: int) -> np.ndarray:
+        """Runs along ``axis`` of the side-r cells met by the covering
+        elements of the radius-r walk, tagged for an array of radii: each
+        piece enters one union as runs as it comes, so a pass holds about
+        one slice's images at a time."""
         acc = _CellUnion(self.graph.dimension, np.ndim(r) > 0, axis)
-        side = r if cell is None else cell
         for piece in self.pieces(r, axis):
-            _feed(piece, side, origin, acc)
+            _feed(piece, r, origin, acc)
         return acc.runs()
 
     @functools.cached_property
@@ -987,8 +984,8 @@ class _Walk:
                 continue
             at = self.c_term[cls] == v
             c, n, hi = cls[at], count[at], np.searchsorted(radii, np.minimum(size, above)[at])
-            most = self._cost(v, True, c, radii[0], axis)
-            fixed = most == self._cost(v, True, c, math.inf, axis)
+            most = self._cost(v, c, radii[0], axis)
+            fixed = most == self._cost(v, c, math.inf, axis)
             out += _range_sums(np.zeros_like(hi), hi, np.where(fixed, n * most, 0.0), g)
             c, n, hi = c[~fixed], n[~fixed], hi[~fixed]
             ends = np.cumsum(hi)
@@ -996,7 +993,7 @@ class _Walk:
                 p = np.arange(p0, min(p0 + _WORK, int(ends[-1])))
                 k = np.searchsorted(ends, p, side="right")
                 j = p - ends[k] + hi[k]  # the radius of pair p
-                out += np.bincount(j, n[k] * self._cost(v, True, c[k], radii[j], axis), g)
+                out += np.bincount(j, n[k] * self._cost(v, c[k], radii[j], axis), g)
         return out
 
 
@@ -1049,14 +1046,12 @@ def _run_axis(graph: MWGraph) -> int:
 
 
 def _set_runs(gset: GeometrySet, r, grid_origin, axis: int) -> np.ndarray:
-    """Runs along ``axis`` of the cells met by a set."""
-    if r is None:
-        r = gset.resolution
-    if r < gset.resolution * (1 - 1e-12):
-        raise ValueError("counting below the generation resolution is not meaningful")
+    """Runs along ``axis`` of the cells met by a set, at its own resolution."""
+    if r is not None and r != gset.resolution:
+        raise ValueError(f"a set generated at r = {gset.resolution} is counted at that r, not {r}")
     walk = gset._walk
     origin = _origin_vector(grid_origin, walk.graph.dimension)
-    return walk.runs(gset.resolution, origin, axis, cell=r)
+    return walk.runs(gset.resolution, origin, axis)
 
 
 def cell_union(
@@ -1145,24 +1140,23 @@ class _CountTable:
             walk = self.walks[vertex] = _Walk(self.graph, vertex, r_min)
         return walk
 
-    def _passes(self, vertices, radii: np.ndarray, r_min: float = math.inf):
+    def _passes(self, vertices, radii: np.ndarray):
         """Runs of ``vertices`` at an ascending array of distinct radii, one
         radius group at a time: yields the group's index range ``a, b`` and
         one run array per vertex, tagged when the group has several radii."""
         if not radii.size:
             return
-        walks = [self.walk(v, min(radii[0], r_min)) for v in vertices]
+        walks = [self.walk(v, radii[0]) for v in vertices]
         for a, b in _groups(sum(w.work(radii, self.axis) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
             yield a, b, [w.runs(r, self.origin, self.axis) for w in walks]
 
-    def fill(self, vertex: str, ts, r_min: float = math.inf) -> None:
-        """Count one vertex at every t not yet in the table; its walk reaches
-        at least down to ``r_min``."""
+    def fill(self, vertex: str, ts) -> None:
+        """Count one vertex at every t not yet in the table."""
         todo = list({float(t) for t in ts if (vertex, float(t)) not in self.counts})
         radii, which = _distinct_radii(todo)
         counts = np.zeros(radii.size, dtype=np.int64)
-        for a, b, (runs,) in self._passes([vertex], radii, r_min):
+        for a, b, (runs,) in self._passes([vertex], radii):
             counts[a:b] = _cell_count(runs, None if b - a == 1 else b - a)
         self.counts.update(((vertex, t), c) for t, c in zip(todo, counts[which].tolist()))
 
@@ -1386,24 +1380,18 @@ class ForcingContext:
     """Covering counts N(t) of the cross-check's windows, read through a
     count table.
 
-    Each vertex is walked once, down to the radius of the largest t in
-    ``t_grid``; a count at a larger t rewalks.  ``_table`` is the count
-    table of an enclosing analysis, whose grid origin and counts are
-    reused.
+    ``_table`` is the count table of an enclosing analysis, whose grid
+    origin, walks and counts are reused; a count finer than its walks
+    rewalks.
     """
 
-    def __init__(self, graph: MWGraph, t_grid, *, _table: _CountTable | None = None) -> None:
+    def __init__(self, graph: MWGraph, *, _table: _CountTable | None = None) -> None:
         self.graph = graph
-        self.t_grid = np.array(sorted(float(t) for t in t_grid))
-        if self.t_grid.size == 0:
-            raise ValueError("empty t grid")
-        if self.t_grid[0] < 0:
-            raise ValueError("t grid must be nonnegative")
         self._table = _table if _table is not None else _CountTable(graph)
 
     def _fill(self, vertex: str, ts) -> None:
         """Count one vertex at every t of ``ts`` not yet known, in radius groups."""
-        self._table.fill(vertex, ts, math.exp(-self.t_grid[-1]))
+        self._table.fill(vertex, ts)
 
     def count_at(self, vertex: str, t: float) -> int:
         key = (vertex, float(t))

@@ -32,11 +32,11 @@ Two classifiers decide the group:
   linear time*), each element replaced by its maximal integer root, so no
   integer is factored into primes.  The answer is a certificate, not an
   approximation.
-* Floating: iterated real gcd with a cutoff at ``eps * max(generator)``.
-  A gcd at or below ``sqrt(eps) * max(generator)`` is reported as dense,
-  because a step that small fits incommensurable generators to within the
-  cutoff; floating point cannot certify density, so the result is labelled
-  "numerically dense".
+* Floating: iterated real gcd with a cutoff at ``DEFAULT_EPS *
+  max(generator)``.  A gcd at or below ``sqrt(DEFAULT_EPS) *
+  max(generator)`` is reported as dense, because a step that small fits
+  incommensurable generators to within the cutoff; floating point cannot
+  certify density, so the result is labelled "numerically dense".
 """
 from __future__ import annotations
 
@@ -224,26 +224,12 @@ def _classify_exact(inverse_ratios: Sequence[Fraction]) -> "LatticeResult":
     first = rows[0]
     g0 = math.gcd(*(abs(x) for x in first))
     prim = tuple(x // g0 for x in first)
+    lead = next(k for k, y in enumerate(prim) if y != 0)
     multiples = []
     for row in rows:
         # row must be an integer multiple of prim for commensurability
-        n = None
-        for x, y in zip(row, prim):
-            if y == 0:
-                if x != 0:
-                    n = None
-                    break
-                continue
-            if x % y != 0:
-                n = None
-                break
-            m = x // y
-            if n is None:
-                n = m
-            elif m != n:
-                n = None
-                break
-        if n is None or n == 0 or any(x != n * y for x, y in zip(row, prim)):
+        n = row[lead] // prim[lead]
+        if n == 0 or row != tuple(n * y for y in prim):
             return LatticeResult(
                 kind="dense",
                 mode="exact",
@@ -289,30 +275,22 @@ def _real_gcd(a: float, b: float, cutoff: float) -> float:
     return a
 
 
-def _classify_floating(values: Sequence[float], eps: float) -> "LatticeResult":
+def _classify_floating(values: Sequence[float]) -> "LatticeResult":
     generators = tuple(float(x) for x in values)
     vmax = max(generators)
-    cutoff = eps * vmax
-    # a step below sqrt(eps) * vmax certifies nothing: every real sits within
+    cutoff = DEFAULT_EPS * vmax
+    # a step at or below this floor certifies nothing: every real sits within
     # g/2 of the candidate grid, and Euclid's last remainder above the cutoff
     # is typically a few cutoffs, so the multiple-consistency check below
     # would pass for most incommensurable sets; the honest verdict is dense
-    floor = math.sqrt(eps) * vmax
+    floor = math.sqrt(DEFAULT_EPS) * vmax
     g = generators[0]
     for x in generators[1:]:
         g = _real_gcd(g, x, cutoff)
         if g <= floor:
             break
-    if g <= floor:
-        return LatticeResult(
-            kind="dense",
-            mode="floating",
-            tau=None,
-            generators=generators,
-            note="numerically dense at the working precision",
-        )
     counts = [round(x / g) for x in generators]
-    if any(n < 1 for n in counts) or any(
+    if g <= floor or any(n < 1 for n in counts) or any(
         abs(x - n * g) > cutoff for x, n in zip(generators, counts)
     ):
         return LatticeResult(
@@ -335,7 +313,6 @@ def _classify_floating(values: Sequence[float], eps: float) -> "LatticeResult":
 def classify(
     values: Sequence[float],
     exact_ratios: Sequence[Fraction] | None = None,
-    eps: float = DEFAULT_EPS,
 ) -> LatticeResult:
     """Classify the group generated by positive reals ``values``.
 
@@ -354,7 +331,7 @@ def classify(
         if any(not (0 < r < 1) for r in ratios):
             raise ValueError("exact ratios must lie in (0, 1)")
         return _classify_exact([1 / r for r in ratios])
-    return _classify_floating(values, eps)
+    return _classify_floating(values)
 
 
 def classify_graph(graph: MWGraph) -> LatticeResult:
@@ -372,7 +349,7 @@ def classify_graph(graph: MWGraph) -> LatticeResult:
     if exact:
         result = _classify_exact([1 / r for _e, _v, r in gens])
     else:
-        result = _classify_floating([v for _e, v, _r in gens], DEFAULT_EPS)
+        result = _classify_floating([v for _e, v, _r in gens])
     if not result.is_lattice:
         return result
     phases = []

@@ -201,12 +201,12 @@ class MatrixMeasure:
         matrix that passes is checked once.
         """
         if self._perron is None:
-            from .spectral import POWER_MAX_ITER, _power_perron, is_irreducible
+            from .spectral import _power_perron, is_irreducible
 
             mass = self.mass_matrix()
             if not is_irreducible(mass):
                 raise NumericalError("renewal matrix is reducible")
-            rho, right = _power_perron(mass, POWER_MAX_ITER)
+            rho, right = _power_perron(mass)
             if abs(rho - 1.0) > MASS_TOL:
                 raise NumericalError(
                     f"renewal matrix mass has spectral radius {rho}, expected 1"
@@ -275,10 +275,10 @@ class StepFunction:
         return cls._wrap(np.empty(0), np.empty(0))
 
     @classmethod
-    def indicator(cls, a: float, b: float, height: float = 1.0) -> "StepFunction":
+    def indicator(cls, a: float, b: float) -> "StepFunction":
         if not b > a:
             raise ValueError("indicator needs a < b")
-        return cls([a, b], [height, 0.0])
+        return cls([a, b], [1.0, 0.0])
 
     @property
     def is_zero(self) -> bool:
@@ -497,10 +497,10 @@ class RenewalLimit:
 
 
 def _limit_matrix_from(m: MatrixMeasure) -> np.ndarray:
-    from .spectral import POWER_MAX_ITER, _left_perron
+    from .spectral import _left_perron
 
     rho, right = m._right_perron()
-    left = _left_perron(m.mass_matrix(), rho, POWER_MAX_ITER)
+    left = _left_perron(m.mass_matrix(), rho)
     moments = m.moment_matrix()
     denom = float(left @ moments @ right)
     if denom <= 0:
@@ -566,9 +566,11 @@ def limit_value(
     a = _limit_matrix_from(m)
     tau = getattr(lattice, "tau", None) if lattice is not None else None
     is_lattice = bool(getattr(lattice, "is_lattice", False)) if lattice is not None else False
+    # an overflow leaves an inf or nan that _finite refuses: numpy need not warn
     if not is_lattice:
-        integrals = np.array([f.integral() for f in forcing])
-        return RenewalLimit(kind="constant", values=_finite(integrals @ a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrals = np.array([f.integral() for f in forcing])
+            return RenewalLimit(kind="constant", values=_finite(integrals @ a))
     if tau is None or not 0 < tau < math.inf:
         raise ValueError("lattice result lacks a positive finite step")
     phases = getattr(lattice, "phases", None)
@@ -593,14 +595,15 @@ def limit_value(
         raise ResourceLimitError(f"the lattice sum needs {n_terms} terms (cap {CELL_CAP})")
     sums = np.zeros((m.n, y.size))
     width = max(1, _LATTICE_BLOCK // y.size)
-    for l, (f, ranges) in enumerate(zip(forcing, steps)):
-        start = (y - phi[l]) % tau
-        for k0, k1 in ranges:
-            for k in range(k0, k1 + 1, width):
-                t = start + np.arange(k, min(k + width, k1 + 1), dtype=float)[:, None] * tau
-                terms = np.where(t <= f.support_end, f(t), 0.0)
-                # cumsum adds down each column in order, as a loop over k would
-                sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
-    # one row at a time: a single matrix product may round differently
-    rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (f, ranges) in enumerate(zip(forcing, steps)):
+            start = (y - phi[l]) % tau
+            for k0, k1 in ranges:
+                for k in range(k0, k1 + 1, width):
+                    t = start + np.arange(k, min(k + width, k1 + 1), dtype=float)[:, None] * tau
+                    terms = np.where(t <= f.support_end, f(t), 0.0)
+                    # cumsum adds down each column in order, as a loop over k would
+                    sums[l] = np.cumsum(np.vstack((sums[l], terms)), axis=0)[-1]
+        # one row at a time: a single matrix product may round differently
+        rows = np.array([tau * (sums[:, k].copy() @ a) for k in range(y.size)])
     return RenewalLimit(kind="periodic", values=_finite(rows), y_grid=y, tau=tau)

@@ -135,21 +135,21 @@ def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
     return None
 
 
-def _power_perron(a: np.ndarray, max_iter: int) -> tuple[float, np.ndarray]:
+def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and vector of a nonnegative square matrix.
 
     Power iteration runs on ``a + I`` (primitive whenever ``a`` is
     irreducible, so periodic systems converge too) with Collatz-Wielandt
     bracketing: for positive x, min and max of ``(B x)_i / x_i`` sandwich
     the root, and the bracket width is the stopping criterion.  Falls back
-    to the dense eigensolver when the bracket stalls; the contract is the
-    tolerance, not the algorithm.
+    to the dense eigensolver when the bracket stalls for ``POWER_MAX_ITER``
+    steps; the contract is the tolerance, not the algorithm.
     """
     n = a.shape[0]
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
-    hit = _power_steps(b, np.full(n, 1.0 / n), max_iter, side=False)
+    hit = _power_steps(b, np.full(n, 1.0 / n), POWER_MAX_ITER, side=False)
     if hit is None:
         lam, vec = _dense_perron(b)
         return lam - 1.0, vec
@@ -187,14 +187,14 @@ def _radius_at_least_one(a: np.ndarray, start: np.ndarray | None = None):
     return _dense_perron(b)[0] - 1.0 >= 1.0, None
 
 
-def spectral_radius(a, *, max_iter: int = POWER_MAX_ITER) -> float:
+def spectral_radius(a) -> float:
     """Spectral radius of a nonnegative matrix, to ``POWER_REL_TOL`` relative."""
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    return _power_perron(a, max_iter)[0]
+    return _power_perron(a)[0]
 
 
 def _require_irreducible(a: np.ndarray) -> None:
@@ -204,9 +204,9 @@ def _require_irreducible(a: np.ndarray) -> None:
         )
 
 
-def _left_perron(a: np.ndarray, rho: float, max_iter: int) -> np.ndarray:
+def _left_perron(a: np.ndarray, rho: float) -> np.ndarray:
     """Left Perron vector of ``a``, its radius estimate checked against ``rho``."""
-    rho_t, left = _power_perron(a.T, max_iter)
+    rho_t, left = _power_perron(a.T)
     if abs(rho - rho_t) > 10 * POWER_REL_TOL * max(abs(rho), 1.0) + 1e-13:
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
@@ -285,12 +285,12 @@ def solve_s0(graph: MWGraph) -> SpectralData:
                 hi = mid
         s0 = 0.5 * (lo + hi)
     a0 = build(s0)
-    rho, u = _power_perron(a0, POWER_MAX_ITER)
+    rho, u = _power_perron(a0)
     resid = abs(rho - 1.0)
     if resid > S0_TOL:
         raise NumericalError(f"dimension residual {resid:.3e} exceeds {S0_TOL:.3e}")
     _require_irreducible(a0)
-    v = _left_perron(a0, rho, POWER_MAX_ITER)
+    v = _left_perron(a0, rho)
     v = v / v.sum()
     u = u / float(v @ u)
     moments = build_moment_matrix(graph, s0)

@@ -381,6 +381,11 @@ def node_arrays(walk):
     }
 
 
+def node_cost(walk, v, inner, cls, r, axis):
+    """``_Walk._cost`` of interior nodes of classes ``cls``; a leaf is charged one."""
+    return walk._cost(v, cls, r, axis) if inner else np.ones(cls.size)
+
+
 def per_node_work(walk, radii, axis):
     """``gdcover.covering._Walk.work`` by a scan of every selected node for
     each array of radii, the kernel's path before it tallied nodes once per
@@ -391,8 +396,8 @@ def per_node_work(walk, radii, axis):
     out = np.zeros(g)
     for v, inner, a, lo, hi in walk._blocks(radii):
         cls = walk.cls[a : a + lo.size]
-        most = walk._cost(v, inner, cls, radii[0], axis)
-        if (most == walk._cost(v, inner, cls, math.inf, axis)).all():
+        most = node_cost(walk, v, inner, cls, radii[0], axis)
+        if (most == node_cost(walk, v, inner, cls, math.inf, axis)).all():
             out += _range_sums(lo, hi, most, g)
             continue
         ends = np.cumsum(hi - lo)
@@ -400,7 +405,7 @@ def per_node_work(walk, radii, axis):
             p = np.arange(p0, min(p0 + _WORK, int(ends[-1])))
             k = np.searchsorted(ends, p, side="right")
             j = p - ends[k] + hi[k]  # the radius of pair p
-            out += np.bincount(j, walk._cost(v, inner, cls[k], radii[j], axis), g)
+            out += np.bincount(j, node_cost(walk, v, inner, cls[k], radii[j], axis), g)
     return out
 
 

@@ -34,8 +34,13 @@ def normalized_count(ctx: ForcingContext, spectral, vertex: str, t: float) -> fl
     return ctx.count_at(vertex, t) * math.exp(-spectral.s0 * t)
 
 
-def forcing_values(ctx: ForcingContext, spectral) -> np.ndarray:
-    """Corrected forcing L_i on the grid, one row per vertex in ``vertex_order``.
+def _sorted(t_grid) -> np.ndarray:
+    return np.array(sorted(float(t) for t in t_grid))
+
+
+def forcing_values(ctx: ForcingContext, spectral, t_grid) -> np.ndarray:
+    """Corrected forcing L_i on the grid, one row per vertex in ``vertex_order``
+    and one column per t of ``t_grid`` in ascending order.
 
     f(t) = sum over edges of ratio^s0 f_child(t - log(1/ratio)) + L(t)
     holds exactly on the grid when L collects the count defect (child
@@ -44,15 +49,16 @@ def forcing_values(ctx: ForcingContext, spectral) -> np.ndarray:
     """
     graph = ctx.graph
     s0 = spectral.s0
-    need: dict[str, list] = {v: list(ctx.t_grid) for v in graph.vertex_order}
+    t_grid = _sorted(t_grid)
+    need: dict[str, list] = {v: list(t_grid) for v in graph.vertex_order}
     for v in graph.vertex_order:
         for e in graph.out_edges(v):
-            need[e.dst].extend(child_time(t, e) for t in ctx.t_grid)
+            need[e.dst].extend(child_time(t, e) for t in t_grid)
     for v, ts in need.items():
         ctx._fill(v, ts)
-    out = np.zeros((len(graph.vertex_order), ctx.t_grid.size))
+    out = np.zeros((len(graph.vertex_order), t_grid.size))
     for row, v in enumerate(graph.vertex_order):
-        for idx, t in enumerate(ctx.t_grid):
+        for idx, t in enumerate(t_grid):
             child_all = 0
             child_early = 0
             for e in graph.out_edges(v):
@@ -66,13 +72,13 @@ def forcing_values(ctx: ForcingContext, spectral) -> np.ndarray:
     return out
 
 
-def renewal_residual(ctx: ForcingContext, spectral, forcing: np.ndarray) -> float:
+def renewal_residual(ctx: ForcingContext, spectral, forcing: np.ndarray, t_grid) -> float:
     """Max deviation from f = f*M + L with every term measured directly."""
     graph = ctx.graph
     s0 = spectral.s0
     worst = 0.0
     for row, v in enumerate(graph.vertex_order):
-        for idx, t in enumerate(ctx.t_grid):
+        for idx, t in enumerate(_sorted(t_grid)):
             lhs = normalized_count(ctx, spectral, v, t)
             conv = 0.0
             for e in graph.out_edges(v):
@@ -91,9 +97,9 @@ def predicted(graph, spectral, report, *, step=0.05, t_max=10.0, grid_origin=Non
     if report.kind == "periodic":
         tau, k_max = report.tau, max(report.n_values)
         points = [y + k * tau for y in report.y_grid for k in range(k_max + 1)]
-        ctx = ForcingContext(graph, points, _table=table)
-        forcing = forcing_values(ctx, spectral)
-        lookup = {t: i for i, t in enumerate(ctx.t_grid)}
+        ctx = ForcingContext(graph, _table=table)
+        forcing = forcing_values(ctx, spectral, points)
+        lookup = {t: i for i, t in enumerate(_sorted(points))}
         out = np.zeros((report.y_grid.size, len(graph.vertex_order)))
         for row, y in enumerate(report.y_grid):
             sums = np.array(
@@ -102,6 +108,6 @@ def predicted(graph, spectral, report, *, step=0.05, t_max=10.0, grid_origin=Non
             out[row] = tau * (sums @ a)
         return out
     points = np.linspace(0.0, t_max, int(round(t_max / step)) + 1)
-    ctx = ForcingContext(graph, points, _table=table)
-    forcing = forcing_values(ctx, spectral)
-    return np.array([_trapezoid(row, ctx.t_grid) for row in forcing]) @ a
+    ctx = ForcingContext(graph, _table=table)
+    forcing = forcing_values(ctx, spectral, points)
+    return np.array([_trapezoid(row, _sorted(points)) for row in forcing]) @ a

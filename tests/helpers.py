@@ -429,11 +429,11 @@ def orthogonality_defect(sim: Similarity) -> float:
     return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
 
 
-def perron_triple(a: np.ndarray, max_iter: int = spectral.POWER_MAX_ITER):
+def perron_triple(a: np.ndarray):
     """``(radius, right, left)`` of a nonnegative matrix from the package's
     right and left power runs, both vectors normalized to unit sum."""
-    rho, right = spectral._power_perron(a, max_iter)
-    return rho, right, spectral._left_perron(a, rho, max_iter)
+    rho, right = spectral._power_perron(a)
+    return rho, right, spectral._left_perron(a, rho)
 
 
 def validate_loop(graph: MWGraph) -> ValidationReport:

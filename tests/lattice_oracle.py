@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from gdcover.graph import MWGraph, Path, simple_cycles
-from gdcover.lattice import DEFAULT_EPS, classify
+from gdcover.lattice import classify
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -69,9 +69,7 @@ def path_ratio_rational(graph: MWGraph, path: Path) -> Fraction:
     return math.prod((graph.edges[e].ratio_rational for e in path.edges), start=Fraction(1))
 
 
-def classify_graph(
-    graph: MWGraph, eps: float = DEFAULT_EPS, mode: str = "auto"
-) -> tuple[str, str, float | None]:
+def classify_graph(graph: MWGraph, mode: str = "auto") -> tuple[str, str, float | None]:
     """``(kind, mode, tau)`` from every simple cycle of ``graph``."""
     cycles = simple_cycles(graph)
     if not cycles:
@@ -80,5 +78,5 @@ def classify_graph(
     if rational and mode != "floating":
         kind, tau = classify_exact([1 / path_ratio_rational(graph, c) for c in cycles])
         return kind, "exact", tau
-    res = classify([-math.log(path_ratio(graph, c)) for c in cycles], eps=eps)
+    res = classify([-math.log(path_ratio(graph, c)) for c in cycles])
     return res.kind, res.mode, res.tau

@@ -86,10 +86,10 @@ def test_criterion_03_lattice_classification():
     assert res.is_lattice and res.mode == "exact"
     assert res.tau == pytest.approx(LN2, rel=1e-12)
 
-    # floating-point mode reaches the same three verdicts at eps = 1e-9
+    # floating-point mode reaches the same three verdicts at DEFAULT_EPS = 1e-9
     for name, want_tau in (("cantor", LN3), ("two_ratio", None), ("two_vertex", LN2)):
         values = [v for _c, v in lattice.cycle_log_ratios(schema.load_bundled(name))]
-        res = lattice.classify(values, eps=1e-9)
+        res = lattice.classify(values)
         assert res.mode == "floating"
         if want_tau is None:
             assert not res.is_lattice

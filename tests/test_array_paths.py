@@ -170,14 +170,16 @@ class TestPowerStepsAgainstOracle:
                 oracle.power_steps(b, x0, k + 1, True)[3].tobytes()
             )
 
-    def test_perron_data_with_and_without_dense_fallback(self):
+    def test_perron_data_with_and_without_dense_fallback(self, monkeypatch):
+        cap = spectral.POWER_MAX_ITER
         for a in scaled_matrices(7, 30):
             b = a + np.eye(a.shape[0])
             x0 = np.full(a.shape[0], 1.0 / a.shape[0])
-            k = oracle.power_steps(b, x0, spectral.POWER_MAX_ITER, False)[0]
+            k = oracle.power_steps(b, x0, cap, False)[0]
             # k steps end one short of convergence: the dense solver answers
-            for max_iter in (k, k + 1, spectral.POWER_MAX_ITER):
-                got = perron_triple(a, max_iter)
+            for max_iter in (k, k + 1, cap):
+                monkeypatch.setattr(spectral, "POWER_MAX_ITER", max_iter)
+                got = perron_triple(a)
                 want = oracle.spectral_radius(a, want_vectors=True, max_iter=max_iter)
                 assert got[0] == want[0]
                 assert got[1].tobytes() == want[1].tobytes()

@@ -15,6 +15,7 @@ from helpers import (
     three_cycle_graph,
 )
 
+from gdcover import asymptotics
 from gdcover.asymptotics import (
     analyze,
     classify_regime,
@@ -99,7 +100,7 @@ class TestEstimateLimit:
         assert rep.drift_total >= 0
 
     def test_divergent_growth_rate_matches_dimension_gap(self, cantor_segment):
-        res = analyze(cantor_segment, large_n_min=3, large_n_max=10)
+        res = analyze(cantor_segment)
         rep = res.report
         assert rep.kind == "divergent"
         assert res.cross is None
@@ -162,8 +163,9 @@ class TestCrossCheck:
         assert res.cross.max_rel_discrepancy <= 0.02
         assert res.cross.predicted.shape == res.cross.measured.shape
 
-    def test_divergent_report_rejected(self, cantor_segment):
-        res = analyze(cantor_segment, large_n_min=3, large_n_max=8)
+    def test_divergent_report_rejected(self, cantor_segment, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_LARGE_N", range(3, 9))
+        res = analyze(cantor_segment)
         with pytest.raises(ValueError):
             cross_check(cantor_segment, res.spectral, res.report)
 
@@ -280,9 +282,10 @@ class TestAnalyze:
         ratio = b.report.estimates / a.report.estimates
         assert np.max(np.abs(ratio - 2.0)) <= 0.02 * 2.0
 
-    def test_notes_propagate_from_regime(self, bundled):
+    def test_notes_propagate_from_regime(self, bundled, monkeypatch):
         dust = bundled["dust2d_edge"]
+        monkeypatch.setattr(asymptotics, "_LARGE_N", range(2, 7))
         with pytest.warns(UserWarning):
-            res = analyze(dust, large_n_min=2, large_n_max=6, with_cross_check=False)
+            res = analyze(dust, with_cross_check=False)
         assert res.notes
         assert res.report.kind == "divergent"

@@ -499,6 +499,8 @@ class TestRenewal:
         assert captured.out == ""
         assert message in captured.err
         assert "Traceback" not in captured.err
+        # one line: no numpy warning precedes the error
+        assert len(captured.err.splitlines()) == 1, captured.err
 
     def test_malformed_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

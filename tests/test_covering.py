@@ -185,6 +185,13 @@ class TestCount:
         gs = generate(cantor, "X", 0.1)
         with pytest.raises(ValueError):
             cell_union(gs, 0.01)
+        # nor above it: a set is counted at its own resolution only
+        for r in (0.2, 0.1 * (1 + 1e-12)):
+            with pytest.raises(ValueError):
+                cell_union(gs, r)
+            with pytest.raises(ValueError):
+                count(gs, r)
+        assert count(gs, None) == count(gs, 0.1)
 
     def test_cell_cap(self, cantor):
         gs = generate(cantor, "X", 1e-3)
@@ -465,18 +472,19 @@ class TestForcing:
     def test_lattice_defect_vanishes_on_aligned_grid(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [n * LN3 for n in range(1, 8)]
-        ctx = ForcingContext(cantor, grid)
-        forcing = forcing_values(ctx, sd)
+        ctx = ForcingContext(cantor)
+        forcing = forcing_values(ctx, sd, grid)
         assert forcing.shape == (1, len(grid))
-        for idx, t in enumerate(ctx.t_grid):
+        for idx, t in enumerate(grid):
             assert count_defect(ctx, "X", t) == 0
             assert forcing[0, idx] == 0.0
 
     def test_defect_matches_sampled_counts_at_generic_t(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
-        ctx = ForcingContext(cantor, np.linspace(0.2, 4.8, 12))
-        forcing = forcing_values(ctx, sd)
-        for idx, t in enumerate(ctx.t_grid):
+        grid = np.linspace(0.2, 4.8, 12)
+        ctx = ForcingContext(cantor)
+        forcing = forcing_values(ctx, sd, grid)
+        for idx, t in enumerate(grid):
             child = 2 * cantor_count(t - LN3) if t >= LN3 else 2 * 1
             defect = child - cantor_count(t)
             assert count_defect(ctx, "X", t) == defect, t
@@ -488,18 +496,19 @@ class TestForcing:
         # scale divides the map translations, so the defect is exactly -1
         sd = solve_s0(cantor_point)
         grid = [n * LN3 for n in range(1, 8)]
-        ctx = ForcingContext(cantor_point, grid)
-        forcing = forcing_values(ctx, sd)
-        assert [count_defect(ctx, "X", t) for t in ctx.t_grid] == [-1] * 7
-        assert forcing[0].tolist() == [math.exp(-sd.s0 * t) for t in ctx.t_grid]
+        ctx = ForcingContext(cantor_point)
+        forcing = forcing_values(ctx, sd, grid)
+        assert [count_defect(ctx, "X", t) for t in grid] == [-1] * 7
+        assert forcing[0].tolist() == [math.exp(-sd.s0 * t) for t in grid]
 
     def test_point_condensation_defect_range(self, cantor_point):
         # generic scales: misalignment of the x/3 + 2/3 copy can cost one
         # more cell, widening the aligned range by one on each side at most
         sd = solve_s0(cantor_point)
-        ctx = ForcingContext(cantor_point, np.linspace(0.3, 5.7, 16))
-        forcing = forcing_values(ctx, sd)
-        for idx, t in enumerate(ctx.t_grid):
+        grid = np.linspace(0.3, 5.7, 16)
+        ctx = ForcingContext(cantor_point)
+        forcing = forcing_values(ctx, sd, grid)
+        for idx, t in enumerate(grid):
             defect = count_defect(ctx, "X", t)
             assert -2 <= defect <= 0, t
             early = early_count(ctx, "X", t)
@@ -508,23 +517,17 @@ class TestForcing:
     def test_corrected_forcing_closes_renewal_identity(self, cantor, spectral_cache):
         sd = spectral_cache["cantor"]
         grid = [k * LN3 / 2 for k in range(9)]
-        ctx = ForcingContext(cantor, grid)
-        forcing = forcing_values(ctx, sd)
-        fs = [normalized_count(ctx, sd, "X", t) for t in ctx.t_grid]
+        ctx = ForcingContext(cantor)
+        forcing = forcing_values(ctx, sd, grid)
+        fs = [normalized_count(ctx, sd, "X", t) for t in grid]
         w = 2 * (1.0 / 3.0) ** sd.s0  # both edges together carry unit mass
-        for k, t in enumerate(ctx.t_grid):
+        for k, t in enumerate(grid):
             # the shift is exactly two grid steps; index instead of
             # subtracting, else one ulp of slop falls off the breakpoint
             child = fs[k - 2] if k >= 2 else 0.0
             assert fs[k] == pytest.approx(w * child + forcing[0, k], abs=1e-12), t
-        assert renewal_residual(ctx, sd, forcing) <= 1e-12
+        assert renewal_residual(ctx, sd, forcing, grid) <= 1e-12
 
     def test_corrected_forcing_at_zero_is_the_full_count(self, cantor, spectral_cache):
-        ctx = ForcingContext(cantor, [0.0, LN3])
-        assert forcing_values(ctx, spectral_cache["cantor"])[0, 0] == pytest.approx(1.0)
-
-    def test_empty_grid_rejected(self, cantor):
-        with pytest.raises(ValueError):
-            ForcingContext(cantor, [])
-        with pytest.raises(ValueError):
-            ForcingContext(cantor, [-1.0, 2.0])
+        ctx = ForcingContext(cantor)
+        assert forcing_values(ctx, spectral_cache["cantor"], [0.0, LN3])[0, 0] == pytest.approx(1.0)

@@ -238,7 +238,7 @@ class TestMatrixMeasureAgainstOracle:
         m = renewal.transfer_measure(bundled["two_vertex"], spectral.solve_s0(bundled["two_vertex"]).s0)
         runs, tests = [], []
         real = spectral._power_perron
-        monkeypatch.setattr(spectral, "_power_perron", lambda a, k: runs.append(a.shape) or real(a, k))
+        monkeypatch.setattr(spectral, "_power_perron", lambda a: runs.append(a.shape) or real(a))
         real_test = spectral.is_irreducible
         monkeypatch.setattr(spectral, "is_irreducible", lambda a: tests.append(a.shape) or real_test(a))
         forcing = [StepFunction.indicator(0.0, 1.0)] * m.n

@@ -254,7 +254,7 @@ def test_profile_and_forcing_share_the_oracle_counts(bundled):
     graph = bundled["two_vertex"]
     ts = [0.4, 1.3, 2.2, 3.1, 4.0]
     prof = covering.profile_at(graph, ts)
-    ctx = covering.ForcingContext(graph, ts)
+    ctx = covering.ForcingContext(graph)
     for sample in prof.samples:
         sets = {v: oracle.generate(graph, v, sample.r) for v in graph.vertex_order}
         per, total = oracle.count(sets, sample.r)
@@ -264,7 +264,8 @@ def test_profile_and_forcing_share_the_oracle_counts(bundled):
 
 def test_count_at_beyond_the_grid_rewalks(bundled):
     graph = bundled["cantor_point"]
-    ctx = covering.ForcingContext(graph, [1.0, 2.0])
+    ctx = covering.ForcingContext(graph)
+    ctx._fill("X", [1.0, 2.0])
     r = math.exp(-4.0)
     (want,), _ = oracle.count(oracle.generate(graph, "X", r), r)
     assert ctx.count_at("X", 4.0) == want
@@ -976,8 +977,9 @@ def test_origin_shift_changes_counts_by_at_most_3_to_the_d(graph, t, data):
 )
 def test_renewal_residual_is_at_most_1e_9(graph, ts):
     sd = solve_s0(graph)
-    ctx = covering.ForcingContext(graph, ts)
-    assert forcing_oracle.renewal_residual(ctx, sd, forcing_oracle.forcing_values(ctx, sd)) <= 1e-9
+    ctx = covering.ForcingContext(graph)
+    forcing = forcing_oracle.forcing_values(ctx, sd, ts)
+    assert forcing_oracle.renewal_residual(ctx, sd, forcing, ts) <= 1e-9
 
 
 # -- the walk build and the per-pass images ------------------------------------------

@@ -77,17 +77,6 @@ class TestClassifyExact:
         assert res.is_lattice
         assert res.tau == pytest.approx(LN2, rel=1e-12)
 
-    def test_exact_mode_ignores_eps(self):
-        for eps in (1e-6, 1e-9, 1e-12):
-            a = classify([LN2, LN3], exact_ratios=[Fraction(1, 2), Fraction(1, 3)], eps=eps)
-            b = classify(
-                [LN2, math.log(8.0)],
-                exact_ratios=[Fraction(1, 2), Fraction(1, 8)],
-                eps=eps,
-            )
-            assert a.kind == "dense"
-            assert b.is_lattice and b.tau == pytest.approx(LN2, rel=1e-12)
-
     @settings(max_examples=200, deadline=None)
     @given(qs=rational_generators())
     def test_coprime_base_matches_prime_factoring(self, qs):
@@ -107,9 +96,9 @@ class TestClassifyExact:
 
 class TestClassifyFloating:
     def test_matches_exact_on_the_three_references(self):
-        lattice_equal = classify([LN3, LN3], eps=1e-9)
-        dense_pair = classify([LN2, LN3], eps=1e-9)
-        lattice_power = classify([LN2, math.log(8.0)], eps=1e-9)
+        lattice_equal = classify([LN3, LN3])
+        dense_pair = classify([LN2, LN3])
+        lattice_power = classify([LN2, math.log(8.0)])
         assert lattice_equal.is_lattice
         assert lattice_equal.tau == pytest.approx(LN3, abs=1e-9)
         assert dense_pair.kind == "dense"
@@ -120,7 +109,7 @@ class TestClassifyFloating:
         )
 
     def test_floating_dense_is_labeled_numeric(self):
-        res = classify([LN2, LN3], eps=1e-9)
+        res = classify([LN2, LN3])
         assert "numeric" in res.note.lower()
 
     def test_empty_input_rejected(self):
@@ -134,7 +123,7 @@ class TestClassifyFloating:
         g=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
     )
     def test_integer_multiples_recover_the_gcd(self, a, b, g):
-        res = classify([a * g, b * g], eps=1e-9)
+        res = classify([a * g, b * g])
         assert res.is_lattice
         assert res.tau == pytest.approx(math.gcd(a, b) * g, rel=1e-6)
 
@@ -247,7 +236,7 @@ class TestClassifyGraph:
                     for p in enumerate_paths(g, start, length=length):
                         if path_terminal(g, p) == start:
                             walk_gens.append(-math.log(path_ratio(g, p)))
-            walk_res = classify(walk_gens, eps=1e-9)
+            walk_res = classify(walk_gens)
             assert walk_res.kind == res.kind, name
             if res.is_lattice:
                 assert walk_res.tau == pytest.approx(res.tau, abs=1e-9), name

@@ -95,12 +95,12 @@ class TestTransferMeasure:
 
 class TestStepFunction:
     def test_indicator_evaluation_and_integral(self):
-        f = StepFunction.indicator(1.0, 3.0, 2.0)
+        f = StepFunction.indicator(1.0, 3.0)
         assert f(0.5) == 0.0
-        assert f(1.0) == 2.0
-        assert f(2.9999) == 2.0
+        assert f(1.0) == 1.0
+        assert f(2.9999) == 1.0
         assert f(3.0) == 0.0
-        assert f.integral() == pytest.approx(4.0)
+        assert f.integral() == pytest.approx(2.0)
 
     def test_right_continuity_at_breakpoints(self):
         f = StepFunction([0.0, 1.0], [5.0, 0.0])
@@ -139,7 +139,7 @@ class TestStepFunction:
     def test_vector_convolve_row_times_matrix(self):
         d = dirac
         m = MatrixMeasure([[d(1.0, 1.0), d(2.0, 2.0)], [d(0.5, 3.0), AtomicMeasure.zero()]])
-        fs = [StepFunction.indicator(0.0, 1.0), StepFunction.indicator(0.0, 1.0, 2.0)]
+        fs = [StepFunction.indicator(0.0, 1.0), StepFunction([0.0, 1.0], [2.0, 0.0])]
         out = vector_convolve(fs, m)
         # component 0: f0 shifted by 1 + f1 (weight 3) shifted by 0.5
         assert out[0](1.2) == pytest.approx(1.0 + 6.0)
@@ -351,7 +351,7 @@ class TestRenewalSolve:
         m = transfer_measure(g, sd.s0)
         forcing = [
             StepFunction.indicator(0.0, 0.4),
-            StepFunction.indicator(0.0, 0.7, 2.0),
+            StepFunction([0.0, 0.7], [2.0, 0.0]),
         ]
         lat = classify_graph(g)
         assert lat.is_lattice

@@ -368,12 +368,12 @@ def test_a_chunk_builds_within_its_factor_of_the_budget(bundled, make, t):
     o = np.zeros(dim)
     r = math.exp(-t)
     walk = _Walk(graph, "X", r)
-    most = max(walk._cost(v, inner, walk.cls[a + np.flatnonzero(hi > lo)], r, axis).max(initial=0)
-               for v, inner, a, lo, hi in walk._blocks(np.array([r])))
+    most = max(oracle.node_cost(walk, v, inner, walk.cls[a + np.flatnonzero(hi > lo)], r, axis)
+               .max(initial=0) for v, inner, a, lo, hi in walk._blocks(np.array([r])))
     estimate, built, images = [], [], walk._images
 
     def spy(v, inner, nodes, n, tag):
-        estimate.append(walk._cost(v, inner, walk.cls[nodes], r, axis).sum())
+        estimate.append(oracle.node_cost(walk, v, inner, walk.cls[nodes], r, axis).sum())
         built.append(0)
         return images(v, inner, nodes, n, tag)
 
