@@ -56,9 +56,6 @@ REGIMES = (
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DENSE_MIN_SPAN = 2 * math.log(10.0)
-# dense-mode cross-check: trapezoid steps of at most 0.05, windows ending by t = 10
-DENSE_FORCING_T_MAX = 10.0
-DENSE_FORCING_STEP = 0.05
 LATTICE_MIN_PERIODS = 4
 # large-condensation samples: t = n * step for these n
 _LARGE_N = range(3, 11)
@@ -120,8 +117,8 @@ class AsymptoticReport:
     """Limit estimates extracted from one covering profile.
 
     ``kind == "constant"``: estimates has one entry per vertex, drift is
-    the (max - min) / mean spread over the estimation window and t_last is
-    the profile's last t.
+    the (max - min) / mean spread over the estimation window and t_values
+    holds the profile's distinct t values, ascending.
     ``kind == "periodic"``: estimates is (n_y, n_vertices), averaged over
     the last few periods at each offset; drift is per offset.
     ``kind == "divergent"``: estimates holds per-vertex growth rates of
@@ -136,7 +133,7 @@ class AsymptoticReport:
     drift: np.ndarray | None = None
     drift_total: float | None = None
     thirds_drift: tuple[float, ...] | None = None
-    t_last: float | None = None
+    t_values: tuple[float, ...] | None = None
     y_grid: np.ndarray | None = None
     tau: float | None = None
     n_values: tuple[int, ...] | None = None
@@ -175,7 +172,7 @@ def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
         drift=drift,
         drift_total=drift_total,
         thirds_drift=thirds_drift,
-        t_last=float(ts[-1]),
+        t_values=tuple(np.unique(ts).tolist()),
     )
 
 
@@ -295,7 +292,8 @@ def cross_check(
     rank-one ``limit_matrix``.  Lattice mode: T is the report's last period
     and W_e is tau times the sum over the last round(log(1/r_e)/tau)
     periods, at profile t values.  Dense mode: T is the profile's last t,
-    at most ``DENSE_FORCING_T_MAX``, and W_e the trapezoid rule.  The check
+    and W_e the trapezoid rule of Z_dst interpolated between the profile's
+    samples, so no radius is counted that the profile did not.  The check
     reads the counts the estimate reads, so it is not an independent
     prediction; it catches non-convergence, stopping-size ties and phase
     errors.  ``_table`` is the count table of an enclosing analysis.
@@ -304,7 +302,7 @@ def cross_check(
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
     edges = list(graph.edges.values())
-    tau = y_grid = None
+    tau = y_grid = samples = None
     if report.kind == "periodic":
         tau, y_grid = report.tau, report.y_grid
         if tau is None or y_grid is None or not report.n_values:
@@ -319,17 +317,18 @@ def cross_check(
             for y in y_grid.tolist()
         ]
     else:
-        if report.t_last is None:
+        samples = report.t_values
+        if not samples:
             raise ValueError("constant report lacks its sampling grid")
-        # the forcing lives on t >= 0: a profile ending below 0 has no window
-        end = max(0.0, min(report.t_last, DENSE_FORCING_T_MAX))
+        # the forcing lives on t >= 0: a profile ending below 0 has no window;
+        # Z_dst is linear between the samples and flat below the first
+        end = max(0.0, samples[-1])
         starts = [max(0.0, end - e.log_ratio) for e in edges]
-        steps = [math.ceil((end - a) / DENSE_FORCING_STEP) for a in starts]
-        windows = [[np.linspace(a, end, k + 1).tolist() for a, k in zip(starts, steps)]]
+        windows = [[[a, *(t for t in samples if a < t < end), end] for a in starts]]
     points: dict[str, list] = {v: [] for v in graph.vertex_order}
     for row in windows:
         for e, ts in zip(edges, row):
-            points[e.dst].extend(ts)
+            points[e.dst].extend(ts if samples is None else samples)
     ctx = ForcingContext(graph, _table=_table)
     for v, ts in points.items():
         ctx._fill(v, ts)
@@ -337,8 +336,9 @@ def cross_check(
     sums = np.zeros((len(windows), len(col)))
     for out, row in zip(sums, windows):
         for e, ts in zip(edges, row):
-            z = [ctx.count_at(e.dst, t) * math.exp(-s0 * t) for t in ts]
-            out[col[e.src]] += e.ratio**s0 * (_trapezoid(z, ts) if tau is None else tau * sum(z))
+            z = [ctx.count_at(e.dst, t) * math.exp(-s0 * t) for t in samples or ts]
+            w = tau * sum(z) if samples is None else _trapezoid(np.interp(ts, samples, z), ts)
+            out[col[e.src]] += e.ratio**s0 * w
     predicted = (sums[0] if tau is None else sums) @ spectral.limit_matrix
     measured = np.asarray(report.estimates)
     rel = np.abs(predicted - measured) / np.maximum(np.abs(measured), 1e-300)

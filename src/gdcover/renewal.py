@@ -446,7 +446,8 @@ def renewal_solve(
     ``horizon / lambda_min``.  A smaller explicit ``truncation`` emits a
     warning because tail terms then still intersect the window.  A series
     of more than ``_SERIES_CAP`` terms raises ``ResourceLimitError`` before
-    any is formed.
+    any is formed, and a solution that overflows a float raises
+    ``NumericalError``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -466,15 +467,19 @@ def renewal_solve(
         raise ResourceLimitError(f"the renewal series needs {n_terms} terms (cap {_SERIES_CAP})")
     total = [f.clipped(horizon) for f in forcing]
     term = total
-    for k in range(1, k_max + 1):
-        if k * lam > horizon:
-            break
-        term = [
-            g.clipped(horizon) for g in vector_convolve(term, m)
-        ]
-        if all(g.is_zero for g in term):
-            break
-        total = [a + b for a, b in zip(total, term)]
+    # an overflow leaves an inf or nan, refused below: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            if k * lam > horizon:
+                break
+            term = [
+                g.clipped(horizon) for g in vector_convolve(term, m)
+            ]
+            if all(g.is_zero for g in term):
+                break
+            total = [a + b for a, b in zip(total, term)]
+    if not all(np.isfinite(f.values).all() for f in total):
+        raise NumericalError("the renewal solution overflows a float")
     return total
 
 

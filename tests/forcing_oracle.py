@@ -9,6 +9,10 @@ t - log(1/ratio), and pushes the sum (lattice) or trapezoid integral
 (dense) of each row through the rank-one limit matrix.  Weighted by the
 left Perron vector the two agree: exactly in lattice mode when every
 log(1/ratio) sits on the lattice, up to the quadrature error in dense mode.
+
+``dense_window`` integrates the dense cross-check's own windows, which end
+at the profile's last t, on a fine mesh of fresh counts: the reference for
+its interpolation between the profile's samples.
 """
 import math
 
@@ -111,3 +115,20 @@ def predicted(graph, spectral, report, *, step=0.05, t_max=10.0, grid_origin=Non
     ctx = ForcingContext(graph, _table=table)
     forcing = forcing_values(ctx, spectral, points)
     return np.array([_trapezoid(row, _sorted(points)) for row in forcing]) @ a
+
+
+def dense_window(graph, spectral, report, *, step):
+    """The dense cross-check's prediction, each edge's window
+    [max(0, T - log(1/ratio)), T] with T the report's last t (0 when it is
+    negative) integrated by the trapezoid rule on a mesh of at most ``step``."""
+    s0, col = spectral.s0, {v: k for k, v in enumerate(graph.vertex_order)}
+    ctx = ForcingContext(graph)
+    end = max(0.0, report.t_values[-1])
+    sums = np.zeros(len(col))
+    for e in graph.edges.values():
+        a = max(0.0, end - e.log_ratio)
+        ts = np.linspace(a, end, math.ceil((end - a) / step) + 1).tolist()
+        ctx._fill(e.dst, ts)
+        z = [normalized_count(ctx, spectral, e.dst, t) for t in ts]
+        sums[col[e.src]] += e.ratio**s0 * _trapezoid(z, ts)
+    return sums @ spectral.limit_matrix

@@ -24,6 +24,12 @@ def gap_point_analysis():
     return analyze(schema.load_bundled("cantor_point"), n_min=4, n_max=10, y_samples=8)
 
 
+@pytest.fixture(scope="module")
+def dense_analysis():
+    # README defaults; shared by the dense-trend and cross-check criteria below
+    return analyze(schema.load_bundled("two_ratio"), t_min=2.0, t_max=14.0)
+
+
 def test_criterion_01_dimension_oracles():
     cases = [
         ("cantor", LN2 / LN3),
@@ -164,9 +170,8 @@ def test_criterion_06_periodic_limit_convergence(gap_point_analysis):
     )
 
 
-def test_criterion_07_dense_convergence_trend():
-    res = analyze(schema.load_bundled("two_ratio"), t_min=2.0, t_max=14.0)
-    rep = res.report
+def test_criterion_07_dense_convergence_trend(dense_analysis):
+    rep = dense_analysis.report
     assert rep.kind == "constant"
     thirds = rep.thirds_drift
     assert len(thirds) == 3
@@ -195,15 +200,19 @@ def test_criterion_08_divergent_growth_rate():
     )
 
 
-def test_criterion_09_cross_check_closure(gap_point_analysis):
+def test_criterion_09_cross_check_closure(gap_point_analysis, dense_analysis):
     cross = gap_point_analysis.cross
     assert cross is not None and cross.kind == "periodic"
     per_y = np.asarray(cross.rel_discrepancy)
     assert per_y.size == 8
     assert float(np.max(per_y)) <= 0.05
+    dense = dense_analysis.cross
+    assert dense is not None and dense.kind == "constant"
+    assert dense.max_rel_discrepancy <= 0.05
     print(
         f"criterion 9: PASS  renewal prediction vs measurement, worst "
-        f"per-offset discrepancy = {float(np.max(per_y)):.3%}"
+        f"per-offset discrepancy = {float(np.max(per_y)):.3%}, "
+        f"dense discrepancy = {dense.max_rel_discrepancy:.3%}"
     )
 
 

@@ -9,13 +9,15 @@ import forcing_oracle
 from helpers import (
     LN3,
     cantor_graph,
+    family_system,
     half_half_segment_graph,
     phase_graph,
     random_graphs,
     three_cycle_graph,
+    two_ratio_graph,
 )
 
-from gdcover import asymptotics
+from gdcover import asymptotics, schema
 from gdcover.asymptotics import (
     analyze,
     classify_regime,
@@ -155,6 +157,15 @@ def _lattice_edges(graph: MWGraph) -> bool:
     )
 
 
+def _dense_system(bundled, name):
+    """A dense system by name, with the analyze arguments its tests use."""
+    if name == "family4_dense":
+        return schema.parse_system(family_system(4, False, 1)), {}
+    if name == "long_edge":
+        return two_ratio_graph(0.5, 1 / 250), {"t_min": 2.0, "t_max": 7.0}
+    return bundled[name], {}
+
+
 class TestCrossCheck:
     def test_cantor_prediction_matches_measurement(self):
         res = analyze(cantor_graph())
@@ -179,8 +190,9 @@ class TestCrossCheck:
 
     def test_constant_report_without_its_last_t_rejected(self, two_ratio):
         res = analyze(two_ratio, with_cross_check=False)
-        assert res.report.t_last == 14.0
-        report = dataclasses.replace(res.report, t_last=None)
+        assert res.report.t_values == tuple(res.profile.t_values().tolist())
+        assert len(res.report.t_values) == 24 and res.report.t_values[-1] == 14.0
+        report = dataclasses.replace(res.report, t_values=None)
         with pytest.raises(ValueError, match="sampling grid"):
             cross_check(two_ratio, res.spectral, report)
 
@@ -221,12 +233,51 @@ class TestCrossCheck:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_dense_window_is_near_the_fine_oracle(self, two_ratio):
-        # the oracle integrates the forcing over 0..10 at step 0.0025; the
-        # window's trapezoid at step 0.05 lies within 0.1% of it
+        # the oracle integrates the same windows, ending at the profile's
+        # last t = 14, on fresh counts at step 0.01; interpolating between
+        # the profile's 24 samples lies within 0.1% of it
         res = analyze(two_ratio)
         assert res.cross.kind == "constant"
-        want = forcing_oracle.predicted(two_ratio, res.spectral, res.report, step=0.0025)
+        want = forcing_oracle.dense_window(two_ratio, res.spectral, res.report, step=0.01)
         np.testing.assert_allclose(res.cross.predicted, want, rtol=1e-3, atol=0)
+
+    @pytest.mark.parametrize("name", ["two_ratio", "family4_dense", "long_edge"])
+    def test_dense_window_is_the_profile_interpolant(self, bundled, name):
+        graph, kw = _dense_system(bundled, name)
+        res = analyze(graph, **kw)
+        assert res.regime.regime == "SmallCondensation-Dense"
+        ts, z = res.profile.t_values(), res.profile.ratio_matrix()
+        end = ts[-1]
+        if name == "long_edge":
+            # log 250 = 5.52 exceeds the span 5: the window starts below the
+            # first sample, where the interpolant is flat
+            assert end - max(e.log_ratio for e in graph.edges.values()) < ts[0]
+        col = {v: k for k, v in enumerate(graph.vertex_order)}
+        sums = np.zeros(len(col))
+        for e in graph.edges.values():
+            a = max(0.0, end - e.log_ratio)
+            knots = np.concatenate(([a], ts[(ts > a) & (ts < end)], [end]))
+            y = np.interp(knots, ts, z[:, col[e.dst]])
+            w = float(np.sum(np.diff(knots) * (y[1:] + y[:-1]) / 2))
+            sums[col[e.src]] += e.ratio**res.spectral.s0 * w
+        want = sums @ res.spectral.limit_matrix
+        np.testing.assert_allclose(res.cross.predicted, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", ["two_ratio", "family4_dense"])
+    def test_dense_cross_check_counts_nothing_new(self, bundled, name, monkeypatch):
+        graph, kw = _dense_system(bundled, name)
+        sizes, check = [], asymptotics.cross_check
+
+        def spy(graph, spectral, report, *, _table):
+            sizes.append(len(_table.counts))
+            out = check(graph, spectral, report, _table=_table)
+            sizes.append(len(_table.counts))
+            return out
+
+        monkeypatch.setattr(asymptotics, "cross_check", spy)
+        res = analyze(graph, **kw)
+        assert res.cross.kind == "constant"
+        assert sizes == [len(graph.vertex_order) * len(res.profile.samples)] * 2
 
     def test_sierpinski_zero_shift_is_not_early(self, bundled):
         # at y = 0 the window points are the profile's own n*tau values, so

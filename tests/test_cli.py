@@ -488,8 +488,12 @@ class TestRenewal:
              "error: renewal matrix is reducible"),
             ({"M": [[[[LN2, 0.5], [LN3, 0.5]]]], "L": [[[0.0, 1e300], [1e10, 0.0]]]}, 3,
              "error: the renewal limit overflows a float"),
+            # the lattice series overflows before the limit is formed
+            ({"M": [[[[LN2, 0.5], [2 * LN2, 0.5]]]], "tau": LN2, "L": [[[0.0, 1e308], [1e3, 0.0]]]},
+             3, "error: the renewal solution overflows a float"),
         ],
-        ids=["negative_support", "non_decaying", "wrong_mass", "reducible", "overflow"],
+        ids=["negative_support", "non_decaying", "wrong_mass", "reducible", "overflow",
+             "lattice_overflow"],
     )
     def test_refused_renewal_input(self, tmp_path, capsys, doc, code, message):
         p = tmp_path / "refused.json"

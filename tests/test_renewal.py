@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -333,6 +334,17 @@ class TestRenewalSolve:
         forcing = [StepFunction.indicator(0.0, LN2)]
         with pytest.warns(UserWarning, match="truncation"):
             renewal_solve(m, forcing, 30.0, truncation=3)
+
+    def test_overflowing_solution_is_refused_without_a_warning(self):
+        # 1e308 on [0, 1000] passes check_dri, but the series' sum of its
+        # shifted copies overflows: one NumericalError, no numpy warning
+        m = scalar_measure((LN2, 0.5), (2 * LN2, 0.5))
+        forcing = [StepFunction([0.0, 1e3], [1e308, 0.0])]
+        assert check_dri(forcing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="the renewal solution overflows a float"):
+                renewal_solve(m, forcing, 12.0)
 
     def test_series_past_the_term_cap(self):
         # ceil(horizon / lambda_min) terms: refused past the cap before any
