@@ -22,7 +22,6 @@ import numpy as np
 from .covering import (
     CELL_CAP,
     CoveringProfile,
-    ForcingContext,
     IntegralResult,
     _CountTable,
     condensation_integral,
@@ -116,9 +115,8 @@ def classify_regime(
 class AsymptoticReport:
     """Limit estimates extracted from one covering profile.
 
-    ``kind == "constant"``: estimates has one entry per vertex, drift is
-    the (max - min) / mean spread over the estimation window and t_values
-    holds the profile's distinct t values, ascending.
+    ``kind == "constant"``: estimates has one entry per vertex and drift is
+    the (max - min) / mean spread over the estimation window.
     ``kind == "periodic"``: estimates is (n_y, n_vertices), averaged over
     the last few periods at each offset; drift is per offset.
     ``kind == "divergent"``: estimates holds per-vertex growth rates of
@@ -133,7 +131,6 @@ class AsymptoticReport:
     drift: np.ndarray | None = None
     drift_total: float | None = None
     thirds_drift: tuple[float, ...] | None = None
-    t_values: tuple[float, ...] | None = None
     y_grid: np.ndarray | None = None
     tau: float | None = None
     n_values: tuple[int, ...] | None = None
@@ -172,7 +169,6 @@ def _estimate_dense(profile: CoveringProfile, regime: str) -> AsymptoticReport:
         drift=drift,
         drift_total=drift_total,
         thirds_drift=thirds_drift,
-        t_values=tuple(np.unique(ts).tolist()),
     )
 
 
@@ -279,8 +275,7 @@ def cross_check(
     graph: MWGraph,
     spectral: SpectralData,
     report: AsymptoticReport,
-    *,
-    _table: _CountTable | None = None,
+    profile: CoveringProfile,
 ) -> CrossCheckResult:
     """Compare the limit estimate with a renewal-weighted mean of the
     measured profile over its last window.
@@ -293,15 +288,17 @@ def cross_check(
     and W_e is tau times the sum over the last round(log(1/r_e)/tau)
     periods, at profile t values.  Dense mode: T is the profile's last t,
     and W_e the trapezoid rule of Z_dst interpolated between the profile's
-    samples, so no radius is counted that the profile did not.  The check
-    reads the counts the estimate reads, so it is not an independent
-    prediction; it catches non-convergence, stopping-size ties and phase
-    errors.  ``_table`` is the count table of an enclosing analysis.
+    samples.  Counts are read from ``profile``, the profile the report was
+    estimated from; a lattice window longer than its periods reaches below
+    its first n, and those points are counted on its grid.  The check reads
+    the counts the estimate reads, so it is not an independent prediction;
+    it catches non-convergence, stopping-size ties and phase errors.
     Nonzero vertex phases (a log(1/r_e) off tau*Z) raise ``ValidationError``.
     """
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
     edges = list(graph.edges.values())
+    counts = {(v, s.t): c for s in profile.samples for v, c in zip(profile.vertex_order, s.counts)}
     tau = y_grid = samples = None
     if report.kind == "periodic":
         tau, y_grid = report.tau, report.y_grid
@@ -316,27 +313,28 @@ def cross_check(
              for e in edges]
             for y in y_grid.tolist()
         ]
+        # only an edge longer than the profile's periods reaches below its
+        # first n: those points are counted on the profile's grid
+        missing = {(e.dst, t) for row in windows for e, ts in zip(edges, row) for t in ts
+                   if (e.dst, t) not in counts}
+        if missing:
+            table = _CountTable(graph, profile.grid_origin)
+            for v in {v for v, _t in missing}:
+                table.fill(v, [t for u, t in missing if u == v])
+            counts.update(table.counts)
     else:
-        samples = report.t_values
-        if not samples:
-            raise ValueError("constant report lacks its sampling grid")
+        # sorted(set()), not np.unique: on floats that imports numpy.ma
+        samples = sorted({s.t for s in profile.samples})
         # the forcing lives on t >= 0: a profile ending below 0 has no window;
         # Z_dst is linear between the samples and flat below the first
         end = max(0.0, samples[-1])
         starts = [max(0.0, end - e.log_ratio) for e in edges]
         windows = [[[a, *(t for t in samples if a < t < end), end] for a in starts]]
-    points: dict[str, list] = {v: [] for v in graph.vertex_order}
-    for row in windows:
-        for e, ts in zip(edges, row):
-            points[e.dst].extend(ts if samples is None else samples)
-    ctx = ForcingContext(graph, _table=_table)
-    for v, ts in points.items():
-        ctx._fill(v, ts)
     s0, col = spectral.s0, {v: k for k, v in enumerate(graph.vertex_order)}
     sums = np.zeros((len(windows), len(col)))
     for out, row in zip(sums, windows):
         for e, ts in zip(edges, row):
-            z = [ctx.count_at(e.dst, t) * math.exp(-s0 * t) for t in samples or ts]
+            z = [counts[e.dst, t] * math.exp(-s0 * t) for t in samples or ts]
             w = tau * sum(z) if samples is None else _trapezoid(np.interp(ts, samples, z), ts)
             out[col[e.src]] += e.ratio**s0 * w
     predicted = (sums[0] if tau is None else sums) @ spectral.limit_matrix
@@ -420,7 +418,6 @@ def analyze(
     t_max: float = 14.0,
     dense_samples: int = 24,
     grid_origin=None,
-    with_cross_check: bool = True,
 ) -> AnalysisResult:
     """Full pipeline: validate, classify, profile, estimate, cross-check."""
     validate(graph).raise_if_failed()
@@ -437,16 +434,14 @@ def analyze(
         t_max=t_max,
         dense_samples=dense_samples,
     )
-    # one walk per vertex and one count table serve the profile and the cross-check
-    table = _CountTable(graph, grid_origin)
-    prof = profile_at(graph, points, spectral=spectral, _table=table)
+    prof = profile_at(graph, points, spectral=spectral, grid_origin=grid_origin)
     report = estimate_limit(prof, regime)
     cross, notes = None, regime.notes
     phased = report.kind == "periodic" and _phase_note(graph, report.tau)
-    if with_cross_check and phased:
+    if phased:
         notes += (f"cross-check skipped: {phased}",)
-    elif with_cross_check and report.kind != "divergent":
-        cross = cross_check(graph, spectral, report, _table=table)
+    elif report.kind != "divergent":
+        cross = cross_check(graph, spectral, report, prof)
     return AnalysisResult(
         vertex_order=graph.vertex_order,
         spectral=spectral,

@@ -276,15 +276,17 @@ def _parse_reduced(doc: dict):
         {"M": [[[ [location, weight], ... ]]],      # n x n entry lists
          "L": [[ [breakpoint, value], ... ]],       # one step list per row
          "tau": 0.693,                              # optional lattice step
-         "horizon": 30.0, "truncation": 40,
-         "samples_per_period": 64}
+         "horizon": 30.0, "samples_per_period": 64}
 
     Forcing breakpoints must be at least ``renewal.ATOM_MERGE_TOL`` apart:
     closer ones can be rounded onto each other when the solver shifts them.
-    Returns ``(M, L, horizon)``.
+    Any other top-level key is refused.  Returns ``(M, L, horizon)``.
     """
     if not isinstance(doc, dict) or "M" not in doc or "L" not in doc:
         raise ValidationError("renewal input needs top-level keys M and L")
+    unknown = set(doc) - {"M", "L", "horizon", "tau", "samples_per_period"}
+    if unknown:
+        raise ValidationError(f"renewal input: unknown top-level keys {sorted(unknown)}")
     m_rows = doc["M"]
     n = len(m_rows) if isinstance(m_rows, list) else 0
     if n == 0 or any(not isinstance(row, list) or len(row) != n for row in m_rows):
@@ -338,9 +340,6 @@ def cmd_renewal(args) -> int:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"renewal input is not valid JSON: {exc}") from exc
     m, forcing, horizon = _parse_reduced(doc)
-    truncation = doc.get("truncation")
-    if truncation is not None:
-        _check_int_at_least(truncation, 0, "truncation")
     spp = doc.get("samples_per_period", 64)
     _check_int_at_least(spp, 1, "samples_per_period")
     _check_sample_cap(spp, "samples_per_period")
@@ -348,7 +347,7 @@ def cmd_renewal(args) -> int:
     if tau is not None and not (_finite_number(tau) and tau > 0):
         raise ValidationError(f"tau must be a positive finite number, got {tau!r}")
     try:
-        fs = renewal.renewal_solve(m, forcing, horizon, truncation=truncation)
+        fs = renewal.renewal_solve(m, forcing, horizon)
         conv = renewal.vector_convolve(fs, m)
     except ValueError as exc:
         # a shift by an atom location can round two forcing breakpoints
@@ -492,7 +491,6 @@ def _run_analysis(args) -> tuple["schema.MWGraph", asymptotics.AnalysisResult]:
         t_max=args.tmax,
         dense_samples=args.samples,
         grid_origin=_parse_origin(args.grid_origin, graph.dimension),
-        with_cross_check=not args.no_cross_check,
     )
 
 
@@ -653,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmin", type=float, default=2.0)
         p.add_argument("--tmax", type=float, default=14.0)
         p.add_argument("--samples", type=int, default=24, help="dense-mode t samples")
-        p.add_argument("--no-cross-check", action="store_true")
         _add_grid_flags(p)
         if name == "analyze":
             p.add_argument("--json", action="store_true")

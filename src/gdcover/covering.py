@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import NumericalError, ResourceLimitError, ValidationError
 from .geometry import Box
 from .graph import PATH_CAP, MWGraph
 from .spectral import SpectralData, solve_s0
@@ -1045,12 +1045,22 @@ def _run_axis(graph: MWGraph) -> int:
     return graph.dimension - 1 - int(np.argmax(extent[::-1]))
 
 
+def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
+    """Refuse a radius at which a cell index of a seed-box corner reaches
+    2^53: past it a float does not hold every integer, so indices are not
+    exact, and past 2^63 their int64 cast is invalid."""
+    corners = np.array([[b.lo, b.hi] for b in map(graph.seed_box, graph.vertex_order)])
+    if float(np.max(np.abs(corners - origin))) / r >= 2.0**53:
+        raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
+
+
 def _set_runs(gset: GeometrySet, r, grid_origin, axis: int) -> np.ndarray:
     """Runs along ``axis`` of the cells met by a set, at its own resolution."""
     if r is not None and r != gset.resolution:
         raise ValueError(f"a set generated at r = {gset.resolution} is counted at that r, not {r}")
     walk = gset._walk
     origin = _origin_vector(grid_origin, walk.graph.dimension)
+    _check_index_range(walk.graph, gset.resolution, origin)
     return walk.runs(gset.resolution, origin, axis)
 
 
@@ -1119,12 +1129,12 @@ def _distinct_radii(ts: list):
 
 
 class _CountTable:
-    """Covering counts N_v(t) on one grid, shared by the profile and the
-    cross-check of one analysis.
+    """Covering counts N_v(t) on one grid.
 
     Holds one walk per vertex, rebuilt deeper only when a finer radius is
-    asked for, and one ``{(vertex, t): count}`` dict.  Radii are counted in
-    groups (``_groups``), each in one array pass per vertex.
+    asked for, and the ``{(vertex, t): count}`` dict that ``fill`` writes.
+    Radii are counted in groups (``_groups``), each in one array pass per
+    vertex.
     """
 
     def __init__(self, graph: MWGraph, grid_origin=None) -> None:
@@ -1146,6 +1156,7 @@ class _CountTable:
         one run array per vertex, tagged when the group has several radii."""
         if not radii.size:
             return
+        _check_index_range(self.graph, radii[0], self.origin)
         walks = [self.walk(v, radii[0]) for v in vertices]
         for a, b in _groups(sum(w.work(radii, self.axis) for w in walks)):
             r = radii[a] if b - a == 1 else radii[a:b]
@@ -1162,7 +1173,7 @@ class _CountTable:
 
     def totals(self, ts) -> dict[float, CountResult]:
         """Per-vertex counts and the total over all vertices at each t,
-        deduplicated across vertices; the per-vertex counts enter the table."""
+        deduplicated across vertices."""
         order = self.graph.vertex_order
         ts = list(set(ts))
         radii, which = _distinct_radii(ts)
@@ -1170,10 +1181,7 @@ class _CountTable:
         for a, b, runs in self._passes(order, radii):
             res = _count_runs(order, runs, None if b - a == 1 else b - a)
             results[a:b] = [res] if b - a == 1 else res
-        out = {t: results[k] for t, k in zip(ts, which.tolist())}
-        for t, res in out.items():
-            self.counts.update(((v, t), c) for v, c in zip(order, res.per_vertex))
-        return out
+        return {t: results[k] for t, k in zip(ts, which.tolist())}
 
 
 def count(
@@ -1234,21 +1242,17 @@ def profile_at(
     *,
     spectral: SpectralData | None = None,
     grid_origin=None,
-    _table: _CountTable | None = None,
 ) -> CoveringProfile:
     """Covering profile at explicit t samples.
 
     ``t_points`` holds floats, or ``(t, n, y)`` triples in lattice mode
     where ``t = n * tau + y`` records the decomposition used downstream.
     One walk per vertex, sized for the largest t, serves every sample, and
-    the samples are counted a group of radii at a time.  ``_table`` is the
-    count table of an enclosing analysis; its grid origin replaces the
-    argument, and it keeps the per-vertex counts for the cross-check.
+    the samples are counted a group of radii at a time.
     """
     if spectral is None:
         spectral = solve_s0(graph)
-    if _table is None:
-        _table = _CountTable(graph, grid_origin)
+    table = _CountTable(graph, grid_origin)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -1256,7 +1260,7 @@ def profile_at(
         else:
             normalized.append((float(item), None, None))
     normalized.sort(key=lambda x: x[0])
-    counted = _table.totals([t for t, _n, _y in normalized])
+    counted = table.totals([t for t, _n, _y in normalized])
     samples = []
     for t, n, y in normalized:
         r = math.exp(-t)
@@ -1277,7 +1281,7 @@ def profile_at(
     return CoveringProfile(
         vertex_order=graph.vertex_order,
         s0=spectral.s0,
-        grid_origin=tuple(_table.origin.tolist()),
+        grid_origin=tuple(table.origin.tolist()),
         samples=tuple(samples),
     )
 
@@ -1373,28 +1377,15 @@ def condensation_integral(
     return IntegralResult("Infinite" if k > s0 else "Finite", k)
 
 
-# -- the count reader of the renewal cross-check ------------------------------
+# -- the count reader of the forcing oracle ----------------------------------
 
 
-class ForcingContext:
-    """Covering counts N(t) of the cross-check's windows, read through a
-    count table.
-
-    ``_table`` is the count table of an enclosing analysis, whose grid
-    origin, walks and counts are reused; a count finer than its walks
-    rewalks.
-    """
-
-    def __init__(self, graph: MWGraph, *, _table: _CountTable | None = None) -> None:
-        self.graph = graph
-        self._table = _table if _table is not None else _CountTable(graph)
-
-    def _fill(self, vertex: str, ts) -> None:
-        """Count one vertex at every t of ``ts`` not yet known, in radius groups."""
-        self._table.fill(vertex, ts)
+class ForcingContext(_CountTable):
+    """A count table read one ``(vertex, t)`` at a time, the reader of the
+    renewal forcing's test oracle; a count finer than its walks rewalks."""
 
     def count_at(self, vertex: str, t: float) -> int:
         key = (vertex, float(t))
-        if key not in self._table.counts:
-            self._fill(vertex, [t])
-        return self._table.counts[key]
+        if key not in self.counts:
+            self.fill(vertex, [t])
+        return self.counts[key]

@@ -14,7 +14,6 @@ mass matrix is the transpose of the pressure matrix at ``s0``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -437,39 +436,28 @@ def renewal_solve(
     m: MatrixMeasure,
     forcing: Sequence[StepFunction],
     horizon: float,
-    truncation: int | None = None,
 ) -> list[StepFunction]:
     """Solve ``f = f * M + L`` on ``[0, horizon]`` by the convolution series.
 
     The solution is ``sum_k L * M^(*k)``; with every atom at location at
     least ``lambda_min`` the sum is exact on the window once ``k`` reaches
-    ``horizon / lambda_min``.  A smaller explicit ``truncation`` emits a
-    warning because tail terms then still intersect the window.  A series
-    of more than ``_SERIES_CAP`` terms raises ``ResourceLimitError`` before
-    any is formed, and a solution that overflows a float raises
-    ``NumericalError``.
+    ``horizon / lambda_min``, where the series stops.  A series of more
+    than ``_SERIES_CAP`` terms raises ``ResourceLimitError`` before any is
+    formed, and a solution that overflows a float raises ``NumericalError``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if len(forcing) != m.n:
         raise ValueError("forcing length must match matrix size")
     lam = _require_renewal_preconditions(m, forcing)
-    k_exact = int(math.ceil(horizon / lam))
-    k_max = k_exact if truncation is None else int(truncation)
-    if k_max < k_exact:
-        warnings.warn(
-            f"truncation {k_max} below the exactness threshold {k_exact}; "
-            "the tail still reaches the window",
-            stacklevel=2,
-        )
-    n_terms = min(k_max, k_exact)  # the series stops at k_exact
+    n_terms = int(math.ceil(horizon / lam))
     if n_terms > _SERIES_CAP:
         raise ResourceLimitError(f"the renewal series needs {n_terms} terms (cap {_SERIES_CAP})")
     total = [f.clipped(horizon) for f in forcing]
     term = total
     # an overflow leaves an inf or nan, refused below: numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
+        for k in range(1, n_terms + 1):
             if k * lam > horizon:
                 break
             term = [

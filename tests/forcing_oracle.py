@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from gdcover.covering import ETA, ForcingContext, _CountTable
+from gdcover.covering import ETA, ForcingContext
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -59,7 +59,7 @@ def forcing_values(ctx: ForcingContext, spectral, t_grid) -> np.ndarray:
         for e in graph.out_edges(v):
             need[e.dst].extend(child_time(t, e) for t in t_grid)
     for v, ts in need.items():
-        ctx._fill(v, ts)
+        ctx.fill(v, ts)
     out = np.zeros((len(graph.vertex_order), t_grid.size))
     for row, v in enumerate(graph.vertex_order):
         for idx, t in enumerate(t_grid):
@@ -97,11 +97,10 @@ def predicted(graph, spectral, report, *, step=0.05, t_max=10.0, grid_origin=Non
     """The cross-check's prediction from the forcing on the whole grid:
     (n_y, n_vertices) for a periodic report, one row for a constant one."""
     a = spectral.limit_matrix
-    table = _CountTable(graph, grid_origin)
+    ctx = ForcingContext(graph, grid_origin)
     if report.kind == "periodic":
         tau, k_max = report.tau, max(report.n_values)
         points = [y + k * tau for y in report.y_grid for k in range(k_max + 1)]
-        ctx = ForcingContext(graph, _table=table)
         forcing = forcing_values(ctx, spectral, points)
         lookup = {t: i for i, t in enumerate(_sorted(points))}
         out = np.zeros((report.y_grid.size, len(graph.vertex_order)))
@@ -112,23 +111,23 @@ def predicted(graph, spectral, report, *, step=0.05, t_max=10.0, grid_origin=Non
             out[row] = tau * (sums @ a)
         return out
     points = np.linspace(0.0, t_max, int(round(t_max / step)) + 1)
-    ctx = ForcingContext(graph, _table=table)
     forcing = forcing_values(ctx, spectral, points)
     return np.array([_trapezoid(row, _sorted(points)) for row in forcing]) @ a
 
 
-def dense_window(graph, spectral, report, *, step):
+def dense_window(graph, spectral, profile, *, step):
     """The dense cross-check's prediction, each edge's window
-    [max(0, T - log(1/ratio)), T] with T the report's last t (0 when it is
-    negative) integrated by the trapezoid rule on a mesh of at most ``step``."""
+    [max(0, T - log(1/ratio)), T] with T the profile's last t (0 when it is
+    negative) integrated by the trapezoid rule on a mesh of at most ``step``,
+    on the profile's grid."""
     s0, col = spectral.s0, {v: k for k, v in enumerate(graph.vertex_order)}
-    ctx = ForcingContext(graph)
-    end = max(0.0, report.t_values[-1])
+    ctx = ForcingContext(graph, profile.grid_origin)
+    end = max(0.0, max(s.t for s in profile.samples))
     sums = np.zeros(len(col))
     for e in graph.edges.values():
         a = max(0.0, end - e.log_ratio)
         ts = np.linspace(a, end, math.ceil((end - a) / step) + 1).tolist()
-        ctx._fill(e.dst, ts)
+        ctx.fill(e.dst, ts)
         z = [normalized_count(ctx, spectral, e.dst, t) for t in ts]
         sums[col[e.src]] += e.ratio**s0 * _trapezoid(z, ts)
     return sums @ spectral.limit_matrix

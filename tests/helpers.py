@@ -252,6 +252,21 @@ def family_system(n: int, lattice: bool, seed: int) -> dict:
     }
 
 
+# ratios 1/2 and 1/256: lattice with tau = log 2, and edge b's log 256 = 8 tau
+# spans more than the 7 periods n = 4..10 a README-default profile samples
+LONG_EDGE_SYSTEM = {
+    "dimension": 1,
+    "vertices": [{"id": "X", "box": {"min": [0.0], "max": [1.0]}}],
+    "edges": [
+        {"id": "a", "from": "X", "to": "X", "ratio": 0.5, "ratio_rational": [1, 2],
+         "translation": [0.0]},
+        {"id": "b", "from": "X", "to": "X", "ratio": 0.00390625, "ratio_rational": [1, 256],
+         "translation": [0.99609375]},
+    ],
+    "separation": "SSC",
+}
+
+
 # a 2-d system file that fails one check of every kind validate makes:
 # overlapping seed boxes, a vertex with no out-edge, ratios outside (0, 1),
 # a sheared isometry, an image leaving its box, a rational ratio off by 1/6,

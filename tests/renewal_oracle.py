@@ -15,7 +15,6 @@ it bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -155,23 +154,15 @@ def vector_convolve(fs, m, merge_tol: float = ATOM_MERGE_TOL) -> list[StepFuncti
     return out
 
 
-def renewal_solve(m, forcing, horizon: float, truncation: int | None = None) -> list[StepFunction]:
+def renewal_solve(m, forcing, horizon: float) -> list[StepFunction]:
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if len(forcing) != m.n:
         raise ValueError("forcing length must match matrix size")
     lam = _require_renewal_preconditions(m, forcing)
-    k_exact = int(math.ceil(horizon / lam))
-    k_max = k_exact if truncation is None else int(truncation)
-    if k_max < k_exact:
-        warnings.warn(
-            f"truncation {k_max} below the exactness threshold {k_exact}; "
-            "the tail still reaches the window",
-            stacklevel=2,
-        )
     total = [clipped(f, horizon) for f in forcing]
     term = total
-    for k in range(1, k_max + 1):
+    for k in range(1, int(math.ceil(horizon / lam)) + 1):
         if k * lam > horizon:
             break
         term = [clipped(g, horizon) for g in vector_convolve(term, m)]

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 import forcing_oracle
 from helpers import (
     LN3,
+    LONG_EDGE_SYSTEM,
     cantor_graph,
     family_system,
     half_half_segment_graph,
@@ -17,7 +19,7 @@ from helpers import (
     two_ratio_graph,
 )
 
-from gdcover import asymptotics, schema
+from gdcover import asymptotics, covering, schema
 from gdcover.asymptotics import (
     analyze,
     classify_regime,
@@ -81,7 +83,7 @@ class TestClassifyRegime:
 
 class TestEstimateLimit:
     def test_lattice_report_shape(self, cantor, spectral_cache):
-        res = analyze(cantor, n_min=4, n_max=8, y_samples=4, with_cross_check=False)
+        res = analyze(cantor, n_min=4, n_max=8, y_samples=4)
         rep = res.report
         assert rep.kind == "periodic"
         assert rep.estimates.shape == (4, 1)
@@ -157,6 +159,27 @@ def _lattice_edges(graph: MWGraph) -> bool:
     )
 
 
+# the bundled systems that are cross-checked, and the benchmark's arguments
+# for the two that are slowest at README defaults
+CROSS_CHECKED = ["cantor", "cantor_point", "rotated2d", "sierpinski", "two_ratio", "two_vertex"]
+BENCH_ARGS = {name: dict(n_min=2, n_max=6, y_samples=4) for name in ("rotated2d", "sierpinski")}
+
+
+def _check_without_counting(graph, res):
+    """The cross-check of an analysis made again from its parts, with every
+    count table and walk forbidden."""
+    with mock.patch.object(covering._CountTable, "__init__", side_effect=AssertionError("table")), \
+            mock.patch.object(covering._Walk, "__init__", side_effect=AssertionError("walk")):
+        return cross_check(graph, res.spectral, res.report, res.profile)
+
+
+def _assert_same_check(got, want):
+    for field in ("predicted", "measured", "rel_discrepancy"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), field
+    assert got.max_rel_discrepancy == want.max_rel_discrepancy
+
+
 def _dense_system(bundled, name):
     """A dense system by name, with the analyze arguments its tests use."""
     if name == "family4_dense":
@@ -178,23 +201,15 @@ class TestCrossCheck:
         monkeypatch.setattr(asymptotics, "_LARGE_N", range(3, 9))
         res = analyze(cantor_segment)
         with pytest.raises(ValueError):
-            cross_check(cantor_segment, res.spectral, res.report)
+            cross_check(cantor_segment, res.spectral, res.report, res.profile)
 
     @pytest.mark.parametrize("field", ["tau", "n_values"])
     def test_periodic_report_without_its_grid_rejected(self, field):
         g = cantor_graph()
-        res = analyze(g, n_min=4, n_max=7, y_samples=2, with_cross_check=False)
+        res = analyze(g, n_min=4, n_max=7, y_samples=2)
         report = dataclasses.replace(res.report, **{field: None})
         with pytest.raises(ValueError, match="sampling grid"):
-            cross_check(g, res.spectral, report)
-
-    def test_constant_report_without_its_last_t_rejected(self, two_ratio):
-        res = analyze(two_ratio, with_cross_check=False)
-        assert res.report.t_values == tuple(res.profile.t_values().tolist())
-        assert len(res.report.t_values) == 24 and res.report.t_values[-1] == 14.0
-        report = dataclasses.replace(res.report, t_values=None)
-        with pytest.raises(ValueError, match="sampling grid"):
-            cross_check(two_ratio, res.spectral, report)
+            cross_check(g, res.spectral, report, res.profile)
 
     def test_dense_profile_below_zero_has_an_empty_window(self, two_ratio):
         # the forcing lives on t >= 0, so nothing of this profile predicts
@@ -229,7 +244,7 @@ class TestCrossCheck:
         prof = profile_at(graph, lattice_grid(tau, range(1, 5), [tau / 2]), spectral=sd)
         report = estimate_limit(prof, regime)
         want = forcing_oracle.predicted(graph, sd, report)
-        got = cross_check(graph, sd, report).predicted
+        got = cross_check(graph, sd, report, prof).predicted
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_dense_window_is_near_the_fine_oracle(self, two_ratio):
@@ -238,7 +253,7 @@ class TestCrossCheck:
         # the profile's 24 samples lies within 0.1% of it
         res = analyze(two_ratio)
         assert res.cross.kind == "constant"
-        want = forcing_oracle.dense_window(two_ratio, res.spectral, res.report, step=0.01)
+        want = forcing_oracle.dense_window(two_ratio, res.spectral, res.profile, step=0.01)
         np.testing.assert_allclose(res.cross.predicted, want, rtol=1e-3, atol=0)
 
     @pytest.mark.parametrize("name", ["two_ratio", "family4_dense", "long_edge"])
@@ -264,20 +279,59 @@ class TestCrossCheck:
         np.testing.assert_allclose(res.cross.predicted, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", ["two_ratio", "family4_dense"])
-    def test_dense_cross_check_counts_nothing_new(self, bundled, name, monkeypatch):
+    def test_dense_cross_check_counts_nothing_new(self, bundled, name):
         graph, kw = _dense_system(bundled, name)
-        sizes, check = [], asymptotics.cross_check
-
-        def spy(graph, spectral, report, *, _table):
-            sizes.append(len(_table.counts))
-            out = check(graph, spectral, report, _table=_table)
-            sizes.append(len(_table.counts))
-            return out
-
-        monkeypatch.setattr(asymptotics, "cross_check", spy)
         res = analyze(graph, **kw)
         assert res.cross.kind == "constant"
-        assert sizes == [len(graph.vertex_order) * len(res.profile.samples)] * 2
+        _assert_same_check(res.cross, _check_without_counting(graph, res))
+
+    @pytest.mark.parametrize(
+        "name, origin, kw",
+        [(name, origin, BENCH_ARGS.get(name, {})) for name in CROSS_CHECKED for origin in (0.0, 0.316)]
+        + [(name, 0.0, {}) for name in sorted(BENCH_ARGS)],
+        ids=[f"{name}-{origin}" for name in CROSS_CHECKED for origin in (0.0, 0.316)]
+        + [f"{name}-readme" for name in sorted(BENCH_ARGS)],
+    )
+    def test_standalone_check_is_the_analysis_check(self, bundled, name, origin, kw):
+        # the profile carries its grid origin and every count the check
+        # reads, so a check made apart from its analysis is that analysis's
+        # check, on any grid, and it builds no count table and no walk
+        graph = bundled[name]
+        res = analyze(graph, grid_origin=origin, **kw)
+        _assert_same_check(res.cross, _check_without_counting(graph, res))
+
+    @pytest.mark.parametrize(
+        "origin, want",
+        [
+            (0.0, [1.858724687321008, 2.2310858772436895, 2.7583765803303506,
+                   2.1671627176133836, 2.2265100641207196, 2.155751435545018,
+                   2.215479196751391, 2.3606909141032935]),
+            (0.316, [2.414311239990567, 2.391207528401226, 2.560213208781427,
+                     2.416529954356761, 2.4749462005820697, 2.3260403851526523,
+                     2.3669305863092163, 2.4877784635407836]),
+        ],
+        ids=["zero", "shifted"],
+    )
+    def test_long_lattice_edge_is_counted_on_the_profile_grid(self, origin, want, monkeypatch):
+        # edge b's window of 8 periods reaches n = 3, below the profile's
+        # n = 4..10: the check counts those 8 keys, one per offset, on a
+        # table of its own at the profile's grid origin, and nothing else
+        graph = schema.parse_system(LONG_EDGE_SYSTEM)
+        tables = []
+
+        def keep(*args):
+            tables.append(covering._CountTable(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(asymptotics, "_CountTable", keep)
+        res = analyze(graph, grid_origin=origin)
+        (table,) = tables
+        tau = res.report.tau
+        assert table.origin.tolist() == list(res.profile.grid_origin) == [origin]
+        assert set(table.counts) == {("X", 3 * tau + y) for y in res.report.y_grid.tolist()}
+        prof = profile_at(graph, sorted(t for _v, t in table.counts), grid_origin=origin)
+        assert [table.counts["X", s.t] for s in prof.samples] == [s.counts[0] for s in prof.samples]
+        assert res.cross.predicted[:, 0].tolist() == want
 
     def test_sierpinski_zero_shift_is_not_early(self, bundled):
         # at y = 0 the window points are the profile's own n*tau values, so
@@ -300,13 +354,13 @@ class TestCrossCheck:
         assert res.cross is None
         assert [n for n in res.notes if n.startswith("cross-check skipped")]
         with pytest.raises(ValidationError, match="vertex phases"):
-            cross_check(graph, res.spectral, res.report)
+            cross_check(graph, res.spectral, res.report, res.profile)
 
 
 class TestAnalyze:
     def test_two_vertex_total_is_vertex_sum(self, two_vertex):
         # seed boxes are disjoint, so union counts split exactly
-        res = analyze(two_vertex, n_min=4, n_max=8, y_samples=4, with_cross_check=False)
+        res = analyze(two_vertex, n_min=4, n_max=8, y_samples=4)
         totals = res.report.estimates.sum(axis=1)
         assert np.max(np.abs(totals - res.report.total_estimate)) <= 1e-9
 
@@ -322,7 +376,7 @@ class TestAnalyze:
             condensation={"X": [Primitive.point((1.5,))]},
             separation="SOSC",
         )
-        kw = dict(n_min=4, n_max=8, y_samples=4, with_cross_check=False)
+        kw = dict(n_min=4, n_max=8, y_samples=4)
         a = analyze(cantor_point, **kw)
         b = analyze(scaled, **kw)
         assert a.regime.regime == b.regime.regime
@@ -337,6 +391,6 @@ class TestAnalyze:
         dust = bundled["dust2d_edge"]
         monkeypatch.setattr(asymptotics, "_LARGE_N", range(2, 7))
         with pytest.warns(UserWarning):
-            res = analyze(dust, with_cross_check=False)
+            res = analyze(dust)
         assert res.notes
         assert res.report.kind == "divergent"

@@ -136,7 +136,7 @@ class TestValidate:
     def test_report_runs_no_certificate(self, corpus_files, tmp_path):
         with mock.patch.object(cli, "certify_separation", side_effect=AssertionError):
             rc = main(["report", corpus_files["cantor"], "--n-min", "3", "--n-max", "6",
-                       "--y-samples", "2", "--no-cross-check", "-o", str(tmp_path / "r")])
+                       "--y-samples", "2", "-o", str(tmp_path / "r")])
         assert rc == 0
 
     def test_no_certificate_for_a_failing_system(self, tmp_path, capsys):
@@ -351,6 +351,23 @@ class TestProfile:
         assert [int(row["N_X"]) for row in rows] == [s.counts[0] for s in want]
         assert [s.counts for s in want] != [s.counts for s in plain]
 
+    def test_indices_past_exact_floats_refused(self, tmp_path, capsys):
+        # ratio 1/1000: at t = 40 a cell index reaches 2.4e17, past 2^53, and
+        # the int64 cast of indices past 2^63 used to warn twice and go on
+        doc = {"dimension": 1, "vertices": [{"id": "X", "box": {"min": [0.0], "max": [1.0]}}],
+               "edges": [{"id": "a", "from": "X", "to": "X", "ratio": 0.001, "translation": [0.0]},
+                         {"id": "b", "from": "X", "to": "X", "ratio": 0.001,
+                          "translation": [0.999]}]}
+        p = tmp_path / "thousandth.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["profile", str(p), "--tmin", "30", "--tmax", "60", "--samples", "7"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: cell indices at r = 8.75651e-27 reach 2^53, past exact float integers\n")
+        assert main(["profile", str(p), "--tmin", "30", "--tmax", "35", "--samples", "2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [int(row["N_X"]) for row in rows] == [32, 64]
+
     def test_bad_period_rejected(self, corpus_files, capsys):
         rc = main(["profile", corpus_files["cantor"], "--period", "sometimes"])
         assert rc == 1
@@ -532,6 +549,7 @@ class TestRenewal:
             # a NaN step used to hang the periodic limit
             ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "tau": NaN}', "tau"),
             ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "tau": -1.0}', "tau"),
+            # truncation is no longer a setting: refused like any unknown key
             ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "truncation": "x"}',
              "truncation"),
             ('{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]], "truncation": -1}',
@@ -540,6 +558,12 @@ class TestRenewal:
                 '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]],'
                 ' "samples_per_period": 0}',
                 "samples_per_period",
+            ),
+            # misspelled settings are refused, not silently replaced by defaults
+            (
+                '{"M": [[[[1.0, 1.0]]]], "L": [[[0.0, 1.0], [1.0, 0.0]]],'
+                ' "horizn": 5.0, "tua": 0.6931471805599453}',
+                "unknown top-level keys ['horizn', 'tua']",
             ),
             # gaps of 1e-12 pass the parse, but 10000 + 1e-12 rounds to 10000
             (
@@ -550,7 +574,8 @@ class TestRenewal:
         ],
         ids=["unordered_breakpoints", "nan_location", "one_number_pair", "colliding_breakpoints",
              "infinite_horizon", "nan_tau", "negative_tau", "string_truncation",
-             "negative_truncation", "zero_samples_per_period", "large_shift_collision"],
+             "negative_truncation", "zero_samples_per_period", "misspelled_keys",
+             "large_shift_collision"],
     )
     def test_malformed_reduced_file_rejected(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.json"
@@ -735,6 +760,13 @@ class TestArgparse:
     def test_missing_file_argument(self):
         with pytest.raises(SystemExit) as exc:
             main(["dim"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd", ["analyze", "report"])
+    def test_cross_check_flag_is_gone(self, corpus_files, cmd):
+        # every analysis that is neither divergent nor phased is cross-checked
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, corpus_files["cantor"], "--no-cross-check"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("cmd, flag", [("lattice", "--eps"), ("dim", "--tol")])

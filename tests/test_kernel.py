@@ -27,6 +27,7 @@ from helpers import (
     piece_rows,
     set_pieces,
     shape_pieces,
+    two_ratio_graph,
 )
 
 from gdcover import asymptotics, covering
@@ -39,7 +40,7 @@ from gdcover.covering import (
     _union_runs,
     _Walk,
 )
-from gdcover.errors import ResourceLimitError
+from gdcover.errors import NumericalError, ResourceLimitError
 from gdcover.geometry import Box, Primitive, Similarity, rotation_2d
 from gdcover.graph import Edge, MWGraph, Path
 from gdcover.spectral import solve_s0
@@ -265,7 +266,7 @@ def test_profile_and_forcing_share_the_oracle_counts(bundled):
 def test_count_at_beyond_the_grid_rewalks(bundled):
     graph = bundled["cantor_point"]
     ctx = covering.ForcingContext(graph)
-    ctx._fill("X", [1.0, 2.0])
+    ctx.fill("X", [1.0, 2.0])
     r = math.exp(-4.0)
     (want,), _ = oracle.count(oracle.generate(graph, "X", r), r)
     assert ctx.count_at("X", 4.0) == want
@@ -547,6 +548,26 @@ def test_total_over_vertices_hits_the_cell_cap(two_vertex):
             covering.profile_at(two_vertex, ts)
 
 
+def test_indices_past_exact_floats_are_refused_before_any_walk():
+    # ratio 1/1000 on [0, 1]: at t = 40 a cell index reaches 1/r = 2.4e17,
+    # past 2^53, where floats skip integers (and past 2^63 the int64 cast
+    # is invalid); t <= 35 stays below it and counts as before
+    graph = two_ratio_graph(0.001, 0.001)
+    prof = covering.profile_at(graph, [30.0, 35.0])
+    assert [s.counts for s in prof.samples] == [(32,), (64,)]
+    r = math.exp(-40.0)
+    with mock.patch.object(_Walk, "__init__", side_effect=AssertionError("walk")):
+        with pytest.raises(NumericalError, match=f"r = {r:.6g}"):
+            covering.profile_at(graph, [35.0, 40.0])
+    gset = covering.generate(graph, "X", r)
+    with pytest.raises(NumericalError, match="2\\^53"):
+        covering.count(gset, r)
+    # the bound is on the distance to the grid origin
+    with pytest.raises(NumericalError):
+        covering.profile_at(two_ratio_graph(), [10.0], grid_origin=1e12)
+    assert covering.profile_at(two_ratio_graph(), [10.0], grid_origin=1e11).samples
+
+
 def _raises_cap(fn, *args, **kwargs) -> bool:
     try:
         fn(*args, **kwargs)
@@ -581,27 +602,20 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
 @pytest.mark.parametrize("name", ["cantor", "two_vertex", "sierpinski"])
 def test_analyze_counts_each_key_once(bundled, name):
     # lattice systems: every point of the cross-check's windows is a profile
-    # t, so the cross-check counts nothing the profile did not
+    # t, so the cross-check reads the profile's counts and counts nothing
     graph = bundled[name]
     counted = []
-    tables = []
     runs = _Walk.runs
-    init = _CountTable.__init__
 
     def spy(walk, r, *args, **kwargs):
         counted.extend((walk.vertex, float(x)) for x in np.atleast_1d(r))
         return runs(walk, r, *args, **kwargs)
 
-    def keep(table, *args, **kwargs):
-        init(table, *args, **kwargs)
-        tables.append(table)
-
-    with mock.patch.object(_Walk, "runs", spy), mock.patch.object(_CountTable, "__init__", keep):
+    with mock.patch.object(_Walk, "runs", spy):
         res = asymptotics.analyze(graph, n_min=3, n_max=6, y_samples=4)
     assert res.cross is not None and res.report.tau == res.lattice.tau
     assert counted and len(counted) == len(set(counted))
-    (table,) = tables
-    assert set(table.counts) == {(v, s.t) for s in res.profile.samples for v in graph.vertex_order}
+    assert set(counted) == {(v, s.r) for s in res.profile.samples for v in graph.vertex_order}
 
 
 # -- runs in one dimension -------------------------------------------------------

@@ -329,12 +329,6 @@ class TestRenewalSolve:
         with pytest.raises(ValidationError):
             renewal_solve(m, bad, 5.0)
 
-    def test_short_truncation_warns(self):
-        m = scalar_measure(*MIX)
-        forcing = [StepFunction.indicator(0.0, LN2)]
-        with pytest.warns(UserWarning, match="truncation"):
-            renewal_solve(m, forcing, 30.0, truncation=3)
-
     def test_overflowing_solution_is_refused_without_a_warning(self):
         # 1e308 on [0, 1000] passes check_dri, but the series' sum of its
         # shifted copies overflows: one NumericalError, no numpy warning
@@ -348,14 +342,11 @@ class TestRenewalSolve:
 
     def test_series_past_the_term_cap(self):
         # ceil(horizon / lambda_min) terms: refused past the cap before any
-        # is formed, unless a truncation forms fewer
+        # is formed
         m = scalar_measure(*MIX)
         forcing = [StepFunction.indicator(0.0, 1.0)]
         with pytest.raises(ResourceLimitError, match="needs 1442696 terms"):
             renewal_solve(m, forcing, 1e6)
-        with pytest.warns(UserWarning, match="truncation"):
-            (f,) = renewal_solve(m, forcing, 1e6, truncation=3)
-        assert f(0.5) == 1.0
 
     def test_two_vertex_system_settles_onto_periodic_limit(self):
         g = two_vertex_graph()
