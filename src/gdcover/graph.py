@@ -262,19 +262,14 @@ def validate(graph: MWGraph) -> ValidationReport:
     src = np.array([graph.vertex_index(e.src) for e in shaped], dtype=int)
     dst = np.array([graph.vertex_index(e.dst) for e in shaped], dtype=int)
     defect = np.abs(qt @ q - np.eye(d)).max(axis=(1, 2))
-    # distance scaling spot check on random point pairs: one block of the
-    # stream that one (4, d) draw per edge would take, norms as
-    # sqrt(x . x) per difference, and the worst of each edge's three
-    pts = np.random.default_rng(0).standard_normal((count, 4, d))
-    imgs = ratio[:, None, None] * pts @ qt + shift
-
-    def norms(v: np.ndarray) -> np.ndarray:
-        diff = np.diff(v, axis=1)
-        return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-
-    base = norms(pts)
-    rel = np.abs(norms(imgs) - ratio[:, None] * base) / np.maximum(base, 1e-300)
-    worst = np.fmax.reduce(rel, axis=1, initial=0.0)
+    # distance scaling over all v: |Q v| / |v| spans [sigma_min, sigma_max]
+    # of Q (Golub-Van Loan 2.5), so the worst relative defect of
+    # |ratio Q v| against ratio |v| is max |sigma_i - 1|; a Q with a
+    # non-finite entry has no SVD and fails with defect inf
+    finite = np.isfinite(q).all(axis=(1, 2))
+    worst = np.full(count, np.inf)
+    sigma = np.linalg.svd(q[finite], compute_uv=False)
+    worst[finite] = np.abs(sigma - 1.0).max(axis=1, initial=0.0)
     # containment: image of the 2^d corners of the target box, within the
     # axes the source box has
     hi_bit = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1 == 1

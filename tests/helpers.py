@@ -267,6 +267,21 @@ LONG_EDGE_SYSTEM = {
 }
 
 
+# the ratio-1/4 Cantor set on [10^6, 10^6 + 1]: differences of far
+# coordinates round at ulp(10^6), about 1e-10, but the maps scale distances
+# exactly
+FAR_CANTOR_SYSTEM = {
+    "dimension": 1,
+    "vertices": [{"id": "X", "box": {"min": [1e6], "max": [1e6 + 1]}}],
+    "edges": [
+        {"id": "a", "from": "X", "to": "X", "ratio": 0.25, "ratio_rational": [1, 4],
+         "translation": [750000.0]},
+        {"id": "b", "from": "X", "to": "X", "ratio": 0.25, "ratio_rational": [1, 4],
+         "translation": [750000.75]},
+    ],
+}
+
+
 # a 2-d system file that fails one check of every kind validate makes:
 # overlapping seed boxes, a vertex with no out-edge, ratios outside (0, 1),
 # a sheared isometry, an image leaving its box, a rational ratio off by 1/6,
@@ -480,7 +495,6 @@ def validate_loop(graph: MWGraph) -> ValidationReport:
                 "" if ok else "seed boxes overlap on an open set",
             )
 
-    rng = np.random.default_rng(0)
     for e in graph.edges.values():
         sim = e.map
         rep.add(
@@ -498,14 +512,12 @@ def validate_loop(graph: MWGraph) -> ValidationReport:
             defect <= ORTHOGONALITY_TOL,
             f"defect={defect:.3e}",
         )
-        # distance scaling spot check on random point pairs
-        pts = rng.standard_normal((4, d))
-        imgs = sim.apply(pts)
-        worst = 0.0
-        for i in range(3):
-            base = float(np.linalg.norm(pts[i + 1] - pts[i]))
-            got = float(np.linalg.norm(imgs[i + 1] - imgs[i]))
-            worst = max(worst, abs(got - sim.ratio * base) / max(base, 1e-300))
+        # distance scaling over all v: the worst |sigma_i(Q) - 1|, inf for
+        # a Q with a non-finite entry
+        worst = math.inf
+        if np.isfinite(sim.isometry).all():
+            sigma = np.linalg.svd(sim.isometry, compute_uv=False)
+            worst = max([abs(float(s) - 1.0) for s in sigma], default=0.0)
         rep.add(
             f"distance-scaling[{e.id}]",
             worst <= 1e-12,

@@ -4,6 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import BUNDLED_NAMES
 from helpers import (
     FAILING_SYSTEM,
+    FAR_CANTOR_SYSTEM,
     LN2,
     LN3,
     family_system,
@@ -178,6 +183,45 @@ class TestValidate:
         assert "FAIL ratio-rational[a]" not in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_far_coordinates_scale_distances_exactly(self, tmp_path, capsys):
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(FAR_CANTOR_SYSTEM), encoding="utf-8")
+        assert main(["validate", str(p)]) == 0
+        assert "PASS distance-scaling[a]  (relative defect=0.000e+00)" in capsys.readouterr().out
+        assert main(["analyze", str(p)]) == 0
+
+    def test_no_run_loads_numpy_random(self, tmp_path):
+        # validate, analyze and the graph_family chain, in a fresh interpreter
+        system = tmp_path / "two_vertex.json"
+        system.write_text(bundled_text("two_vertex"), encoding="utf-8")
+        member = tmp_path / "member.json"
+        member.write_text(json.dumps(family_system(4, True, 1)), encoding="utf-8")
+        script = """
+import contextlib, io, json, sys
+import numpy
+bare = "numpy.random" in sys.modules
+from gdcover import cli, graph, lattice, renewal, schema, spectral
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(["validate", sys.argv[1]]), cli.main(["analyze", sys.argv[1]])]
+g = schema.parse_system(json.load(open(sys.argv[2])))
+assert graph.validate(g).ok
+m = renewal.transfer_measure(g, spectral.solve_s0(g).s0)
+forcing = [renewal.StepFunction.indicator(0.0, 1.0) for _ in range(m.n)]
+renewal.renewal_solve(m, forcing, 10.0)
+renewal.limit_value(m, forcing, lattice=lattice.classify_graph(g))
+print(json.dumps([bare, rcs, "numpy.random" in sys.modules]))
+"""
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script, str(system), str(member)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        bare, rcs, loaded = json.loads(out)
+        if bare:
+            pytest.skip("a bare import numpy loads numpy.random")
+        assert rcs == [0, 0]
+        assert not loaded
+
 
 def _pin_files(root):
     """The bundled systems, two 22-vertex graph_family-shaped files and a file
@@ -203,24 +247,25 @@ def _exit_and_digest(argv):
 
 
 class TestBytePins:
-    """``validate --json`` and ``dim --json``, byte for byte as recorded before
-    the dimension bisection took its side margin from the matrix size and
-    validate ran its checks as array passes."""
+    """``validate --json`` and ``dim --json``, byte for byte: ``dim`` as
+    recorded before the dimension bisection took its side margin from the
+    matrix size, ``validate`` since distance scaling is read from singular
+    values."""
 
     # exit code and the first 16 hex digits of the sha256 of stdout, for
     # validate --json and dim --json
     PINS = {
-        "cantor": ((0, "103f6e0ecc4da3ee"), (0, "c8fd4f93b235d934")),
-        "cantor_point": ((0, "5971b902caa55973"), (0, "c8fd4f93b235d934")),
-        "cantor_segment": ((0, "1bada9f430677f34"), (0, "c8fd4f93b235d934")),
-        "dust2d_edge": ((0, "8ce44c2cfe7b69ae"), (0, "c8fd4f93b235d934")),
-        "rotated2d": ((0, "3747971f51d2baec"), (0, "36587f12e1b1de01")),
+        "cantor": ((0, "fe8d7f6b39a3dcdd"), (0, "c8fd4f93b235d934")),
+        "cantor_point": ((0, "af158d5ab71e6f69"), (0, "c8fd4f93b235d934")),
+        "cantor_segment": ((0, "e50381baa669cd17"), (0, "c8fd4f93b235d934")),
+        "dust2d_edge": ((0, "a57278f5323557c0"), (0, "c8fd4f93b235d934")),
+        "rotated2d": ((0, "d5288caeeda17fbb"), (0, "36587f12e1b1de01")),
         "sierpinski": ((0, "8c8b8b11cfab539d"), (0, "22a2bc6299ba0176")),
-        "two_ratio": ((0, "9e35ee6a12a03424"), (0, "0d9678907f5e1580")),
-        "two_vertex": ((0, "344dbed15e88c09e"), (0, "6caebae35ab45148")),
-        "family22_dense": ((0, "905ade910424171b"), (0, "cf47e44a41202b1c")),
-        "family22_lattice": ((0, "ffddded5b2183d3b"), (0, "63f9be0fd3b0c921")),
-        "failing": ((1, "72eda24bfdea471b"), (1, "e3b0c44298fc1c14")),
+        "two_ratio": ((0, "7d8f298f4ad02a63"), (0, "0d9678907f5e1580")),
+        "two_vertex": ((0, "f0f785d93bd5fec1"), (0, "6caebae35ab45148")),
+        "family22_dense": ((0, "881bbab6d8507bbc"), (0, "cf47e44a41202b1c")),
+        "family22_lattice": ((0, "a8c1763f962121ad"), (0, "63f9be0fd3b0c921")),
+        "failing": ((1, "2b0189e91e4a1839"), (1, "e3b0c44298fc1c14")),
     }
 
     @pytest.fixture(scope="class")

@@ -88,6 +88,41 @@ class TestValidate:
         )
         assert not validate(g).ok
 
+    def test_distance_scaling_finds_the_worst_direction(self):
+        # Q = I + 4.9e-13 J stretches (1, 1, 1) by 1 + 1.47e-12, past the
+        # 1e-12 bound, though Q^T Q - I stays under ORTHOGONALITY_TOL
+        q = np.eye(3) + 4.9e-13 * np.ones((3, 3))
+        g = MWGraph(
+            3,
+            {"X": Box((0.0,) * 3, (1.0,) * 3)},
+            [Edge("a", "X", "X", Similarity(0.5, q, (0.0,) * 3)),
+             Edge("b", "X", "X", Similarity(0.5, q, (0.5,) * 3))],
+        )
+        checks = {c.name: c for c in validate(g).checks}
+        for e in "ab":
+            assert checks[f"isometry-orthogonal[{e}]"].passed
+            assert checks[f"isometry-orthogonal[{e}]"].detail == "defect=9.801e-13"
+            assert not checks[f"distance-scaling[{e}]"].passed
+            assert checks[f"distance-scaling[{e}]"].detail == "relative defect=1.470e-12"
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_isometry_fails_without_raising(self):
+        # the schema refuses non-finite entries; a graph built in Python can
+        # still carry one, and it has no singular values
+        g = MWGraph(
+            1,
+            {"X": Box((0.0,), (1.0,))},
+            [Edge("a", "X", "X", Similarity(0.5, [[math.nan]], (0.0,))),
+             Edge("b", "X", "X", Similarity(0.5, [[1.0]], (0.5,)))],
+        )
+        rep = validate(g)
+        checks = {c.name: c for c in rep.checks}
+        assert not checks["isometry-orthogonal[a]"].passed
+        assert not checks["distance-scaling[a]"].passed
+        assert checks["distance-scaling[a]"].detail == "relative defect=inf"
+        assert checks["distance-scaling[b]"].passed
+        assert rep.checks == validate_loop(g).checks
+
     def test_vertex_without_out_edge_is_fatal(self):
         g = MWGraph(
             1,
@@ -178,13 +213,6 @@ class TestValidateAgainstLoop:
     @given(graph=checked_systems())
     def test_same_checks(self, graph):
         assert validate(graph).checks == validate_loop(graph).checks
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_block_draws_what_one_draw_per_edge_does(self, d):
-        per_edge = np.random.default_rng(0)
-        block = np.random.default_rng(0).standard_normal((7, 4, d))
-        for k in range(7):
-            assert block[k].tobytes() == per_edge.standard_normal((4, d)).tobytes()
 
     def test_bundled_systems(self, bundled):
         for name, graph in bundled.items():
