@@ -23,7 +23,6 @@ from .covering import (
     CELL_CAP,
     CoveringProfile,
     IntegralResult,
-    _CountTable,
     condensation_integral,
     lattice_grid,
     profile_at,
@@ -298,7 +297,7 @@ def cross_check(
     if report.kind == "divergent":
         raise ValueError("cross-check applies to the small-condensation regime only")
     edges = list(graph.edges.values())
-    counts = {(v, s.t): c for s in profile.samples for v, c in zip(profile.vertex_order, s.counts)}
+    counts = _sample_counts(profile)
     tau = y_grid = samples = None
     if report.kind == "periodic":
         tau, y_grid = report.tau, report.y_grid
@@ -318,10 +317,9 @@ def cross_check(
         missing = {(e.dst, t) for row in windows for e, ts in zip(edges, row) for t in ts
                    if (e.dst, t) not in counts}
         if missing:
-            table = _CountTable(graph, profile.grid_origin)
-            for v in {v for v, _t in missing}:
-                table.fill(v, [t for u, t in missing if u == v])
-            counts.update(table.counts)
+            counts.update(_sample_counts(profile_at(
+                graph, sorted({t for _v, t in missing}), spectral=spectral,
+                grid_origin=profile.grid_origin)))
     else:
         # sorted(set()), not np.unique: on floats that imports numpy.ma
         samples = sorted({s.t for s in profile.samples})
@@ -350,6 +348,11 @@ def cross_check(
         y_grid=y_grid,
         tau=tau,
     )
+
+
+def _sample_counts(profile: CoveringProfile) -> dict[tuple[str, float], int]:
+    """``{(vertex, t): count}`` over the samples of a profile."""
+    return {(v, s.t): c for s in profile.samples for v, c in zip(profile.vertex_order, s.counts)}
 
 
 def _phase_note(graph: MWGraph, tau: float) -> str | None:

@@ -1029,6 +1029,10 @@ def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:
     """
     if r <= 0:
         raise ValueError("resolution must be positive")
+    # the origin nearest every seed-box corner, the middle of their hull: a
+    # radius refused there is refused at every grid origin
+    corners = _seed_corners(graph)
+    _check_index_range(graph, r, (corners.min(axis=(0, 1)) + corners.max(axis=(0, 1))) / 2)
     return GeometrySet(vertex, r, _Walk(graph, vertex, r))
 
 
@@ -1045,12 +1049,16 @@ def _run_axis(graph: MWGraph) -> int:
     return graph.dimension - 1 - int(np.argmax(extent[::-1]))
 
 
+def _seed_corners(graph: MWGraph) -> np.ndarray:
+    """(vertices, 2, d): the low and high corners of each seed box."""
+    return np.array([[b.lo, b.hi] for b in map(graph.seed_box, graph.vertex_order)])
+
+
 def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
     """Refuse a radius at which a cell index of a seed-box corner reaches
     2^53: past it a float does not hold every integer, so indices are not
     exact, and past 2^63 their int64 cast is invalid."""
-    corners = np.array([[b.lo, b.hi] for b in map(graph.seed_box, graph.vertex_order)])
-    if float(np.max(np.abs(corners - origin))) / r >= 2.0**53:
+    if float(np.max(np.abs(_seed_corners(graph) - origin))) / r >= 2.0**53:
         raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
 
 
@@ -1128,60 +1136,29 @@ def _distinct_radii(ts: list):
     return np.unique(np.array([math.exp(-t) for t in ts], dtype=float), return_inverse=True)
 
 
-class _CountTable:
-    """Covering counts N_v(t) on one grid.
+def _totals(graph: MWGraph, origin: np.ndarray, ts) -> dict[float, CountResult]:
+    """Per-vertex counts N_v(t) and the total over all vertices at each t on
+    the grid at ``origin``, deduplicated across vertices.
 
-    Holds one walk per vertex, rebuilt deeper only when a finer radius is
-    asked for, and the ``{(vertex, t): count}`` dict that ``fill`` writes.
-    Radii are counted in groups (``_groups``), each in one array pass per
-    vertex.
+    One walk per vertex, down to the finest radius, serves every t; the radii
+    are counted a group (``_groups``) at a time, each in one array pass per
+    vertex.  Nothing outlives the call.
     """
-
-    def __init__(self, graph: MWGraph, grid_origin=None) -> None:
-        self.graph = graph
-        self.origin = _origin_vector(grid_origin, graph.dimension)
-        self.axis = _run_axis(graph)
-        self.counts: dict[tuple[str, float], int] = {}
-        self.walks: dict[str, _Walk] = {}
-
-    def walk(self, vertex: str, r_min: float) -> _Walk:
-        walk = self.walks.get(vertex)
-        if walk is None or walk.r_min > r_min:
-            walk = self.walks[vertex] = _Walk(self.graph, vertex, r_min)
-        return walk
-
-    def _passes(self, vertices, radii: np.ndarray):
-        """Runs of ``vertices`` at an ascending array of distinct radii, one
-        radius group at a time: yields the group's index range ``a, b`` and
-        one run array per vertex, tagged when the group has several radii."""
-        if not radii.size:
-            return
-        _check_index_range(self.graph, radii[0], self.origin)
-        walks = [self.walk(v, radii[0]) for v in vertices]
-        for a, b in _groups(sum(w.work(radii, self.axis) for w in walks)):
-            r = radii[a] if b - a == 1 else radii[a:b]
-            yield a, b, [w.runs(r, self.origin, self.axis) for w in walks]
-
-    def fill(self, vertex: str, ts) -> None:
-        """Count one vertex at every t not yet in the table."""
-        todo = list({float(t) for t in ts if (vertex, float(t)) not in self.counts})
-        radii, which = _distinct_radii(todo)
-        counts = np.zeros(radii.size, dtype=np.int64)
-        for a, b, (runs,) in self._passes([vertex], radii):
-            counts[a:b] = _cell_count(runs, None if b - a == 1 else b - a)
-        self.counts.update(((vertex, t), c) for t, c in zip(todo, counts[which].tolist()))
-
-    def totals(self, ts) -> dict[float, CountResult]:
-        """Per-vertex counts and the total over all vertices at each t,
-        deduplicated across vertices."""
-        order = self.graph.vertex_order
-        ts = list(set(ts))
-        radii, which = _distinct_radii(ts)
-        results: list = [None] * radii.size
-        for a, b, runs in self._passes(order, radii):
-            res = _count_runs(order, runs, None if b - a == 1 else b - a)
-            results[a:b] = [res] if b - a == 1 else res
-        return {t: results[k] for t, k in zip(ts, which.tolist())}
+    order = graph.vertex_order
+    ts = list(set(ts))
+    radii, which = _distinct_radii(ts)
+    if not radii.size:
+        return {}
+    _check_index_range(graph, radii[0], origin)
+    axis = _run_axis(graph)
+    walks = [_Walk(graph, v, radii[0]) for v in order]
+    results: list = []
+    for a, b in _groups(sum(w.work(radii, axis) for w in walks)):
+        r = radii[a] if b - a == 1 else radii[a:b]
+        res = _count_runs(order, [w.runs(r, origin, axis) for w in walks],
+                          None if b - a == 1 else b - a)
+        results += [res] if b - a == 1 else res
+    return {t: results[k] for t, k in zip(ts, which.tolist())}
 
 
 def count(
@@ -1252,7 +1229,7 @@ def profile_at(
     """
     if spectral is None:
         spectral = solve_s0(graph)
-    table = _CountTable(graph, grid_origin)
+    origin = _origin_vector(grid_origin, graph.dimension)
     normalized = []
     for item in t_points:
         if isinstance(item, tuple):
@@ -1260,7 +1237,7 @@ def profile_at(
         else:
             normalized.append((float(item), None, None))
     normalized.sort(key=lambda x: x[0])
-    counted = table.totals([t for t, _n, _y in normalized])
+    counted = _totals(graph, origin, [t for t, _n, _y in normalized])
     samples = []
     for t, n, y in normalized:
         r = math.exp(-t)
@@ -1281,7 +1258,7 @@ def profile_at(
     return CoveringProfile(
         vertex_order=graph.vertex_order,
         s0=spectral.s0,
-        grid_origin=tuple(table.origin.tolist()),
+        grid_origin=tuple(origin.tolist()),
         samples=tuple(samples),
     )
 
@@ -1380,9 +1357,20 @@ def condensation_integral(
 # -- the count reader of the forcing oracle ----------------------------------
 
 
-class ForcingContext(_CountTable):
-    """A count table read one ``(vertex, t)`` at a time, the reader of the
-    renewal forcing's test oracle; a count finer than its walks rewalks."""
+class ForcingContext:
+    """Covering counts N_v(t) on one grid, read one ``(vertex, t)`` at a
+    time: the count reader of the renewal forcing's test oracle."""
+
+    def __init__(self, graph: MWGraph, grid_origin=None) -> None:
+        self.graph = graph
+        self.origin = _origin_vector(grid_origin, graph.dimension)
+        self.counts: dict[tuple[str, float], int] = {}
+
+    def fill(self, vertex: str, ts) -> None:
+        """Count every vertex at each t of ``ts`` that ``vertex`` lacks."""
+        todo = {float(t) for t in ts if (vertex, float(t)) not in self.counts}
+        for t, res in _totals(self.graph, self.origin, todo).items():
+            self.counts.update(((v, t), c) for v, c in zip(res.vertex_order, res.per_vertex))
 
     def count_at(self, vertex: str, t: float) -> int:
         key = (vertex, float(t))

@@ -261,22 +261,25 @@ def validate(graph: MWGraph) -> ValidationReport:
     shift = np.array([e.map.translation for e in shaped]).reshape(count, 1, d)
     src = np.array([graph.vertex_index(e.src) for e in shaped], dtype=int)
     dst = np.array([graph.vertex_index(e.dst) for e in shaped], dtype=int)
-    defect = np.abs(qt @ q - np.eye(d)).max(axis=(1, 2))
-    # distance scaling over all v: |Q v| / |v| spans [sigma_min, sigma_max]
-    # of Q (Golub-Van Loan 2.5), so the worst relative defect of
-    # |ratio Q v| against ratio |v| is max |sigma_i - 1|; a Q with a
-    # non-finite entry has no SVD and fails with defect inf
-    finite = np.isfinite(q).all(axis=(1, 2))
-    worst = np.full(count, np.inf)
-    sigma = np.linalg.svd(q[finite], compute_uv=False)
-    worst[finite] = np.abs(sigma - 1.0).max(axis=1, initial=0.0)
-    # containment: image of the 2^d corners of the target box, within the
-    # axes the source box has
-    hi_bit = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1 == 1
-    corners = np.where(hi_bit, hi[dst, None, :d], lo[dst, None, :d])
-    images = ratio[:, None, None] * corners @ qt + shift
-    inside = ((lo[src, None, :d] - tol <= images) & (images <= hi[src, None, :d] + tol)
-              | (axes[:d] >= dims[src, None, None])).all(axis=(1, 2))
+    # entries near the float range overflow to inf, and the checks below
+    # fail with it: numpy's overflow warning would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(qt @ q - np.eye(d)).max(axis=(1, 2))
+        # distance scaling over all v: |Q v| / |v| spans [sigma_min, sigma_max]
+        # of Q (Golub-Van Loan 2.5), so the worst relative defect of
+        # |ratio Q v| against ratio |v| is max |sigma_i - 1|; a Q with a
+        # non-finite entry has no SVD and fails with defect inf
+        finite = np.isfinite(q).all(axis=(1, 2))
+        worst = np.full(count, np.inf)
+        sigma = np.linalg.svd(q[finite], compute_uv=False)
+        worst[finite] = np.abs(sigma - 1.0).max(axis=1, initial=0.0)
+        # containment: image of the 2^d corners of the target box, within the
+        # axes the source box has
+        hi_bit = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1 == 1
+        corners = np.where(hi_bit, hi[dst, None, :d], lo[dst, None, :d])
+        images = ratio[:, None, None] * corners @ qt + shift
+        inside = ((lo[src, None, :d] - tol <= images) & (images <= hi[src, None, :d] + tol)
+                  | (axes[:d] >= dims[src, None, None])).all(axis=(1, 2))
 
     shaped_checks = zip(defect.tolist(), worst.tolist(), inside.tolist())
     for e, ok in zip(edges, shape_ok):

@@ -167,9 +167,8 @@ BENCH_ARGS = {name: dict(n_min=2, n_max=6, y_samples=4) for name in ("rotated2d"
 
 def _check_without_counting(graph, res):
     """The cross-check of an analysis made again from its parts, with every
-    count table and walk forbidden."""
-    with mock.patch.object(covering._CountTable, "__init__", side_effect=AssertionError("table")), \
-            mock.patch.object(covering._Walk, "__init__", side_effect=AssertionError("walk")):
+    walk, and so every count, forbidden."""
+    with mock.patch.object(covering._Walk, "__init__", side_effect=AssertionError("walk")):
         return cross_check(graph, res.spectral, res.report, res.profile)
 
 
@@ -314,23 +313,25 @@ class TestCrossCheck:
     )
     def test_long_lattice_edge_is_counted_on_the_profile_grid(self, origin, want, monkeypatch):
         # edge b's window of 8 periods reaches n = 3, below the profile's
-        # n = 4..10: the check counts those 8 keys, one per offset, on a
-        # table of its own at the profile's grid origin, and nothing else
+        # n = 4..10: the check counts those 8 points, one per offset, on a
+        # profile of their own at the profile's grid origin, and nothing else
         graph = schema.parse_system(LONG_EDGE_SYSTEM)
-        tables = []
+        profiles = []
 
-        def keep(*args):
-            tables.append(covering._CountTable(*args))
-            return tables[-1]
+        def keep(*args, **kwargs):
+            profiles.append(profile_at(*args, **kwargs))
+            return profiles[-1]
 
-        monkeypatch.setattr(asymptotics, "_CountTable", keep)
+        monkeypatch.setattr(asymptotics, "profile_at", keep)
         res = analyze(graph, grid_origin=origin)
-        (table,) = tables
+        main, extra = profiles
+        assert main is res.profile
         tau = res.report.tau
-        assert table.origin.tolist() == list(res.profile.grid_origin) == [origin]
-        assert set(table.counts) == {("X", 3 * tau + y) for y in res.report.y_grid.tolist()}
-        prof = profile_at(graph, sorted(t for _v, t in table.counts), grid_origin=origin)
-        assert [table.counts["X", s.t] for s in prof.samples] == [s.counts[0] for s in prof.samples]
+        assert extra.grid_origin == res.profile.grid_origin == (origin,)
+        assert [s.t for s in extra.samples] == [3 * tau + y for y in res.report.y_grid.tolist()]
+        assert len(extra.samples) == 8
+        prof = profile_at(graph, [s.t for s in extra.samples], grid_origin=origin)
+        assert [s.counts for s in extra.samples] == [s.counts for s in prof.samples]
         assert res.cross.predicted[:, 0].tolist() == want
 
     def test_sierpinski_zero_shift_is_not_early(self, bundled):

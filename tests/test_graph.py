@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -122,6 +123,21 @@ class TestValidate:
         assert checks["distance-scaling[a]"].detail == "relative defect=inf"
         assert checks["distance-scaling[b]"].passed
         assert rep.checks == validate_loop(g).checks
+
+    def test_huge_isometry_fails_without_a_warning(self):
+        # entries near the float range overflow in Q^T Q and in the corner
+        # images: the checks fail with it, and numpy warns of nothing
+        g = MWGraph(
+            2,
+            {"X": Box((0.0, 0.0), (1.0, 1.0))},
+            [Edge("a", "X", "X", Similarity(0.5, [[1e308, 1e308], [1e308, 1e308]], (0.0, 0.0))),
+             Edge("b", "X", "X", Similarity(0.5, [[1.0, 0.0], [0.0, 1.0]], (0.5, 0.5)))],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = validate(g)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"isometry-orthogonal[a]", "distance-scaling[a]", "containment[a]"}
 
     def test_vertex_without_out_edge_is_fatal(self):
         g = MWGraph(

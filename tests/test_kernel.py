@@ -34,9 +34,9 @@ from gdcover import asymptotics, covering
 from gdcover.covering import (
     _BoxAxes,
     _cell_count,
-    _CountTable,
     _origin_vector,
     _run_cells,
+    _totals,
     _union_runs,
     _Walk,
 )
@@ -272,6 +272,21 @@ def test_count_at_beyond_the_grid_rewalks(bundled):
     assert ctx.count_at("X", 4.0) == want
 
 
+def test_fill_counts_every_vertex(bundled):
+    # a fill for one vertex counts the others at the same t: reading them
+    # walks nothing, and every count is the profile's
+    graph = bundled["two_vertex"]
+    ts = [0.4, 1.3, 2.2]
+    ctx = covering.ForcingContext(graph)
+    ctx.fill("P", ts)
+    prof = covering.profile_at(graph, ts)
+    with mock.patch.object(_Walk, "__init__", side_effect=AssertionError("walk")):
+        assert [ctx.count_at("Q", t) for t in ts] == [s.counts[1] for s in prof.samples]
+    assert ctx.counts == {
+        (v, s.t): c for s in prof.samples for v, c in zip(prof.vertex_order, s.counts)
+    }
+
+
 def test_child_time_snaps_float_noise_to_zero(bundled):
     edge = bundled["sierpinski"].out_edges("X")[0]
     assert forcing_oracle.child_time(edge.log_ratio - 1e-16, edge) == 0.0
@@ -417,7 +432,7 @@ def test_space_profile_matches_one_radius_counts(origin):
 # -- many radii in one pass -------------------------------------------------------
 #
 # ``_Walk.runs(radii)`` counts a sorted array of radii at once, and
-# ``_CountTable`` groups radii by work before it does.  Every count must equal
+# ``_totals`` groups radii by work before it does.  Every count must equal
 # the one-radius pass ``runs(r)``, itself checked against the oracle above.
 
 EXACT_TS = tuple(n * LN3 for n in range(4)) + tuple(n * LN2 for n in range(6))
@@ -461,12 +476,11 @@ def test_batched_counts_match_one_radius_passes(graph, ts, origin_pick, budget):
     radii = np.array(sorted({math.exp(-t) for t in ts}))
     walk = _Walk(graph, "X", radii[0])
     want = [_pass_cells(walk, r, origin).shape[0] for r in radii]
-    table = _CountTable(graph, origin)
     with mock.patch.object(covering, "_WORK", budget):
-        table.fill("X", ts)
+        got = _totals(graph, _origin_vector(origin, graph.dimension), ts)
     for t in ts:
         r = math.exp(-t)
-        assert table.counts[("X", float(t))] == want[int(np.searchsorted(radii, r))]
+        assert got[t].count("X") == want[int(np.searchsorted(radii, r))]
 
 
 def _one_kind(pieces, kind: str, k: int | None = None) -> list:
@@ -559,12 +573,15 @@ def test_indices_past_exact_floats_are_refused_before_any_walk():
     with mock.patch.object(_Walk, "__init__", side_effect=AssertionError("walk")):
         with pytest.raises(NumericalError, match=f"r = {r:.6g}"):
             covering.profile_at(graph, [35.0, 40.0])
-    gset = covering.generate(graph, "X", r)
-    with pytest.raises(NumericalError, match="2\\^53"):
-        covering.count(gset, r)
+        # no grid origin counts it: generate refuses it too
+        with pytest.raises(NumericalError, match="2\\^53"):
+            covering.generate(graph, "X", r)
     # the bound is on the distance to the grid origin
     with pytest.raises(NumericalError):
         covering.profile_at(two_ratio_graph(), [10.0], grid_origin=1e12)
+    gset = covering.generate(two_ratio_graph(), "X", math.exp(-10.0))
+    with pytest.raises(NumericalError, match="2\\^53"):
+        covering.count(gset, grid_origin=1e12)
     assert covering.profile_at(two_ratio_graph(), [10.0], grid_origin=1e11).samples
 
 
@@ -594,7 +611,7 @@ def test_batched_and_one_radius_paths_hit_tiny_caps_alike(graph, ts):
     # the walk's node cap trips on both paths
     with mock.patch.object(covering, "PATH_CAP", 2):
         with pytest.raises(ResourceLimitError):
-            _CountTable(graph).fill("X", ts + [5.0])
+            _totals(graph, np.zeros(graph.dimension), ts + [5.0])
         with pytest.raises(ResourceLimitError):
             covering.generate(graph, "X", math.exp(-5.0))
 
@@ -767,7 +784,7 @@ def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
         with pytest.raises(ResourceLimitError, match="enumeration"):
             covering.count(covering.generate(cantor_segment, "X", r), r)
         with pytest.raises(ResourceLimitError, match="enumeration"):
-            _CountTable(cantor_segment).fill("X", [1.0, 3.0])
+            _totals(cantor_segment, np.zeros(1), [1.0, 3.0])
 
 
 @pytest.mark.parametrize("origin, want", [(0.0, 442_414), (0.1, 442_415)])
@@ -956,12 +973,11 @@ def test_size_ordered_selection_matches_level_masks(graph, ts, origin_pick):
                         continue
                     want = _node_rows(walk, oracle.pick(walk, v, masks[1]))
                     assert _node_rows(walk, serving.get((v, True), [])) == want
-        table = _CountTable(graph, origin)
-        table.fill(root, ts_root)
+        got = _totals(graph, _origin_vector(origin, graph.dimension), ts_root)
         for t in ts_root:
             r = math.exp(-t)
             (want,), _ = oracle.count(oracle.generate(graph, root, r), r, grid_origin=origin)
-            assert table.counts[(root, float(t))] == want
+            assert got[t].count(root) == want
 
 
 # -- properties of random small systems ---------------------------------------------
