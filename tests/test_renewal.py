@@ -67,6 +67,12 @@ class TestAtomicMeasure:
         mu = AtomicMeasure.from_atoms([(1.0, 0.0), (2.0, 1.0)])
         assert mu.n_atoms == 1
 
+    @pytest.mark.parametrize("atom", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)],
+                             ids=["inf-location", "nan-location", "nan-weight"])
+    def test_non_finite_atoms_rejected(self, atom):
+        with pytest.raises(ValidationError, match="finite"):
+            AtomicMeasure.from_atoms([(0.5, 0.5), atom])
+
 
 class TestTransferMeasure:
     def test_masses_equal_transposed_pressure_matrix(self, bundled, spectral_cache):
