@@ -1169,10 +1169,15 @@ def count(
     """Per-vertex and total cell counts for one or several covering sets.
 
     The total deduplicates cells shared between vertices, so it equals the
-    count of the union attractor on the common grid.
+    count of the union attractor on the common grid; sets of different
+    resolutions or dimensions share no grid and are refused.
     """
     if isinstance(sets, GeometrySet):
         sets = {sets.vertex: sets}
+    for what, values in (("dimensions", {s._walk.graph.dimension for s in sets.values()}),
+                         ("radii", {s.resolution for s in sets.values()})):
+        if len(values) > 1:
+            raise ValueError(f"sets of {what} {sorted(values)} share no grid")
     axis = _run_axis(next(iter(sets.values()))._walk.graph) if sets else None
     return _count_runs(sets, [_set_runs(sets[v], r, grid_origin, axis) for v in sets])
 

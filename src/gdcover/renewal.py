@@ -304,7 +304,7 @@ class StepFunction:
         vals = np.array(values, dtype=float).ravel()
         if bp.shape != vals.shape:
             raise ValueError("breakpoints and values must have equal length")
-        if bp.size and (np.diff(bp) <= 0).any():
+        if np.isnan(bp).any() or not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         bp.setflags(write=False)
         vals.setflags(write=False)

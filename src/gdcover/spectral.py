@@ -4,7 +4,10 @@ The central object is the one-parameter family of nonnegative matrices
 whose (i, j) entry sums ``ratio^s`` over the edges from vertex i to
 vertex j.  Its spectral radius decreases strictly in ``s``; the parameter
 ``s0`` where the radius crosses one is the similarity dimension of the
-system and normalizes everything downstream.
+system and normalizes everything downstream.  Each entry is a sum of
+exponentials in ``s``, hence log-convex, and the spectral radius of a
+matrix of log-convex functions is log-convex (Kingman 1961), so Newton's
+method on the log radius finds ``s0`` from below.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ __all__ = [
 POWER_REL_TOL = 1e-14
 POWER_MAX_ITER = 100_000
 S0_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 # power steps between bracket checks grow from 2 to this; a stop wastes the rest of its block
 _BLOCK = 16
 
@@ -79,38 +83,12 @@ def _dense_perron(b: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec / s
 
 
-def side_margin(n: int) -> float:
-    """How far the Collatz-Wielandt bracket of an n x n nonnegative ``b``
-    must clear 2 to prove the side of 2 that a converged run's estimate
-    ``(lo + hi) / 2`` lies on.
-
-    With u = 2^-53 and gamma_n = n u / (1 - n u), a computed ``(b @ x)_i``
-    is within a factor 1 +- gamma_n of the exact one (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1), and its quotient by ``x_i``
-    adds a factor 1 +- u.  So any run's computed ``lo`` is at most
-    (1 + gamma_n)(1 + u) rho and its ``hi`` at least (1 - gamma_n)(1 - u)
-    rho, rho the Perron root.  A run converged at ``POWER_REL_TOL`` has
-    ``lo >= hi (1 - POWER_REL_TOL (1 + u))``.  Hence, with F = (1 + gamma_n)
-    (1 + u) / ((1 - gamma_n)(1 - u)(1 - POWER_REL_TOL (1 + u))), a ``lo``
-    above 2 F puts every converged estimate at or above 2, and a ``hi``
-    below 2 - (2 F - 2), which is at most 2 / F, puts it below 2.  The
-    margin is twice the excess 2 F - 2: 6.0e-14 at n = 22, 1.3e-13 at
-    n = 100 and 9.3e-13 at n = 1000.
-    """
-    u = 2.0**-53
-    gamma = n * u / (1.0 - n * u)
-    f = (1.0 + gamma) * (1.0 + u) / ((1.0 - gamma) * (1.0 - u) * (1.0 - POWER_REL_TOL * (1.0 + u)))
-    return 2.0 * (2.0 * f - 2.0)
-
-
-def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
+def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int):
     """Power iteration on ``b`` from the positive ``x``: ``y = b @ x``, then
     ``x = y / y.sum()``.  Min and max of ``y / x`` bracket the Perron root
     (Collatz-Wielandt); they are formed a block of steps at a time.  Returns
-    ``(lo, hi, x, latest)`` at the first of at most ``max_iter`` steps whose
-    bracket converged or, with ``side``, lies beyond ``2 +- side_margin(n)``
-    (None if none does); ``latest`` is the last iterate made."""
-    margin = side_margin(b.shape[0])
+    ``(lo, hi, x)`` at the first of at most ``max_iter`` steps whose bracket
+    converged, or None if none does."""
     # the same BLAS product and pairwise sum as b @ x and y.sum(), with less
     # call overhead per step
     product, total = b.dot, np.add.reduce
@@ -125,11 +103,9 @@ def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
         quot = np.divide(ys, xs)
         lo, hi = quot.min(axis=1), quot.max(axis=1)
         stop = hi - lo <= POWER_REL_TOL * hi
-        if side:
-            stop |= (lo > 2.0 + margin) | (hi < 2.0 - margin)
         if stop.any():
             k = int(stop.argmax())
-            return float(lo[k]), float(hi[k]), xs[k], x
+            return float(lo[k]), float(hi[k]), xs[k]
         done += len(xs)
         block = min(2 * block, _BLOCK)
     return None
@@ -149,42 +125,12 @@ def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
-    hit = _power_steps(b, np.full(n, 1.0 / n), POWER_MAX_ITER, side=False)
+    hit = _power_steps(b, np.full(n, 1.0 / n), POWER_MAX_ITER)
     if hit is None:
         lam, vec = _dense_perron(b)
         return lam - 1.0, vec
-    lo, hi, x, _latest = hit
+    lo, hi, x = hit
     return (lo + hi) / 2 - 1.0, x / x.sum()
-
-
-def _radius_at_least_one(a: np.ndarray, start: np.ndarray | None = None):
-    """``spectral_radius(a) >= 1.0`` for a nonnegative float matrix.
-
-    Runs the same iteration as :func:`spectral_radius` but answers as soon
-    as the bracket of ``a + I`` lies beyond ``2 +- side_margin(n)``, which
-    proves the side of the converged estimate; inside the margin it iterates
-    to that estimate (or the dense fallback) and compares it, so the answer
-    never differs.  Only where rounding can decide the side, a warm
-    ``start`` that converges or stalls inside the margin, does the uniform
-    vector rerun.  Also returns the latest iterate, the next call's warm
-    start.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0]) >= 1.0, None
-    b = a + np.eye(n)
-    cold = np.full(n, 1.0 / n)
-    margin = side_margin(n)
-    for x in (start, cold):
-        hit = None if x is None else _power_steps(b, x, POWER_MAX_ITER, side=True)
-        if hit is not None:
-            lo, hi, _x, latest = hit
-            # a converged bracket beyond the margin gives its estimate's side
-            if lo > 2.0 + margin or hi < 2.0 - margin:
-                return lo > 2.0 + margin, latest
-            if x is cold:
-                return (lo + hi) / 2 - 1.0 >= 1.0, latest
-    return _dense_perron(b)[0] - 1.0 >= 1.0, None
 
 
 def spectral_radius(a) -> float:
@@ -246,14 +192,18 @@ class SpectralData:
 
 
 def solve_s0(graph: MWGraph) -> SpectralData:
-    """Similarity dimension by bisection on the spectral radius.
+    """Similarity dimension by Newton's method on the log spectral radius.
 
-    The radius is strictly decreasing in ``s``, so the unique root of
-    ``radius(s) = 1`` is bracketed by doubling from ``s = 1`` and then
-    bisected until the bracket is exhausted at double precision; the
-    returned value satisfies ``|radius(s0) - 1| <= S0_TOL``.  Each step only
-    needs the side of 1 the radius lies on, which power iteration (from the
-    previous step's iterate) usually settles long before it converges.
+    Every entry of the pressure matrix is a sum of exponentials ``ratio^s``,
+    so ``log radius(s)`` is convex in ``s`` (Kingman 1961) and strictly
+    decreasing.  Newton's method started at ``s = 0``, below the root of
+    ``radius(s) = 1``, therefore rises to the root without passing it; the
+    derivative ``-(v M u) / (radius * v u)`` needs only the right and left
+    Perron vectors ``u``, ``v`` and the moment matrix ``M`` that the result
+    holds anyway.  It stops at the first step that does not raise ``s``,
+    where only rounding is left, and the returned value satisfies
+    ``|radius(s0) - 1| <= S0_TOL``; a radius within ``S0_TOL`` of 1 at
+    ``s = 0`` gives ``s0 = 0``.
     """
     if not strongly_connected(graph):
         raise NumericalError("graph is not strongly connected")
@@ -264,36 +214,29 @@ def solve_s0(graph: MWGraph) -> SpectralData:
         raise NumericalError(
             f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
         )
-    if abs(r0 - 1.0) <= S0_TOL:
-        s0 = 0.0
+    s0 = 0.0
+    for _ in range(NEWTON_MAX_ITER):
+        a0 = build(s0)
+        _require_irreducible(a0)
+        rho, u = _power_perron(a0)
+        v = _left_perron(a0, rho)
+        moments = build_moment_matrix(graph, s0)
+        if abs(r0 - 1.0) <= S0_TOL:  # s0 = 0
+            break
+        # the Newton step on log radius(s), whose derivative is -(v M u) / (rho v u)
+        s = s0 + math.log(rho) * rho * float(v @ u) / float(v @ moments @ u)
+        if not s > s0:
+            break
+        if s > 1e6:
+            raise NumericalError(f"the dimension exceeds 1e6 (a Newton step reached {s:.6g})")
+        s0 = s
     else:
-        lo, hi = 0.0, 1.0
-        above, x = _radius_at_least_one(build(hi))
-        while above:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e6:
-                raise NumericalError("failed to bracket the dimension")
-            above, x = _radius_at_least_one(build(hi), x)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            above, x = _radius_at_least_one(build(mid), x)
-            if above:
-                lo = mid
-            else:
-                hi = mid
-        s0 = 0.5 * (lo + hi)
-    a0 = build(s0)
-    rho, u = _power_perron(a0)
+        raise NumericalError(f"Newton's method did not settle in {NEWTON_MAX_ITER} steps")
     resid = abs(rho - 1.0)
     if resid > S0_TOL:
         raise NumericalError(f"dimension residual {resid:.3e} exceeds {S0_TOL:.3e}")
-    _require_irreducible(a0)
-    v = _left_perron(a0, rho)
     v = v / v.sum()
     u = u / float(v @ u)
-    moments = build_moment_matrix(graph, s0)
     denom = float(v @ moments @ u)
     if denom <= 0:
         raise NumericalError("nonpositive mean renewal step")

@@ -1,5 +1,5 @@
 """Loop-based reference for the renewal series, the periodic limit and the
-``s0`` bisection.
+``s0`` Newton iteration.
 
 This is the straightforward path that ``gdcover.renewal`` and
 ``gdcover.spectral`` replace with array-native fast paths: the atom merge
@@ -7,10 +7,11 @@ and the breakpoint merge walk every value in a Python loop,
 ``vector_convolve``, the mass and moment matrices and the least atom
 location walk all n^2 matrix entries, every step function goes through the
 validating constructor, the periodic limit evaluates the forcing at one
-point at a time, power iteration checks its bracket after every step, and
-every bisection step runs it from the uniform vector to full convergence.
+point at a time, and power iteration checks its bracket after every step.
 It is kept only as a differential oracle; the package's results must equal
-it bit for bit.
+it bit for bit.  ``bisect_s0``, the exhaustive bisection that every side
+decision runs to full convergence, is a second reference for ``s0`` that
+the package must match to within rounding, not bit for bit.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from gdcover.renewal import (
     _require_renewal_preconditions,
 )
 from gdcover.spectral import (
+    NEWTON_MAX_ITER,
     POWER_MAX_ITER,
     POWER_REL_TOL,
     S0_TOL,
@@ -35,7 +37,6 @@ from gdcover.spectral import (
     build_matrix,
     build_moment_matrix,
     is_irreducible,
-    side_margin,
 )
 
 
@@ -200,19 +201,15 @@ def periodic_limit(m, forcing, phases, tau: float, samples_per_period: int = 64)
     return rows
 
 
-def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int, side: bool):
+def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int):
     """Power iteration on ``b`` from ``x`` with the bracket checked after every
     step: ``(k, lo, hi, x)`` at the first step ``k`` whose bracket has
-    converged or, with ``side``, lies beyond ``2 +- side_margin(n)``; None
-    when ``max_iter`` steps pass without a stop."""
-    margin = side_margin(b.shape[0])
+    converged; None when ``max_iter`` steps pass without a stop."""
     for k in range(max_iter):
         y = b @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
         if hi - lo <= POWER_REL_TOL * hi:
-            return k, lo, hi, x
-        if side and (lo > 2.0 + margin or hi < 2.0 - margin):
             return k, lo, hi, x
         x = y / y.sum()
     return None
@@ -257,45 +254,41 @@ def spectral_radius(a, *, want_vectors: bool = False, rel_tol: float = POWER_REL
     return rho, right, left
 
 
-def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
-    """Bisection where every decision runs power iteration to convergence."""
+def _radius_at_zero(graph: MWGraph) -> float:
     if not strongly_connected(graph):
         raise NumericalError("graph is not strongly connected")
-
-    def radius(s: float) -> float:
-        return spectral_radius(build_matrix(graph, s))
-
-    r0 = radius(0.0)
+    r0 = spectral_radius(build_matrix(graph, 0.0))
     if r0 < 1.0 - 1e-12:
         raise NumericalError(
             f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
         )
-    if abs(r0 - 1.0) <= tol:
-        s0 = 0.0
+    return r0
+
+
+def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
+    """Newton's method on ``log radius(s)`` from ``s = 0``, one step at a
+    time, every radius and Perron vector from a full power run."""
+    r0 = _radius_at_zero(graph)
+    s0 = 0.0
+    for _ in range(NEWTON_MAX_ITER):
+        a0 = build_matrix(graph, s0)
+        rho, u, v = spectral_radius(a0, want_vectors=True)
+        moments = build_moment_matrix(graph, s0)
+        if abs(r0 - 1.0) <= tol:
+            break
+        s = s0 + math.log(rho) * rho * float(v @ u) / float(v @ moments @ u)
+        if not s > s0:
+            break
+        if s > 1e6:
+            raise NumericalError(f"the dimension exceeds 1e6 (a Newton step reached {s:.6g})")
+        s0 = s
     else:
-        lo, hi = 0.0, 1.0
-        while radius(hi) >= 1.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e6:
-                raise NumericalError("failed to bracket the dimension")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if radius(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        s0 = 0.5 * (lo + hi)
-    resid = abs(radius(s0) - 1.0)
+        raise NumericalError(f"Newton's method did not settle in {NEWTON_MAX_ITER} steps")
+    resid = abs(rho - 1.0)
     if resid > tol:
         raise NumericalError(f"dimension residual {resid:.3e} exceeds {tol:.3e}")
-
-    a0 = build_matrix(graph, s0)
-    _rho, u, v = spectral_radius(a0, want_vectors=True)
     v = v / v.sum()
     u = u / float(v @ u)
-    moments = build_moment_matrix(graph, s0)
     denom = float(v @ moments @ u)
     if denom <= 0:
         raise NumericalError("nonpositive mean renewal step")
@@ -308,3 +301,28 @@ def solve_s0(graph: MWGraph, tol: float = S0_TOL) -> SpectralData:
         limit_matrix=limit,
         vertex_order=graph.vertex_order,
     )
+
+
+def bisect_s0(graph: MWGraph, tol: float = S0_TOL) -> float:
+    """``s0`` by bisection until the bracket is exhausted at double
+    precision, every side decision from a full power run."""
+
+    def radius(s: float) -> float:
+        return spectral_radius(build_matrix(graph, s))
+
+    r0 = _radius_at_zero(graph)
+    if abs(r0 - 1.0) <= tol:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while radius(hi) >= 1.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            raise NumericalError("failed to bracket the dimension")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return 0.5 * (lo + hi)
+        if radius(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid

@@ -302,12 +302,12 @@ class TestCrossCheck:
     @pytest.mark.parametrize(
         "origin, want",
         [
-            (0.0, [1.858724687321008, 2.2310858772436895, 2.7583765803303506,
-                   2.1671627176133836, 2.2265100641207196, 2.155751435545018,
-                   2.215479196751391, 2.3606909141032935]),
-            (0.316, [2.414311239990567, 2.391207528401226, 2.560213208781427,
-                     2.416529954356761, 2.4749462005820697, 2.3260403851526523,
-                     2.3669305863092163, 2.4877784635407836]),
+            (0.0, [1.8587246873210084, 2.231085877243691, 2.758376580330351,
+                   2.167162717613384, 2.2265100641207205, 2.1557514355450187,
+                   2.2154791967513923, 2.360690914103295]),
+            (0.316, [2.4143112399905675, 2.3912075284012264, 2.560213208781428,
+                     2.4165299543567613, 2.4749462005820715, 2.326040385152653,
+                     2.3669305863092176, 2.4877784635407845]),
         ],
         ids=["zero", "shifted"],
     )

@@ -247,24 +247,23 @@ def _exit_and_digest(argv):
 
 
 class TestBytePins:
-    """``validate --json`` and ``dim --json``, byte for byte: ``dim`` as
-    recorded before the dimension bisection took its side margin from the
-    matrix size, ``validate`` since distance scaling is read from singular
-    values."""
+    """``validate --json`` and ``dim --json``, byte for byte: ``dim`` since
+    ``s0`` is found by Newton's method, ``validate`` since distance scaling
+    is read from singular values."""
 
     # exit code and the first 16 hex digits of the sha256 of stdout, for
     # validate --json and dim --json
     PINS = {
-        "cantor": ((0, "fe8d7f6b39a3dcdd"), (0, "c8fd4f93b235d934")),
-        "cantor_point": ((0, "af158d5ab71e6f69"), (0, "c8fd4f93b235d934")),
-        "cantor_segment": ((0, "e50381baa669cd17"), (0, "c8fd4f93b235d934")),
-        "dust2d_edge": ((0, "a57278f5323557c0"), (0, "c8fd4f93b235d934")),
+        "cantor": ((0, "fe8d7f6b39a3dcdd"), (0, "8627ec7325a850a1")),
+        "cantor_point": ((0, "af158d5ab71e6f69"), (0, "8627ec7325a850a1")),
+        "cantor_segment": ((0, "e50381baa669cd17"), (0, "8627ec7325a850a1")),
+        "dust2d_edge": ((0, "a57278f5323557c0"), (0, "8627ec7325a850a1")),
         "rotated2d": ((0, "d5288caeeda17fbb"), (0, "36587f12e1b1de01")),
-        "sierpinski": ((0, "8c8b8b11cfab539d"), (0, "22a2bc6299ba0176")),
-        "two_ratio": ((0, "7d8f298f4ad02a63"), (0, "0d9678907f5e1580")),
-        "two_vertex": ((0, "f0f785d93bd5fec1"), (0, "6caebae35ab45148")),
-        "family22_dense": ((0, "881bbab6d8507bbc"), (0, "cf47e44a41202b1c")),
-        "family22_lattice": ((0, "a8c1763f962121ad"), (0, "63f9be0fd3b0c921")),
+        "sierpinski": ((0, "8c8b8b11cfab539d"), (0, "4ae90922a8eec3ec")),
+        "two_ratio": ((0, "7d8f298f4ad02a63"), (0, "e0b235d357805ba3")),
+        "two_vertex": ((0, "f0f785d93bd5fec1"), (0, "1f920769f55884ab")),
+        "family22_dense": ((0, "881bbab6d8507bbc"), (0, "6541b33f4f64a2bc")),
+        "family22_lattice": ((0, "a8c1763f962121ad"), (0, "895a52ccc6e7bd11")),
         "failing": ((1, "2b0189e91e4a1839"), (1, "e3b0c44298fc1c14")),
     }
 

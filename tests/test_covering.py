@@ -193,6 +193,17 @@ class TestCount:
                 count(gs, r)
         assert count(gs, None) == count(gs, 0.1)
 
+    def test_sets_of_different_radii_or_dimensions_rejected(self, bundled):
+        # cells of two sizes or of two dimensions make no common grid
+        g = bundled["two_vertex"]
+        mixed = {"P": generate(g, "P", math.exp(-5)), "Q": generate(g, "Q", math.exp(-7))}
+        with pytest.raises(ValueError, match=r"radii \[0\.000911.*, 0\.00673.*\] share no grid"):
+            count(mixed)
+        planes = {"C": generate(bundled["cantor"], "X", 0.1),
+                  "S": generate(bundled["sierpinski"], "X", 0.1)}
+        with pytest.raises(ValueError, match=r"dimensions \[1, 2\] share no grid"):
+            count(planes)
+
     def test_cell_cap(self, cantor):
         gs = generate(cantor, "X", 1e-3)
         with pytest.raises(ResourceLimitError), mock.patch.object(covering, "CELL_CAP", 4):

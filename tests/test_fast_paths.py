@@ -1,10 +1,11 @@
-"""Differential tests: the renewal series and the ``s0`` bisection against
-``renewal_oracle``, bit for bit.
+"""Differential tests: the renewal series and the ``s0`` Newton iteration
+against ``renewal_oracle``, bit for bit.
 
 The oracle merges breakpoints and atoms one value at a time, convolves all
-n^2 matrix entries and runs every bisection step to full convergence.  The
+n^2 matrix entries and checks every power run after every step.  The
 package must reproduce its breakpoints, values, ``s0`` and Perron data
-exactly, not merely to a tolerance.
+exactly, not merely to a tolerance; its ``s0`` must also lie within
+rounding of the oracle's exhaustive bisection.
 """
 import math
 from fractions import Fraction
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 import renewal_oracle as oracle
 from conftest import BUNDLED_NAMES
-from helpers import line_map, phase_graph
+from helpers import family_system, line_map, phase_graph
 
-from gdcover import renewal, spectral
+from gdcover import renewal, schema, spectral
 from gdcover.geometry import Box
 from gdcover.graph import Edge, MWGraph
 from gdcover.renewal import AtomicMeasure, MatrixMeasure, StepFunction
@@ -71,9 +72,17 @@ def assert_same_solve(m, forcing, horizon):
     assert_same_outcome(renewal.renewal_solve, oracle.renewal_solve, m, forcing, horizon)
 
 
-def check_graph(graph, horizon):
+def check_s0(graph):
+    """``solve_s0(graph)``, checked bit for bit against the oracle's Newton
+    iteration and to within 1e-13 against its bisection."""
     sd = spectral.solve_s0(graph)
     assert_same_spectral(sd, oracle.solve_s0(graph))
+    assert abs(sd.s0 - oracle.bisect_s0(graph)) <= 1e-13 * max(1.0, sd.s0)
+    return sd
+
+
+def check_graph(graph, horizon):
+    sd = check_s0(graph)
     m = renewal.transfer_measure(graph, sd.s0)
     forcing = [StepFunction.indicator(0.0, 1.0) for _ in range(m.n)]
     assert_same_solve(m, forcing, horizon)
@@ -280,3 +289,11 @@ class TestRenewalAgainstOracle:
 
     def test_phase_system(self):
         check_graph(phase_graph(), horizon=15.0)
+
+
+class TestNewtonAgainstOracle:
+    @pytest.mark.parametrize("n", [18, 22])
+    @pytest.mark.parametrize("lattice", [False, True], ids=["dense", "lattice"])
+    def test_family_members(self, n, lattice):
+        for seed in (1, 2):
+            check_s0(schema.parse_system(family_system(n, lattice, seed)))

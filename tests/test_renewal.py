@@ -138,6 +138,18 @@ class TestStepFunction:
         assert g.breakpoints.tolist() == want[0]
         assert g.values.tolist() == want[1]
 
+    @pytest.mark.parametrize("bps", [[0.0, math.nan, 1.0], [math.nan], [1.0, 1.0], [math.inf, math.inf]],
+                             ids=["nan-inside", "nan-alone", "repeated", "repeated-inf"])
+    def test_unordered_breakpoints_rejected(self, bps):
+        # NaN and inf - inf compare false both ways, so no difference of
+        # neighbours can show them out of order
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepFunction(bps, [1.0] * len(bps))
+
+    def test_infinite_breakpoints_accepted(self):
+        f = StepFunction([-math.inf, 0.0, math.inf], [1.0, 2.0, 0.0])
+        assert f(-1.0) == 1.0 and f(5.0) == 2.0
+
     def test_convolve_with_dirac_shifts(self):
         f = StepFunction.indicator(0.0, 1.0)
         g = f.convolve_measure(dirac(2.0, 0.5))

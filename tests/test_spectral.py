@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     TWO_VERTEX_S0,
     bisect_root,
     cantor_graph,
+    family_system,
     line_map,
     perron_triple,
     sierpinski_graph,
@@ -19,7 +21,7 @@ from gdcover.covering import profile
 from gdcover.errors import NumericalError
 from gdcover.graph import Edge, MWGraph
 from gdcover.geometry import Box
-from gdcover import spectral
+from gdcover import schema, spectral
 from gdcover.spectral import (
     build_matrix,
     build_moment_matrix,
@@ -86,36 +88,6 @@ class TestSpectralRadius:
         assert np.all(u > 0) and np.all(v > 0)
         assert np.allclose(a @ u, rho * u, atol=1e-12)
         assert np.allclose(v @ a, rho * v, atol=1e-12)
-
-
-class TestRadiusSide:
-    """The bisection's early side decision against the full iteration."""
-
-    # columns sum to one, so the radius is exactly 1; the uniform start
-    # vector is not the Perron vector, so the bracket narrows onto 1 slowly
-    UNIT = np.array([[0.5, 0.25, 0.0], [0.5, 0.5, 0.3], [0.0, 0.25, 0.7]])
-
-    def test_radius_exactly_one_iterates_to_the_full_estimate(self):
-        assert spectral._radius_at_least_one(self.UNIT)[0] == (
-            spectral_radius(self.UNIT) >= 1.0
-        )
-
-    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 - 1e-13, 1 + 1e-13, 1 + 1e-9, 0.5, 2.0])
-    def test_side_matches_full_iteration(self, scale):
-        a = self.UNIT * scale
-        assert spectral._radius_at_least_one(a)[0] == (spectral_radius(a) >= 1.0)
-
-    def test_dense_fallback_decides_like_spectral_radius(self, monkeypatch):
-        monkeypatch.setattr(spectral, "POWER_MAX_ITER", 1)
-        for scale in (1 - 1e-13, 1.0, 1 + 1e-13):
-            a = self.UNIT * scale
-            assert spectral._radius_at_least_one(a)[0] == (
-                spectral_radius(a) >= 1.0
-            ), scale
-
-    def test_scalar(self):
-        assert spectral._radius_at_least_one(np.array([[1.0]]))[0]
-        assert not spectral._radius_at_least_one(np.array([[np.nextafter(1.0, 0.0)]]))[0]
 
 
 class TestSolveS0:
@@ -198,6 +170,101 @@ class TestSolveS0:
         )
         with pytest.raises(NumericalError):
             solve_s0(g)
+
+
+def loops(*ratios) -> MWGraph:
+    """One vertex on the unit interval with a self-loop per ratio."""
+    return MWGraph(
+        1,
+        {"X": Box((0.0,), (1.0,))},
+        [Edge(f"e{k}", "X", "X", line_map(r, 0.0)) for k, r in enumerate(ratios)],
+    )
+
+
+class TestNewtonIteration:
+    @pytest.mark.parametrize(
+        "make, num, den", [(cantor_graph, 2, 3), (sierpinski_graph, 3, 2)], ids=["cantor", "sierpinski"]
+    )
+    def test_closed_forms_within_one_ulp(self, make, num, den):
+        # log num / log den to 40 digits
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(num).ln() / Decimal(den).ln()
+            s0 = solve_s0(make()).s0
+            assert abs(Decimal(s0) - exact) <= Decimal(math.ulp(s0))
+
+    def test_no_iterate_passes_the_root(self, bundled, monkeypatch):
+        # log radius(s) is convex, so every Newton iterate from s = 0 stays
+        # below the root: no radius the solver reads falls below 1 by more
+        # than the tolerance
+        radii = []
+        real = spectral._power_perron
+
+        def reading(a):
+            rho, vec = real(a)
+            radii.append(rho)
+            return rho, vec
+
+        monkeypatch.setattr(spectral, "_power_perron", reading)
+        graphs = dict(bundled)
+        for n in (4, 8, 22):
+            for lattice in (False, True):
+                for seed in (1, 2):
+                    graphs[f"family{n}-{lattice}-{seed}"] = schema.parse_system(
+                        family_system(n, lattice, seed)
+                    )
+        for name, graph in graphs.items():
+            radii.clear()
+            solve_s0(graph)
+            assert len(radii) >= 3, name  # s = 0, then right and left runs per step
+            assert min(radii) >= 1.0 - spectral.S0_TOL, name
+
+    def test_radius_below_one_at_zero_is_an_error(self):
+        # a vertex without edges has radius 0 at s = 0
+        with pytest.raises(NumericalError, match="no nonnegative dimension"):
+            solve_s0(loops())
+
+    def test_dimension_beyond_1e6_is_an_error(self):
+        # log radius(s) = log 2 + s log(1 - 1e-8) is linear, so the first
+        # step lands on the root near 6.9e7
+        with pytest.raises(NumericalError, match="exceeds 1e6"):
+            solve_s0(loops(1 - 1e-8, 1 - 1e-8))
+
+    def test_residual_above_the_tolerance_is_an_error(self, monkeypatch):
+        # radius estimates that jump from above 1 + 2 tol to 1 - 2 tol stop
+        # the iteration where the residual breaks the contract
+        tol = spectral.S0_TOL
+        real = spectral._power_perron
+
+        def jumping(a):
+            rho, vec = real(a)
+            return (rho if rho > 1.0 + 2 * tol else 1.0 - 2 * tol), vec
+
+        monkeypatch.setattr(spectral, "_power_perron", jumping)
+        with pytest.raises(NumericalError, match="dimension residual 2.000e-12"):
+            solve_s0(two_vertex_graph())
+
+    def test_matrix_reducible_on_the_way_to_s0_is_an_error(self):
+        # ratio 1e-300 underflows to 0 well before s0 = log 3 / log 2, so
+        # the pressure matrix there no longer joins P and Q
+        tiny = 1e-300
+        graph = MWGraph(
+            1,
+            {"P": Box((0.0,), (1.0,)), "Q": Box((2.0,), (3.0,))},
+            [Edge(f"p{k}", "P", "P", line_map(0.5, 0.0)) for k in range(3)]
+            + [
+                Edge("pq", "P", "Q", line_map(tiny, 0.0)),
+                Edge("qp", "Q", "P", line_map(tiny, 2.0)),
+                Edge("qq", "Q", "Q", line_map(0.5, 2.0)),
+            ],
+        )
+        with pytest.raises(NumericalError, match="irreducible"):
+            solve_s0(graph)
+
+    def test_iteration_cap_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(spectral, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(NumericalError, match="did not settle in 2 steps"):
+            solve_s0(two_vertex_graph())
 
 
 class TestBoxCountSlopeConsistency:
