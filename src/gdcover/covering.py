@@ -176,8 +176,9 @@ def _union_runs(runs: np.ndarray) -> np.ndarray:
     if n <= 1:
         return runs
     keys, lo, hi = runs[:, :w], runs[:, w], runs[:, w + 1]
-    k_lo = keys.min(axis=0)
-    span = (keys.max(axis=0) - k_lo + 1).tolist()
+    # one column at a time: numpy reduces a strided (n, w) view down axis 0 slowly
+    k_lo = [int(keys[:, k].min()) for k in range(w)]
+    span = [int(keys[:, k].max()) - lo_k + 1 for k, lo_k in enumerate(k_lo)]
     base = int(lo.min())
     width = int(hi.max()) + 2 - base
     if math.prod(span) * width < 1 << 62:

@@ -245,19 +245,19 @@ class MatrixMeasure:
 
     def _right_perron(self) -> tuple[float, np.ndarray]:
         """Spectral radius and right Perron vector of the mass matrix, from
-        one power run shared by every caller.
+        one eigensolve shared by every caller.
 
         The renewal theorem needs an irreducible mass matrix with spectral
-        radius one; both are checked here, before the run is kept, so a
+        radius one; both are checked here, before the result is kept, so a
         matrix that passes is checked once.
         """
         if self._perron is None:
-            from .spectral import _power_perron, is_irreducible
+            from .spectral import _perron, is_irreducible
 
             mass = self.mass_matrix()
             if not is_irreducible(mass):
                 raise NumericalError("renewal matrix is reducible")
-            rho, right = _power_perron(mass)
+            rho, right = _perron(mass)
             if abs(rho - 1.0) > MASS_TOL:
                 raise NumericalError(
                     f"renewal matrix mass has spectral radius {rho}, expected 1"
@@ -901,14 +901,19 @@ def limit_value(
     (``lattice.phases``; zero when the argument has none) converge along
     each residue ``y``: ``f_j(y - phi_j + n tau)`` tends to
     ``tau * sum_l A[l, j] * sum_k L_l(((y - phi_l) mod tau) + k tau)``,
-    reported on a uniform grid over one period.  Every atom of entry
-    ``(i, j)`` must sit on ``phi_i - phi_j + tau Z`` for the periodic
-    formula to apply.  A forcing that fails :func:`check_dri` raises
-    ``ValidationError``, and a limit that overflows a float raises
-    ``NumericalError``.
+    reported on a uniform grid of ``samples_per_period`` points, an integer
+    >= 1, over one period.  Every atom of entry ``(i, j)`` must sit on
+    ``phi_i - phi_j + tau Z`` for the periodic formula to apply.  A forcing
+    that fails :func:`check_dri` raises ``ValidationError``, and a limit that
+    overflows a float raises ``NumericalError``.
     """
     if len(forcing) != m.n:
         raise ValueError("forcing length must match matrix size")
+    if (isinstance(samples_per_period, bool)
+            or not isinstance(samples_per_period, (int, np.integer)) or samples_per_period < 1):
+        raise ValueError(
+            f"samples_per_period must be an integer >= 1, got {samples_per_period!r}"
+        )
     if not check_dri(forcing):
         raise ValidationError("forcing must vanish for x < 0 and decay to zero")
     a = _limit_matrix_from(m)

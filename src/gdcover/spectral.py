@@ -7,7 +7,8 @@ vertex j.  Its spectral radius decreases strictly in ``s``; the parameter
 system and normalizes everything downstream.  Each entry is a sum of
 exponentials in ``s``, hence log-convex, and the spectral radius of a
 matrix of log-convex functions is log-convex (Kingman 1961), so Newton's
-method on the log radius finds ``s0`` from below.
+method on the log radius finds ``s0`` from below.  Each Perron root and
+vector comes from one dense eigensolve (``numpy.linalg.eig``).
 """
 from __future__ import annotations
 
@@ -28,12 +29,8 @@ __all__ = [
     "solve_s0",
 ]
 
-POWER_REL_TOL = 1e-14
-POWER_MAX_ITER = 100_000
 S0_TOL = 1e-12
 NEWTON_MAX_ITER = 100
-# power steps between bracket checks grow from 2 to this; a stop wastes the rest of its block
-_BLOCK = 16
 
 
 def _matrix_builder(graph: MWGraph, moments: bool = False):
@@ -71,76 +68,38 @@ def is_irreducible(a: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _dense_perron(b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a nonnegative matrix via the dense solver."""
-    w, vecs = np.linalg.eig(b)
-    k = int(np.argmax(w.real))
-    lam = float(w[k].real)
-    vec = np.abs(vecs[:, k].real)
-    s = vec.sum()
-    if s <= 0:
-        raise NumericalError("dense eigensolver returned a degenerate vector")
-    return lam, vec / s
+def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and vector of a nonnegative square matrix, the vector
+    normalized to unit sum, from one dense eigensolve.
 
-
-def _power_steps(b: np.ndarray, x: np.ndarray, max_iter: int):
-    """Power iteration on ``b`` from the positive ``x``: ``y = b @ x``, then
-    ``x = y / y.sum()``.  Min and max of ``y / x`` bracket the Perron root
-    (Collatz-Wielandt); they are formed a block of steps at a time.  Returns
-    ``(lo, hi, x)`` at the first of at most ``max_iter`` steps whose bracket
-    converged, or None if none does."""
-    # the same BLAS product and pairwise sum as b @ x and y.sum(), with less
-    # call overhead per step
-    product, total = b.dot, np.add.reduce
-    done, block = 0, 2
-    while done < max_iter:
-        xs, ys = [], []
-        for _ in range(min(block, max_iter - done)):
-            y = product(x)
-            xs.append(x)
-            ys.append(y)
-            x = y / total(y)
-        quot = np.divide(ys, xs)
-        lo, hi = quot.min(axis=1), quot.max(axis=1)
-        stop = hi - lo <= POWER_REL_TOL * hi
-        if stop.any():
-            k = int(stop.argmax())
-            return float(lo[k]), float(hi[k]), xs[k]
-        done += len(xs)
-        block = min(2 * block, _BLOCK)
-    return None
-
-
-def _power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and vector of a nonnegative square matrix.
-
-    Power iteration runs on ``a + I`` (primitive whenever ``a`` is
-    irreducible, so periodic systems converge too) with Collatz-Wielandt
-    bracketing: for positive x, min and max of ``(B x)_i / x_i`` sandwich
-    the root, and the bracket width is the stopping criterion.  Falls back
-    to the dense eigensolver when the bracket stalls for ``POWER_MAX_ITER``
-    steps; the contract is the tolerance, not the algorithm.
+    Every eigenvalue has modulus at most the Perron root, and none but the
+    root itself has real part equal to it, so the eigenvalue of largest real
+    part is the root; for an irreducible matrix its vector is positive.
     """
     n = a.shape[0]
     if n == 1:
         return float(a[0, 0]), np.ones(1)
-    b = a + np.eye(n)
-    hit = _power_steps(b, np.full(n, 1.0 / n), POWER_MAX_ITER)
-    if hit is None:
-        lam, vec = _dense_perron(b)
-        return lam - 1.0, vec
-    lo, hi, x = hit
-    return (lo + hi) / 2 - 1.0, x / x.sum()
+    w, vecs = np.linalg.eig(a)
+    k = int(np.argmax(w.real))
+    vec = np.abs(vecs[:, k].real)
+    total = vec.sum()
+    if not total > 0:
+        raise NumericalError("dense eigensolver returned a degenerate vector")
+    return float(w[k].real), vec / total
 
 
 def spectral_radius(a) -> float:
-    """Spectral radius of a nonnegative matrix, to ``POWER_REL_TOL`` relative."""
+    """Spectral radius of a finite, nonempty, nonnegative square matrix."""
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if a.size == 0:
+        raise ValueError("matrix must be nonempty")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
     if (a < 0).any():
         raise ValueError("matrix must be nonnegative")
-    return _power_perron(a)[0]
+    return _perron(a)[0]
 
 
 def _require_irreducible(a: np.ndarray) -> None:
@@ -152,8 +111,8 @@ def _require_irreducible(a: np.ndarray) -> None:
 
 def _left_perron(a: np.ndarray, rho: float) -> np.ndarray:
     """Left Perron vector of ``a``, its radius estimate checked against ``rho``."""
-    rho_t, left = _power_perron(a.T)
-    if abs(rho - rho_t) > 10 * POWER_REL_TOL * max(abs(rho), 1.0) + 1e-13:
+    rho_t, left = _perron(a.T)
+    if abs(rho - rho_t) > 1e-13 * max(abs(rho), 1.0) + 1e-13:
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
         )
@@ -218,7 +177,7 @@ def solve_s0(graph: MWGraph) -> SpectralData:
     for _ in range(NEWTON_MAX_ITER):
         a0 = build(s0)
         _require_irreducible(a0)
-        rho, u = _power_perron(a0)
+        rho, u = _perron(a0)
         v = _left_perron(a0, rho)
         moments = build_moment_matrix(graph, s0)
         if abs(r0 - 1.0) <= S0_TOL:  # s0 = 0

@@ -461,8 +461,8 @@ def orthogonality_defect(sim: Similarity) -> float:
 
 def perron_triple(a: np.ndarray):
     """``(radius, right, left)`` of a nonnegative matrix from the package's
-    right and left power runs, both vectors normalized to unit sum."""
-    rho, right = spectral._power_perron(a)
+    right and left eigensolves, both vectors normalized to unit sum."""
+    rho, right = spectral._perron(a)
     return rho, right, spectral._left_perron(a, rho)
 
 

@@ -1,17 +1,19 @@
 """Loop-based reference for the renewal series, the periodic limit and the
 ``s0`` Newton iteration.
 
-This is the straightforward path that ``gdcover.renewal`` and
-``gdcover.spectral`` replace with array-native fast paths: the atom merge
-and the breakpoint merge walk every value in a Python loop,
-``vector_convolve``, the mass and moment matrices and the least atom
-location walk all n^2 matrix entries, every step function goes through the
-validating constructor, the periodic limit evaluates the forcing at one
-point at a time, and power iteration checks its bracket after every step.
-It is kept only as a differential oracle; the package's results must equal
-it bit for bit.  ``bisect_s0``, the exhaustive bisection that every side
-decision runs to full convergence, is a second reference for ``s0`` that
-the package must match to within rounding, not bit for bit.
+This is the straightforward path that ``gdcover.renewal`` replaces with
+array-native fast paths: the atom merge and the breakpoint merge walk every
+value in a Python loop, ``vector_convolve``, the mass and moment matrices
+and the least atom location walk all n^2 matrix entries, every step
+function goes through the validating constructor, and the periodic limit
+evaluates the forcing at one point at a time.  It is kept only as a
+differential oracle; the package's renewal results must equal it bit for
+bit.  For ``s0`` and the Perron vectors it is an independent reference to
+within rounding, not bit for bit: every radius and Perron vector here comes
+from a power run whose Collatz-Wielandt bracket is checked after every
+step, where ``gdcover.spectral`` takes one dense eigensolve, and
+``bisect_s0``, the exhaustive bisection that every side decision runs to
+full convergence, is a second reference for ``s0``.
 """
 from __future__ import annotations
 
@@ -29,11 +31,8 @@ from gdcover.renewal import (
 )
 from gdcover.spectral import (
     NEWTON_MAX_ITER,
-    POWER_MAX_ITER,
-    POWER_REL_TOL,
     S0_TOL,
     SpectralData,
-    _dense_perron,
     build_matrix,
     build_moment_matrix,
     is_irreducible,
@@ -201,6 +200,21 @@ def periodic_limit(m, forcing, phases, tau: float, samples_per_period: int = 64)
     return rows
 
 
+POWER_REL_TOL = 1e-14
+POWER_MAX_ITER = 100_000
+
+
+def dense_perron(b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Dominant eigenpair of a nonnegative matrix via the dense solver."""
+    w, vecs = np.linalg.eig(b)
+    k = int(np.argmax(w.real))
+    vec = np.abs(vecs[:, k].real)
+    s = vec.sum()
+    if s <= 0:
+        raise NumericalError("dense eigensolver returned a degenerate vector")
+    return float(w[k].real), vec / s
+
+
 def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int):
     """Power iteration on ``b`` from ``x`` with the bracket checked after every
     step: ``(k, lo, hi, x)`` at the first step ``k`` whose bracket has
@@ -215,25 +229,22 @@ def power_steps(b: np.ndarray, x: np.ndarray, max_iter: int):
     return None
 
 
-def power_perron(a: np.ndarray, rel_tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+def power_perron(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and unit-sum vector from a power run on ``a + I``, the
+    dense solver's when the run does not stop in ``POWER_MAX_ITER`` steps."""
     n = a.shape[0]
     if n == 1:
         return float(a[0, 0]), np.ones(1)
     b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = b @ x
-        quot = y / x
-        lo, hi = float(quot.min()), float(quot.max())
-        if hi - lo <= rel_tol * hi:
-            return (lo + hi) / 2 - 1.0, x / x.sum()
-        x = y / y.sum()
-    lam, vec = _dense_perron(b)
-    return lam - 1.0, vec
+    hit = power_steps(b, np.full(n, 1.0 / n), POWER_MAX_ITER)
+    if hit is None:
+        lam, vec = dense_perron(b)
+        return lam - 1.0, vec
+    _, lo, hi, x = hit
+    return (lo + hi) / 2 - 1.0, x / x.sum()
 
 
-def spectral_radius(a, *, want_vectors: bool = False, rel_tol: float = POWER_REL_TOL,
-                    max_iter: int = POWER_MAX_ITER):
+def spectral_radius(a, *, want_vectors: bool = False):
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -243,11 +254,11 @@ def spectral_radius(a, *, want_vectors: bool = False, rel_tol: float = POWER_REL
         raise NumericalError(
             "Perron vectors need an irreducible matrix (graph not strongly connected)"
         )
-    rho, right = power_perron(a, rel_tol, max_iter)
+    rho, right = power_perron(a)
     if not want_vectors:
         return rho
-    rho_t, left = power_perron(a.T, rel_tol, max_iter)
-    if abs(rho - rho_t) > 10 * rel_tol * max(abs(rho), 1.0) + 1e-13:
+    rho_t, left = power_perron(a.T)
+    if abs(rho - rho_t) > 10 * POWER_REL_TOL * max(abs(rho), 1.0) + 1e-13:
         raise NumericalError(
             f"left/right radius estimates disagree: {rho} vs {rho_t}"
         )

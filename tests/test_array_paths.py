@@ -1,9 +1,8 @@
-"""Differential tests for the array paths of ``spectral`` and ``renewal``
-against ``renewal_oracle``, bit for bit: the periodic limit summed over the
-whole ``y`` grid and power iteration checked a block of steps at a time.
+"""Differential tests for the array paths of ``renewal`` against
+``renewal_oracle``, bit for bit: the periodic limit summed over the whole
+``y`` grid.
 
-The oracle sums the periodic limit one point at a time and checks the power
-bracket after every step.
+The oracle sums the periodic limit one point at a time.
 """
 import random
 from types import SimpleNamespace
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import renewal_oracle as oracle
 from conftest import BUNDLED_NAMES
-from helpers import LN2, perron_triple, phase_graph
+from helpers import LN2, phase_graph
 from test_fast_paths import LATTICE_LOOPS, LATTICE_RATIOS, connected_graphs
 
 from gdcover import lattice, renewal, spectral
@@ -92,73 +91,3 @@ def test_far_support_sums_match_the_oracle():
                 got = renewal.limit_value(m, [f], lattice=lat, samples_per_period=8)
                 want = oracle.periodic_limit(m, [f], None, LN2, samples_per_period=8)
                 assert got.values.tobytes() == want.tobytes()
-
-
-# -- blocked power iteration ------------------------------------------------------
-
-
-def block_span(k):
-    """First and last step of the block that holds step k (blocks of 2, 4, ...)."""
-    start, size = 0, 2
-    while k >= start + size:
-        start += size
-        size = min(2 * size, spectral._BLOCK)
-    return start, start + size - 1
-
-
-def scaled_matrices(seed, count):
-    """Irreducible nonnegative matrices with radius 1 + delta, delta spread over
-    many decades and both signs, so that convergence stops at a wide range of
-    steps."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
-        a[np.arange(n), (np.arange(n) + 1) % n] += rng.uniform(0.1, 1.0, n)
-        radius = max(abs(np.linalg.eigvals(a)))
-        delta = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-13, -1)
-        yield a * ((1.0 + delta) / radius)
-
-
-class TestPowerStepsAgainstOracle:
-    def test_stops_at_the_oracle_step(self):
-        positions = set()
-        for a in scaled_matrices(11, 250):
-            b = a + np.eye(a.shape[0])
-            x0 = np.full(a.shape[0], 1.0 / a.shape[0])
-            want = oracle.power_steps(b, x0, spectral.POWER_MAX_ITER)
-            got = spectral._power_steps(b, x0, spectral.POWER_MAX_ITER)
-            assert want is not None and got is not None
-            k, lo, hi, x = want
-            assert (got[0], got[1]) == (lo, hi)
-            assert got[2].tobytes() == x.tobytes()
-            start, end = block_span(k)
-            if end - start + 1 == spectral._BLOCK:
-                positions.add(k - start)
-        # stops land on every position of a full block
-        assert positions >= set(range(spectral._BLOCK))
-
-    def test_iteration_cap_is_exact(self):
-        for a in scaled_matrices(5, 40):
-            b = a + np.eye(a.shape[0])
-            x0 = np.full(a.shape[0], 1.0 / a.shape[0])
-            k = oracle.power_steps(b, x0, spectral.POWER_MAX_ITER)[0]
-            assert spectral._power_steps(b, x0, k) is None
-            assert spectral._power_steps(b, x0, k + 1)[2].tobytes() == (
-                oracle.power_steps(b, x0, k + 1)[3].tobytes()
-            )
-
-    def test_perron_data_with_and_without_dense_fallback(self, monkeypatch):
-        cap = spectral.POWER_MAX_ITER
-        for a in scaled_matrices(7, 30):
-            b = a + np.eye(a.shape[0])
-            x0 = np.full(a.shape[0], 1.0 / a.shape[0])
-            k = oracle.power_steps(b, x0, cap)[0]
-            # k steps end one short of convergence: the dense solver answers
-            for max_iter in (k, k + 1, cap):
-                monkeypatch.setattr(spectral, "POWER_MAX_ITER", max_iter)
-                got = perron_triple(a)
-                want = oracle.spectral_radius(a, want_vectors=True, max_iter=max_iter)
-                assert got[0] == want[0]
-                assert got[1].tobytes() == want[1].tobytes()
-                assert got[2].tobytes() == want[2].tobytes()

@@ -410,6 +410,14 @@ class TestRenewalSolve:
         with pytest.raises(ValueError, match="positive finite step"):
             limit_value(m, [StepFunction.indicator(0.0, 1.0)], lattice=lat)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_samples_per_period_must_be_a_positive_integer(self, samples):
+        g = two_vertex_graph()
+        m = transfer_measure(g, solve_s0(g).s0)
+        forcing = [StepFunction.indicator(0.0, 1.0)] * 2
+        with pytest.raises(ValueError, match="samples_per_period must be an integer >= 1"):
+            limit_value(m, forcing, lattice=classify_graph(g), samples_per_period=samples)
+
     def test_lattice_limit_rejects_off_grid_atoms(self):
         m = scalar_measure((LN3, 0.6), (1.0, 0.4))
         forcing = [StepFunction.indicator(0.0, 1.0)]

@@ -64,17 +64,27 @@ class TestSpectralRadius:
             (1 + math.sqrt(3)) / 4, rel=1e-12
         )
 
-    @pytest.mark.parametrize("max_iter", [1, 0, -1])
-    def test_dense_fallback_when_the_bracket_stalls(self, max_iter, monkeypatch):
-        # one power step cannot converge here, so the dense eigensolver answers
-        monkeypatch.setattr(spectral, "POWER_MAX_ITER", max_iter)
-        a = np.array([[0.5, 0.25], [0.5, 0.0]])
+    def test_five_cycle(self):
+        # the eigenvalues of 0.7 times a 5-cycle lie on a circle of radius 0.7
+        a = 0.7 * np.roll(np.eye(5), 1, axis=1)
         rho, u, v = perron_triple(a)
-        assert rho == pytest.approx((1 + math.sqrt(3)) / 4, rel=1e-12)
-        assert np.all(u > 0) and np.all(v > 0)
-        assert u.sum() == pytest.approx(1.0) and v.sum() == pytest.approx(1.0)
-        assert np.allclose(a @ u, rho * u, atol=1e-12)
-        assert np.allclose(v @ a, rho * v, atol=1e-12)
+        assert abs(rho - 0.7) <= 1e-15
+        assert np.max(np.abs(u - 0.2)) <= 1e-15
+        assert np.max(np.abs(v - 0.2)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "a, match",
+        [
+            ([[1.0, math.nan], [1.0, 1.0]], "finite"),
+            ([[math.nan]], "finite"),
+            ([[math.inf, 1.0], [1.0, 1.0]], "finite"),
+            (np.zeros((0, 0)), "nonempty"),
+        ],
+        ids=["nan-entry", "nan-scalar", "inf-entry", "empty"],
+    )
+    def test_non_finite_or_empty_matrix_rejected(self, a, match):
+        with pytest.raises(ValueError, match=match):
+            spectral_radius(a)
 
     def test_perron_triple_requires_irreducible(self):
         reducible = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -193,19 +203,30 @@ class TestNewtonIteration:
             s0 = solve_s0(make()).s0
             assert abs(Decimal(s0) - exact) <= Decimal(math.ulp(s0))
 
+    def test_two_vertex_within_four_ulps(self):
+        # x = 2^-s0 solves x^3 + x - 1 = 0; Newton's method for x to 50 digits
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = Decimal("0.7")
+            for _ in range(10):
+                x -= (x**3 + x - 1) / (3 * x**2 + 1)
+            exact = -x.ln() / Decimal(2).ln()
+            s0 = solve_s0(two_vertex_graph()).s0
+            assert abs(Decimal(s0) - exact) <= 4 * Decimal(math.ulp(s0))
+
     def test_no_iterate_passes_the_root(self, bundled, monkeypatch):
         # log radius(s) is convex, so every Newton iterate from s = 0 stays
         # below the root: no radius the solver reads falls below 1 by more
         # than the tolerance
         radii = []
-        real = spectral._power_perron
+        real = spectral._perron
 
         def reading(a):
             rho, vec = real(a)
             radii.append(rho)
             return rho, vec
 
-        monkeypatch.setattr(spectral, "_power_perron", reading)
+        monkeypatch.setattr(spectral, "_perron", reading)
         graphs = dict(bundled)
         for n in (4, 8, 22):
             for lattice in (False, True):
@@ -234,13 +255,13 @@ class TestNewtonIteration:
         # radius estimates that jump from above 1 + 2 tol to 1 - 2 tol stop
         # the iteration where the residual breaks the contract
         tol = spectral.S0_TOL
-        real = spectral._power_perron
+        real = spectral._perron
 
         def jumping(a):
             rho, vec = real(a)
             return (rho if rho > 1.0 + 2 * tol else 1.0 - 2 * tol), vec
 
-        monkeypatch.setattr(spectral, "_power_perron", jumping)
+        monkeypatch.setattr(spectral, "_perron", jumping)
         with pytest.raises(NumericalError, match="dimension residual 2.000e-12"):
             solve_s0(two_vertex_graph())
 
