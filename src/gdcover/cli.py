@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,10 @@ __all__ = ["main"]
 
 def _fmt(x) -> str:
     """CSV cell formatting: integers verbatim, floats at 12 significant digits."""
+    if type(x) in (float, np.float64):
+        return "%.12g" % x
+    if type(x) in (int, str):
+        return str(x)
     if x is None:
         return ""
     if isinstance(x, str):
@@ -42,20 +47,28 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):  # tolist gives Python scalars unless dtype is object
-        return _jsonable(x.tolist()) if x.dtype == object else x.tolist()
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+def _json(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` of ``x`` with numpy values
+    as their ``tolist()`` and keys as ``str(key)``, in one recursive pass;
+    ``pad`` breaks the line and indents at this depth."""
+    kind = type(x)
+    if kind is float and x - x == 0:  # finite
+        return float.__repr__(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return _json(x.tolist(), pad)
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        x = {str(k): v for k, v in x.items()}
+        rows = [f"{encode_basestring_ascii(k)}: {_json(x[k], pad + '  ')}" for k in sorted(x)]
+    elif isinstance(x, (list, tuple)):
+        rows = [_json(v, pad + "  ") for v in x]
+    else:  # None, a bool, a float not finite, a subclass; a TypeError for what JSON lacks
+        return json.dumps(x)
+    ends = "{}" if isinstance(x, dict) else "[]"
+    return f"{ends[0]}{pad}  {(',' + pad + '  ').join(rows)}{pad}{ends[1]}" if rows else ends
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -67,12 +80,12 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    _write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", path)
+    _write_text(_json(doc) + "\n", path)
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write_text("\n".join(lines) + "\n", path)
 
 

@@ -22,11 +22,13 @@ leaves and interior nodes as slices.  A pass maps each node it reads once,
 from per-class image tables formed once per walk; nothing per node is kept
 between passes.  A pass streams: it cuts its nodes into slices of about
 ``_WORK`` estimated candidate runs and feeds each slice's images straight
-into one run union, a primitive at a time, so its peak memory is one
-slice's plus the union's.  Cells are held as runs along one
-axis per system, int64 rows (c_0, ..., c_{d-2}, lo, hi), deduplicated by a
-run union that merges as it grows.  Axis-parallel segments are index boxes
-like points and boxes.
+into one union, a primitive at a time, so its peak memory is one slice's
+plus the union's.  Cells are held as runs along one axis per system, each a
+range [start, stop) of linear cell ids fixed before the pass (``_Ids``), 16
+bytes a run; a union merges by concatenation and ``_merge`` when its fresh
+runs pass twice its merged ones, and the vertices' total is one more merge.
+Traced peaks: 5.10 MB counting ``sierpinski`` at t = 6, 7.52 MB analyzing
+``two_ratio``.  Axis-parallel segments are index boxes like points and boxes.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .geometry import Box
-from .graph import PATH_CAP, MWGraph
+from .graph import CONTAINMENT_TOL, PATH_CAP, MWGraph
 from .spectral import SpectralData, solve_s0
 
 __all__ = [
@@ -68,20 +70,19 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
         return np.zeros(dim)
     arr = np.asarray(grid_origin, dtype=float)
     if arr.ndim == 0:
-        return np.full(dim, float(arr))
+        arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise ValueError(f"grid origin must be a scalar or a {dim}-vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"grid_origin must be finite, got {grid_origin!r}")
     return arr
 
 
 # -- array cell enumeration --------------------------------------------------
 #
-# Cells are held as runs: stretches of consecutive cells along the run axis
-# (one per system, ``_run_axis``), one int64 row (c_0, ..., c_{d-2}, lo, hi)
-# each, the integer index columns permuted to put the run axis last.  A
-# single cell is a run with lo == hi.  Float expressions repeat the operation
-# order of the scalar definitions (Similarity.compose and apply, and the cell index
-# ranges and OrientedBox.image_of of the test oracle tests/covering_oracle.py).  Small
+# Float expressions repeat the operation order of the scalar definitions
+# (Similarity.compose and apply, and the cell index ranges and
+# OrientedBox.image_of of the test oracle tests/covering_oracle.py).  Small
 # matrix products go through np.matmul with the operand layout of the scalar
 # call, because BLAS may fuse multiply-adds where a written-out formula would
 # round twice.  So coordinates and cells agree bit for bit with shape-by-shape
@@ -91,8 +92,7 @@ def _origin_vector(grid_origin, dim: int) -> np.ndarray:
 # The radius ``r`` is one float for every shape, or an (n,) array giving
 # each shape row its own radius.  The arithmetic is elementwise either way,
 # so a row counted among many radii gets the cells of a call at its radius
-# alone.  Such rows carry a ``tag``, the index of their radius, which leads
-# each run into the union: a (tag, run) row never merges across radii.
+# alone.  Such rows carry a ``tag``, the index of their radius.
 
 def _take(x, idx):
     """Rows ``idx`` of a per-row radius column or tag array; one radius for
@@ -109,11 +109,11 @@ def _floor_cells(pts: np.ndarray, r, origin: np.ndarray) -> np.ndarray:
 
 def _interval_cells(a: np.ndarray, b: np.ndarray, r, origin: np.ndarray):
     """Inclusive index ranges of the cells met by the closed intervals
-    [a, b], elementwise."""
+    [a, b], a <= b, elementwise."""
     lo, hi = np.empty(a.shape, dtype=np.int64), np.empty(a.shape, dtype=np.int64)
     for k in range(a.shape[1]):
-        lo[:, k] = np.floor((np.minimum(a[:, k], b[:, k]) - origin[k]) / r + ETA)
-        hi[:, k] = np.ceil((np.maximum(a[:, k], b[:, k]) - origin[k]) / r - ETA)
+        lo[:, k] = np.floor((a[:, k] - origin[k]) / r + ETA)
+        hi[:, k] = np.ceil((b[:, k] - origin[k]) / r - ETA)
     hi -= 1
     return lo, np.maximum(lo, hi, out=hi)
 
@@ -163,164 +163,138 @@ def _merge(start: np.ndarray, stop: np.ndarray):
     return start[opens], stop[closes]
 
 
-def _union_runs(runs: np.ndarray) -> np.ndarray:
-    """Union of (tag?, prefix, lo, hi) runs as disjoint runs, none touching
-    another, sorted by tag, prefix and lo.
+class _Ids:
+    """The linear cell ids of one counting pass, fixed before its first piece.
 
-    Each run becomes a half-open range of linear ids, the last axis fastest,
-    with one padding id per (tag, prefix) group so that ranges of two
-    groups never touch.  Where those ids would pass 2^62, the distinct
-    groups and run ends are numbered by ``np.unique`` instead.
+    Cell c of radius index ``tag`` (0 untagged) in the index bounds ``lo``,
+    ``hi`` (inclusive, kept with the run ``axis`` last) has the mixed-radix id
+    ``((tag * s_0 + c_0 - lo_0) * s_1 + ...) * w + c_run - lo_run``, spans
+    s_k = hi_k - lo_k + 1 and w the run axis's span plus one: the last id of
+    each (tag, prefix) is no cell's, so ranges of two prefixes never touch.
+    Ids past 2^62 are Python ints in object arrays, which every step takes.
     """
-    n, w = runs.shape[0], runs.shape[1] - 2
-    if n <= 1:
-        return runs
-    keys, lo, hi = runs[:, :w], runs[:, w], runs[:, w + 1]
-    # one column at a time: numpy reduces a strided (n, w) view down axis 0 slowly
-    k_lo = [int(keys[:, k].min()) for k in range(w)]
-    span = [int(keys[:, k].max()) - lo_k + 1 for k, lo_k in enumerate(k_lo)]
-    base = int(lo.min())
-    width = int(hi.max()) + 2 - base
-    if math.prod(span) * width < 1 << 62:
-        # a run's ids are [lo, hi + 1) plus group * width - base, formed in place
-        off = np.zeros(n, dtype=np.int64)
-        for k, s in enumerate(span):
-            off *= s
-            off += keys[:, k]
-            off -= k_lo[k]
-        off *= width
-        off -= base
-        start = lo + off
-        off += hi
-        off += 1
-        start, stop = _merge(start, off)
-        group, lo = np.divmod(start, width)
-        end = stop - group * width + base
+
+    def __init__(self, lo, hi, n_tags: int | None, axis: int | None) -> None:
+        self.args = (np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64), n_tags, axis)
+        self.tagged, self.axis, d = n_tags is not None, axis, len(lo)
+        self.order = None if axis in (None, d - 1) else [*range(axis), *range(axis + 1, d), axis]
+        at = range(d) if self.order is None else self.order
+        self.lo, self.hi = [int(lo[k]) for k in at], [int(hi[k]) for k in at]
+        self.span = [n_tags or 1, *(h - a + 1 for a, h in zip(self.lo, self.hi))]
+        self.span[-1] += 1
+        self.stride = math.prod(self.span[1:])  # the ids of one radius
+        self.dtype = np.int64 if self.span[0] * self.stride < 1 << 62 else object
+
+    def encode(self, prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, tag):
+        """Id ranges of the runs [lo, hi] (inclusive) along the run axis at
+        the index rows ``prefix`` of the other axes, tagged in a tagged pass."""
+        off = np.zeros(lo.size, self.dtype) if tag is None else tag.astype(self.dtype)
+        for k in range(prefix.shape[1]):
+            off *= self.span[k + 1]
+            off += prefix[:, k]
+            off -= self.lo[k]
+        off *= self.span[-1]
+        off -= self.lo[-1]
+        return lo + off, off + (hi + 1)
+
+    def counts(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Cells of each radius held by merged ranges: their lengths summed
+        between the first ids of consecutive radii."""
+        held = np.zeros(start.size + 1, self.dtype)
+        np.cumsum(stop - start, out=held[1:])
+        firsts = np.arange(self.span[0] + 1, dtype=self.dtype) * self.stride
+        return np.diff(held[np.searchsorted(start, firsts)]).astype(np.int64)
+
+    def cells(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Every cell of merged ranges as an index row in the caller's axis
+        order, led by its radius index in a tagged pass: the one decoder."""
+        n = (stop - start).astype(np.int64)
+        ids = np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
         cols = []
-        for k in range(w - 1, -1, -1):
-            group, c = np.divmod(group, span[k])
-            cols.append(c + k_lo[k])
-        return np.column_stack((*cols[::-1], lo + base, end - 1))
-    group = np.zeros(n, dtype=np.int64)
-    if w:
-        keys, group = np.unique(keys, axis=0, return_inverse=True)
-    values, at = np.unique(np.concatenate((lo, hi + 1)), return_inverse=True)
-    width = values.size
-    group = group.reshape(-1) * width
-    start, stop = _merge(group + at[:n], group + at[n:])
-    group, at = np.divmod(start, width)
-    return np.column_stack((keys[group], values[at], values[stop - group * width] - 1))
+        for s, a in zip(self.span[:0:-1], self.lo[::-1]):
+            ids, c = ids // s, ids % s
+            cols.insert(0, c + a)
+        cols = cols if self.order is None else [cols[k] for k in np.argsort(self.order)]
+        return np.column_stack([ids] * self.tagged + cols).astype(np.int64)
 
 
-def _cell_count(runs: np.ndarray, n_radii: int | None = None):
-    """Cells held by disjoint runs; for (tag, run) rows, an array of the
-    cells of each of ``n_radii`` radii."""
-    length = runs[:, -1] - runs[:, -2] + 1
-    if n_radii is None:
-        return int(length.sum())
-    return np.bincount(runs[:, 0], weights=length, minlength=n_radii).astype(np.int64)
+class _Outside(Exception):
+    """A cell outside the index bounds of its pass's ids."""
 
 
-def _axis_order(dim: int, axis: int | None):
-    """Index columns with the run ``axis`` last; None when that keeps them."""
-    return None if axis in (None, dim - 1) else [*range(axis), *range(axis + 1, dim), axis]
-
-
-def _run_cells(runs: np.ndarray, order=None) -> np.ndarray:
-    """Every cell of disjoint runs written in axis ``order`` as an index row in
-    the caller's order, a leading tag kept."""
-    length = runs[:, -1] - runs[:, -2] + 1
-    owner = np.repeat(np.arange(runs.shape[0]), length)
-    cells = runs[owner, :-1]
-    cells[:, -1] += np.arange(owner.size) - np.repeat(np.cumsum(length) - length, length)
-    if order is not None:
-        lead = cells.shape[1] - len(order)
-        cells = cells[:, [*range(lead), *(lead + np.argsort(order))]]
-    return cells
-
-
-# unmerged rows a union takes before it first merges them; past that, it
-# merges when they pass twice its merged rows, so that each merged row is
-# sorted again about half as often as it is added, and all merges together
-# sort about 1.5 times the rows one union of everything would
+# unmerged ranges a union takes before it first merges them; past that, it
+# merges when they pass twice its merged ranges, so that each merged range
+# is sorted again about half as often as it is added, and all merges
+# together sort about 1.5 times the ranges one union of everything would
 _MERGE_FLOOR = 1 << 14
 
 
 class _CellUnion:
-    """Distinct cells accumulated as runs, piece by piece, under ``CELL_CAP``.
-
-    A tagged union holds (tag, run) rows and applies the cap per radius.
-    The cap is checked at every merge, so a count over it stops after
-    about ``CELL_CAP`` cells, not after all of its shapes.
+    """Distinct cells of one pass as (start, stop) id ranges of ``ids``,
+    added piece by piece and merged by concatenation and ``_merge``.  The
+    cap (per radius) is checked at every merge, so a count over it stops
+    after about ``CELL_CAP`` cells, not after all of its shapes.
     """
 
-    def __init__(self, dim: int, tagged: bool = False, axis: int | None = None) -> None:
-        self.tagged = tagged
-        self.order = _axis_order(dim, axis)
-        self.parts = [np.empty((0, dim + 1 + tagged), dtype=np.int64)]
-        self.fresh = 0
+    def __init__(self, ids: _Ids) -> None:
+        self.ids, self.parts, self.fresh = ids, [(np.empty(0, ids.dtype),) * 2], 0
 
-    def add(self, runs: np.ndarray) -> None:
-        """Take (tag?, run) rows, a tagged union's led by their tags."""
-        if runs.shape[0]:
-            self.parts.append(runs)
-            self.fresh += runs.shape[0]
-            if self.fresh > max(_MERGE_FLOOR, 2 * self.parts[0].shape[0]):
-                self.runs()
+    def add(self, start: np.ndarray, stop: np.ndarray) -> None:
+        if start.size:
+            self.parts.append((start, stop))
+            self.fresh += start.size
+            if self.fresh > max(_MERGE_FLOOR, 2 * self.parts[0][0].size):
+                self.ranges()
 
-    def runs(self) -> np.ndarray:
+    def ranges(self):
         if len(self.parts) > 1:
-            runs, self.parts = np.concatenate(self.parts), []
-            self.parts, self.fresh = [_union_runs(runs)], 0
-        out = self.parts[0]
-        most = _cell_count(out, 0).max(initial=0) if self.tagged else _cell_count(out)
-        if most > CELL_CAP:
+            self.parts, self.fresh = [_merge(*map(np.concatenate, zip(*self.parts)))], 0
+        if self.ids.counts(*self.parts[0]).max() > CELL_CAP:
             raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
-        return out
+        return self.parts[0]
 
 
-def _expand(lo: np.ndarray, cnt: np.ndarray, lead: int = 0, tail: int = 0):
+def _expand(lo: np.ndarray, cnt: np.ndarray):
     """Every index row of each index box, last axis fastest, with its box.
 
-    The index rows fill the middle columns of a new int64 array, after
-    ``lead`` columns and before ``tail`` more that the caller fills.  A
-    row's offset in its box is below the product of the box's counts, so
+    A row's offset in its box is below the product of the box's counts, so
     once the inner axes are divided out it is the outermost axis's offset.
     """
     n = _row_prod(cnt)
     owner = np.repeat(np.arange(n.size), n)
     local = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
     d = lo.shape[1]
-    rows = np.empty((owner.size, lead + d + tail), dtype=np.int64)
+    rows = np.empty((owner.size, d), dtype=np.int64)
     for k in range(d - 1, 0, -1):
         c = cnt[:, k][owner]
-        np.add(lo[:, k][owner], local % c, out=rows[:, lead + k])
+        np.add(lo[:, k][owner], local % c, out=rows[:, k])
         local //= c
-    np.add(lo[:, 0][owner], local, out=rows[:, lead])
+    np.add(lo[:, 0][owner], local, out=rows[:, 0])
     return rows, owner
 
 
 def _check_candidates(cnt: np.ndarray) -> None:
-    if cnt.size and _row_prod(cnt.astype(float)).max() > CELL_CAP:
+    """Refuse a box of over ``CELL_CAP`` cells, bounding the largest first."""
+    bound = math.prod(int(cnt[:, k].max()) for k in range(cnt.shape[1])) if cnt.size else 0
+    if bound > CELL_CAP and _row_prod(cnt.astype(float)).max() > CELL_CAP:
         raise ResourceLimitError(f"cell enumeration exceeds cap {CELL_CAP}")
 
 
 def _index_box_runs(ilo, ihi, acc: _CellUnion, tag=None) -> None:
-    """Runs of the index boxes [ilo, ihi] (inclusive per axis) along the run
-    axis, one per index row of each box's other axes; unexpanded when every box has one."""
-    if acc.order is not None:
-        ilo, ihi = ilo[:, acc.order], ihi[:, acc.order]
+    """Id ranges of the index boxes [ilo, ihi] (inclusive), one per index row
+    of a box's axes but the run axis: the box itself when it has one."""
+    ids = acc.ids
+    if ids.order is not None:
+        ilo, ihi = ilo[:, ids.order], ihi[:, ids.order]
+    for k in range(ilo.shape[1]):
+        if ilo[:, k].min(initial=ids.lo[k]) < ids.lo[k] or ihi[:, k].max(initial=ids.hi[k]) > ids.hi[k]:
+            raise _Outside
     cnt = ihi[:, :-1] - ilo[:, :-1] + 1
-    lead = () if tag is None else (tag,)
     if (cnt == 1).all():
-        acc.add(np.column_stack((*lead, ilo, ihi[:, -1])))
+        acc.add(*ids.encode(ilo[:, :-1], ilo[:, -1], ihi[:, -1], tag))
         return
-    runs, owner = _expand(ilo[:, :-1], cnt, len(lead), 2)
-    if lead:
-        runs[:, 0] = tag[owner]
-    runs[:, -2] = ilo[owner, -1]
-    runs[:, -1] = ihi[owner, -1]
-    acc.add(runs)
+    prefix, owner = _expand(ilo[:, :-1], cnt)
+    acc.add(*ids.encode(prefix, ilo[owner, -1], ihi[owner, -1], _take(tag, owner)))
 
 
 def _box_cells(lo, hi, r, origin, acc: _CellUnion, tag=None) -> None:
@@ -940,15 +914,15 @@ class _Walk:
                 span = slice(pairs[i] - n[i], pairs[j - 1])  # the slice's (node, radius) pairs
                 yield from self._images(v, inner, nodes[i:j], n[i:j], _take(tag, span))
 
-    def runs(self, r, origin: np.ndarray, axis: int) -> np.ndarray:
-        """Runs along ``axis`` of the side-r cells met by the covering
+    def runs(self, r, origin: np.ndarray, ids: _Ids):
+        """Merged id ranges (``ids``) of the side-r cells met by the covering
         elements of the radius-r walk, tagged for an array of radii: each
-        piece enters one union as runs as it comes, so a pass holds about
+        piece enters one union as ranges as it comes, so a pass holds about
         one slice's images at a time."""
-        acc = _CellUnion(self.graph.dimension, np.ndim(r) > 0, axis)
-        for piece in self.pieces(r, axis):
+        acc = _CellUnion(ids)
+        for piece in self.pieces(r, ids.axis):
             _feed(piece, r, origin, acc)
-        return acc.runs()
+        return acc.ranges()
 
     @functools.cached_property
     def _work_table(self) -> tuple:
@@ -1028,8 +1002,8 @@ def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:
     copied along every shorter path (the stopped path's own shapes and all
     finer ones sit inside its cylinder box).
     """
-    if r <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"resolution r must be positive and finite, got {r!r}")
     # the origin nearest every seed-box corner, the middle of their hull: a
     # radius refused there is refused at every grid origin
     corners = _seed_corners(graph)
@@ -1063,14 +1037,49 @@ def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
         raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
 
 
-def _set_runs(gset: GeometrySet, r, grid_origin, axis: int) -> np.ndarray:
-    """Runs along ``axis`` of the cells met by a set, at its own resolution."""
-    if r is not None and r != gset.resolution:
-        raise ValueError(f"a set generated at r = {gset.resolution} is counted at that r, not {r}")
-    walk = gset._walk
-    origin = _origin_vector(grid_origin, walk.graph.dimension)
-    _check_index_range(walk.graph, gset.resolution, origin)
-    return walk.runs(gset.resolution, origin, axis)
+def _pass_ids(graphs: list, r, origin: np.ndarray, axis: int) -> _Ids:
+    """The ids of a pass of the walks of ``graphs`` at r (a radius, or an
+    ascending array of them): the index range at the largest and smallest
+    radius of their seed boxes' hull, one cell wider for the 1e-9 snap and
+    sqrt(d) CONTAINMENT_TOL / (1 - q) wider, q the largest edge ratio.  That
+    holds a validated graph's every covering element: an edge's image of its
+    target's box, and a condensation shape, lie within sqrt(d)
+    CONTAINMENT_TOL of their vertex's box, and each map of a path shrinks
+    the slack of the image it extends by its ratio."""
+    corners = np.concatenate([_seed_corners(g) for g in graphs])
+    q = max((e.ratio for g in graphs for e in g.edges.values()), default=0.0)
+    slack = math.sqrt(corners.shape[2]) * CONTAINMENT_TOL / (1 - q) if q < 1 else 0.0
+    radii = np.atleast_1d(r)[[0, -1], None]
+    lo = np.floor((corners[:, 0].min(axis=0) - slack - origin) / radii).min(axis=0) - 1
+    hi = np.floor((corners[:, 1].max(axis=0) + slack - origin) / radii).max(axis=0) + 1
+    return _Ids(lo, hi, np.size(r) if np.ndim(r) else None, axis)
+
+
+def _pass(graphs: list, walks: list, r, origin: np.ndarray, axis: int):
+    """The ids of a pass at r of ``walks`` of ``graphs`` and each walk's merged
+    ranges, under ``_pass_ids`` widened until they hold every cell: a cell
+    outside (an unvalidated graph's) stops the pass before it is counted."""
+    ids = _pass_ids(graphs, r, origin, axis)
+    while True:
+        try:
+            return ids, [w.runs(r, origin, ids) for w in walks]
+        except _Outside:  # thrice the index bounds, about the same middle
+            lo, hi, n_tags, _axis = ids.args
+            if (hi - lo).max() >= 2**53:
+                raise NumericalError("covering elements reach cell indices 2^53 past the seed boxes")
+            ids = _Ids(2 * lo - hi - 1, 2 * hi - lo + 1, n_tags, axis)
+
+
+def _set_ranges(sets: list, r, grid_origin):
+    """The ids of one pass over sets of one resolution and their ranges."""
+    res = sets[0].resolution
+    if r is not None and r != res:
+        raise ValueError(f"a set generated at r = {res} is counted at that r, not {r}")
+    graphs = [s._walk.graph for s in sets]
+    origin = _origin_vector(grid_origin, graphs[0].dimension)
+    for graph in graphs:
+        _check_index_range(graph, res, origin)
+    return _pass(graphs, [s._walk for s in sets], res, origin, _run_axis(graphs[0]))
 
 
 def cell_union(
@@ -1080,10 +1089,8 @@ def cell_union(
     grid_origin=None,
 ) -> set:
     """Set of grid cells met by the union of the covering elements."""
-    graph = gset._walk.graph
-    axis = _run_axis(graph)
-    cells = _run_cells(_set_runs(gset, r, grid_origin, axis), _axis_order(graph.dimension, axis))
-    return set(map(tuple, cells.tolist()))
+    ids, (ranges,) = _set_ranges([gset], r, grid_origin)
+    return set(map(tuple, ids.cells(*ranges).tolist()))
 
 
 @dataclass(frozen=True)
@@ -1096,26 +1103,16 @@ class CountResult:
         return self.per_vertex[self.vertex_order.index(vertex)]
 
 
-def _count_runs(order, runs: list, n_radii: int | None = None):
-    """Per-vertex counts and the deduplicated total from per-vertex runs.
-
-    For (tag, run) rows of ``n_radii`` radii, a list of one result per
-    radius.
-    """
-    live = [c for c in runs if c.shape[0]]
-    per = np.array([_cell_count(c, n_radii) for c in runs], dtype=np.int64)
-    if len(live) > 1:
-        totals = _cell_count(_union_runs(np.concatenate(live)), n_radii)
-    else:
-        totals = per.sum(axis=0)
-    if np.max(totals, initial=0) > CELL_CAP:
+def _count_runs(order, ids: _Ids, ranges: list) -> list:
+    """A ``CountResult`` per radius of a pass from each vertex's merged ranges
+    under ``ids``; the total is one ``_merge`` of them all."""
+    per = np.array([ids.counts(*c) for c in ranges])
+    live = [c for c in ranges if c[0].size]
+    totals = ids.counts(*_merge(*map(np.concatenate, zip(*live)))) if len(live) > 1 else per.sum(axis=0)
+    if totals.max() > CELL_CAP:
         raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")
-    if n_radii is None:
-        return CountResult(tuple(order), tuple(per.tolist()), int(totals))
-    return [
-        CountResult(tuple(order), tuple(col), total)
-        for col, total in zip(per.T.tolist(), totals.tolist())
-    ]
+    return [CountResult(tuple(order), tuple(col), total)
+            for col, total in zip(per.T.tolist(), totals.tolist())]
 
 
 def _groups(work):
@@ -1156,9 +1153,7 @@ def _totals(graph: MWGraph, origin: np.ndarray, ts) -> dict[float, CountResult]:
     results: list = []
     for a, b in _groups(sum(w.work(radii, axis) for w in walks)):
         r = radii[a] if b - a == 1 else radii[a:b]
-        res = _count_runs(order, [w.runs(r, origin, axis) for w in walks],
-                          None if b - a == 1 else b - a)
-        results += [res] if b - a == 1 else res
+        results += _count_runs(order, *_pass([graph], walks, r, origin, axis))
     return {t: results[k] for t, k in zip(ts, which.tolist())}
 
 
@@ -1179,8 +1174,9 @@ def count(
                          ("radii", {s.resolution for s in sets.values()})):
         if len(values) > 1:
             raise ValueError(f"sets of {what} {sorted(values)} share no grid")
-    axis = _run_axis(next(iter(sets.values()))._walk.graph) if sets else None
-    return _count_runs(sets, [_set_runs(sets[v], r, grid_origin, axis) for v in sets])
+    if not sets:
+        return CountResult((), (), 0)
+    return _count_runs(sets, *_set_ranges(list(sets.values()), r, grid_origin))[0]
 
 
 # -- profiles ----------------------------------------------------------------
@@ -1238,10 +1234,10 @@ def profile_at(
     origin = _origin_vector(grid_origin, graph.dimension)
     normalized = []
     for item in t_points:
-        if isinstance(item, tuple):
-            normalized.append(item)
-        else:
-            normalized.append((float(item), None, None))
+        item = item if isinstance(item, tuple) else (float(item), None, None)
+        if not math.isfinite(item[0]):
+            raise ValueError(f"t_points must be finite, got {item[0]!r}")
+        normalized.append(item)
     normalized.sort(key=lambda x: x[0])
     counted = _totals(graph, origin, [t for t, _n, _y in normalized])
     samples = []
@@ -1295,6 +1291,9 @@ def profile(
     than ``CELL_CAP`` samples raises ``ResourceLimitError`` before any is
     built.
     """
+    for name, x in (("t_min", t_min), ("t_max", t_max), ("period", period or 1.0)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
     if t_max < t_min:
         raise ValueError("t_max must be at least t_min")
     if samples < 1:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gdcover import covering, spectral
-from gdcover.covering import _axis_order, _BoxAxes, _CellUnion, _run_cells
+from gdcover.covering import _BoxAxes, _CellUnion, _Ids
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import (
@@ -385,7 +385,8 @@ def random_graphs(draw):
 # -- the cell kernel on shapes given as arrays ----------------------------------
 #
 # The walk yields its covering elements as pieces (kind, arrays, tag), which
-# ``covering._feed`` adds to a run union; these build such pieces by hand.
+# ``covering._feed`` adds to a union of id ranges; these build such pieces by
+# hand, and count them under ids spanning their coordinates.
 
 PIECE_KINDS = ("point", "segment", "box", "obb")
 
@@ -408,18 +409,60 @@ def obb_piece(centres, half, tag=None):
     return "obb", (centres, np.arange(half.shape[0]), _BoxAxes.of(half)), tag
 
 
-def kernel_runs(dim, pieces, r, origin, axis=None) -> np.ndarray:
-    """Runs along ``axis`` of the cells the kernel charges ``pieces`` at
-    radius r, or at an array of radii that tagged pieces index."""
-    acc = _CellUnion(dim, np.ndim(r) > 0, axis)
+def piece_ids(dim, pieces, r, origin, axis=None) -> _Ids:
+    """The ids of a pass of ``pieces`` at r, tagged for an array of radii:
+    the index range of the hull of their coordinates (a rotated box's by its
+    bounding box) at the largest and the smallest radius, one cell wider."""
+    coords = [np.zeros((1, dim))]
+    for kind, arrays, _tag in pieces:
+        if kind == "obb":
+            centre, row, axes = arrays
+            arrays = (centre - axes.ext[row], centre + axes.ext[row])
+        coords += arrays
+    pts = np.concatenate(coords)
+    radii = np.atleast_1d(r)[[0, -1], None]
+    lo = np.floor((pts.min(axis=0) - origin) / radii).min(axis=0) - 1
+    hi = np.floor((pts.max(axis=0) - origin) / radii).max(axis=0) + 1
+    return _Ids(lo, hi, np.size(r) if np.ndim(r) else None, axis)
+
+
+def kernel_runs(dim, pieces, r, origin, axis=None):
+    """``(ids, start, stop)``: the merged id ranges, along ``axis``, of the
+    cells the kernel charges ``pieces`` at radius r, or at an array of radii
+    that tagged pieces index, under ``piece_ids``."""
+    pieces = list(pieces)
+    acc = _CellUnion(piece_ids(dim, pieces, r, origin, axis))
     for piece in pieces:
         covering._feed(piece, r, origin, acc)
-    return acc.runs()
+    return (acc.ids, *acc.ranges())
+
+
+def kernel_count(dim, pieces, r, origin, axis=None):
+    """The cells of ``kernel_runs``: their number at one radius, an array of
+    them per radius at several."""
+    ids, start, stop = kernel_runs(dim, pieces, r, origin, axis)
+    counts = ids.counts(start, stop)
+    return counts if ids.tagged else int(counts[0])
 
 
 def kernel_cells(dim, pieces, r, origin, axis=None) -> np.ndarray:
     """The cells of ``kernel_runs``, one index row each, in the caller's axis order."""
-    return _run_cells(kernel_runs(dim, pieces, r, origin, axis), _axis_order(dim, axis))
+    ids, start, stop = kernel_runs(dim, pieces, r, origin, axis)
+    return ids.cells(start, stop)
+
+
+def walk_runs(walk, r, origin, axis):
+    """``kernel_runs`` of a walk's pass at r: its ranges under the ids a
+    count of its graph takes."""
+    ids, (ranges,) = covering._pass([walk.graph], [walk], r, origin, axis)
+    return (ids, *ranges)
+
+
+def assert_disjoint(runs) -> None:
+    """``kernel_runs`` ranges ascending, none empty, overlapping or touching."""
+    _ids, start, stop = runs
+    assert (stop > start).all()
+    assert (start[1:] > stop[:-1]).all()
 
 
 def set_pieces(gset) -> list:

@@ -936,8 +936,8 @@ class TestOneParser:
 
 
 def _recursive_jsonable(x):
-    """JSON-ready form of ``x`` converting every array element one at a time,
-    as ``_jsonable`` did before it took ``ndarray.tolist()`` as it is."""
+    """JSON-ready form of ``x`` converting every array element one at a time:
+    what ``json.dumps`` takes for the documents the report writer writes."""
     if isinstance(x, np.ndarray):
         return _recursive_jsonable(x.tolist())
     if isinstance(x, np.floating):
@@ -968,10 +968,53 @@ def _recursive_jsonable(x):
 ], ids=["float", "float32", "int", "int32", "bool", "0d_float", "0d_uint8", "0d_bool",
         "numpy_scalars", "nested", "object"])
 def test_jsonable_matches_the_recursive_conversion(value):
-    def dump(x):
-        return json.dumps(x, indent=2, sort_keys=True).encode()
+    # the writer's bytes are those of json.dumps on the converted value
+    assert cli._json(value) == json.dumps(_recursive_jsonable(value), indent=2, sort_keys=True)
 
-    assert dump(cli._jsonable(value)) == dump(_recursive_jsonable(value))
+
+def _object_array(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    for k, v in enumerate(values):
+        out[k] = v
+    return out
+
+
+WRITER_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225e-308)),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.array),
+    st.lists(st.floats(), max_size=3).map(np.array),
+)
+WRITER_KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.floats(-2.0, 2.0),
+                        st.booleans(), st.none())
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(WRITER_KEYS, inner, max_size=3),
+        st.lists(inner, max_size=3).map(_object_array),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=WRITER_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    # nested containers with non-str keys, empty ones, every float class,
+    # big ints, control and non-ASCII text, numpy scalars and arrays
+    assert cli._json(value) == json.dumps(_recursive_jsonable(value), indent=2, sort_keys=True)
 
 
 # -- fuzzed system files ------------------------------------------------------------

@@ -13,7 +13,7 @@ from helpers import (
     LN2,
     LN3,
     cantor_graph,
-    kernel_runs,
+    kernel_count as count_pieces,
     path_terminal,
     piece_rows,
     set_pieces,
@@ -28,7 +28,6 @@ from gdcover import covering
 from gdcover.asymptotics import analyze
 from gdcover.covering import (
     ForcingContext,
-    _cell_count,
     _interval_cells,
     _origin_vector,
     cell_union,
@@ -56,7 +55,7 @@ def cells_of_points(pts, r, origin=0.0):
 
 def kernel_count(dim, r, origin=0.0, **parts) -> int:
     """Cells the array kernel charges the ``shape_pieces`` of ``parts``."""
-    return _cell_count(kernel_runs(dim, shape_pieces(dim, **parts), r, _origin_vector(origin, dim)))
+    return count_pieces(dim, shape_pieces(dim, **parts), r, _origin_vector(origin, dim))
 
 
 def cantor_level_endpoints(depth=12):
@@ -210,6 +209,38 @@ class TestCount:
             cell_union(gs, 1e-3)
 
 
+class TestNonFiniteInputs:
+    # each input was accepted and counted as 0 cells, or failed later
+    # with a message that did not name it
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_generate_refuses_a_non_finite_resolution(self, cantor, r):
+        with pytest.raises(ValueError, match="resolution r must be positive and finite"):
+            generate(cantor, "X", r)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf])
+    def test_profile_at_refuses_a_non_finite_t(self, cantor, t):
+        with pytest.raises(ValueError, match="t_points must be finite"):
+            profile_at(cantor, [1.0, t])
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 2.0, 3), "t_min"),
+        ((0.5, math.inf, 3), "t_max"),
+        ((0.5, 2.0, 3, math.nan), "period"),
+    ])
+    def test_profile_refuses_non_finite_arguments(self, two_vertex, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            profile(two_vertex, *args)
+
+    @pytest.mark.parametrize("origin", [math.nan, (math.inf,)])
+    def test_count_refuses_a_non_finite_grid_origin(self, cantor, origin):
+        gs = generate(cantor, "X", 0.01)
+        with pytest.raises(ValueError, match="grid_origin must be finite"):
+            count(gs, grid_origin=origin)
+        with pytest.raises(ValueError, match="grid_origin must be finite"):
+            cell_union(gs, grid_origin=origin)
+
+
 class TestCountOracles:
     def test_cantor_counts_match_endpoint_sampling(self, cantor):
         rng = np.random.default_rng(11)
@@ -301,7 +332,7 @@ class TestRescaling:
             )
             assert sub, "sampled cylinder must survive to the stopping scale"
             origin = _origin_vector(b, graph.dimension)
-            got = _cell_count(kernel_runs(graph.dimension, pieces_of_elements(sub), r, origin))
+            got = count_pieces(graph.dimension, pieces_of_elements(sub), r, origin)
 
             want = count(generate(graph, term, r / q), r / q).total
             assert got == want

@@ -21,28 +21,31 @@ from conftest import BUNDLED_NAMES
 from covering_oracle import OrientedBox, PointShape, SegmentShape
 from helpers import (
     PIECE_KINDS,
+    assert_disjoint,
     kernel_cells,
+    kernel_count,
     kernel_runs,
+    line_map,
     obb_piece,
     piece_rows,
     set_pieces,
     shape_pieces,
     two_ratio_graph,
+    walk_runs,
 )
 
 from gdcover import asymptotics, covering
 from gdcover.covering import (
     _BoxAxes,
-    _cell_count,
+    _CellUnion,
+    _Ids,
     _origin_vector,
-    _run_cells,
     _totals,
-    _union_runs,
     _Walk,
 )
 from gdcover.errors import NumericalError, ResourceLimitError
 from gdcover.geometry import Box, Primitive, Similarity, rotation_2d
-from gdcover.graph import Edge, MWGraph, Path
+from gdcover.graph import Edge, MWGraph, Path, validate
 from gdcover.spectral import solve_s0
 
 LN2 = math.log(2.0)
@@ -238,8 +241,8 @@ def test_fast_separating_axes_form_once_per_walk_table(bundled):
             mock.patch.object(covering, "_sat_exact", spy_exact):
         walk = _Walk(graph, "X", radii[0])
         for r in radii:
-            walk.runs(r, np.zeros(2), 1)
-        walk.runs(radii, np.full(2, 0.316), 1)
+            walk_runs(walk, r, np.zeros(2), 1)
+        walk_runs(walk, radii, np.full(2, 0.316), 1)
         assert formed == [walk.c_ratio.size]
         # near-tangent boxes reach the retest: their one table is all it reads
         rng = np.random.default_rng(5)
@@ -456,7 +459,8 @@ def _origin(pick, ts):
 def _pass_cells(walk, r, origin):
     """The cells of a walk's pass at r, one radius or (tagged) an array of them."""
     dim = walk.graph.dimension
-    return _run_cells(walk.runs(r, _origin_vector(origin, dim), dim - 1))
+    ids, start, stop = walk_runs(walk, r, _origin_vector(origin, dim), dim - 1)
+    return ids.cells(start, stop)
 
 
 ORIGIN_PICKS = st.sampled_from(("zero", "offset", "half"))
@@ -695,13 +699,6 @@ def _oracle_cells(shapes, r, origin) -> set:
     return oracle.cell_union(oracle.ElementSet("X", r, elements), r, grid_origin=origin)
 
 
-def _assert_disjoint(runs):
-    # within each (tag, prefix): ascending, no two runs overlapping or touching
-    same = runs[1:, :-2] == runs[:-1, :-2]
-    assert (runs[:, -1] >= runs[:, -2]).all()
-    assert np.where(same.all(axis=1), runs[1:, -2] > runs[:-1, -1] + 1, True).all()
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     runs=st.lists(
@@ -712,16 +709,23 @@ def _assert_disjoint(runs):
     far=st.booleans(),
 )
 def test_run_union_matches_cell_sets(runs, far):
-    # (tag, c_0, lo, hi) runs; two far runs put the linear ids past 2^62,
-    # where the union numbers groups and run ends by np.unique instead
+    # (tag, c_0, lo, hi) runs fed as 2-d index boxes, a merge at every add;
+    # two far runs put the linear ids past 2^62, where they are Python ints
     rows = np.array([(t, c, lo, lo + n) for t, c, lo, n in runs], dtype=np.int64)
     if far:
         rows = np.vstack([rows, [0, 0, 1 << 61, (1 << 61) + 2], [1, 0, -(1 << 61), -(1 << 61)]])
-    got = _union_runs(rows)
-    _assert_disjoint(got)
+    ilo, ihi = rows[:, [1, 2]], rows[:, [1, 3]]
+    ids = _Ids(ilo.min(axis=0), ihi.max(axis=0), 3, 1)
+    assert (ids.dtype == object) == far
+    acc = _CellUnion(ids)
+    with mock.patch.object(covering, "_MERGE_FLOOR", 1):
+        for k in range(0, rows.shape[0], 4):
+            covering._index_box_runs(ilo[k : k + 4], ihi[k : k + 4], acc, rows[k : k + 4, 0])
+    got = (ids, *acc.ranges())
+    assert_disjoint(got)
     want = {(t, c, x) for t, c, lo, hi in rows.tolist() for x in range(lo, hi + 1)}
-    assert set(map(tuple, _run_cells(got).tolist())) == want
-    assert _cell_count(got) == len(want)
+    assert set(map(tuple, ids.cells(*got[1:]).tolist())) == want
+    assert ids.counts(*got[1:]).tolist() == [sum(w[0] == k for w in want) for k in range(3)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -730,11 +734,10 @@ def test_line_runs_match_cells_and_oracle(data, r, origin):
     points, segments, boxes = data.draw(line_shapes(r, origin))
     pieces = _line_pieces(points, segments, boxes)
     o = _origin_vector(origin, 1)
-    runs = kernel_runs(1, pieces, r, o)
-    _assert_disjoint(runs)
+    assert_disjoint(kernel_runs(1, pieces, r, o))
     cells = kernel_cells(1, pieces, r, o)
     want = _oracle_cells(points + segments + boxes, r, origin)
-    assert _cell_count(runs) == cells.shape[0] == len(want)
+    assert kernel_count(1, pieces, r, o) == cells.shape[0] == len(want)
     assert set(map(tuple, cells.tolist())) == want
 
 
@@ -753,10 +756,9 @@ def test_tagged_line_runs_match_each_radius(data, radii, origin):
             for j in range(3)]
     pieces = _line_pieces(*kinds, tags)
     o = _origin_vector(origin, 1)
-    runs = kernel_runs(1, pieces, radii, o)
-    _assert_disjoint(runs)
+    assert_disjoint(kernel_runs(1, pieces, radii, o))
     cells = kernel_cells(1, pieces, radii, o)
-    counts = _cell_count(runs, radii.size)
+    counts = kernel_count(1, pieces, radii, o)
     for k, r in enumerate(radii):
         want = _oracle_cells(sum(drawn[k], []), r, origin)
         got = cells[cells[:, 0] == k, 1:]
@@ -785,6 +787,103 @@ def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
             covering.count(covering.generate(cantor_segment, "X", r), r)
         with pytest.raises(ResourceLimitError, match="enumeration"):
             _totals(cantor_segment, np.zeros(1), [1.0, 3.0])
+
+
+# -- the ids of a pass ---------------------------------------------------------------
+#
+# A pass fixes its linear cell ids before its first piece, from the hull of the
+# seed boxes widened by the containment slack; ids past 2^62 are Python ints.
+
+
+def _far_dust(far: float) -> MWGraph:
+    """Two vertices ``far`` apart on the diagonal, each a 2-d dust of two
+    quarter-size copies along x."""
+    edges = []
+    for v, at in (("X", 0.0), ("Y", far)):
+        for k, dx in enumerate((0.0, 0.75)):
+            shift = (0.75 * at + dx, 0.75 * at)
+            edges.append(Edge(f"{v}{k}", v, v, Similarity(0.25, np.eye(2), shift), Fraction(1, 4)))
+    boxes = {"X": Box((0.0, 0.0), (1.0, 1.0)), "Y": Box((far, far), (far + 1.0, far + 1.0))}
+    return MWGraph(dimension=2, vertices=boxes, edges=edges)
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.316])
+def test_ids_past_2_62_match_the_oracle(origin):
+    # the hull spans about 2^40 cells per axis: 2^80 ids, held as Python ints
+    graph = _far_dust(float(1 << 20))
+    assert validate(graph).ok
+    ts = [13.0, 13.5, 14.0]
+    o = _origin_vector(origin, 2)
+    for t in ts:
+        r = math.exp(-t)
+        assert covering._pass_ids([graph], r, o, covering._run_axis(graph)).dtype == object
+        kernel_sets = {v: covering.generate(graph, v, r) for v in graph.vertex_order}
+        oracle_sets = {v: oracle.generate(graph, v, r) for v in graph.vertex_order}
+        _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+    for t, res in _totals(graph, o, ts).items():  # one tagged pass
+        r = math.exp(-t)
+        sets = {v: oracle.generate(graph, v, r) for v in graph.vertex_order}
+        assert (res.per_vertex, res.total) == oracle.count(sets, r, grid_origin=origin)
+
+
+def test_containment_slack_holds_every_cell():
+    # the first map's images stick out of the unit box by 0.9e-9 < CONTAINMENT_TOL,
+    # so the attractor reaches about -0.9e-9, 90 cells left of the box at
+    # r = 1e-11: the ids fixed before the pass, widened by the slack
+    # 1e-9 / (1 - 0.5), hold every cell
+    graph = MWGraph(dimension=1, vertices={"X": Box((0.0,), (1.0,))}, edges=[
+        Edge("a", "X", "X", line_map(1e-3, -0.9e-9)),
+        Edge("b", "X", "X", line_map(0.5, 0.5)),
+    ])
+    assert validate(graph).ok
+    r = 1e-11
+    for origin in (0.0, 0.316, r / 2):
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        cells = [c for (c,) in oracle.cell_union(oracle_sets["X"], r, grid_origin=origin)]
+        ids = covering._pass_ids([graph], r, _origin_vector(origin, 1), 0)
+        assert ids.lo[0] <= min(cells) < math.floor(-origin / r) - 80
+        assert max(cells) <= ids.hi[0]
+        _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+
+
+def test_cells_outside_an_unvalidated_graphs_boxes_are_counted():
+    # the maps put every image 5 to 6 units right of the unit box: the pass
+    # stops at the first cell outside its ids and runs again under wider ones
+    def unit(shift):
+        return MWGraph(dimension=1, vertices={"X": Box((0.0,), (1.0,))}, edges=[
+            Edge("a", "X", "X", line_map(1 / 3, 5.0)),
+            Edge("b", "X", "X", line_map(1 / 3, shift)),
+        ])
+
+    graph = unit(5.5)
+    assert not validate(graph).ok
+    for t in (2.0, 5.0):
+        r = math.exp(-t)
+        kernel_sets = {"X": covering.generate(graph, "X", r)}
+        oracle_sets = {"X": oracle.generate(graph, "X", r)}
+        for origin in (0.0, 0.316):
+            _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
+    # a translation that is not a number leaves no cell the ids could hold
+    graph = unit(math.nan)
+    with pytest.raises(NumericalError, match="2\\^53 past the seed boxes"), np.errstate(invalid="ignore"):
+        covering.count(covering.generate(graph, "X", 0.01))
+
+
+def test_tagged_cap_holds_per_radius(cantor):
+    # cantor at t = 1..4 in one tagged pass: a cap of the largest radius's
+    # count passes though the radii hold more together; one less stops the pass
+    ts = [1.0, 2.0, 3.0, 4.0]
+    counts = [res.total for res in _totals(cantor, np.zeros(1), ts).values()]
+    assert len(list(covering._groups(_Walk(cantor, "X", math.exp(-4.0)).work(
+        np.array(sorted(math.exp(-t) for t in ts)), 0)))) == 1
+    most = max(counts)
+    assert sum(counts) > most
+    with mock.patch.object(covering, "CELL_CAP", most):
+        assert [res.total for res in _totals(cantor, np.zeros(1), ts).values()] == counts
+    with mock.patch.object(covering, "CELL_CAP", most - 1):
+        with pytest.raises(ResourceLimitError, match="cell union exceeds cap"):
+            _totals(cantor, np.zeros(1), ts)
 
 
 @pytest.mark.parametrize("origin, want", [(0.0, 442_414), (0.1, 442_415)])
@@ -846,7 +945,7 @@ def test_axis_segments_match_the_crossing_sampler(data, dim, r):
         a, b = _placed(segments, r, origin)
         pieces = [("segment", (a, b), None)]
         o = _origin_vector(origin, dim)
-        _assert_disjoint(kernel_runs(dim, pieces, r, o))
+        assert_disjoint(kernel_runs(dim, pieces, r, o))
         cells = kernel_cells(dim, pieces, r, o)
         want = _oracle_segment_cells(a, b, r, origin)
         assert cells.shape[0] == len(want)
@@ -868,7 +967,7 @@ def test_tagged_axis_segments_match_each_radius(data, dim, radii):
         a, b = (np.concatenate([p[k] for p in placed]) for k in (0, 1))
         pieces = [("segment", (a, b), tag)]
         o = _origin_vector(origin, dim)
-        _assert_disjoint(kernel_runs(dim, pieces, radii, o))
+        assert_disjoint(kernel_runs(dim, pieces, radii, o))
         cells = kernel_cells(dim, pieces, radii, o)
         for k, r in enumerate(radii):
             want = _oracle_segment_cells(*placed[k], r, origin)
@@ -1316,8 +1415,7 @@ def test_groups_in_any_order_match_fresh_walks(graph, ts, origin_pick, data):
             got = list(shared.pieces(r, 0))
             fresh = _Walk(graph, root, radii[0]).pieces(r, 0)
             assert _piece_bytes(got) == _piece_bytes(fresh), group
-            runs = kernel_runs(graph.dimension, got, r, o)
-            counts = np.atleast_1d(_cell_count(runs, None if rs.size == 1 else rs.size))
+            counts = np.atleast_1d(kernel_count(graph.dimension, got, r, o))
             for k, x in zip(group, counts.tolist()):
                 if (root, k) not in want:
                     oracle_set = oracle.generate(graph, root, radii[k])
@@ -1356,12 +1454,12 @@ STREAM_SIZES = (1, 7, 1 << 40)
 
 
 def _outcome(fn):
-    """``fn()``'s run array as bytes, or the message of the cap it trips."""
+    """``fn()``'s ranges as bytes, or the message of the cap it trips."""
     try:
-        runs = fn()
+        _ids, start, stop = fn()
     except ResourceLimitError as exc:
         return ("raises", str(exc))
-    return (runs.shape, runs.tobytes())
+    return (start.tobytes(), stop.tobytes())
 
 
 def _streamed(fn) -> list:
@@ -1373,17 +1471,17 @@ def _streamed(fn) -> list:
 
 
 def _assert_streams_alike(walk, r, o, axis) -> None:
-    """Walk ``runs`` at every slice size (and merging at every add) equal
+    """Walk ranges at every slice size (and merging at every add) equal
     those of one slice per node block, without a cap and under tiny ones."""
     with mock.patch.object(covering, "_WORK", STREAM_SIZES[-1]):
-        want = walk.runs(r, o, axis)
-    assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
+        want = walk_runs(walk, r, o, axis)
+    assert _streamed(lambda: walk_runs(walk, r, o, axis)) == [_outcome(lambda: want)] * 3
     with mock.patch.object(covering, "_MERGE_FLOOR", 1):
-        assert _streamed(lambda: walk.runs(r, o, axis)) == [_outcome(lambda: want)] * 3
-    most = int(np.max(_cell_count(want, None if np.ndim(r) == 0 else r.size), initial=0))
+        assert _streamed(lambda: walk_runs(walk, r, o, axis)) == [_outcome(lambda: want)] * 3
+    most = int(want[0].counts(*want[1:]).max())
     for cap in sorted({1, 2, max(most - 1, 1), max(most, 1)}):
         with mock.patch.object(covering, "CELL_CAP", cap):
-            outcomes = _streamed(lambda: walk.runs(r, o, axis))
+            outcomes = _streamed(lambda: walk_runs(walk, r, o, axis))
             assert outcomes == [outcomes[-1]] * 3, cap
 
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covering_oracle as oracle
-from helpers import kernel_cells, kernel_runs, piece_rows, sierpinski_graph
+from helpers import kernel_cells, kernel_runs, piece_rows, sierpinski_graph, walk_runs
 
 from gdcover import covering
 from gdcover.covering import _CellUnion, _origin_vector, _run_axis, _Walk
@@ -278,9 +278,9 @@ def _candidate_runs(fn):
     built = []
     add, hits = _CellUnion.add, covering._obb_hits
 
-    def spy(acc, runs):
-        built.append(runs.shape[0])
-        return add(acc, runs)
+    def spy(acc, start, stop):
+        built.append(start.size)
+        return add(acc, start, stop)
 
     def spy_hits(*args):
         rows, owner, hit = hits(*args)
@@ -302,7 +302,7 @@ def test_an_axis_parallel_segment_is_one_run(dim):
         pieces = [("segment", (a, b), None)]
         o = np.zeros(dim)
         assert _candidate_runs(lambda: kernel_runs(dim, pieces, r, o, axis)) == 1
-        assert kernel_runs(dim, pieces, r, o, axis).shape[0] == 1
+        assert kernel_runs(dim, pieces, r, o, axis)[1].size == 1
         assert kernel_cells(dim, pieces, r, o, axis).shape[0] == 18
         # along another axis each cell is a run of its own
         other = (axis + 1) % dim
@@ -346,8 +346,8 @@ def test_work_covers_the_candidate_runs(bundled, make):
     whole, bare = (_Walk(g, "X", radii[0]) for g in (graph, graph.without_condensation()))
     work, leaf_work = whole.work(radii, axis), bare.work(radii, axis)
     for r, w, lw in [*zip(radii, work, leaf_work), (radii, work.sum(), leaf_work.sum())]:
-        built = _candidate_runs(lambda: whole.runs(r, o, axis))
-        leaves = _candidate_runs(lambda: bare.runs(r, o, axis))
+        built = _candidate_runs(lambda: walk_runs(whole, r, o, axis))
+        leaves = _candidate_runs(lambda: walk_runs(bare, r, o, axis))
         assert built - leaves <= w - lw
         assert leaves <= spread * lw
 
