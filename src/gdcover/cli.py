@@ -32,10 +32,8 @@ __all__ = ["main"]
 
 def _fmt(x) -> str:
     """CSV cell formatting: integers verbatim, floats at 12 significant digits."""
-    if type(x) in (float, np.float64):
+    if isinstance(x, float):
         return "%.12g" % x
-    if type(x) in (int, str):
-        return str(x)
     if x is None:
         return ""
     if isinstance(x, str):
@@ -48,14 +46,11 @@ def _fmt(x) -> str:
 
 
 def _json(x, pad: str = "\n") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` of ``x`` with numpy values
-    as their ``tolist()`` and keys as ``str(key)``, in one recursive pass;
-    ``pad`` breaks the line and indents at this depth."""
+    """``json.dumps(x, indent=2, sort_keys=True)`` in one pass, keys as
+    ``str(key)``, numpy values as ``tolist()``; ``pad`` breaks and indents."""
     kind = type(x)
-    if kind is float and x - x == 0:  # finite
-        return float.__repr__(x)
-    if kind is int:
-        return int.__repr__(x)
+    if kind is float and x - x == 0 or kind is int:  # a finite float or an int
+        return kind.__repr__(x)
     if kind is str:
         return encode_basestring_ascii(x)
     if isinstance(x, (np.ndarray, np.generic)):

@@ -27,7 +27,7 @@ plus the union's.  Cells are held as runs along one axis per system, each a
 range [start, stop) of linear cell ids fixed before the pass (``_Ids``), 16
 bytes a run; a union merges by concatenation and ``_merge`` when its fresh
 runs pass twice its merged ones, and the vertices' total is one more merge.
-Traced peaks: 5.10 MB counting ``sierpinski`` at t = 6, 7.52 MB analyzing
+Traced peaks: 5.10 MB counting ``sierpinski`` at t = 6, 7.53 MB analyzing
 ``two_ratio``.  Axis-parallel segments are index boxes like points and boxes.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .geometry import Box
-from .graph import CONTAINMENT_TOL, PATH_CAP, MWGraph
+from .graph import PATH_CAP, MWGraph
 from .spectral import SpectralData, solve_s0
 
 __all__ = [
@@ -153,7 +153,21 @@ def _merge(start: np.ndarray, stop: np.ndarray):
     """Union of half-open id ranges [start, stop) as disjoint, non-touching
     ranges in ascending order.  Starts and stops sort apart: a merged range
     closes at the k-th smallest stop exactly when the next start lies past
-    it.  Both arrays are sorted in place."""
+    it.  Both arrays are sorted in place.  Ranges that start at index rows
+    (see ``_Ids``) are merged as ids: their distinct rows but the run column,
+    a column at a time, and their distinct run ends numbered by ``np.unique``."""
+    if start.ndim > 1:
+        g = np.zeros(stop.size, np.int64)
+        for col in start[:, :-1].T:
+            u, at = np.unique(col, return_inverse=True)
+            g = np.unique(g * u.size + at, return_inverse=True)[1] if g.any() else at
+        rows = np.empty((g.max() + 1, start.shape[1] - 1), np.int64)
+        rows[g] = start[:, :-1]
+        ends, at = np.unique(np.concatenate((start[:, -1], stop)), return_inverse=True)
+        g *= ends.size
+        a, b = _merge(g + at[: stop.size], g + at[stop.size :])
+        g, a = np.divmod(a, ends.size)
+        return np.column_stack((rows[g], ends[a])), ends[b - g * ends.size]
     start.sort()
     stop.sort()
     opens = np.empty(start.size, dtype=bool)
@@ -171,11 +185,11 @@ class _Ids:
     ``((tag * s_0 + c_0 - lo_0) * s_1 + ...) * w + c_run - lo_run``, spans
     s_k = hi_k - lo_k + 1 and w the run axis's span plus one: the last id of
     each (tag, prefix) is no cell's, so ranges of two prefixes never touch.
-    Ids past 2^62 are Python ints in object arrays, which every step takes.
+    Where ids would pass 2^62 (``big``), a range starts at the index row
+    (tag, prefix, c_run) and stops at a run-axis index, as ``_merge`` takes.
     """
 
     def __init__(self, lo, hi, n_tags: int | None, axis: int | None) -> None:
-        self.args = (np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64), n_tags, axis)
         self.tagged, self.axis, d = n_tags is not None, axis, len(lo)
         self.order = None if axis in (None, d - 1) else [*range(axis), *range(axis + 1, d), axis]
         at = range(d) if self.order is None else self.order
@@ -183,12 +197,15 @@ class _Ids:
         self.span = [n_tags or 1, *(h - a + 1 for a, h in zip(self.lo, self.hi))]
         self.span[-1] += 1
         self.stride = math.prod(self.span[1:])  # the ids of one radius
-        self.dtype = np.int64 if self.span[0] * self.stride < 1 << 62 else object
+        self.big = self.span[0] * self.stride >= 1 << 62
+        self.empty = self.encode(np.empty((0, d - 1), np.int64), *[np.empty(0, np.int64)] * 3)
 
     def encode(self, prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, tag):
         """Id ranges of the runs [lo, hi] (inclusive) along the run axis at
         the index rows ``prefix`` of the other axes, tagged in a tagged pass."""
-        off = np.zeros(lo.size, self.dtype) if tag is None else tag.astype(self.dtype)
+        if self.big:
+            return np.column_stack((np.zeros_like(lo) if tag is None else tag, prefix, lo)), hi + 1
+        off = np.zeros(lo.size, np.int64) if tag is None else tag.astype(np.int64)
         for k in range(prefix.shape[1]):
             off *= self.span[k + 1]
             off += prefix[:, k]
@@ -199,23 +216,27 @@ class _Ids:
 
     def counts(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """Cells of each radius held by merged ranges: their lengths summed
-        between the first ids of consecutive radii."""
-        held = np.zeros(start.size + 1, self.dtype)
-        np.cumsum(stop - start, out=held[1:])
-        firsts = np.arange(self.span[0] + 1, dtype=self.dtype) * self.stride
-        return np.diff(held[np.searchsorted(start, firsts)]).astype(np.int64)
+        between the first ids (or rows) of consecutive radii."""
+        first, key, step = (start[:, -1], start[:, 0], 1) if self.big else (start, start, self.stride)
+        held = np.zeros(stop.size + 1, np.int64)
+        np.cumsum(stop - first, out=held[1:])
+        return np.diff(held[np.searchsorted(key, np.arange(self.span[0] + 1) * step)])
 
     def cells(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """Every cell of merged ranges as an index row in the caller's axis
         order, led by its radius index in a tagged pass: the one decoder."""
-        n = (stop - start).astype(np.int64)
-        ids = np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
-        cols = []
-        for s, a in zip(self.span[:0:-1], self.lo[::-1]):
-            ids, c = ids // s, ids % s
-            cols.insert(0, c + a)
-        cols = cols if self.order is None else [cols[k] for k in np.argsort(self.order)]
-        return np.column_stack([ids] * self.tagged + cols).astype(np.int64)
+        if not self.big:  # each range's first cell as a (tag, prefix, c_run) row
+            ids, cols = start, []
+            for s, a in zip(self.span[:0:-1], self.lo[::-1]):
+                ids, c = np.divmod(ids, s)
+                cols.insert(0, c + a)
+            start, stop = np.column_stack((ids, *cols)), stop - start + cols[-1]
+        n = stop - start[:, -1]
+        cells = np.repeat(start, n, axis=0)
+        cells[:, -1] += np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        if self.order is not None:
+            cells[:, 1:] = cells[:, 1 + np.argsort(self.order)]
+        return cells[:, 1 - self.tagged :]
 
 
 class _Outside(Exception):
@@ -237,13 +258,13 @@ class _CellUnion:
     """
 
     def __init__(self, ids: _Ids) -> None:
-        self.ids, self.parts, self.fresh = ids, [(np.empty(0, ids.dtype),) * 2], 0
+        self.ids, self.parts, self.fresh = ids, [ids.empty], 0
 
     def add(self, start: np.ndarray, stop: np.ndarray) -> None:
-        if start.size:
+        if stop.size:
             self.parts.append((start, stop))
-            self.fresh += start.size
-            if self.fresh > max(_MERGE_FLOOR, 2 * self.parts[0][0].size):
+            self.fresh += stop.size
+            if self.fresh > max(_MERGE_FLOOR, 2 * self.parts[0][1].size):
                 self.ranges()
 
     def ranges(self):
@@ -1033,41 +1054,28 @@ def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
     """Refuse a radius at which a cell index of a seed-box corner reaches
     2^53: past it a float does not hold every integer, so indices are not
     exact, and past 2^63 their int64 cast is invalid."""
-    if float(np.max(np.abs(_seed_corners(graph) - origin))) / r >= 2.0**53:
+    if not float(np.max(np.abs(_seed_corners(graph) - origin))) / r < 2.0**53:
         raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
 
 
-def _pass_ids(graphs: list, r, origin: np.ndarray, axis: int) -> _Ids:
-    """The ids of a pass of the walks of ``graphs`` at r (a radius, or an
-    ascending array of them): the index range at the largest and smallest
-    radius of their seed boxes' hull, one cell wider for the 1e-9 snap and
-    sqrt(d) CONTAINMENT_TOL / (1 - q) wider, q the largest edge ratio.  That
-    holds a validated graph's every covering element: an edge's image of its
-    target's box, and a condensation shape, lie within sqrt(d)
-    CONTAINMENT_TOL of their vertex's box, and each map of a path shrinks
-    the slack of the image it extends by its ratio."""
-    corners = np.concatenate([_seed_corners(g) for g in graphs])
-    q = max((e.ratio for g in graphs for e in g.edges.values()), default=0.0)
-    slack = math.sqrt(corners.shape[2]) * CONTAINMENT_TOL / (1 - q) if q < 1 else 0.0
-    radii = np.atleast_1d(r)[[0, -1], None]
-    lo = np.floor((corners[:, 0].min(axis=0) - slack - origin) / radii).min(axis=0) - 1
-    hi = np.floor((corners[:, 1].max(axis=0) + slack - origin) / radii).max(axis=0) + 1
-    return _Ids(lo, hi, np.size(r) if np.ndim(r) else None, axis)
-
-
 def _pass(graphs: list, walks: list, r, origin: np.ndarray, axis: int):
-    """The ids of a pass at r of ``walks`` of ``graphs`` and each walk's merged
-    ranges, under ``_pass_ids`` widened until they hold every cell: a cell
-    outside (an unvalidated graph's) stops the pass before it is counted."""
-    ids = _pass_ids(graphs, r, origin, axis)
+    """The ids of a pass at r (a radius, or an ascending array of them) of
+    ``walks`` of ``graphs`` and each walk's merged ranges.  The ids span the
+    seed boxes' hull at the largest and smallest radius and one cell for the
+    1e-9 snap, widened until they hold every cell: one outside (an unvalidated
+    graph's, or past a box within ``CONTAINMENT_TOL``) stops the pass uncounted."""
+    corners = np.concatenate([_seed_corners(g) for g in graphs])
+    radii = np.atleast_1d(r)[[0, -1], None]
+    lo = np.floor((corners[:, 0].min(axis=0) - origin) / radii).min(axis=0) - 1
+    hi = np.floor((corners[:, 1].max(axis=0) - origin) / radii).max(axis=0) + 1
     while True:
+        ids = _Ids(lo, hi, np.size(r) if np.ndim(r) else None, axis)
         try:
             return ids, [w.runs(r, origin, ids) for w in walks]
         except _Outside:  # thrice the index bounds, about the same middle
-            lo, hi, n_tags, _axis = ids.args
             if (hi - lo).max() >= 2**53:
                 raise NumericalError("covering elements reach cell indices 2^53 past the seed boxes")
-            ids = _Ids(2 * lo - hi - 1, 2 * hi - lo + 1, n_tags, axis)
+            lo, hi = 2 * lo - hi - 1, 2 * hi - lo + 1
 
 
 def _set_ranges(sets: list, r, grid_origin):
@@ -1107,7 +1115,7 @@ def _count_runs(order, ids: _Ids, ranges: list) -> list:
     """A ``CountResult`` per radius of a pass from each vertex's merged ranges
     under ``ids``; the total is one ``_merge`` of them all."""
     per = np.array([ids.counts(*c) for c in ranges])
-    live = [c for c in ranges if c[0].size]
+    live = [c for c in ranges if c[1].size]
     totals = ids.counts(*_merge(*map(np.concatenate, zip(*live)))) if len(live) > 1 else per.sum(axis=0)
     if totals.max() > CELL_CAP:
         raise ResourceLimitError(f"cell union exceeds cap {CELL_CAP}")

@@ -710,13 +710,13 @@ def _oracle_cells(shapes, r, origin) -> set:
 )
 def test_run_union_matches_cell_sets(runs, far):
     # (tag, c_0, lo, hi) runs fed as 2-d index boxes, a merge at every add;
-    # two far runs put the linear ids past 2^62, where they are Python ints
+    # two far runs put the linear ids past 2^62, where ranges start at index rows
     rows = np.array([(t, c, lo, lo + n) for t, c, lo, n in runs], dtype=np.int64)
     if far:
         rows = np.vstack([rows, [0, 0, 1 << 61, (1 << 61) + 2], [1, 0, -(1 << 61), -(1 << 61)]])
     ilo, ihi = rows[:, [1, 2]], rows[:, [1, 3]]
     ids = _Ids(ilo.min(axis=0), ihi.max(axis=0), 3, 1)
-    assert (ids.dtype == object) == far
+    assert ids.big == far
     acc = _CellUnion(ids)
     with mock.patch.object(covering, "_MERGE_FLOOR", 1):
         for k in range(0, rows.shape[0], 4):
@@ -792,7 +792,8 @@ def test_line_segment_past_the_plane_cap_raises_on_both_paths(cantor_segment):
 # -- the ids of a pass ---------------------------------------------------------------
 #
 # A pass fixes its linear cell ids before its first piece, from the hull of the
-# seed boxes widened by the containment slack; ids past 2^62 are Python ints.
+# seed boxes, and runs again under wider ones when a cell falls outside them;
+# where ids would pass 2^62, ranges start at index rows.
 
 
 def _far_dust(far: float) -> MWGraph:
@@ -809,14 +810,14 @@ def _far_dust(far: float) -> MWGraph:
 
 @pytest.mark.parametrize("origin", [0.0, 0.316])
 def test_ids_past_2_62_match_the_oracle(origin):
-    # the hull spans about 2^40 cells per axis: 2^80 ids, held as Python ints
+    # the hull spans about 2^40 cells per axis: 2^80 ids, so ranges start at index rows
     graph = _far_dust(float(1 << 20))
     assert validate(graph).ok
     ts = [13.0, 13.5, 14.0]
     o = _origin_vector(origin, 2)
     for t in ts:
         r = math.exp(-t)
-        assert covering._pass_ids([graph], r, o, covering._run_axis(graph)).dtype == object
+        assert covering._pass([graph], [], r, o, covering._run_axis(graph))[0].big
         kernel_sets = {v: covering.generate(graph, v, r) for v in graph.vertex_order}
         oracle_sets = {v: oracle.generate(graph, v, r) for v in graph.vertex_order}
         _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
@@ -829,8 +830,8 @@ def test_ids_past_2_62_match_the_oracle(origin):
 def test_containment_slack_holds_every_cell():
     # the first map's images stick out of the unit box by 0.9e-9 < CONTAINMENT_TOL,
     # so the attractor reaches about -0.9e-9, 90 cells left of the box at
-    # r = 1e-11: the ids fixed before the pass, widened by the slack
-    # 1e-9 / (1 - 0.5), hold every cell
+    # r = 1e-11: past the ids fixed before the pass, so it runs again under
+    # wider ones and counts every cell
     graph = MWGraph(dimension=1, vertices={"X": Box((0.0,), (1.0,))}, edges=[
         Edge("a", "X", "X", line_map(1e-3, -0.9e-9)),
         Edge("b", "X", "X", line_map(0.5, 0.5)),
@@ -841,17 +842,16 @@ def test_containment_slack_holds_every_cell():
         kernel_sets = {"X": covering.generate(graph, "X", r)}
         oracle_sets = {"X": oracle.generate(graph, "X", r)}
         cells = [c for (c,) in oracle.cell_union(oracle_sets["X"], r, grid_origin=origin)]
-        ids = covering._pass_ids([graph], r, _origin_vector(origin, 1), 0)
-        assert ids.lo[0] <= min(cells) < math.floor(-origin / r) - 80
-        assert max(cells) <= ids.hi[0]
+        ids, _ranges = covering._pass([graph], [], r, _origin_vector(origin, 1), 0)
+        assert min(cells) < math.floor(-origin / r) - 80 < ids.lo[0]
         _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
 
 def test_cells_outside_an_unvalidated_graphs_boxes_are_counted():
     # the maps put every image 5 to 6 units right of the unit box: the pass
     # stops at the first cell outside its ids and runs again under wider ones
-    def unit(shift):
-        return MWGraph(dimension=1, vertices={"X": Box((0.0,), (1.0,))}, edges=[
+    def unit(shift, lo=0.0):
+        return MWGraph(dimension=1, vertices={"X": Box((lo,), (1.0,))}, edges=[
             Edge("a", "X", "X", line_map(1 / 3, 5.0)),
             Edge("b", "X", "X", line_map(1 / 3, shift)),
         ])
@@ -868,6 +868,10 @@ def test_cells_outside_an_unvalidated_graphs_boxes_are_counted():
     graph = unit(math.nan)
     with pytest.raises(NumericalError, match="2\\^53 past the seed boxes"), np.errstate(invalid="ignore"):
         covering.count(covering.generate(graph, "X", 0.01))
+    # nor does a seed box whose corner is not a number
+    graph = unit(5.5, math.nan)
+    with pytest.raises(NumericalError, match="reach 2\\^53"):
+        covering.generate(graph, "X", 0.01)
 
 
 def test_tagged_cap_holds_per_radius(cantor):
