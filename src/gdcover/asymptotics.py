@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import (
-    CELL_CAP,
     CoveringProfile,
     IntegralResult,
     condensation_integral,
     lattice_grid,
+    profile,
     profile_at,
 )
-from .errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
+from .errors import InconclusiveRegimeError, ValidationError
 from .graph import MWGraph, validate
 from .lattice import LatticeResult, classify_graph
 from .renewal import LATTICE_ALIGN_TOL
@@ -55,7 +55,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DENSE_MIN_SPAN = 2 * math.log(10.0)
 LATTICE_MIN_PERIODS = 4
-# large-condensation samples: t = n * step for these n
+# large-condensation samples: one per period n of the step, n from the
+# first to the last of this range
 _LARGE_N = range(3, 11)
 
 
@@ -249,7 +250,7 @@ def estimate_limit(profile: CoveringProfile, regime) -> AsymptoticReport:
         return _estimate_divergent(profile, name)
     if name.endswith("Lattice"):
         # the lattice's own step: t2 - t1 of two samples a period apart can be
-        # an ulp off it, and the cross-check's n*tau + y would miss profile t
+        # an ulp off it, and the cross-check's lattice_grid would miss profile t
         tau = regime.lattice.tau if isinstance(regime, RegimeResult) else None
         return _estimate_lattice(profile, name, tau)
     return _estimate_dense(profile, name)
@@ -306,9 +307,10 @@ def cross_check(
         if phased := _phase_note(graph, tau):
             raise ValidationError(phased)
         last = max(report.n_values)
-        # one row of windows per offset, at the profile's own t = n*tau + y
+        # one row of windows per offset, at the profile's own grid t values
         windows = [
-            [[n * tau + y for n in range(last - round(e.log_ratio / tau) + 1, last + 1) if n >= 0]
+            [[t for t, _n, _y in lattice_grid(
+                tau, range(max(0, last - round(e.log_ratio / tau) + 1), last + 1), [y])]
              for e in edges]
             for y in y_grid.tolist()
         ]
@@ -378,39 +380,6 @@ class AnalysisResult:
     notes: tuple[str, ...] = ()
 
 
-def _default_points(
-    graph: MWGraph,
-    regime: RegimeResult,
-    *,
-    n_min: int,
-    n_max: int,
-    y_samples: int,
-    t_min: float,
-    t_max: float,
-    dense_samples: int,
-):
-    """Profile samples of the regime.  A request for more than ``CELL_CAP``
-    samples raises ``ResourceLimitError`` before any is built."""
-    if regime.regime == "SmallCondensation-Lattice":
-        _check_sample_count((n_max - n_min + 1) * y_samples)
-        tau = regime.lattice.tau
-        ys = [m * tau / y_samples for m in range(y_samples)]
-        return lattice_grid(tau, range(n_min, n_max + 1), ys)
-    if regime.regime == "LargeCondensation":
-        if regime.lattice.is_lattice:
-            step = regime.lattice.tau
-        else:
-            step = max(e.log_ratio for e in graph.edges.values())
-        return lattice_grid(step, _LARGE_N, [0.0])
-    _check_sample_count(dense_samples)
-    return np.linspace(t_min, t_max, dense_samples).tolist()
-
-
-def _check_sample_count(n: int) -> None:
-    if n > CELL_CAP:
-        raise ResourceLimitError(f"analysis needs {n} samples (cap {CELL_CAP})")
-
-
 def analyze(
     graph: MWGraph,
     *,
@@ -422,22 +391,30 @@ def analyze(
     dense_samples: int = 24,
     grid_origin=None,
 ) -> AnalysisResult:
-    """Full pipeline: validate, classify, profile, estimate, cross-check."""
+    """Full pipeline: validate, classify, profile, estimate, cross-check.
+
+    The regime picks one ``profile`` grid: n_min..n_max periods of
+    ``y_samples`` offsets on a lattice, n in ``_LARGE_N`` periods of the
+    step under large condensation, ``dense_samples`` uniform t in
+    [t_min, t_max] otherwise.  More than ``CELL_CAP`` samples, that is
+    (n_max - n_min + 1) * y_samples or ``dense_samples``, raise
+    ``ResourceLimitError`` before any is built.
+    """
     validate(graph).raise_if_failed()
     spectral = solve_s0(graph)
     lattice = classify_graph(graph)
     regime = classify_regime(graph, spectral, lattice=lattice)
-    points = _default_points(
-        graph,
-        regime,
-        n_min=n_min,
-        n_max=n_max,
-        y_samples=y_samples,
-        t_min=t_min,
-        t_max=t_max,
-        dense_samples=dense_samples,
-    )
-    prof = profile_at(graph, points, spectral=spectral, grid_origin=grid_origin)
+    if regime.regime == "SmallCondensation-Lattice":
+        tau = lattice.tau
+        # the last offset as the grid writes it; profile refuses y_samples = 0
+        last = (y_samples - 1) * tau / y_samples if y_samples else 0.0
+        grid = (tau * n_min, tau * n_max + last, y_samples, tau)
+    elif regime.regime == "LargeCondensation":
+        step = lattice.tau if lattice.is_lattice else max(e.log_ratio for e in graph.edges.values())
+        grid = (step * _LARGE_N[0], step * _LARGE_N[-1], 1, step)
+    else:
+        grid = (t_min, t_max, dense_samples, None)
+    prof = profile(graph, *grid, spectral=spectral, grid_origin=grid_origin)
     report = estimate_limit(prof, regime)
     cross, notes = None, regime.notes
     phased = report.kind == "periodic" and _phase_note(graph, report.tau)

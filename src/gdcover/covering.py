@@ -1058,16 +1058,22 @@ def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
         raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
 
 
-def _pass(graphs: list, walks: list, r, origin: np.ndarray, axis: int):
-    """The ids of a pass at r (a radius, or an ascending array of them) of
-    ``walks`` of ``graphs`` and each walk's merged ranges.  The ids span the
-    seed boxes' hull at the largest and smallest radius and one cell for the
-    1e-9 snap, widened until they hold every cell: one outside (an unvalidated
-    graph's, or past a box within ``CONTAINMENT_TOL``) stops the pass uncounted."""
+def _hull(graphs: list, origin: np.ndarray) -> np.ndarray:
+    """(2, d): the low and high corners of the hull of the seed boxes of
+    ``graphs``, less ``origin``; every pass of a count reads the same one."""
     corners = np.concatenate([_seed_corners(g) for g in graphs])
+    return np.array([corners[:, 0].min(axis=0), corners[:, 1].max(axis=0)]) - origin
+
+
+def _pass(hull: np.ndarray, walks: list, r, origin: np.ndarray, axis: int):
+    """The ids of a pass at r (a radius, or an ascending array of them) of
+    ``walks`` and each walk's merged ranges.  The ids span the seed boxes'
+    ``hull`` at the largest and smallest radius and one cell for the 1e-9
+    snap, widened until they hold every cell: one outside (an unvalidated
+    graph's, or past a box within ``CONTAINMENT_TOL``) stops the pass uncounted."""
     radii = np.atleast_1d(r)[[0, -1], None]
-    lo = np.floor((corners[:, 0].min(axis=0) - origin) / radii).min(axis=0) - 1
-    hi = np.floor((corners[:, 1].max(axis=0) - origin) / radii).max(axis=0) + 1
+    lo = np.floor(hull[0] / radii).min(axis=0) - 1
+    hi = np.floor(hull[1] / radii).max(axis=0) + 1
     while True:
         ids = _Ids(lo, hi, np.size(r) if np.ndim(r) else None, axis)
         try:
@@ -1087,7 +1093,7 @@ def _set_ranges(sets: list, r, grid_origin):
     origin = _origin_vector(grid_origin, graphs[0].dimension)
     for graph in graphs:
         _check_index_range(graph, res, origin)
-    return _pass(graphs, [s._walk for s in sets], res, origin, _run_axis(graphs[0]))
+    return _pass(_hull(graphs, origin), [s._walk for s in sets], res, origin, _run_axis(graphs[0]))
 
 
 def cell_union(
@@ -1158,10 +1164,10 @@ def _totals(graph: MWGraph, origin: np.ndarray, ts) -> dict[float, CountResult]:
     _check_index_range(graph, radii[0], origin)
     axis = _run_axis(graph)
     walks = [_Walk(graph, v, radii[0]) for v in order]
-    results: list = []
+    hull, results = _hull([graph], origin), []
     for a, b in _groups(sum(w.work(radii, axis) for w in walks)):
         r = radii[a] if b - a == 1 else radii[a:b]
-        results += _count_runs(order, *_pass([graph], walks, r, origin, axis))
+        results += _count_runs(order, *_pass(hull, walks, r, origin, axis))
     return {t: results[k] for t, k in zip(ts, which.tolist())}
 
 
@@ -1296,28 +1302,33 @@ def profile(
 
     In lattice mode ``samples`` counts the y-offsets per period; every
     t = n*period + y inside [t_min, t_max] is sampled.  A request for more
-    than ``CELL_CAP`` samples raises ``ResourceLimitError`` before any is
-    built.
+    than ``CELL_CAP`` samples (uniform ones, or ``samples`` per whole period
+    n in the range) raises ``ResourceLimitError`` before any is built.  This
+    builds every t-grid of the package, ``analyze``'s included.
     """
     for name, x in (("t_min", t_min), ("t_max", t_max), ("period", period or 1.0)):
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
     if t_max < t_min:
         raise ValueError("t_max must be at least t_min")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     if period is not None and period <= 0:
         raise ValueError("period must be positive")
-    # periods in the range as a float, so a tiny period gives inf, not an overflow
-    n_samples = samples if period is None else samples * (t_max / period - t_min / period + 1)
+    n_samples = samples = int(samples)
+    if period is not None:
+        # periods in the range as a float first, so a tiny period gives inf or nan, not an overflow
+        if math.isfinite(t_max / period - t_min / period):
+            n_lo = math.ceil(t_min / period - 1e-12)
+            n_hi = math.floor(t_max / period + 1e-12)
+            n_samples = (n_hi - n_lo + 1) * samples
+        else:
+            n_samples = math.inf
     if n_samples > CELL_CAP:
-        raise ResourceLimitError(f"profile needs {n_samples:.4g} samples (cap {CELL_CAP})")
+        raise ResourceLimitError(f"profile needs {n_samples} samples (cap {CELL_CAP})")
     if period is None:
-        ts = np.linspace(t_min, t_max, samples).tolist()
-        points: list = ts
+        points: list = np.linspace(t_min, t_max, samples).tolist()
     else:
-        n_lo = math.ceil(t_min / period - 1e-12)
-        n_hi = math.floor(t_max / period + 1e-12)
         y_values = [m * period / samples for m in range(samples)]
         points = [
             p

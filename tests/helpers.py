@@ -454,7 +454,7 @@ def kernel_cells(dim, pieces, r, origin, axis=None) -> np.ndarray:
 def walk_runs(walk, r, origin, axis):
     """``kernel_runs`` of a walk's pass at r: its ranges under the ids a
     count of its graph takes."""
-    ids, (ranges,) = covering._pass([walk.graph], [walk], r, origin, axis)
+    ids, (ranges,) = covering._pass(covering._hull([walk.graph], origin), [walk], r, origin, axis)
     return (ids, *ranges)
 
 

@@ -27,7 +27,7 @@ from gdcover.asymptotics import (
     estimate_limit,
 )
 from gdcover.covering import lattice_grid, profile, profile_at
-from gdcover.errors import InconclusiveRegimeError, ValidationError
+from gdcover.errors import InconclusiveRegimeError, ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import Edge, MWGraph, strongly_connected
 from gdcover.lattice import classify_graph
@@ -314,7 +314,8 @@ class TestCrossCheck:
     def test_long_lattice_edge_is_counted_on_the_profile_grid(self, origin, want, monkeypatch):
         # edge b's window of 8 periods reaches n = 3, below the profile's
         # n = 4..10: the check counts those 8 points, one per offset, on a
-        # profile of their own at the profile's grid origin, and nothing else
+        # profile of their own at the profile's grid origin, and nothing else;
+        # the main profile comes through covering.profile, the extra one not
         graph = schema.parse_system(LONG_EDGE_SYSTEM)
         profiles = []
 
@@ -322,6 +323,7 @@ class TestCrossCheck:
             profiles.append(profile_at(*args, **kwargs))
             return profiles[-1]
 
+        monkeypatch.setattr(covering, "profile_at", keep)
         monkeypatch.setattr(asymptotics, "profile_at", keep)
         res = analyze(graph, grid_origin=origin)
         main, extra = profiles
@@ -395,3 +397,34 @@ class TestAnalyze:
             res = analyze(dust)
         assert res.notes
         assert res.report.kind == "divergent"
+
+    # analyze's grid is one covering.profile call: a bad knob is refused
+    # there, by name, before any sample is counted
+    @pytest.mark.parametrize("kw", [dict(y_samples=2.5), dict(y_samples=True),
+                                    dict(y_samples=0), dict(y_samples=np.float64(8.0))])
+    def test_lattice_offsets_must_be_a_positive_integer(self, cantor, kw):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            analyze(cantor, **kw)
+
+    @pytest.mark.parametrize("samples", [2.5, True, 0])
+    def test_dense_samples_must_be_a_positive_integer(self, two_ratio, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            analyze(two_ratio, dense_samples=samples)
+
+    def test_reversed_t_range_names_t_max(self, two_ratio):
+        with pytest.raises(ValueError, match="t_max"):
+            analyze(two_ratio, t_min=5.0, t_max=3.0)
+
+    @pytest.mark.parametrize("name, kw, n", [
+        ("cantor", dict(n_min=0, n_max=3, y_samples=10), 40),
+        ("two_ratio", dict(t_min=0.0, t_max=5.0, dense_samples=100), 100),
+    ], ids=["lattice", "dense"])
+    def test_sample_cap_is_exact(self, bundled, name, kw, n):
+        # (n_max - n_min + 1) * y_samples lattice samples, or dense_samples:
+        # at the cap the analysis runs (no count here passes it either), one
+        # sample past it is refused before any is built
+        with mock.patch.object(covering, "CELL_CAP", n):
+            assert len(analyze(bundled[name], **kw).profile.samples) == n
+        with mock.patch.object(covering, "CELL_CAP", n - 1), \
+                pytest.raises(ResourceLimitError, match=f"needs {n} samples"):
+            analyze(bundled[name], **kw)

@@ -486,12 +486,35 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile(cantor, 0.1, 0.2, 3, period=LN3)
 
+    @pytest.mark.parametrize("samples", [2.5, True, False, np.float64(3.0), "3", None])
+    def test_profile_refuses_a_sample_count_that_is_not_an_integer(self, cantor, samples):
+        # 2.5 raised numpy's TypeError and True counted as 1 sample
+        with pytest.raises(ValueError, match="samples must be an integer of at least 1, got"):
+            profile(cantor, 1.0, 3.0, samples)
+
+    def test_profile_takes_a_numpy_integer_sample_count(self, cantor):
+        assert profile(cantor, 1.0, 3.0, np.int64(3)) == profile(cantor, 1.0, 3.0, 3)
+        assert profile(cantor, 0.0, 3.0, np.int32(2), LN3) == profile(cantor, 0.0, 3.0, 2, LN3)
+
+    def test_lattice_cap_counts_whole_periods(self, cantor):
+        # [0, 2 tau + 3 tau / 4] holds the periods n = 0, 1, 2 of 4 offsets:
+        # 12 samples, where the span's float estimate reads 4 * (2.75 + 1) = 15
+        t_max = 2 * LN3 + 3 * LN3 / 4
+        with mock.patch.object(covering, "CELL_CAP", 12):
+            assert len(profile(cantor, 0.0, t_max, 4, LN3).samples) == 12
+        with mock.patch.object(covering, "CELL_CAP", 11), \
+                pytest.raises(ResourceLimitError, match="needs 12 samples"):
+            profile(cantor, 0.0, t_max, 4, LN3)
+
     def test_sample_count_checked_before_sampling(self, cantor):
         # 4.1e10 and 1e9 samples: refused before a t value is built
         with pytest.raises(ResourceLimitError, match="samples"):
             profile(cantor, 0.0, 1.0, 41, period=1e-9)
         with pytest.raises(ResourceLimitError, match="samples"):
             profile(cantor, 0.0, 1.0, 10**9)
+        # inf - inf periods: refused, where math.ceil(inf) raised OverflowError
+        with pytest.raises(ResourceLimitError, match="needs inf samples"):
+            profile(cantor, 1e300, 1e300, 1, period=1e-10)
 
 
 def count_defect(ctx: ForcingContext, vertex: str, t: float) -> int:

@@ -817,7 +817,7 @@ def test_ids_past_2_62_match_the_oracle(origin):
     o = _origin_vector(origin, 2)
     for t in ts:
         r = math.exp(-t)
-        assert covering._pass([graph], [], r, o, covering._run_axis(graph))[0].big
+        assert covering._pass(covering._hull([graph], o), [], r, o, covering._run_axis(graph))[0].big
         kernel_sets = {v: covering.generate(graph, v, r) for v in graph.vertex_order}
         oracle_sets = {v: oracle.generate(graph, v, r) for v in graph.vertex_order}
         _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
@@ -842,7 +842,8 @@ def test_containment_slack_holds_every_cell():
         kernel_sets = {"X": covering.generate(graph, "X", r)}
         oracle_sets = {"X": oracle.generate(graph, "X", r)}
         cells = [c for (c,) in oracle.cell_union(oracle_sets["X"], r, grid_origin=origin)]
-        ids, _ranges = covering._pass([graph], [], r, _origin_vector(origin, 1), 0)
+        o = _origin_vector(origin, 1)
+        ids, _ranges = covering._pass(covering._hull([graph], o), [], r, o, 0)
         assert min(cells) < math.floor(-origin / r) - 80 < ids.lo[0]
         _assert_same_counts(graph, kernel_sets, oracle_sets, r, origin)
 
