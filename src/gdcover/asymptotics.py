@@ -398,8 +398,11 @@ def analyze(
     step under large condensation, ``dense_samples`` uniform t in
     [t_min, t_max] otherwise.  More than ``CELL_CAP`` samples, that is
     (n_max - n_min + 1) * y_samples or ``dense_samples``, raise
-    ``ResourceLimitError`` before any is built.
+    ``ResourceLimitError`` before any is built; periods outside
+    ``0 <= n_min <= n_max`` raise ``ValueError`` before anything is solved.
     """
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"need 0 <= n_min <= n_max, got n_min = {n_min!r}, n_max = {n_max!r}")
     validate(graph).raise_if_failed()
     spectral = solve_s0(graph)
     lattice = classify_graph(graph)

@@ -1027,8 +1027,8 @@ def generate(graph: MWGraph, vertex: str, r: float) -> GeometrySet:
         raise ValueError(f"resolution r must be positive and finite, got {r!r}")
     # the origin nearest every seed-box corner, the middle of their hull: a
     # radius refused there is refused at every grid origin
-    corners = _seed_corners(graph)
-    _check_index_range(graph, r, (corners.min(axis=(0, 1)) + corners.max(axis=(0, 1))) / 2)
+    hull = _hull([graph], 0.0)
+    _check_index_range(hull - (hull[0] + hull[1]) / 2, r)
     return GeometrySet(vertex, r, _Walk(graph, vertex, r))
 
 
@@ -1045,24 +1045,19 @@ def _run_axis(graph: MWGraph) -> int:
     return graph.dimension - 1 - int(np.argmax(extent[::-1]))
 
 
-def _seed_corners(graph: MWGraph) -> np.ndarray:
-    """(vertices, 2, d): the low and high corners of each seed box."""
-    return np.array([[b.lo, b.hi] for b in map(graph.seed_box, graph.vertex_order)])
+def _hull(graphs: list, origin) -> np.ndarray:
+    """(2, d): the low and high corners of the hull of the seed-box corners
+    of ``graphs``, less ``origin``, which a count forms once for all it reads."""
+    corners = np.array([c for g in graphs for b in map(g.seed_box, g.vertex_order) for c in (b.lo, b.hi)])
+    return np.array([corners.min(axis=0), corners.max(axis=0)]) - origin
 
 
-def _check_index_range(graph: MWGraph, r: float, origin: np.ndarray) -> None:
-    """Refuse a radius at which a cell index of a seed-box corner reaches
+def _check_index_range(hull: np.ndarray, r: float) -> None:
+    """Refuse a radius at which a cell index of a ``hull`` corner reaches
     2^53: past it a float does not hold every integer, so indices are not
     exact, and past 2^63 their int64 cast is invalid."""
-    if not float(np.max(np.abs(_seed_corners(graph) - origin))) / r < 2.0**53:
+    if not float(np.max(np.abs(hull))) / r < 2.0**53:
         raise NumericalError(f"cell indices at r = {float(r):.6g} reach 2^53, past exact float integers")
-
-
-def _hull(graphs: list, origin: np.ndarray) -> np.ndarray:
-    """(2, d): the low and high corners of the hull of the seed boxes of
-    ``graphs``, less ``origin``; every pass of a count reads the same one."""
-    corners = np.concatenate([_seed_corners(g) for g in graphs])
-    return np.array([corners[:, 0].min(axis=0), corners[:, 1].max(axis=0)]) - origin
 
 
 def _pass(hull: np.ndarray, walks: list, r, origin: np.ndarray, axis: int):
@@ -1091,9 +1086,9 @@ def _set_ranges(sets: list, r, grid_origin):
         raise ValueError(f"a set generated at r = {res} is counted at that r, not {r}")
     graphs = [s._walk.graph for s in sets]
     origin = _origin_vector(grid_origin, graphs[0].dimension)
-    for graph in graphs:
-        _check_index_range(graph, res, origin)
-    return _pass(_hull(graphs, origin), [s._walk for s in sets], res, origin, _run_axis(graphs[0]))
+    hull = _hull(graphs, origin)
+    _check_index_range(hull, res)
+    return _pass(hull, [s._walk for s in sets], res, origin, _run_axis(graphs[0]))
 
 
 def cell_union(
@@ -1161,10 +1156,10 @@ def _totals(graph: MWGraph, origin: np.ndarray, ts) -> dict[float, CountResult]:
     radii, which = _distinct_radii(ts)
     if not radii.size:
         return {}
-    _check_index_range(graph, radii[0], origin)
+    hull, results = _hull([graph], origin), []
+    _check_index_range(hull, radii[0])
     axis = _run_axis(graph)
     walks = [_Walk(graph, v, radii[0]) for v in order]
-    hull, results = _hull([graph], origin), []
     for a, b in _groups(sum(w.work(radii, axis) for w in walks)):
         r = radii[a] if b - a == 1 else radii[a:b]
         results += _count_runs(order, *_pass(hull, walks, r, origin, axis))

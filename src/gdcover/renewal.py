@@ -813,7 +813,7 @@ def renewal_solve(
             # order: none lies below this term's first plus lam
             bp, _, lens = term
             bound = bp[_offsets(lens)[:-1][lens > 0]].min(initial=math.inf) + lam - 1e-9
-            term = _clip(*_flatten(vector_convolve(_functions(*term), m)), horizon)
+            term = _clip(*_vector_convolve(*term, m), horizon)
             if not term[1].any():
                 break
             laid, sizes = _interleave(_settle(total, bound, settled), term)

@@ -161,26 +161,25 @@ def solve_s0(graph: MWGraph) -> SpectralData:
     Perron vectors ``u``, ``v`` and the moment matrix ``M`` that the result
     holds anyway.  It stops at the first step that does not raise ``s``,
     where only rounding is left, and the returned value satisfies
-    ``|radius(s0) - 1| <= S0_TOL``; a radius within ``S0_TOL`` of 1 at
-    ``s = 0`` gives ``s0 = 0``.
+    ``|radius(s0) - 1| <= S0_TOL``.  The first step's radius, at ``s = 0``,
+    is refused below 1 and gives ``s0 = 0`` within ``S0_TOL`` of 1.
     """
     if not strongly_connected(graph):
         raise NumericalError("graph is not strongly connected")
 
-    build = _matrix_builder(graph)
-    r0 = spectral_radius(build(0.0))
-    if r0 < 1.0 - 1e-12:
-        raise NumericalError(
-            f"radius at s=0 is {r0} < 1: no nonnegative dimension exists"
-        )
+    build, build_moments = _matrix_builder(graph), _matrix_builder(graph, moments=True)
     s0 = 0.0
     for _ in range(NEWTON_MAX_ITER):
         a0 = build(s0)
         _require_irreducible(a0)
         rho, u = _perron(a0)
+        if s0 == 0.0 and rho < 1.0 - 1e-12:
+            raise NumericalError(
+                f"radius at s=0 is {rho} < 1: no nonnegative dimension exists"
+            )
         v = _left_perron(a0, rho)
-        moments = build_moment_matrix(graph, s0)
-        if abs(r0 - 1.0) <= S0_TOL:  # s0 = 0
+        moments = build_moments(s0)
+        if s0 == 0.0 and abs(rho - 1.0) <= S0_TOL:
             break
         # the Newton step on log radius(s), whose derivative is -(v M u) / (rho v u)
         s = s0 + math.log(rho) * rho * float(v @ u) / float(v @ moments @ u)

@@ -415,6 +415,14 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="t_max"):
             analyze(two_ratio, t_min=5.0, t_max=3.0)
 
+    @pytest.mark.parametrize("n_min, n_max", [(5, 3), (-3, 2)], ids=["reversed", "negative"])
+    def test_period_range_is_checked_first(self, cantor, n_min, n_max):
+        # a reversed range named profile's t_max, and a negative n_min sampled
+        # t < 0; both are refused by name before the graph is validated
+        with mock.patch("gdcover.asymptotics.validate", side_effect=AssertionError("validated")), \
+                pytest.raises(ValueError, match=f"n_min = {n_min}, n_max = {n_max}"):
+            analyze(cantor, n_min=n_min, n_max=n_max)
+
     @pytest.mark.parametrize("name, kw, n", [
         ("cantor", dict(n_min=0, n_max=3, y_samples=10), 40),
         ("two_ratio", dict(t_min=0.0, t_max=5.0, dense_samples=100), 100),

@@ -589,6 +589,22 @@ def test_indices_past_exact_floats_are_refused_before_any_walk():
     assert covering.profile_at(two_ratio_graph(), [10.0], grid_origin=1e11).samples
 
 
+def test_a_count_refuses_a_graph_past_exact_floats_among_others():
+    # two graphs on one grid: the first's seed box is [0, 1], the second's
+    # sits 1e12 to its right, where at r = e^-10 a cell index reaches 2.2e16,
+    # past 2^53; each generates, as it is checked about its own middle
+    r = math.exp(-10.0)
+    far = MWGraph(dimension=1, vertices={"Y": Box((1e12,), (1e12 + 1.0,))}, edges=[
+        Edge("h", "Y", "Y", line_map(0.5, 0.5e12)),
+        Edge("q", "Y", "Y", line_map(0.25, 0.75e12 + 0.75)),
+    ])
+    sets = {"X": covering.generate(two_ratio_graph(), "X", r), "Y": covering.generate(far, "Y", r)}
+    assert covering.count({"X": sets["X"]}).total > 0
+    with mock.patch.object(_Walk, "runs", side_effect=AssertionError("pass")):
+        with pytest.raises(NumericalError, match=f"cell indices at r = {r:.6g} reach 2\\^53"):
+            covering.count(sets)
+
+
 def _raises_cap(fn, *args, **kwargs) -> bool:
     try:
         fn(*args, **kwargs)

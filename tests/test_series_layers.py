@@ -4,7 +4,7 @@
 the settled prefix off the running total before each merge.  These tests pin
 its output, bit for bit, to the oracle's one-function-at-a-time series: at
 the benchmark's sizes, and on the inputs where splitting off a prefix could
-go wrong.  They also pin its memory and its one ``vector_convolve`` call per
+go wrong.  They also pin its memory and its one ``_vector_convolve`` call per
 term.
 """
 import tracemalloc
@@ -160,17 +160,25 @@ class TestTermLayers:
         assert got.values.tobytes() == want.values.tobytes()
 
     def test_one_vector_convolve_call_per_term(self, monkeypatch):
-        calls = []
-        real = renewal.vector_convolve
+        calls = dict.fromkeys(("_vector_convolve", "vector_convolve", "_flatten", "_functions"), 0)
 
-        def counted(fs, m):
-            calls.append(1)
-            return real(fs, m)
+        def counted(name):
+            real = getattr(renewal, name)
 
-        monkeypatch.setattr(renewal, "vector_convolve", counted)
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(renewal, name, counted(name))
         # terms k = 1..5 start at k <= 5.5, and none vanishes
         renewal.renewal_solve(UNIT_SHIFT, [StepFunction.indicator(0.0, 0.5)], 5.5)
-        assert len(calls) == 5
+        # one convolution per term, each from layer to layer: the forcing is
+        # laid out once and the solution split into functions once
+        assert calls == {"_vector_convolve": 5, "vector_convolve": 0,
+                         "_flatten": 1, "_functions": 1}
 
     def test_heap_peak_at_most_three_times_the_solution(self):
         m = family_measure(22, False, 4)

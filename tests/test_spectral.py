@@ -237,8 +237,43 @@ class TestNewtonIteration:
         for name, graph in graphs.items():
             radii.clear()
             solve_s0(graph)
-            assert len(radii) >= 3, name  # s = 0, then right and left runs per step
+            assert len(radii) >= 3, name  # a right and a left run per step, two steps at least
             assert min(radii) >= 1.0 - spectral.S0_TOL, name
+
+    @pytest.mark.parametrize("name", ["two_vertex", "family22"])
+    def test_two_eigensolves_per_step_and_none_apart(self, bundled, monkeypatch, name):
+        # the first Newton step reads the radius at s = 0 itself: every step
+        # solves its pressure matrix once on the right and once on the left,
+        # at strictly increasing s, and the moment builder is formed once
+        graph = bundled.get(name) or schema.parse_system(family_system(22, False, 1))
+        formed, steps, runs = [], [], []
+        real_builder, real_perron = spectral._matrix_builder, spectral._perron
+
+        def builder(g, moments=False):
+            formed.append(moments)
+            build = real_builder(g, moments)
+
+            def stepped(s):
+                steps.append((s, build(s)))
+                return steps[-1][1]
+
+            return build if moments else stepped
+
+        def perron(a):
+            runs.append(a)
+            return real_perron(a)
+
+        monkeypatch.setattr(spectral, "_matrix_builder", builder)
+        monkeypatch.setattr(spectral, "_perron", perron)
+        solve_s0(graph)
+        assert formed == [False, True]
+        s_values = [s for s, _ in steps]
+        assert s_values[0] == 0.0 and len(s_values) >= 2
+        assert all(a < b for a, b in zip(s_values, s_values[1:]))
+        assert len(runs) == 2 * len(steps)
+        for (_, a), right, left in zip(steps, runs[0::2], runs[1::2]):
+            assert right is a
+            assert np.array_equal(left, a.T)
 
     def test_radius_below_one_at_zero_is_an_error(self):
         # a vertex without edges has radius 0 at s = 0
