@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -185,18 +185,35 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
 class ValidationReport:
-    """Outcome of every structural and geometric invariant check."""
+    """Outcome of every structural and geometric invariant check.
 
-    checks: list[CheckResult] = field(default_factory=list)
+    Checks are kept as verdicts and the functions that form them, which run
+    on the first read of ``checks`` or ``failures()``: ``ok`` and a passing
+    ``raise_if_failed`` form no ``CheckResult``.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list[tuple[bool, Callable[[], Iterable[CheckResult]]]] = []
+        self._checks: list[CheckResult] | None = None
+
+    def _extend(self, passed: bool, form: Callable[[], Iterable[CheckResult]]) -> None:
+        """Record checks after those so far: whether all pass, and what forms them."""
+        self._parts.append((passed, form))
+        self._checks = None
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, bool(passed), detail))
+        self._extend(bool(passed), lambda: [CheckResult(name, bool(passed), detail)])
+
+    @property
+    def checks(self) -> list[CheckResult]:
+        if self._checks is None:
+            self._checks = [c for _, form in self._parts for c in form()]
+        return self._checks
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(passed for passed, _ in self._parts)
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -221,8 +238,9 @@ def validate(graph: MWGraph) -> ValidationReport:
 
     Failures are fatal for downstream use; callers that need a hard stop can
     use :meth:`ValidationReport.raise_if_failed`.  Each kind of check runs
-    as one array pass over the stacked boxes or edge maps; a comparison
-    over two boxes covers the axes both have, as ``Box`` methods do.
+    as one array pass over the stacked boxes or edge maps, kept as the
+    report's verdicts; a comparison over two boxes covers the axes both
+    have, as ``Box`` methods do.
     """
     rep = ValidationReport()
     add, tol = rep.add, CONTAINMENT_TOL
@@ -236,22 +254,15 @@ def validate(graph: MWGraph) -> ValidationReport:
     axes = np.arange(width)
     lo, hi, dims = _bounds(seeds, width)
     seed_ok = (dims == d) & (hi[:, :d] - lo[:, :d] > 0).all(axis=1)
-    for vid, box, ok in zip(order, seeds, seed_ok.tolist()):
-        add(f"seed-box[{vid}]", ok,
-            "" if ok else f"box must be d-dimensional with positive widths, got {box}")
-
-    for vid in order:
-        ok = len(graph.out_edges(vid)) > 0
-        add(f"out-edge[{vid}]", ok, "" if ok else "vertex has no outgoing edge")
+    out_ok = [len(graph.out_edges(vid)) > 0 for vid in order]
 
     first, second = np.triu_indices(len(order), 1)
     apart = axes >= np.minimum(dims[first], dims[second])[:, None]
     meet = (np.minimum(hi[first], hi[second]) > np.maximum(lo[first], lo[second])) | apart
-    for a, b, ok in zip(first.tolist(), second.tolist(), (~meet.all(axis=1)).tolist()):
-        add(f"disjoint-interiors[{order[a]},{order[b]}]", ok,
-            "" if ok else "seed boxes overlap on an open set")
+    disjoint = ~meet.all(axis=1)
 
     edges = list(graph.edges.values())
+    ratio_ok = [0.0 < e.map.ratio < 1.0 for e in edges]
     shape_ok = [e.map.dim == d and e.map.isometry.shape == (d, d) for e in edges]
     shaped = [e for e, ok in zip(edges, shape_ok) if ok]
     count = len(shaped)
@@ -280,49 +291,62 @@ def validate(graph: MWGraph) -> ValidationReport:
         images = ratio[:, None, None] * corners @ qt + shift
         inside = ((lo[src, None, :d] - tol <= images) & (images <= hi[src, None, :d] + tol)
                   | (axes[:d] >= dims[src, None, None])).all(axis=(1, 2))
+    # relative: a tiny ratio's rational must not be off by a multiple
+    rational_ok = [0 < e.ratio_rational < 1
+                   and abs(float(e.ratio_rational) - e.map.ratio) <= 1e-12 * e.map.ratio
+                   for e in shaped if e.ratio_rational is not None]
 
-    shaped_checks = zip(defect.tolist(), worst.tolist(), inside.tolist())
-    for e, ok in zip(edges, shape_ok):
-        r = e.map.ratio
-        add(f"ratio-range[{e.id}]", 0.0 < r < 1.0, f"ratio={r}")
-        add(f"map-shape[{e.id}]", ok, "" if ok else "wrong dimensions")
-        if not ok:
-            continue
-        e_defect, e_worst, e_inside = next(shaped_checks)
-        add(f"isometry-orthogonal[{e.id}]", e_defect <= ORTHOGONALITY_TOL, f"defect={e_defect:.3e}")
-        add(f"distance-scaling[{e.id}]", e_worst <= 1e-12, f"relative defect={e_worst:.3e}")
-        add(f"containment[{e.id}]", e_inside,
-            "" if e_inside else f"image of {e.dst!r} escapes the box of {e.src!r}")
-        if e.ratio_rational is not None:
-            rational = e.ratio_rational
-            # relative: a tiny ratio's rational must not be off by a multiple
-            ok = 0 < rational < 1 and abs(float(rational) - r) <= 1e-12 * r
-            add(f"ratio-rational[{e.id}]", ok,
-                "" if ok else f"rational {rational} disagrees with float ratio {r}")
+    def checks() -> Iterator[CheckResult]:
+        for vid, box, ok in zip(order, seeds, seed_ok.tolist()):
+            yield CheckResult(f"seed-box[{vid}]", ok, "" if ok else
+                              f"box must be d-dimensional with positive widths, got {box}")
+        for vid, ok in zip(order, out_ok):
+            yield CheckResult(f"out-edge[{vid}]", ok, "" if ok else "vertex has no outgoing edge")
+        for a, b, ok in zip(first.tolist(), second.tolist(), disjoint.tolist()):
+            yield CheckResult(f"disjoint-interiors[{order[a]},{order[b]}]", ok,
+                              "" if ok else "seed boxes overlap on an open set")
+        shaped_checks = zip(defect.tolist(), worst.tolist(), inside.tolist())
+        rationals = iter(rational_ok)
+        for e, r_ok, ok in zip(edges, ratio_ok, shape_ok):
+            yield CheckResult(f"ratio-range[{e.id}]", r_ok, f"ratio={e.map.ratio}")
+            yield CheckResult(f"map-shape[{e.id}]", ok, "" if ok else "wrong dimensions")
+            if not ok:
+                continue
+            e_defect, e_worst, e_inside = next(shaped_checks)
+            yield CheckResult(f"isometry-orthogonal[{e.id}]", e_defect <= ORTHOGONALITY_TOL,
+                              f"defect={e_defect:.3e}")
+            yield CheckResult(f"distance-scaling[{e.id}]", e_worst <= 1e-12,
+                              f"relative defect={e_worst:.3e}")
+            yield CheckResult(f"containment[{e.id}]", e_inside, "" if e_inside else
+                              f"image of {e.dst!r} escapes the box of {e.src!r}")
+            if (rational := e.ratio_rational) is not None:
+                ok = next(rationals)
+                yield CheckResult(f"ratio-rational[{e.id}]", ok, "" if ok else
+                                  f"rational {rational} disagrees with float ratio {e.map.ratio}")
+
+    verdicts = (seed_ok, out_ok, disjoint, ratio_ok, shape_ok, defect <= ORTHOGONALITY_TOL,
+                worst <= 1e-12, inside, rational_ok)
+    rep._extend(all(np.all(v) for v in verdicts), checks)
 
     for vid, prims in graph.condensation.items():
         box = graph.seed_box(vid)
         for k, prim in enumerate(prims):
             ok = prim.dim == d
             if ok and prim.kind == "box":
-                lo, hi = prim.points
-                ok = all(l <= h for l, h in zip(lo, hi))
+                p_lo, p_hi = prim.points
+                ok = all(l <= h for l, h in zip(p_lo, p_hi))
             if ok:
                 ok = box.contains_box(prim.bounding_box(), tol=CONTAINMENT_TOL)
-            rep.add(
-                f"condensation[{vid}:{k}]",
-                ok,
-                "" if ok else "shape must sit inside its seed box",
-            )
+            add(f"condensation[{vid}:{k}]", ok, "" if ok else "shape must sit inside its seed box")
 
     olo, ohi, odims = _bounds(opens, width)
     open_ok = ((ohi - olo > 0) | (axes >= odims[:, None])).all(axis=1) & (
         ((lo - tol <= olo) & (ohi <= hi + tol)) | (axes >= np.minimum(dims, odims)[:, None])
     ).all(axis=1)
-    for vid, ok in zip(order, open_ok.tolist()):
-        add(f"open-set[{vid}]", ok,
-            "" if ok else "open set must have positive widths and sit inside the seed box")
-
+    rep._extend(bool(open_ok.all()), lambda: [
+        CheckResult(f"open-set[{vid}]", ok,
+                    "" if ok else "open set must have positive widths and sit inside the seed box")
+        for vid, ok in zip(order, open_ok.tolist())])
     return rep
 
 

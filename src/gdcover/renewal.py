@@ -95,27 +95,28 @@ def _anchors(x: np.ndarray, tol: float, heads=None) -> np.ndarray:
     return keep
 
 
-def _merge_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and merge atoms closer than the merge tolerance.
+def _merge_atoms(locations: np.ndarray, weights: np.ndarray, cells: np.ndarray):
+    """Sort and merge atoms closer than the merge tolerance, within each cell.
 
-    The merged atom keeps the location of the first member of its group,
-    which preserves exact grid alignment in lattice systems.  Its weight
-    is the group's weights summed in location order, one at a time.
+    The atoms are ordered by cell, then by location, stably.  The merged atom
+    keeps the location of the first member of its group, which preserves
+    exact grid alignment in lattice systems.  Its weight is the group's
+    weights summed in location order, one at a time.
     """
     if locations.size == 0:
-        return locations, weights
-    order = np.argsort(locations, kind="stable")
-    locations = locations[order]
-    weights = weights[order]
-    heads = np.flatnonzero(_anchors(locations, ATOM_MERGE_TOL))
+        return locations, weights, cells
+    order = np.lexsort((locations, cells))
+    locations, weights, cells = locations[order], weights[order], cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    heads = np.flatnonzero(_anchors(locations, ATOM_MERGE_TOL, starts))
     if heads.size == locations.size:
-        return locations, weights
+        return locations, weights, cells
     sizes = np.diff(np.append(heads, locations.size))
     acc = weights[heads]
     for p in range(1, int(sizes.max())):
         grow = sizes > p
         acc[grow] += weights[heads[grow] + p]
-    return locations[heads], acc
+    return locations[heads], acc, cells[heads]
 
 
 class AtomicMeasure:
@@ -141,7 +142,7 @@ class AtomicMeasure:
         keep = w > 0
         loc, w = loc[keep], w[keep]
         loc = np.maximum(loc, 0.0)
-        loc, w = _merge_atoms(loc, w)
+        loc, w, _ = _merge_atoms(loc, w, np.zeros(loc.size, dtype=np.intp))
         loc.setflags(write=False)
         w.setflags(write=False)
         self.locations = loc
@@ -180,67 +181,80 @@ class AtomicMeasure:
 class MatrixMeasure:
     """A square matrix of atomic measures under row-times-column convolution.
 
-    Its nonzero entries are listed once, in row-major order, and everything
-    below walks only them.  The mass matrix, its right Perron run and the
-    atom table of :func:`vector_convolve` are computed once, on first use.
+    It holds one atom table, in the column-major (j, l, location) order that
+    :func:`vector_convolve` reads.  The mass matrix and its right Perron run
+    are computed once, on first use, and the grid of entries on first read.
     """
 
-    __slots__ = ("entries", "_nonzero", "_mass", "_perron", "_atoms")
+    __slots__ = ("n", "_atoms", "_entries", "_mass", "_perron")
 
     def __init__(self, entries: Sequence[Sequence[AtomicMeasure]]) -> None:
-        rows = [tuple(row) for row in entries]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        grid = tuple(tuple(row) for row in entries)
+        n = len(grid)
+        if any(len(r) != n for r in grid):
             raise ValueError("matrix of measures must be square")
-        self.entries = tuple(rows)
-        self._nonzero = tuple((i, j, mu) for i, row in enumerate(rows)
-                              for j, mu in enumerate(row) if mu.locations.size)
-        self._mass = None
-        self._perron = None
-        self._atoms = None
+        flat = [mu for row in grid for mu in row]
+        cells = np.arange(n * n).repeat([mu.locations.size for mu in flat])
+        self._adopt(n, cells // n, cells % n,
+                    np.concatenate([mu.locations for mu in flat] + [np.empty(0)]),
+                    np.concatenate([mu.weights for mu in flat] + [np.empty(0)]))
+
+    def _adopt(self, n: int, rows, cols, locations, weights) -> None:
+        """Entry (l, j) is the :class:`AtomicMeasure` of the atoms in row l and
+        column j; a bad atom fails as forming the entries in row-major order would."""
+        bad = ~(np.isfinite(locations) & np.isfinite(weights)) | (weights < 0)
+        bad |= locations < -ATOM_MERGE_TOL
+        if bad.any():
+            on = rows * n + cols == (rows * n + cols)[bad].min()
+            AtomicMeasure(locations[on], weights[on])  # raises
+        keep = weights > 0
+        locations, weights, cells = _merge_atoms(
+            np.maximum(locations[keep], 0.0), weights[keep], cols[keep] * n + rows[keep])
+        heads = np.diff(cells, prepend=-1) != 0
+        self.n = n
+        self._atoms = (cells % n, cells // n, locations, weights, heads.cumsum() - 1,
+                       cells[heads] // n)
+        self._entries = self._mass = self._perron = None
 
     @property
-    def n(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[AtomicMeasure, ...], ...]:
+        """The n x n grid of entries, formed on first read."""
+        if self._entries is None:
+            rows, cols, locations, weights = self._atoms[:4]
+            cell = [[(rows == l) & (cols == j) for j in range(self.n)] for l in range(self.n)]
+            self._entries = tuple(tuple(AtomicMeasure(locations[on], weights[on]) for on in row)
+                                  for row in cell)
+        return self._entries
 
     def entry(self, i: int, j: int) -> AtomicMeasure:
         return self.entries[i][j]
 
-    def _filled(self, value) -> np.ndarray:
+    def _sums(self, values: np.ndarray) -> np.ndarray:
+        """Each entry's sum of ``values``, one per atom, as numpy's ``sum`` gives
+        it: one at a time, as ``np.bincount`` adds, below 8 terms; pairwise from 8."""
+        rows, cols, _, _, entries, entry_cols = self._atoms
+        sums = np.bincount(entries, values, entry_cols.size)
+        for k in np.flatnonzero(np.bincount(entries, minlength=entry_cols.size) >= 8).tolist():
+            sums[k] = values[entries == k].sum()
         out = np.zeros((self.n, self.n))
-        for i, j, mu in self._nonzero:
-            out[i, j] = value(mu)
+        out[rows, cols] = sums[entries]
         return out
 
     def mass_matrix(self) -> np.ndarray:
         """Total masses of the entries (read-only, computed once)."""
         if self._mass is None:
-            self._mass = self._filled(AtomicMeasure.total_mass)
+            self._mass = self._sums(self._atoms[3])
             self._mass.setflags(write=False)
         return self._mass
 
     def moment_matrix(self) -> np.ndarray:
-        return self._filled(AtomicMeasure.first_moment)
+        return self._sums(self._atoms[2] * self._atoms[3])
 
     def min_location(self) -> float | None:
-        return min((mu.min_location() for _, _, mu in self._nonzero), default=None)
+        return float(self._atoms[2].min()) if self._atoms[2].size else None
 
     def _atom_table(self) -> tuple[np.ndarray, ...]:
-        """The atoms of the nonzero entries, entries in column-major (j, l)
-        order and each entry's atoms in location order: every atom's row l,
-        column j, location, weight and entry, then every entry's column."""
-        if self._atoms is None:
-            cells = sorted(self._nonzero, key=lambda cell: (cell[1], cell[0]))
-            sizes = [mu.locations.size for _, _, mu in cells]
-            entry_cols = np.array([j for _, j, _ in cells], dtype=np.intp)
-            self._atoms = (
-                np.repeat(np.array([l for l, _, _ in cells], dtype=np.intp), sizes),
-                np.repeat(entry_cols, sizes),
-                np.concatenate([mu.locations for _, _, mu in cells] or [np.empty(0)]),
-                np.concatenate([mu.weights for _, _, mu in cells] or [np.empty(0)]),
-                np.repeat(np.arange(len(cells)), sizes),
-                entry_cols,
-            )
+        """Each atom's row l, column j, location, weight and entry; each entry's column."""
         return self._atoms
 
     def _right_perron(self) -> tuple[float, np.ndarray]:
@@ -274,19 +288,14 @@ def transfer_measure(graph, s0: float) -> MatrixMeasure:
     edges from vertex j to vertex i, so ``mass_matrix()`` equals the
     transpose of the pressure matrix at ``s0``.
     """
-    n = graph.n_vertices
-    atoms: list[list[list[tuple[float, float]]]] = [
-        [[] for _ in range(n)] for _ in range(n)
-    ]
-    for e in graph.edges.values():
-        i = graph.vertex_index(e.dst)
-        j = graph.vertex_index(e.src)
-        atoms[i][j].append((e.log_ratio, e.ratio**s0))
-    # the arrays of a measure are read-only, so empty entries can share one
-    zero = AtomicMeasure.zero()
-    return MatrixMeasure(
-        [[AtomicMeasure.from_atoms(cell) if cell else zero for cell in row] for row in atoms]
-    )
+    from .spectral import _powers
+
+    index, edges = graph.vertex_index, graph.edges.values()
+    m = object.__new__(MatrixMeasure)
+    m._adopt(graph.n_vertices, np.array([index(e.dst) for e in edges], dtype=np.intp),
+             np.array([index(e.src) for e in edges], dtype=np.intp),
+             np.array([e.log_ratio for e in edges]), _powers([e.ratio for e in edges])(s0))
+    return m
 
 
 class StepFunction:
@@ -930,7 +939,8 @@ def limit_value(
     phi = np.zeros(m.n) if phases is None else np.asarray(phases, dtype=float)
     if phi.shape != (m.n,):
         raise ValueError("lattice phases must give one value per component")
-    locs = np.concatenate([mu.locations - (phi[i] - phi[j]) for i, j, mu in m._nonzero])
+    rows, cols, locs = m._atom_table()[:3]
+    locs = locs - (phi[rows] - phi[cols])
     worst = float(np.abs(locs - np.round(locs / tau) * tau).max(initial=0.0))
     if worst > LATTICE_ALIGN_TOL:
         raise NumericalError(

@@ -3,8 +3,10 @@
 
 This is the straightforward path that ``gdcover.renewal`` replaces with
 array-native fast paths: the atom merge and the breakpoint merge walk every
-value in a Python loop, ``vector_convolve``, the mass and moment matrices
-and the least atom location walk all n^2 matrix entries, every step
+value in a Python loop, the renewal matrix is formed entry by entry and
+the pressure matrices edge by edge, ``vector_convolve``, the mass and
+moment matrices, the atom table and the least atom location walk all n^2
+matrix entries, every step
 function goes through the validating constructor, and the periodic limit
 evaluates the forcing at one point at a time.  It is kept only as a
 differential oracle; the package's renewal results must equal it bit for
@@ -25,6 +27,8 @@ from gdcover.errors import NumericalError
 from gdcover.graph import MWGraph, strongly_connected
 from gdcover.renewal import (
     ATOM_MERGE_TOL,
+    AtomicMeasure,
+    MatrixMeasure,
     StepFunction,
     _limit_matrix_from,
     _require_renewal_preconditions,
@@ -61,6 +65,52 @@ def merge_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     out_loc.append(anchor)
     out_w.append(acc)
     return np.array(out_loc), np.array(out_w)
+
+
+def transfer_measure(graph: MWGraph, s0: float) -> MatrixMeasure:
+    """The renewal matrix entry by entry: entry (i, j) is formed on its own
+    from the edges j -> i, each atom ``(-log ratio, ratio**s0)`` in edge
+    order, and the entries in row-major order."""
+    n = graph.n_vertices
+    atoms: list[list[list[tuple[float, float]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for e in graph.edges.values():
+        i = graph.vertex_index(e.dst)
+        j = graph.vertex_index(e.src)
+        atoms[i][j].append((e.log_ratio, e.ratio**s0))
+    zero = AtomicMeasure.zero()
+    return MatrixMeasure(
+        [[AtomicMeasure.from_atoms(cell) if cell else zero for cell in row] for row in atoms]
+    )
+
+
+def pressure_matrix(graph: MWGraph, s: float, moments: bool = False) -> np.ndarray:
+    """Entry (i, j) sums ``ratio**s`` (times ``-log ratio`` for moments) over
+    the edges i -> j, one edge at a time in edge order."""
+    n = graph.n_vertices
+    flat = [0.0] * (n * n)
+    for e in graph.edges.values():
+        k = graph.vertex_index(e.src) * n + graph.vertex_index(e.dst)
+        flat[k] += e.ratio**s * (e.log_ratio if moments else 1.0)
+    return np.array(flat).reshape(n, n)
+
+
+def atom_table(m) -> tuple[np.ndarray, ...]:
+    """The atoms of the nonzero entries of the n^2 grid, entries in
+    column-major (j, l) order and each entry's atoms in location order:
+    every atom's row l, column j, location, weight and entry, then every
+    entry's column."""
+    cells = [(l, j, m.entry(l, j)) for j in range(m.n) for l in range(m.n)
+             if not m.entry(l, j).is_zero]
+    sizes = [mu.locations.size for _, _, mu in cells]
+    entry_cols = np.array([j for _, j, _ in cells], dtype=np.intp)
+    return (
+        np.repeat(np.array([l for l, _, _ in cells], dtype=np.intp), sizes),
+        np.repeat(entry_cols, sizes),
+        np.concatenate([mu.locations for _, _, mu in cells] or [np.empty(0)]),
+        np.concatenate([mu.weights for _, _, mu in cells] or [np.empty(0)]),
+        np.repeat(np.arange(len(cells)), sizes),
+        entry_cols,
+    )
 
 
 def mass_matrix(m) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Differential tests: the renewal series and the ``s0`` Newton iteration
-against ``renewal_oracle``.
+"""Differential tests: the renewal matrix, the pressure matrices, the
+renewal series and the ``s0`` Newton iteration against ``renewal_oracle``.
 
-The oracle merges breakpoints and atoms one value at a time and convolves
-all n^2 matrix entries; the package must reproduce its breakpoints and
-values exactly, not merely to a tolerance.  The oracle's ``s0`` and Perron
+The oracle forms the renewal matrix entry by entry and the pressure
+matrices edge by edge, merges breakpoints and atoms one value at a time and
+convolves all n^2 matrix entries; the package must reproduce its atoms,
+matrices, breakpoints and values exactly, not merely to a tolerance.  The oracle's ``s0`` and Perron
 vectors come from power runs checked after every step, and the package's
 from dense eigensolves, so those agree to within rounding.
 """
@@ -20,6 +21,7 @@ from conftest import BUNDLED_NAMES
 from helpers import family_system, line_map, phase_graph
 
 from gdcover import renewal, schema, spectral
+from gdcover.errors import ValidationError
 from gdcover.geometry import Box
 from gdcover.graph import Edge, MWGraph
 from gdcover.renewal import AtomicMeasure, MatrixMeasure, StepFunction
@@ -205,7 +207,7 @@ class TestMergeAgainstOracle:
     def test_merge_atoms(self, atoms):
         loc = np.array([a for a, _ in atoms])
         w = np.array([b for _, b in atoms])
-        got = renewal._merge_atoms(loc, w)
+        got = renewal._merge_atoms(loc, w, np.zeros(loc.size, dtype=np.intp))
         want = oracle.merge_atoms(loc, w)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -264,6 +266,134 @@ class TestMatrixMeasureAgainstOracle:
         renewal.renewal_solve(m, forcing, 5.0)
         assert len(runs) == 2  # the right run once, the left run once
         assert len(tests) == 1
+
+
+# -- the renewal matrix as one atom table -------------------------------------------
+
+
+def raised(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # noqa: BLE001 - the two paths must raise alike
+        return None, (type(exc), str(exc))
+
+
+def check_transfer(graph, s0):
+    """``transfer_measure`` against the oracle's entry by entry construction:
+    the same exception, or the same entries, mass and moment matrices, least
+    location and atom table, byte for byte."""
+    (got, got_err), (want, want_err) = (raised(renewal.transfer_measure, graph, s0),
+                                        raised(oracle.transfer_measure, graph, s0))
+    assert got_err == want_err
+    if want_err is not None:
+        return
+    assert got.mass_matrix().tobytes() == oracle.mass_matrix(want).tobytes()
+    assert got.moment_matrix().tobytes() == oracle.moment_matrix(want).tobytes()
+    assert repr(got.min_location()) == repr(oracle.min_location(want))
+    for a, b in zip(got._atom_table(), oracle.atom_table(want), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.n == want.n
+    for i in range(got.n):
+        for j in range(got.n):
+            g, w = got.entry(i, j), want.entry(i, j)
+            assert g.locations.tobytes() == w.locations.tobytes(), (i, j)
+            assert g.weights.tobytes() == w.weights.tobytes(), (i, j)
+
+
+def check_powers(graph, s):
+    """The pressure and moment matrices and the renewal matrix's weights at
+    ``s`` against the per-edge ``ratio**s``, bit for bit."""
+    assert spectral.build_matrix(graph, s).tobytes() == oracle.pressure_matrix(graph, s).tobytes()
+    assert (spectral.build_moment_matrix(graph, s).tobytes()
+            == oracle.pressure_matrix(graph, s, moments=True).tobytes())
+    check_transfer(graph, s)
+
+
+def family_members():
+    return [schema.parse_system(family_system(n, lattice, seed))
+            for n in (4, 8, 14, 22) for lattice in (False, True) for seed in (1, 2)]
+
+
+@st.composite
+def multigraphs(draw):
+    """1-d multigraphs on up to 4 vertices: parallel edges whose log-ratios
+    differ by under the merge tolerance, one vertex pair with 9 to 12 edges
+    of distinct ratios, ratios whose weight underflows to 0 at s0 > 1.1, and
+    sometimes a ratio of 1 or above, whose location is -0.0 or negative."""
+    n = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    base = st.sampled_from((0.5, 0.3, 0.25, 0.125, 1e-300))
+    near = st.builds(lambda r, k: r * math.exp(-k * CHAIN_STEP), base, st.integers(0, 6))
+    edges = draw(st.lists(st.tuples(pair, near), min_size=1, max_size=12))
+    many = draw(pair)
+    edges += [(many, 0.05 * k) for k in draw(st.lists(st.integers(1, 19), min_size=9,
+                                                      max_size=12, unique=True))]
+    if draw(st.integers(0, 4)) == 0:
+        edges.append((draw(pair), draw(st.sampled_from((1.0, 1.5)))))
+    edges = draw(st.permutations(edges))
+    return MWGraph(
+        dimension=1,
+        vertices={f"v{k}": Box((2.0 * k,), (2.0 * k + 1.0,)) for k in range(n)},
+        edges=[Edge(f"e{k}", f"v{a}", f"v{b}", line_map(r, 0.0))
+               for k, ((a, b), r) in enumerate(edges)],
+    )
+
+
+class TestTransferMeasureAgainstOracle:
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_bundled_systems(self, bundled, name):
+        check_transfer(bundled[name], spectral.solve_s0(bundled[name]).s0)
+
+    def test_family_members(self):
+        for graph in family_members():
+            check_transfer(graph, spectral.solve_s0(graph).s0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=multigraphs(),
+           s0=st.one_of(st.floats(0.0, 3.0),
+                        st.sampled_from((math.nan, math.inf, -math.inf, -1.0, -2.5))))
+    def test_multigraphs(self, graph, s0):
+        check_transfer(graph, s0)
+
+    def test_underflow_merge_and_many_atoms(self):
+        # one entry of 10 atoms, two of them within the merge tolerance, and
+        # one atom whose weight underflows to 0 and is dropped
+        ratios = [0.05 * k for k in range(1, 11)] + [0.5 * math.exp(-0.6e-12), 1e-300]
+        graph = MWGraph(1, {"X": Box((0.0,), (1.0,))},
+                        [Edge(f"e{k}", "X", "X", line_map(r, 0.0)) for k, r in enumerate(ratios)])
+        mu = renewal.transfer_measure(graph, 1.5).entry(0, 0)
+        assert mu.n_atoms == 10
+        check_transfer(graph, 1.5)
+
+    @pytest.mark.parametrize("loops, message", [
+        ((1.5, 0.5), "atom locations must be nonnegative"),
+        ((0.5, 1.5), "atom locations and weights must be finite"),
+    ])
+    def test_first_bad_entry_raises(self, loops, message):
+        # at s0 = -inf a ratio above 1 gives a negative location and weight
+        # 0, one below 1 an infinite weight: entry (0, 0) is formed first
+        graph = MWGraph(1, {"P": Box((0.0,), (1.0,)), "Q": Box((2.0,), (3.0,))},
+                        [Edge(f"e{k}", v, v, line_map(r, 0.0))
+                         for k, (v, r) in enumerate(zip("PQ", loops))])
+        with pytest.raises(ValidationError, match=message):
+            renewal.transfer_measure(graph, -math.inf)
+        check_transfer(graph, -math.inf)
+
+
+class TestPowersPerEdge:
+    """One ``**`` per distinct ratio gives what one per edge gives."""
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_bundled_systems(self, bundled, name):
+        for s in np.random.default_rng(1).uniform(0.0, 3.0, 8).tolist():
+            check_powers(bundled[name], s)
+
+    def test_family_members(self):
+        rng = np.random.default_rng(2)
+        for graph in family_members():
+            for s in rng.uniform(0.0, 3.0, 4).tolist():
+                check_powers(graph, s)
 
 
 # -- the renewal series -----------------------------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     box_contains_point,
     cantor_graph,
     enumerate_paths,
+    family_system,
     line_map,
     make_path,
     path_terminal,
@@ -26,6 +27,7 @@ from helpers import (
 from lattice_oracle import path_ratio
 
 from gdcover import graph as graph_module
+from gdcover import schema
 from gdcover.errors import ResourceLimitError, ValidationError
 from gdcover.geometry import Box, Primitive, Similarity
 from gdcover.graph import (
@@ -224,15 +226,53 @@ def checked_systems(draw):
     return MWGraph(d, vertices, edges, condensation=condensation, open_sets=opens)
 
 
+def failure_message(rep):
+    try:
+        rep.raise_if_failed()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_report(graph):
+    """``validate`` against the loop reference's check list, each read on a
+    fresh report: the verdict, the ``raise_if_failed`` message, the failures
+    and the checks."""
+    want = validate_loop(graph).checks
+    failures = [c for c in want if not c.passed]
+    assert validate(graph).ok == (not failures)
+    message = f"validation failed ({'; '.join(f'{c.name}: {c.detail}' for c in failures)})"
+    assert failure_message(validate(graph)) == (message if failures else None)
+    assert validate(graph).failures() == failures
+    assert validate(graph).checks == want
+
+
 class TestValidateAgainstLoop:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(graph=checked_systems())
     def test_same_checks(self, graph):
-        assert validate(graph).checks == validate_loop(graph).checks
+        assert_same_report(graph)
 
     def test_bundled_systems(self, bundled):
-        for name, graph in bundled.items():
-            assert validate(graph).checks == validate_loop(graph).checks, name
+        for graph in bundled.values():
+            assert_same_report(graph)
+
+    @pytest.mark.parametrize("lo, hi", [((0.45,), (0.55,)), ((0.5,), (1.5,)), ((0.6,), (0.4,))],
+                             ids=["inside", "outside", "inverted"])
+    def test_box_condensation(self, lo, hi):
+        g = cantor_graph(condensation={"X": (Primitive.box(lo, hi),)})
+        assert_same_report(g)
+
+    def test_passing_report_forms_no_check(self, monkeypatch):
+        graph = schema.parse_system(family_system(22, False, 1))
+        formed = []
+        real = graph_module.CheckResult
+        monkeypatch.setattr(graph_module, "CheckResult",
+                            lambda *args: formed.append(args) or real(*args))
+        rep = validate(graph)
+        rep.raise_if_failed()
+        assert rep.ok and not formed
+        assert len(rep.checks) == len(formed) > 0
 
 
 class TestConnectivity:

@@ -8,6 +8,11 @@ stdout, which must repeat in every round::
 
     python tools/bench_defaults.py [-o BENCH_defaults.json]
 
+With ``--check`` it runs each system once, untimed, and compares the sha256
+of its stdout with the one the file records, writing nothing; it exits 1 and
+names each system that differs.  The hashes hold only for the Python and
+numpy the file records.
+
 The source measured is ``src`` beside this file's directory.  Every child
 runs with one fixed ``MALLOC_MMAP_THRESHOLD_``, so its peak RSS follows what
 it holds, not glibc's dynamic threshold.  A child's peak RSS counts the
@@ -90,14 +95,33 @@ def _git(*args: str) -> str | None:
         return None
 
 
+def _check(path: str, env: dict) -> int:
+    """Run each system once and compare its stdout sha256 with ``path``'s."""
+    with open(path, encoding="utf-8") as fh:
+        recorded = {name: row["stdout_sha256"] for name, row in json.load(fh)["systems"].items()}
+    with tempfile.TemporaryDirectory() as work:
+        paths, _ = _systems(Path(work))
+        digests = {name: _run(p, env)[2] for name, p in paths.items()}
+    differ = sorted(name for name in digests.keys() | recorded.keys()
+                    if digests.get(name) != recorded.get(name))
+    for name in differ:
+        print(f"{name}: stdout sha256 differs from {path}", file=sys.stderr)
+    print(f"{len(digests) - len(differ)} of {len(digests)} systems match {path}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-o", "--output", default=str(ROOT / "BENCH_defaults.json"))
+    ap.add_argument("--check", action="store_true",
+                    help="run each system once and compare its stdout sha256 with the file's")
     argv = sys.argv[1:] if argv is None else argv
     args = ap.parse_args(argv)
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                MALLOC_MMAP_THRESHOLD_=str(MMAP_THRESHOLD))
+    if args.check:
+        return _check(args.output, env)
     with tempfile.TemporaryDirectory() as work:
         paths, numpy_version = _systems(Path(work))
         runs: dict[str, list] = {name: [] for name in paths}
